@@ -1,7 +1,8 @@
 """Command-line interface: graph inspection, enumeration, fans, moduli, equations.
 
 Exit codes: 0 success, 1 verification failure, 2 unparseable input,
-3 enumeration guard exceeded.
+3 enumeration guard exceeded, 4 any other library error (for example a
+graph that is not biconnected where one is required).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import sys
 
 from .enriched import enriched_structures, is_enriched
-from .errors import FormatError, GuardExceededError
+from .errors import EnrichfanError, FormatError, GuardExceededError
 from .formats import (
     cells_to_dot,
     cells_to_json,
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_GUARD = 3
+EXIT_ERROR = 4
 
 
 def _load_graph(args) -> WeightedGraph:
@@ -314,6 +316,9 @@ def main(argv=None) -> int:
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except EnrichfanError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -5,18 +5,48 @@ recursively: a biconnected graph must have a single equivalence class
 below every edge whose contraction is again enriched, and on a graph with
 separating vertices the structure restricts to each block with edges of
 different blocks incomparable.
+
+One recursion core serves enumeration, validation and location.  A graph
+is the tuple of vertex-index ends of its edges in ``edge_labels`` order
+(``graphs.edge_ends``), a subgraph is a bitmask over those edge indices,
+and a structure is its tuple of preorder rows over the same indices.  On
+a single block the core takes a bottom class, contracts it (a union-find
+over vertex ids) and recurses; otherwise it splits the mask with
+``graphs.block_masks`` and combines the blocks' rows.  Rows come out
+closed: a bottom row is the whole current mask and block rows are ORed.
+A dict scoped to one call memoizes subproblems on the mask together with
+the renumbered contracted ends.  The consumers differ only in the bottom
+classes they offer: every nonempty subset (enumeration), the rows equal to
+the mask (validation, which accepts exactly when the rebuilt rows are the
+given ones), or the argmin set (location).
+
+Structures the core builds are correct by construction, so
+``enriched_structures``, ``locate`` and ``specializations`` create their
+results through a trusted path that skips the checks of the public
+``EnrichedGraph`` and ``Specialization`` constructors.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 
 from .errors import GroundSetMismatchError, GuardExceededError, NotABondError, UnknownLabelError
-from .graphs import Bond, MultiGraph, biconnected_components, bonds, contract, is_biconnected, label_key, sort_labels
+from .graphs import Bond, MultiGraph, biconnected_components, bits, block_masks, bonds, contract, edge_ends, label_key, sort_labels
 from .preorders import Preorder
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` built without ``__post_init__``.
+
+    Only for values the recursion core built, which pass those checks by
+    construction.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -52,64 +82,135 @@ class EnrichedGraph:
         return EnrichedGraph(renamed, self.preorder.relabel(mapping))
 
 
+def _state(ends: tuple, keep: int, merge: int = 0) -> tuple:
+    """Ends of the edges in ``keep`` once the edges in ``merge`` are contracted.
+
+    Vertices are renumbered in order of first appearance and edges outside
+    ``keep`` get ``None``, so equal subproblems reached along different
+    paths get equal states.
+    """
+    parent = {}
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for e in bits(merge):
+        u, v = map(find, ends[e])
+        if u != v:
+            parent[v] = u
+    out = [None] * len(ends)
+    number = {}
+    for e in bits(keep):
+        a, b = (number.setdefault(find(x), len(number)) for x in ends[e])
+        out[e] = (a, b) if a <= b else (b, a)
+    return tuple(out)
+
+
+def _rows(ends: tuple, mask: int, bottoms, memo: dict) -> list:
+    """Rows of the enriched structures on the edges in ``mask`` whose bottom
+    classes are drawn from ``bottoms(block_mask)``.
+
+    Each result has one row per edge index of the whole graph, zero outside
+    ``mask``.
+    """
+    key = (mask, ends)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    n = len(ends)
+    if mask & (mask - 1) == 0:  # at most one edge: only the discrete structure
+        found = [tuple(mask if mask >> i & 1 else 0 for i in range(n))]
+    else:
+        blocks = block_masks(ends, mask)
+        if len(blocks) == 1:
+            found = []
+            for bottom in bottoms(mask):
+                base = tuple(mask if bottom >> i & 1 else 0 for i in range(n))
+                rest = mask & ~bottom
+                for rows in _rows(_state(ends, rest, bottom), rest, bottoms, memo):
+                    found.append(tuple(map(or_, base, rows)))
+        else:
+            found = None
+            for block in blocks:
+                part = _rows(_state(ends, block), block, bottoms, memo)
+                found = part if found is None else [tuple(map(or_, a, b)) for a in found for b in part]
+    memo[key] = found
+    return found
+
+
+def _structure_rows(g: MultiGraph, bottoms) -> list:
+    ends = edge_ends(g)
+    return _rows(ends, (1 << len(ends)) - 1, bottoms, {})
+
+
+def _nonempty_submasks(mask: int):
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def _bottoms_of(rows: tuple):
+    """The one bottom class a given preorder allows: its rows that cover the mask."""
+
+    def bottoms(mask):
+        bottom = 0
+        for i in bits(mask):
+            if rows[i] & mask == mask:
+                bottom |= 1 << i
+        return (bottom,) if bottom else ()
+
+    return bottoms
+
+
+def _argmin(values: list):
+    """The one bottom class a point allows: its least coordinates on the mask."""
+
+    def bottoms(mask):
+        lo = min(values[i] for i in bits(mask))
+        return (sum(1 << i for i in bits(mask) if values[i] == lo),)
+
+    return bottoms
+
+
 def is_enriched(g: MultiGraph, p: Preorder) -> bool:
-    """Decide the recursive conditions for ``p`` to enrich ``g``."""
+    """Decide the recursive conditions for ``p`` to enrich ``g``.
+
+    The core rebuilds a structure taking each bottom class from ``p``
+    itself; ``p`` is enriched exactly when that succeeds and gives ``p``
+    back (any relation between different blocks is then missing).
+    """
     if p.ground != g.edge_labels:
         raise GroundSetMismatchError("preorder ground set must equal the edge set")
-    return _is_enriched(g, p)
+    return _structure_rows(g, _bottoms_of(p.rows)) == [p.rows]
 
 
-def _is_enriched(g: MultiGraph, p: Preorder) -> bool:
-    if g.n_edges <= 1:
-        return True  # the only preorder on <= 1 label is the trivial one
-    if is_biconnected(g):
-        bottom = p.global_minima()
-        if not bottom:
-            return False
-        rest = set(g.edge_labels) - bottom
-        return _is_enriched(contract(g, bottom), p.restrict(rest))
-    comps = biconnected_components(g)
-    comp_of = {}
-    for i, c in enumerate(comps):
-        for e in c.edge_labels:
-            comp_of[e] = i
-    for a in g.edge_labels:
-        for b in g.edge_labels:
-            if comp_of[a] != comp_of[b] and a != b and p.comparable(a, b):
-                return False
-    return all(_is_enriched(c, p.restrict(c.edge_labels)) for c in comps)
-
-
-@functools.lru_cache(maxsize=None)
+# bounded: specializations of one moduli census reach a few hundred contracted
+# graphs, and one entry of an 8-edge graph can hold half a million structures
+@functools.lru_cache(maxsize=1024)
 def _structures(g: MultiGraph) -> tuple:
-    """All enriched structures on ``g``, canonically ordered."""
-    labels = g.edge_labels
-    if len(labels) <= 1:
-        return (Preorder.discrete(labels),)
-    if is_biconnected(g):
-        found = []
-        for k in range(1, len(labels) + 1):
-            for bottom in itertools.combinations(labels, k):
-                bottom_set = frozenset(bottom)
-                rest = [e for e in labels if e not in bottom_set]
-                base = [(a, b) for a in bottom for b in labels if a != b]
-                for q in _structures(contract(g, bottom_set)):
-                    found.append(Preorder.from_relations(labels, base + q.pairs()))
-        return tuple(sorted(found, key=lambda p: sorted(map(lambda t: (label_key(t[0]), label_key(t[1])), p.pairs()))))
-    comps = biconnected_components(g)
-    per_comp = [_structures(c) for c in comps]
-    found = []
-    for combo in itertools.product(*per_comp):
-        pairs = [pair for q in combo for pair in q.pairs()]
-        found.append(Preorder.from_relations(labels, pairs))
-    return tuple(sorted(found, key=lambda p: sorted(map(lambda t: (label_key(t[0]), label_key(t[1])), p.pairs()))))
+    """Rows of all enriched structures on ``g``, canonically ordered.
+
+    The order is that of the sorted lists of related label pairs.  Edges
+    are indexed in ``label_key`` order, so the pairs ``(i, j)``, ``i != j``,
+    of the rows sort the same way; they are compared as bytes, and the
+    bytes of each distinct row are built once.
+    """
+    found = _structure_rows(g, _nonempty_submasks)
+    pair_bytes = [
+        {row: bytes([x for j in bits(row & ~(1 << i)) for x in (i, j)]) for row in set(column)}
+        for i, column in enumerate(zip(*found))
+    ]
+    return tuple(sorted(found, key=lambda rows: b"".join([t[r] for t, r in zip(pair_bytes, rows)])))
 
 
 def enriched_structures(g: MultiGraph, max_edges: int = 8) -> list:
     """Every enriched structure on ``g``, each exactly once."""
     if g.n_edges > max_edges:
         raise GuardExceededError(f"enumeration capped at {max_edges} edges")
-    return [EnrichedGraph(g, p) for p in _structures(g)]
+    return [_trusted(EnrichedGraph, graph=g, preorder=p) for p in Preorder._family(g.edge_labels, _structures(g))]
 
 
 def generic_structures(g: MultiGraph, max_edges: int = 8) -> list:
@@ -198,10 +299,11 @@ def specializations(eg: EnrichedGraph, max_edges: int = 8) -> list:
     out = []
     for s in eg.preorder.lower_sets():
         target_graph = contract(eg.graph, s)
-        surviving = eg.preorder.restrict(set(eg.graph.edge_labels) - s)
-        for cand in _structures(target_graph):
-            if cand.contains(surviving):
-                out.append(Specialization(eg, EnrichedGraph(target_graph, cand), frozenset(s)))
+        surviving = eg.preorder.restrict(set(eg.graph.edge_labels) - s).rows
+        kept = [rows for rows in _structures(target_graph) if all(o & ~r == 0 for r, o in zip(rows, surviving))]
+        for cand in Preorder._family(target_graph.edge_labels, kept):
+            target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
+            out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
     return out
 
 
@@ -255,25 +357,9 @@ def locate(g: MultiGraph, x) -> EnrichedGraph:
     """
     if set(x) != set(g.edge_labels):
         raise UnknownLabelError("coordinate keys must be exactly the edge labels")
-    values = {e: Fraction(x[e]) for e in g.edge_labels}
-    for e, v in values.items():
+    values = [Fraction(x[e]) for e in g.edge_labels]
+    for e, v in zip(g.edge_labels, values):
         if v <= 0:
             raise ValueError(f"coordinate of {e!r} must be strictly positive")
-    return EnrichedGraph(g, _locate(g, values))
-
-
-def _locate(g: MultiGraph, values: dict) -> Preorder:
-    labels = g.edge_labels
-    if len(labels) <= 1:
-        return Preorder.discrete(labels)
-    if is_biconnected(g):
-        lo = min(values[e] for e in labels)
-        bottom = [e for e in labels if values[e] == lo]
-        rest = [e for e in labels if values[e] > lo]
-        q = _locate(contract(g, bottom), {e: values[e] for e in rest})
-        base = [(a, b) for a in bottom for b in labels if a != b]
-        return Preorder.from_relations(labels, base + q.pairs())
-    pairs = []
-    for c in biconnected_components(g):
-        pairs.extend(_locate(c, {e: values[e] for e in c.edge_labels}).pairs())
-    return Preorder.from_relations(labels, pairs)
+    (rows,) = _structure_rows(g, _argmin(values))
+    return _trusted(EnrichedGraph, graph=g, preorder=Preorder(g.edge_labels, rows, _trusted=True))

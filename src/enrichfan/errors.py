@@ -9,15 +9,22 @@ class FormatError(EnrichfanError, ValueError):
     """Malformed textual or JSON input."""
 
 
-class UnknownVertexError(EnrichfanError, KeyError):
+class _LookupFailure(EnrichfanError, KeyError):
+    """A failed lookup that prints its message, not the quoted repr a KeyError prints."""
+
+    def __str__(self):
+        return Exception.__str__(self)
+
+
+class UnknownVertexError(_LookupFailure):
     pass
 
 
-class UnknownEdgeError(EnrichfanError, KeyError):
+class UnknownEdgeError(_LookupFailure):
     pass
 
 
-class UnknownLabelError(EnrichfanError, KeyError):
+class UnknownLabelError(_LookupFailure):
     pass
 
 

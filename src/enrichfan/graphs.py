@@ -55,9 +55,9 @@ class MultiGraph:
             if label in ends:
                 raise ValueError(f"duplicate edge label {label!r}")
             if u not in vset:
-                raise UnknownVertexError(u)
+                raise UnknownVertexError(f"unknown vertex {u!r}")
             if v not in vset:
-                raise UnknownVertexError(v)
+                raise UnknownVertexError(f"unknown vertex {v!r}")
             ends[label] = tuple(sorted((u, v), key=label_key))
         adj = {v: [] for v in vs}
         for label, (u, v) in ends.items():
@@ -91,7 +91,7 @@ class MultiGraph:
         try:
             return self._ends[label]
         except KeyError:
-            raise UnknownEdgeError(label) from None
+            raise UnknownEdgeError(f"unknown edge {label!r}") from None
 
     def has_vertex(self, v) -> bool:
         return v in self._vset
@@ -106,7 +106,7 @@ class MultiGraph:
     def incident(self, v) -> tuple:
         """Edges at ``v`` as ``(label, other_end)`` pairs; loops appear once."""
         if v not in self._vset:
-            raise UnknownVertexError(v)
+            raise UnknownVertexError(f"unknown vertex {v!r}")
         return self._adj[v]
 
     def valence(self, v) -> int:
@@ -122,7 +122,7 @@ class MultiGraph:
         vs = frozenset(vertex_subset)
         unknown = vs - self._vset
         if unknown:
-            raise UnknownVertexError(sorted(unknown, key=label_key)[0])
+            raise UnknownVertexError(f"unknown vertex {sorted(unknown, key=label_key)[0]!r}")
         edges = {e: uv for e, uv in self._ends.items() if uv[0] in vs and uv[1] in vs}
         return MultiGraph(vs, edges)
 
@@ -209,25 +209,45 @@ def contract(g: MultiGraph, s) -> MultiGraph:
     return MultiGraph(vertices, edges)
 
 
-def biconnected_components(g: MultiGraph) -> list:
-    """The blocks of ``g`` as subgraphs; their edge sets partition ``E(g)``.
+def bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Each loop together with its vertex is its own block.  Parallel edges
-    are distinct, so a pair of them forms a cycle and lies in one block.
-    Isolated vertices yield no block.
+
+def edge_ends(g: MultiGraph) -> tuple:
+    """The ends of each edge as vertex indices, in ``edge_labels`` order.
+
+    Vertices are indexed in ``vertices`` order, so edge ``i`` of the result
+    is ``g.edge_labels[i]`` and a bitmask over these indices is a subgraph.
     """
-    blocks = [[e] for e in g.loops()]
-    adj = {v: [] for v in g.vertices}
-    for e in g.edge_labels:
-        u, v = g.ends(e)
-        if u != v:
-            adj[u].append((e, v))
-            adj[v].append((e, u))
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return tuple((index[u], index[v]) for u, v in map(g.ends, g.edge_labels))
+
+
+def block_masks(ends, mask: int) -> list:
+    """The blocks of the subgraph formed by the edges in ``mask``, as edge masks.
+
+    ``ends[i]`` is the vertex pair of edge ``i``.  Each loop is its own
+    block; parallel edges are distinct, so a pair of them forms a cycle and
+    lies in one block.  Blocks are ordered by their least edge index.
+    """
+    blocks = []
+    adj = {}
+    for e in bits(mask):
+        u, v = ends[e]
+        if u == v:
+            blocks.append(1 << e)
+        else:
+            adj.setdefault(u, []).append((e, v))
+            adj.setdefault(v, []).append((e, u))
     disc, low = {}, {}
-    used = set()
+    used = 0
     edge_stack = []
     clock = 0
-    for root in g.vertices:
+    for root in adj:
         if root in disc:
             continue
         disc[root] = low[root] = clock
@@ -237,9 +257,9 @@ def biconnected_components(g: MultiGraph) -> list:
             v, entry, it = stack[-1]
             descended = False
             for e, w in it:
-                if e in used:
+                if used >> e & 1:
                     continue
-                used.add(e)
+                used |= 1 << e
                 edge_stack.append(e)
                 if w not in disc:
                     disc[w] = low[w] = clock
@@ -255,21 +275,30 @@ def biconnected_components(g: MultiGraph) -> list:
                 pv = stack[-1][0]
                 low[pv] = min(low[pv], low[v])
                 if low[v] >= disc[pv]:
-                    block = []
+                    block = 0
                     while True:
                         e = edge_stack.pop()
-                        block.append(e)
+                        block |= 1 << e
                         if e == entry:
                             break
                     blocks.append(block)
         assert not edge_stack
+    blocks.sort(key=lambda b: b & -b)
+    return blocks
+
+
+def biconnected_components(g: MultiGraph) -> list:
+    """The blocks of ``g`` as subgraphs; their edge sets partition ``E(g)``.
+
+    Each loop together with its vertex is its own block.  Parallel edges
+    are distinct, so a pair of them forms a cycle and lies in one block.
+    Isolated vertices yield no block.
+    """
+    labels = g.edge_labels
     out = []
-    for block in blocks:
-        vs = set()
-        for e in block:
-            vs.update(g.ends(e))
-        out.append(MultiGraph(vs, {e: g.ends(e) for e in block}))
-    out.sort(key=lambda b: label_key(b.edge_labels[0]))
+    for block in block_masks(edge_ends(g), (1 << len(labels)) - 1):
+        edges = {labels[i]: g.ends(labels[i]) for i in bits(block)}
+        out.append(MultiGraph({v for uv in edges.values() for v in uv}, edges))
     return out
 
 
@@ -282,7 +311,7 @@ def is_biconnected(g: MultiGraph) -> bool:
     """
     if g.n_edges == 0 or not g.is_connected() or g.loops():
         return False
-    return len(biconnected_components(g)) == 1
+    return len(block_masks(edge_ends(g), (1 << g.n_edges) - 1)) == 1
 
 
 @dataclass(frozen=True)
@@ -387,7 +416,7 @@ def connected_partition(g: MultiGraph, vs) -> list:
         raise ValueError("seed vertices must be distinct")
     for v in seeds:
         if not g.has_vertex(v):
-            raise UnknownVertexError(v)
+            raise UnknownVertexError(f"unknown vertex {v!r}")
     seed_set = frozenset(seeds)
     blocks = {v: {v} for v in seeds}
     rest = frozenset(g.vertices) - seed_set
@@ -425,7 +454,7 @@ class WeightedGraph:
         try:
             return self._weights[v]
         except KeyError:
-            raise UnknownVertexError(v) from None
+            raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
     @property
     def weights(self) -> dict:
@@ -498,7 +527,7 @@ class EdgePermutation:
         for a, b in self.edge_map:
             if a == label:
                 return b
-        raise UnknownEdgeError(label)
+        raise UnknownEdgeError(f"unknown edge {label!r}")
 
     def as_dict(self) -> dict:
         return dict(self.edge_map)
@@ -507,7 +536,7 @@ class EdgePermutation:
         for a, b in self.vertex_map:
             if a == v:
                 return b
-        raise UnknownVertexError(v)
+        raise UnknownVertexError(f"unknown vertex {v!r}")
 
     def compose(self, other: "EdgePermutation") -> "EdgePermutation":
         """``self`` after ``other``."""

@@ -22,7 +22,6 @@ from .graphs import (
     contract_weighted,
     genus,
     is_stable,
-    label_key,
     weighted_isomorphisms,
 )
 from .preorders import Preorder
@@ -134,8 +133,9 @@ def _structure_orbits(wg: WeightedGraph):
     structs = [eg.preorder for eg in enriched_structures(wg.graph)]
     remaining = set(structs)
     orbits = []
-    while remaining:
-        p = min(remaining, key=lambda q: sorted(map(lambda t: (label_key(t[0]), label_key(t[1])), q.pairs())))
+    for p in structs:  # canonical order: the first uncovered structure is its orbit's least
+        if p not in remaining:
+            continue
         orbit = {p.relabel(a.as_dict()) for a in auts}
         assert orbit <= remaining
         remaining -= orbit

@@ -57,9 +57,9 @@ class Preorder:
         rows = [0] * len(labels)
         for a, b in pairs:
             if a not in index:
-                raise UnknownLabelError(a)
+                raise UnknownLabelError(f"unknown label {a!r}")
             if b not in index:
-                raise UnknownLabelError(b)
+                raise UnknownLabelError(f"unknown label {b!r}")
             rows[index[a]] |= 1 << index[b]
         return Preorder(labels, _closed(rows), _trusted=True)
 
@@ -75,15 +75,38 @@ class Preorder:
         full = (1 << len(labels)) - 1
         return Preorder(labels, [full] * len(labels), _trusted=True)
 
+    @staticmethod
+    def _family(labels: tuple, rows_seq) -> list:
+        """Preorders on the sorted ground ``labels`` from rows known to be closed.
+
+        The family shares one ground tuple and one index, so building many
+        preorders on one edge set skips the per-instance sort and checks.
+        """
+        index = {lab: i for i, lab in enumerate(labels)}
+        out = []
+        for rows in rows_seq:
+            p = object.__new__(Preorder)
+            p._labels = labels
+            p._index = index
+            p._rows = rows
+            p._hash = hash((labels, rows))
+            out.append(p)
+        return out
+
     @property
     def ground(self) -> tuple:
         return self._labels
+
+    @property
+    def rows(self) -> tuple:
+        """Bit ``j`` of row ``i`` is set when ``ground[i] ≼ ground[j]``."""
+        return self._rows
 
     def _i(self, a) -> int:
         try:
             return self._index[a]
         except KeyError:
-            raise UnknownLabelError(a) from None
+            raise UnknownLabelError(f"unknown label {a!r}") from None
 
     def leq(self, a, b) -> bool:
         return bool(self._rows[self._i(a)] >> self._i(b) & 1)
@@ -172,12 +195,21 @@ class Preorder:
 
     def lower_sets(self) -> list:
         """All lower sets, canonically ordered; exponential scan of subsets."""
+        labels = self._labels
+        n = len(labels)
+        below = [0] * n  # bit j of below[i]: ground[j] ≼ ground[i]
+        for j, row in enumerate(self._rows):
+            for i in range(n):
+                if row >> i & 1:
+                    below[i] |= 1 << j
         out = []
-        for k in range(len(self._labels) + 1):
-            for sub in itertools.combinations(self._labels, k):
-                s = frozenset(sub)
-                if self.is_lower_set(s):
-                    out.append(s)
+        for k in range(n + 1):
+            for sub in itertools.combinations(range(n), k):
+                mask = 0
+                for i in sub:
+                    mask |= below[i]
+                if mask.bit_count() == k:
+                    out.append(frozenset(labels[i] for i in sub))
         return out
 
     def irreducible_upper_sets(self, brute_force: bool = False) -> list:
@@ -282,7 +314,7 @@ class QuotientPoset:
         for i, c in enumerate(self.classes):
             if label in c:
                 return i
-        raise UnknownLabelError(label)
+        raise UnknownLabelError(f"unknown label {label!r}")
 
     def roots(self) -> tuple:
         """Indices of minimal classes."""

@@ -1,0 +1,149 @@
+"""The enumeration, validation and location recursions as first written.
+
+Kept as the slow reference the bitmask core in ``enrichfan.enriched`` is
+tested against.  Each recursion rebuilds ``MultiGraph`` values and
+``Preorder`` closures at every level; the block finder is the original
+label-keyed Tarjan, so the reference shares no code with the core beyond
+``MultiGraph``, ``contract`` and ``Preorder``.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+
+from enrichfan.graphs import MultiGraph, contract, label_key
+from enrichfan.preorders import Preorder
+
+
+def biconnected_components(g: MultiGraph) -> list:
+    """The blocks of ``g`` as subgraphs; their edge sets partition ``E(g)``.
+
+    Each loop together with its vertex is its own block.  Parallel edges
+    are distinct, so a pair of them forms a cycle and lies in one block.
+    Isolated vertices yield no block.
+    """
+    blocks = [[e] for e in g.loops()]
+    adj = {v: [] for v in g.vertices}
+    for e in g.edge_labels:
+        u, v = g.ends(e)
+        if u != v:
+            adj[u].append((e, v))
+            adj[v].append((e, u))
+    disc, low = {}, {}
+    used = set()
+    edge_stack = []
+    clock = 0
+    for root in g.vertices:
+        if root in disc:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, entry, it = stack[-1]
+            descended = False
+            for e, w in it:
+                if e in used:
+                    continue
+                used.add(e)
+                edge_stack.append(e)
+                if w not in disc:
+                    disc[w] = low[w] = clock
+                    clock += 1
+                    stack.append((w, e, iter(adj[w])))
+                    descended = True
+                    break
+                low[v] = min(low[v], disc[w])
+            if descended:
+                continue
+            stack.pop()
+            if stack:
+                pv = stack[-1][0]
+                low[pv] = min(low[pv], low[v])
+                if low[v] >= disc[pv]:
+                    block = []
+                    while True:
+                        e = edge_stack.pop()
+                        block.append(e)
+                        if e == entry:
+                            break
+                    blocks.append(block)
+        assert not edge_stack
+    out = []
+    for block in blocks:
+        vs = set()
+        for e in block:
+            vs.update(g.ends(e))
+        out.append(MultiGraph(vs, {e: g.ends(e) for e in block}))
+    out.sort(key=lambda b: label_key(b.edge_labels[0]))
+    return out
+
+
+def is_biconnected(g: MultiGraph) -> bool:
+    if g.n_edges == 0 or not g.is_connected() or g.loops():
+        return False
+    return len(biconnected_components(g)) == 1
+
+
+def _is_enriched(g: MultiGraph, p: Preorder) -> bool:
+    if g.n_edges <= 1:
+        return True  # the only preorder on <= 1 label is the trivial one
+    if is_biconnected(g):
+        bottom = p.global_minima()
+        if not bottom:
+            return False
+        rest = set(g.edge_labels) - bottom
+        return _is_enriched(contract(g, bottom), p.restrict(rest))
+    comps = biconnected_components(g)
+    comp_of = {}
+    for i, c in enumerate(comps):
+        for e in c.edge_labels:
+            comp_of[e] = i
+    for a in g.edge_labels:
+        for b in g.edge_labels:
+            if comp_of[a] != comp_of[b] and a != b and p.comparable(a, b):
+                return False
+    return all(_is_enriched(c, p.restrict(c.edge_labels)) for c in comps)
+
+
+@functools.lru_cache(maxsize=None)
+def _structures(g: MultiGraph) -> tuple:
+    """All enriched structures on ``g``, canonically ordered."""
+    labels = g.edge_labels
+    if len(labels) <= 1:
+        return (Preorder.discrete(labels),)
+    if is_biconnected(g):
+        found = []
+        for k in range(1, len(labels) + 1):
+            for bottom in itertools.combinations(labels, k):
+                bottom_set = frozenset(bottom)
+                rest = [e for e in labels if e not in bottom_set]
+                base = [(a, b) for a in bottom for b in labels if a != b]
+                for q in _structures(contract(g, bottom_set)):
+                    found.append(Preorder.from_relations(labels, base + q.pairs()))
+        return tuple(sorted(found, key=lambda p: sorted(map(lambda t: (label_key(t[0]), label_key(t[1])), p.pairs()))))
+    comps = biconnected_components(g)
+    per_comp = [_structures(c) for c in comps]
+    found = []
+    for combo in itertools.product(*per_comp):
+        pairs = [pair for q in combo for pair in q.pairs()]
+        found.append(Preorder.from_relations(labels, pairs))
+    return tuple(sorted(found, key=lambda p: sorted(map(lambda t: (label_key(t[0]), label_key(t[1])), p.pairs()))))
+
+
+def _locate(g: MultiGraph, values: dict) -> Preorder:
+    labels = g.edge_labels
+    if len(labels) <= 1:
+        return Preorder.discrete(labels)
+    if is_biconnected(g):
+        lo = min(values[e] for e in labels)
+        bottom = [e for e in labels if values[e] == lo]
+        rest = [e for e in labels if values[e] > lo]
+        q = _locate(contract(g, bottom), {e: values[e] for e in rest})
+        base = [(a, b) for a in bottom for b in labels if a != b]
+        return Preorder.from_relations(labels, base + q.pairs())
+    pairs = []
+    for c in biconnected_components(g):
+        pairs.extend(_locate(c, {e: values[e] for e in c.edge_labels}).pairs())
+    return Preorder.from_relations(labels, pairs)

@@ -1,6 +1,6 @@
 import json
 
-from enrichfan.cli import EXIT_GUARD, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
+from enrichfan.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +130,23 @@ class TestToric:
     def test_ideal_text(self, capsys):
         code, out, _ = run_cli(capsys, "toric", "equations", "--inline", DOUBLED, "--ideal")
         assert code == EXIT_OK and out.count(" - ") == 3
+
+
+class TestErrors:
+    def test_library_error_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "path.txt"
+        path.write_text("vertices: u v w\na: u v\nb: v w\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "toric", "equations", "--input", str(path))
+        assert code == EXIT_ERROR and out == ""
+        assert err == "error: this operation expects a biconnected graph; split into blocks first\n"
+
+    def test_unknown_vertex_message(self, capsys):
+        code, _, err = run_cli(capsys, "graph", "info", "--inline", "vertices: u v; a: u w")
+        assert code == EXIT_PARSE and err == "error: unknown vertex 'w'\n"
+
+    def test_unknown_label_message(self, capsys):
+        code, _, err = run_cli(capsys, "enriched", "check", "--inline", THETA, "--pairs", '[["a","zz"]]')
+        assert code == EXIT_PARSE and err == "error: unknown label 'zz'\n"
 
 
 class TestVerifyAll:

@@ -1,0 +1,111 @@
+"""The bitmask recursion core against the label-keyed reference recursions
+and against closed-form counts."""
+
+import math
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+import reference_enriched as ref
+from conftest import connected_multigraphs
+from enrichfan import corpus
+from enrichfan.enriched import enriched_structures, is_enriched, locate
+from enrichfan.graphs import MultiGraph, biconnected_components
+from enrichfan.preorders import all_preorders
+
+# mixed int and string labels: ints sort numerically and before strings
+LABELS = [1, 2, 10, "a", "b", "c", "x1", "x10", "x2"]
+
+
+@st.composite
+def multigraphs(draw, max_vertices=5, max_edges=6):
+    """Arbitrary multigraphs: loops, bridges, isolated vertices, several components."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    vertices = list(range(n))
+    labels = draw(st.lists(st.sampled_from(LABELS), max_size=max_edges, unique=True))
+    return MultiGraph(vertices, {e: (draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))) for e in labels})
+
+
+def cycle(n):
+    vs = [f"v{i}" for i in range(n)]
+    return MultiGraph(vs, {f"e{i}": (vs[i], vs[(i + 1) % n]) for i in range(n)})
+
+
+def small_graphs():
+    """Graphs with at most four edges, loops, bridges and disconnected ones among them."""
+    extra = {
+        "two_loops": MultiGraph(["u"], {"a": ("u", "u"), "b": ("u", "u")}),
+        "triangle_pendant": MultiGraph("uvwx", {"a": ("u", "v"), "b": ("v", "w"), "c": ("u", "w"), "d": ("w", "x")}),
+        "disjoint": MultiGraph("uvwxy", {"a": ("u", "v"), "b": ("u", "v"), "c": ("w", "x"), 4: ("y", "y")}),
+        "isolated": MultiGraph("uvw", {2: ("u", "v"), 10: ("u", "v"), "a": ("u", "v")}),
+        "loop_bridge": MultiGraph("uv", {"a": ("u", "u"), "b": ("u", "v"), "c": ("v", "v")}),
+    }
+    graphs = {name: g for name, g in corpus.corpus_graphs().items() if g.n_edges <= 4}
+    graphs.update(extra)
+    return graphs
+
+
+def assert_same_structures(g):
+    got = [eg.preorder for eg in enriched_structures(g, max_edges=g.n_edges)]
+    assert got == list(ref._structures(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_multigraphs())
+def test_enumeration_matches_reference_connected(g):
+    assert_same_structures(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_enumeration_matches_reference_any_multigraph(g):
+    assert_same_structures(g)
+    got = [sorted(c.edge_labels, key=str) for c in biconnected_components(g)]
+    assert got == [sorted(c.edge_labels, key=str) for c in ref.biconnected_components(g)]
+
+
+def test_enumeration_matches_reference_corpus():
+    for g in corpus.corpus_graphs().values():
+        assert_same_structures(g)
+
+
+def test_is_enriched_matches_reference_on_every_preorder():
+    for name, g in small_graphs().items():
+        for p in all_preorders(g.edge_labels):
+            assert is_enriched(g, p) == ref._is_enriched(g, p), (name, p)
+
+
+def test_locate_matches_reference_with_ties():
+    rng = random.Random(7)
+    graphs = list(small_graphs().values()) + [cycle(5), corpus.theta(4)]
+    for g in graphs:
+        if not g.n_edges:
+            continue
+        for trial in range(40):
+            # few distinct values force ties in most bottom classes
+            pool = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(1 + trial % 3)]
+            x = {e: rng.choice(pool) for e in g.edge_labels}
+            assert locate(g, x).preorder == ref._locate(g, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multigraphs(), st.data())
+def test_locate_matches_reference_any_multigraph(g, data):
+    values = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
+    x = {e: data.draw(values) for e in g.edge_labels}
+    assert locate(g, x).preorder == ref._locate(g, x)
+
+
+def test_cycle_counts_fubini_and_factorial():
+    for n, fubini in ((4, 75), (5, 541), (6, 4683), (7, 47293)):
+        structs = enriched_structures(cycle(n))
+        assert len(structs) == fubini
+        assert sum(eg.is_generic() for eg in structs) == math.factorial(n)
+
+
+def test_theta_counts():
+    for n in range(2, 9):
+        structs = enriched_structures(corpus.theta(n))
+        assert len(structs) == 2 ** n - 1
+        assert sum(eg.is_generic() for eg in structs) == n

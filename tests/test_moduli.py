@@ -2,7 +2,8 @@ import pytest
 
 from enrichfan import corpus
 from enrichfan.errors import GuardExceededError
-from enrichfan.graphs import genus, is_stable
+from enrichfan.enriched import enriched_structures
+from enrichfan.graphs import automorphisms, genus, is_stable, label_key
 from enrichfan.moduli import (
     cell_adjacency,
     cell_specializes_to,
@@ -255,6 +256,27 @@ class TestGenusThree:
         from enrichfan.moduli import _canonical_weighted_key
 
         assert len({_canonical_weighted_key(c.weighted) for c in maximal}) == 5
+
+
+def least_remaining_cells(g):
+    """(index, graph, preorder) of every cell, each orbit represented by the
+    least remaining structure under sorted label pairs."""
+    out = []
+    for wg in enumerate_stable_weighted_graphs(g):
+        auts = automorphisms(wg)
+        remaining = {eg.preorder for eg in enriched_structures(wg.graph)}
+        while remaining:
+            p = min(remaining, key=lambda q: sorted((label_key(a), label_key(b)) for a, b in q.pairs()))
+            remaining -= {p.relabel(a.as_dict()) for a in auts}
+            out.append((len(out), wg, p))
+    return out
+
+
+class TestOrbitRepresentatives:
+    def test_first_uncovered_is_least_remaining(self):
+        for g in (2, 3):
+            got = [(c.index, c.weighted, c.preorder) for c in enumerate_cells(g)]
+            assert got == least_remaining_cells(g)
 
 
 class TestGenusThreeLifts:

@@ -179,6 +179,25 @@ def test_lower_upper_duality_random(p, data):
     assert p.is_lower_set(s) == p.is_upper_set(set(p.ground) - s)
 
 
+def lower_sets_by_definition(p):
+    return [
+        frozenset(sub)
+        for k in range(len(p.ground) + 1)
+        for sub in itertools.combinations(p.ground, k)
+        if p.is_lower_set(sub)
+    ]
+
+
+def test_lower_sets_match_definition_in_order():
+    for p in all_preorders(["a", "b", "c", "d"]):
+        assert p.lower_sets() == lower_sets_by_definition(p)
+
+
+@given(preorders())
+def test_lower_sets_match_definition_random(p):
+    assert p.lower_sets() == lower_sets_by_definition(p)
+
+
 @given(preorders())
 def test_relabel_round_trip(p):
     mapping = {a: ("y", a) for a in p.ground}
