@@ -41,8 +41,13 @@ EXIT_ERROR = 4
 
 def _load_graph(args) -> WeightedGraph:
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise FormatError(f"cannot read {args.input}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"cannot read {args.input}: not UTF-8 text") from exc
     elif args.inline:
         text = args.inline
     else:

@@ -532,12 +532,6 @@ class EdgePermutation:
     def as_dict(self) -> dict:
         return dict(self.edge_map)
 
-    def apply_vertex(self, v):
-        for a, b in self.vertex_map:
-            if a == v:
-                return b
-        raise UnknownVertexError(f"unknown vertex {v!r}")
-
     def compose(self, other: "EdgePermutation") -> "EdgePermutation":
         """``self`` after ``other``."""
         om, sm = other.as_dict(), self.as_dict()
@@ -634,10 +628,3 @@ def automorphisms(wg: WeightedGraph, max_vertices: int = 12) -> list:
     if wg.graph.n_vertices > max_vertices:
         raise GuardExceededError(f"automorphism search capped at {max_vertices} vertices")
     return weighted_isomorphisms(wg, wg)
-
-
-def is_isomorphic(wg1: WeightedGraph, wg2: WeightedGraph) -> bool:
-    for vmap in _vertex_bijections(wg1, wg2):
-        for _ in _edge_extensions(wg1.graph, wg2.graph, vmap):
-            return True
-    return False

@@ -1,18 +1,29 @@
 """Exact integer and rational linear algebra for small lattices.
 
-Hot paths (membership solves, ranks) use hand-rolled fraction elimination;
-integer normal forms (Smith, Hermite) come from sympy, which is fast enough
-for the cold paths that need them.
+Membership solves and ranks (``solve_columns``, ``rank_of``) eliminate over
+``Fraction``.  Everything that needs the integer structure of a lattice goes
+through one integer routine, ``_echelon``: unimodular row operations bring a
+matrix to Hermite normal form H (pivots positive, entries above each pivot
+reduced modulo it), optionally recording U with U * rows = H and U^-1.
+
+- ``lattice_span_equal`` and ``lattice_contains`` compare Hermite forms.
+- ``kernel_lattice`` takes the rows of U whose H-row vanishes.
+- ``LatticeQuotient.from_generators`` echelons the transposed generators:
+  its projection is the zero-row part of U and its section the matching
+  columns of U^-1.
+- ``invariant_factors`` echelons rows and columns in turn until the matrix
+  is diagonal, then normalises the diagonal by gcd and lcm (Smith form).
+
+The matrices here have at most a few dozen rows, so plain Python integers
+are fast enough and the module needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-from sympy import ZZ, Matrix
-from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
+from math import gcd, lcm
+from typing import NamedTuple
 
 
 def vector_gcd(v) -> int:
@@ -32,10 +43,6 @@ def primitive(v) -> tuple:
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def add_scaled(a, b, c):
-    return tuple(x + c * y for x, y in zip(a, b))
 
 
 def solve_columns(columns, target):
@@ -99,50 +106,131 @@ def linearly_independent(vectors) -> bool:
     return rank_of(vectors) == len(vectors)
 
 
-def _to_sympy(rows, ncols: int) -> Matrix:
-    return Matrix(len(rows), ncols, [int(x) for row in rows for x in row])
+def _xgcd(a: int, b: int) -> tuple:
+    """``(g, s, t)`` with ``s*a + t*b == g == gcd(a, b) > 0``; ``a``, ``b`` not both zero."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+class _Echelon(NamedTuple):
+    rows: list  # the Hermite normal form H, nonzero rows first
+    pivots: list  # pivot column of each nonzero row of H
+    u: list  # unimodular U with U * input == H (tracked runs only)
+    uinv: list  # U^-1 (tracked runs only)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def _identity(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
+    """Row Hermite normal form of an integer matrix by unimodular row operations.
+
+    Pivots are positive and the entries above each pivot are reduced into
+    ``[0, pivot)``, so two matrices have the same H exactly when their rows
+    span the same lattice.  With ``track`` the operations are also applied
+    to ``U`` (rows) and ``U^-1`` (columns).
+    """
+    h = [list(r) for r in rows]
+    if any(len(r) != ncols for r in h):
+        raise ValueError("row length does not match the column count")
+    m = len(h)
+    u, uinv = (_identity(m), _identity(m)) if track else (None, None)
+    mats = (h, u) if track else (h,)
+
+    def combine(p, r, x, y, z, w):
+        # rows (p, r) <- [[x, y], [z, w]] (p, r), a matrix of determinant 1
+        for mat in mats:
+            a, b = mat[p], mat[r]
+            mat[p] = [x * i + y * j for i, j in zip(a, b)]
+            mat[r] = [z * i + w * j for i, j in zip(a, b)]
+        if track:
+            for row in uinv:
+                i, j = row[p], row[r]
+                row[p], row[r] = w * i - z * j, x * j - y * i
+
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        if top == m:
+            break
+        for r in range(top + 1, m):
+            b = h[r][col]
+            if not b:
+                continue
+            x = h[top][col]
+            if x and b % x == 0:
+                combine(top, r, 1, 0, -(b // x), 1)
+            else:
+                g, s, t = _xgcd(x, b)
+                combine(top, r, s, t, -b // g, x // g)
+        pivot = h[top][col]
+        if not pivot:
+            continue
+        if pivot < 0:
+            for mat in mats:
+                mat[top] = [-i for i in mat[top]]
+            if track:
+                for row in uinv:
+                    row[top] = -row[top]
+            pivot = -pivot
+        for k in range(top):
+            q = h[k][col] // pivot
+            if q:
+                combine(k, top, 1, -q, 0, 1)
+        pivots.append(col)
+    return _Echelon(h, pivots, u, uinv)
 
 
 def invariant_factors(rows, ncols: int) -> list:
-    """Absolute diagonal entries of the Smith normal form, zeros dropped."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return []
-    d, _, _ = smith_normal_decomp(_to_sympy(rows, ncols), domain=ZZ)
-    out = []
-    for i in range(min(d.shape)):
-        if d[i, i] != 0:
-            out.append(abs(int(d[i, i])))
-    return sorted(out)
+    """Nonzero diagonal of the Smith normal form, each entry dividing the next.
+
+    Row and column echelon forms alternate until the matrix is diagonal; the
+    diagonal is then normalised pairwise by gcd and lcm.  Each round either
+    lowers the first pivot (to the gcd of its row) or, when the pivot
+    divides its row, isolates it, because ``_echelon`` leaves a pivot row
+    alone while it divides the entries below; so the rounds terminate.
+    """
+    mat, width = rows, ncols
+    while True:
+        e = _echelon(mat, width)
+        h = e.rows[: e.rank]
+        if all(sum(1 for x in row if x) == 1 for row in h):
+            break
+        mat, width = list(zip(*h)), len(h)
+    diag = [row[p] for row, p in zip(h, e.pivots)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return diag
 
 
 def kernel_lattice(rows, ncols: int) -> list:
     """Basis of the saturated lattice ``{c : sum_i c_i * rows[i] = 0}``.
 
-    Writing D = S*M*T with S, T unimodular, the kernel is spanned by the
-    rows of S whose D-row vanishes.
+    With U * rows = H, the rows of U whose H-row vanishes; the lattice they
+    span is saturated because U is unimodular.
     """
-    m = len(rows)
-    if m == 0:
-        return []
-    mat = _to_sympy(rows, ncols)
-    d, s, _ = smith_normal_decomp(mat, domain=ZZ)
-    basis = []
-    for i in range(m):
-        if i >= d.shape[1] or d[i, i] == 0:
-            basis.append(tuple(int(x) for x in s.row(i)))
-    return basis
+    e = _echelon(rows, ncols, track=True)
+    return [tuple(r) for r in e.u[e.rank :]]
 
 
 def lattice_span_equal(rows1, rows2, ncols: int) -> bool:
     """Whether two integer row families span the same lattice (HNF compare)."""
-    def hnf_of(rows):
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            return Matrix(0, 0, [])
-        return hermite_normal_form(_to_sympy(rows, ncols).T)
+    def hermite(rows):
+        e = _echelon(rows, ncols)
+        return e.rows[: e.rank]
 
-    return hnf_of(rows1) == hnf_of(rows2)
+    return hermite(rows1) == hermite(rows2)
 
 
 def lattice_contains(rows, vec, ncols: int) -> bool:
@@ -156,10 +244,10 @@ def lattice_contains(rows, vec, ncols: int) -> bool:
 class LatticeQuotient:
     """An integral surjection ``Z^labels -> Z^(n-r)`` with kernel a saturated sublattice.
 
-    Built from the Smith decomposition D = S*M*T of the generator matrix M:
-    the rows of T^-1 form a basis of Z^n adapted to the saturation, the
-    coordinates of x in that basis are x*T, and the projection keeps the
-    coordinates past the rank.
+    Built from the echelon form U * G^T = H of the transposed generator
+    matrix: the rows of U past the rank of H kill every generator and cut
+    out the saturation of their span, and the matching columns of U^-1 are
+    an integral right inverse.
     """
 
     labels: tuple
@@ -176,18 +264,12 @@ class LatticeQuotient:
         for g in gens:
             if len(g) != n:
                 raise ValueError("generator length does not match the ambient rank")
-        nonzero = [g for g in gens if any(g)]
-        if not nonzero:
-            ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-            return LatticeQuotient(labels, tuple(gens), 0, ident, ident)
-        mat = _to_sympy(nonzero, n)
-        d, _, t = smith_normal_decomp(mat, domain=ZZ)
-        r = sum(1 for i in range(min(d.shape)) if d[i, i] != 0)
-        tinv = t.inv()
-        projection = tuple(tuple(int(x) for x in t.col(j)) for j in range(r, n))
-        section = tuple(tuple(int(x) for x in tinv.row(i)) for i in range(r, n))
+        e = _echelon([[g[i] for g in gens] for i in range(n)], len(gens), track=True)
+        r = e.rank
+        projection = tuple(map(tuple, e.u[r:]))
+        section = tuple(tuple(row[j] for row in e.uinv) for j in range(r, n))
         lq = LatticeQuotient(labels, tuple(gens), r, projection, section)
-        for g in nonzero:
+        for g in gens:
             assert all(x == 0 for x in lq.project(g))
         for i, s in enumerate(section):
             img = lq.project(s)

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from enrichfan.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 
@@ -147,6 +151,34 @@ class TestErrors:
     def test_unknown_label_message(self, capsys):
         code, _, err = run_cli(capsys, "enriched", "check", "--inline", THETA, "--pairs", '[["a","zz"]]')
         assert code == EXIT_PARSE and err == "error: unknown label 'zz'\n"
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        path = tmp_path / "no" / "such.txt"
+        code, out, err = run_cli(capsys, "enriched", "list", "--input", str(path))
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"error: cannot read {path}: No such file or directory\n"
+        assert "Traceback" not in err
+
+    def test_unreadable_input_file(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "graph", "info", "--input", str(tmp_path))
+        assert code == EXIT_PARSE and err == f"error: cannot read {tmp_path}: Is a directory\n"
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, _, err = run_cli(capsys, "graph", "info", "--input", str(path))
+        assert code == EXIT_PARSE and err == f"error: cannot read {path}: not UTF-8 text\n"
+
+
+class TestColdStart:
+    def test_import_loads_no_sympy(self):
+        # sympy is a test-only oracle; importing the CLI must not pull it in
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = "import enrichfan.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestVerifyAll:
