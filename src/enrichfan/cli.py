@@ -126,9 +126,14 @@ def cmd_enriched_check(args) -> int:
     wg = _load_graph(args)
     if args.pairs:
         try:
-            pairs = [tuple(t) for t in json.loads(args.pairs)]
+            raw = json.loads(args.pairs)
         except json.JSONDecodeError as exc:
             raise FormatError(f"bad --pairs JSON: {exc}") from exc
+        if not isinstance(raw, list) or not all(
+            isinstance(t, list) and len(t) == 2 and all(isinstance(x, (str, int)) for x in t) for t in raw
+        ):
+            raise FormatError("--pairs must be a JSON list of [a, b] pairs")
+        pairs = [tuple(t) for t in raw]
     else:
         pairs = []
     try:
@@ -248,6 +253,17 @@ def cmd_verify_all(args) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
+def _genus_arg(text: str) -> int:
+    """A genus given on the command line: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"genus must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enrichfan",
@@ -288,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     moduli = sub.add_parser("moduli", help="moduli cells of enriched tropical curves").add_subparsers(dest="action", required=True)
     mcells = moduli.add_parser("cells", help="enumerate the cells at a given genus")
-    mcells.add_argument("-g", "--genus", type=int, required=True)
+    mcells.add_argument("-g", "--genus", type=_genus_arg, required=True)
     mcells.add_argument("--format", choices=("json", "dot", "text"), default="text")
     mcells.set_defaults(func=cmd_moduli_cells)
 

@@ -3,6 +3,21 @@
 The space itself is never built: a cell is an isomorphism class of stable
 weighted graphs with an enriched structure, carrying its dimension (the
 rank), its automorphism group, and specialization arrows to other cells.
+
+A weighted graph is identified by its canonical key: the smallest
+``(weights, sorted vertex-index pairs)`` encoding over all vertex
+orderings (``_canonical_key``).  The census works on those index tuples
+and builds a graph only for each distinct key, its *frame*
+(``_graph_from_key``).  The gluing goes through one table scoped to a
+call (``_cell_table``): each cell's preorder is carried into its frame
+along the ordering that gives the key, then moved by every automorphism
+of the frame, and the table maps each resulting ``(key, preorder)`` to
+the cell.  ``_reached`` then enumerates a cell's specializations once,
+carries each target into its frame the same way and looks it up, so
+``cell_adjacency``, ``classify_cells`` and ``cell_specializes_to`` do
+work linear in the number of cells instead of testing every pair.
+``check_unique_lifts`` builds each graph's open structure cones and
+automorphisms once.
 """
 
 from __future__ import annotations
@@ -15,33 +30,63 @@ from fractions import Fraction
 from .cones import structure_cone
 from .enriched import EnrichedGraph, enriched_structures, locate, specializations
 from .errors import GuardExceededError
-from .graphs import (
-    MultiGraph,
-    WeightedGraph,
-    automorphisms,
-    contract_weighted,
-    genus,
-    is_stable,
-    weighted_isomorphisms,
-)
+from .graphs import MultiGraph, WeightedGraph, automorphisms, contract_weighted
 from .preorders import Preorder
 
 GENUS_GUARD = 3
 
 
+def _canonical_key(weights: tuple, pairs) -> tuple:
+    """The smallest encoding over all vertex orderings, and an ordering giving it.
+
+    ``weights[i]`` is the weight of vertex ``i`` and ``pairs`` holds the
+    vertex-index ends of every edge.  The encoding under an ordering
+    ``pos`` (vertex ``i`` becomes ``pos[i]``) is the weight tuple in the
+    new order together with the sorted tuple of renumbered, sorted edge
+    ends.  Weights compare first, so only orderings that sort the weights
+    can give the least key; the others are skipped.  Returns
+    ``(key, pos)``.
+    """
+    least = tuple(sorted(weights))
+    best = best_pos = None
+    for pos in itertools.permutations(range(len(weights))):
+        if any(least[p] != w for p, w in zip(pos, weights)):
+            continue
+        ends = tuple(sorted((pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u]) for u, v in pairs))
+        if best is None or ends < best:
+            best, best_pos = ends, pos
+    return (least, best), best_pos
+
+
+def _indexed(wg: WeightedGraph) -> tuple:
+    """Vertex weights and edge ends of ``wg`` over vertex indices, edges in label order."""
+    g = wg.graph
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return tuple(wg.weight(v) for v in g.vertices), [(index[u], index[v]) for u, v in map(g.ends, g.edge_labels)]
+
+
 def _canonical_weighted_key(wg: WeightedGraph):
     """Smallest incidence encoding over all vertex orderings."""
-    g = wg.graph
-    vs = list(g.vertices)
-    best = None
-    for perm in itertools.permutations(range(len(vs))):
-        pos = {vs[i]: perm[i] for i in range(len(vs))}
-        weights = tuple(w for _, w in sorted(((pos[v], wg.weight(v)) for v in vs)))
-        pairs = tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in (g.ends(e) for e in g.edge_labels)))
-        key = (weights, pairs)
-        if best is None or key < best:
-            best = key
-    return best
+    return _canonical_key(*_indexed(wg))[0]
+
+
+def _frame_map(wg: WeightedGraph) -> tuple:
+    """The canonical key of ``wg`` and an edge bijection onto its frame.
+
+    The frame is ``_graph_from_key(key)``; the bijection comes from the
+    vertex ordering that gives the key.  Parallel edges (and loops at one
+    vertex) may be matched in any order, so they are taken as they come.
+    """
+    weights, ends = _indexed(wg)
+    key, pos = _canonical_key(weights, ends)
+    slots = {}
+    for k, pair in enumerate(key[1]):
+        slots.setdefault(pair, []).append(f"e{k + 1}")
+    mapping = {}
+    for e, (u, v) in zip(wg.graph.edge_labels, ends):
+        a, b = pos[u], pos[v]
+        mapping[e] = slots[(a, b) if a <= b else (b, a)].pop()
+    return key, mapping
 
 
 def _graph_from_key(key) -> WeightedGraph:
@@ -64,14 +109,37 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
+def _connected(n: int, pairs) -> bool:
+    """Whether the edges ``pairs`` connect the vertices ``0..n-1`` (a union-find)."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    parts = n
+    for u, v in pairs:
+        a, b = find(u), find(v)
+        if a != b:
+            parent[b] = a
+            parts -= 1
+    return parts == 1
+
+
 def enumerate_stable_weighted_graphs(g: int, genus_guard: int = GENUS_GUARD) -> list:
     """All stable weighted graphs of genus ``g`` up to isomorphism.
 
     Vertices are bounded by 2g-2 (one vertex for genus 1) and edges by
     3g-3; representatives are rebuilt from their canonical encodings, so
     output labeling is deterministic (vertices v1.., edges e1..).
+    Candidates are tuples of vertex-index pairs: connectivity, valence and
+    stability are checked on them, and the weights make up the genus the
+    cycles leave, so a graph is built only once per isomorphism class.
     """
-    if g < 1 or g > genus_guard:
+    if g < 1:
+        raise ValueError(f"genus must be at least 1, got {g}")
+    if g > genus_guard:
         raise GuardExceededError(f"genus must lie in 1..{genus_guard}")
     max_vertices = max(1, 2 * g - 2)
     max_edges = max(0, 3 * g - 3)
@@ -82,17 +150,18 @@ def enumerate_stable_weighted_graphs(g: int, genus_guard: int = GENUS_GUARD) -> 
             b1 = m - n + 1
             if b1 < 0 or b1 > g:
                 continue
+            weightings = list(_compositions(g - b1, n))
             for combo in itertools.combinations_with_replacement(slots, m):
-                for weights in _compositions(g - b1, n):
-                    vertices = [f"v{i + 1}" for i in range(n)]
-                    edges = {f"e{k + 1}": (vertices[i], vertices[j]) for k, (i, j) in enumerate(combo)}
-                    graph = MultiGraph(vertices, edges)
-                    if not graph.is_connected():
-                        continue
-                    wg = WeightedGraph(graph, dict(zip(vertices, weights)))
-                    if genus(wg) != g or not is_stable(wg):
-                        continue
-                    seen.add(_canonical_weighted_key(wg))
+                valence = [0] * n
+                for i, j in combo:  # a loop counts twice
+                    valence[i] += 1
+                    valence[j] += 1
+                # every vertex of valence below 3 needs a positive weight
+                if sum(d < 3 for d in valence) > g - b1 or not _connected(n, combo):
+                    continue
+                for weights in weightings:
+                    if all(w > 0 or d >= 3 for w, d in zip(weights, valence)):
+                        seen.add(_canonical_key(weights, combo)[0])
     return [_graph_from_key(k) for k in sorted(seen)]
 
 
@@ -128,7 +197,11 @@ class ModuliCell:
 
 
 def _structure_orbits(wg: WeightedGraph):
-    """Orbits of enriched structures under Aut(graph, weights)."""
+    """Orbits of enriched structures under Aut(graph, weights).
+
+    Each orbit comes as its least structure together with that structure's
+    stabilizer, which is what ``aut_enriched`` returns for it.
+    """
     auts = automorphisms(wg)
     structs = [eg.preorder for eg in enriched_structures(wg.graph)]
     remaining = set(structs)
@@ -136,21 +209,19 @@ def _structure_orbits(wg: WeightedGraph):
     for p in structs:  # canonical order: the first uncovered structure is its orbit's least
         if p not in remaining:
             continue
-        orbit = {p.relabel(a.as_dict()) for a in auts}
-        assert orbit <= remaining
-        remaining -= orbit
-        orbits.append((p, orbit))
+        images = [p.relabel(a.as_dict()) for a in auts]
+        assert remaining.issuperset(images)
+        remaining.difference_update(images)
+        orbits.append((p, tuple(a for a, q in zip(auts, images) if q == p)))
     return orbits
 
 
 def enumerate_cells(g: int, genus_guard: int = GENUS_GUARD) -> list:
     """One cell per isomorphism class of stable weighted enriched graph."""
     cells = []
-    idx = 0
     for wg in enumerate_stable_weighted_graphs(g, genus_guard):
-        for rep, _ in _structure_orbits(wg):
-            cells.append(ModuliCell(idx, wg, rep, g, tuple(aut_enriched(wg, rep))))
-            idx += 1
+        for rep, stabilizer in _structure_orbits(wg):
+            cells.append(ModuliCell(len(cells), wg, rep, g, stabilizer))
     return cells
 
 
@@ -176,27 +247,55 @@ def gluing_matrix(sp) -> tuple:
     return tuple(rows)
 
 
+def _cell_table(cells) -> dict:
+    """Map each frame key to a dict from preorders on the frame to cell indices.
+
+    Each cell's preorder is carried into the frame of its weighted graph
+    and then moved by every automorphism of the frame, so the preorders
+    listed under a key are exactly those isomorphic to one of the cells.
+    """
+    table = {}
+    frame_auts = {}
+    for c in cells:
+        key, to_frame = _frame_map(c.weighted)
+        if key not in frame_auts:
+            frame_auts[key] = [a.as_dict() for a in automorphisms(_graph_from_key(key))]
+        q = c.preorder.relabel(to_frame)
+        orbit = table.setdefault(key, {})
+        for a in frame_auts[key]:
+            orbit.setdefault(q.relabel(a), set()).add(c.index)
+    return table
+
+
+def _reached(a: ModuliCell, table: dict) -> set:
+    """Indices of the cells in ``table`` isomorphic to a specialization of ``a``, ``a`` excluded.
+
+    All specializations contracting one lower set share a target graph, so
+    that graph is carried into its frame once.
+    """
+    hits = set()
+    frames = {}
+    for sp in specializations(a.enriched()):
+        s = sp.contracted
+        if s not in frames:
+            key, to_frame = _frame_map(contract_weighted(a.weighted, s))
+            frames[s] = (table.get(key), to_frame)
+        orbit, to_frame = frames[s]
+        if orbit is not None:
+            hits.update(orbit.get(sp.target.preorder.relabel(to_frame), ()))
+    hits.discard(a.index)
+    return hits
+
+
 def cell_specializes_to(a: ModuliCell, b: ModuliCell) -> bool:
     """Whether some specialization of a's representative is isomorphic to b's."""
-    if a.index == b.index:
-        return False
-    src = a.enriched()
-    for sp in specializations(src):
-        target_w = contract_weighted(a.weighted, sp.contracted)
-        if _canonical_weighted_key(target_w) != _canonical_weighted_key(b.weighted):
-            continue
-        for iso in weighted_isomorphisms(target_w, b.weighted):
-            if sp.target.preorder.relabel(iso.as_dict()) == b.preorder:
-                return True
-    return False
+    return b.index in _reached(a, _cell_table([b]))
 
 
 def cell_adjacency(cells) -> dict:
     """Map each cell index to the indices of its proper specializations."""
-    return {
-        a.index: sorted(b.index for b in cells if cell_specializes_to(a, b))
-        for a in cells
-    }
+    table = _cell_table(cells)
+    return {a.index: sorted(_reached(a, table)) for a in cells}
 
 
 @dataclass(frozen=True)
@@ -239,10 +338,10 @@ def classify_cells(g: int, genus_guard: int = GENUS_GUARD) -> CellClassification
             raise AssertionError(f"codimension-one cell {c.index} fits no expected type")
     by_index = {c.index: c for c in cells}
     above = {i: set() for i in t_a + t_b + t_c}
-    for i in above:
-        for m in maximal:
-            if cell_specializes_to(by_index[m], by_index[i]):
-                above[i].add(m)
+    table = _cell_table([by_index[i] for i in above])
+    for m in maximal:
+        for i in _reached(by_index[m], table):
+            above[i].add(m)
     closure_counts = {i: len(ms) for i, ms in above.items()}
     # maximal cells are adjacent when a common codimension-one cell sits in
     # both closures; the adjacency graph must be connected
@@ -291,8 +390,11 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500, genus_guar
     enriched structure, which is matched back to its cell representative.
     All translates must produce one and the same (cell, orbit point) pair.
     """
-    graphs = [wg for wg in enumerate_stable_weighted_graphs(g, genus_guard) if wg.graph.n_edges]
-    cells = enumerate_cells(g, genus_guard)
+    cells_of = {}  # every census graph with edges has a cell; dicts keep the census order
+    for c in enumerate_cells(g, genus_guard):
+        if c.weighted.graph.n_edges:
+            cells_of.setdefault(c.weighted, []).append(c)
+    graphs = list(cells_of)
     rng = random.Random(seed)
     per_graph = [n_points // len(graphs) + (1 if i < n_points % len(graphs) else 0) for i in range(len(graphs))]
     failures = []
@@ -300,28 +402,30 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500, genus_guar
     for wg, budget in zip(graphs, per_graph):
         graph = wg.graph
         labels = graph.edge_labels
-        key = _canonical_weighted_key(wg)
-        own_cells = [c for c in cells if _canonical_weighted_key(c.weighted) == key]
-        orbits = {c.index: {c.preorder.relabel(a.as_dict()) for a in automorphisms(wg)} for c in own_cells}
-        auts = automorphisms(wg)
-        structs = [eg.preorder for eg in enriched_structures(graph)]
+        auts = [(a.as_dict(), a.inverse().as_dict()) for a in automorphisms(wg)]
+        cones = [(eg.preorder, structure_cone(eg)) for eg in enriched_structures(graph)]
+        # each structure in a cell's orbit, with the automorphisms t carrying
+        # the cell's representative onto it (kept as their inverses)
+        cell_of, carriers = {}, {}
+        for c in cells_of[wg]:
+            for t, t_inv in auts:
+                q = c.preorder.relabel(t)
+                cell_of.setdefault(q, c)
+                carriers.setdefault((c.index, q), []).append(t_inv)
         for _ in range(budget):
             x = {e: Fraction(rng.randint(1, 256), rng.randint(1, 64)) for e in labels}
             vec = tuple(x[e] for e in labels)
             lifts = set()
-            for s in auts:
-                y = _permute_point(s.as_dict(), x)
+            for s, _ in auts:
+                y = _permute_point(s, x)
                 p = locate(graph, y).preorder
-                hits = [q for q in structs if structure_cone(EnrichedGraph(graph, q)).contains(tuple(y[e] for e in labels))]
+                point = tuple(y[e] for e in labels)
+                hits = [q for q, cone in cones if cone.contains(point)]
                 if hits != [p]:
                     failures.append((repr(wg), vec, "open cones not disjoint"))
                     continue
-                cell = next(c for c in own_cells if p in orbits[c.index])
-                cands = set()
-                for t in auts:
-                    if cell.preorder.relabel(t.as_dict()) == p:
-                        z = _permute_point(t.inverse().as_dict(), y)
-                        cands.add(_canonical_cell_point(cell, z))
+                cell = cell_of[p]
+                cands = {_canonical_cell_point(cell, _permute_point(t_inv, y)) for t_inv in carriers[(cell.index, p)]}
                 if len(cands) != 1:
                     failures.append((repr(wg), vec, "orbit point not well defined"))
                     continue

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, UnknownLabelError
-from .graphs import label_key, sort_labels
+from .graphs import bits, label_key, sort_labels
 
 
 def _closed(rows: list) -> list:
@@ -262,9 +262,24 @@ class Preorder:
         return all(o & ~s == 0 for s, o in zip(self._rows, other._rows))
 
     def relabel(self, mapping) -> "Preorder":
-        """Transport the preorder along a label bijection."""
-        pairs = [(mapping[a], mapping[b]) for a, b in self.pairs()]
-        return Preorder.from_relations([mapping[a] for a in self._labels], pairs)
+        """Transport the preorder along a label bijection.
+
+        The rows are moved bit by bit; a bijection keeps them closed.
+        """
+        images = [mapping[a] for a in self._labels]
+        if self._index.keys() == set(images):  # a permutation keeps the ground set
+            labels, index = self._labels, self._index
+        else:
+            labels = sort_labels(images)
+            index = {lab: i for i, lab in enumerate(labels)}
+            if len(index) != len(labels):
+                raise ValueError("relabelling must be injective")
+        new = [index[b] for b in images]
+        rows = [0] * len(labels)
+        for i, row in enumerate(self._rows):
+            for j in bits(row):
+                rows[new[i]] |= 1 << new[j]
+        return Preorder._family(labels, [tuple(rows)])[0]
 
     def quotient(self) -> "QuotientPoset":
         classes = self.classes()

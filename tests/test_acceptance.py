@@ -4,8 +4,13 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
 per criterion.
 """
 
+import contextlib
+import io
+import json
 import time
+from collections import Counter
 
+from enrichfan.cli import main
 from enrichfan.verify import (
     check_bond_round_trip,
     check_cover,
@@ -62,3 +67,32 @@ def test_criterion_7_genus_two_moduli():
 
 def test_criterion_8_bond_round_trip():
     _run(8, "bond minima round trip and exhaustive bond collections", 30.0, check_bond_round_trip)
+
+
+def check_genus_three_cells() -> list:
+    """``enrichfan moduli cells -g 3 --format json`` end to end."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["moduli", "cells", "-g", "3", "--format", "json"])
+    if code != 0:
+        return [f"exit code {code}"]
+    data = json.loads(out.getvalue())
+    failures = []
+    dims = Counter(c["dim"] for c in data["cells"])
+    if len(data["cells"]) != 262:
+        failures.append(f"{len(data['cells'])} cells, expected 262")
+    if sorted(dims.items()) != [(0, 1), (1, 9), (2, 32), (3, 66), (4, 83), (5, 56), (6, 15)]:
+        failures.append(f"cells by dimension {sorted(dims.items())}")
+    by_id = {c["id"]: c for c in data["cells"]}
+    if len(data["maximal"]) != 15 or any(by_id[i]["dim"] != 6 for i in data["maximal"]):
+        failures.append("maximal cells are not fifteen of dimension 6")
+    if not data["connected_through_codim1"]:
+        failures.append("maximal cells not connected through codimension one")
+    arrows = sum(len(c["specializes_to"]) for c in data["cells"])
+    if arrows != 3549:
+        failures.append(f"{arrows} specialization arrows, expected 3549")
+    return failures
+
+
+def test_criterion_9_genus_three_moduli_cli():
+    _run(9, "genus-3 moduli cells through the CLI: 262 cells, 15 maximal, 56 codim-1", 60.0, check_genus_three_cells)

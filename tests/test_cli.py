@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from enrichfan.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 
 
@@ -113,6 +115,19 @@ class TestModuli:
         code, _, _ = run_cli(capsys, "moduli", "cells", "-g", "9")
         assert code == EXIT_GUARD
 
+    def test_genus_above_guard(self, capsys):
+        code, out, err = run_cli(capsys, "moduli", "cells", "-g", "4")
+        assert code == EXIT_GUARD and out == ""
+        assert err == "error: genus must lie in 1..3\n"
+
+    def test_genus_below_one_is_bad_input(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["moduli", "cells", "-g", "0"])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_PARSE
+        assert "argument -g/--genus: genus must be an integer of at least 1, got '0'" in err
+        assert "Traceback" not in err
+
 
 class TestToric:
     def test_equations_theta_empty(self, capsys):
@@ -151,6 +166,13 @@ class TestErrors:
     def test_unknown_label_message(self, capsys):
         code, _, err = run_cli(capsys, "enriched", "check", "--inline", THETA, "--pairs", '[["a","zz"]]')
         assert code == EXIT_PARSE and err == "error: unknown label 'zz'\n"
+
+    @pytest.mark.parametrize("pairs", ["5", "[1]", '{"x":1}', "[[1,2,3]]"])
+    def test_malformed_pairs(self, capsys, pairs):
+        code, out, err = run_cli(capsys, "enriched", "check", "--inline", THETA, "--pairs", pairs)
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: --pairs must be a JSON list of [a, b] pairs\n"
+        assert "Traceback" not in err
 
     def test_missing_input_file(self, tmp_path, capsys):
         path = tmp_path / "no" / "such.txt"

@@ -61,6 +61,11 @@ class TestStableEnumeration:
         with pytest.raises(GuardExceededError):
             enumerate_stable_weighted_graphs(4)
 
+    def test_genus_below_one_is_not_a_guard_hit(self):
+        with pytest.raises(ValueError, match="genus must be at least 1, got 0") as exc:
+            enumerate_stable_weighted_graphs(0)
+        assert not isinstance(exc.value, GuardExceededError)
+
     def test_no_duplicates_up_to_iso(self):
         from enrichfan.moduli import _canonical_weighted_key
 

@@ -205,6 +205,22 @@ def test_relabel_round_trip(p):
     assert p.relabel(mapping).relabel(back) == p
 
 
+@given(preorders(), st.data())
+def test_relabel_matches_relabelled_pairs(p, data):
+    # a permutation of the ground set, and a bijection onto mixed int/str labels
+    shuffled = data.draw(st.permutations(p.ground))
+    targets = data.draw(st.permutations([3, 11, "a", "x10", "x2"][: len(p.ground)]))
+    for images in (shuffled, targets):
+        mapping = dict(zip(p.ground, images))
+        expected = Preorder.from_relations(images, [(mapping[a], mapping[b]) for a, b in p.pairs()])
+        assert p.relabel(mapping) == expected
+
+
+def test_relabel_rejects_a_map_that_is_not_injective():
+    with pytest.raises(ValueError, match="injective"):
+        p1().relabel({"e1": "a", "e2": "a", "e3": "b", "e4": "c"})
+
+
 class TestClosuresAndMinima:
     def test_up_down_closures(self):
         p = p1()
