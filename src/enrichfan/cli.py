@@ -253,15 +253,19 @@ def cmd_verify_all(args) -> int:
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-def _genus_arg(text: str) -> int:
-    """A genus given on the command line: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"genus must be an integer of at least 1, got {text!r}")
-    return value
+def _int_at_least(name: str, least: int):
+    """Argument type for an integer option that must be at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer of at least {least}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="graph file (text or JSON)")
         p.add_argument("--inline", help="inline graph text ( ';' separates lines )")
         p.add_argument("--format", choices=("json", "dot", "text"), default="text")
-        p.add_argument("--max-edges", type=int, default=8, dest="max_edges")
+        p.add_argument("--max-edges", type=_int_at_least("max-edges", 0), default=8, dest="max_edges")
 
     graph = sub.add_parser("graph", help="graph-level information").add_subparsers(dest="action", required=True)
     info = graph.add_parser("info", help="vertices, blocks, bonds, genus, stability")
@@ -304,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     moduli = sub.add_parser("moduli", help="moduli cells of enriched tropical curves").add_subparsers(dest="action", required=True)
     mcells = moduli.add_parser("cells", help="enumerate the cells at a given genus")
-    mcells.add_argument("-g", "--genus", type=_genus_arg, required=True)
+    mcells.add_argument("-g", "--genus", type=_int_at_least("genus", 1), required=True)
     mcells.add_argument("--format", choices=("json", "dot", "text"), default="text")
     mcells.set_defaults(func=cmd_moduli_cells)
 

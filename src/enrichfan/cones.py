@@ -8,14 +8,15 @@ integer rays of its closure, and halfspaces with a strict/weak flag each
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import prod
 
 from .enriched import EnrichedGraph
 from .lattices import (
+    _echelon,
+    _substitute,
     dot,
     invariant_factors,
     linearly_independent,
@@ -51,10 +52,6 @@ class Halfspace:
         return Halfspace(self.coeffs, GE) if self.rel == GT else self
 
 
-def _ray_sort_key(r):
-    return tuple(r)
-
-
 @dataclass(frozen=True)
 class RationalCone:
     """A simplicial rational cone, possibly relatively open.
@@ -79,7 +76,7 @@ class RationalCone:
     @staticmethod
     def from_rays(labels, rays, closed: bool = True, halfspaces=None) -> "RationalCone":
         labels = tuple(labels)
-        prim = sorted({primitive(r) for r in rays}, key=_ray_sort_key)
+        prim = sorted({primitive(r) for r in rays})
         return RationalCone(labels, tuple(prim), closed, tuple(halfspaces) if halfspaces else None)
 
     @property
@@ -111,12 +108,7 @@ class RationalCone:
 
     def coefficients_of(self, x):
         """Exact coordinates of ``x`` in the ray basis, or None outside the span."""
-        if not self.rays:
-            return [] if all(v == 0 for v in x) else None
-        try:
-            return solve_columns(self.rays, tuple(x))
-        except ValueError:  # pragma: no cover - rays are independent by invariant
-            raise
+        return solve_columns(self.rays, tuple(x))
 
     def closure_contains(self, x) -> bool:
         lam = self.coefficients_of(x)
@@ -141,7 +133,7 @@ class RationalCone:
         out = []
         for k in range(len(self.rays) + 1):
             for sub in itertools.combinations(self.rays, k):
-                out.append(RationalCone(self.labels, tuple(sorted(sub, key=_ray_sort_key))))
+                out.append(RationalCone(self.labels, tuple(sorted(sub))))
         return out
 
     def face_count(self) -> int:
@@ -170,7 +162,7 @@ class RationalCone:
                 out[i] = v
             return tuple(out)
 
-        rays = tuple(sorted((put(r) for r in self.rays), key=_ray_sort_key))
+        rays = tuple(sorted(put(r) for r in self.rays))
         hs = None
         if self.halfspaces is not None:
             hs = [Halfspace(put(h.coeffs), h.rel) for h in self.halfspaces]
@@ -186,80 +178,25 @@ class RationalCone:
         return f"RationalCone({kind}, dim={self.dim}, rays={list(self.rays)})"
 
 
-@functools.lru_cache(maxsize=None)
 def _h_from_rays(labels: tuple, rays: tuple) -> tuple:
-    """Equalities spanning the annihilator of span(rays) plus facet inequalities.
+    """Equalities cutting out span(rays) plus one facet inequality per ray.
 
-    For a simplicial cone the facet functionals are the rows of the dual
-    basis (R R^T)^-1 R, cleared to primitive integer vectors.
+    With U * R^T = H, the rows of U past the rank annihilate every ray and
+    span the saturated annihilator: they are the equalities.  The top block
+    of H is upper triangular with determinant d, so forward substitution
+    against ``d * e_i`` gives an integral ``mu`` whose functional
+    ``mu * U_top`` (the first k rows of U) is d on ray i and 0 on the
+    others: the facet opposite ray i, made primitive.
     """
-    n = len(labels)
-    if not rays:
-        return tuple(
-            Halfspace(tuple(1 if j == i else 0 for j in range(n)), EQ) for i in range(n)
-        )
-    k = len(rays)
-    gram = [[Fraction(dot(rays[i], rays[j])) for j in range(k)] for i in range(k)]
-    inv = _invert(gram)
-    duals = []
+    n, k = len(labels), len(rays)
+    e = _echelon([[r[j] for r in rays] for j in range(n)], k, track=True)
+    top = e.u[:k]
+    d = prod(row[p] for row, p in zip(e.rows, e.pivots))
+    facets = []
     for i in range(k):
-        row = [sum(inv[i][t] * rays[t][j] for t in range(k)) for j in range(n)]
-        duals.append(_clear_denominators(row))
-    eqs = []
-    for basis_row in _rational_kernel_rows(rays, n):
-        eqs.append(Halfspace(_clear_denominators(basis_row), EQ))
-    return tuple(eqs) + tuple(Halfspace(d, GE) for d in duals)
-
-
-def _invert(mat):
-    k = len(mat)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(k)] for i, row in enumerate(mat)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
-
-
-def _rational_kernel_rows(rows, ncols):
-    """Basis of { y : row . y = 0 for all rows }, over the rationals."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][col]
-        mat[rank] = [x / lead for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        y = [Fraction(0)] * ncols
-        y[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            y[pc] = -mat[r][fc]
-        basis.append(y)
-    return basis
-
-
-def _clear_denominators(row):
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return primitive(tuple(int(x * den) for x in row))
+        mu = _substitute(e, [d * (j == i) for j in range(k)])
+        facets.append(primitive([int(dot(mu, col)) for col in zip(*top)]))
+    return tuple(Halfspace(tuple(u), EQ) for u in e.u[k:]) + tuple(Halfspace(f, GE) for f in facets)
 
 
 def ray_generators(eg: EnrichedGraph) -> list:
@@ -269,7 +206,7 @@ def ray_generators(eg: EnrichedGraph) -> list:
     out = []
     for t in eg.preorder.irreducible_upper_sets():
         out.append(tuple(1 if lab in t else 0 for lab in labels))
-    return sorted(out, key=_ray_sort_key)
+    return sorted(out)
 
 
 def _structure_halfspaces(eg: EnrichedGraph, strict: bool) -> tuple:

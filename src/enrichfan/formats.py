@@ -23,6 +23,13 @@ def _token(s):
     return s
 
 
+def _put(table: dict, key, value, what: str):
+    """Add ``key`` to a vertex or edge table; a repeated key is an input error."""
+    if key in table:
+        raise FormatError(f"repeated {what} {key!r}")
+    table[key] = value
+
+
 def parse_graph_text(text: str) -> WeightedGraph:
     lines = [ln.strip() for ln in text.replace(";", "\n").splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -33,11 +40,12 @@ def parse_graph_text(text: str) -> WeightedGraph:
         if ":" in tok:
             vid, w = tok.rsplit(":", 1)
             try:
-                weights[_token(vid)] = int(w)
+                weight = int(w)
             except ValueError as exc:
                 raise FormatError(f"bad weight in {tok!r}") from exc
+            _put(weights, _token(vid), weight, "vertex id")
         else:
-            weights[_token(tok)] = 0
+            _put(weights, _token(tok), 0, "vertex id")
     edges = {}
     for ln in lines[1:]:
         if ":" not in ln:
@@ -46,7 +54,7 @@ def parse_graph_text(text: str) -> WeightedGraph:
         ends = rest.split()
         if len(ends) != 2:
             raise FormatError(f"edge line {ln!r} must name two endpoints")
-        edges[_token(label.strip())] = (_token(ends[0]), _token(ends[1]))
+        _put(edges, _token(label.strip()), (_token(ends[0]), _token(ends[1])), "edge label")
     try:
         graph = MultiGraph(weights, edges)
         return WeightedGraph(graph, weights)
@@ -73,8 +81,11 @@ def graph_to_json_dict(wg: WeightedGraph) -> dict:
 
 def graph_from_json_dict(data: dict) -> WeightedGraph:
     try:
-        weights = {item["id"]: int(item.get("weight", 0)) for item in data["vertices"]}
-        edges = {item["label"]: tuple(item["ends"]) for item in data["edges"]}
+        weights, edges = {}, {}
+        for item in data["vertices"]:
+            _put(weights, item["id"], int(item.get("weight", 0)), "vertex id")
+        for item in data["edges"]:
+            _put(edges, item["label"], tuple(item["ends"]), "edge label")
         graph = MultiGraph(weights, edges)
         return WeightedGraph(graph, weights)
     except FormatError:

@@ -1,11 +1,14 @@
 """Exact integer and rational linear algebra for small lattices.
 
-Membership solves and ranks (``solve_columns``, ``rank_of``) eliminate over
-``Fraction``.  Everything that needs the integer structure of a lattice goes
-through one integer routine, ``_echelon``: unimodular row operations bring a
-matrix to Hermite normal form H (pivots positive, entries above each pivot
-reduced modulo it), optionally recording U with U * rows = H and U^-1.
+Every elimination goes through one integer routine, ``_echelon``:
+unimodular row operations bring a matrix to Hermite normal form H (pivots
+positive, entries above each pivot reduced modulo it), optionally recording
+U with U * rows = H and U^-1.
 
+- ``rank_of`` and ``linearly_independent`` read the rank of H.
+- ``solve_columns`` echelons the columns and finds the rational coefficients
+  by one forward substitution over the pivots of H (``_substitute``); the
+  facets of a cone in ``cones`` come from the same substitution.
 - ``lattice_span_equal`` and ``lattice_contains`` compare Hermite forms.
 - ``kernel_lattice`` takes the rows of U whose H-row vanishes.
 - ``LatticeQuotient.from_generators`` echelons the transposed generators:
@@ -43,67 +46,6 @@ def primitive(v) -> tuple:
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def solve_columns(columns, target):
-    """Solve ``sum(lam_i * columns[i]) == target`` exactly over the rationals.
-
-    Returns the coefficient list, or None when the system is inconsistent.
-    Raises ValueError if the columns are linearly dependent (solutions would
-    not be unique).
-    """
-    k = len(columns)
-    if k == 0:
-        return [] if all(x == 0 for x in target) else None
-    n = len(columns[0])
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("columns are linearly dependent")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            return None
-    return [aug[i][k] for i in range(k)]
-
-
-def rank_of(vectors) -> int:
-    """Rank over the rationals of a list of integer/rational row vectors."""
-    rows = [list(map(Fraction, v)) for v in vectors if any(v)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def linearly_independent(vectors) -> bool:
-    vectors = list(vectors)
-    return rank_of(vectors) == len(vectors)
 
 
 def _xgcd(a: int, b: int) -> tuple:
@@ -189,6 +131,48 @@ def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
                 combine(k, top, 1, -q, 0, 1)
         pivots.append(col)
     return _Echelon(h, pivots, u, uinv)
+
+
+def _substitute(e: _Echelon, target) -> list:
+    """Rational ``mu`` with ``(mu * H)[p] == target[p]`` at every pivot column p.
+
+    H is in echelon form, so this is one forward substitution over its pivots.
+    """
+    mu = []
+    for j, (row, p) in enumerate(zip(e.rows, e.pivots)):
+        rest = target[p] - sum(mu[i] * e.rows[i][p] for i in range(j))
+        mu.append(Fraction(rest) / row[p])
+    return mu
+
+
+def solve_columns(columns, target):
+    """Solve ``sum(lam_i * columns[i]) == target`` exactly over the rationals.
+
+    The integer columns are echelonized as rows, U * C = H; with
+    ``mu * H == target`` the solution is ``lam = mu * U``.  Returns the
+    coefficient list, or None when the system is inconsistent.  Raises
+    ValueError if the columns are linearly dependent (solutions would not be
+    unique).
+    """
+    n = len(target)
+    e = _echelon(columns, n, track=True)
+    if e.rank < len(e.rows):
+        raise ValueError("columns are linearly dependent")
+    mu = _substitute(e, target)
+    if any(sum(m * row[j] for m, row in zip(mu, e.rows)) != target[j] for j in range(n)):
+        return None
+    return [dot(mu, col) for col in zip(*e.u)]
+
+
+def rank_of(vectors) -> int:
+    """Rank over the rationals of a list of integer row vectors."""
+    rows = [tuple(v) for v in vectors]
+    return _echelon(rows, len(rows[0]) if rows else 0).rank
+
+
+def linearly_independent(vectors) -> bool:
+    vectors = list(vectors)
+    return rank_of(vectors) == len(vectors)
 
 
 def invariant_factors(rows, ncols: int) -> list:

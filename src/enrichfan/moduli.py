@@ -315,9 +315,12 @@ def classify_cells(g: int, genus_guard: int = GENUS_GUARD) -> CellClassification
     maximal = []
     for c in cells:
         if c.dim == top:
-            graph = c.weighted.graph
-            assert all(graph.valence(v) == 3 for v in graph.vertices)
-            assert c.preorder.is_partial_order()
+            # from genus 2 on maximal cells are trivalent and generic; genus
+            # 1 has one cell, a bare weight-1 vertex
+            if g >= 2:
+                graph = c.weighted.graph
+                assert all(graph.valence(v) == 3 for v in graph.vertices)
+                assert c.preorder.is_partial_order()
             maximal.append(c.index)
     t_a, t_b, t_c = [], [], []
     for c in cells:

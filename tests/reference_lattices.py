@@ -1,0 +1,147 @@
+"""The four ``Fraction`` eliminations that ranks, solves and cone halfspaces
+ran on before they moved onto the integer echelon routine
+``lattices._echelon``.
+
+Kept verbatim as the reference the new code is tested against;
+``_h_from_rays`` has lost only its unbounded ``lru_cache``, which memoized
+and did not change its results.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+from enrichfan.cones import EQ, GE, Halfspace
+from enrichfan.lattices import dot, primitive
+
+
+def solve_columns(columns, target):
+    """Solve ``sum(lam_i * columns[i]) == target`` exactly over the rationals.
+
+    Returns the coefficient list, or None when the system is inconsistent.
+    Raises ValueError if the columns are linearly dependent (solutions would
+    not be unique).
+    """
+    k = len(columns)
+    if k == 0:
+        return [] if all(x == 0 for x in target) else None
+    n = len(columns[0])
+    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
+    pivots = []
+    row = 0
+    for col in range(k):
+        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("columns are linearly dependent")
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(n):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+    for r in range(row, n):
+        if aug[r][k] != 0:
+            return None
+    return [aug[i][k] for i in range(k)]
+
+
+def rank_of(vectors) -> int:
+    """Rank over the rationals of a list of integer/rational row vectors."""
+    rows = [list(map(Fraction, v)) for v in vectors if any(v)]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    col = 0
+    while rows and col < ncols:
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [x / lead for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _h_from_rays(labels: tuple, rays: tuple) -> tuple:
+    """Equalities spanning the annihilator of span(rays) plus facet inequalities.
+
+    For a simplicial cone the facet functionals are the rows of the dual
+    basis (R R^T)^-1 R, cleared to primitive integer vectors.
+    """
+    n = len(labels)
+    if not rays:
+        return tuple(
+            Halfspace(tuple(1 if j == i else 0 for j in range(n)), EQ) for i in range(n)
+        )
+    k = len(rays)
+    gram = [[Fraction(dot(rays[i], rays[j])) for j in range(k)] for i in range(k)]
+    inv = _invert(gram)
+    duals = []
+    for i in range(k):
+        row = [sum(inv[i][t] * rays[t][j] for t in range(k)) for j in range(n)]
+        duals.append(_clear_denominators(row))
+    eqs = []
+    for basis_row in _rational_kernel_rows(rays, n):
+        eqs.append(Halfspace(_clear_denominators(basis_row), EQ))
+    return tuple(eqs) + tuple(Halfspace(d, GE) for d in duals)
+
+
+def _invert(mat):
+    k = len(mat)
+    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(k)] for i, row in enumerate(mat)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[k:] for row in aug]
+
+
+def _rational_kernel_rows(rows, ncols):
+    """Basis of { y : row . y = 0 for all rows }, over the rationals."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        lead = mat[rank][col]
+        mat[rank] = [x / lead for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        y = [Fraction(0)] * ncols
+        y[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            y[pc] = -mat[r][fc]
+        basis.append(y)
+    return basis
+
+
+def _clear_denominators(row):
+    den = 1
+    for x in row:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return primitive(tuple(int(x * den) for x in row))

@@ -111,6 +111,14 @@ class TestModuli:
         dims = sorted(c["dim"] for c in data["cells"])
         assert dims == [0, 1, 1, 1, 2, 2, 2, 3, 3]
 
+    def test_genus_one(self, capsys):
+        code, out, err = run_cli(capsys, "moduli", "cells", "-g", "1")
+        assert code == EXIT_OK and err == ""
+        assert out.startswith("genus 1: 1 cells, 1 maximal\n")
+        code, out, _ = run_cli(capsys, "moduli", "cells", "-g", "1", "--format", "json")
+        data = json.loads(out)
+        assert data["maximal"] == [0] and data["connected_through_codim1"] is True
+
     def test_guard(self, capsys):
         code, _, _ = run_cli(capsys, "moduli", "cells", "-g", "9")
         assert code == EXIT_GUARD
@@ -166,6 +174,35 @@ class TestErrors:
     def test_unknown_label_message(self, capsys):
         code, _, err = run_cli(capsys, "enriched", "check", "--inline", THETA, "--pairs", '[["a","zz"]]')
         assert code == EXIT_PARSE and err == "error: unknown label 'zz'\n"
+
+    def test_repeated_edge_label(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "graph", "info", "--inline", "vertices: u v w; a: u v; a: v w; b: u w")
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: repeated edge label 'a'\n"
+        path = tmp_path / "graph.json"
+        path.write_text(
+            json.dumps({
+                "vertices": [{"id": "u"}, {"id": "v"}],
+                "edges": [{"label": "a", "ends": ["u", "v"]}, {"label": "a", "ends": ["v", "u"]}],
+            }),
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "enriched", "list", "--input", str(path))
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: repeated edge label 'a'\n"
+
+    def test_repeated_vertex_id(self, capsys):
+        code, out, err = run_cli(capsys, "graph", "info", "--inline", "vertices: u:1 u:0 v; a: u v")
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: repeated vertex id 'u'\n"
+
+    def test_negative_max_edges_is_bad_input(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enriched", "list", "--inline", THETA, "--max-edges", "-1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_PARSE
+        assert "argument --max-edges: max-edges must be an integer of at least 0, got '-1'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("pairs", ["5", "[1]", '{"x":1}', "[[1,2,3]]"])
     def test_malformed_pairs(self, capsys, pairs):

@@ -61,6 +61,17 @@ class TestTextFormat:
             parse_graph_text("vertices: u\ne: u missing\n")
 
 
+    def test_repeated_edge_label(self):
+        with pytest.raises(FormatError, match="repeated edge label 'a'"):
+            parse_graph_text("vertices: u v w; a: u v; a: v w; b: u w")
+
+    def test_repeated_vertex_id(self):
+        with pytest.raises(FormatError, match="repeated vertex id 'u'"):
+            parse_graph_text("vertices: u:1 u:0 v; a: u v")
+        with pytest.raises(FormatError, match="repeated vertex id 2"):
+            parse_graph_text("vertices: 1 2 2; a: 1 2")
+
+
 class TestJsonFormat:
     def test_graph_round_trip(self):
         for g in corpus.corpus_graphs().values():
@@ -71,6 +82,24 @@ class TestJsonFormat:
         wg = corpus.zero_weights(corpus.theta(3))
         text = json.dumps(graph_to_json_dict(wg))
         assert parse_graph(text) == wg
+
+    def test_repeated_edge_label(self):
+        data = {
+            "vertices": [{"id": "u"}, {"id": "v"}],
+            "edges": [{"label": "a", "ends": ["u", "v"]}, {"label": "a", "ends": ["u", "u"]}],
+        }
+        with pytest.raises(FormatError, match="repeated edge label 'a'"):
+            graph_from_json_dict(data)
+        with pytest.raises(FormatError, match="repeated edge label 'a'"):
+            parse_graph(json.dumps(data))
+
+    def test_repeated_vertex_id(self):
+        data = {
+            "vertices": [{"id": "u", "weight": 1}, {"id": "u"}, {"id": "v"}],
+            "edges": [{"label": "a", "ends": ["u", "v"]}],
+        }
+        with pytest.raises(FormatError, match="repeated vertex id 'u'"):
+            graph_from_json_dict(data)
 
     def test_preorder_round_trip(self):
         p = Preorder.from_relations("abc", [("a", "b"), ("b", "c")])

@@ -139,6 +139,16 @@ class TestClassification:
         # graph of maximal cells is connected
         assert report.connected_through_codim1
 
+    def test_genus_one(self):
+        # one cell, a bare weight-1 vertex: maximal, with nothing of codim 1
+        report = classify_cells(1)
+        assert report.maximal == (0,)
+        assert report.codim1_valence_four == ()
+        assert report.codim1_weight_one_leaf == ()
+        assert report.codim1_merged_classes == ()
+        assert report.closure_counts == {}
+        assert report.connected_through_codim1
+
     def test_every_cell_under_some_maximal(self):
         cells = enumerate_cells(2)
         by_index = {c.index: c for c in cells}
