@@ -64,6 +64,7 @@ from .moduli import (
     cell_adjacency,
     check_unique_lifts,
     classify_cells,
+    classify_census,
     enumerate_cells,
     enumerate_stable_weighted_graphs,
 )

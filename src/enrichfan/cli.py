@@ -1,8 +1,11 @@
 """Command-line interface: graph inspection, enumeration, fans, moduli, equations.
 
-Exit codes: 0 success, 1 verification failure, 2 unparseable input,
-3 enumeration guard exceeded, 4 any other library error (for example a
-graph that is not biconnected where one is required).
+``--max-edges`` is checked where a command that enumerates structures reads
+its graph (``_capped_graph``); the toric commands pass it on to toric.
+
+Exit codes: 0 success, 1 verification failure, 2 unparseable input or a
+malformed option, 3 enumeration guard exceeded, 4 any other library error
+(for example a graph that is not biconnected where one is required).
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .formats import (
     parse_graph,
     specialization_poset_dot,
 )
-from .graphs import WeightedGraph, biconnected_components, bonds, genus, is_biconnected, is_stable
-from .moduli import cell_adjacency, classify_cells, enumerate_cells
+from .graphs import MultiGraph, WeightedGraph, biconnected_components, bonds, genus, is_biconnected, is_stable
+from .moduli import cell_adjacency, classify_census, enumerate_cells
 from .preorders import Preorder
 
 DEFAULT_SEED = 20240
@@ -53,6 +56,14 @@ def _load_graph(args) -> WeightedGraph:
     else:
         raise FormatError("provide --input FILE or --inline STR")
     return parse_graph(text)
+
+
+def _capped_graph(args) -> MultiGraph:
+    """The input graph of a command that enumerates structures, refused past ``--max-edges`` edges."""
+    g = _load_graph(args).graph
+    if g.n_edges > args.max_edges:
+        raise GuardExceededError(f"enumeration capped at {args.max_edges} edges")
+    return g
 
 
 def _emit(args, *, text=None, json_data=None, dot=None):
@@ -98,9 +109,8 @@ def cmd_graph_info(args) -> int:
 
 
 def cmd_enriched_list(args) -> int:
-    wg = _load_graph(args)
-    g = wg.graph
-    structs = enriched_structures(g, args.max_edges)
+    g = _capped_graph(args)
+    structs = enriched_structures(g)
     data = {
         "count": len(structs),
         "generic_count": sum(1 for eg in structs if eg.is_generic()),
@@ -118,7 +128,7 @@ def cmd_enriched_list(args) -> int:
         rel = "; ".join(f"{a}≼{b}" for a, b in s["pairs"]) or "discrete"
         tag = " generic" if s["generic"] else ""
         lines.append(f"  rank {s['rank']}{tag}: {rel}")
-    _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=specialization_poset_dot(g, args.max_edges))
+    _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=specialization_poset_dot(g))
     return EXIT_OK
 
 
@@ -153,14 +163,13 @@ def cmd_enriched_check(args) -> int:
 def cmd_fan_build(args) -> int:
     from .fans import fan_by_star_subdivision, fan_equal, fan_of_graph
 
-    wg = _load_graph(args)
-    g = wg.graph
-    fan = fan_by_star_subdivision(g, args.max_edges) if args.via_star else fan_of_graph(g, args.max_edges)
+    g = _capped_graph(args)
+    fan = fan_by_star_subdivision(g) if args.via_star else fan_of_graph(g)
     data = fan_to_json_dict(fan)
     text = [f"maximal cones: {len(fan.maximal)}  rays: {len(fan.rays())}"]
     status = EXIT_OK
     if args.check_equal:
-        other = fan_of_graph(g, args.max_edges) if args.via_star else fan_by_star_subdivision(g, args.max_edges)
+        other = fan_of_graph(g) if args.via_star else fan_by_star_subdivision(g)
         equal = fan_equal(fan, other)
         data["equal"] = equal
         text.append(f"equal: {'true' if equal else 'false'}")
@@ -173,8 +182,7 @@ def cmd_fan_build(args) -> int:
 def cmd_fan_verify(args) -> int:
     from .verify import verify_fan_for_graph
 
-    wg = _load_graph(args)
-    failures = verify_fan_for_graph(wg.graph, seed=args.seed, max_edges=args.max_edges, log=print)
+    failures = verify_fan_for_graph(_capped_graph(args), seed=args.seed, log=print)
     return EXIT_VERIFY if failures else EXIT_OK
 
 
@@ -182,7 +190,7 @@ def cmd_moduli_cells(args) -> int:
     cells = enumerate_cells(args.genus)
     adjacency = cell_adjacency(cells)
     data = cells_to_json(cells, adjacency)
-    report = classify_cells(args.genus)
+    report = classify_census(cells, adjacency)
     data["maximal"] = list(report.maximal)
     data["connected_through_codim1"] = report.connected_through_codim1
     lines = [f"genus {args.genus}: {len(cells)} cells, {len(report.maximal)} maximal"]
@@ -276,15 +284,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED}; ${SEED_ENV} overrides the default)")
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def io_flags(p):
+    def io_flags(p, capped=True):
         p.add_argument("--input", help="graph file (text or JSON)")
         p.add_argument("--inline", help="inline graph text ( ';' separates lines )")
         p.add_argument("--format", choices=("json", "dot", "text"), default="text")
-        p.add_argument("--max-edges", type=_int_at_least("max-edges", 0), default=8, dest="max_edges")
+        if capped:
+            p.add_argument("--max-edges", type=_int_at_least("max-edges", 0), default=8, dest="max_edges")
 
     graph = sub.add_parser("graph", help="graph-level information").add_subparsers(dest="action", required=True)
     info = graph.add_parser("info", help="vertices, blocks, bonds, genus, stability")
-    io_flags(info)
+    io_flags(info, capped=False)
     info.set_defaults(func=cmd_graph_info)
 
     enriched = sub.add_parser("enriched", help="enriched structures").add_subparsers(dest="action", required=True)
@@ -292,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     io_flags(elist)
     elist.set_defaults(func=cmd_enriched_list)
     echeck = enriched.add_parser("check", help="validate a preorder against the recursive conditions")
-    io_flags(echeck)
+    io_flags(echeck, capped=False)
     echeck.add_argument("--pairs", help='JSON list of related pairs, e.g. [["a","b"]]')
     echeck.set_defaults(func=cmd_enriched_check)
 

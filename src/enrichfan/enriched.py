@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
 
-from .errors import GroundSetMismatchError, GuardExceededError, NotABondError, UnknownLabelError
+from .errors import GroundSetMismatchError, NotABondError, UnknownLabelError
 from .graphs import Bond, MultiGraph, biconnected_components, bits, block_masks, bonds, contract, edge_ends, label_key, sort_labels
 from .preorders import Preorder
 
@@ -206,15 +206,13 @@ def _structures(g: MultiGraph) -> tuple:
     return tuple(sorted(found, key=lambda rows: b"".join([t[r] for t, r in zip(pair_bytes, rows)])))
 
 
-def enriched_structures(g: MultiGraph, max_edges: int = 8) -> list:
+def enriched_structures(g: MultiGraph) -> list:
     """Every enriched structure on ``g``, each exactly once."""
-    if g.n_edges > max_edges:
-        raise GuardExceededError(f"enumeration capped at {max_edges} edges")
     return [_trusted(EnrichedGraph, graph=g, preorder=p) for p in Preorder._family(g.edge_labels, _structures(g))]
 
 
-def generic_structures(g: MultiGraph, max_edges: int = 8) -> list:
-    return [eg for eg in enriched_structures(g, max_edges) if eg.is_generic()]
+def generic_structures(g: MultiGraph) -> list:
+    return [eg for eg in enriched_structures(g) if eg.is_generic()]
 
 
 def canonical_structure(g: MultiGraph) -> EnrichedGraph:
@@ -288,14 +286,12 @@ class Specialization:
         return not self.contracted and self.target.rank == self.source.rank - 1
 
 
-def specializations(eg: EnrichedGraph, max_edges: int = 8) -> list:
+def specializations(eg: EnrichedGraph) -> list:
     """All specializations of ``eg``, the identity included.
 
     A specialization is determined by the contracted lower set together
     with the coarsened structure on the contraction.
     """
-    if eg.graph.n_edges > max_edges:
-        raise GuardExceededError(f"enumeration capped at {max_edges} edges")
     out = []
     for s in eg.preorder.lower_sets():
         target_graph = contract(eg.graph, s)

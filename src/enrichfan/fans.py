@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .cones import RationalCone, closed_structure_cone, structure_cone
 from .enriched import EnrichedGraph, enriched_structures, generic_structures
-from .errors import GuardExceededError, NotStronglyConvexError
+from .errors import NotStronglyConvexError
 from .graphs import MultiGraph, contract, is_biconnected, label_key, sort_labels
 from .lattices import LatticeQuotient, linearly_independent, primitive
 
@@ -116,12 +116,10 @@ def coordinate_cone(labels, subset) -> RationalCone:
     return RationalCone.from_rays(labels, rays) if rays else RationalCone(labels, ())
 
 
-def fan_of_graph(g: MultiGraph, max_edges: int = 8) -> Fan:
+def fan_of_graph(g: MultiGraph) -> Fan:
     """The fan subdividing the orthant by the closed cones of the generic
     enriched structures on ``g``."""
-    labels = g.edge_labels
-    cones = [closed_structure_cone(eg) for eg in generic_structures(g, max_edges)]
-    return Fan.from_cones(labels, cones)
+    return Fan.from_cones(g.edge_labels, [closed_structure_cone(eg) for eg in generic_structures(g)])
 
 
 @dataclass(frozen=True)
@@ -138,17 +136,15 @@ class Stratum:
     closed_cone: RationalCone
 
 
-def fan_strata(g: MultiGraph, max_edges: int = 8) -> list:
+def fan_strata(g: MultiGraph) -> list:
     """Every cone of the fan of ``g`` as an embedded stratum, each once."""
-    if g.n_edges > max_edges:
-        raise GuardExceededError(f"enumeration capped at {max_edges} edges")
     labels = g.edge_labels
     out = []
     for k in range(g.n_edges + 1):
         for sub in itertools.combinations(labels, k):
             s = frozenset(sub)
             gc = contract(g, s)
-            for eg in enriched_structures(gc, max_edges):
+            for eg in enriched_structures(gc):
                 out.append(
                     Stratum(
                         s,
@@ -160,7 +156,7 @@ def fan_strata(g: MultiGraph, max_edges: int = 8) -> list:
     return out
 
 
-def locate_stratum(g: MultiGraph, x, max_edges: int = 8) -> Stratum:
+def locate_stratum(g: MultiGraph, x) -> Stratum:
     """The unique stratum whose relatively open cone contains ``x >= 0``."""
     from .enriched import locate
 
@@ -200,15 +196,13 @@ def star_subdivision(fan: Fan, tau: RationalCone) -> Fan:
     return Fan.from_cones(fan.labels, new_cones)
 
 
-def good_contraction_sequence(g: MultiGraph, max_edges: int = 8) -> list:
+def good_contraction_sequence(g: MultiGraph) -> list:
     """All contractions of ``g`` with a biconnected target holding at least
     one edge, ordered by non-increasing target edge count.
 
     Returns ``(contracted_set, target_graph)`` pairs; ties are broken by the
     canonical order of the contracted sets.
     """
-    if g.n_edges > max_edges:
-        raise GuardExceededError(f"enumeration capped at {max_edges} edges")
     labels = g.edge_labels
     entries = []
     for k in range(g.n_edges):
@@ -221,7 +215,7 @@ def good_contraction_sequence(g: MultiGraph, max_edges: int = 8) -> list:
     return entries
 
 
-def fan_by_star_subdivision(g: MultiGraph, max_edges: int = 8) -> Fan:
+def fan_by_star_subdivision(g: MultiGraph) -> Fan:
     """Build the fan of ``g`` from the orthant by star subdivisions.
 
     Subdivides at the coordinate cone of every biconnected contraction
@@ -229,7 +223,7 @@ def fan_by_star_subdivision(g: MultiGraph, max_edges: int = 8) -> Fan:
     """
     labels = g.edge_labels
     fan = octant_fan(labels)
-    for s, gc in good_contraction_sequence(g, max_edges):
+    for s, gc in good_contraction_sequence(g):
         fan = star_subdivision(fan, coordinate_cone(labels, gc.edge_labels))
     return fan
 

@@ -46,6 +46,8 @@ def parse_graph_text(text: str) -> WeightedGraph:
             _put(weights, _token(vid), weight, "vertex id")
         else:
             _put(weights, _token(tok), 0, "vertex id")
+    if not weights:
+        raise FormatError("graph has no vertices")
     edges = {}
     for ln in lines[1:]:
         if ":" not in ln:
@@ -56,8 +58,7 @@ def parse_graph_text(text: str) -> WeightedGraph:
             raise FormatError(f"edge line {ln!r} must name two endpoints")
         _put(edges, _token(label.strip()), (_token(ends[0]), _token(ends[1])), "edge label")
     try:
-        graph = MultiGraph(weights, edges)
-        return WeightedGraph(graph, weights)
+        return WeightedGraph(MultiGraph(weights, edges), weights)
     except Exception as exc:
         raise FormatError(str(exc)) from exc
 
@@ -84,10 +85,11 @@ def graph_from_json_dict(data: dict) -> WeightedGraph:
         weights, edges = {}, {}
         for item in data["vertices"]:
             _put(weights, item["id"], int(item.get("weight", 0)), "vertex id")
+        if not weights:
+            raise FormatError("graph has no vertices")
         for item in data["edges"]:
             _put(edges, item["label"], tuple(item["ends"]), "edge label")
-        graph = MultiGraph(weights, edges)
-        return WeightedGraph(graph, weights)
+        return WeightedGraph(MultiGraph(weights, edges), weights)
     except FormatError:
         raise
     except Exception as exc:
@@ -183,11 +185,11 @@ def relation_summary(p: Preorder) -> str:
     return "; ".join(covers + isolated) or "empty"
 
 
-def specialization_poset_dot(g: MultiGraph, max_edges: int = 8, name: str = "S") -> str:
+def specialization_poset_dot(g: MultiGraph, name: str = "S") -> str:
     """Same-graph specialization arrows among all enriched structures of g."""
     from .enriched import enriched_structures
 
-    structs = enriched_structures(g, max_edges)
+    structs = enriched_structures(g)
     ids = {eg.preorder: i for i, eg in enumerate(structs)}
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for eg in structs:

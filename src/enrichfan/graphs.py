@@ -21,6 +21,7 @@ from .errors import (
 )
 
 Label = str | int
+AUTOMORPHISM_VERTICES = 12  # the most vertices automorphisms() searches
 
 
 def label_key(x: Label):
@@ -476,10 +477,6 @@ class WeightedGraph:
         return f"WeightedGraph({self.graph!r}, {{{ws}}})"
 
 
-def first_betti_number(g: MultiGraph) -> int:
-    return g.n_edges - g.n_vertices + len(g.connected_components())
-
-
 def genus(wg: WeightedGraph) -> int:
     """Total weight plus the first Betti number of a connected graph."""
     if not wg.graph.is_connected():
@@ -492,28 +489,26 @@ def is_stable(wg: WeightedGraph) -> bool:
     return all(wg.weight(v) > 0 or wg.graph.valence(v) >= 3 for v in wg.graph.vertices)
 
 
-def contract_weighted(wg: WeightedGraph, s) -> WeightedGraph:
-    """Contract edges of a weighted graph with the genus-preserving rule.
+def contracted_weights(wg: WeightedGraph, s) -> dict:
+    """The genus-preserving weights on the vertices of ``contract(wg.graph, s)``.
 
     The merged vertex of a class C gets ``sum of weights + |s_C| - |C| + 1``
     where ``s_C`` is the contracted edges inside C; this adds 1 for every
     independent cycle collapsed (in particular +1 per contracted loop).
     """
-    g = wg.graph
     s = frozenset(s)
-    gc = contract(g, s)
-    reps = contraction_classes(g, s)
-    weights = {v: 0 for v in gc.vertices}
-    class_size = {v: 0 for v in gc.vertices}
-    for v in g.vertices:
-        weights[reps[v]] += wg.weight(v)
-        class_size[reps[v]] += 1
+    reps = contraction_classes(wg.graph, s)
+    weights = dict.fromkeys(reps.values(), 1)
+    for v, r in reps.items():
+        weights[r] += wg.weight(v) - 1
     for e in s:
-        u, _ = g.ends(e)
-        weights[reps[u]] += 1
-    for v in gc.vertices:
-        weights[v] -= class_size[v] - 1
-    return WeightedGraph(gc, weights)
+        weights[reps[wg.graph.ends(e)[0]]] += 1
+    return weights
+
+
+def contract_weighted(wg: WeightedGraph, s) -> WeightedGraph:
+    """Contract edges of a weighted graph, with the weights of ``contracted_weights``."""
+    return WeightedGraph(contract(wg.graph, s), contracted_weights(wg, s))
 
 
 @dataclass(frozen=True)
@@ -618,13 +613,13 @@ def weighted_isomorphisms(wg1: WeightedGraph, wg2: WeightedGraph) -> list:
     return [EdgePermutation(pairs, vmap) for pairs, vmap in ordered]
 
 
-def automorphisms(wg: WeightedGraph, max_vertices: int = 12) -> list:
+def automorphisms(wg: WeightedGraph) -> list:
     """Aut of a weighted graph as its image in the symmetric group on edges.
 
     Brute force over weight-preserving vertex bijections, extended over all
     permutations of parallel edges and loops at a vertex; loop half-edge
     flips act trivially on labels and are not represented.
     """
-    if wg.graph.n_vertices > max_vertices:
-        raise GuardExceededError(f"automorphism search capped at {max_vertices} vertices")
+    if wg.graph.n_vertices > AUTOMORPHISM_VERTICES:
+        raise GuardExceededError(f"automorphism search capped at {AUTOMORPHISM_VERTICES} vertices")
     return weighted_isomorphisms(wg, wg)

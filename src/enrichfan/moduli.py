@@ -30,7 +30,7 @@ from fractions import Fraction
 from .cones import structure_cone
 from .enriched import EnrichedGraph, enriched_structures, locate, specializations
 from .errors import GuardExceededError
-from .graphs import MultiGraph, WeightedGraph, automorphisms, contract_weighted
+from .graphs import MultiGraph, WeightedGraph, automorphisms, contracted_weights
 from .preorders import Preorder
 
 GENUS_GUARD = 3
@@ -127,7 +127,7 @@ def _connected(n: int, pairs) -> bool:
     return parts == 1
 
 
-def enumerate_stable_weighted_graphs(g: int, genus_guard: int = GENUS_GUARD) -> list:
+def enumerate_stable_weighted_graphs(g: int) -> list:
     """All stable weighted graphs of genus ``g`` up to isomorphism.
 
     Vertices are bounded by 2g-2 (one vertex for genus 1) and edges by
@@ -139,14 +139,12 @@ def enumerate_stable_weighted_graphs(g: int, genus_guard: int = GENUS_GUARD) -> 
     """
     if g < 1:
         raise ValueError(f"genus must be at least 1, got {g}")
-    if g > genus_guard:
-        raise GuardExceededError(f"genus must lie in 1..{genus_guard}")
-    max_vertices = max(1, 2 * g - 2)
-    max_edges = max(0, 3 * g - 3)
+    if g > GENUS_GUARD:
+        raise GuardExceededError(f"genus must lie in 1..{GENUS_GUARD}")
     seen = set()
-    for n in range(1, max_vertices + 1):
+    for n in range(1, max(1, 2 * g - 2) + 1):
         slots = [(i, j) for i in range(n) for j in range(i, n)]
-        for m in range(0, max_edges + 1):
+        for m in range(0, max(0, 3 * g - 3) + 1):
             b1 = m - n + 1
             if b1 < 0 or b1 > g:
                 continue
@@ -216,10 +214,10 @@ def _structure_orbits(wg: WeightedGraph):
     return orbits
 
 
-def enumerate_cells(g: int, genus_guard: int = GENUS_GUARD) -> list:
+def enumerate_cells(g: int) -> list:
     """One cell per isomorphism class of stable weighted enriched graph."""
     cells = []
-    for wg in enumerate_stable_weighted_graphs(g, genus_guard):
+    for wg in enumerate_stable_weighted_graphs(g):
         for rep, stabilizer in _structure_orbits(wg):
             cells.append(ModuliCell(len(cells), wg, rep, g, stabilizer))
     return cells
@@ -271,14 +269,14 @@ def _reached(a: ModuliCell, table: dict) -> set:
     """Indices of the cells in ``table`` isomorphic to a specialization of ``a``, ``a`` excluded.
 
     All specializations contracting one lower set share a target graph, so
-    that graph is carried into its frame once.
+    that graph is weighted and carried into its frame once.
     """
     hits = set()
     frames = {}
     for sp in specializations(a.enriched()):
         s = sp.contracted
         if s not in frames:
-            key, to_frame = _frame_map(contract_weighted(a.weighted, s))
+            key, to_frame = _frame_map(WeightedGraph(sp.target.graph, contracted_weights(a.weighted, s)))
             frames[s] = (table.get(key), to_frame)
         orbit, to_frame = frames[s]
         if orbit is not None:
@@ -308,9 +306,17 @@ class CellClassification:
     connected_through_codim1: bool
 
 
-def classify_cells(g: int, genus_guard: int = GENUS_GUARD) -> CellClassification:
+def classify_cells(g: int) -> CellClassification:
     """Maximal and codimension-one cells, with closure multiplicities."""
-    cells = enumerate_cells(g, genus_guard)
+    cells = enumerate_cells(g)
+    table = _cell_table([c for c in cells if c.dim == 3 * g - 4])
+    return classify_census(cells, {c.index: _reached(c, table) for c in cells if c.dim == 3 * g - 3})
+
+
+def classify_census(cells, adjacency) -> CellClassification:
+    """``classify_cells`` on a census in hand; ``adjacency`` maps each maximal
+    cell index to the cells it specializes to, as ``cell_adjacency`` does."""
+    g = cells[0].genus
     top = 3 * g - 3
     maximal = []
     for c in cells:
@@ -339,12 +345,7 @@ def classify_cells(g: int, genus_guard: int = GENUS_GUARD) -> CellClassification
             t_c.append(c.index)
         else:
             raise AssertionError(f"codimension-one cell {c.index} fits no expected type")
-    by_index = {c.index: c for c in cells}
-    above = {i: set() for i in t_a + t_b + t_c}
-    table = _cell_table([by_index[i] for i in above])
-    for m in maximal:
-        for i in _reached(by_index[m], table):
-            above[i].add(m)
+    above = {i: {m for m in maximal if i in adjacency[m]} for i in t_a + t_b + t_c}
     closure_counts = {i: len(ms) for i, ms in above.items()}
     # maximal cells are adjacent when a common codimension-one cell sits in
     # both closures; the adjacency graph must be connected
@@ -385,7 +386,7 @@ class LiftReport:
     failures: tuple
 
 
-def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500, genus_guard: int = GENUS_GUARD) -> LiftReport:
+def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftReport:
     """Every sampled length vector lifts to exactly one enriched cell point.
 
     For each stable weighted graph, sample positive rational points x and
@@ -394,7 +395,7 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500, genus_guar
     All translates must produce one and the same (cell, orbit point) pair.
     """
     cells_of = {}  # every census graph with edges has a cell; dicts keep the census order
-    for c in enumerate_cells(g, genus_guard):
+    for c in enumerate_cells(g):
         if c.weighted.graph.n_edges:
             cells_of.setdefault(c.weighted, []).append(c)
     graphs = list(cells_of)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from .errors import GuardExceededError, UnknownLabelError
 from .graphs import bits, label_key, sort_labels
 
+BRUTE_FORCE_LABELS = 5  # largest ground set all_preorders enumerates
+
 
 def _closed(rows: list) -> list:
     """Reflexive-transitive closure of bitmask rows, in place."""
@@ -382,12 +384,12 @@ class QuotientPoset:
         return True
 
 
-def all_preorders(ground, max_size: int = 5):
-    """Every preorder on ``ground``, by brute force; guard at 5 labels."""
+def all_preorders(ground):
+    """Every preorder on ``ground``, by brute force; guard at ``BRUTE_FORCE_LABELS`` labels."""
     labels = sort_labels(set(ground))
     n = len(labels)
-    if n > max_size:
-        raise GuardExceededError(f"brute-force preorder enumeration capped at {max_size} labels")
+    if n > BRUTE_FORCE_LABELS:
+        raise GuardExceededError(f"brute-force preorder enumeration capped at {BRUTE_FORCE_LABELS} labels")
     if n == 0:
         yield Preorder((), ())
         return

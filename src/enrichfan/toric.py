@@ -77,12 +77,12 @@ def in_bond_sector(bp: BondProjection, minima, vec) -> bool:
     )
 
 
-def bond_projection_certificate(g: MultiGraph, b: Bond, max_edges: int = 8) -> bool:
+def bond_projection_certificate(g: MultiGraph, b: Bond) -> bool:
     """Every structure cone projects into the sector of its bond minima."""
     from .cones import ray_generators
 
     bp = bond_projection(g, b)
-    for eg in enriched_structures(g, max_edges):
+    for eg in enriched_structures(g):
         minima = bond_minima(eg, b)
         for ray in ray_generators(eg):
             if not in_bond_sector(bp, minima, ray):
@@ -338,7 +338,7 @@ def blowup_schedule(g: MultiGraph, max_edges: int = 8) -> list:
     if g.n_edges > max_edges:
         raise GuardExceededError(f"schedule capped at {max_edges} edges")
     stages = {}
-    for s, gc in good_contraction_sequence(g, max_edges):
+    for s, gc in good_contraction_sequence(g):
         if not s:
             continue
         stages.setdefault(len(s), []).append((sort_labels(s), sort_labels(gc.edge_labels)))

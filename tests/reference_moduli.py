@@ -97,7 +97,7 @@ def cell_adjacency(cells) -> dict:
 
 def classify_cells(g: int, genus_guard: int = GENUS_GUARD) -> CellClassification:
     """Maximal and codimension-one cells, with closure multiplicities."""
-    cells = enumerate_cells(g, genus_guard)
+    cells = enumerate_cells(g)
     top = 3 * g - 3
     maximal = []
     for c in cells:

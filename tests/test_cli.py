@@ -79,6 +79,55 @@ class TestEnriched:
         assert code == EXIT_GUARD and "error" in err
 
 
+NINE_EDGES = "vertices: u v; " + "; ".join(f"e{i}: u v" for i in range(1, 10))
+ENUMERATING = [
+    ["enriched", "list"],
+    ["enriched", "list", "--format", "dot"],
+    ["fan", "build"],
+    ["fan", "build", "--via-star", "--check-equal"],
+    ["fan", "verify"],
+]
+
+
+class TestEdgeGuard:
+    """The library takes no edge cap; the commands that enumerate structures
+    refuse a graph past ``--max-edges`` where they read it."""
+
+    @pytest.mark.parametrize("argv", ENUMERATING)
+    def test_refused_past_max_edges(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--inline", THETA, "--max-edges", "2")
+        assert code == EXIT_GUARD and out == ""
+        assert err == "error: enumeration capped at 2 edges\n"
+
+    @pytest.mark.parametrize("argv", ENUMERATING)
+    def test_accepted_at_max_edges(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--inline", THETA, "--max-edges", "3")
+        assert code == EXIT_OK and out and err == ""
+
+    @pytest.mark.parametrize("argv", ENUMERATING)
+    def test_default_cap_is_eight(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--inline", NINE_EDGES)
+        assert code == EXIT_GUARD and out == ""
+        assert err == "error: enumeration capped at 8 edges\n"
+
+    def test_raised_cap_enumerates_nine_edges(self, capsys):
+        code, out, _ = run_cli(capsys, "enriched", "list", "--inline", NINE_EDGES, "--max-edges", "9")
+        assert code == EXIT_OK and out.startswith("511 enriched structures (9 generic)\n")
+
+    def test_toric_commands_keep_their_own_cap(self, capsys):
+        code, out, err = run_cli(capsys, "toric", "equations", "--inline", THETA, "--max-edges", "2")
+        assert code == EXIT_GUARD and out == "" and err == "error: relation search capped at 2 edges\n"
+        code, out, err = run_cli(capsys, "toric", "schedule", "--inline", THETA, "--max-edges", "2")
+        assert code == EXIT_GUARD and out == "" and err == "error: schedule capped at 2 edges\n"
+
+    @pytest.mark.parametrize("argv", [["graph", "info"], ["enriched", "check"]])
+    def test_no_option_where_nothing_is_enumerated(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--inline", THETA, "--max-edges", "2"])
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments: --max-edges 2" in capsys.readouterr().err
+
+
 class TestFan:
     def test_build_with_check(self, capsys):
         code, out, _ = run_cli(
@@ -118,6 +167,23 @@ class TestModuli:
         code, out, _ = run_cli(capsys, "moduli", "cells", "-g", "1", "--format", "json")
         data = json.loads(out)
         assert data["maximal"] == [0] and data["connected_through_codim1"] is True
+
+    def test_census_runs_once(self, capsys, monkeypatch):
+        import enrichfan.cli
+        import enrichfan.moduli
+
+        calls = []
+        real = enrichfan.moduli.enumerate_cells
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(enrichfan.moduli, "enumerate_cells", counted)
+        monkeypatch.setattr(enrichfan.cli, "enumerate_cells", counted)
+        code, out, _ = run_cli(capsys, "moduli", "cells", "-g", "2")
+        assert code == EXIT_OK and "9 cells, 2 maximal" in out
+        assert calls == [2]
 
     def test_guard(self, capsys):
         code, _, _ = run_cli(capsys, "moduli", "cells", "-g", "9")
@@ -195,6 +261,12 @@ class TestErrors:
         code, out, err = run_cli(capsys, "graph", "info", "--inline", "vertices: u:1 u:0 v; a: u v")
         assert code == EXIT_PARSE and out == ""
         assert err == "error: repeated vertex id 'u'\n"
+
+    @pytest.mark.parametrize("text", ["vertices:", '{"vertices": [], "edges": []}'])
+    def test_empty_graph(self, capsys, text):
+        code, out, err = run_cli(capsys, "graph", "info", "--inline", text)
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: graph has no vertices\n"
 
     def test_negative_max_edges_is_bad_input(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,8 +19,8 @@ from enrichfan.enriched import (
     simple_specialization,
     specializations,
 )
-from enrichfan.errors import GroundSetMismatchError, GuardExceededError
-from enrichfan.graphs import Bond, bonds, biconnected_components
+from enrichfan.errors import GroundSetMismatchError
+from enrichfan.graphs import Bond, MultiGraph, bonds, biconnected_components
 from enrichfan.preorders import Preorder, all_preorders
 
 
@@ -115,9 +115,22 @@ class TestEnumeration:
         assert len(structs) == 1 and structs[0].preorder.is_discrete()
         assert len(generic_structures(corpus.dumbbell())) == 1
 
-    def test_guard(self):
-        with pytest.raises(GuardExceededError):
-            enriched_structures(corpus.theta(3), max_edges=2)
+    def test_theta9_counts(self):
+        # past eight edges: the library takes no edge cap, 2^9 - 1 structures, 9 generic
+        structs = enriched_structures(corpus.theta(9))
+        assert len(structs) == 511 and sum(eg.is_generic() for eg in structs) == 9
+
+    def test_prism_count(self):
+        # the 9-edge triangular prism
+        prism = MultiGraph(
+            "abcdef",
+            {
+                "e1": ("a", "b"), "e2": ("b", "c"), "e3": ("a", "c"),
+                "e4": ("d", "e"), "e5": ("e", "f"), "e6": ("d", "f"),
+                "e7": ("a", "d"), "e8": ("b", "e"), "e9": ("c", "f"),
+            },
+        )
+        assert len(enriched_structures(prism)) == 195463
 
     def test_lower_set_contraction_stays_enriched(self):
         for g in (corpus.triangle(), corpus.theta(3), corpus.doubled_triangle()):

@@ -50,6 +50,12 @@ class TestFanOfGraph:
         rays = set(fan.rays())
         assert (1, 1, 1) in rays and len(rays) == 4
 
+    def test_theta9_nine_maximal(self):
+        # past eight edges: one maximal cone per generic structure
+        fan = fan_of_graph(corpus.theta(9))
+        assert len(fan.maximal) == 9
+        assert all(c.dim == 9 and c.is_smooth() for c in fan.maximal)
+
     def test_single_edge_octant(self):
         fan = fan_of_graph(corpus.single_edge())
         assert fan_equal(fan, octant_fan(("e",)))

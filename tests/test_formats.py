@@ -71,6 +71,11 @@ class TestTextFormat:
         with pytest.raises(FormatError, match="repeated vertex id 2"):
             parse_graph_text("vertices: 1 2 2; a: 1 2")
 
+    def test_empty_graph(self):
+        for text in ("vertices:", "vertices:\n# nothing else\n", "vertices: ; a: u v"):
+            with pytest.raises(FormatError, match="graph has no vertices"):
+                parse_graph_text(text)
+
 
 class TestJsonFormat:
     def test_graph_round_trip(self):
@@ -100,6 +105,13 @@ class TestJsonFormat:
         }
         with pytest.raises(FormatError, match="repeated vertex id 'u'"):
             graph_from_json_dict(data)
+
+    def test_empty_graph(self):
+        for data in ({"vertices": [], "edges": []}, {"vertices": [], "edges": [{"label": "a", "ends": ["u", "v"]}]}):
+            with pytest.raises(FormatError, match="graph has no vertices"):
+                graph_from_json_dict(data)
+            with pytest.raises(FormatError, match="graph has no vertices"):
+                parse_graph(json.dumps(data))
 
     def test_preorder_round_trip(self):
         p = Preorder.from_relations("abc", [("a", "b"), ("b", "c")])

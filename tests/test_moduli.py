@@ -1,6 +1,6 @@
 import pytest
 
-from enrichfan import corpus
+from enrichfan import corpus, enriched, graphs
 from enrichfan.errors import GuardExceededError
 from enrichfan.enriched import enriched_structures
 from enrichfan.graphs import automorphisms, genus, is_stable, label_key
@@ -9,6 +9,7 @@ from enrichfan.moduli import (
     cell_specializes_to,
     check_unique_lifts,
     classify_cells,
+    classify_census,
     enumerate_cells,
     enumerate_stable_weighted_graphs,
     aut_enriched,
@@ -149,6 +150,11 @@ class TestClassification:
         assert report.closure_counts == {}
         assert report.connected_through_codim1
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_census_in_hand_gives_the_same_report(self, g):
+        cells = enumerate_cells(g)
+        assert classify_census(cells, cell_adjacency(cells)) == classify_cells(g)
+
     def test_every_cell_under_some_maximal(self):
         cells = enumerate_cells(2)
         by_index = {c.index: c for c in cells}
@@ -165,6 +171,23 @@ class TestClassification:
                         nxt.append(j)
             frontier = nxt
         assert reachable == set(by_index)
+
+
+class TestContractions:
+    def test_adjacency_contracts_each_lower_set_once(self, monkeypatch):
+        cells = enumerate_cells(2)
+        calls = []
+        real = graphs.contract
+
+        def counted(g, s):
+            calls.append(frozenset(s))
+            return real(g, s)
+
+        # every module that calls contract on this path holds its own name for it
+        monkeypatch.setattr(graphs, "contract", counted)
+        monkeypatch.setattr(enriched, "contract", counted)
+        cell_adjacency(cells)
+        assert len(calls) == sum(len(c.preorder.lower_sets()) for c in cells)
 
 
 class TestSpecializationArrows:
