@@ -66,19 +66,13 @@ def _capped_graph(args) -> MultiGraph:
     return g
 
 
-def _emit(args, *, text=None, json_data=None, dot=None):
-    fmt = args.format
-    if fmt == "json":
-        if json_data is None:
-            raise FormatError("no JSON form for this command")
+def _emit(args, *, text, json_data, dot=None):
+    """Write the rendering ``--format`` names; ``dot`` is a thunk, called only for DOT."""
+    if args.format == "json":
         sys.stdout.write(dumps(json_data))
-    elif fmt == "dot":
-        if dot is None:
-            raise FormatError("no DOT form for this command")
-        sys.stdout.write(dot)
+    elif args.format == "dot":
+        sys.stdout.write(dot())
     else:
-        if text is None:
-            text = dumps(json_data) if json_data is not None else dot
         sys.stdout.write(text)
 
 
@@ -104,7 +98,7 @@ def cmd_graph_info(args) -> int:
         "blocks: " + "; ".join(",".join(b) for b in data["blocks"]),
         "bonds: " + ("; ".join(",".join(b) for b in data["bonds"]) if data["bonds"] else "-"),
     ]
-    _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=graph_to_dot(wg))
+    _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=lambda: graph_to_dot(wg))
     return EXIT_OK
 
 
@@ -128,7 +122,7 @@ def cmd_enriched_list(args) -> int:
         rel = "; ".join(f"{a}≼{b}" for a, b in s["pairs"]) or "discrete"
         tag = " generic" if s["generic"] else ""
         lines.append(f"  rank {s['rank']}{tag}: {rel}")
-    _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=specialization_poset_dot(g))
+    _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=lambda: specialization_poset_dot(g))
     return EXIT_OK
 
 
@@ -155,7 +149,7 @@ def cmd_enriched_check(args) -> int:
         args,
         text=f"enriched: {ok}\n",
         json_data={"enriched": ok, "rank": p.rank, "generic": p.is_partial_order()},
-        dot=hasse_to_dot(p),
+        dot=lambda: hasse_to_dot(p),
     )
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -198,7 +192,7 @@ def cmd_moduli_cells(args) -> int:
         lines.append(
             f"  #{c.index} dim={c.dim} aut={c.aut_order} edges={c.weighted.graph.n_edges} -> {adjacency[c.index]}"
         )
-    _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=cells_to_dot(cells, adjacency))
+    _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=lambda: cells_to_dot(cells, adjacency))
     return EXIT_OK
 
 
@@ -284,30 +278,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED}; ${SEED_ENV} overrides the default)")
     sub = parser.add_subparsers(dest="group", required=True)
 
+    def format_flag(p, *choices):
+        p.add_argument("--format", choices=choices, default="text")
+
     def io_flags(p, capped=True):
         p.add_argument("--input", help="graph file (text or JSON)")
         p.add_argument("--inline", help="inline graph text ( ';' separates lines )")
-        p.add_argument("--format", choices=("json", "dot", "text"), default="text")
         if capped:
             p.add_argument("--max-edges", type=_int_at_least("max-edges", 0), default=8, dest="max_edges")
 
     graph = sub.add_parser("graph", help="graph-level information").add_subparsers(dest="action", required=True)
     info = graph.add_parser("info", help="vertices, blocks, bonds, genus, stability")
     io_flags(info, capped=False)
+    format_flag(info, "json", "dot", "text")
     info.set_defaults(func=cmd_graph_info)
 
     enriched = sub.add_parser("enriched", help="enriched structures").add_subparsers(dest="action", required=True)
     elist = enriched.add_parser("list", help="enumerate enriched structures")
     io_flags(elist)
+    format_flag(elist, "json", "dot", "text")
     elist.set_defaults(func=cmd_enriched_list)
     echeck = enriched.add_parser("check", help="validate a preorder against the recursive conditions")
     io_flags(echeck, capped=False)
+    format_flag(echeck, "json", "dot", "text")
     echeck.add_argument("--pairs", help='JSON list of related pairs, e.g. [["a","b"]]')
     echeck.set_defaults(func=cmd_enriched_check)
 
     fan = sub.add_parser("fan", help="fans of enriched structures").add_subparsers(dest="action", required=True)
     fbuild = fan.add_parser("build", help="build the fan of a graph")
     io_flags(fbuild)
+    format_flag(fbuild, "json", "text")
     fbuild.add_argument("--via-star", action="store_true", dest="via_star", help="build by star subdivisions")
     fbuild.add_argument("--check-equal", action="store_true", dest="check_equal", help="compare both pipelines")
     fbuild.set_defaults(func=cmd_fan_build)
@@ -318,16 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
     moduli = sub.add_parser("moduli", help="moduli cells of enriched tropical curves").add_subparsers(dest="action", required=True)
     mcells = moduli.add_parser("cells", help="enumerate the cells at a given genus")
     mcells.add_argument("-g", "--genus", type=_int_at_least("genus", 1), required=True)
-    mcells.add_argument("--format", choices=("json", "dot", "text"), default="text")
+    format_flag(mcells, "json", "dot", "text")
     mcells.set_defaults(func=cmd_moduli_cells)
 
     toric = sub.add_parser("toric", help="the toric variety of enriched structures").add_subparsers(dest="action", required=True)
     teq = toric.add_parser("equations", help="binomial and trinomial relations")
     io_flags(teq)
+    format_flag(teq, "json", "text")
     teq.add_argument("--ideal", action="store_true", help="emit plain ideal generators, one per line")
     teq.set_defaults(func=cmd_toric_equations)
     tsch = toric.add_parser("schedule", help="blowup-center schedule")
     io_flags(tsch)
+    format_flag(tsch, "json", "text")
     tsch.set_defaults(func=cmd_toric_schedule)
 
     verify = sub.add_parser("verify", help="verification suites").add_subparsers(dest="action", required=True)

@@ -5,6 +5,10 @@ projective spaces, one factor per bond.  This module produces the bond
 projections, the binomial and trinomial equations of the image, the
 lattice-kernel certificate that those equations generate, and the
 blowup-center schedule of the birational model over projective space.
+
+Bonds are the expensive part: each public function enumerates the bonds
+of its graph once and hands that list, or the domain basis built from it,
+to the helpers it calls.
 """
 
 from __future__ import annotations
@@ -153,9 +157,9 @@ class LaurentRelation:
         return f"{left} = {right}"
 
 
-def _bond_sums(g: MultiGraph):
+def _bond_sums(g: MultiGraph, all_bonds: list):
     """Triples (B1, B2, B3) of bond edge sets with B3 the disjoint-side sum."""
-    bond_by_edges = {b.edges: b for b in bonds(g)}
+    bond_by_edges = {b.edges: b for b in all_bonds}
     triples = set()
     for b1, b2 in itertools.combinations(bond_by_edges.values(), 2):
         for s1 in (b1.side, b1.complement_side):
@@ -190,7 +194,7 @@ def equations(g: MultiGraph, max_edges: int = 8) -> list:
                 [(b1.edges, e1, 1), (b1.edges, e2, -1), (b2.edges, e2, 1), (b2.edges, e1, -1)]
             )
             out.add(rel.canonical())
-    for be1, be2, be3 in _bond_sums(g):
+    for be1, be2, be3 in _bond_sums(g, all_bonds):
         for e1 in sort_labels(be1 & be3):
             for e2 in sort_labels(be1 & be2):
                 for e3 in sort_labels(be2 & be3):
@@ -213,55 +217,40 @@ def _relation_key(rel: "LaurentRelation"):
 
 def bond_names(g: MultiGraph) -> dict:
     """Stable display names B1, B2, ... for the bonds of ``g``."""
-    return {
-        b.edges if isinstance(b, Bond) else b: f"B{i + 1}"
-        for i, b in enumerate(tuple(sort_labels(b.edges)) for b in bonds(g))
-    }
-
-
-def _dual_bases(g: MultiGraph):
-    """Coordinates for the sum-zero functionals on each bond and on the edges.
-
-    A sum-zero integer vector on a set S is written in the basis
-    e - f0 (f0 the least element), giving |S| - 1 coordinates.
-    """
-    all_bonds = bonds(g)
-    domain = []  # (bond_edges, edge) pairs indexing the domain basis
-    for b in all_bonds:
-        edges = sort_labels(b.edges)
-        domain.extend(((frozenset(b.edges), e) for e in edges[1:]))
-    labels = g.edge_labels
-    cod = labels[1:]  # functional basis e - e0 on the edge lattice
-    return all_bonds, domain, cod
+    return {b.sorted_edges(): f"B{i + 1}" for i, b in enumerate(bonds(g))}
 
 
 def _dual_map_rows(g: MultiGraph):
-    """Rows of the dual comparison map, one per domain basis element.
+    """The dual comparison map: its domain basis and one row per basis element.
 
-    The codomain basis drops the first edge: a sum-zero functional has
-    coordinates (l_e) over the remaining edges.
+    A sum-zero integer vector on a set S is written in the basis e - f0
+    (f0 the least element of S), giving |S| - 1 coordinates.  The domain
+    is indexed by (bond_edges, edge) pairs, edge running over each bond but
+    its least edge; the codomain basis drops the first edge of the graph.
+    Row (B, e) is the functional e* - f0*, extended by zero.
     """
-    _, domain, cod = _dual_bases(g)
-    rows = []
-    for bond_edges, e in domain:
-        f0 = sort_labels(bond_edges)[0]
-        func = {e: 1, f0: -1}  # the functional e* - f0*, extended by zero
-        row = [func.get(lab, 0) for lab in cod]
-        rows.append(tuple(row))
+    cod = g.edge_labels[1:]
+    domain, rows = [], []
+    for b in bonds(g):
+        f0, *rest = b.sorted_edges()
+        for e in rest:
+            domain.append((b.edges, e))
+            rows.append(tuple(1 if lab == e else -1 if lab == f0 else 0 for lab in cod))
     return domain, rows
 
 
-def relation_coordinates(g: MultiGraph, rel: LaurentRelation):
-    """Coordinates of a relation in the bond-functional domain basis."""
-    _, domain, _ = _dual_bases(g)
+def relation_coordinates(domain: list, rel: LaurentRelation):
+    """Coordinates of a relation in ``domain``, the basis from ``_dual_map_rows``.
+
+    The exponent on the least edge of a bond has no coordinate: the
+    zero-sum constraint determines it.
+    """
     index = {pair: i for i, pair in enumerate(domain)}
     vec = [0] * len(domain)
     for bond_edges, e, exp in rel.terms:
         fs = frozenset(bond_edges)
-        f0 = sort_labels(fs)[0]
-        if e != f0:
+        if e != sort_labels(fs)[0]:
             vec[index[(fs, e)]] += exp
-        # the f0 component is determined by the zero-sum constraint
     return tuple(vec)
 
 
@@ -275,14 +264,15 @@ def relations_generate_kernel(g: MultiGraph, max_edges: int = 8) -> bool:
     """The emitted relations span the kernel lattice of the dual map.
 
     The kernel is computed independently by integer normal forms; the
-    relation lattice must match it exactly.
+    relation lattice must match it exactly.  ``max_edges`` caps the check
+    and its relation search alike.
     """
     _require_biconnected(g)
     if g.n_edges > max_edges:
         raise GuardExceededError(f"kernel check capped at {max_edges} edges")
     domain, rows = _dual_map_rows(g)
     kernel = kernel_lattice(rows, len(g.edge_labels) - 1)
-    rels = [relation_coordinates(g, r) for r in equations(g)]
+    rels = [relation_coordinates(domain, r) for r in equations(g, max_edges)]
     if len(kernel) != kernel_rank(g):
         return False
     return lattice_span_equal(rels, kernel, len(domain))

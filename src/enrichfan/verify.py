@@ -261,24 +261,24 @@ def verify_all(seed: int = 20240, log=lambda *_: None) -> list:
 
 def verify_fan_for_graph(g, seed: int = 20240, log=lambda *_: None) -> list:
     """Fan invariants for a single graph: cover, rays/faces, pipeline equality."""
+    cones, faces = [], []
+    for eg in enriched_structures(g):
+        cones.append((eg.preorder, structure_cone(eg)))
+        cone = closed_structure_cone(eg)
+        if len(cone.rays) != eg.rank or not cone.is_smooth():
+            faces.append(f"ray/smoothness failure for {eg.preorder!r}")
+        if cone.face_count() != len(specializations(eg)):
+            faces.append(f"face/specialization mismatch for {eg.preorder!r}")
     failures = []
     rng = random.Random(seed)
-    cones = [(eg.preorder, structure_cone(eg)) for eg in enriched_structures(g)]
     for pt in _positive_points(g.edge_labels, 200, rng):
         vec = tuple(pt[e] for e in g.edge_labels)
         hits = [p for p, cone in cones if cone.contains(vec)]
         if len(hits) != 1 or locate(g, pt).preorder != hits[0]:
             failures.append(f"cover failed at {vec}")
     log(f"{'PASS' if not failures else 'FAIL'}  orthant cover (200 seeded points)")
-    step = []
-    for eg in enriched_structures(g):
-        cone = closed_structure_cone(eg)
-        if len(cone.rays) != eg.rank or not cone.is_smooth():
-            step.append(f"ray/smoothness failure for {eg.preorder!r}")
-        if cone.face_count() != len(specializations(eg)):
-            step.append(f"face/specialization mismatch for {eg.preorder!r}")
-    log(f"{'PASS' if not step else 'FAIL'}  rays, smoothness, faces")
-    failures += step
+    log(f"{'PASS' if not faces else 'FAIL'}  rays, smoothness, faces")
+    failures += faces
     step = []
     if not fan_equal(fan_of_graph(g), fan_by_star_subdivision(g)):
         step.append("star pipeline disagrees with direct fan")

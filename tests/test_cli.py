@@ -146,6 +146,27 @@ class TestFan:
         assert code == EXIT_OK
         assert out.count("PASS") == 3
 
+    def test_verify_enumerates_once(self, capsys, monkeypatch):
+        import enrichfan.verify
+
+        calls = []
+        real = enrichfan.verify.enriched_structures
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(enrichfan.verify, "enriched_structures", counted)
+        code, out, _ = run_cli(capsys, "fan", "verify", "--inline", TRIANGLE)
+        assert code == EXIT_OK and out.count("PASS") == 3
+        assert len(calls) == 1
+
+    def test_verify_takes_no_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fan", "verify", "--inline", THETA, "--format", "json"])
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
 
 class TestModuli:
     def test_cells_text(self, capsys):
@@ -367,3 +388,23 @@ class TestDotOutputs:
         code, out, _ = run_cli(capsys, "enriched", "list", "--inline", THETA, "--format", "dot")
         assert code == EXIT_OK
         assert out.startswith("digraph") and out.count("{") == out.count("}")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_enriched_list_builds_no_dot_unless_asked(self, capsys, monkeypatch, fmt):
+        import enrichfan.cli
+
+        def refuse(g):
+            raise AssertionError("the DOT poset was built")
+
+        monkeypatch.setattr(enrichfan.cli, "specialization_poset_dot", refuse)
+        code, out, _ = run_cli(capsys, "enriched", "list", "--inline", TRIANGLE, "--format", fmt)
+        assert code == EXIT_OK and "13" in out
+
+    @pytest.mark.parametrize(
+        "argv", [["fan", "build"], ["toric", "equations"], ["toric", "schedule"]]
+    )
+    def test_no_dot_where_there_is_no_dot_form(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--inline", THETA, "--format", "dot"])
+        assert exc.value.code == EXIT_PARSE
+        assert "argument --format: invalid choice: 'dot'" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from enrichfan import corpus
 from enrichfan.enriched import bond_minima
-from enrichfan.errors import NotBiconnectedError
+from enrichfan.errors import GuardExceededError, NotBiconnectedError
 from enrichfan.fans import (
     coordinate_cone,
     fan_of_graph,
@@ -112,7 +112,7 @@ class TestEquations:
             domain, rows = _dual_map_rows(g)
             kern = kernel_lattice(rows, g.n_edges - 1)
             for rel in equations(g):
-                assert lattice_contains(kern, relation_coordinates(g, rel), len(domain)), name
+                assert lattice_contains(kern, relation_coordinates(domain, rel), len(domain)), name
 
 
 class TestKernel:
@@ -126,6 +126,22 @@ class TestKernel:
         for name in corpus.BICONNECTED_CORPUS:
             g = corpus.CORPUS[name]()
             assert relations_generate_kernel(g), name
+
+    def test_guard_reaches_the_relation_search(self):
+        # the 9-edge triangular prism: a raised cap holds for the inner
+        # equations() call too, and the default of 8 still refuses it
+        from enrichfan.graphs import MultiGraph
+
+        edges = {}
+        for i in range(3):
+            j = (i + 1) % 3
+            edges[f"a{i}{j}"] = (f"a{i}", f"a{j}")
+            edges[f"b{i}{j}"] = (f"b{i}", f"b{j}")
+            edges[f"m{i}"] = (f"a{i}", f"b{i}")
+        prism = MultiGraph([f"{s}{i}" for s in "ab" for i in range(3)], edges)
+        assert relations_generate_kernel(prism, 9)
+        with pytest.raises(GuardExceededError, match="capped at 8 edges"):
+            relations_generate_kernel(prism)
 
 
 class TestTorusPoints:
