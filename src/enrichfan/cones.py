@@ -4,6 +4,12 @@ Every cone produced here is simplicial and smooth: the rays are part of a
 basis of the ambient lattice.  A cone carries both descriptions: primitive
 integer rays of its closure, and halfspaces with a strict/weak flag each
 (strict ones describe the relative interior, i.e. the open cone).
+
+Membership is decided on integers.  Every constraint is homogeneous, so
+``contains`` tests the positive integer multiple ``m * x`` of the point,
+with ``m`` the lcm of the coordinates' denominators; each halfspace test
+is then an ``int`` dot product.  A float coordinate counts at its exact
+binary value, as it does in ``enriched.locate``.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .enriched import EnrichedGraph
 from .lattices import (
@@ -120,7 +126,13 @@ class RationalCone:
         return lam is not None and all(v > 0 for v in lam)
 
     def contains(self, x) -> bool:
-        """Membership in the cone as described (open cones: their interior)."""
+        """Membership in the cone as described (open cones: their interior).
+
+        Decided on the integer point ``m * x`` (see :func:`_integral`), which
+        lies in the cone exactly when ``x`` does; floats count at their
+        exact value.
+        """
+        x = _integral(x)
         if self.halfspaces is not None:
             return all(h.holds(x) for h in self.halfspaces)
         return self.closure_contains(x) if self.closed else self.interior_contains(x)
@@ -176,6 +188,13 @@ class RationalCone:
     def __repr__(self):
         kind = "closed" if self.closed else "open"
         return f"RationalCone({kind}, dim={self.dim}, rays={list(self.rays)})"
+
+
+def _integral(x) -> tuple:
+    """``m * x`` for the least positive integer ``m`` that makes it integral."""
+    ratios = [v.as_integer_ratio() for v in x]
+    m = lcm(*(d for _, d in ratios))
+    return tuple(n * (m // d) for n, d in ratios)
 
 
 def _h_from_rays(labels: tuple, rays: tuple) -> tuple:

@@ -144,7 +144,24 @@ class LaurentRelation:
         return num
 
     def holds_at(self, point: dict) -> bool:
-        return self.evaluate(point) == 1
+        """Whether the product of x_e^exp is 1, decided by cross-multiplying.
+
+        With ``x_e = n_e / d_e`` in lowest terms, ``top`` collects ``n_e^k``
+        for positive exponents and ``d_e^|k|`` for negative ones, ``bottom``
+        the same with ``n_e`` and ``d_e`` swapped; the relation holds exactly
+        when ``top == bottom``.  A zero coordinate under a negative exponent
+        raises ZeroDivisionError, as in :meth:`evaluate`.
+        """
+        top = bottom = 1
+        for _, e, exp in self.terms:
+            n, d = point[e].as_integer_ratio()
+            if exp < 0:
+                if n == 0:
+                    raise ZeroDivisionError(f"coordinate x_{e} is zero under a negative exponent")
+                n, d, exp = d, n, -exp
+            top *= n ** exp
+            bottom *= d ** exp
+        return top == bottom
 
     def rendered(self, bond_names: dict) -> str:
         lhs, rhs = [], []

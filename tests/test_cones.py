@@ -5,6 +5,9 @@ import pytest
 
 from enrichfan import corpus
 from enrichfan.cones import (
+    EQ,
+    GE,
+    Halfspace,
     RationalCone,
     closed_structure_cone,
     increment_coordinates,
@@ -125,6 +128,20 @@ class TestRationalCone:
         for x in itertools.product([-2, -1, 0, 1, 2], repeat=3):
             by_h = all(h.holds(x) for h in cone.h_description())
             assert by_h == cone.closure_contains(x)
+
+    def test_float_point_judged_at_its_exact_value(self):
+        # 0.1 + 0.2 - 0.30000000000000004 rounds to 0.0 in floats, but the
+        # exact binary values do not cancel: the point is off the plane
+        # x_a + x_b == x_c, whichever membership test is asked
+        cone = RationalCone(
+            ("a", "b", "c"),
+            ((0, 1, 1), (1, 0, 1)),
+            halfspaces=(Halfspace((1, 1, -1), EQ), Halfspace((1, 0, 0), GE), Halfspace((0, 1, 0), GE)),
+        )
+        x = (0.1, 0.2, 0.30000000000000004)
+        assert not cone.contains(x)
+        assert not cone.closure_contains(x)
+        assert not cone.contains(tuple(map(Fraction, x)))
 
     def test_faces_are_ray_subsets(self):
         cone = RationalCone.from_rays(("x", "y", "z"), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])

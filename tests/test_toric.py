@@ -17,6 +17,7 @@ from enrichfan.fans import (
 from enrichfan.graphs import Bond, bonds
 from enrichfan.lattices import lattice_contains
 from enrichfan.toric import (
+    LaurentRelation,
     blowup_schedule,
     bond_names,
     bond_projection,
@@ -161,6 +162,49 @@ class TestTorusPoints:
             for rel in equations(g):
                 assert rel.holds_at(point)
                 assert mutated_evaluate(rel, point) != 1
+
+
+def squares_relation():
+    # x_a^2 = x_b^2 on the bond {a, b}, and x_c^3 = x_d x_e^2 on {c, d, e}
+    return LaurentRelation.from_exponents(
+        [
+            (("a", "b"), "a", 2),
+            (("a", "b"), "b", -2),
+            (("c", "d", "e"), "c", 3),
+            (("c", "d", "e"), "d", -1),
+            (("c", "d", "e"), "e", -2),
+        ]
+    )
+
+
+class TestHoldsAt:
+    def test_zero_under_negative_exponent_raises(self):
+        rel = squares_relation()
+        point = {"a": 1, "b": 1, "c": 1, "d": Fraction(0), "e": 1}
+        with pytest.raises(ZeroDivisionError):
+            rel.holds_at(point)
+        with pytest.raises(ZeroDivisionError):
+            rel.evaluate(point)
+
+    def test_zero_under_positive_exponents_only_fails(self):
+        rel = squares_relation()
+        point = {"a": 0, "b": 2, "c": Fraction(0), "d": 5, "e": 7}
+        assert not rel.holds_at(point)
+        assert rel.evaluate(point) == 0
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            {"a": Fraction(-3, 2), "b": Fraction(3, 2), "c": 2, "d": 2, "e": 2},
+            {"a": -7, "b": 7, "c": Fraction(-4, 9), "d": Fraction(-4, 9), "e": Fraction(4, 9)},
+            {"a": Fraction(-3, 2), "b": Fraction(2, 3), "c": 2, "d": 2, "e": 2},
+            {"a": 5, "b": -5, "c": Fraction(-4, 9), "d": Fraction(4, 9), "e": Fraction(4, 9)},
+            {"a": -1, "b": 1, "c": Fraction(6, 5), "d": Fraction(-27, 4), "e": Fraction(-8, 15)},
+        ],
+    )
+    def test_negative_numerators_and_large_exponents_agree_with_evaluate(self, point):
+        rel = squares_relation()
+        assert rel.holds_at(point) == (rel.evaluate(point) == 1)
 
 
 class TestBlowupSchedule:
