@@ -6,19 +6,21 @@ below every edge whose contraction is again enriched, and on a graph with
 separating vertices the structure restricts to each block with edges of
 different blocks incomparable.
 
-One recursion core serves enumeration, validation and location.  A graph
-is the tuple of vertex-index ends of its edges in ``edge_labels`` order
-(``graphs.edge_ends``), a subgraph is a bitmask over those edge indices,
-and a structure is its tuple of preorder rows over the same indices.  On
-a single block the core takes a bottom class, contracts it (a union-find
-over vertex ids) and recurses; otherwise it splits the mask with
-``graphs.block_masks`` and combines the blocks' rows.  Rows come out
-closed: a bottom row is the whole current mask and block rows are ORed.
-A dict scoped to one call memoizes subproblems on the mask together with
-the renumbered contracted ends.  The consumers differ only in the bottom
-classes they offer: every nonempty subset (enumeration), the rows equal to
-the mask (validation, which accepts exactly when the rebuilt rows are the
-given ones), or the argmin set (location).
+One recursion core has four consumers: enumeration, validation, location
+and specialization.  A graph is the tuple of vertex-index ends of its
+edges in ``edge_labels`` order (``graphs.edge_ends``), a subgraph is a
+bitmask over those edge indices, and a structure is its tuple of preorder
+rows over the same indices.  On a single block the core takes a bottom
+class, contracts it (a union-find over vertex ids) and recurses; otherwise
+it splits the mask with ``graphs.block_masks`` and combines the blocks'
+rows.  Rows come out closed: a bottom row is the whole current mask and
+block rows are ORed.  A dict scoped to one call memoizes subproblems on
+the mask together with the renumbered contracted ends; nothing is cached
+between calls.  The consumers differ only in the bottom classes they
+offer: every nonempty subset (enumeration), the rows equal to the mask
+(validation, which accepts exactly when the rebuilt rows are the given
+ones), the argmin set (location), or the subsets closed downwards under
+the preorder the results must contain (specialization).
 
 Structures the core builds are correct by construction, so
 ``enriched_structures``, ``locate`` and ``specializations`` create their
@@ -28,7 +30,6 @@ results through a trusted path that skips the checks of the public
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
@@ -187,28 +188,37 @@ def is_enriched(g: MultiGraph, p: Preorder) -> bool:
     return _structure_rows(g, _bottoms_of(p.rows)) == [p.rows]
 
 
-# bounded: specializations of one moduli census reach a few hundred contracted
-# graphs, and one entry of an 8-edge graph can hold half a million structures
-@functools.lru_cache(maxsize=1024)
-def _structures(g: MultiGraph) -> tuple:
-    """Rows of all enriched structures on ``g``, canonically ordered.
+def _refining(rows: tuple):
+    """The bottom classes a structure containing the preorder ``rows`` can
+    have: the nonempty unions of the edges' down-sets within the mask."""
+    below = [sum(1 << j for j, row in enumerate(rows) if row >> i & 1) for i in range(len(rows))]
 
-    The order is that of the sorted lists of related label pairs.  Edges
-    are indexed in ``label_key`` order, so the pairs ``(i, j)``, ``i != j``,
-    of the rows sort the same way; they are compared as bytes, and the
-    bytes of each distinct row are built once.
-    """
-    found = _structure_rows(g, _nonempty_submasks)
+    def bottoms(mask):
+        found = {0}
+        for i in bits(mask):
+            found |= {sub | below[i] & mask for sub in found}
+        return found - {0}
+
+    return bottoms
+
+
+def _canonical(found: list) -> list:
+    """Structure rows in the order of their sorted lists of related pairs.
+
+    Edges are indexed in ``label_key`` order, so the index pairs ``(i, j)``,
+    ``i != j``, sort as the label pairs do; they are compared as bytes,
+    built once per distinct row."""
     pair_bytes = [
         {row: bytes([x for j in bits(row & ~(1 << i)) for x in (i, j)]) for row in set(column)}
         for i, column in enumerate(zip(*found))
     ]
-    return tuple(sorted(found, key=lambda rows: b"".join([t[r] for t, r in zip(pair_bytes, rows)])))
+    return sorted(found, key=lambda rows: b"".join([t[r] for t, r in zip(pair_bytes, rows)]))
 
 
 def enriched_structures(g: MultiGraph) -> list:
     """Every enriched structure on ``g``, each exactly once."""
-    return [_trusted(EnrichedGraph, graph=g, preorder=p) for p in Preorder._family(g.edge_labels, _structures(g))]
+    rows = _canonical(_structure_rows(g, _nonempty_submasks))
+    return [_trusted(EnrichedGraph, graph=g, preorder=p) for p in Preorder._family(g.edge_labels, rows)]
 
 
 def generic_structures(g: MultiGraph) -> list:
@@ -290,14 +300,17 @@ def specializations(eg: EnrichedGraph) -> list:
     """All specializations of ``eg``, the identity included.
 
     A specialization is determined by the contracted lower set together
-    with the coarsened structure on the contraction.
+    with the coarsened structure on the contraction.  The core builds the
+    targets whose bottom classes the surviving relations allow, and drops
+    those missing a surviving relation between edges of different blocks.
     """
     out = []
     for s in eg.preorder.lower_sets():
         target_graph = contract(eg.graph, s)
         surviving = eg.preorder.restrict(set(eg.graph.edge_labels) - s).rows
-        kept = [rows for rows in _structures(target_graph) if all(o & ~r == 0 for r, o in zip(rows, surviving))]
-        for cand in Preorder._family(target_graph.edge_labels, kept):
+        found = _structure_rows(target_graph, _refining(surviving))
+        kept = [rows for rows in found if all(o & ~r == 0 for r, o in zip(rows, surviving))]
+        for cand in Preorder._family(target_graph.edge_labels, _canonical(kept)):
             target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
             out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
     return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .enriched import EnrichedGraph, specializations
+from .enriched import EnrichedGraph, enriched_structures
 from .errors import FormatError
 from .fans import Fan
 from .graphs import MultiGraph, WeightedGraph
@@ -186,21 +186,19 @@ def relation_summary(p: Preorder) -> str:
 
 
 def specialization_poset_dot(g: MultiGraph, name: str = "S") -> str:
-    """Same-graph specialization arrows among all enriched structures of g."""
-    from .enriched import enriched_structures
+    """Same-graph specialization arrows among all enriched structures of g.
 
+    Such a specialization of rank one less merges a class into one it
+    covers, so each arrow comes from a Hasse cover of its source.
+    """
     structs = enriched_structures(g)
     ids = {eg.preorder: i for i, eg in enumerate(structs)}
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for eg in structs:
-        i = ids[eg.preorder]
-        lines.append(f'  p{i} [label="{relation_summary(eg.preorder)}"];')
-    for eg in structs:
-        for sp in specializations(eg):
-            if sp.contracted or sp.is_identity():
-                continue
-            if sp.target.rank == eg.rank - 1:
-                lines.append(f"  p{ids[sp.target.preorder]} -> p{ids[eg.preorder]};")
+    lines += [f'  p{i} [label="{relation_summary(eg.preorder)}"];' for i, eg in enumerate(structs)]
+    for k, eg in enumerate(structs):
+        q = eg.preorder.quotient()
+        merged = sorted(ids[eg.preorder.with_pairs([(q.classes[j][0], q.classes[i][0])])] for i, j in q.hasse)
+        lines.extend(f"  p{t} -> p{k};" for t in merged)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -322,10 +322,13 @@ def mutated_evaluate(rel: LaurentRelation, point: dict, index: int = 0, bump: in
     """Negative control: the relation's product with one exponent bumped.
 
     Valid relations evaluate to 1; with coordinates away from 0 and +-1 the
-    bumped product cannot be 1.
+    bumped product cannot be 1.  It is taken with the bumped exponent in
+    place, so it raises ZeroDivisionError exactly where the mutant does.
     """
-    _, e, _ = rel.terms[index]
-    return rel.evaluate(point) * Fraction(point[e]) ** bump
+    value = Fraction(1)
+    for i, (_, e, exp) in enumerate(rel.terms):
+        value *= Fraction(point[e]) ** (exp + bump if i == index else exp)
+    return value
 
 
 @dataclass(frozen=True)

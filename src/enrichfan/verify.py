@@ -37,26 +37,18 @@ from .toric import (
 
 
 def _positive_points(labels, count, rng):
-    return [
-        {e: Fraction(rng.randint(1, 256), rng.randint(1, 64)) for e in labels}
-        for _ in range(count)
-    ]
+    return [tuple(Fraction(rng.randint(1, 256), rng.randint(1, 64)) for _ in labels) for _ in range(count)]
 
 
 def check_enriched_counts() -> list:
     failures = []
-    got = len(enriched_structures(corpus.triangle()))
-    if got != 13:
-        failures.append(f"triangle structure count {got} != 13")
-    got = sum(1 for eg in enriched_structures(corpus.triangle()) if eg.is_generic())
-    if got != 6:
-        failures.append(f"triangle generic count {got} != 6")
-    got = len(enriched_structures(corpus.theta(3)))
-    if got != 7:
-        failures.append(f"theta3 structure count {got} != 7")
-    got = sum(1 for eg in enriched_structures(corpus.theta(3)) if eg.is_generic())
-    if got != 3:
-        failures.append(f"theta3 generic count {got} != 3")
+    for name, g, count, generic in (("triangle", corpus.triangle(), 13, 6), ("theta3", corpus.theta(3), 7, 3)):
+        structs = enriched_structures(g)
+        if len(structs) != count:
+            failures.append(f"{name} structure count {len(structs)} != {count}")
+        got = sum(1 for eg in structs if eg.is_generic())
+        if got != generic:
+            failures.append(f"{name} generic count {got} != {generic}")
     g = corpus.doubled_triangle()
     printed = [
         [("e1", "e2"), ("e1", "e3"), ("e3", "e4")],
@@ -70,52 +62,61 @@ def check_enriched_counts() -> list:
     return failures
 
 
+def _cover_failures(name: str, structs: list, points) -> list:
+    """Each point lies in exactly one open cone, the one ``locate`` finds."""
+    g = structs[0].graph
+    cones = [(eg.preorder, structure_cone(eg)) for eg in structs]
+    failures = []
+    for vec in points:
+        hits = [p for p, cone in cones if cone.contains(vec)]
+        if len(hits) != 1:
+            failures.append(f"{name}: point {vec} lies in {len(hits)} open cones")
+        elif locate(g, dict(zip(g.edge_labels, vec))).preorder != hits[0]:
+            failures.append(f"{name}: locate disagrees with membership at {vec}")
+    return failures
+
+
+def _rays_and_faces_failures(name: str, structs: list) -> list:
+    failures = []
+    for eg in structs:
+        labels = eg.graph.edge_labels
+        rays = ray_generators(eg)
+        expected = {
+            tuple(1 if lab in t else 0 for lab in labels)
+            for t in eg.preorder.irreducible_upper_sets(brute_force=len(labels) <= 4)
+        }
+        if set(rays) != expected:
+            failures.append(f"{name}: ray set mismatch for {eg.preorder!r}")
+        if len(rays) != eg.rank:
+            failures.append(f"{name}: ray count != rank for {eg.preorder!r}")
+        cone = closed_structure_cone(eg)
+        if not cone.is_smooth():
+            failures.append(f"{name}: cone not smooth for {eg.preorder!r}")
+        if cone.face_count() != len(specializations(eg)):
+            failures.append(f"{name}: face count != specialization count for {eg.preorder!r}")
+    return failures
+
+
+def _star_failures(name: str, g) -> list:
+    same = fan_equal(fan_of_graph(g), fan_by_star_subdivision(g))
+    return [] if same else [f"{name}: star pipeline disagrees with direct fan"]
+
+
 def check_cover(seed: int, points_per_graph: int = 1000) -> list:
     failures = []
     rng = random.Random(seed)
     for name, g in corpus.corpus_graphs().items():
-        cones = [(eg.preorder, structure_cone(eg)) for eg in enriched_structures(g)]
         grid = [tuple(map(Fraction, p)) for p in itertools.product([1, 2, 3, 4], repeat=g.n_edges)]
-        sampled = [tuple(pt[e] for e in g.edge_labels) for pt in _positive_points(g.edge_labels, points_per_graph, rng)]
-        for vec in grid + sampled:
-            hits = [p for p, cone in cones if cone.contains(vec)]
-            if len(hits) != 1:
-                failures.append(f"{name}: point {vec} lies in {len(hits)} open cones")
-                continue
-            located = locate(g, dict(zip(g.edge_labels, vec)))
-            if located.preorder != hits[0]:
-                failures.append(f"{name}: locate disagrees with membership at {vec}")
+        failures += _cover_failures(name, enriched_structures(g), grid + _positive_points(g.edge_labels, points_per_graph, rng))
     return failures
 
 
 def check_rays_and_faces() -> list:
-    failures = []
-    for name, g in corpus.corpus_graphs().items():
-        for eg in enriched_structures(g):
-            rays = ray_generators(eg)
-            expected = {
-                tuple(1 if lab in t else 0 for lab in g.edge_labels)
-                for t in eg.preorder.irreducible_upper_sets(brute_force=g.n_edges <= 4)
-            }
-            if set(rays) != expected:
-                failures.append(f"{name}: ray set mismatch for {eg.preorder!r}")
-            if len(rays) != eg.rank:
-                failures.append(f"{name}: ray count != rank for {eg.preorder!r}")
-            cone = closed_structure_cone(eg)
-            if not cone.is_smooth():
-                failures.append(f"{name}: cone not smooth for {eg.preorder!r}")
-            if cone.face_count() != len(specializations(eg)):
-                failures.append(f"{name}: face count != specialization count for {eg.preorder!r}")
-    return failures
+    return [f for name, g in corpus.corpus_graphs().items() for f in _rays_and_faces_failures(name, enriched_structures(g))]
 
 
 def check_star_pipeline() -> list:
-    failures = []
-    for name, g in corpus.corpus_graphs().items():
-        direct = fan_of_graph(g)
-        starred = fan_by_star_subdivision(g)
-        if not fan_equal(direct, starred):
-            failures.append(f"{name}: star pipeline disagrees with direct fan")
+    failures = [f for name, g in corpus.corpus_graphs().items() for f in _star_failures(name, g)]
     if len(fan_of_graph(corpus.triangle()).maximal) != 6:
         failures.append("triangle fan should have 6 maximal cones")
     if len(fan_of_graph(corpus.theta(3)).maximal) != 3:
@@ -261,29 +262,14 @@ def verify_all(seed: int = 20240, log=lambda *_: None) -> list:
 
 def verify_fan_for_graph(g, seed: int = 20240, log=lambda *_: None) -> list:
     """Fan invariants for a single graph: cover, rays/faces, pipeline equality."""
-    cones, faces = [], []
-    for eg in enriched_structures(g):
-        cones.append((eg.preorder, structure_cone(eg)))
-        cone = closed_structure_cone(eg)
-        if len(cone.rays) != eg.rank or not cone.is_smooth():
-            faces.append(f"ray/smoothness failure for {eg.preorder!r}")
-        if cone.face_count() != len(specializations(eg)):
-            faces.append(f"face/specialization mismatch for {eg.preorder!r}")
-    failures = []
-    rng = random.Random(seed)
-    for pt in _positive_points(g.edge_labels, 200, rng):
-        vec = tuple(pt[e] for e in g.edge_labels)
-        hits = [p for p, cone in cones if cone.contains(vec)]
-        if len(hits) != 1 or locate(g, pt).preorder != hits[0]:
-            failures.append(f"cover failed at {vec}")
-    log(f"{'PASS' if not failures else 'FAIL'}  orthant cover (200 seeded points)")
+    structs = enriched_structures(g)
+    cover = _cover_failures("graph", structs, _positive_points(g.edge_labels, 200, random.Random(seed)))
+    faces = _rays_and_faces_failures("graph", structs)
+    step = _star_failures("graph", g)
+    log(f"{'PASS' if not cover else 'FAIL'}  orthant cover (200 seeded points)")
     log(f"{'PASS' if not faces else 'FAIL'}  rays, smoothness, faces")
-    failures += faces
-    step = []
-    if not fan_equal(fan_of_graph(g), fan_by_star_subdivision(g)):
-        step.append("star pipeline disagrees with direct fan")
     log(f"{'PASS' if not step else 'FAIL'}  star subdivision pipeline")
-    failures += step
+    failures = cover + faces + step
     for f in failures:
         log(f"      {f}")
     return failures

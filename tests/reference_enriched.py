@@ -1,10 +1,18 @@
-"""The enumeration, validation and location recursions as first written.
+"""The enumeration, validation and location recursions as first written,
+and specialization as it ran before it used the recursion core.
 
 Kept as the slow reference the bitmask core in ``enrichfan.enriched`` is
 tested against.  Each recursion rebuilds ``MultiGraph`` values and
 ``Preorder`` closures at every level; the block finder is the original
-label-keyed Tarjan, so the reference shares no code with the core beyond
-``MultiGraph``, ``contract`` and ``Preorder``.
+label-keyed Tarjan, so these recursions share no code with the core
+beyond ``MultiGraph``, ``contract`` and ``Preorder``.
+
+``specializations`` and ``specialization_poset_dot`` are copied verbatim.
+The first enumerated every structure of each contraction, then kept those
+containing the surviving relations; the enumeration it read,
+``_structure_rows``, comes from ``enriched_structures``, whose order is
+tested against ``_structures`` below.  The second read its arrows from
+``specializations``.
 """
 
 from __future__ import annotations
@@ -12,6 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 
+from enrichfan.enriched import EnrichedGraph, Specialization, _trusted, enriched_structures
+from enrichfan.formats import relation_summary
 from enrichfan.graphs import MultiGraph, contract, label_key
 from enrichfan.preorders import Preorder
 
@@ -147,3 +157,44 @@ def _locate(g: MultiGraph, values: dict) -> Preorder:
     for c in biconnected_components(g):
         pairs.extend(_locate(c, {e: values[e] for e in c.edge_labels}).pairs())
     return Preorder.from_relations(labels, pairs)
+
+
+@functools.lru_cache(maxsize=None)
+def _structure_rows(g: MultiGraph) -> tuple:
+    """Rows of all enriched structures on ``g``, canonically ordered."""
+    return tuple(eg.preorder.rows for eg in enriched_structures(g))
+
+
+def specializations(eg: EnrichedGraph) -> list:
+    """All specializations of ``eg``, the identity included.
+
+    A specialization is determined by the contracted lower set together
+    with the coarsened structure on the contraction.
+    """
+    out = []
+    for s in eg.preorder.lower_sets():
+        target_graph = contract(eg.graph, s)
+        surviving = eg.preorder.restrict(set(eg.graph.edge_labels) - s).rows
+        kept = [rows for rows in _structure_rows(target_graph) if all(o & ~r == 0 for r, o in zip(rows, surviving))]
+        for cand in Preorder._family(target_graph.edge_labels, kept):
+            target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
+            out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
+    return out
+
+
+def specialization_poset_dot(g: MultiGraph, name: str = "S") -> str:
+    """Same-graph specialization arrows among all enriched structures of g."""
+    structs = enriched_structures(g)
+    ids = {eg.preorder: i for i, eg in enumerate(structs)}
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    for eg in structs:
+        i = ids[eg.preorder]
+        lines.append(f'  p{i} [label="{relation_summary(eg.preorder)}"];')
+    for eg in structs:
+        for sp in specializations(eg):
+            if sp.contracted or sp.is_identity():
+                continue
+            if sp.target.rank == eg.rank - 1:
+                lines.append(f"  p{ids[sp.target.preorder]} -> p{ids[eg.preorder]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

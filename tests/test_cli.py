@@ -63,6 +63,17 @@ class TestEnriched:
         )
         assert p1 in pair_sets and p2 in pair_sets and p3 in pair_sets
 
+    def test_list_dot_reads_hasse_covers(self, capsys, monkeypatch):
+        import enrichfan.formats
+
+        def fail(eg):
+            raise AssertionError("the poset DOT enumerated specializations")
+
+        monkeypatch.setattr(enrichfan.formats, "specializations", fail, raising=False)
+        code, out, _ = run_cli(capsys, "enriched", "list", "--inline", TRIANGLE, "--format", "dot")
+        assert code == EXIT_OK
+        assert out.count("label=") == 13 and out.count(" -> ") == 18
+
     def test_check_accepts(self, capsys):
         code, out, _ = run_cli(
             capsys, "enriched", "check", "--inline", THETA,

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -412,3 +414,15 @@ class TestRelabel:
         moved = eg.relabel_edges(fwd)
         assert moved.rank == eg.rank
         assert moved.relabel_edges(back).preorder == eg.preorder
+
+
+def test_no_module_keeps_a_cache():
+    """No library function or method memoizes across calls."""
+    import enrichfan
+
+    for info in pkgutil.iter_modules(enrichfan.__path__):
+        module = importlib.import_module(f"enrichfan.{info.name}")
+        values = list(vars(module).values())
+        values += [attr for cls in values if isinstance(cls, type) for attr in vars(cls).values()]
+        cached = [value for value in values if hasattr(value, "cache_clear")]
+        assert not cached, (info.name, cached)

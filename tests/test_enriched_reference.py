@@ -1,5 +1,6 @@
-"""The bitmask recursion core against the label-keyed reference recursions
-and against closed-form counts."""
+"""The bitmask recursion core against the label-keyed reference recursions,
+specialization and the poset DOT against the code that filtered every
+structure of each contraction, and the core against closed-form counts."""
 
 import math
 import random
@@ -10,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 import reference_enriched as ref
 from conftest import connected_multigraphs
 from enrichfan import corpus
-from enrichfan.enriched import enriched_structures, is_enriched, locate
+from enrichfan.enriched import enriched_structures, is_enriched, locate, specializations
+from enrichfan.formats import specialization_poset_dot
 from enrichfan.graphs import MultiGraph, biconnected_components
 from enrichfan.preorders import all_preorders
+from test_toric_reference import k4, wheel4
 
 # mixed int and string labels: ints sort numerically and before strings
 LABELS = [1, 2, 10, "a", "b", "c", "x1", "x10", "x2"]
@@ -95,6 +98,39 @@ def test_locate_matches_reference_any_multigraph(g, data):
     values = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
     x = {e: data.draw(values) for e in g.edge_labels}
     assert locate(g, x).preorder == ref._locate(g, x)
+
+
+def specialization_keys(sps):
+    return [(sp.source, sp.contracted, sp.target.graph, sp.target.preorder) for sp in sps]
+
+
+def assert_same_specializations(structs):
+    for eg in structs:
+        assert specialization_keys(specializations(eg)) == specialization_keys(ref.specializations(eg)), eg.preorder
+
+
+@settings(max_examples=20, deadline=None)
+@given(multigraphs())
+def test_specializations_match_reference_any_multigraph(g):
+    assert_same_specializations(enriched_structures(g))
+
+
+def test_specializations_match_reference_corpus_and_wheel():
+    for g in corpus.corpus_graphs().values():
+        assert_same_specializations(enriched_structures(g))
+    structs = enriched_structures(wheel4())
+    assert_same_specializations(structs[:2] + structs[-2:] + random.Random(9).sample(structs, 4))
+
+
+@settings(max_examples=15, deadline=None)
+@given(multigraphs())
+def test_poset_dot_matches_reference_any_multigraph(g):
+    assert specialization_poset_dot(g) == ref.specialization_poset_dot(g)
+
+
+def test_poset_dot_matches_reference_corpus_c5_k4():
+    for g in list(corpus.corpus_graphs().values()) + [cycle(5), k4()]:
+        assert specialization_poset_dot(g) == ref.specialization_poset_dot(g)
 
 
 def test_cycle_counts_fubini_and_factorial():

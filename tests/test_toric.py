@@ -163,6 +163,17 @@ class TestTorusPoints:
                 assert rel.holds_at(point)
                 assert mutated_evaluate(rel, point) != 1
 
+    def test_mutant_defined_at_a_zero_coordinate(self):
+        # a relation of the wheel W4 on two of its bonds; bumping the exponent
+        # -1 of x_rb to 0 leaves x_rb under a positive exponent only
+        b1, b2 = ("ra", "rb", "sa", "sc", "sd"), ("ra", "rb", "sb")
+        rel = LaurentRelation.from_exponents([(b1, "ra", 1), (b1, "rb", -1), (b2, "ra", -1), (b2, "rb", 1)])
+        point = {"ra": Fraction(3, 2), "rb": 0}
+        assert rel.terms[1] == (b1, "rb", -1)
+        assert mutated_evaluate(rel, point, 1, 1) == 0
+        with pytest.raises(ZeroDivisionError):
+            mutated_evaluate(rel, point, 0, 1)
+
 
 def squares_relation():
     # x_a^2 = x_b^2 on the bond {a, b}, and x_c^3 = x_d x_e^2 on {c, d, e}
