@@ -201,8 +201,8 @@ def cmd_toric_equations(args) -> int:
 
     wg = _load_graph(args)
     g = wg.graph
+    rels = equations(g, args.max_edges)  # rejects a graph that is not biconnected
     names = bond_names(g)
-    rels = equations(g, args.max_edges)
     data = {
         "bonds": {name: list(be) for be, name in names.items()},
         "relations": [
@@ -343,7 +343,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed is None:
-        args.seed = int(os.environ.get(SEED_ENV, DEFAULT_SEED))
+        value = os.environ.get(SEED_ENV, DEFAULT_SEED)
+        try:
+            args.seed = int(value)
+        except ValueError:
+            print(f"error: {SEED_ENV} must be an integer, got {value!r}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         return args.func(args)
     except FormatError as exc:

@@ -220,62 +220,45 @@ def _h_from_rays(labels: tuple, rays: tuple) -> tuple:
 
 def ray_generators(eg: EnrichedGraph) -> list:
     """Ray generators of the closed structure cone: indicator vectors of the
-    irreducible upper sets."""
-    labels = eg.graph.edge_labels
-    out = []
-    for t in eg.preorder.irreducible_upper_sets():
-        out.append(tuple(1 if lab in t else 0 for lab in labels))
-    return sorted(out)
+    irreducible upper sets, which are the distinct rows of the preorder."""
+    n = eg.graph.n_edges
+    return sorted(tuple(row >> j & 1 for j in range(n)) for row in set(eg.preorder.rows))
 
 
-def _structure_halfspaces(eg: EnrichedGraph, strict: bool) -> tuple:
-    """Constraints of the structure cone, generated from the quotient poset.
+def _structure_cone(eg: EnrichedGraph, closed: bool) -> RationalCone:
+    """The structure cone, with constraints generated from the quotient poset.
 
     Equalities inside classes, one inequality per Hasse cover, positivity
     on the root classes; transitivity makes these cut out the whole cone.
+    The inequalities are strict on the open cone.
     """
     labels = eg.graph.edge_labels
     pos = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     q = eg.preorder.quotient()
-    hs = []
+    first = [pos[cls[0]] for cls in q.classes]
 
-    def diff(a, b):
+    def diff(i, j):
         row = [0] * n
-        row[pos[a]] += 1
-        row[pos[b]] -= 1
+        row[i] += 1
+        row[j] -= 1
         return tuple(row)
 
-    for cls in q.classes:
-        for a, b in zip(cls, cls[1:]):
-            hs.append(Halfspace(diff(a, b), EQ))
-    rel = GT if strict else GE
-    for i, j in q.hasse:
-        hs.append(Halfspace(diff(q.classes[j][0], q.classes[i][0]), rel))
-    for i in q.roots():
-        unit = tuple(1 if t == pos[q.classes[i][0]] else 0 for t in range(n))
-        hs.append(Halfspace(unit, rel))
-    return tuple(hs)
+    rel = GE if closed else GT
+    hs = [Halfspace(diff(pos[a], pos[b]), EQ) for cls in q.classes for a, b in zip(cls, cls[1:])]
+    hs += [Halfspace(diff(first[j], first[i]), rel) for i, j in q.hasse]
+    hs += [Halfspace(tuple(int(t == first[i]) for t in range(n)), rel) for i in q.roots()]
+    return RationalCone(tuple(labels), tuple(ray_generators(eg)), closed, tuple(hs))
 
 
 def structure_cone(eg: EnrichedGraph) -> RationalCone:
     """The relatively open cone of edge lengths realizing the structure:
     x_e < x_f exactly when e is strictly below f, equal on classes, all > 0."""
-    return RationalCone(
-        tuple(eg.graph.edge_labels),
-        tuple(ray_generators(eg)),
-        closed=False,
-        halfspaces=_structure_halfspaces(eg, strict=True),
-    )
+    return _structure_cone(eg, closed=False)
 
 
 def closed_structure_cone(eg: EnrichedGraph) -> RationalCone:
-    return RationalCone(
-        tuple(eg.graph.edge_labels),
-        tuple(ray_generators(eg)),
-        closed=True,
-        halfspaces=_structure_halfspaces(eg, strict=False),
-    )
+    return _structure_cone(eg, closed=True)
 
 
 def increment_matrix(eg: EnrichedGraph) -> tuple:

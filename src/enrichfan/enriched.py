@@ -36,7 +36,7 @@ from operator import or_
 
 from .errors import GroundSetMismatchError, NotABondError, UnknownLabelError
 from .graphs import Bond, MultiGraph, biconnected_components, bits, block_masks, bonds, contract, edge_ends, label_key, sort_labels
-from .preorders import Preorder
+from .preorders import Preorder, _transpose
 
 
 def _trusted(cls, **fields):
@@ -191,7 +191,7 @@ def is_enriched(g: MultiGraph, p: Preorder) -> bool:
 def _refining(rows: tuple):
     """The bottom classes a structure containing the preorder ``rows`` can
     have: the nonempty unions of the edges' down-sets within the mask."""
-    below = [sum(1 << j for j, row in enumerate(rows) if row >> i & 1) for i in range(len(rows))]
+    below = _transpose(rows)
 
     def bottoms(mask):
         found = {0}

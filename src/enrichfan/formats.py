@@ -84,7 +84,10 @@ def graph_from_json_dict(data: dict) -> WeightedGraph:
     try:
         weights, edges = {}, {}
         for item in data["vertices"]:
-            _put(weights, item["id"], int(item.get("weight", 0)), "vertex id")
+            weight = item.get("weight", 0)
+            if type(weight) is not int:  # JSON integers only: no floats, no booleans
+                raise FormatError(f"bad weight {weight!r} for vertex {item['id']!r}")
+            _put(weights, item["id"], weight, "vertex id")
         if not weights:
             raise FormatError("graph has no vertices")
         for item in data["edges"]:

@@ -1,8 +1,14 @@
 """Finite preorders on label sets: closure, quotient posets, upper/lower sets.
 
 A preorder is stored densely as one bitmask row per label over the sorted
-ground set; ground sets here never exceed a dozen labels, so simplicity
-wins over asymptotics.
+ground set: bit ``j`` of row ``i`` is set when ``ground[i] ≼ ground[j]``,
+so row ``i`` is the principal upper set of ``ground[i]``.  Rows are closed,
+and two identities read the rest off them: labels ``i`` and ``j`` are
+equivalent exactly when ``rows[i] == rows[j]``, and ``i`` lies strictly
+below ``j`` exactly when ``rows[j]`` is a strict subset of ``rows[i]``.
+Classes, the quotient order and the principal upper sets are therefore the
+distinct rows and their inclusions.  Ground sets here never exceed a dozen
+labels, so simplicity wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -14,6 +20,15 @@ from .errors import GuardExceededError, UnknownLabelError
 from .graphs import bits, label_key, sort_labels
 
 BRUTE_FORCE_LABELS = 5  # largest ground set all_preorders enumerates
+
+
+def _transpose(rows) -> list:
+    """Down-set rows: bit ``j`` of row ``i`` is set when bit ``i`` of ``rows[j]`` is."""
+    below = [0] * len(rows)
+    for j, row in enumerate(rows):
+        for i in bits(row):
+            below[i] |= 1 << j
+    return below
 
 
 def _closed(rows: list) -> list:
@@ -132,42 +147,43 @@ class Preorder:
                     out.append((a, b))
         return out
 
+    def _mask(self, s) -> int:
+        """Bitmask of the labels in ``s``; unknown labels are rejected."""
+        mask = 0
+        for a in s:
+            mask |= 1 << self._i(a)
+        return mask
+
+    def _labels_of(self, mask: int) -> frozenset:
+        return frozenset(self._labels[j] for j in bits(mask))
+
+    def _classes(self) -> dict:
+        """Each distinct row mapped to the bitmask of its equivalence class
+        (the labels sharing that row), ordered by least label."""
+        classes = {}
+        for i, row in enumerate(self._rows):
+            classes[row] = classes.get(row, 0) | 1 << i
+        return classes
+
     def up_closure(self, a) -> frozenset:
-        row = self._rows[self._i(a)]
-        return frozenset(lab for j, lab in enumerate(self._labels) if row >> j & 1)
+        return self._labels_of(self._rows[self._i(a)])
 
     def down_closure(self, a) -> frozenset:
-        j = self._i(a)
-        return frozenset(lab for i, lab in enumerate(self._labels) if self._rows[i] >> j & 1)
+        return self._labels_of(_transpose(self._rows)[self._i(a)])
 
     def classes(self) -> tuple:
         """Equivalence classes of mutual comparability, ordered by least label."""
-        seen = set()
-        out = []
-        for i, a in enumerate(self._labels):
-            if a in seen:
-                continue
-            cls = frozenset(
-                b for j, b in enumerate(self._labels)
-                if self._rows[i] >> j & 1 and self._rows[j] >> i & 1
-            )
-            seen |= cls
-            out.append(cls)
-        return tuple(out)
+        return tuple(map(self._labels_of, self._classes().values()))
 
     def class_of(self, a) -> frozenset:
-        i = self._i(a)
-        return frozenset(
-            b for j, b in enumerate(self._labels)
-            if self._rows[i] >> j & 1 and self._rows[j] >> i & 1
-        )
+        return self._labels_of(self._classes()[self._rows[self._i(a)]])
 
     @property
     def rank(self) -> int:
-        return len(self.classes())
+        return len(set(self._rows))
 
     def is_partial_order(self) -> bool:
-        return all(len(c) == 1 for c in self.classes())
+        return self.rank == len(self._rows)
 
     def is_discrete(self) -> bool:
         return all(row == 1 << i for i, row in enumerate(self._rows))
@@ -178,32 +194,26 @@ class Preorder:
         return frozenset(a for i, a in enumerate(self._labels) if self._rows[i] == full)
 
     def minimal_labels(self) -> frozenset:
+        """Labels whose row no other row strictly contains."""
+        rows = self._rows
         return frozenset(
-            a for a in self._labels
-            if not any(self.lt(b, a) for b in self._labels)
+            a for a, ra in zip(self._labels, rows)
+            if not any(r != ra and r & ra == ra for r in rows)
         )
 
     def is_lower_set(self, s) -> bool:
-        s = frozenset(s)
-        for a in s:
-            self._i(a)
-        return all(not (self.leq(b, a) and b not in s) for a in s for b in self._labels)
+        mask = self._mask(frozenset(s))
+        return all(row & mask == 0 for i, row in enumerate(self._rows) if not mask >> i & 1)
 
     def is_upper_set(self, s) -> bool:
-        s = frozenset(s)
-        for a in s:
-            self._i(a)
-        return all(not (self.leq(a, b) and b not in s) for a in s for b in self._labels)
+        mask = self._mask(frozenset(s))
+        return all(self._rows[i] & ~mask == 0 for i in bits(mask))
 
     def lower_sets(self) -> list:
         """All lower sets, canonically ordered; exponential scan of subsets."""
         labels = self._labels
         n = len(labels)
-        below = [0] * n  # bit j of below[i]: ground[j] ≼ ground[i]
-        for j, row in enumerate(self._rows):
-            for i in range(n):
-                if row >> i & 1:
-                    below[i] |= 1 << j
+        below = _transpose(self._rows)
         out = []
         for k in range(n + 1):
             for sub in itertools.combinations(range(n), k):
@@ -215,16 +225,13 @@ class Preorder:
         return out
 
     def irreducible_upper_sets(self, brute_force: bool = False) -> list:
-        """The principal up-closures, one per equivalence class.
+        """The principal up-closures, one per equivalence class: the distinct rows.
 
         With ``brute_force=True`` the result is recomputed from the
         definition: upper sets that are not unions of two proper upper
         subsets (the irreducible closed sets of the preorder topology).
         """
-        principal = sorted(
-            {self.up_closure(min(c, key=label_key)) for c in self.classes()},
-            key=lambda s: tuple(map(label_key, sort_labels(s))),
-        )
+        principal = [self._labels_of(row) for row in sorted(set(self._rows), key=lambda r: tuple(bits(r)))]
         if brute_force:
             uppers = [
                 frozenset(sub)
@@ -242,15 +249,8 @@ class Preorder:
 
     def restrict(self, s) -> "Preorder":
         labels = sort_labels(set(s))
-        for a in labels:
-            self._i(a)
-        rows = []
-        for a in labels:
-            row = 0
-            for j, b in enumerate(labels):
-                if self.leq(a, b):
-                    row |= 1 << j
-            rows.append(row)
+        old = [self._i(a) for a in labels]
+        rows = [sum(1 << j for j, k in enumerate(old) if self._rows[i] >> k & 1) for i in old]
         return Preorder(labels, rows, _trusted=True)
 
     def with_pairs(self, pairs) -> "Preorder":
@@ -284,23 +284,20 @@ class Preorder:
         return Preorder._family(labels, [tuple(rows)])[0]
 
     def quotient(self) -> "QuotientPoset":
-        classes = self.classes()
-        reps = [min(c, key=label_key) for c in classes]
-        n = len(classes)
-        less = frozenset(
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if i != j and self.lt(reps[i], reps[j])
-        )
-        hasse = tuple(
-            sorted(
-                (i, j)
-                for (i, j) in less
-                if not any((i, k) in less and (k, j) in less for k in range(n))
-            )
-        )
-        return QuotientPoset(tuple(sort_labels(c) for c in classes), less, hasse)
+        """Class ``i`` lies below class ``j`` when the row of ``j`` is a strict
+        subset of the row of ``i``; a Hasse cover has no class in between."""
+        classes = self._classes()
+        rows = list(classes)
+        above = [sum(1 << j for j, r in enumerate(rows) if r != ri and r & ri == r) for ri in rows]
+        hasse = []
+        for i, up in enumerate(above):
+            through = 0
+            for k in bits(up):
+                through |= above[k]
+            hasse += [(i, j) for j in bits(up & ~through)]
+        less = frozenset((i, j) for i, up in enumerate(above) for j in bits(up))
+        labels = tuple(tuple(self._labels[j] for j in bits(m)) for m in classes.values())
+        return QuotientPoset(labels, less, tuple(hasse))
 
     def __eq__(self, other):
         if not isinstance(other, Preorder):

@@ -265,6 +265,19 @@ class TestErrors:
         assert code == EXIT_ERROR and out == ""
         assert err == "error: this operation expects a biconnected graph; split into blocks first\n"
 
+    def test_disconnected_graph_is_not_biconnected(self, capsys):
+        two_blocks = "vertices: u v w x; a: u v; b: u v; c: w x; d: w x"
+        code, out, err = run_cli(capsys, "toric", "equations", "--inline", two_blocks)
+        assert code == EXIT_ERROR and out == ""
+        assert err == "error: this operation expects a biconnected graph; split into blocks first\n"
+
+    @pytest.mark.parametrize("weight", ["1.5", "true"])
+    def test_json_weight_must_be_an_integer(self, capsys, weight):
+        blob = '{"vertices": [{"id": "u", "weight": %s}], "edges": []}' % weight
+        code, out, err = run_cli(capsys, "graph", "info", "--inline", blob)
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith("error: bad weight ") and err.count("\n") == 1
+
     def test_unknown_vertex_message(self, capsys):
         code, _, err = run_cli(capsys, "graph", "info", "--inline", "vertices: u v; a: u w")
         assert code == EXIT_PARSE and err == "error: unknown vertex 'w'\n"
@@ -371,6 +384,16 @@ class TestInputsAndSeed:
     def test_seed_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("ENRICHFAN_SEED", "99")
         code, out, _ = run_cli(capsys, "fan", "verify", "--inline", THETA)
+        assert code == EXIT_OK
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_bad_seed_env_is_bad_input(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ENRICHFAN_SEED", value)
+        code, out, err = run_cli(capsys, "graph", "info", "--inline", "vertices: u")
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"error: ENRICHFAN_SEED must be an integer, got {value!r}\n"
+        # --seed overrides the environment, which is then not read
+        code, _, _ = run_cli(capsys, "--seed", "3", "graph", "info", "--inline", "vertices: u")
         assert code == EXIT_OK
 
     def test_json_input_round_trip(self, capsys):

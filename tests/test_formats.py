@@ -106,6 +106,16 @@ class TestJsonFormat:
         with pytest.raises(FormatError, match="repeated vertex id 'u'"):
             graph_from_json_dict(data)
 
+    @pytest.mark.parametrize("weight", [1.5, 1.0, True, "1", None])
+    def test_weight_must_be_a_json_integer(self, weight):
+        data = {"vertices": [{"id": "u", "weight": weight}], "edges": []}
+        with pytest.raises(FormatError, match=r"bad weight .* for vertex 'u'"):
+            graph_from_json_dict(data)
+        with pytest.raises(FormatError, match=r"bad weight .* for vertex 'u'"):
+            parse_graph(json.dumps(data))
+        data["vertices"][0]["weight"] = 2
+        assert parse_graph(json.dumps(data)).weight("u") == 2
+
     def test_empty_graph(self):
         for data in ({"vertices": [], "edges": []}, {"vertices": [], "edges": [{"label": "a", "ends": ["u", "v"]}]}):
             with pytest.raises(FormatError, match="graph has no vertices"):
