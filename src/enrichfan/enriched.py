@@ -371,4 +371,4 @@ def locate(g: MultiGraph, x) -> EnrichedGraph:
         if v <= 0:
             raise ValueError(f"coordinate of {e!r} must be strictly positive")
     (rows,) = _structure_rows(g, _argmin(values))
-    return _trusted(EnrichedGraph, graph=g, preorder=Preorder(g.edge_labels, rows, _trusted=True))
+    return _trusted(EnrichedGraph, graph=g, preorder=Preorder._family(g.edge_labels, [rows])[0])

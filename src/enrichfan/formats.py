@@ -57,6 +57,11 @@ def parse_graph_text(text: str) -> WeightedGraph:
         if len(ends) != 2:
             raise FormatError(f"edge line {ln!r} must name two endpoints")
         _put(edges, _token(label.strip()), (_token(ends[0]), _token(ends[1])), "edge label")
+    return _weighted_graph(weights, edges)
+
+
+def _weighted_graph(weights: dict, edges: dict) -> WeightedGraph:
+    """The graph both parsers read; a library error becomes an input error with its message."""
     try:
         return WeightedGraph(MultiGraph(weights, edges), weights)
     except Exception as exc:
@@ -81,6 +86,8 @@ def graph_to_json_dict(wg: WeightedGraph) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> WeightedGraph:
+    """Read the JSON graph object; only a structural fault, such as a missing
+    key or a wrong container type, is reported as a bad graph object."""
     try:
         weights, edges = {}, {}
         for item in data["vertices"]:
@@ -91,12 +98,15 @@ def graph_from_json_dict(data: dict) -> WeightedGraph:
         if not weights:
             raise FormatError("graph has no vertices")
         for item in data["edges"]:
-            _put(edges, item["label"], tuple(item["ends"]), "edge label")
-        return WeightedGraph(MultiGraph(weights, edges), weights)
+            ends = item["ends"]
+            if type(ends) is not list or len(ends) != 2:
+                raise FormatError(f"edge {item['label']!r} must name two endpoints")
+            _put(edges, item["label"], tuple(ends), "edge label")
     except FormatError:
         raise
     except Exception as exc:
         raise FormatError(f"bad graph object: {exc}") from exc
+    return _weighted_graph(weights, edges)
 
 
 def parse_graph(text: str) -> WeightedGraph:

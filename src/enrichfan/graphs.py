@@ -4,6 +4,11 @@ Vertex ids and edge labels are opaque immutable ids (strings or ints).
 Contraction never relabels an edge, so the edge set of a contracted graph
 is literally a subset of the original's.  All values are immutable after
 construction and every operation is a pure function.
+
+Weighted-graph isomorphism is decided by one search,
+``_canonical_orderings``: it gives the canonical key that ``moduli`` files
+its census and frames under, and the orderings attaining it, from which
+``weighted_isomorphisms`` and ``automorphisms`` read every isomorphism.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import (
 )
 
 Label = str | int
-AUTOMORPHISM_VERTICES = 12  # the most vertices automorphisms() searches
+AUTOMORPHISM_VERTICES = 8  # the most vertices the isomorphism search orders
 
 
 def label_key(x: Label):
@@ -546,39 +551,6 @@ class EdgePermutation:
         return all(a == b for a, b in self.edge_map)
 
 
-def _vertex_bijections(wg1: WeightedGraph, wg2: WeightedGraph):
-    """Weight- and incidence-preserving bijections V(wg1) -> V(wg2)."""
-    g1, g2 = wg1.graph, wg2.graph
-    if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
-        return
-
-    def signature(wg, v):
-        g = wg.graph
-        return (wg.weight(v), g.valence(v), g.parallel_count(v, v))
-
-    vs1 = list(g1.vertices)
-    cand = {v: [w for w in g2.vertices if signature(wg2, w) == signature(wg1, v)] for v in vs1}
-
-    def extend(i, image):
-        if i == len(vs1):
-            yield dict(image)
-            return
-        v = vs1[i]
-        for w in cand[v]:
-            if w in image.values():
-                continue
-            ok = all(
-                g1.parallel_count(v, u) == g2.parallel_count(w, x)
-                for u, x in image.items()
-            )
-            if ok:
-                image[v] = w
-                yield from extend(i + 1, image)
-                del image[v]
-
-    yield from extend(0, {})
-
-
 def _edge_extensions(g1: MultiGraph, g2: MultiGraph, vmap: dict):
     """All edge bijections over a vertex bijection, permuting parallel classes."""
     classes = {}
@@ -602,24 +574,65 @@ def _edge_extensions(g1: MultiGraph, g2: MultiGraph, vmap: dict):
         yield pairs
 
 
+def _canonical_orderings(weights: tuple, ends) -> tuple:
+    """The canonical key of a weighted graph on vertex indices, and every ordering giving it.
+
+    ``weights[i]`` is the weight of vertex ``i`` and ``ends`` holds the
+    vertex-index ends of every edge.  The encoding under an ordering
+    ``pos`` (vertex ``i`` becomes ``pos[i]``) is the weight tuple in the
+    new order together with the sorted tuple of renumbered, sorted edge
+    ends; the key is the least encoding.  Weights compare first, so only
+    orderings that sort the weights can give it and the others are
+    skipped.  Returns ``(key, orderings)``, the orderings in
+    ``itertools.permutations`` order.  Every weight-sorting ordering is
+    tried, so the vertex count is capped at ``AUTOMORPHISM_VERTICES``.
+    """
+    if len(weights) > AUTOMORPHISM_VERTICES:
+        raise GuardExceededError(f"isomorphism search capped at {AUTOMORPHISM_VERTICES} vertices")
+    least = tuple(sorted(weights))
+    best, found = None, []
+    for pos in itertools.permutations(range(len(weights))):
+        if any(least[p] != w for p, w in zip(pos, weights)):
+            continue
+        key = tuple(sorted((pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u]) for u, v in ends))
+        if best is None or key < best:
+            best, found = key, [pos]
+        elif key == best:
+            found.append(pos)
+    return (least, best), found
+
+
 def weighted_isomorphisms(wg1: WeightedGraph, wg2: WeightedGraph) -> list:
-    """All edge bijections induced by isomorphisms ``wg1 -> wg2``, deduplicated."""
+    """All edge bijections induced by isomorphisms ``wg1 -> wg2``, deduplicated.
+
+    An isomorphism takes ``wg1`` to ``wg2``'s canonical key along one of
+    ``wg1``'s key orderings and back along the first of ``wg2``'s, and every
+    isomorphism arises so exactly once.  An edge bijection over several
+    vertex bijections keeps the one whose images, in vertex order, are least.
+    """
+    def search(wg):
+        return _canonical_orderings(tuple(map(wg.weight, wg.graph.vertices)), edge_ends(wg.graph))
+
+    key1, found = search(wg1)
+    key2, found2 = (key1, found) if wg2 is wg1 else search(wg2)
+    if key1 != key2:
+        return []
+    vs1, vs2 = wg1.graph.vertices, wg2.graph.vertices
+    back = {p: j for j, p in enumerate(found2[0])}
     seen = {}
-    for vmap in _vertex_bijections(wg1, wg2):
-        for pairs in _edge_extensions(wg1.graph, wg2.graph, vmap):
-            if pairs not in seen:
-                seen[pairs] = tuple(sorted(vmap.items(), key=lambda t: label_key(t[0])))
+    for pos in found:
+        images = tuple(back[p] for p in pos)
+        for pairs in _edge_extensions(wg1.graph, wg2.graph, {v: vs2[j] for v, j in zip(vs1, images)}):
+            seen[pairs] = min(seen.get(pairs, images), images)
     ordered = sorted(seen.items(), key=lambda kv: tuple((label_key(a), label_key(b)) for a, b in kv[0]))
-    return [EdgePermutation(pairs, vmap) for pairs, vmap in ordered]
+    return [EdgePermutation(pairs, tuple(zip(vs1, (vs2[j] for j in images)))) for pairs, images in ordered]
 
 
 def automorphisms(wg: WeightedGraph) -> list:
     """Aut of a weighted graph as its image in the symmetric group on edges.
 
-    Brute force over weight-preserving vertex bijections, extended over all
+    Every vertex bijection that keeps the canonical key, extended over all
     permutations of parallel edges and loops at a vertex; loop half-edge
     flips act trivially on labels and are not represented.
     """
-    if wg.graph.n_vertices > AUTOMORPHISM_VERTICES:
-        raise GuardExceededError(f"automorphism search capped at {AUTOMORPHISM_VERTICES} vertices")
     return weighted_isomorphisms(wg, wg)

@@ -6,16 +6,19 @@ rank), its automorphism group, and specialization arrows to other cells.
 
 A weighted graph is identified by its canonical key: the smallest
 ``(weights, sorted vertex-index pairs)`` encoding over all vertex
-orderings (``_canonical_key``).  The census works on those index tuples
-and builds a graph only for each distinct key, its *frame*
-(``_graph_from_key``).  The gluing goes through one table scoped to a
-call (``_cell_table``): each cell's preorder is carried into its frame
-along the ordering that gives the key, then moved by every automorphism
-of the frame, and the table maps each resulting ``(key, preorder)`` to
-the cell.  ``_reached`` then enumerates a cell's specializations once,
-carries each target into its frame the same way and looks it up, so
-``cell_adjacency``, ``classify_cells`` and ``cell_specializes_to`` do
-work linear in the number of cells instead of testing every pair.
+orderings.  The key, the frames below and every isomorphism and
+automorphism come from one search in ``graphs``
+(``_canonical_orderings``), which returns the key and each ordering
+giving it.  The census works on those index tuples and builds a graph
+only for each distinct key, its *frame* (``_graph_from_key``).  The
+gluing goes through one table scoped to a call (``_cell_table``): each
+cell's preorder is carried into its frame along the first ordering that
+gives the key, then moved by every automorphism of the frame, and the
+table maps each resulting ``(key, preorder)`` to the cell.  ``_reached``
+then enumerates a cell's specializations once, carries each target into
+its frame the same way and looks it up, so ``cell_adjacency``,
+``classify_cells`` and ``cell_specializes_to`` do work linear in the
+number of cells instead of testing every pair.
 ``check_unique_lifts`` builds each graph's open structure cones and
 automorphisms once.
 """
@@ -30,44 +33,15 @@ from fractions import Fraction
 from .cones import structure_cone
 from .enriched import EnrichedGraph, enriched_structures, locate, specializations
 from .errors import GuardExceededError
-from .graphs import MultiGraph, WeightedGraph, automorphisms, contracted_weights
+from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, automorphisms, contracted_weights, edge_ends
 from .preorders import Preorder
 
 GENUS_GUARD = 3
 
 
-def _canonical_key(weights: tuple, pairs) -> tuple:
-    """The smallest encoding over all vertex orderings, and an ordering giving it.
-
-    ``weights[i]`` is the weight of vertex ``i`` and ``pairs`` holds the
-    vertex-index ends of every edge.  The encoding under an ordering
-    ``pos`` (vertex ``i`` becomes ``pos[i]``) is the weight tuple in the
-    new order together with the sorted tuple of renumbered, sorted edge
-    ends.  Weights compare first, so only orderings that sort the weights
-    can give the least key; the others are skipped.  Returns
-    ``(key, pos)``.
-    """
-    least = tuple(sorted(weights))
-    best = best_pos = None
-    for pos in itertools.permutations(range(len(weights))):
-        if any(least[p] != w for p, w in zip(pos, weights)):
-            continue
-        ends = tuple(sorted((pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u]) for u, v in pairs))
-        if best is None or ends < best:
-            best, best_pos = ends, pos
-    return (least, best), best_pos
-
-
-def _indexed(wg: WeightedGraph) -> tuple:
-    """Vertex weights and edge ends of ``wg`` over vertex indices, edges in label order."""
-    g = wg.graph
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return tuple(wg.weight(v) for v in g.vertices), [(index[u], index[v]) for u, v in map(g.ends, g.edge_labels)]
-
-
 def _canonical_weighted_key(wg: WeightedGraph):
     """Smallest incidence encoding over all vertex orderings."""
-    return _canonical_key(*_indexed(wg))[0]
+    return _frame_map(wg)[0]
 
 
 def _frame_map(wg: WeightedGraph) -> tuple:
@@ -77,8 +51,8 @@ def _frame_map(wg: WeightedGraph) -> tuple:
     vertex ordering that gives the key.  Parallel edges (and loops at one
     vertex) may be matched in any order, so they are taken as they come.
     """
-    weights, ends = _indexed(wg)
-    key, pos = _canonical_key(weights, ends)
+    ends = edge_ends(wg.graph)
+    key, (pos, *_) = _canonical_orderings(tuple(map(wg.weight, wg.graph.vertices)), ends)
     slots = {}
     for k, pair in enumerate(key[1]):
         slots.setdefault(pair, []).append(f"e{k + 1}")
@@ -159,7 +133,7 @@ def enumerate_stable_weighted_graphs(g: int) -> list:
                     continue
                 for weights in weightings:
                     if all(w > 0 or d >= 3 for w, d in zip(weights, valence)):
-                        seen.add(_canonical_key(weights, combo)[0])
+                        seen.add(_canonical_orderings(weights, combo)[0])
     return [_graph_from_key(k) for k in sorted(seen)]
 
 

@@ -49,7 +49,9 @@ class Preorder:
 
     __slots__ = ("_labels", "_index", "_rows", "_hash")
 
-    def __init__(self, labels, rows, _trusted=False):
+    def __init__(self, labels, rows):
+        """A preorder from rows over the sorted ``labels``, checked to be closed;
+        the library's own closed rows go through ``_family`` unchecked."""
         labels = sort_labels(labels)
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
@@ -57,10 +59,8 @@ class Preorder:
         rows = list(rows)
         if len(rows) != len(labels):
             raise ValueError("one relation row per label required")
-        if not _trusted:
-            closed = _closed(list(rows))
-            if closed != rows:
-                raise ValueError("relation is not reflexively and transitively closed")
+        if _closed(list(rows)) != rows:
+            raise ValueError("relation is not reflexively and transitively closed")
         self._labels = labels
         self._index = index
         self._rows = tuple(rows)
@@ -78,19 +78,19 @@ class Preorder:
             if b not in index:
                 raise UnknownLabelError(f"unknown label {b!r}")
             rows[index[a]] |= 1 << index[b]
-        return Preorder(labels, _closed(rows), _trusted=True)
+        return Preorder._family(labels, [tuple(_closed(rows))])[0]
 
     @staticmethod
     def discrete(ground) -> "Preorder":
         labels = sort_labels(set(ground))
-        return Preorder(labels, [1 << i for i in range(len(labels))], _trusted=True)
+        return Preorder._family(labels, [tuple(1 << i for i in range(len(labels)))])[0]
 
     @staticmethod
     def indiscrete(ground) -> "Preorder":
         """All labels pairwise equivalent."""
         labels = sort_labels(set(ground))
         full = (1 << len(labels)) - 1
-        return Preorder(labels, [full] * len(labels), _trusted=True)
+        return Preorder._family(labels, [(full,) * len(labels)])[0]
 
     @staticmethod
     def _family(labels: tuple, rows_seq) -> list:
@@ -250,8 +250,8 @@ class Preorder:
     def restrict(self, s) -> "Preorder":
         labels = sort_labels(set(s))
         old = [self._i(a) for a in labels]
-        rows = [sum(1 << j for j, k in enumerate(old) if self._rows[i] >> k & 1) for i in old]
-        return Preorder(labels, rows, _trusted=True)
+        rows = tuple(sum(1 << j for j, k in enumerate(old) if self._rows[i] >> k & 1) for i in old)
+        return Preorder._family(labels, [rows])[0]
 
     def with_pairs(self, pairs) -> "Preorder":
         """Closure of this preorder together with extra related pairs."""
@@ -387,9 +387,6 @@ def all_preorders(ground):
     n = len(labels)
     if n > BRUTE_FORCE_LABELS:
         raise GuardExceededError(f"brute-force preorder enumeration capped at {BRUTE_FORCE_LABELS} labels")
-    if n == 0:
-        yield Preorder((), ())
-        return
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
     for mask in range(1 << len(offdiag)):
         rows = [1 << i for i in range(n)]
@@ -412,4 +409,4 @@ def all_preorders(ground):
                 ok = False
                 break
         if ok:
-            yield Preorder(labels, rows, _trusted=True)
+            yield Preorder._family(labels, [tuple(rows)])[0]

@@ -5,7 +5,9 @@ tested against.  The census builds a ``MultiGraph`` for every candidate
 tuple before checking it; the gluing tests every ordered pair of cells
 through ``cell_specializes_to``, which enumerates the specializations of
 the source and compares two n!-ordering canonical keys per
-specialization.
+specialization.  ``_canonical_key``, ``_indexed`` and ``_frame_map`` are the
+frame map as ``moduli`` computed it before the key search moved to
+``graphs``; the frames and edge maps must not change.
 """
 
 from __future__ import annotations
@@ -23,6 +25,54 @@ from enrichfan.moduli import (
     _graph_from_key,
     enumerate_cells,
 )
+
+
+def _canonical_key(weights: tuple, pairs) -> tuple:
+    """The smallest encoding over all vertex orderings, and an ordering giving it.
+
+    ``weights[i]`` is the weight of vertex ``i`` and ``pairs`` holds the
+    vertex-index ends of every edge.  The encoding under an ordering
+    ``pos`` (vertex ``i`` becomes ``pos[i]``) is the weight tuple in the
+    new order together with the sorted tuple of renumbered, sorted edge
+    ends.  Weights compare first, so only orderings that sort the weights
+    can give the least key; the others are skipped.  Returns
+    ``(key, pos)``.
+    """
+    least = tuple(sorted(weights))
+    best = best_pos = None
+    for pos in itertools.permutations(range(len(weights))):
+        if any(least[p] != w for p, w in zip(pos, weights)):
+            continue
+        ends = tuple(sorted((pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u]) for u, v in pairs))
+        if best is None or ends < best:
+            best, best_pos = ends, pos
+    return (least, best), best_pos
+
+
+def _indexed(wg: WeightedGraph) -> tuple:
+    """Vertex weights and edge ends of ``wg`` over vertex indices, edges in label order."""
+    g = wg.graph
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return tuple(wg.weight(v) for v in g.vertices), [(index[u], index[v]) for u, v in map(g.ends, g.edge_labels)]
+
+
+def _frame_map(wg: WeightedGraph) -> tuple:
+    """The canonical key of ``wg`` and an edge bijection onto its frame.
+
+    The frame is ``_graph_from_key(key)``; the bijection comes from the
+    vertex ordering that gives the key.  Parallel edges (and loops at one
+    vertex) may be matched in any order, so they are taken as they come.
+    """
+    weights, ends = _indexed(wg)
+    key, pos = _canonical_key(weights, ends)
+    slots = {}
+    for k, pair in enumerate(key[1]):
+        slots.setdefault(pair, []).append(f"e{k + 1}")
+    mapping = {}
+    for e, (u, v) in zip(wg.graph.edge_labels, ends):
+        a, b = pos[u], pos[v]
+        mapping[e] = slots[(a, b) if a <= b else (b, a)].pop()
+    return key, mapping
 
 
 def _canonical_weighted_key(wg: WeightedGraph):

@@ -142,7 +142,7 @@ def restrict(self, s) -> Preorder:
             if self.leq(a, b):
                 row |= 1 << j
         rows.append(row)
-    return Preorder(labels, rows, _trusted=True)
+    return Preorder._family(labels, [tuple(rows)])[0]
 
 
 def quotient(self) -> QuotientPoset:

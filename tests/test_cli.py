@@ -282,6 +282,21 @@ class TestErrors:
         code, _, err = run_cli(capsys, "graph", "info", "--inline", "vertices: u v; a: u w")
         assert code == EXIT_PARSE and err == "error: unknown vertex 'w'\n"
 
+    @pytest.mark.parametrize(
+        "blob, err",
+        [
+            ('{"vertices": [{"id": "u", "weight": -1}], "edges": []}', "error: weight of 'u' must be a nonnegative integer\n"),
+            ('{"vertices": [{"id": "u"}, {"id": "v"}], "edges": [{"label": "a", "ends": ["u", "w"]}]}', "error: unknown vertex 'w'\n"),
+            ('{"vertices": [{"id": "u"}, {"id": "v"}], "edges": [{"label": "a", "ends": ["u", "v", "u"]}]}', "error: edge 'a' must name two endpoints\n"),
+        ],
+    )
+    def test_json_graph_errors(self, capsys, blob, err):
+        assert run_cli(capsys, "graph", "info", "--inline", blob) == (EXIT_PARSE, "", err)
+
+    def test_json_and_text_weight_errors_agree(self, capsys):
+        blob = '{"vertices": [{"id": "u", "weight": -1}], "edges": []}'
+        assert run_cli(capsys, "graph", "info", "--inline", blob) == run_cli(capsys, "graph", "info", "--inline", "vertices: u:-1")
+
     def test_unknown_label_message(self, capsys):
         code, _, err = run_cli(capsys, "enriched", "check", "--inline", THETA, "--pairs", '[["a","zz"]]')
         assert code == EXIT_PARSE and err == "error: unknown label 'zz'\n"

@@ -116,6 +116,42 @@ class TestJsonFormat:
         data["vertices"][0]["weight"] = 2
         assert parse_graph(json.dumps(data)).weight("u") == 2
 
+    @pytest.mark.parametrize(
+        "data, text, message",
+        [
+            (
+                {"vertices": [{"id": "u", "weight": -1}], "edges": []},
+                "vertices: u:-1",
+                "weight of 'u' must be a nonnegative integer",
+            ),
+            (
+                {"vertices": [{"id": "u"}, {"id": "v"}], "edges": [{"label": "a", "ends": ["u", "w"]}]},
+                "vertices: u v; a: u w",
+                "unknown vertex 'w'",
+            ),
+        ],
+    )
+    def test_graph_errors_read_as_in_text(self, data, text, message):
+        for parse in (lambda: graph_from_json_dict(data), lambda: parse_graph(json.dumps(data)), lambda: parse_graph(text)):
+            with pytest.raises(FormatError) as exc:
+                parse()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("ends", [["u", "v", "u"], ["u"], [], "uv", {"u": "v"}])
+    def test_edge_needs_two_endpoints(self, ends):
+        data = {"vertices": [{"id": "u"}, {"id": "v"}], "edges": [{"label": "a", "ends": ends}]}
+        with pytest.raises(FormatError) as exc:
+            graph_from_json_dict(data)
+        assert str(exc.value) == "edge 'a' must name two endpoints"
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"edges": []}, {"vertices": [{"weight": 1}], "edges": []}, {"vertices": [{"id": "u"}], "edges": [{"label": "a"}]}, []],
+    )
+    def test_structural_faults_keep_the_prefix(self, data):
+        with pytest.raises(FormatError, match="^bad graph object: "):
+            graph_from_json_dict(data)
+
     def test_empty_graph(self):
         for data in ({"vertices": [], "edges": []}, {"vertices": [], "edges": [{"label": "a", "ends": ["u", "v"]}]}):
             with pytest.raises(FormatError, match="graph has no vertices"):

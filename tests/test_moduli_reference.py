@@ -63,9 +63,11 @@ class TestKeys:
         for g in (1, 2, 3):
             for wg in enumerate_stable_weighted_graphs(g):
                 assert _canonical_weighted_key(wg) == ref._canonical_weighted_key(wg)
+                assert _frame_map(wg) == ref._frame_map(wg)
                 for _ in range(3):
                     moved, _ = relabelled(wg, rng)
                     assert _canonical_weighted_key(moved) == ref._canonical_weighted_key(wg)
+                    assert _frame_map(moved) == ref._frame_map(moved)
 
     @settings(max_examples=150, deadline=None)
     @given(weighted_multigraphs())
@@ -78,6 +80,7 @@ class TestKeys:
         key, to_frame = _frame_map(wg)
         frame = _graph_from_key(key)
         assert to_frame in [iso.as_dict() for iso in weighted_isomorphisms(wg, frame)]
+        assert (key, to_frame) == ref._frame_map(wg)
 
 
 class TestCensus:

@@ -39,6 +39,15 @@ class TestConstruction:
         with pytest.raises(UnknownLabelError):
             Preorder.from_relations(["a"], [("a", "zz")])
 
+    def test_constructor_always_checks_its_rows(self):
+        # rows over the sorted labels (a, b): a ≼ b
+        assert Preorder(["b", "a"], [0b11, 0b10]) == Preorder.from_relations("ab", [("a", "b")])
+        for rows in ([0b01, 0b01], [0b011, 0b110, 0b100]):  # not reflexive; not transitive
+            with pytest.raises(ValueError, match="not reflexively and transitively closed"):
+                Preorder("abc"[: len(rows)], rows)
+        with pytest.raises(TypeError):
+            Preorder("ab", [0b01, 0b01], _trusted=True)
+
 
 class TestQuotient:
     def test_p1_hasse(self):
