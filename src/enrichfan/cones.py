@@ -2,14 +2,17 @@
 
 Every cone produced here is simplicial and smooth: the rays are part of a
 basis of the ambient lattice.  A cone carries both descriptions: primitive
-integer rays of its closure, and halfspaces with a strict/weak flag each
-(strict ones describe the relative interior, i.e. the open cone).
+integer rays of its closure, and integer rows ``(equalities, facets)``
+cutting it out.  A point lies in the closed cone when every equality row
+vanishes on it and every facet row is ``>= 0``; in the relatively open cone
+the facet rows are ``> 0``.
 
-Membership is decided on integers.  Every constraint is homogeneous, so
-``contains`` tests the positive integer multiple ``m * x`` of the point,
-with ``m`` the lcm of the coordinates' denominators; each halfspace test
-is then an ``int`` dot product.  A float coordinate counts at its exact
-binary value, as it does in ``enriched.locate``.
+Membership is decided on integers.  Every constraint is homogeneous, so a
+point ``x`` is tested as the positive integer multiple ``m * x``, with ``m``
+the lcm of the coordinates' denominators; each test is then the sign of an
+``int`` dot product.  A float coordinate counts at its exact binary value,
+as it does in ``enriched.locate``.  :func:`containing` scales a point once
+and tests it against many cones.
 """
 
 from __future__ import annotations
@@ -20,42 +23,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .enriched import EnrichedGraph
-from .lattices import (
-    _echelon,
-    _substitute,
-    dot,
-    invariant_factors,
-    linearly_independent,
-    primitive,
-    solve_columns,
-)
-
-GE = ">="
-GT = ">"
-EQ = "=="
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """A homogeneous constraint ``coeffs . x  rel  0``."""
-
-    coeffs: tuple
-    rel: str
-
-    def __post_init__(self):
-        if self.rel not in (GE, GT, EQ):
-            raise ValueError(f"unknown relation {self.rel!r}")
-
-    def holds(self, x) -> bool:
-        v = dot(self.coeffs, x)
-        if self.rel == GE:
-            return v >= 0
-        if self.rel == GT:
-            return v > 0
-        return v == 0
-
-    def weakened(self) -> "Halfspace":
-        return Halfspace(self.coeffs, GE) if self.rel == GT else self
+from .lattices import _echelon, _substitute, dot, invariant_factors, linearly_independent, primitive
 
 
 @dataclass(frozen=True)
@@ -63,15 +31,15 @@ class RationalCone:
     """A simplicial rational cone, possibly relatively open.
 
     ``rays`` always generate the closure; ``closed`` distinguishes the
-    closed cone from its relative interior.  Halfspaces are optional and
-    derived on demand; when present they cut out exactly the cone (strict
-    flags included).
+    closed cone from its relative interior.  ``rows`` is the pair
+    ``(equalities, facets)`` of integer rows cutting out the closure; when
+    absent it is derived from the rays the first time membership is asked.
     """
 
     labels: tuple
     rays: tuple
     closed: bool = True
-    halfspaces: tuple = field(default=None, compare=False)
+    rows: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.rays)) != len(self.rays):
@@ -80,10 +48,9 @@ class RationalCone:
             raise ValueError("rays must be linearly independent (simplicial cones only)")
 
     @staticmethod
-    def from_rays(labels, rays, closed: bool = True, halfspaces=None) -> "RationalCone":
-        labels = tuple(labels)
+    def from_rays(labels, rays, closed: bool = True) -> "RationalCone":
         prim = sorted({primitive(r) for r in rays})
-        return RationalCone(labels, tuple(prim), closed, tuple(halfspaces) if halfspaces else None)
+        return RationalCone(tuple(labels), tuple(prim), closed)
 
     @property
     def dim(self) -> int:
@@ -98,44 +65,33 @@ class RationalCone:
         return frozenset(self.rays)
 
     def closure(self) -> "RationalCone":
-        if self.closed:
-            return self
-        hs = tuple(h.weakened() for h in self.halfspaces) if self.halfspaces else None
-        return RationalCone(self.labels, self.rays, True, hs)
+        return self if self.closed else RationalCone(self.labels, self.rays, True, self.rows)
 
     def h_description(self) -> tuple:
-        """Halfspaces cutting out the cone; computed from the rays if absent."""
-        if self.halfspaces is not None:
-            return self.halfspaces
-        hs = _h_from_rays(self.labels, self.rays)
-        if not self.closed:
-            hs = tuple(Halfspace(h.coeffs, GT) if h.rel == GE else h for h in hs)
-        return hs
+        """``(equalities, facets)``: integer rows cutting out the closure."""
+        if self.rows is None:
+            object.__setattr__(self, "rows", _h_from_rays(self.labels, self.rays))
+        return self.rows
 
-    def coefficients_of(self, x):
-        """Exact coordinates of ``x`` in the ray basis, or None outside the span."""
-        return solve_columns(self.rays, tuple(x))
+    def _holds(self, x, strict: bool) -> bool:
+        """Whether the integer point ``x`` meets every row, facets strictly if asked."""
+        equalities, facets = self.h_description()
+        if any(dot(row, x) for row in equalities):
+            return False
+        if strict:
+            return all(dot(row, x) > 0 for row in facets)
+        return all(dot(row, x) >= 0 for row in facets)
 
     def closure_contains(self, x) -> bool:
-        lam = self.coefficients_of(x)
-        return lam is not None and all(v >= 0 for v in lam)
+        return self._holds(_integral(x), False)
 
     def interior_contains(self, x) -> bool:
         """Membership in the relative interior of the closure."""
-        lam = self.coefficients_of(x)
-        return lam is not None and all(v > 0 for v in lam)
+        return self._holds(_integral(x), True)
 
     def contains(self, x) -> bool:
-        """Membership in the cone as described (open cones: their interior).
-
-        Decided on the integer point ``m * x`` (see :func:`_integral`), which
-        lies in the cone exactly when ``x`` does; floats count at their
-        exact value.
-        """
-        x = _integral(x)
-        if self.halfspaces is not None:
-            return all(h.holds(x) for h in self.halfspaces)
-        return self.closure_contains(x) if self.closed else self.interior_contains(x)
+        """Membership in the cone as described (open cones: their interior)."""
+        return self._holds(_integral(x), not self.closed)
 
     def is_face_of(self, other: "RationalCone") -> bool:
         return self.labels == other.labels and self.ray_set <= other.ray_set
@@ -159,14 +115,14 @@ class RationalCone:
         return len(facs) == len(self.rays) and all(f == 1 for f in facs)
 
     def embedded(self, labels) -> "RationalCone":
-        """Zero-extend the cone into a larger labeled ambient lattice."""
+        """Zero-extend the cone into a larger labeled ambient lattice; its
+        rows are padded, with a unit equality for each new coordinate."""
         labels = tuple(labels)
         pos = {lab: i for i, lab in enumerate(labels)}
         for lab in self.labels:
             if lab not in pos:
                 raise ValueError(f"label {lab!r} missing from target ambient lattice")
         own = [pos[lab] for lab in self.labels]
-        own_set = set(own)
 
         def put(vec):
             out = [0] * len(labels)
@@ -175,15 +131,12 @@ class RationalCone:
             return tuple(out)
 
         rays = tuple(sorted(put(r) for r in self.rays))
-        hs = None
-        if self.halfspaces is not None:
-            hs = [Halfspace(put(h.coeffs), h.rel) for h in self.halfspaces]
-            for i in range(len(labels)):
-                if i not in own_set:
-                    unit = tuple(1 if j == i else 0 for j in range(len(labels)))
-                    hs.append(Halfspace(unit, EQ))
-            hs = tuple(hs)
-        return RationalCone(labels, rays, self.closed, hs)
+        rows = None
+        if self.rows is not None:
+            equalities, facets = self.rows
+            units = tuple(tuple(int(j == i) for j in range(len(labels))) for i in range(len(labels)) if i not in own)
+            rows = (tuple(map(put, equalities)) + units, tuple(map(put, facets)))
+        return RationalCone(labels, rays, self.closed, rows)
 
     def __repr__(self):
         kind = "closed" if self.closed else "open"
@@ -197,8 +150,15 @@ def _integral(x) -> tuple:
     return tuple(n * (m // d) for n, d in ratios)
 
 
+def containing(cones, x) -> list:
+    """Indices of the cones (each as described) that contain ``x``; the
+    point is scaled to integers once for all of them."""
+    x = _integral(x)
+    return [i for i, cone in enumerate(cones) if cone._holds(x, not cone.closed)]
+
+
 def _h_from_rays(labels: tuple, rays: tuple) -> tuple:
-    """Equalities cutting out span(rays) plus one facet inequality per ray.
+    """Equalities cutting out span(rays) plus one facet row per ray.
 
     With U * R^T = H, the rows of U past the rank annihilate every ray and
     span the saturated annihilator: they are the equalities.  The top block
@@ -214,8 +174,8 @@ def _h_from_rays(labels: tuple, rays: tuple) -> tuple:
     facets = []
     for i in range(k):
         mu = _substitute(e, [d * (j == i) for j in range(k)])
-        facets.append(primitive([int(dot(mu, col)) for col in zip(*top)]))
-    return tuple(Halfspace(tuple(u), EQ) for u in e.u[k:]) + tuple(Halfspace(f, GE) for f in facets)
+        facets.append(primitive([dot(mu, col) for col in zip(*top)]))
+    return tuple(map(tuple, e.u[k:])), tuple(facets)
 
 
 def ray_generators(eg: EnrichedGraph) -> list:
@@ -226,11 +186,10 @@ def ray_generators(eg: EnrichedGraph) -> list:
 
 
 def _structure_cone(eg: EnrichedGraph, closed: bool) -> RationalCone:
-    """The structure cone, with constraints generated from the quotient poset.
+    """The structure cone, with its rows generated from the quotient poset.
 
-    Equalities inside classes, one inequality per Hasse cover, positivity
-    on the root classes; transitivity makes these cut out the whole cone.
-    The inequalities are strict on the open cone.
+    Equalities inside classes, one facet per Hasse cover, positivity on the
+    root classes; transitivity makes these cut out the whole cone.
     """
     labels = eg.graph.edge_labels
     pos = {lab: i for i, lab in enumerate(labels)}
@@ -244,11 +203,10 @@ def _structure_cone(eg: EnrichedGraph, closed: bool) -> RationalCone:
         row[j] -= 1
         return tuple(row)
 
-    rel = GE if closed else GT
-    hs = [Halfspace(diff(pos[a], pos[b]), EQ) for cls in q.classes for a, b in zip(cls, cls[1:])]
-    hs += [Halfspace(diff(first[j], first[i]), rel) for i, j in q.hasse]
-    hs += [Halfspace(tuple(int(t == first[i]) for t in range(n)), rel) for i in q.roots()]
-    return RationalCone(tuple(labels), tuple(ray_generators(eg)), closed, tuple(hs))
+    equalities = tuple(diff(pos[a], pos[b]) for cls in q.classes for a, b in zip(cls, cls[1:]))
+    facets = [diff(first[j], first[i]) for i, j in q.hasse]
+    facets += [tuple(int(t == first[i]) for t in range(n)) for i in q.roots()]
+    return RationalCone(tuple(labels), tuple(ray_generators(eg)), closed, (equalities, tuple(facets)))
 
 
 def structure_cone(eg: EnrichedGraph) -> RationalCone:

@@ -373,8 +373,9 @@ class Bond:
 def bonds(g: MultiGraph) -> list:
     """All bonds of a connected graph, one canonical representative each.
 
-    Enumerates vertex subsets containing the smallest vertex and keeps
-    those whose two sides both induce connected subgraphs.
+    Tries every vertex subset containing the smallest vertex as a side;
+    :class:`Bond` refuses those whose two sides do not both induce
+    connected subgraphs.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("bonds are defined for connected graphs")
@@ -385,13 +386,11 @@ def bonds(g: MultiGraph) -> list:
     found = []
     for k in range(len(rest)):
         for extra in itertools.combinations(rest, k):
-            side = frozenset((v0,) + extra)
-            comp = frozenset(vs) - side
-            if not g.induced(side).is_connected():
+            try:
+                bond = Bond.from_side(g, (v0,) + extra)
+            except NotABondError:
                 continue
-            if not g.induced(comp).is_connected():
-                continue
-            found.append(Bond(g, side, g.cut_edges(side)))
+            found.append(bond)
     found.sort(key=lambda b: (tuple(map(label_key, b.sorted_edges())), tuple(map(label_key, sort_labels(b.side)))))
     return found
 
@@ -551,24 +550,24 @@ class EdgePermutation:
         return all(a == b for a, b in self.edge_map)
 
 
-def _edge_extensions(g1: MultiGraph, g2: MultiGraph, vmap: dict):
-    """All edge bijections over a vertex bijection, permuting parallel classes."""
+def _parallel_classes(g: MultiGraph) -> dict:
+    """The label-sorted edges between each pair of ends, in order of the ends."""
     classes = {}
-    for e in g1.edge_labels:
-        u, v = g1.ends(e)
-        classes.setdefault((u, v), []).append(e)
+    for e in g.edge_labels:
+        classes.setdefault(g.ends(e), []).append(e)
     keyed = sorted(classes.items(), key=lambda t: (label_key(t[0][0]), label_key(t[0][1])))
-    target = {}
-    for e in g2.edge_labels:
-        target.setdefault(g2.ends(e), []).append(e)
+    return {ends: sort_labels(es) for ends, es in keyed}
+
+
+def _edge_extensions(classes1: dict, classes2: dict, vmap: dict):
+    """All edge bijections over a vertex bijection, permuting parallel classes
+    (both graphs' classes as :func:`_parallel_classes` gives them)."""
     per_class = []
-    for (u, v), src in keyed:
-        img_pair = tuple(sorted((vmap[u], vmap[v]), key=label_key))
-        dst = target.get(img_pair, [])
+    for (u, v), src in classes1.items():
+        dst = classes2.get(tuple(sorted((vmap[u], vmap[v]), key=label_key)), ())
         if len(dst) != len(src):
             return
-        src = sort_labels(src)
-        per_class.append([tuple(zip(src, perm)) for perm in itertools.permutations(sort_labels(dst))])
+        per_class.append([tuple(zip(src, perm)) for perm in itertools.permutations(dst)])
     for combo in itertools.product(*per_class):
         pairs = tuple(sorted((p for group in combo for p in group), key=lambda t: label_key(t[0])))
         yield pairs
@@ -618,11 +617,13 @@ def weighted_isomorphisms(wg1: WeightedGraph, wg2: WeightedGraph) -> list:
     if key1 != key2:
         return []
     vs1, vs2 = wg1.graph.vertices, wg2.graph.vertices
+    classes1 = _parallel_classes(wg1.graph)
+    classes2 = classes1 if wg2 is wg1 else _parallel_classes(wg2.graph)
     back = {p: j for j, p in enumerate(found2[0])}
     seen = {}
     for pos in found:
         images = tuple(back[p] for p in pos)
-        for pairs in _edge_extensions(wg1.graph, wg2.graph, {v: vs2[j] for v, j in zip(vs1, images)}):
+        for pairs in _edge_extensions(classes1, classes2, {v: vs2[j] for v, j in zip(vs1, images)}):
             seen[pairs] = min(seen.get(pairs, images), images)
     ordered = sorted(seen.items(), key=lambda kv: tuple((label_key(a), label_key(b)) for a, b in kv[0]))
     return [EdgePermutation(pairs, tuple(zip(vs1, (vs2[j] for j in images)))) for pairs, images in ordered]

@@ -1,4 +1,4 @@
-"""Exact integer and rational linear algebra for small lattices.
+"""Exact integer linear algebra for small lattices.
 
 Every elimination goes through one integer routine, ``_echelon``:
 unimodular row operations bring a matrix to Hermite normal form H (pivots
@@ -6,9 +6,8 @@ positive, entries above each pivot reduced modulo it), optionally recording
 U with U * rows = H and U^-1.
 
 - ``rank_of`` and ``linearly_independent`` read the rank of H.
-- ``solve_columns`` echelons the columns and finds the rational coefficients
-  by one forward substitution over the pivots of H (``_substitute``); the
-  facets of a cone in ``cones`` come from the same substitution.
+- ``_substitute`` is one integer forward substitution over the pivots of
+  H; the facets of a cone in ``cones`` come from it.
 - ``lattice_span_equal`` and ``lattice_contains`` compare Hermite forms.
 - ``kernel_lattice`` takes the rows of U whose H-row vanishes.
 - ``LatticeQuotient.from_generators`` echelons the transposed generators:
@@ -24,8 +23,8 @@ are fast enough and the module needs nothing beyond the standard library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 
@@ -45,7 +44,7 @@ def primitive(v) -> tuple:
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _xgcd(a: int, b: int) -> tuple:
@@ -134,34 +133,17 @@ def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
 
 
 def _substitute(e: _Echelon, target) -> list:
-    """Rational ``mu`` with ``(mu * H)[p] == target[p]`` at every pivot column p.
+    """Integer ``mu`` with ``(mu * H)[p] == target[p]`` at every pivot column p.
 
-    H is in echelon form, so this is one forward substitution over its pivots.
+    H is in echelon form, so this is one forward substitution over its
+    pivots.  The target must make ``mu`` integral, as any multiple of the
+    product of the pivots does, so every division is exact.
     """
     mu = []
     for j, (row, p) in enumerate(zip(e.rows, e.pivots)):
         rest = target[p] - sum(mu[i] * e.rows[i][p] for i in range(j))
-        mu.append(Fraction(rest) / row[p])
+        mu.append(rest // row[p])
     return mu
-
-
-def solve_columns(columns, target):
-    """Solve ``sum(lam_i * columns[i]) == target`` exactly over the rationals.
-
-    The integer columns are echelonized as rows, U * C = H; with
-    ``mu * H == target`` the solution is ``lam = mu * U``.  Returns the
-    coefficient list, or None when the system is inconsistent.  Raises
-    ValueError if the columns are linearly dependent (solutions would not be
-    unique).
-    """
-    n = len(target)
-    e = _echelon(columns, n, track=True)
-    if e.rank < len(e.rows):
-        raise ValueError("columns are linearly dependent")
-    mu = _substitute(e, target)
-    if any(sum(m * row[j] for m, row in zip(mu, e.rows)) != target[j] for j in range(n)):
-        return None
-    return [dot(mu, col) for col in zip(*e.u)]
 
 
 def rank_of(vectors) -> int:

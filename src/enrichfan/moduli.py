@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import structure_cone
+from .cones import containing, structure_cone
 from .enriched import EnrichedGraph, enriched_structures, locate, specializations
 from .errors import GuardExceededError
 from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, automorphisms, contracted_weights, edge_ends
@@ -381,7 +381,8 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
         graph = wg.graph
         labels = graph.edge_labels
         auts = [(a.as_dict(), a.inverse().as_dict()) for a in automorphisms(wg)]
-        cones = [(eg.preorder, structure_cone(eg)) for eg in enriched_structures(graph)]
+        structs = enriched_structures(graph)
+        cones = [structure_cone(eg) for eg in structs]
         # each structure in a cell's orbit, with the automorphisms t carrying
         # the cell's representative onto it (kept as their inverses)
         cell_of, carriers = {}, {}
@@ -398,7 +399,7 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
                 y = _permute_point(s, x)
                 p = locate(graph, y).preorder
                 point = tuple(y[e] for e in labels)
-                hits = [q for q, cone in cones if cone.contains(point)]
+                hits = [structs[i].preorder for i in containing(cones, point)]
                 if hits != [p]:
                     failures.append((repr(wg), vec, "open cones not disjoint"))
                     continue

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from . import corpus
-from .cones import closed_structure_cone, ray_generators, structure_cone
+from .cones import closed_structure_cone, containing, ray_generators, structure_cone
 from .enriched import (
     bond_minima,
     enriched_structures,
@@ -65,13 +65,13 @@ def check_enriched_counts() -> list:
 def _cover_failures(name: str, structs: list, points) -> list:
     """Each point lies in exactly one open cone, the one ``locate`` finds."""
     g = structs[0].graph
-    cones = [(eg.preorder, structure_cone(eg)) for eg in structs]
+    cones = [structure_cone(eg) for eg in structs]
     failures = []
     for vec in points:
-        hits = [p for p, cone in cones if cone.contains(vec)]
+        hits = containing(cones, vec)
         if len(hits) != 1:
             failures.append(f"{name}: point {vec} lies in {len(hits)} open cones")
-        elif locate(g, dict(zip(g.edge_labels, vec))).preorder != hits[0]:
+        elif locate(g, dict(zip(g.edge_labels, vec))).preorder != structs[hits[0]].preorder:
             failures.append(f"{name}: locate disagrees with membership at {vec}")
     return failures
 

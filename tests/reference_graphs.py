@@ -5,12 +5,15 @@ orderings that give the canonical key.  The two functions below are the
 code it replaced, copied verbatim: ``_vertex_bijections`` extends a partial
 vertex map one vertex at a time over candidates with the same weight,
 valence and loop count, and keeps it while every parallel count agrees.
-The edge extensions are shared with the new code.
+``_edge_extensions`` follows, copied verbatim from before it took the
+parallel classes prebuilt: it rebuilds them for every vertex map.
 """
 
 from __future__ import annotations
 
-from enrichfan.graphs import EdgePermutation, WeightedGraph, _edge_extensions, label_key
+import itertools
+
+from enrichfan.graphs import EdgePermutation, MultiGraph, WeightedGraph, label_key, sort_labels
 
 
 def _vertex_bijections(wg1: WeightedGraph, wg2: WeightedGraph):
@@ -55,3 +58,26 @@ def weighted_isomorphisms(wg1: WeightedGraph, wg2: WeightedGraph) -> list:
                 seen[pairs] = tuple(sorted(vmap.items(), key=lambda t: label_key(t[0])))
     ordered = sorted(seen.items(), key=lambda kv: tuple((label_key(a), label_key(b)) for a, b in kv[0]))
     return [EdgePermutation(pairs, vmap) for pairs, vmap in ordered]
+
+
+def _edge_extensions(g1: MultiGraph, g2: MultiGraph, vmap: dict):
+    """All edge bijections over a vertex bijection, permuting parallel classes."""
+    classes = {}
+    for e in g1.edge_labels:
+        u, v = g1.ends(e)
+        classes.setdefault((u, v), []).append(e)
+    keyed = sorted(classes.items(), key=lambda t: (label_key(t[0][0]), label_key(t[0][1])))
+    target = {}
+    for e in g2.edge_labels:
+        target.setdefault(g2.ends(e), []).append(e)
+    per_class = []
+    for (u, v), src in keyed:
+        img_pair = tuple(sorted((vmap[u], vmap[v]), key=label_key))
+        dst = target.get(img_pair, [])
+        if len(dst) != len(src):
+            return
+        src = sort_labels(src)
+        per_class.append([tuple(zip(src, perm)) for perm in itertools.permutations(sort_labels(dst))])
+    for combo in itertools.product(*per_class):
+        pairs = tuple(sorted((p for group in combo for p in group), key=lambda t: label_key(t[0])))
+        yield pairs

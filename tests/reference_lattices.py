@@ -4,16 +4,57 @@ ran on before they moved onto the integer echelon routine
 
 Kept verbatim as the reference the new code is tested against;
 ``_h_from_rays`` has lost only its unbounded ``lru_cache``, which memoized
-and did not change its results.
+and did not change its results.  ``solve_columns`` is also the reference
+for cone membership, through ``reference_membership``.
+
+The ``Halfspace`` constraint these functions return, and the reference
+structure-cone constraints in ``reference_preorders``, is the type
+``cones`` had before a cone's constraints became plain integer rows; it is
+copied here verbatim, with ``halfspaces_of`` to read a cone's rows as such.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from enrichfan.cones import EQ, GE, Halfspace
 from enrichfan.lattices import dot, primitive
+
+GE = ">="
+GT = ">"
+EQ = "=="
+
+
+@dataclass(frozen=True)
+class Halfspace:
+    """A homogeneous constraint ``coeffs . x  rel  0``."""
+
+    coeffs: tuple
+    rel: str
+
+    def __post_init__(self):
+        if self.rel not in (GE, GT, EQ):
+            raise ValueError(f"unknown relation {self.rel!r}")
+
+    def holds(self, x) -> bool:
+        v = dot(self.coeffs, x)
+        if self.rel == GE:
+            return v >= 0
+        if self.rel == GT:
+            return v > 0
+        return v == 0
+
+    def weakened(self) -> "Halfspace":
+        return Halfspace(self.coeffs, GE) if self.rel == GT else self
+
+
+def halfspaces_of(cone) -> tuple:
+    """A cone's rows as halfspaces: the equalities, then the facets, which
+    are strict on an open cone."""
+    equalities, facets = cone.h_description()
+    rel = GE if cone.closed else GT
+    return tuple(Halfspace(r, EQ) for r in equalities) + tuple(Halfspace(r, rel) for r in facets)
 
 
 def solve_columns(columns, target):

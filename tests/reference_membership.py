@@ -1,13 +1,37 @@
 """Cone membership and the torus-relation test as they ran on ``Fraction``s.
 
-``RationalCone.contains`` now scales its point to integers before the
-halfspace tests, and ``LaurentRelation.holds_at`` cross-multiplies
-numerators and denominators.  The bodies below are the methods they
-replaced, copied verbatim with ``self`` made the first argument; they are
-the reference the integer versions are tested against.
+``RationalCone`` now tests the signs of its integer equality and facet
+rows at an integer multiple of the point, and ``LaurentRelation.holds_at``
+cross-multiplies numerators and denominators.  The bodies below are the
+methods they replaced, copied verbatim with ``self`` made the first
+argument: a cone built with halfspaces tested them, and every other cone
+solved for the point in its ray basis over ``Fraction``s.  ``Cone`` holds
+the fields of the old ``RationalCone`` those bodies read, and binds them as
+its methods, so a call from one of them to another stays in this module.
+They are the reference the integer versions are tested against.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+from reference_lattices import solve_columns
+
+
+def coefficients_of(self, x):
+    """Exact coordinates of ``x`` in the ray basis, or None outside the span."""
+    return solve_columns(self.rays, tuple(x))
+
+
+def closure_contains(self, x) -> bool:
+    lam = self.coefficients_of(x)
+    return lam is not None and all(v >= 0 for v in lam)
+
+
+def interior_contains(self, x) -> bool:
+    """Membership in the relative interior of the closure."""
+    lam = self.coefficients_of(x)
+    return lam is not None and all(v > 0 for v in lam)
 
 
 def contains(self, x) -> bool:
@@ -15,6 +39,21 @@ def contains(self, x) -> bool:
     if self.halfspaces is not None:
         return all(h.holds(x) for h in self.halfspaces)
     return self.closure_contains(x) if self.closed else self.interior_contains(x)
+
+
+@dataclass(frozen=True)
+class Cone:
+    """The rays, the ``closed`` flag and the optional ``Halfspace`` tuple
+    (``reference_lattices``) of an old ``RationalCone``."""
+
+    rays: tuple
+    closed: bool = True
+    halfspaces: tuple = None
+
+    coefficients_of = coefficients_of
+    closure_contains = closure_contains
+    interior_contains = interior_contains
+    contains = contains
 
 
 def holds_at(self, point: dict) -> bool:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 
-from enrichfan.cones import GE, GT, EQ, Halfspace
 from enrichfan.graphs import bits, label_key, sort_labels
 from enrichfan.preorders import Preorder, QuotientPoset
+from reference_lattices import EQ, GE, GT, Halfspace
 
 
 def up_closure(self, a) -> frozenset:

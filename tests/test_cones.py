@@ -1,15 +1,15 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import reference_membership
 from enrichfan import corpus
 from enrichfan.cones import (
-    EQ,
-    GE,
-    Halfspace,
     RationalCone,
     closed_structure_cone,
+    containing,
     increment_coordinates,
     increment_matrix,
     lengths_from_increments,
@@ -21,9 +21,13 @@ from enrichfan.enriched import (
     canonical_structure,
     enriched_structures,
     from_bond_collection,
+    locate,
     specializations,
 )
 from enrichfan.preorders import Preorder
+from reference_lattices import halfspaces_of
+from test_enriched_reference import cycle
+from test_toric_reference import k4
 
 
 def theta_generic():
@@ -125,23 +129,51 @@ class TestRationalCone:
 
     def test_h_description_from_rays(self):
         cone = RationalCone.from_rays(("x", "y", "z"), [(1, 1, 0), (0, 0, 1)])
+        # the span's equality, then the facet opposite each ray in ray order
+        assert cone.h_description() == (((-1, 1, 0),), ((0, 0, 1), (0, 1, 0)))
+        by_rays = reference_membership.Cone(cone.rays)
         for x in itertools.product([-2, -1, 0, 1, 2], repeat=3):
-            by_h = all(h.holds(x) for h in cone.h_description())
-            assert by_h == cone.closure_contains(x)
+            by_h = all(h.holds(x) for h in halfspaces_of(cone))
+            assert by_h == cone.closure_contains(x) == by_rays.closure_contains(x)
+
+    def test_membership_by_ray_coefficients(self):
+        # (2, 3, 5) is 2 * (1, 0, 1) + 3 * (0, 1, 1); (2, 0, 2) lies on a facet
+        cone = RationalCone.from_rays(("x", "y", "z"), [(1, 0, 1), (0, 1, 1)])
+        assert cone.closure_contains((2, 3, 5)) and cone.interior_contains((2, 3, 5))
+        assert cone.closure_contains((2, 0, 2)) and not cone.interior_contains((2, 0, 2))
+        assert not cone.closure_contains((2, -3, -1))
+
+    def test_point_off_the_span_is_outside(self):
+        cone = RationalCone.from_rays(("x", "y", "z"), [(1, 0, 0)])
+        assert cone.closure_contains((2, 0, 0))
+        assert not cone.closure_contains((0, 1, 0))
+        assert not cone.closure_contains((2, Fraction(1, 7), 0))
+
+    def test_zero_cone_holds_only_the_origin(self):
+        for closed in (True, False):
+            cone = RationalCone(("x", "y"), (), closed)
+            assert cone.contains((0, 0)) and cone.closure_contains((0, 0)) and cone.interior_contains((0, 0))
+            assert not cone.contains((1, 0)) and not cone.closure_contains((0, Fraction(-1, 2)))
+
+    def test_closure_and_embedding_keep_the_rows(self):
+        eg = theta_generic()
+        cone = structure_cone(eg)
+        assert cone.closure().h_description() == closed_structure_cone(eg).h_description()
+        big = closed_structure_cone(eg).embedded(("0", "a", "b", "c"))
+        assert big.h_description() == (((1, 0, 0, 0),), ((0, -1, 1, 0), (0, -1, 0, 1), (0, 1, 0, 0)))
+        assert big.contains((0, 1, 2, 2)) and not big.contains((1, 1, 2, 2))
 
     def test_float_point_judged_at_its_exact_value(self):
         # 0.1 + 0.2 - 0.30000000000000004 rounds to 0.0 in floats, but the
         # exact binary values do not cancel: the point is off the plane
         # x_a + x_b == x_c, whichever membership test is asked
-        cone = RationalCone(
-            ("a", "b", "c"),
-            ((0, 1, 1), (1, 0, 1)),
-            halfspaces=(Halfspace((1, 1, -1), EQ), Halfspace((1, 0, 0), GE), Halfspace((0, 1, 0), GE)),
-        )
+        cone = RationalCone(("a", "b", "c"), ((0, 1, 1), (1, 0, 1)), rows=(((1, 1, -1),), ((1, 0, 0), (0, 1, 0))))
         x = (0.1, 0.2, 0.30000000000000004)
         assert not cone.contains(x)
         assert not cone.closure_contains(x)
+        assert not cone.interior_contains(x)
         assert not cone.contains(tuple(map(Fraction, x)))
+        assert containing([cone], x) == []
 
     def test_faces_are_ray_subsets(self):
         cone = RationalCone.from_rays(("x", "y", "z"), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -187,3 +219,20 @@ class TestIncrementCoordinates:
                     vec = tuple(x[lab] for lab in eg.graph.edge_labels)
                     assert cone.contains(vec)
                     assert increment_coordinates(eg, x) == y
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS) + ["c5", "k4"])
+def test_containing_matches_contains_and_locate(name):
+    """``containing`` over both cones of every structure, at seeded positive
+    points with many ties, against one ``contains`` per cone; the open
+    cone it finds is the structure ``locate`` finds."""
+    g = {"c5": lambda: cycle(5), "k4": k4}.get(name, corpus.CORPUS.get(name))()
+    structs = enriched_structures(g)
+    cones = [structure_cone(eg) for eg in structs] + [closed_structure_cone(eg) for eg in structs]
+    rng = random.Random(name)
+    for _ in range(60):
+        x = tuple(Fraction(rng.randint(1, 4), rng.randint(1, 2)) for _ in g.edge_labels)
+        hits = containing(cones, x)
+        assert hits == [i for i, cone in enumerate(cones) if cone.contains(x)]
+        opened = [structs[i].preorder for i in hits if i < len(structs)]
+        assert opened == [locate(g, dict(zip(g.edge_labels, x))).preorder]

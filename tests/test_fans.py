@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_membership
 from enrichfan import corpus
 from enrichfan.cones import RationalCone
 from enrichfan.enriched import enriched_structures, locate
@@ -24,6 +25,7 @@ from enrichfan.fans import (
     star_subdivision,
 )
 from enrichfan.graphs import MultiGraph
+from reference_lattices import halfspaces_of
 
 
 def rational_points(labels, count, seed, positive=True):
@@ -348,9 +350,10 @@ class TestIteratedSubdivision:
         fan = star_subdivision(octant_fan(labels), coordinate_cone(labels, labels))
         grid = list(it.product([0, 1, 2, 3], repeat=3))
         for c in fan.maximal:
+            by_rays = reference_membership.Cone(c.rays)
             for x in grid:
-                by_h = all(h.holds(x) for h in c.h_description())
-                assert by_h == c.closure_contains(x)
+                by_h = all(h.holds(x) for h in halfspaces_of(c))
+                assert by_h == c.closure_contains(x) == by_rays.closure_contains(x)
 
     def test_octant_is_not_complete(self):
         assert not octant_fan(("x", "y")).is_complete()

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +10,6 @@ from enrichfan.lattices import (
     linearly_independent,
     primitive,
     rank_of,
-    solve_columns,
 )
 
 
@@ -25,24 +22,6 @@ class TestPrimitive:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             primitive((0, 0))
-
-
-class TestSolve:
-    def test_unique_solution(self):
-        cols = [(1, 0, 1), (0, 1, 1)]
-        lam = solve_columns(cols, (2, 3, 5))
-        assert lam == [Fraction(2), Fraction(3)]
-
-    def test_inconsistent(self):
-        assert solve_columns([(1, 0, 0)], (0, 1, 0)) is None
-
-    def test_dependent_columns_raise(self):
-        with pytest.raises(ValueError):
-            solve_columns([(1, 1), (2, 2)], (3, 3))
-
-    def test_empty(self):
-        assert solve_columns([], (0, 0)) == []
-        assert solve_columns([], (1, 0)) is None
 
 
 class TestRank:

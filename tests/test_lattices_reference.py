@@ -1,5 +1,6 @@
-"""Ranks, solves and cone halfspaces on the integer echelon routine against
-the ``Fraction`` eliminations they replaced (``reference_lattices``)."""
+"""Ranks and cone rows on the integer echelon routine, and cone membership
+on their signs, against the ``Fraction`` eliminations they replaced
+(``reference_lattices``, ``reference_membership``)."""
 
 import itertools
 from fractions import Fraction
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_lattices as ref
-from enrichfan.cones import GE, GT, Halfspace, RationalCone
-from enrichfan.lattices import kernel_lattice, linearly_independent, primitive, rank_of, solve_columns
+import reference_membership
+from enrichfan.cones import RationalCone, containing
+from enrichfan.lattices import kernel_lattice, linearly_independent, primitive, rank_of
 from test_lattices_oracle import matrices
 
 
@@ -28,54 +30,27 @@ def test_kernel_lattice_size_matches_reference_rank(case):
     assert len(kernel_lattice(rows, ncols)) == len(rows) - ref.rank_of(rows)
 
 
-def _outcome(solve, columns, target):
-    try:
-        return solve(columns, target)
-    except ValueError:
-        return "dependent"
-
-
-@st.composite
-def systems(draw):
-    """Columns with zero, repeated and summed ones mixed in, and a target that
-    is a rational combination of them, possibly pushed off their span."""
-    n = draw(st.integers(1, 5))
-    entry = st.integers(-4, 4)
-    columns = []
-    for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(("free", "free", "free", "zero", "repeat", "sum")))
-        col = tuple(draw(entry) for _ in range(n))
-        if kind == "zero":
-            col = (0,) * n
-        elif kind == "repeat" and columns:
-            col = draw(st.sampled_from(columns))
-        elif kind == "sum" and len(columns) >= 2:
-            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
-            col = tuple(x + y for x, y in zip(a, b))
-        columns.append(col)
-    coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
-    lam = [draw(coeff) for _ in columns]
-    target = [sum((c * col[i] for c, col in zip(lam, columns)), Fraction(0)) for i in range(n)]
-    if draw(st.booleans()):
-        target[draw(st.integers(0, n - 1))] += draw(st.integers(-2, 2))
-    return columns, tuple(target)
-
-
-@settings(max_examples=300, deadline=None)
-@given(systems())
-def test_solve_matches_reference(case):
-    columns, target = case
-    assert _outcome(solve_columns, columns, target) == _outcome(ref.solve_columns, columns, target)
-
-
 def _reference_halfspaces(cone):
     hs = ref._h_from_rays(cone.labels, cone.rays)
     if not cone.closed:
-        hs = tuple(Halfspace(h.coeffs, GT) if h.rel == GE else h for h in hs)
+        hs = tuple(ref.Halfspace(h.coeffs, ref.GT) if h.rel == ref.GE else h for h in hs)
     return hs
 
 
-def check_same_set(rays, n):
+def assert_membership_matches_solve(cone, points):
+    """The three membership tests of ``cone`` and ``containing`` against
+    the ``Fraction`` solve in the ray basis."""
+    old = reference_membership.Cone(cone.rays, cone.closed)
+    for x in points:
+        assert cone.closure_contains(x) == old.closure_contains(x), (cone, x)
+        assert cone.interior_contains(x) == old.interior_contains(x), (cone, x)
+        assert cone.contains(x) == old.contains(x), (cone, x)
+        assert containing([cone, cone.closure()], x) == [i for i, inside in enumerate((old.contains(x), old.closure_contains(x))) if inside]
+
+
+def check_same_set(rays, n, solve=False):
+    """Our rows and the reference halfspaces agree on a grid and on
+    combinations of the rays; with ``solve`` so does the ``Fraction`` solve."""
     labels = tuple(f"e{i}" for i in range(n))
     grid = [-2, -1, 0, 1, 2] if n <= 3 else [-1, 0, 1]
     points = list(itertools.product(grid, repeat=n))
@@ -84,11 +59,13 @@ def check_same_set(rays, n):
         points.append(tuple(sum(c * r[i] for c, r in zip(lam, rays)) for i in range(n)))
     for closed in (True, False):
         cone = RationalCone.from_rays(labels, rays, closed=closed)
-        ours, theirs = cone.h_description(), _reference_halfspaces(cone)
+        ours, theirs = ref.halfspaces_of(cone), _reference_halfspaces(cone)
         for x in points:
             inside = all(h.holds(x) for h in ours)
             assert inside == all(h.holds(x) for h in theirs), (cone, x)
             assert inside == (cone.closure_contains(x) if closed else cone.interior_contains(x))
+        if solve:
+            assert_membership_matches_solve(cone, points)
 
 
 @st.composite
@@ -106,11 +83,46 @@ def simplicial_rays(draw):
     return rays, n
 
 
+@st.composite
+def smooth_rays(draw):
+    """Rays of a smooth cone: some rows of the identity after unimodular
+    row additions, made primitive and sorted as a cone keeps them."""
+    n = draw(st.integers(1, 4))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            c = draw(st.integers(-2, 2))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return [tuple(r) for r in rows[: draw(st.integers(0, n))]], n
+
+
 @settings(max_examples=80, deadline=None)
 @given(simplicial_rays())
 def test_h_description_matches_reference(case):
     rays, n = case
     check_same_set(rays, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(smooth_rays(), simplicial_rays()), st.data())
+def test_membership_matches_fraction_solve(case, data):
+    """Points that are rational combinations of the rays, with negative,
+    zero and positive coefficients, some pushed off the span, on smooth and
+    on other simplicial cones (``test_h_description_on_determinant_two_cones``
+    pins four of determinant 2)."""
+    rays, n = case
+    coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    points = []
+    for _ in range(4):
+        lam = [data.draw(coeff) for _ in rays]
+        x = [sum((c * r[i] for c, r in zip(lam, rays)), Fraction(0)) for i in range(n)]
+        if data.draw(st.booleans()):
+            x[data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([Fraction(-1, 3), 1, 2]))
+        points.append(tuple(x))
+    labels = tuple(f"e{i}" for i in range(n))
+    for closed in (True, False):
+        assert_membership_matches_solve(RationalCone.from_rays(labels, rays, closed=closed), points)
 
 
 @pytest.mark.parametrize(
@@ -124,4 +136,4 @@ def test_h_description_matches_reference(case):
 )
 def test_h_description_on_determinant_two_cones(rays, n):
     assert not RationalCone(tuple(range(n)), tuple(rays)).is_smooth()
-    check_same_set(rays, n)
+    check_same_set(rays, n, solve=True)

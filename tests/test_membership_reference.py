@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 import reference_membership as ref
 from conftest import connected_multigraphs
 from enrichfan import corpus
-from enrichfan.cones import EQ, GE, GT, closed_structure_cone, lengths_from_increments, structure_cone
+from enrichfan.cones import closed_structure_cone, containing, lengths_from_increments, structure_cone
 from enrichfan.enriched import enriched_structures
 from enrichfan.toric import LaurentRelation, equations, mutated_evaluate
+from reference_lattices import EQ, GE, GT, halfspaces_of
+from reference_preorders import _structure_halfspaces
 from test_toric_reference import k4, wheel4
 
 
@@ -45,9 +47,12 @@ def coordinates(draw, n):
 
 
 def _cones(g):
+    """Both cones of every structure, each with its reference: the old
+    cone with the halfspaces the quotient poset gave it."""
     cones = []
     for eg in enriched_structures(g):
-        cones += [structure_cone(eg), closed_structure_cone(eg)]
+        for cone, strict in ((structure_cone(eg), True), (closed_structure_cone(eg), False)):
+            cones.append((cone, ref.Cone(cone.rays, cone.closed, _structure_halfspaces(eg, strict))))
     return cones
 
 
@@ -60,8 +65,13 @@ def _boundary_point(eg, increments):
 
 
 def _assert_same_membership(cones, x):
-    for cone in cones:
-        assert cone.contains(x) == ref.contains(cone, x), (cone, x)
+    """``contains``, ``closure_contains`` and ``interior_contains`` of each
+    cone, and ``containing`` over all of them, against the reference."""
+    for cone, old in cones:
+        assert cone.contains(x) == ref.contains(old, x), (cone, x)
+        assert cone.closure_contains(x) == ref.closure_contains(old, x), (cone, x)
+        assert cone.interior_contains(x) == ref.interior_contains(old, x), (cone, x)
+    assert containing([cone for cone, _ in cones], x) == [i for i, (_, old) in enumerate(cones) if ref.contains(old, x)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -95,7 +105,7 @@ def test_boundary_points_reach_every_branch():
                 increments = [s * Fraction(k + 2, big[k % 3]) for k, s in enumerate(signs)]
                 x = _boundary_point(eg, increments)
                 _assert_same_membership(cones, x)
-                seen.update((h.rel, h.holds(x)) for cone in cones for h in cone.halfspaces)
+                seen.update((h.rel, h.holds(x)) for cone, _ in cones for h in halfspaces_of(cone))
     assert seen == {(rel, b) for rel in (EQ, GT, GE) for b in (True, False)}
 
 

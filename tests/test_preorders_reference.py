@@ -12,6 +12,7 @@ from enrichfan.cones import closed_structure_cone, ray_generators, structure_con
 from enrichfan.enriched import _refining, enriched_structures
 from enrichfan.errors import UnknownLabelError
 from enrichfan.preorders import Preorder, all_preorders
+from reference_lattices import halfspaces_of
 from test_enriched_reference import cycle
 from test_toric_reference import k4, wheel4
 
@@ -87,4 +88,4 @@ def test_structure_cones_match_reference(name):
         assert ray_generators(eg) == rays
         for cone, strict in ((structure_cone(eg), True), (closed_structure_cone(eg), False)):
             assert cone.rays == tuple(rays) and cone.closed is not strict
-            assert cone.halfspaces == ref._structure_halfspaces(eg, strict)
+            assert halfspaces_of(cone) == ref._structure_halfspaces(eg, strict)
