@@ -58,8 +58,6 @@ class EnrichedGraph:
     preorder: Preorder
 
     def __post_init__(self):
-        if self.preorder.ground != self.graph.edge_labels:
-            raise GroundSetMismatchError("preorder ground set must equal the edge set")
         if not is_enriched(self.graph, self.preorder):
             raise ValueError("preorder is not an enriched structure on this graph")
 

@@ -11,15 +11,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import RationalCone, closed_structure_cone, structure_cone
+from .cones import RationalCone, closed_structure_cone, containing, structure_cone
 from .enriched import EnrichedGraph, enriched_structures, generic_structures
 from .errors import NotStronglyConvexError
 from .graphs import MultiGraph, contract, is_biconnected, label_key, sort_labels
 from .lattices import LatticeQuotient, linearly_independent, primitive
-
-
-def _cone_key(cone: RationalCone):
-    return cone.rays
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ class Fan:
         for r in keys:
             if not any(set(r) < set(k.rays) for k in kept):
                 kept.append(dedup[r])
-        kept.sort(key=_cone_key)
+        kept.sort(key=lambda c: c.rays)
         return Fan(labels, tuple(kept))
 
     @property
@@ -73,7 +69,7 @@ class Fan:
         return any(rs <= c.ray_set for c in self.maximal)
 
     def support_contains(self, x) -> bool:
-        return any(c.closure_contains(x) for c in self.maximal)
+        return bool(containing(self.maximal, x))  # the maximal cones are closed
 
     def is_complete(self) -> bool:
         """Facet-pairing criterion for a pure simplicial fan.
@@ -104,7 +100,7 @@ def octant_fan(labels) -> Fan:
     labels = tuple(labels)
     n = len(labels)
     units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return Fan.from_cones(labels, [RationalCone.from_rays(labels, units)] if n else [RationalCone(labels, ())])
+    return Fan.from_cones(labels, [RationalCone.from_rays(labels, units)])
 
 
 def coordinate_cone(labels, subset) -> RationalCone:
@@ -113,7 +109,7 @@ def coordinate_cone(labels, subset) -> RationalCone:
     n = len(labels)
     pos = {lab: i for i, lab in enumerate(labels)}
     rays = [tuple(1 if j == pos[lab] else 0 for j in range(n)) for lab in subset]
-    return RationalCone.from_rays(labels, rays) if rays else RationalCone(labels, ())
+    return RationalCone.from_rays(labels, rays)
 
 
 def fan_of_graph(g: MultiGraph) -> Fan:
@@ -236,7 +232,7 @@ def fan_product(f1: Fan, f2: Fan) -> Fan:
     for c1 in f1.maximal:
         for c2 in f2.maximal:
             rays = [r + (0,) * n2 for r in c1.rays] + [(0,) * n1 + r for r in c2.rays]
-            cones.append(RationalCone.from_rays(labels, rays) if rays else RationalCone(labels, ()))
+            cones.append(RationalCone.from_rays(labels, rays))
     return Fan.from_cones(labels, cones)
 
 
@@ -269,5 +265,5 @@ def quotient_fan(fan: Fan, lq: LatticeQuotient) -> Fan:
                 imgs.append(primitive(img))
         if imgs and not linearly_independent(imgs):
             raise NotStronglyConvexError("projected cone contains a line")
-        cones.append(RationalCone.from_rays(qlabels, imgs) if imgs else RationalCone(qlabels, ()))
+        cones.append(RationalCone.from_rays(qlabels, imgs))
     return Fan.from_cones(qlabels, cones)

@@ -1,8 +1,9 @@
 """Text, JSON and DOT formats for graphs, preorders, fans and cells.
 
 The text format is one header line ``vertices: id[:weight] ...`` followed
-by one line per edge ``label: u v``.  Integer-looking tokens become ints,
-everything else stays a string; serialization round-trips.
+by one line per edge ``label: u v``.  A token that is an optional single
+``-`` followed by decimal digits becomes an int, everything else stays a
+string; serialization round-trips.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .preorders import Preorder
 
 def _token(s):
     s = str(s)
-    if s.lstrip("-").isdigit():
+    if s.removeprefix("-").isdecimal():
         return int(s)
     return s
 
@@ -162,9 +163,9 @@ def dumps(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2, default=str) + "\n"
 
 
-def graph_to_dot(wg: WeightedGraph, name: str = "G") -> str:
+def graph_to_dot(wg: WeightedGraph) -> str:
     g = wg.graph
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in g.vertices:
         w = wg.weight(v)
         label = f"{v}" if not w else f"{v} ({w})"
@@ -176,9 +177,9 @@ def graph_to_dot(wg: WeightedGraph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def hasse_to_dot(p: Preorder, name: str = "H") -> str:
+def hasse_to_dot(p: Preorder) -> str:
     q = p.quotient()
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph H {", "  rankdir=BT;"]
     for i, cls in enumerate(q.classes):
         label = "~".join(map(str, cls))
         lines.append(f'  c{i} [label="{label}"];')
@@ -198,7 +199,7 @@ def relation_summary(p: Preorder) -> str:
     return "; ".join(covers + isolated) or "empty"
 
 
-def specialization_poset_dot(g: MultiGraph, name: str = "S") -> str:
+def specialization_poset_dot(g: MultiGraph) -> str:
     """Same-graph specialization arrows among all enriched structures of g.
 
     Such a specialization of rank one less merges a class into one it
@@ -206,7 +207,7 @@ def specialization_poset_dot(g: MultiGraph, name: str = "S") -> str:
     """
     structs = enriched_structures(g)
     ids = {eg.preorder: i for i, eg in enumerate(structs)}
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph S {", "  rankdir=BT;"]
     lines += [f'  p{i} [label="{relation_summary(eg.preorder)}"];' for i, eg in enumerate(structs)]
     for k, eg in enumerate(structs):
         q = eg.preorder.quotient()
@@ -232,8 +233,8 @@ def cells_to_json(cells, adjacency) -> dict:
     return {"genus": cells[0].genus if cells else None, "cells": out}
 
 
-def cells_to_dot(cells, adjacency, name: str = "Cells") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+def cells_to_dot(cells, adjacency) -> str:
+    lines = ["digraph Cells {", "  rankdir=BT;"]
     for c in cells:
         loops = len(c.weighted.graph.loops())
         label = f"#{c.index} dim={c.dim} |E|={c.weighted.graph.n_edges} loops={loops} aut={c.aut_order}"

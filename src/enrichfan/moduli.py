@@ -19,8 +19,17 @@ then enumerates a cell's specializations once, carries each target into
 its frame the same way and looks it up, so ``cell_adjacency``,
 ``classify_cells`` and ``cell_specializes_to`` do work linear in the
 number of cells instead of testing every pair.
-``check_unique_lifts`` builds each graph's open structure cones and
-automorphisms once.
+
+The census itself is one walk (``_census``): for each stable graph it
+takes the automorphisms and the enriched structures once and maps every
+structure to the least structure of its orbit together with the
+automorphisms carrying that one onto it.  It is the one place census
+structures are moved by automorphisms; ``enumerate_cells`` reads each
+orbit's least structure and its stabilizer off the map, and
+``check_unique_lifts`` reads its cell lookup and carriers off the same
+map.  Census cells, like the structures the recursion core builds, are
+correct by construction and skip the checks of the public ``ModuliCell``
+and ``EnrichedGraph`` constructors.
 """
 
 from __future__ import annotations
@@ -31,17 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import containing, structure_cone
-from .enriched import EnrichedGraph, enriched_structures, locate, specializations
+from .enriched import EnrichedGraph, _trusted, class_inclusion, enriched_structures, locate, specializations
 from .errors import GuardExceededError
-from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, automorphisms, contracted_weights, edge_ends
+from .graphs import EdgePermutation, MultiGraph, WeightedGraph, _canonical_orderings, automorphisms, contracted_weights, edge_ends
 from .preorders import Preorder
 
 GENUS_GUARD = 3
-
-
-def _canonical_weighted_key(wg: WeightedGraph):
-    """Smallest incidence encoding over all vertex orderings."""
-    return _frame_map(wg)[0]
 
 
 def _frame_map(wg: WeightedGraph) -> tuple:
@@ -165,35 +169,38 @@ class ModuliCell:
         return len(self.aut)
 
     def enriched(self) -> EnrichedGraph:
-        return EnrichedGraph(self.weighted.graph, self.preorder)
+        return _trusted(EnrichedGraph, graph=self.weighted.graph, preorder=self.preorder)
 
 
-def _structure_orbits(wg: WeightedGraph):
-    """Orbits of enriched structures under Aut(graph, weights).
+def _census(g: int):
+    """Walk the stable weighted graphs of genus ``g`` and their structure orbits.
 
-    Each orbit comes as its least structure together with that structure's
-    stabilizer, which is what ``aut_enriched`` returns for it.
+    Yields ``(wg, auts, structs, orbit)`` per graph: its automorphisms, its
+    enriched structures in canonical order, and a dict taking each
+    structure's preorder to ``(rep, carriers)``, the least structure of its
+    orbit under Aut(graph, weights) and the automorphisms carrying ``rep``
+    onto it.  The carriers of ``rep`` onto itself are its stabilizer, which
+    is what ``aut_enriched`` returns for it.
     """
-    auts = automorphisms(wg)
-    structs = [eg.preorder for eg in enriched_structures(wg.graph)]
-    remaining = set(structs)
-    orbits = []
-    for p in structs:  # canonical order: the first uncovered structure is its orbit's least
-        if p not in remaining:
-            continue
-        images = [p.relabel(a.as_dict()) for a in auts]
-        assert remaining.issuperset(images)
-        remaining.difference_update(images)
-        orbits.append((p, tuple(a for a, q in zip(auts, images) if q == p)))
-    return orbits
+    for wg in enumerate_stable_weighted_graphs(g):
+        auts = automorphisms(wg)
+        structs = enriched_structures(wg.graph)
+        orbit = {}
+        for eg in structs:  # canonical order: the first structure not yet reached is its orbit's least
+            if eg.preorder not in orbit:
+                for a in auts:
+                    orbit.setdefault(eg.preorder.relabel(a.as_dict()), (eg.preorder, []))[1].append(a)
+        assert len(orbit) == len(structs)  # automorphisms carry structures onto structures
+        yield wg, auts, structs, orbit
 
 
 def enumerate_cells(g: int) -> list:
     """One cell per isomorphism class of stable weighted enriched graph."""
     cells = []
-    for wg in enumerate_stable_weighted_graphs(g):
-        for rep, stabilizer in _structure_orbits(wg):
-            cells.append(ModuliCell(len(cells), wg, rep, g, stabilizer))
+    for wg, _, _, orbit in _census(g):
+        for p, (rep, carriers) in orbit.items():
+            if p == rep:
+                cells.append(_trusted(ModuliCell, index=len(cells), weighted=wg, preorder=rep, genus=g, aut=tuple(carriers)))
     return cells
 
 
@@ -205,8 +212,6 @@ def gluing_matrix(sp) -> tuple:
     boundary point, increments computed downstairs and upstairs agree
     through this matrix.
     """
-    from .enriched import class_inclusion
-
     inc = class_inclusion(sp)
     src_classes = sp.source.preorder.quotient().classes
     tgt_classes = sp.target.preorder.quotient().classes
@@ -342,15 +347,13 @@ def _permute_point(perm_dict, point):
     return {perm_dict[e]: v for e, v in point.items()}
 
 
-def _canonical_cell_point(cell: ModuliCell, point: dict) -> tuple:
-    labels = cell.weighted.graph.edge_labels
-    best = None
-    for a in cell.aut:
-        moved = _permute_point(a.as_dict(), point)
-        key = tuple(moved[e] for e in labels)
-        if best is None or key < best:
-            best = key
-    return best
+def _canonical_cell_point(labels, stabilizer, point: dict) -> tuple:
+    """The least coordinate vector of ``point`` over its images under ``stabilizer``.
+
+    The stabilizer is a group, so pulling ``point`` back along each of its
+    elements gives the same images as pushing it forward.
+    """
+    return min(tuple(point[a[e]] for e in labels) for a in map(EdgePermutation.as_dict, stabilizer))
 
 
 @dataclass(frozen=True)
@@ -368,34 +371,21 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
     enriched structure, which is matched back to its cell representative.
     All translates must produce one and the same (cell, orbit point) pair.
     """
-    cells_of = {}  # every census graph with edges has a cell; dicts keep the census order
-    for c in enumerate_cells(g):
-        if c.weighted.graph.n_edges:
-            cells_of.setdefault(c.weighted, []).append(c)
-    graphs = list(cells_of)
+    census = [walked for walked in _census(g) if walked[0].graph.n_edges]
     rng = random.Random(seed)
-    per_graph = [n_points // len(graphs) + (1 if i < n_points % len(graphs) else 0) for i in range(len(graphs))]
+    per_graph = [n_points // len(census) + (1 if i < n_points % len(census) else 0) for i in range(len(census))]
     failures = []
     checked = 0
-    for wg, budget in zip(graphs, per_graph):
+    for (wg, auts, structs, orbit), budget in zip(census, per_graph):
         graph = wg.graph
         labels = graph.edge_labels
-        auts = [(a.as_dict(), a.inverse().as_dict()) for a in automorphisms(wg)]
-        structs = enriched_structures(graph)
+        moves = {a: a.as_dict() for a in auts}
         cones = [structure_cone(eg) for eg in structs]
-        # each structure in a cell's orbit, with the automorphisms t carrying
-        # the cell's representative onto it (kept as their inverses)
-        cell_of, carriers = {}, {}
-        for c in cells_of[wg]:
-            for t, t_inv in auts:
-                q = c.preorder.relabel(t)
-                cell_of.setdefault(q, c)
-                carriers.setdefault((c.index, q), []).append(t_inv)
         for _ in range(budget):
             x = {e: Fraction(rng.randint(1, 256), rng.randint(1, 64)) for e in labels}
             vec = tuple(x[e] for e in labels)
             lifts = set()
-            for s, _ in auts:
+            for s in moves.values():
                 y = _permute_point(s, x)
                 p = locate(graph, y).preorder
                 point = tuple(y[e] for e in labels)
@@ -403,12 +393,14 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
                 if hits != [p]:
                     failures.append((repr(wg), vec, "open cones not disjoint"))
                     continue
-                cell = cell_of[p]
-                cands = {_canonical_cell_point(cell, _permute_point(t_inv, y)) for t_inv in carriers[(cell.index, p)]}
+                rep, carriers = orbit[p]
+                # y pulled back along each automorphism carrying the representative onto p
+                pulled = ({e: y[moves[t][e]] for e in labels} for t in carriers)
+                cands = {_canonical_cell_point(labels, orbit[rep][1], z) for z in pulled}
                 if len(cands) != 1:
                     failures.append((repr(wg), vec, "orbit point not well defined"))
                     continue
-                lifts.add((cell.index, cands.pop()))
+                lifts.add((rep, cands.pop()))
             if len(lifts) != 1:
                 failures.append((repr(wg), vec, f"{len(lifts)} lifts"))
             checked += 1

@@ -395,18 +395,5 @@ def all_preorders(ground):
             if m & 1:
                 rows[i] |= 1 << j
             m >>= 1
-        ok = True
-        for i in range(n):
-            acc = rows[i]
-            row = rows[i]
-            j = 0
-            while row:
-                if row & 1:
-                    acc |= rows[j]
-                row >>= 1
-                j += 1
-            if acc != rows[i]:
-                ok = False
-                break
-        if ok:
+        if _closed(list(rows)) == rows:
             yield Preorder._family(labels, [tuple(rows)])[0]

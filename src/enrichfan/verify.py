@@ -36,6 +36,11 @@ from .toric import (
 )
 
 
+COVER_POINTS = 1000  # seeded points per corpus graph in the orthant-cover check
+TORUS_TRIALS = 100  # seeded torus points per relation check
+LIFT_POINTS = 500  # sampled length vectors in the genus-2 lift check
+
+
 def _positive_points(labels, count, rng):
     return [tuple(Fraction(rng.randint(1, 256), rng.randint(1, 64)) for _ in labels) for _ in range(count)]
 
@@ -102,12 +107,12 @@ def _star_failures(name: str, g) -> list:
     return [] if same else [f"{name}: star pipeline disagrees with direct fan"]
 
 
-def check_cover(seed: int, points_per_graph: int = 1000) -> list:
+def check_cover(seed: int) -> list:
     failures = []
     rng = random.Random(seed)
     for name, g in corpus.corpus_graphs().items():
         grid = [tuple(map(Fraction, p)) for p in itertools.product([1, 2, 3, 4], repeat=g.n_edges)]
-        failures += _cover_failures(name, enriched_structures(g), grid + _positive_points(g.edge_labels, points_per_graph, rng))
+        failures += _cover_failures(name, enriched_structures(g), grid + _positive_points(g.edge_labels, COVER_POINTS, rng))
     return failures
 
 
@@ -153,7 +158,7 @@ def check_quotient_identities() -> list:
     return failures
 
 
-def check_kernel_and_torus(seed: int, trials: int = 100) -> list:
+def check_kernel_and_torus(seed: int) -> list:
     failures = []
     rng = random.Random(seed)
     from .lattices import kernel_lattice
@@ -169,7 +174,7 @@ def check_kernel_and_torus(seed: int, trials: int = 100) -> list:
         computed = len(kernel_lattice(rows, g.n_edges - 1))
         if computed != kernel_rank(g):
             failures.append(f"{name}: normal-form kernel rank {computed} != formula {kernel_rank(g)}")
-        if not torus_point_check(g, seed=rng.randint(0, 10**6), trials=trials):
+        if not torus_point_check(g, seed=rng.randint(0, 10**6), trials=TORUS_TRIALS):
             failures.append(f"{name}: a relation failed at a torus point")
         rels = equations(g)
         if rels:
@@ -180,7 +185,7 @@ def check_kernel_and_torus(seed: int, trials: int = 100) -> list:
     return failures
 
 
-def check_genus_two_moduli(seed: int, n_points: int = 500) -> list:
+def check_genus_two_moduli(seed: int) -> list:
     failures = []
     graphs = enumerate_stable_weighted_graphs(2)
     if len(graphs) != 7:
@@ -194,7 +199,7 @@ def check_genus_two_moduli(seed: int, n_points: int = 500) -> list:
         failures.append("maximal cells are not two of dimension 3")
     if sorted(c.aut_order for c in maximal) != [2, 2]:
         failures.append("maximal cell automorphism orders are not [2, 2]")
-    lift = check_unique_lifts(2, seed=seed, n_points=n_points)
+    lift = check_unique_lifts(2, seed=seed, n_points=LIFT_POINTS)
     if lift.failures:
         failures.append(f"{len(lift.failures)} lift failures: {lift.failures[:3]}")
     return failures

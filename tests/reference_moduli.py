@@ -7,23 +7,38 @@ through ``cell_specializes_to``, which enumerates the specializations of
 the source and compares two n!-ordering canonical keys per
 specialization.  ``_canonical_key``, ``_indexed`` and ``_frame_map`` are the
 frame map as ``moduli`` computed it before the key search moved to
-``graphs``; the frames and edge maps must not change.
+``graphs``; the frames and edge maps must not change.  ``_structure_orbits``,
+``enumerate_cells`` and ``check_unique_lifts`` are the census cells and the
+lift check from before the census became one walk: the lift check builds
+the cells, automorphisms, structures and orbits again for itself, and
+every cell goes through the checking ``ModuliCell`` constructor.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
 
-from enrichfan.enriched import specializations
+from enrichfan.cones import containing, structure_cone
+from enrichfan.enriched import enriched_structures, locate, specializations
 from enrichfan.errors import GuardExceededError
-from enrichfan.graphs import MultiGraph, WeightedGraph, contract_weighted, genus, is_stable, weighted_isomorphisms
+from enrichfan.graphs import (
+    MultiGraph,
+    WeightedGraph,
+    automorphisms,
+    contract_weighted,
+    genus,
+    is_stable,
+    weighted_isomorphisms,
+)
 from enrichfan.moduli import (
     GENUS_GUARD,
     CellClassification,
+    LiftReport,
     ModuliCell,
     _compositions,
     _graph_from_key,
-    enumerate_cells,
 )
 
 
@@ -194,3 +209,103 @@ def classify_cells(g: int, genus_guard: int = GENUS_GUARD) -> CellClassification
     return CellClassification(
         tuple(maximal), tuple(t_a), tuple(t_b), tuple(t_c), closure_counts, connected
     )
+
+
+def _structure_orbits(wg: WeightedGraph):
+    """Orbits of enriched structures under Aut(graph, weights).
+
+    Each orbit comes as its least structure together with that structure's
+    stabilizer, which is what ``aut_enriched`` returns for it.
+    """
+    auts = automorphisms(wg)
+    structs = [eg.preorder for eg in enriched_structures(wg.graph)]
+    remaining = set(structs)
+    orbits = []
+    for p in structs:  # canonical order: the first uncovered structure is its orbit's least
+        if p not in remaining:
+            continue
+        images = [p.relabel(a.as_dict()) for a in auts]
+        assert remaining.issuperset(images)
+        remaining.difference_update(images)
+        orbits.append((p, tuple(a for a, q in zip(auts, images) if q == p)))
+    return orbits
+
+
+def enumerate_cells(g: int) -> list:
+    """One cell per isomorphism class of stable weighted enriched graph."""
+    cells = []
+    for wg in enumerate_stable_weighted_graphs(g):
+        for rep, stabilizer in _structure_orbits(wg):
+            cells.append(ModuliCell(len(cells), wg, rep, g, stabilizer))
+    return cells
+
+
+def _permute_point(perm_dict, point):
+    """Push a point forward along an edge permutation: (s.x)_{s(e)} = x_e."""
+    return {perm_dict[e]: v for e, v in point.items()}
+
+
+def _canonical_cell_point(cell: ModuliCell, point: dict) -> tuple:
+    labels = cell.weighted.graph.edge_labels
+    best = None
+    for a in cell.aut:
+        moved = _permute_point(a.as_dict(), point)
+        key = tuple(moved[e] for e in labels)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftReport:
+    """Every sampled length vector lifts to exactly one enriched cell point.
+
+    For each stable weighted graph, sample positive rational points x and
+    push them around Aut(graph, weights); each translate locates an
+    enriched structure, which is matched back to its cell representative.
+    All translates must produce one and the same (cell, orbit point) pair.
+    """
+    cells_of = {}  # every census graph with edges has a cell; dicts keep the census order
+    for c in enumerate_cells(g):
+        if c.weighted.graph.n_edges:
+            cells_of.setdefault(c.weighted, []).append(c)
+    graphs = list(cells_of)
+    rng = random.Random(seed)
+    per_graph = [n_points // len(graphs) + (1 if i < n_points % len(graphs) else 0) for i in range(len(graphs))]
+    failures = []
+    checked = 0
+    for wg, budget in zip(graphs, per_graph):
+        graph = wg.graph
+        labels = graph.edge_labels
+        auts = [(a.as_dict(), a.inverse().as_dict()) for a in automorphisms(wg)]
+        structs = enriched_structures(graph)
+        cones = [structure_cone(eg) for eg in structs]
+        # each structure in a cell's orbit, with the automorphisms t carrying
+        # the cell's representative onto it (kept as their inverses)
+        cell_of, carriers = {}, {}
+        for c in cells_of[wg]:
+            for t, t_inv in auts:
+                q = c.preorder.relabel(t)
+                cell_of.setdefault(q, c)
+                carriers.setdefault((c.index, q), []).append(t_inv)
+        for _ in range(budget):
+            x = {e: Fraction(rng.randint(1, 256), rng.randint(1, 64)) for e in labels}
+            vec = tuple(x[e] for e in labels)
+            lifts = set()
+            for s, _ in auts:
+                y = _permute_point(s, x)
+                p = locate(graph, y).preorder
+                point = tuple(y[e] for e in labels)
+                hits = [structs[i].preorder for i in containing(cones, point)]
+                if hits != [p]:
+                    failures.append((repr(wg), vec, "open cones not disjoint"))
+                    continue
+                cell = cell_of[p]
+                cands = {_canonical_cell_point(cell, _permute_point(t_inv, y)) for t_inv in carriers[(cell.index, p)]}
+                if len(cands) != 1:
+                    failures.append((repr(wg), vec, "orbit point not well defined"))
+                    continue
+                lifts.add((cell.index, cands.pop()))
+            if len(lifts) != 1:
+                failures.append((repr(wg), vec, f"{len(lifts)} lifts"))
+            checked += 1
+    return LiftReport(g, checked, tuple(failures))

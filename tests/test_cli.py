@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -18,6 +19,20 @@ def run_cli(capsys, *argv):
 TRIANGLE = "vertices: v1 v2 v3; a: v1 v2; b: v1 v3; c: v2 v3"
 THETA = "vertices: u v; a: u v; b: u v; c: u v"
 DOUBLED = "vertices: a b d; e1: b d; e2: b d; e3: a b; e4: a d"
+
+# SHA-256 of the output of `enrichfan moduli cells -g G --format F`: the
+# census, the gluing and the three renderings must keep these bytes
+CELLS_SHA256 = {
+    (1, "json"): "95c75eae4de4d0c6715c74361e6a62a3c9427983f4e41c0628991be20bc04a80",
+    (1, "dot"): "ffae800d144dbf7daa8d8105388a688d675e519eaba3e08e00e66df41f8d334f",
+    (1, "text"): "92300f1d8886477858a7e3f43e24b36324f044b713967fd78a711e5a5f86e77c",
+    (2, "json"): "35386fe37a85c612073b361222c4fa456568b4f6ab146c854f7a04316e98fc6e",
+    (2, "dot"): "53ba0a2a9ec64fc2269ffe94e6dc27f3bf7ab85e1a22bc33638befeaac5bb491",
+    (2, "text"): "45330c6fa4acf00a1da22abd27fd295d44b3437b7836b02a5525920ee1b5ccc2",
+    (3, "json"): "cdfff85a913ceb5d83a70e3945c6b0bf83ac7f0bed2152dfeb8323cff52f6d50",
+    (3, "dot"): "ecb6a2e7d911e78894a98934c0cb3c9e8788855b2b8359118663169359c82f66",
+    (3, "text"): "9b6ec8a8e28e484647a36b20bda8ec337469dcdcd39669a8eb1c5edf5108cd90",
+}
 
 
 class TestGraphInfo:
@@ -43,6 +58,20 @@ class TestGraphInfo:
     def test_missing_input_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "graph", "info")
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("token", ["--5", "\u00b2"])
+    def test_token_that_is_not_an_integer_stays_a_string(self, capsys, token):
+        text = f"vertices: {token} u; a: {token} u"
+        code, out, err = run_cli(capsys, "graph", "info", "--inline", text, "--format", "json")
+        assert code == EXIT_OK and err == ""
+        graph = json.loads(out)["graph"]
+        assert {v["id"] for v in graph["vertices"]} == {token, "u"}
+        assert sorted(graph["edges"][0]["ends"], key=str) == sorted([token, "u"], key=str)
+
+    def test_signed_decimal_token_is_an_integer(self, capsys):
+        code, out, _ = run_cli(capsys, "graph", "info", "--inline", "vertices: -5 u; 7: -5 u", "--format", "json")
+        graph = json.loads(out)["graph"]
+        assert code == EXIT_OK and graph["edges"] == [{"label": 7, "ends": [-5, "u"]}]
 
 
 class TestEnriched:
@@ -216,6 +245,12 @@ class TestModuli:
         code, out, _ = run_cli(capsys, "moduli", "cells", "-g", "2")
         assert code == EXIT_OK and "9 cells, 2 maximal" in out
         assert calls == [2]
+
+    @pytest.mark.parametrize("genus, fmt", list(CELLS_SHA256))
+    def test_cells_output_is_pinned(self, capsys, genus, fmt):
+        code, out, err = run_cli(capsys, "moduli", "cells", "-g", str(genus), "--format", fmt)
+        assert code == EXIT_OK and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == CELLS_SHA256[genus, fmt]
 
     def test_guard(self, capsys):
         code, _, _ = run_cli(capsys, "moduli", "cells", "-g", "9")

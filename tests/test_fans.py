@@ -227,6 +227,37 @@ class TestQuotientFan:
             quotient_fan(fan, lq)
 
 
+class TestSupportContains:
+    def test_matches_per_cone_closure_test(self):
+        """``support_contains`` against each maximal cone's own closure test,
+        on seeded points, points on the faces of maximal cones, and floats."""
+        rng = random.Random(6208)
+        tri = corpus.triangle()
+        labels = ("x", "y", "z")
+        fans = [
+            fan_of_graph(tri),
+            fan_of_graph(corpus.doubled_triangle()),
+            star_subdivision(octant_fan(labels), coordinate_cone(labels, ("x", "y"))),
+            quotient_fan(fan_of_graph(tri), graph_lattice_quotient(tri)),
+            Fan.from_cones(("x", "y"), [RationalCone.from_rays(("x", "y"), [(1, 0), (1, 2)])]),
+        ]
+        outcomes = set()
+        for fan in fans:
+            n = fan.ambient_rank
+            points = [tuple(Fraction(rng.randint(-16, 64), rng.randint(1, 16)) for _ in range(n)) for _ in range(40)]
+            for c in fan.maximal:
+                face = rng.sample(c.rays, rng.randint(0, len(c.rays)))
+                on_face = [sum(Fraction(rng.randint(1, 9), rng.randint(1, 4)) * r[i] for r in face) for i in range(n)]
+                points.append(tuple(on_face))
+                points.append(tuple(v - Fraction(1, 97) * (i == 0) for i, v in enumerate(on_face)))
+            points += [tuple(rng.choice([0.0, 0.1, 0.5, -0.25, 3.0, 1e-9]) for _ in range(n)) for _ in range(20)]
+            for x in points:
+                expected = any(c.closure_contains(x) for c in fan.maximal)
+                assert fan.support_contains(x) == expected, (fan, x)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+
 class TestLocateStratum:
     def test_boundary_points(self):
         g = corpus.triangle()

@@ -68,10 +68,10 @@ class TestStableEnumeration:
         assert not isinstance(exc.value, GuardExceededError)
 
     def test_no_duplicates_up_to_iso(self):
-        from enrichfan.moduli import _canonical_weighted_key
+        from enrichfan.moduli import _frame_map
 
         for g in (2, 3):
-            keys = [_canonical_weighted_key(wg) for wg in enumerate_stable_weighted_graphs(g)]
+            keys = [_frame_map(wg)[0] for wg in enumerate_stable_weighted_graphs(g)]
             assert len(keys) == len(set(keys))
 
 
@@ -257,15 +257,15 @@ class TestExplicitLift:
         # the length vector (1, 2, 4) on the theta graph sits in the cell of
         # the generic structure with bottom {a}, whose stabilizer has order 2
         from enrichfan.enriched import locate
-        from enrichfan.moduli import _canonical_weighted_key
+        from enrichfan.moduli import _frame_map
 
         g = corpus.theta(3)
         wg = corpus.zero_weights(g)
         located = locate(g, {"a": 1, "b": 2, "c": 4})
         assert located.preorder.global_minima() == frozenset({"a"})
         cells = enumerate_cells(2)
-        key = _canonical_weighted_key(wg)
-        theta_cells = [c for c in cells if _canonical_weighted_key(c.weighted) == key]
+        key = _frame_map(wg)[0]
+        theta_cells = [c for c in cells if _frame_map(c.weighted)[0] == key]
         from enrichfan.graphs import weighted_isomorphisms
 
         hits = [
@@ -291,9 +291,9 @@ class TestGenusThree:
             assert all(graph.valence(v) == 3 for v in graph.vertices)
             assert c.preorder.is_partial_order()
         # five trivalent genus-3 weighted graphs underlie the maximal cells
-        from enrichfan.moduli import _canonical_weighted_key
+        from enrichfan.moduli import _frame_map
 
-        assert len({_canonical_weighted_key(c.weighted) for c in maximal}) == 5
+        assert len({_frame_map(c.weighted)[0] for c in maximal}) == 5
 
 
 def least_remaining_cells(g):

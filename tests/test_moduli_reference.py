@@ -4,18 +4,20 @@ pairwise reference and against structural facts of the genus-3 moduli."""
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_moduli as ref
+from enrichfan import enriched, moduli
 from enrichfan.graphs import MultiGraph, WeightedGraph, weighted_isomorphisms
 from enrichfan.moduli import (
     ModuliCell,
-    _canonical_weighted_key,
     _frame_map,
     _graph_from_key,
     aut_enriched,
     cell_adjacency,
     cell_specializes_to,
+    check_unique_lifts,
     classify_cells,
     enumerate_cells,
     enumerate_stable_weighted_graphs,
@@ -62,17 +64,17 @@ class TestKeys:
         rng = random.Random(4011)
         for g in (1, 2, 3):
             for wg in enumerate_stable_weighted_graphs(g):
-                assert _canonical_weighted_key(wg) == ref._canonical_weighted_key(wg)
+                assert _frame_map(wg)[0] == ref._canonical_weighted_key(wg)
                 assert _frame_map(wg) == ref._frame_map(wg)
                 for _ in range(3):
                     moved, _ = relabelled(wg, rng)
-                    assert _canonical_weighted_key(moved) == ref._canonical_weighted_key(wg)
+                    assert _frame_map(moved)[0] == ref._canonical_weighted_key(wg)
                     assert _frame_map(moved) == ref._frame_map(moved)
 
     @settings(max_examples=150, deadline=None)
     @given(weighted_multigraphs())
     def test_any_weighted_multigraph(self, wg):
-        assert _canonical_weighted_key(wg) == ref._canonical_weighted_key(wg)
+        assert _frame_map(wg)[0] == ref._canonical_weighted_key(wg)
 
     @settings(max_examples=150, deadline=None)
     @given(weighted_multigraphs())
@@ -87,6 +89,52 @@ class TestCensus:
     def test_same_graphs_in_the_same_order(self):
         for g in (1, 2, 3):
             assert enumerate_stable_weighted_graphs(g) == ref.enumerate_stable_weighted_graphs(g)
+
+
+def cell_fields(cells) -> list:
+    return [(c.index, c.weighted, c.preorder, c.aut) for c in cells]
+
+
+class TestCensusWalk:
+    def test_cells_match_reference(self):
+        for g in (1, 2, 3):
+            assert cell_fields(enumerate_cells(g)) == cell_fields(ref.enumerate_cells(g))
+
+    @pytest.mark.parametrize("g, seed, n_points", [(2, 2024, 500), (2, 11, 500), (2, 20240, 500), (3, 17, 82)])
+    def test_lift_report_matches_reference(self, g, seed, n_points):
+        # 82 points at genus 3 give each of its 41 graphs with edges two
+        report = check_unique_lifts(g, seed=seed, n_points=n_points)
+        assert report.points_checked == n_points
+        assert report == ref.check_unique_lifts(g, seed=seed, n_points=n_points)
+
+    def test_wrong_locate_fails_alike(self, monkeypatch):
+        """A ``locate`` that always answers the canonical structure breaks the
+        lifts; the walk must report the same failures as the reference."""
+
+        def canonical_locate(g, x):
+            return enriched.canonical_structure(g)
+
+        monkeypatch.setattr(moduli, "locate", canonical_locate)
+        monkeypatch.setattr(ref, "locate", canonical_locate)
+        report = check_unique_lifts(2, seed=2024, n_points=60)
+        assert report.failures
+        assert report == ref.check_unique_lifts(2, seed=2024, n_points=60)
+
+    def test_census_and_gluing_check_no_structure_again(self, monkeypatch):
+        calls = []
+        real = enriched.is_enriched
+
+        def counted(g, p):
+            calls.append(p)
+            return real(g, p)
+
+        monkeypatch.setattr(enriched, "is_enriched", counted)
+        cells = enumerate_cells(3)
+        cell_adjacency(cells)
+        assert calls == []
+        c = cells[-1]  # the public constructor still checks
+        assert ModuliCell(c.index, c.weighted, c.preorder, c.genus, c.aut) == c
+        assert calls == [c.preorder]
 
 
 def genus_three_sample(count: int = 12, seed: int = 3301) -> list:
