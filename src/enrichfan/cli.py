@@ -86,8 +86,8 @@ def cmd_graph_info(args) -> int:
         "n_edges": g.n_edges,
         "connected": g.is_connected(),
         "biconnected": is_biconnected(g),
-        "blocks": [sorted(map(str, b.edge_labels)) for b in blocks],
-        "bonds": [sorted(map(str, b.edges)) for b in bonds(g)] if g.is_connected() else None,
+        "blocks": [list(b.edge_labels) for b in blocks],
+        "bonds": [list(b.sorted_edges()) for b in bonds(g)] if g.is_connected() else None,
         "genus": genus(wg) if g.is_connected() else None,
         "stable": is_stable(wg),
     }
@@ -95,8 +95,8 @@ def cmd_graph_info(args) -> int:
         f"vertices: {g.n_vertices}  edges: {g.n_edges}",
         f"connected: {data['connected']}  biconnected: {data['biconnected']}  stable: {data['stable']}",
         f"genus: {data['genus']}",
-        "blocks: " + "; ".join(",".join(b) for b in data["blocks"]),
-        "bonds: " + ("; ".join(",".join(b) for b in data["bonds"]) if data["bonds"] else "-"),
+        "blocks: " + "; ".join(",".join(map(str, b)) for b in data["blocks"]),
+        "bonds: " + ("; ".join(",".join(map(str, b)) for b in data["bonds"]) if data["bonds"] else "-"),
     ]
     _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=lambda: graph_to_dot(wg))
     return EXIT_OK

@@ -11,16 +11,17 @@ and specialization.  A graph is the tuple of vertex-index ends of its
 edges in ``edge_labels`` order (``graphs.edge_ends``), a subgraph is a
 bitmask over those edge indices, and a structure is its tuple of preorder
 rows over the same indices.  On a single block the core takes a bottom
-class, contracts it (a union-find over vertex ids) and recurses; otherwise
-it splits the mask with ``graphs.block_masks`` and combines the blocks'
-rows.  Rows come out closed: a bottom row is the whole current mask and
-block rows are ORed.  A dict scoped to one call memoizes subproblems on
-the mask together with the renumbered contracted ends; nothing is cached
-between calls.  The consumers differ only in the bottom classes they
-offer: every nonempty subset (enumeration), the rows equal to the mask
-(validation, which accepts exactly when the rebuilt rows are the given
-ones), the argmin set (location), or the subsets closed downwards under
-the preorder the results must contain (specialization).
+class, contracts it (``_state``, which merges vertices with the one
+union-find, ``graphs._roots``) and recurses; otherwise it splits the mask
+with ``graphs.block_masks`` and combines the blocks' rows.  Rows come out
+closed: a bottom row is the whole current mask and block rows are ORed.
+A dict scoped to one call memoizes subproblems on the mask together with
+the renumbered contracted ends; nothing is cached between calls.  The
+consumers differ only in the bottom classes they offer: every nonempty
+subset (enumeration), the rows equal to the mask (validation, which
+accepts exactly when the rebuilt rows are the given ones), the argmin set
+(location), or the subsets closed downwards under the preorder the
+results must contain (specialization).
 
 Structures the core builds are correct by construction, so
 ``enriched_structures``, ``locate`` and ``specializations`` create their
@@ -35,7 +36,7 @@ from fractions import Fraction
 from operator import or_
 
 from .errors import GroundSetMismatchError, NotABondError, UnknownLabelError
-from .graphs import Bond, MultiGraph, biconnected_components, bits, block_masks, bonds, contract, edge_ends, label_key, sort_labels
+from .graphs import Bond, MultiGraph, _roots, biconnected_components, bits, block_masks, bonds, contract, edge_ends, label_key, sort_labels
 from .preorders import Preorder, _transpose
 
 
@@ -88,21 +89,11 @@ def _state(ends: tuple, keep: int, merge: int = 0) -> tuple:
     ``keep`` get ``None``, so equal subproblems reached along different
     paths get equal states.
     """
-    parent = {}
-
-    def find(x):
-        while x in parent:
-            x = parent[x]
-        return x
-
-    for e in bits(merge):
-        u, v = map(find, ends[e])
-        if u != v:
-            parent[v] = u
+    root = _roots(map(ends.__getitem__, bits(merge)))
     out = [None] * len(ends)
     number = {}
     for e in bits(keep):
-        a, b = (number.setdefault(find(x), len(number)) for x in ends[e])
+        a, b = (number.setdefault(root.get(x, x), len(number)) for x in ends[e])
         out[e] = (a, b) if a <= b else (b, a)
     return tuple(out)
 

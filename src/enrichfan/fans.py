@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import RationalCone, closed_structure_cone, containing, structure_cone
-from .enriched import EnrichedGraph, enriched_structures, generic_structures
+from .enriched import EnrichedGraph, enriched_structures, generic_structures, locate
 from .errors import NotStronglyConvexError
-from .graphs import MultiGraph, contract, is_biconnected, label_key, sort_labels
+from .graphs import MultiGraph, biconnected_components, contract, is_biconnected, label_key, sort_labels
 from .lattices import LatticeQuotient, linearly_independent, primitive
 
 
@@ -33,14 +33,14 @@ class Fan:
             if c.labels != labels:
                 raise ValueError("all cones must live in the fan's ambient lattice")
             dedup[c.rays] = c.closure()
-        # drop cones that are faces of others
-        keys = sorted(dedup, key=lambda r: (-len(r), r))
-        kept = []
-        for r in keys:
-            if not any(set(r) < set(k.rays) for k in kept):
-                kept.append(dedup[r])
-        kept.sort(key=lambda c: c.rays)
-        return Fan(labels, tuple(kept))
+        # drop cones that are faces of others; only a cone with more rays can
+        # have a given cone as a proper face, and those are kept first
+        kept = {}  # rays -> ray set, most rays first
+        for r in sorted(dedup, key=lambda r: (-len(r), r)):
+            rs = frozenset(r)
+            if not any(rs < k for k in itertools.takewhile(lambda k: len(k) > len(rs), kept.values())):
+                kept[r] = rs
+        return Fan(labels, tuple(dedup[r] for r in sorted(kept)))
 
     @property
     def ambient_rank(self) -> int:
@@ -154,8 +154,6 @@ def fan_strata(g: MultiGraph) -> list:
 
 def locate_stratum(g: MultiGraph, x) -> Stratum:
     """The unique stratum whose relatively open cone contains ``x >= 0``."""
-    from .enriched import locate
-
     zero = frozenset(e for e in g.edge_labels if Fraction(x[e]) == 0)
     positive = {e: x[e] for e in g.edge_labels if e not in zero}
     eg = locate(contract(g, zero), positive)
@@ -238,8 +236,6 @@ def fan_product(f1: Fan, f2: Fan) -> Fan:
 
 def graph_lattice_quotient(g: MultiGraph) -> LatticeQuotient:
     """Quotient of the edge lattice by the all-ones vector of every block."""
-    from .graphs import biconnected_components
-
     labels = g.edge_labels
     gens = []
     for comp in biconnected_components(g):

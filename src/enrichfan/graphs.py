@@ -5,6 +5,11 @@ Contraction never relabels an edge, so the edge set of a contracted graph
 is literally a subset of the original's.  All values are immutable after
 construction and every operation is a pure function.
 
+Every vertex merge is decided by one union-find on vertex indices,
+``_roots``: contraction and its weights, connected components, the
+connectivity of a bond's two sides, ``enriched._state`` and the census's
+connectivity test all read the classes it returns.
+
 Weighted-graph isomorphism is decided by one search,
 ``_canonical_orderings``: it gives the canonical key that ``moduli`` files
 its census and frames under, and the orderings attaining it, from which
@@ -45,7 +50,7 @@ def sort_labels(xs) -> tuple:
 class MultiGraph:
     """A multigraph with loops and globally unique, stable edge labels."""
 
-    __slots__ = ("_vertices", "_vset", "_labels", "_ends", "_adj", "_hash")
+    __slots__ = ("_vertices", "_vset", "_labels", "_ends", "_hash")
 
     def __init__(self, vertices, edges):
         """Build a graph from vertex ids and a ``label -> (u, v)`` mapping.
@@ -65,16 +70,10 @@ class MultiGraph:
             if v not in vset:
                 raise UnknownVertexError(f"unknown vertex {v!r}")
             ends[label] = tuple(sorted((u, v), key=label_key))
-        adj = {v: [] for v in vs}
-        for label, (u, v) in ends.items():
-            adj[u].append((label, v))
-            if u != v:
-                adj[v].append((label, u))
         self._vertices = vs
         self._vset = vset
         self._labels = sort_labels(ends)
         self._ends = ends
-        self._adj = {v: tuple(sorted(nb, key=lambda t: label_key(t[0]))) for v, nb in adj.items()}
         self._hash = hash((vs, tuple((e, ends[e]) for e in self._labels)))
 
     @property
@@ -113,7 +112,8 @@ class MultiGraph:
         """Edges at ``v`` as ``(label, other_end)`` pairs; loops appear once."""
         if v not in self._vset:
             raise UnknownVertexError(f"unknown vertex {v!r}")
-        return self._adj[v]
+        pairs = ((e, self._ends[e]) for e in self._labels)
+        return tuple((e, b if a == v else a) for e, (a, b) in pairs if v in (a, b))
 
     def valence(self, v) -> int:
         """Number of edge ends at ``v``; a loop contributes 2."""
@@ -139,23 +139,12 @@ class MultiGraph:
         return MultiGraph(self._vertices, {e: uv for e, uv in self._ends.items() if e not in labels})
 
     def connected_components(self) -> tuple:
-        """Vertex sets of the connected components, canonically ordered."""
-        seen = set()
-        comps = []
-        for root in self._vertices:
-            if root in seen:
-                continue
-            comp = {root}
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for _, w in self._adj[v]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return tuple(comps)
+        """Vertex sets of the connected components, in order of their least vertex."""
+        root = _roots(edge_ends(self))
+        comps = {}
+        for i, v in enumerate(self._vertices):
+            comps.setdefault(root.get(i, i), set()).add(v)
+        return tuple(map(frozenset, comps.values()))
 
     def is_connected(self) -> bool:
         return len(self._vertices) <= 1 or len(self.connected_components()) == 1
@@ -178,29 +167,39 @@ class MultiGraph:
         return f"MultiGraph([{', '.join(map(str, self._vertices))}], {{{es}}})"
 
 
+def _roots(pairs) -> dict:
+    """Merge the vertex indices joined by each pair; the one union-find.
+
+    Maps each vertex that the pairs join to a smaller one onto the least
+    vertex of its class; a vertex left out is the least of its class.
+    """
+    parent = {}
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        u, v = find(u), find(v)
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    for v in parent:
+        parent[v] = find(v)
+    return parent
+
+
 def contraction_classes(g: MultiGraph, s) -> dict:
     """Map each vertex of ``g`` to its representative in ``g/s``.
 
     The representative of a merged class is its smallest member id.
     """
-    s = frozenset(s)
-    for e in s:
-        g.ends(e)
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in s:
-        u, v = g.ends(e)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            keep, drop = sorted((ru, rv), key=label_key)
-            parent[drop] = keep
-    return {v: find(v) for v in g.vertices}
+    vs = g.vertices
+    index = {v: i for i, v in enumerate(vs)}
+    root = _roots((index[u], index[v]) for u, v in map(g.ends, frozenset(s)))
+    return {v: vs[root.get(i, i)] for i, v in enumerate(vs)}
 
 
 def contract(g: MultiGraph, s) -> MultiGraph:
@@ -341,9 +340,11 @@ class Bond:
         comp = frozenset(g.vertices) - side
         if not side or not comp:
             raise NotABondError("a bond needs a nontrivial vertex bipartition")
-        if not g.induced(side).is_connected() or not g.induced(comp).is_connected():
+        cut = g.cut_edges(side)
+        # the edges off the cut leave two classes exactly when both sides are connected
+        if len(_roots(uv for e, uv in zip(g.edge_labels, edge_ends(g)) if e not in cut)) != g.n_vertices - 2:
             raise NotABondError("both sides of a bond must induce connected subgraphs")
-        if self.edges != g.cut_edges(side):
+        if self.edges != cut:
             raise NotABondError("edge set does not match the cut of the given side")
 
     @staticmethod

@@ -42,7 +42,7 @@ from fractions import Fraction
 from .cones import containing, structure_cone
 from .enriched import EnrichedGraph, _trusted, class_inclusion, enriched_structures, locate, specializations
 from .errors import GuardExceededError
-from .graphs import EdgePermutation, MultiGraph, WeightedGraph, _canonical_orderings, automorphisms, contracted_weights, edge_ends
+from .graphs import EdgePermutation, MultiGraph, WeightedGraph, _canonical_orderings, _roots, automorphisms, contracted_weights, edge_ends
 from .preorders import Preorder
 
 GENUS_GUARD = 3
@@ -87,24 +87,6 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _connected(n: int, pairs) -> bool:
-    """Whether the edges ``pairs`` connect the vertices ``0..n-1`` (a union-find)."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    parts = n
-    for u, v in pairs:
-        a, b = find(u), find(v)
-        if a != b:
-            parent[b] = a
-            parts -= 1
-    return parts == 1
-
-
 def enumerate_stable_weighted_graphs(g: int) -> list:
     """All stable weighted graphs of genus ``g`` up to isomorphism.
 
@@ -133,7 +115,7 @@ def enumerate_stable_weighted_graphs(g: int) -> list:
                     valence[i] += 1
                     valence[j] += 1
                 # every vertex of valence below 3 needs a positive weight
-                if sum(d < 3 for d in valence) > g - b1 or not _connected(n, combo):
+                if sum(d < 3 for d in valence) > g - b1 or len(_roots(combo)) != n - 1:
                     continue
                 for weights in weightings:
                     if all(w > 0 or d >= 3 for w, d in zip(weights, valence)):

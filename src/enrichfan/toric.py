@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cones import ray_generators
 from .enriched import bond_minima, enriched_structures
 from .errors import GuardExceededError, NotABondError, NotBiconnectedError
 from .fans import good_contraction_sequence
@@ -83,8 +84,6 @@ def in_bond_sector(bp: BondProjection, minima, vec) -> bool:
 
 def bond_projection_certificate(g: MultiGraph, b: Bond) -> bool:
     """Every structure cone projects into the sector of its bond minima."""
-    from .cones import ray_generators
-
     bp = bond_projection(g, b)
     for eg in enriched_structures(g):
         minima = bond_minima(eg, b)

@@ -24,9 +24,11 @@ from .enriched import (
 )
 from .fans import fan_by_star_subdivision, fan_equal, fan_of_graph, graph_lattice_quotient, quotient_fan
 from .graphs import biconnected_components, bonds
+from .lattices import kernel_lattice
 from .moduli import check_unique_lifts, classify_cells, enumerate_cells, enumerate_stable_weighted_graphs
 from .preorders import Preorder
 from .toric import (
+    _dual_map_rows,
     blowup_schedule,
     equations,
     kernel_rank,
@@ -161,9 +163,6 @@ def check_quotient_identities() -> list:
 def check_kernel_and_torus(seed: int) -> list:
     failures = []
     rng = random.Random(seed)
-    from .lattices import kernel_lattice
-    from .toric import _dual_map_rows
-
     for name in corpus.BICONNECTED_CORPUS:
         g = corpus.CORPUS[name]()
         if g.n_edges > 5:

@@ -13,6 +13,10 @@ containing the surviving relations; the enumeration it read,
 ``_structure_rows``, comes from ``enriched_structures``, whose order is
 tested against ``_structures`` below.  The second read its arrows from
 ``specializations``.
+
+``_state`` is copied verbatim from before it merged vertices with
+``graphs._roots``: it keeps its own union-find, which joins the second
+end's class under the first's.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import itertools
 
 from enrichfan.enriched import EnrichedGraph, Specialization, _trusted, enriched_structures
 from enrichfan.formats import relation_summary
-from enrichfan.graphs import MultiGraph, contract, label_key
+from enrichfan.graphs import MultiGraph, bits, contract, label_key
 from enrichfan.preorders import Preorder
 
 
@@ -198,3 +202,29 @@ def specialization_poset_dot(g: MultiGraph, name: str = "S") -> str:
                 lines.append(f"  p{ids[sp.target.preorder]} -> p{ids[eg.preorder]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _state(ends: tuple, keep: int, merge: int = 0) -> tuple:
+    """Ends of the edges in ``keep`` once the edges in ``merge`` are contracted.
+
+    Vertices are renumbered in order of first appearance and edges outside
+    ``keep`` get ``None``, so equal subproblems reached along different
+    paths get equal states.
+    """
+    parent = {}
+
+    def find(x):
+        while x in parent:
+            x = parent[x]
+        return x
+
+    for e in bits(merge):
+        u, v = map(find, ends[e])
+        if u != v:
+            parent[v] = u
+    out = [None] * len(ends)
+    number = {}
+    for e in bits(keep):
+        a, b = (number.setdefault(find(x), len(number)) for x in ends[e])
+        out[e] = (a, b) if a <= b else (b, a)
+    return tuple(out)

@@ -7,12 +7,24 @@ vertex map one vertex at a time over candidates with the same weight,
 valence and loop count, and keeps it while every parallel count agrees.
 ``_edge_extensions`` follows, copied verbatim from before it took the
 parallel classes prebuilt: it rebuilds them for every vertex map.
+
+The rest is every vertex merge as it was decided before one union-find
+(``graphs._roots``) took them all over.  ``contraction_classes`` is copied
+verbatim, with its own union-find on vertex ids.  ``MultiGraph`` kept an
+adjacency table, ``_adj``, that ``_adjacency`` rebuilds as its constructor
+did; ``incident``, ``valence``, ``connected_components`` (a DFS over the
+table) and ``is_connected`` are the methods that read it, copied verbatim
+with ``self`` as an argument.  ``check_bond`` is ``Bond.__post_init__``,
+which asked the two induced subgraphs whether they are connected, and
+``bonds`` is ``graphs.bonds`` with that check in place of ``Bond``'s; both
+call the DFS above, so no new merge code runs in them.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from enrichfan.errors import DisconnectedGraphError, NotABondError, UnknownVertexError
 from enrichfan.graphs import EdgePermutation, MultiGraph, WeightedGraph, label_key, sort_labels
 
 
@@ -81,3 +93,111 @@ def _edge_extensions(g1: MultiGraph, g2: MultiGraph, vmap: dict):
     for combo in itertools.product(*per_class):
         pairs = tuple(sorted((p for group in combo for p in group), key=lambda t: label_key(t[0])))
         yield pairs
+
+
+def contraction_classes(g: MultiGraph, s) -> dict:
+    """Map each vertex of ``g`` to its representative in ``g/s``.
+
+    The representative of a merged class is its smallest member id.
+    """
+    s = frozenset(s)
+    for e in s:
+        g.ends(e)
+    parent = {v: v for v in g.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in s:
+        u, v = g.ends(e)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            keep, drop = sorted((ru, rv), key=label_key)
+            parent[drop] = keep
+    return {v: find(v) for v in g.vertices}
+
+
+def _adjacency(g: MultiGraph) -> dict:
+    """``MultiGraph._adj``: each vertex's ``(label, other_end)`` pairs in label order."""
+    vs = g.vertices
+    ends = {e: g.ends(e) for e in g.edge_labels}
+    adj = {v: [] for v in vs}
+    for label, (u, v) in ends.items():
+        adj[u].append((label, v))
+        if u != v:
+            adj[v].append((label, u))
+    return {v: tuple(sorted(nb, key=lambda t: label_key(t[0]))) for v, nb in adj.items()}
+
+
+def incident(self: MultiGraph, v) -> tuple:
+    """Edges at ``v`` as ``(label, other_end)`` pairs; loops appear once."""
+    if v not in self._vset:
+        raise UnknownVertexError(f"unknown vertex {v!r}")
+    return _adjacency(self)[v]
+
+
+def valence(self: MultiGraph, v) -> int:
+    """Number of edge ends at ``v``; a loop contributes 2."""
+    return sum(2 if w == v else 1 for _, w in incident(self, v))
+
+
+def connected_components(self: MultiGraph) -> tuple:
+    """Vertex sets of the connected components, canonically ordered."""
+    adj = _adjacency(self)
+    seen = set()
+    comps = []
+    for root in self._vertices:
+        if root in seen:
+            continue
+        comp = {root}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for _, w in adj[v]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return tuple(comps)
+
+
+def is_connected(self: MultiGraph) -> bool:
+    return len(self._vertices) <= 1 or len(connected_components(self)) == 1
+
+
+def check_bond(g: MultiGraph, side: frozenset, edges: frozenset) -> None:
+    """``Bond.__post_init__``: raise ``NotABondError`` unless ``side`` and ``edges`` form a bond of ``g``."""
+    if not side <= frozenset(g.vertices):
+        raise NotABondError("side contains unknown vertices")
+    comp = frozenset(g.vertices) - side
+    if not side or not comp:
+        raise NotABondError("a bond needs a nontrivial vertex bipartition")
+    if not is_connected(g.induced(side)) or not is_connected(g.induced(comp)):
+        raise NotABondError("both sides of a bond must induce connected subgraphs")
+    if edges != g.cut_edges(side):
+        raise NotABondError("edge set does not match the cut of the given side")
+
+
+def bonds(g: MultiGraph) -> list:
+    """``graphs.bonds`` on ``check_bond``, as ``(side, edges)`` pairs."""
+    if not is_connected(g):
+        raise DisconnectedGraphError("bonds are defined for connected graphs")
+    vs = g.vertices
+    if len(vs) < 2:
+        return []
+    v0, rest = vs[0], vs[1:]
+    found = []
+    for k in range(len(rest)):
+        for extra in itertools.combinations(rest, k):
+            side = frozenset((v0,) + extra)
+            try:
+                check_bond(g, side, g.cut_edges(side))
+            except NotABondError:
+                continue
+            found.append((side, g.cut_edges(side)))
+    found.sort(key=lambda b: (tuple(map(label_key, sort_labels(b[1]))), tuple(map(label_key, sort_labels(b[0])))))
+    return found

@@ -12,6 +12,11 @@ frame map as ``moduli`` computed it before the key search moved to
 lift check from before the census became one walk: the lift check builds
 the cells, automorphisms, structures and orbits again for itself, and
 every cell goes through the checking ``ModuliCell`` constructor.
+
+``_connected`` and ``enumerate_stable_weighted_graphs_on_tuples`` are the
+census on vertex-index tuples as it ran before its connectivity test went
+through ``graphs._roots``, copied verbatim (the second under a new name):
+``_connected`` is its own union-find.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from enrichfan.errors import GuardExceededError
 from enrichfan.graphs import (
     MultiGraph,
     WeightedGraph,
+    _canonical_orderings,
     automorphisms,
     contract_weighted,
     genus,
@@ -309,3 +315,57 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
                 failures.append((repr(wg), vec, f"{len(lifts)} lifts"))
             checked += 1
     return LiftReport(g, checked, tuple(failures))
+
+
+def _connected(n: int, pairs) -> bool:
+    """Whether the edges ``pairs`` connect the vertices ``0..n-1`` (a union-find)."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    parts = n
+    for u, v in pairs:
+        a, b = find(u), find(v)
+        if a != b:
+            parent[b] = a
+            parts -= 1
+    return parts == 1
+
+
+def enumerate_stable_weighted_graphs_on_tuples(g: int) -> list:
+    """All stable weighted graphs of genus ``g`` up to isomorphism.
+
+    Vertices are bounded by 2g-2 (one vertex for genus 1) and edges by
+    3g-3; representatives are rebuilt from their canonical encodings, so
+    output labeling is deterministic (vertices v1.., edges e1..).
+    Candidates are tuples of vertex-index pairs: connectivity, valence and
+    stability are checked on them, and the weights make up the genus the
+    cycles leave, so a graph is built only once per isomorphism class.
+    """
+    if g < 1:
+        raise ValueError(f"genus must be at least 1, got {g}")
+    if g > GENUS_GUARD:
+        raise GuardExceededError(f"genus must lie in 1..{GENUS_GUARD}")
+    seen = set()
+    for n in range(1, max(1, 2 * g - 2) + 1):
+        slots = [(i, j) for i in range(n) for j in range(i, n)]
+        for m in range(0, max(0, 3 * g - 3) + 1):
+            b1 = m - n + 1
+            if b1 < 0 or b1 > g:
+                continue
+            weightings = list(_compositions(g - b1, n))
+            for combo in itertools.combinations_with_replacement(slots, m):
+                valence = [0] * n
+                for i, j in combo:  # a loop counts twice
+                    valence[i] += 1
+                    valence[j] += 1
+                # every vertex of valence below 3 needs a positive weight
+                if sum(d < 3 for d in valence) > g - b1 or not _connected(n, combo):
+                    continue
+                for weights in weightings:
+                    if all(w > 0 or d >= 3 for w, d in zip(weights, valence)):
+                        seen.add(_canonical_orderings(weights, combo)[0])
+    return [_graph_from_key(k) for k in sorted(seen)]

@@ -68,6 +68,14 @@ class TestGraphInfo:
         assert {v["id"] for v in graph["vertices"]} == {token, "u"}
         assert sorted(graph["edges"][0]["ends"], key=str) == sorted([token, "u"], key=str)
 
+    def test_block_and_bond_labels_keep_their_type_and_order(self, capsys):
+        text = "vertices: u v; 10: u v; 2: u v; 3: u v"
+        code, out, _ = run_cli(capsys, "graph", "info", "--inline", text, "--format", "json")
+        data = json.loads(out)
+        assert code == EXIT_OK and data["blocks"] == [[2, 3, 10]] and data["bonds"] == [[2, 3, 10]]
+        code, out, _ = run_cli(capsys, "graph", "info", "--inline", text + "; a: u u")
+        assert code == EXIT_OK and "blocks: 2,3,10; a\n" in out and "bonds: 2,3,10\n" in out
+
     def test_signed_decimal_token_is_an_integer(self, capsys):
         code, out, _ = run_cli(capsys, "graph", "info", "--inline", "vertices: -5 u; 7: -5 u", "--format", "json")
         graph = json.loads(out)["graph"]

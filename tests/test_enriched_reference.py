@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import reference_enriched as ref
 from conftest import connected_multigraphs
 from enrichfan import corpus
-from enrichfan.enriched import enriched_structures, is_enriched, locate, specializations
+from enrichfan.enriched import _state, enriched_structures, is_enriched, locate, specializations
 from enrichfan.formats import specialization_poset_dot
 from enrichfan.graphs import MultiGraph, biconnected_components
 from enrichfan.preorders import all_preorders
@@ -145,3 +145,21 @@ def test_theta_counts():
         structs = enriched_structures(corpus.theta(n))
         assert len(structs) == 2 ** n - 1
         assert sum(eg.is_generic() for eg in structs) == n
+
+
+@st.composite
+def states(draw):
+    """Vertex-index ends, loops and parallel pairs allowed, with keep and merge masks."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple)
+    ends = tuple(draw(st.lists(pair, max_size=9)))
+    full = (1 << len(ends)) - 1
+    return ends, draw(st.integers(0, full)), draw(st.integers(0, full))
+
+
+@settings(max_examples=300, deadline=None)
+@given(states())
+def test_state_matches_reference(args):
+    ends, keep, merge = args
+    assert _state(ends, keep, merge) == ref._state(ends, keep, merge)
+    assert _state(ends, keep) == ref._state(ends, keep)

@@ -258,6 +258,64 @@ class TestSupportContains:
         assert outcomes == {True, False}
 
 
+def all_pairs_fan(labels, cones) -> Fan:
+    """``Fan.from_cones`` as it compared every pair of kept cones."""
+    labels = tuple(labels)
+    dedup = {}
+    for c in cones:
+        if c.labels != labels:
+            raise ValueError("all cones must live in the fan's ambient lattice")
+        dedup[c.rays] = c.closure()
+    # drop cones that are faces of others
+    keys = sorted(dedup, key=lambda r: (-len(r), r))
+    kept = []
+    for r in keys:
+        if not any(set(r) < set(k.rays) for k in kept):
+            kept.append(dedup[r])
+    kept.sort(key=lambda c: c.rays)
+    return Fan(labels, tuple(kept))
+
+
+class TestFromCones:
+    def test_matches_all_pairs_rule(self, monkeypatch):
+        """Every face of each maximal cone, open and closed, alone and mixed
+        with other fans' cones; one ray set given in two orders; and every
+        cone list ``fan_of_graph`` and ``quotient_fan`` hand on for the corpus."""
+        rng = random.Random(4114)
+        labels = ("x", "y", "z")
+        fans = [
+            fan_of_graph(corpus.triangle()),
+            star_subdivision(octant_fan(labels), coordinate_cone(labels, ("x", "y"))),
+            star_subdivision(octant_fan(labels), coordinate_cone(labels, labels)),
+        ]
+        inputs = []
+        for fan in fans:
+            faces = [
+                RationalCone.from_rays(labels, rays, closed=rng.random() < 0.5)
+                for c in fan.maximal
+                for k in range(len(c.rays) + 1)
+                for rays in itertools.combinations(c.rays, k)
+            ]
+            inputs.append(faces)
+            inputs.append(rng.sample(faces, len(faces) // 2))
+        inputs.append([c for cones in inputs for c in rng.sample(cones, len(cones) // 3)])
+        inputs.append([RationalCone(labels, rays) for rays in (((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 0)))])
+        inputs = [(labels, cones) for cones in inputs]
+        assert {c.dim for _, cones in inputs for c in cones} == {0, 1, 2, 3}
+        real = Fan.from_cones
+
+        def recording(ls, cs):
+            inputs.append((ls, list(cs)))
+            return real(*inputs[-1])
+
+        monkeypatch.setattr(Fan, "from_cones", staticmethod(recording))
+        for g in corpus.corpus_graphs().values():
+            quotient_fan(fan_of_graph(g), graph_lattice_quotient(g))
+        monkeypatch.undo()
+        for ls, cones in inputs:
+            assert Fan.from_cones(ls, cones) == all_pairs_fan(ls, cones)
+
+
 class TestLocateStratum:
     def test_boundary_points(self):
         g = corpus.triangle()

@@ -1,17 +1,28 @@
 """``weighted_isomorphisms`` and ``automorphisms``, read off the canonical-key
 orderings, against the backtracking search they replaced
-(``reference_graphs``), and the vertex cap of the shared search."""
+(``reference_graphs``), and the vertex cap of the shared search; and every
+vertex merge on the union-find ``graphs._roots`` (contraction classes,
+components, incidence, bond checks) against the code it replaced."""
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_graphs as ref
 from enrichfan import corpus
-from enrichfan.errors import GuardExceededError
-from enrichfan.graphs import AUTOMORPHISM_VERTICES, MultiGraph, WeightedGraph, automorphisms, weighted_isomorphisms
+from enrichfan.errors import GuardExceededError, NotABondError, UnknownEdgeError, UnknownVertexError
+from enrichfan.graphs import (
+    AUTOMORPHISM_VERTICES,
+    Bond,
+    MultiGraph,
+    WeightedGraph,
+    automorphisms,
+    bonds,
+    contraction_classes,
+    weighted_isomorphisms,
+)
 from enrichfan.moduli import enumerate_stable_weighted_graphs
 from test_moduli_reference import EDGE_NAMES, VERTEX_NAMES, relabelled
 from test_toric_reference import k4, wheel4
@@ -132,3 +143,63 @@ def test_eight_vertices_are_searched():
     path = MultiGraph(range(8), {f"p{i}": (i, i + 1) for i in range(7)})
     auts = automorphisms(WeightedGraph(path, {i: i for i in range(8)}))
     assert len(auts) == 1 and auts[0].is_identity()
+
+
+# loops, parallel edges, an isolated vertex and four components, on mixed int/str ids
+EVERY_FEATURE = WeightedGraph(
+    MultiGraph([0, 3, 7, "a", "q", "z"], {1: (0, 3), 2: (3, 0), "b": ("a", "a"), "x": ("a", "q"), 5: (7, 7), "y1": (7, 7)}),
+    {v: 0 for v in [0, 3, 7, "a", "q", "z"]},
+)
+
+
+def subsets(xs):
+    return [c for k in range(len(xs) + 1) for c in itertools.combinations(xs, k)]
+
+
+def outcome(call, *args):
+    """The value of ``call(*args)``, or the type and message of what it raised."""
+    try:
+        return call(*args)
+    except (NotABondError, UnknownEdgeError, UnknownVertexError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs(max_vertices=6, max_edges=7))
+@example(EVERY_FEATURE)
+def test_merges_match_reference(wg):
+    g = wg.graph
+    for s in subsets(g.edge_labels):
+        assert contraction_classes(g, s) == ref.contraction_classes(g, s)
+    assert outcome(contraction_classes, g, {"nope"}) == outcome(ref.contraction_classes, g, {"nope"})
+    assert outcome(contraction_classes, g, {"nope"})[0] is UnknownEdgeError
+    assert g.connected_components() == ref.connected_components(g)
+    assert g.is_connected() == ref.is_connected(g)
+    for v in g.vertices + ("nope",):
+        assert outcome(g.incident, v) == outcome(ref.incident, g, v)
+        assert outcome(g.valence, v) == outcome(ref.valence, g, v)
+
+
+def build_bond(g, side, edges) -> None:
+    """``Bond(g, side, edges)``, giving ``None`` on acceptance as ``check_bond`` does."""
+    Bond(g, side, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_multigraphs(max_vertices=6, max_edges=7))
+@example(EVERY_FEATURE)
+def test_bond_checks_match_reference(wg):
+    """Every side, with its cut and with every edge, plus a side naming an
+    unknown vertex: the same acceptance or the same refusal."""
+    g = wg.graph
+    every = frozenset(g.edge_labels)
+    sides = [frozenset(side) for side in subsets(g.vertices)] + [frozenset({"nope"})]
+    for side in sides:
+        for edges in (g.cut_edges(side), every):
+            assert outcome(build_bond, g, side, edges) == outcome(ref.check_bond, g, side, edges)
+
+
+@pytest.mark.parametrize("wg", named_graphs())
+def test_bonds_match_reference(wg):
+    g = wg.graph
+    assert [(b.side, b.edges) for b in bonds(g)] == ref.bonds(g)

@@ -90,6 +90,10 @@ class TestCensus:
         for g in (1, 2, 3):
             assert enumerate_stable_weighted_graphs(g) == ref.enumerate_stable_weighted_graphs(g)
 
+    def test_same_graphs_as_the_tuple_census_with_its_own_union_find(self):
+        for g in (1, 2, 3):
+            assert enumerate_stable_weighted_graphs(g) == ref.enumerate_stable_weighted_graphs_on_tuples(g)
+
 
 def cell_fields(cells) -> list:
     return [(c.index, c.weighted, c.preorder, c.aut) for c in cells]
