@@ -30,8 +30,8 @@ from .lattices import _echelon, _substitute, dot, invariant_factors, linearly_in
 class RationalCone:
     """A simplicial rational cone, possibly relatively open.
 
-    ``rays`` always generate the closure; ``closed`` distinguishes the
-    closed cone from its relative interior.  ``rows`` is the pair
+    ``rays``, kept sorted, generate the closure; ``closed`` distinguishes
+    the closed cone from its relative interior.  ``rows`` is the pair
     ``(equalities, facets)`` of integer rows cutting out the closure; when
     absent it is derived from the rays the first time membership is asked.
     """
@@ -42,6 +42,7 @@ class RationalCone:
     rows: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rays", tuple(sorted(self.rays)))
         if len(set(self.rays)) != len(self.rays):
             raise ValueError("duplicate rays")
         if self.rays and not linearly_independent(self.rays):
@@ -49,8 +50,7 @@ class RationalCone:
 
     @staticmethod
     def from_rays(labels, rays, closed: bool = True) -> "RationalCone":
-        prim = sorted({primitive(r) for r in rays})
-        return RationalCone(tuple(labels), tuple(prim), closed)
+        return RationalCone(tuple(labels), tuple({primitive(r) for r in rays}), closed)
 
     @property
     def dim(self) -> int:
@@ -101,7 +101,7 @@ class RationalCone:
         out = []
         for k in range(len(self.rays) + 1):
             for sub in itertools.combinations(self.rays, k):
-                out.append(RationalCone(self.labels, tuple(sorted(sub))))
+                out.append(RationalCone(self.labels, sub))
         return out
 
     def face_count(self) -> int:
@@ -130,7 +130,7 @@ class RationalCone:
                 out[i] = v
             return tuple(out)
 
-        rays = tuple(sorted(put(r) for r in self.rays))
+        rays = tuple(map(put, self.rays))
         rows = None
         if self.rows is not None:
             equalities, facets = self.rows

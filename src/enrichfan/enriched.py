@@ -6,26 +6,26 @@ below every edge whose contraction is again enriched, and on a graph with
 separating vertices the structure restricts to each block with edges of
 different blocks incomparable.
 
-One recursion core has four consumers: enumeration, validation, location
-and specialization.  A graph is the tuple of vertex-index ends of its
-edges in ``edge_labels`` order (``graphs.edge_ends``), a subgraph is a
-bitmask over those edge indices, and a structure is its tuple of preorder
-rows over the same indices.  On a single block the core takes a bottom
-class, contracts it (``_state``, which merges vertices with the one
-union-find, ``graphs._roots``) and recurses; otherwise it splits the mask
-with ``graphs.block_masks`` and combines the blocks' rows.  Rows come out
+One recursion core has three consumers: enumeration, validation and
+location.  A graph is the tuple of vertex-index ends of its edges in
+``edge_labels`` order (``graphs.edge_ends``), a subgraph is a bitmask over
+those edge indices, and a structure is its tuple of preorder rows over the
+same indices.  On a single block the core takes a bottom class, contracts
+it (``_state``, which merges vertices with the one union-find,
+``graphs._roots``) and recurses; otherwise it splits the mask with
+``graphs.block_masks`` and combines the blocks' rows.  Rows come out
 closed: a bottom row is the whole current mask and block rows are ORed.
 A dict scoped to one call memoizes subproblems on the mask together with
 the renumbered contracted ends; nothing is cached between calls.  The
 consumers differ only in the bottom classes they offer: every nonempty
 subset (enumeration), the rows equal to the mask (validation, which
-accepts exactly when the rebuilt rows are the given ones), the argmin set
-(location), or the subsets closed downwards under the preorder the
-results must contain (specialization).
+accepts exactly when the rebuilt rows are the given ones) or the argmin
+set (location).
 
-Structures the core builds are correct by construction, so
-``enriched_structures``, ``locate`` and ``specializations`` create their
-results through a trusted path that skips the checks of the public
+Specializations need no recursion: each is read off a face of the closed
+structure cone.  These and the structures the core builds are correct by
+construction, so ``enriched_structures``, ``locate`` and ``specializations``
+build their results on a trusted path that skips the checks of the public
 ``EnrichedGraph`` and ``Specialization`` constructors.
 """
 
@@ -37,14 +37,14 @@ from operator import or_
 
 from .errors import GroundSetMismatchError, NotABondError, UnknownLabelError
 from .graphs import Bond, MultiGraph, _roots, biconnected_components, bits, block_masks, bonds, contract, edge_ends, label_key, sort_labels
-from .preorders import Preorder, _transpose
+from .preorders import Preorder
 
 
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass ``cls`` built without ``__post_init__``.
 
-    Only for values the recursion core built, which pass those checks by
-    construction.
+    Only for values the recursion core or a face reading built, which pass
+    those checks by construction.
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -177,20 +177,6 @@ def is_enriched(g: MultiGraph, p: Preorder) -> bool:
     return _structure_rows(g, _bottoms_of(p.rows)) == [p.rows]
 
 
-def _refining(rows: tuple):
-    """The bottom classes a structure containing the preorder ``rows`` can
-    have: the nonempty unions of the edges' down-sets within the mask."""
-    below = _transpose(rows)
-
-    def bottoms(mask):
-        found = {0}
-        for i in bits(mask):
-            found |= {sub | below[i] & mask for sub in found}
-        return found - {0}
-
-    return bottoms
-
-
 def _canonical(found: list) -> list:
     """Structure rows in the order of their sorted lists of related pairs.
 
@@ -286,20 +272,27 @@ class Specialization:
 
 
 def specializations(eg: EnrichedGraph) -> list:
-    """All specializations of ``eg``, the identity included.
+    """All specializations of ``eg``, the identity included: one per face
+    of its closed structure cone, whose rays are the distinct rows.
 
-    A specialization is determined by the contracted lower set together
-    with the coarsened structure on the contraction.  The core builds the
-    targets whose bottom classes the surviving relations allow, and drops
-    those missing a surviving relation between edges of different blocks.
+    A face's set of rays contracts the edges on none of them, a lower set,
+    and orders the rest: ``e ≼ f`` exactly when every ray of the face
+    through ``e`` passes through ``f``.  Groups come in ``lower_sets``
+    order, each in ``_canonical`` order.
     """
+    p = eg.preorder
+    rays = list(set(p.rows))
+    through = [sum(1 << t for t, ray in enumerate(rays) if ray >> e & 1) for e in range(len(p.rows))]
+    groups = {}
+    for face in range(1 << len(rays)):
+        on = [r & face for r in through]  # the face's rays through each edge
+        kept = [a for a in on if a]
+        target = tuple(sum(1 << j for j, b in enumerate(kept) if a & ~b == 0) for a in kept)
+        groups.setdefault(sum(1 << e for e, a in enumerate(on) if not a), []).append(target)
     out = []
-    for s in eg.preorder.lower_sets():
+    for s in p.lower_sets():
         target_graph = contract(eg.graph, s)
-        surviving = eg.preorder.restrict(set(eg.graph.edge_labels) - s).rows
-        found = _structure_rows(target_graph, _refining(surviving))
-        kept = [rows for rows in found if all(o & ~r == 0 for r, o in zip(rows, surviving))]
-        for cand in Preorder._family(target_graph.edge_labels, _canonical(kept)):
+        for cand in Preorder._family(target_graph.edge_labels, _canonical(groups[p._mask(s)])):
             target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
             out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
     return out

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .cones import RationalCone, closed_structure_cone, containing, structure_cone
 from .enriched import EnrichedGraph, enriched_structures, generic_structures, locate
 from .errors import NotStronglyConvexError
-from .graphs import MultiGraph, biconnected_components, contract, is_biconnected, label_key, sort_labels
+from .graphs import MultiGraph, biconnected_components, contract, is_biconnected
 from .lattices import LatticeQuotient, linearly_independent, primitive
 
 
@@ -205,7 +205,6 @@ def good_contraction_sequence(g: MultiGraph) -> list:
             gc = contract(g, s)
             if is_biconnected(gc):
                 entries.append((s, gc))
-    entries.sort(key=lambda t: (len(t[0]), tuple(map(label_key, sort_labels(t[0])))))
     return entries
 
 

@@ -155,7 +155,7 @@ def fan_to_json_dict(fan: Fan) -> dict:
     return {
         "lattice_rank": fan.ambient_rank,
         "rays": [list(r) for r in rays],
-        "maximal_cones": sorted(sorted(index[r] for r in c.rays) for c in fan.maximal),
+        "maximal_cones": sorted([index[r] for r in c.rays] for c in fan.maximal),
     }
 
 

@@ -310,15 +310,8 @@ def classify_census(cells, adjacency) -> CellClassification:
     closure_counts = {i: len(ms) for i, ms in above.items()}
     # maximal cells are adjacent when a common codimension-one cell sits in
     # both closures; the adjacency graph must be connected
-    reached = set(maximal[:1])
-    changed = True
-    while changed:
-        changed = False
-        for ms in above.values():
-            if ms & reached and not ms <= reached:
-                reached |= ms
-                changed = True
-    connected = reached == set(maximal)
+    root = _roots((min(ms), m) for ms in above.values() for m in ms)
+    connected = len({root.get(m, m) for m in maximal}) <= 1
     return CellClassification(
         tuple(maximal), tuple(t_a), tuple(t_b), tuple(t_c), closure_counts, connected
     )

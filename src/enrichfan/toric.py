@@ -289,7 +289,7 @@ def relations_generate_kernel(g: MultiGraph, max_edges: int = 8) -> bool:
     domain, rows = _dual_map_rows(g)
     kernel = kernel_lattice(rows, len(g.edge_labels) - 1)
     rels = [relation_coordinates(domain, r) for r in equations(g, max_edges)]
-    if len(kernel) != kernel_rank(g):
+    if len(kernel) != len(domain) - (g.n_edges - 1):  # kernel_rank; len(domain) is the sum of |B| - 1
         return False
     return lattice_span_equal(rels, kernel, len(domain))
 

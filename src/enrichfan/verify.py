@@ -16,6 +16,8 @@ from fractions import Fraction
 from . import corpus
 from .cones import closed_structure_cone, containing, ray_generators, structure_cone
 from .enriched import (
+    EnrichedGraph,
+    Specialization,
     bond_minima,
     enriched_structures,
     from_bond_collection,
@@ -85,6 +87,7 @@ def _cover_failures(name: str, structs: list, points) -> list:
 
 def _rays_and_faces_failures(name: str, structs: list) -> list:
     failures = []
+    targets = {}
     for eg in structs:
         labels = eg.graph.edge_labels
         rays = ray_generators(eg)
@@ -99,8 +102,19 @@ def _rays_and_faces_failures(name: str, structs: list) -> list:
         cone = closed_structure_cone(eg)
         if not cone.is_smooth():
             failures.append(f"{name}: cone not smooth for {eg.preorder!r}")
-        if cone.face_count() != len(specializations(eg)):
-            failures.append(f"{name}: face count != specialization count for {eg.preorder!r}")
+        # each specialization passes the checking constructors (each distinct
+        # target once), and the distinct ones number one per face
+        sps = specializations(eg)
+        for sp in sps:
+            key = (sp.target.graph, sp.target.preorder)
+            try:
+                if key not in targets:
+                    targets[key] = EnrichedGraph(*key)
+                Specialization(eg, targets[key], sp.contracted)
+            except ValueError as exc:
+                failures.append(f"{name}: bad specialization of {eg.preorder!r}: {exc}")
+        if not len({(sp.contracted, sp.target.preorder) for sp in sps}) == len(sps) == cone.face_count():
+            failures.append(f"{name}: specializations are not one per face for {eg.preorder!r}")
     return failures
 
 

@@ -7,16 +7,15 @@ subset of its own.  The bodies below are the methods they replaced, with
 one ``leq``/``lt`` lookup per pair, copied verbatim with ``self`` made the
 first argument; a call from one replaced method to another goes to the
 copy here, so no reference result passes through the new code.  The old
-``cones.ray_generators`` and ``cones._structure_halfspaces`` and
-``enriched._refining`` follow; they are the reference the row versions
-are tested against.
+``cones.ray_generators`` and ``cones._structure_halfspaces`` follow;
+they are the reference the row versions are tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from enrichfan.graphs import bits, label_key, sort_labels
+from enrichfan.graphs import label_key, sort_labels
 from enrichfan.preorders import Preorder, QuotientPoset
 from reference_lattices import EQ, GE, GT, Halfspace
 
@@ -203,17 +202,3 @@ def _structure_halfspaces(eg, strict: bool) -> tuple:
         unit = tuple(1 if t == pos[q.classes[i][0]] else 0 for t in range(n))
         hs.append(Halfspace(unit, rel))
     return tuple(hs)
-
-
-def _refining(rows: tuple):
-    """The bottom classes a structure containing the preorder ``rows`` can
-    have: the nonempty unions of the edges' down-sets within the mask."""
-    below = [sum(1 << j for j, row in enumerate(rows) if row >> i & 1) for i in range(len(rows))]
-
-    def bottoms(mask):
-        found = {0}
-        for i in bits(mask):
-            found |= {sub | below[i] & mask for sub in found}
-        return found - {0}
-
-    return bottoms

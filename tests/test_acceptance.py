@@ -10,7 +10,10 @@ import json
 import time
 from collections import Counter
 
+import enrichfan.verify
 from enrichfan.cli import main
+from enrichfan.enriched import EnrichedGraph, Specialization, _trusted
+from enrichfan.preorders import Preorder
 from enrichfan.verify import (
     check_bond_round_trip,
     check_cover,
@@ -47,6 +50,31 @@ def test_criterion_2_cover():
 
 def test_criterion_3_rays_and_faces():
     _run(3, "ray generators, rank, smoothness, face counts", 30.0, check_rays_and_faces)
+
+
+def test_criterion_3_fails_on_a_planted_bad_specialization(monkeypatch):
+    real = enrichfan.verify.specializations
+
+    def not_enriched(eg):
+        sps = real(eg)
+        graph = sps[0].target.graph
+        bad = _trusted(EnrichedGraph, graph=graph, preorder=Preorder.discrete(graph.edge_labels))
+        return [_trusted(Specialization, source=eg, target=bad, contracted=sps[0].contracted)] + sps[1:]
+
+    def uncontracted(eg):
+        sps = real(eg)
+        return sps[:-1] + [_trusted(Specialization, source=eg, target=sps[-1].target, contracted=frozenset())]
+
+    plants = {
+        "a duplicate added": (lambda eg: real(eg) + real(eg)[:1], "not one per face"),
+        "a duplicate in place of another": (lambda eg: real(eg)[:-1] + real(eg)[:1], "not one per face"),
+        "a non-enriched target": (not_enriched, "triangle: bad specialization"),
+        "a target off the stated contraction": (uncontracted, "target graph must be the stated contraction"),
+    }
+    for plant, (fake, message) in plants.items():
+        monkeypatch.setattr(enrichfan.verify, "specializations", fake)
+        failures = check_rays_and_faces()
+        assert any(message in f for f in failures), plant
 
 
 def test_criterion_4_star_pipeline():

@@ -1,19 +1,23 @@
 """The bitmask recursion core against the label-keyed reference recursions,
 specialization and the poset DOT against the code that filtered every
-structure of each contraction, and the core against closed-form counts."""
+structure of each contraction, specialization against ``locate`` at the
+barycentre of each face, and the core against closed-form counts."""
 
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import reference_enriched as ref
 from conftest import connected_multigraphs
+import enrichfan.enriched
 from enrichfan import corpus
 from enrichfan.enriched import _state, enriched_structures, is_enriched, locate, specializations
 from enrichfan.formats import specialization_poset_dot
-from enrichfan.graphs import MultiGraph, biconnected_components
+from enrichfan.graphs import MultiGraph, biconnected_components, contract
 from enrichfan.preorders import all_preorders
 from test_toric_reference import k4, wheel4
 
@@ -120,6 +124,43 @@ def test_specializations_match_reference_corpus_and_wheel():
         assert_same_specializations(enriched_structures(g))
     structs = enriched_structures(wheel4())
     assert_same_specializations(structs[:2] + structs[-2:] + random.Random(9).sample(structs, 4))
+
+
+def test_specializations_never_enter_the_recursion_core(monkeypatch):
+    graphs = {**corpus.corpus_graphs(), "c5": cycle(5), "k4": k4()}
+    structs = {name: enriched_structures(g) for name, g in graphs.items()}
+
+    def refuse(*args):
+        raise AssertionError("specializations entered the recursion core")
+
+    monkeypatch.setattr(enrichfan.enriched, "_rows", refuse)
+    for name, found in structs.items():
+        for eg in found:
+            assert len(specializations(eg)) == 2 ** eg.rank, name
+
+
+def located_faces(eg):
+    """``(zero set, located preorder)`` at the barycentre of each face of
+    the closed structure cone, the sum of the face's rays."""
+    g = eg.graph
+    rays = sorted(set(eg.preorder.rows))
+    out = []
+    for k in range(len(rays) + 1):
+        for face in itertools.combinations(rays, k):
+            x = {e: sum(ray >> i & 1 for ray in face) for i, e in enumerate(g.edge_labels)}
+            zero = frozenset(e for e, v in x.items() if v == 0)
+            out.append((zero, locate(contract(g, zero), {e: v for e, v in x.items() if v}).preorder))
+    return out
+
+
+def test_specializations_are_located_at_the_barycentres_of_the_faces():
+    rng = random.Random(15)
+    graphs = {**corpus.corpus_graphs(), "c5": cycle(5), "k4": k4(), "w4": wheel4()}
+    for name, g in graphs.items():
+        structs = enriched_structures(g)
+        for eg in structs if len(structs) <= 75 else rng.sample(structs, 12):
+            got = Counter((sp.contracted, sp.target.preorder) for sp in specializations(eg))
+            assert got == Counter(located_faces(eg)), (name, eg.preorder)
 
 
 @settings(max_examples=15, deadline=None)

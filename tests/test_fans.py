@@ -315,6 +315,13 @@ class TestFromCones:
         for ls, cones in inputs:
             assert Fan.from_cones(ls, cones) == all_pairs_fan(ls, cones)
 
+    def test_one_ray_set_in_two_orders_is_one_cone(self):
+        labels = ("x", "y")
+        a, b = RationalCone(labels, ((1, 0), (0, 1))), RationalCone(labels, ((0, 1), (1, 0)))
+        assert a == b and a.rays == ((0, 1), (1, 0))
+        assert len(Fan.from_cones(labels, [a, b]).maximal) == 1
+        assert fan_equal(Fan.from_cones(labels, [a]), Fan.from_cones(labels, [b]))
+
 
 class TestLocateStratum:
     def test_boundary_points(self):
