@@ -11,28 +11,23 @@ from .graphs import (
     WeightedGraph,
     automorphisms,
     biconnected_components,
-    bond_sum,
     bonds,
-    connected_partition,
     contract,
-    contract_weighted,
     genus,
     is_biconnected,
     is_stable,
 )
-from .preorders import Preorder, QuotientPoset, all_preorders
+from .preorders import Preorder, QuotientPoset
 from .enriched import (
     EnrichedGraph,
     Specialization,
     bond_minima,
     canonical_structure,
-    class_inclusion,
     enriched_structures,
     from_bond_collection,
     generic_structures,
     is_enriched,
     locate,
-    simple_specialization,
     specializations,
 )
 from .lattices import LatticeQuotient
@@ -41,7 +36,6 @@ from .cones import (
     closed_structure_cone,
     increment_coordinates,
     increment_matrix,
-    lengths_from_increments,
     ray_generators,
     structure_cone,
 )
@@ -50,17 +44,14 @@ from .fans import (
     fan_by_star_subdivision,
     fan_equal,
     fan_of_graph,
-    fan_strata,
     good_contraction_sequence,
     graph_lattice_quotient,
-    locate_stratum,
     octant_fan,
     quotient_fan,
     star_subdivision,
 )
 from .moduli import (
     ModuliCell,
-    aut_enriched,
     cell_adjacency,
     check_unique_lifts,
     classify_cells,
@@ -69,10 +60,8 @@ from .moduli import (
     enumerate_stable_weighted_graphs,
 )
 from .toric import (
-    BondProjection,
     LaurentRelation,
     blowup_schedule,
-    bond_projection,
     equations,
     kernel_rank,
     relations_generate_kernel,

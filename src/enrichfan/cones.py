@@ -82,16 +82,9 @@ class RationalCone:
             return all(dot(row, x) > 0 for row in facets)
         return all(dot(row, x) >= 0 for row in facets)
 
-    def closure_contains(self, x) -> bool:
-        return self._holds(_integral(x), False)
-
-    def interior_contains(self, x) -> bool:
-        """Membership in the relative interior of the closure."""
-        return self._holds(_integral(x), True)
-
     def contains(self, x) -> bool:
         """Membership in the cone as described (open cones: their interior)."""
-        return self._holds(_integral(x), not self.closed)
+        return self._holds(_integral(x, len(self.labels)), not self.closed)
 
     def is_face_of(self, other: "RationalCone") -> bool:
         return self.labels == other.labels and self.ray_set <= other.ray_set
@@ -114,46 +107,31 @@ class RationalCone:
         facs = invariant_factors(self.rays, self.ambient_rank)
         return len(facs) == len(self.rays) and all(f == 1 for f in facs)
 
-    def embedded(self, labels) -> "RationalCone":
-        """Zero-extend the cone into a larger labeled ambient lattice; its
-        rows are padded, with a unit equality for each new coordinate."""
-        labels = tuple(labels)
-        pos = {lab: i for i, lab in enumerate(labels)}
-        for lab in self.labels:
-            if lab not in pos:
-                raise ValueError(f"label {lab!r} missing from target ambient lattice")
-        own = [pos[lab] for lab in self.labels]
-
-        def put(vec):
-            out = [0] * len(labels)
-            for i, v in zip(own, vec):
-                out[i] = v
-            return tuple(out)
-
-        rays = tuple(map(put, self.rays))
-        rows = None
-        if self.rows is not None:
-            equalities, facets = self.rows
-            units = tuple(tuple(int(j == i) for j in range(len(labels))) for i in range(len(labels)) if i not in own)
-            rows = (tuple(map(put, equalities)) + units, tuple(map(put, facets)))
-        return RationalCone(labels, rays, self.closed, rows)
-
     def __repr__(self):
         kind = "closed" if self.closed else "open"
         return f"RationalCone({kind}, dim={self.dim}, rays={list(self.rays)})"
 
 
-def _integral(x) -> tuple:
-    """``m * x`` for the least positive integer ``m`` that makes it integral."""
+def _integral(x, rank: int) -> tuple:
+    """``m * x`` for the least positive integer ``m`` that makes it integral;
+    ``x`` must have one coordinate per axis of the ``rank``-dimensional lattice."""
+    if len(x) != rank:
+        raise ValueError(f"point has {len(x)} coordinates, the ambient lattice has {rank}")
     ratios = [v.as_integer_ratio() for v in x]
     m = lcm(*(d for _, d in ratios))
     return tuple(n * (m // d) for n, d in ratios)
 
 
 def containing(cones, x) -> list:
-    """Indices of the cones (each as described) that contain ``x``; the
-    point is scaled to integers once for all of them."""
-    x = _integral(x)
+    """Indices of the cones (each as described) that contain ``x``.
+
+    The cones share one ambient lattice, as the cones of one graph or one
+    fan do, so ``x`` is checked against the first cone's and scaled to
+    integers once for all of them.
+    """
+    if not cones:
+        return []
+    x = _integral(x, len(cones[0].labels))
     return [i for i, cone in enumerate(cones) if cone._holds(x, not cone.closed)]
 
 
@@ -249,26 +227,3 @@ def increment_coordinates(eg: EnrichedGraph, x) -> dict:
     vec = [Fraction(x[lab]) for lab in labels]
     classes, rows = increment_matrix(eg)
     return {cls: dot(row, vec) for cls, row in zip(classes, rows)}
-
-
-def lengths_from_increments(eg: EnrichedGraph, y) -> dict:
-    """Inverse of :func:`increment_coordinates` on the structure subspace.
-
-    ``y`` maps each class (tuple of labels) to a value; the length of an
-    edge is the sum of increments along the Hasse path from its root class.
-    """
-    q = eg.preorder.quotient()
-    parents = q.parents()
-    totals = {}
-
-    def total(idx):
-        if idx not in totals:
-            base = total(parents[idx]) if idx in parents else 0
-            totals[idx] = base + y[q.classes[idx]]
-        return totals[idx]
-
-    out = {}
-    for idx, cls in enumerate(q.classes):
-        for lab in cls:
-            out[lab] = total(idx)
-    return out

@@ -1,6 +1,6 @@
 """Small named graphs used throughout the tests, demos and the CLI."""
 
-from .graphs import MultiGraph, WeightedGraph
+from .graphs import MultiGraph
 
 
 def single_edge() -> MultiGraph:
@@ -59,10 +59,6 @@ def path(n_edges: int = 2) -> MultiGraph:
         [f"p{i}" for i in range(n_edges + 1)],
         {f"s{i}": (f"p{i}", f"p{i + 1}") for i in range(n_edges)},
     )
-
-
-def zero_weights(g: MultiGraph) -> WeightedGraph:
-    return WeightedGraph(g, {v: 0 for v in g.vertices})
 
 
 CORPUS = {

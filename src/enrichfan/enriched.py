@@ -36,7 +36,7 @@ from fractions import Fraction
 from operator import or_
 
 from .errors import GroundSetMismatchError, NotABondError, UnknownLabelError
-from .graphs import Bond, MultiGraph, _roots, biconnected_components, bits, block_masks, bonds, contract, edge_ends, label_key, sort_labels
+from .graphs import Bond, MultiGraph, _roots, biconnected_components, bits, block_masks, bonds, contract, edge_ends, sort_labels
 from .preorders import Preorder
 
 
@@ -68,18 +68,6 @@ class EnrichedGraph:
 
     def is_generic(self) -> bool:
         return self.preorder.is_partial_order()
-
-    def contract_lower_set(self, s) -> "EnrichedGraph":
-        s = frozenset(s)
-        if not self.preorder.is_lower_set(s):
-            raise ValueError("contraction set must be a lower set")
-        rest = set(self.graph.edge_labels) - s
-        return EnrichedGraph(contract(self.graph, s), self.preorder.restrict(rest))
-
-    def relabel_edges(self, mapping) -> "EnrichedGraph":
-        g = self.graph
-        renamed = MultiGraph(g.vertices, {mapping[e]: g.ends(e) for e in g.edge_labels})
-        return EnrichedGraph(renamed, self.preorder.relabel(mapping))
 
 
 def _state(ends: tuple, keep: int, merge: int = 0) -> tuple:
@@ -267,9 +255,6 @@ class Specialization:
     def is_identity(self) -> bool:
         return not self.contracted and self.target.preorder == self.source.preorder
 
-    def is_simple(self) -> bool:
-        return not self.contracted and self.target.rank == self.source.rank - 1
-
 
 def specializations(eg: EnrichedGraph) -> list:
     """All specializations of ``eg``, the identity included: one per face
@@ -296,47 +281,6 @@ def specializations(eg: EnrichedGraph) -> list:
             target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
             out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
     return out
-
-
-def simple_specialization(eg: EnrichedGraph, c1, c2) -> EnrichedGraph:
-    """Merge two consecutive classes ``c1 < c2`` into one; rank drops by one.
-
-    The merged relation is the transitive closure of the old one together
-    with the equivalence of the two classes.
-    """
-    q = eg.preorder.quotient()
-    i = q.class_index(min(c1, key=label_key))
-    j = q.class_index(min(c2, key=label_key))
-    if frozenset(q.classes[i]) != frozenset(c1) or frozenset(q.classes[j]) != frozenset(c2):
-        raise UnknownLabelError("arguments must be whole equivalence classes")
-    if not q.consecutive(i, j):
-        raise ValueError("classes must be consecutive in the Hasse diagram")
-    e1 = q.classes[i][0]
-    e2 = q.classes[j][0]
-    merged = EnrichedGraph(eg.graph, eg.preorder.with_pairs([(e2, e1)]))
-    assert merged.rank == eg.rank - 1
-    return merged
-
-
-def class_inclusion(sp: Specialization) -> dict:
-    """Injective map from target classes to source classes.
-
-    A target class goes to the least source class among those meeting its
-    target-equivalence bundle.
-    """
-    src_p = sp.source.preorder
-    out = {}
-    for cls in sp.target.preorder.classes():
-        rep = min(cls, key=label_key)
-        bundle = [e for e in sp.target.preorder.ground if sp.target.preorder.equiv(e, rep)]
-        mins = [e for e in bundle if not any(src_p.lt(f, e) for f in bundle)]
-        min_classes = {src_p.class_of(e) for e in mins}
-        if len(min_classes) != 1:
-            raise ValueError("no unique minimal source class; invariant broken")
-        out[cls] = frozenset(min_classes.pop())
-    if len(set(out.values())) != len(out):
-        raise ValueError("class inclusion is not injective; invariant broken")
-    return {frozenset(k): v for k, v in out.items()}
 
 
 def locate(g: MultiGraph, x) -> EnrichedGraph:

@@ -40,10 +40,6 @@ class NotABondError(EnrichfanError, ValueError):
     """The requested vertex bipartition does not induce a minimal cut."""
 
 
-class NonDisjointSidesError(EnrichfanError, ValueError):
-    """Bond sum requested for bonds whose distinguished sides overlap."""
-
-
 class GroundSetMismatchError(EnrichfanError, ValueError):
     """A preorder's ground set does not match the edge set it is paired with."""
 

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cones import RationalCone, closed_structure_cone, containing, structure_cone
-from .enriched import EnrichedGraph, enriched_structures, generic_structures, locate
+from .cones import RationalCone, closed_structure_cone
+from .enriched import generic_structures
 from .errors import NotStronglyConvexError
 from .graphs import MultiGraph, biconnected_components, contract, is_biconnected
 from .lattices import LatticeQuotient, linearly_independent, primitive
@@ -53,23 +52,9 @@ class Fan:
     def rays(self) -> tuple:
         return tuple(sorted({r for c in self.maximal for r in c.rays}))
 
-    def all_ray_subsets(self) -> set:
-        """Ray sets of every cone of the fan."""
-        out = set()
-        for c in self.maximal:
-            for k in range(c.dim + 1):
-                out.update(frozenset(s) for s in itertools.combinations(c.rays, k))
-        return out
-
-    def n_cones(self) -> int:
-        return len(self.all_ray_subsets())
-
     def contains_cone(self, cone: RationalCone) -> bool:
         rs = cone.ray_set
         return any(rs <= c.ray_set for c in self.maximal)
-
-    def support_contains(self, x) -> bool:
-        return bool(containing(self.maximal, x))  # the maximal cones are closed
 
     def is_complete(self) -> bool:
         """Facet-pairing criterion for a pure simplicial fan.
@@ -116,53 +101,6 @@ def fan_of_graph(g: MultiGraph) -> Fan:
     """The fan subdividing the orthant by the closed cones of the generic
     enriched structures on ``g``."""
     return Fan.from_cones(g.edge_labels, [closed_structure_cone(eg) for eg in generic_structures(g)])
-
-
-@dataclass(frozen=True)
-class Stratum:
-    """One relatively open piece of the orthant stratification.
-
-    Contracting ``contracted`` and imposing ``structure`` on the surviving
-    edges describes all points whose zero set is exactly ``contracted``.
-    """
-
-    contracted: frozenset
-    structure: EnrichedGraph
-    open_cone: RationalCone
-    closed_cone: RationalCone
-
-
-def fan_strata(g: MultiGraph) -> list:
-    """Every cone of the fan of ``g`` as an embedded stratum, each once."""
-    labels = g.edge_labels
-    out = []
-    for k in range(g.n_edges + 1):
-        for sub in itertools.combinations(labels, k):
-            s = frozenset(sub)
-            gc = contract(g, s)
-            for eg in enriched_structures(gc):
-                out.append(
-                    Stratum(
-                        s,
-                        eg,
-                        structure_cone(eg).embedded(labels),
-                        closed_structure_cone(eg).embedded(labels),
-                    )
-                )
-    return out
-
-
-def locate_stratum(g: MultiGraph, x) -> Stratum:
-    """The unique stratum whose relatively open cone contains ``x >= 0``."""
-    zero = frozenset(e for e in g.edge_labels if Fraction(x[e]) == 0)
-    positive = {e: x[e] for e in g.edge_labels if e not in zero}
-    eg = locate(contract(g, zero), positive)
-    return Stratum(
-        zero,
-        eg,
-        structure_cone(eg).embedded(g.edge_labels),
-        closed_structure_cone(eg).embedded(g.edge_labels),
-    )
 
 
 def star_subdivision(fan: Fan, tau: RationalCone) -> Fan:
@@ -219,18 +157,6 @@ def fan_by_star_subdivision(g: MultiGraph) -> Fan:
     for s, gc in good_contraction_sequence(g):
         fan = star_subdivision(fan, coordinate_cone(labels, gc.edge_labels))
     return fan
-
-
-def fan_product(f1: Fan, f2: Fan) -> Fan:
-    """The product fan in the concatenated ambient lattice."""
-    labels = f1.labels + f2.labels
-    n1, n2 = len(f1.labels), len(f2.labels)
-    cones = []
-    for c1 in f1.maximal:
-        for c2 in f2.maximal:
-            rays = [r + (0,) * n2 for r in c1.rays] + [(0,) * n1 + r for r in c2.rays]
-            cones.append(RationalCone.from_rays(labels, rays))
-    return Fan.from_cones(labels, cones)
 
 
 def graph_lattice_quotient(g: MultiGraph) -> LatticeQuotient:

@@ -1,16 +1,17 @@
-"""Text, JSON and DOT formats for graphs, preorders, fans and cells.
+"""Graphs read from text or JSON; graphs, fans and cells written as JSON
+and graphs, preorders and cells as DOT.
 
 The text format is one header line ``vertices: id[:weight] ...`` followed
 by one line per edge ``label: u v``.  A token that is an optional single
 ``-`` followed by decimal digits becomes an int, everything else stays a
-string; serialization round-trips.
+string.
 """
 
 from __future__ import annotations
 
 import json
 
-from .enriched import EnrichedGraph, enriched_structures
+from .enriched import enriched_structures
 from .errors import FormatError
 from .fans import Fan
 from .graphs import MultiGraph, WeightedGraph
@@ -69,15 +70,6 @@ def _weighted_graph(weights: dict, edges: dict) -> WeightedGraph:
         raise FormatError(str(exc)) from exc
 
 
-def graph_to_text(wg: WeightedGraph) -> str:
-    g = wg.graph
-    head = "vertices: " + " ".join(
-        f"{v}:{wg.weight(v)}" if wg.weight(v) else str(v) for v in g.vertices
-    )
-    body = [f"{e}: {u} {v}" for e, (u, v) in ((e, g.ends(e)) for e in g.edge_labels)]
-    return "\n".join([head] + body) + "\n"
-
-
 def graph_to_json_dict(wg: WeightedGraph) -> dict:
     g = wg.graph
     return {
@@ -119,34 +111,6 @@ def parse_graph(text: str) -> WeightedGraph:
         except json.JSONDecodeError as exc:
             raise FormatError(f"bad JSON: {exc}") from exc
     return parse_graph_text(text)
-
-
-def preorder_to_json_dict(p: Preorder) -> dict:
-    return {"ground": list(p.ground), "pairs": [list(t) for t in p.pairs()]}
-
-
-def preorder_from_json_dict(data: dict) -> Preorder:
-    try:
-        return Preorder.from_relations(data["ground"], [tuple(t) for t in data["pairs"]])
-    except Exception as exc:
-        raise FormatError(f"bad preorder object: {exc}") from exc
-
-
-def enriched_to_json_dict(eg: EnrichedGraph, weights=None) -> dict:
-    wg = weights or WeightedGraph(eg.graph, {v: 0 for v in eg.graph.vertices})
-    return {
-        "graph": graph_to_json_dict(wg),
-        "pairs": [list(t) for t in eg.preorder.pairs()],
-    }
-
-
-def enriched_from_json_dict(data: dict) -> EnrichedGraph:
-    wg = graph_from_json_dict(data["graph"])
-    p = Preorder.from_relations(wg.graph.edge_labels, [tuple(t) for t in data.get("pairs", [])])
-    try:
-        return EnrichedGraph(wg.graph, p)
-    except Exception as exc:
-        raise FormatError(f"not an enriched structure: {exc}") from exc
 
 
 def fan_to_json_dict(fan: Fan) -> dict:

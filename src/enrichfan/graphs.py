@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from .errors import (
     DisconnectedGraphError,
     GuardExceededError,
-    NonDisjointSidesError,
     NotABondError,
     UnknownEdgeError,
     UnknownVertexError,
@@ -98,9 +97,6 @@ class MultiGraph:
         except KeyError:
             raise UnknownEdgeError(f"unknown edge {label!r}") from None
 
-    def has_vertex(self, v) -> bool:
-        return v in self._vset
-
     def is_loop(self, label: Label) -> bool:
         u, v = self.ends(label)
         return u == v
@@ -118,25 +114,6 @@ class MultiGraph:
     def valence(self, v) -> int:
         """Number of edge ends at ``v``; a loop contributes 2."""
         return sum(2 if w == v else 1 for _, w in self.incident(v))
-
-    def parallel_count(self, u, v) -> int:
-        """Number of non-loop edges joining ``u`` and ``v`` (or loops if u == v)."""
-        pair = tuple(sorted((u, v), key=label_key))
-        return sum(1 for e in self._labels if self._ends[e] == pair)
-
-    def induced(self, vertex_subset) -> "MultiGraph":
-        vs = frozenset(vertex_subset)
-        unknown = vs - self._vset
-        if unknown:
-            raise UnknownVertexError(f"unknown vertex {sorted(unknown, key=label_key)[0]!r}")
-        edges = {e: uv for e, uv in self._ends.items() if uv[0] in vs and uv[1] in vs}
-        return MultiGraph(vs, edges)
-
-    def delete_edges(self, labels) -> "MultiGraph":
-        labels = frozenset(labels)
-        for e in labels:
-            self.ends(e)
-        return MultiGraph(self._vertices, {e: uv for e, uv in self._ends.items() if e not in labels})
 
     def connected_components(self) -> tuple:
         """Vertex sets of the connected components, in order of their least vertex."""
@@ -396,51 +373,6 @@ def bonds(g: MultiGraph) -> list:
     return found
 
 
-def bond_sum(b1: Bond, b2: Bond) -> Bond:
-    """The cut ``E(V1 ∪ V2, V1^c ∩ V2^c)`` of two bonds with disjoint sides.
-
-    Raises :class:`NonDisjointSidesError` when the sides overlap and
-    :class:`NotABondError` when the resulting cut is not a bond.
-    """
-    if b1.graph != b2.graph:
-        raise ValueError("bond sum needs bonds of the same graph")
-    if b1.side & b2.side:
-        raise NonDisjointSidesError("sides must be disjoint")
-    return Bond.from_side(b1.graph, b1.side | b2.side)
-
-
-def connected_partition(g: MultiGraph, vs) -> list:
-    """Partition ``V(g)`` into connected blocks, one containing each given vertex.
-
-    Every component of the complement joins the block of its smallest
-    adjacent seed vertex, which makes the choice deterministic.
-    """
-    if not g.is_connected():
-        raise DisconnectedGraphError("connected_partition needs a connected graph")
-    seeds = list(vs)
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seed vertices must be distinct")
-    for v in seeds:
-        if not g.has_vertex(v):
-            raise UnknownVertexError(f"unknown vertex {v!r}")
-    seed_set = frozenset(seeds)
-    blocks = {v: {v} for v in seeds}
-    rest = frozenset(g.vertices) - seed_set
-    if rest:
-        for comp in g.induced(rest).connected_components():
-            touching = set()
-            for e in g.edge_labels:
-                u, w = g.ends(e)
-                if u in comp and w in seed_set:
-                    touching.add(w)
-                if w in comp and u in seed_set:
-                    touching.add(u)
-            if not touching:
-                raise DisconnectedGraphError("complement component sees no seed vertex")
-            blocks[min(touching, key=label_key)] |= comp
-    return [frozenset(blocks[v]) for v in seeds]
-
-
 class WeightedGraph:
     """A multigraph with a nonnegative integer weight on every vertex."""
 
@@ -511,23 +443,12 @@ def contracted_weights(wg: WeightedGraph, s) -> dict:
     return weights
 
 
-def contract_weighted(wg: WeightedGraph, s) -> WeightedGraph:
-    """Contract edges of a weighted graph, with the weights of ``contracted_weights``."""
-    return WeightedGraph(contract(wg.graph, s), contracted_weights(wg, s))
-
-
 @dataclass(frozen=True)
 class EdgePermutation:
     """A permutation of edge labels induced by a weighted-graph automorphism."""
 
     edge_map: tuple
     vertex_map: tuple = field(compare=False)
-
-    def apply(self, label: Label) -> Label:
-        for a, b in self.edge_map:
-            if a == label:
-                return b
-        raise UnknownEdgeError(f"unknown edge {label!r}")
 
     def as_dict(self) -> dict:
         return dict(self.edge_map)
@@ -539,12 +460,6 @@ class EdgePermutation:
         return EdgePermutation(
             tuple(sorted(((a, sm[b]) for a, b in om.items()), key=lambda t: label_key(t[0]))),
             tuple(sorted(((a, sv[b]) for a, b in ov.items()), key=lambda t: label_key(t[0]))),
-        )
-
-    def inverse(self) -> "EdgePermutation":
-        return EdgePermutation(
-            tuple(sorted(((b, a) for a, b in self.edge_map), key=lambda t: label_key(t[0]))),
-            tuple(sorted(((b, a) for a, b in self.vertex_map), key=lambda t: label_key(t[0]))),
         )
 
     def is_identity(self) -> bool:

@@ -8,7 +8,7 @@ U with U * rows = H and U^-1.
 - ``rank_of`` and ``linearly_independent`` read the rank of H.
 - ``_substitute`` is one integer forward substitution over the pivots of
   H; the facets of a cone in ``cones`` come from it.
-- ``lattice_span_equal`` and ``lattice_contains`` compare Hermite forms.
+- ``lattice_span_equal`` compares Hermite forms.
 - ``kernel_lattice`` takes the rows of U whose H-row vanishes.
 - ``LatticeQuotient.from_generators`` echelons the transposed generators:
   its projection is the zero-row part of U and its section the matching
@@ -197,13 +197,6 @@ def lattice_span_equal(rows1, rows2, ncols: int) -> bool:
         return e.rows[: e.rank]
 
     return hermite(rows1) == hermite(rows2)
-
-
-def lattice_contains(rows, vec, ncols: int) -> bool:
-    """Whether ``vec`` lies in the integer row span of ``rows``."""
-    if not any(vec):
-        return True
-    return lattice_span_equal(list(rows), list(rows) + [tuple(vec)], ncols)
 
 
 @dataclass(frozen=True)

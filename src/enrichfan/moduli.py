@@ -16,9 +16,9 @@ cell's preorder is carried into its frame along the first ordering that
 gives the key, then moved by every automorphism of the frame, and the
 table maps each resulting ``(key, preorder)`` to the cell.  ``_reached``
 then enumerates a cell's specializations once, carries each target into
-its frame the same way and looks it up, so ``cell_adjacency``,
-``classify_cells`` and ``cell_specializes_to`` do work linear in the
-number of cells instead of testing every pair.
+its frame the same way and looks it up, so ``cell_adjacency`` and
+``classify_cells`` do work linear in the number of cells instead of
+testing every pair.
 
 The census itself is one walk (``_census``): for each stable graph it
 takes the automorphisms and the enriched structures once and maps every
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import containing, structure_cone
-from .enriched import EnrichedGraph, _trusted, class_inclusion, enriched_structures, locate, specializations
+from .enriched import EnrichedGraph, _trusted, enriched_structures, locate, specializations
 from .errors import GuardExceededError
 from .graphs import EdgePermutation, MultiGraph, WeightedGraph, _canonical_orderings, _roots, automorphisms, contracted_weights, edge_ends
 from .preorders import Preorder
@@ -123,12 +123,6 @@ def enumerate_stable_weighted_graphs(g: int) -> list:
     return [_graph_from_key(k) for k in sorted(seen)]
 
 
-def aut_enriched(wg: WeightedGraph, p: Preorder) -> list:
-    """The subgroup of Aut(graph, weights) whose edge action preserves ``p``."""
-    mapping_auts = automorphisms(wg)
-    return [a for a in mapping_auts if p.relabel(a.as_dict()) == p]
-
-
 @dataclass(frozen=True)
 class ModuliCell:
     """An isomorphism class of stable weighted enriched graphs."""
@@ -161,8 +155,8 @@ def _census(g: int):
     enriched structures in canonical order, and a dict taking each
     structure's preorder to ``(rep, carriers)``, the least structure of its
     orbit under Aut(graph, weights) and the automorphisms carrying ``rep``
-    onto it.  The carriers of ``rep`` onto itself are its stabilizer, which
-    is what ``aut_enriched`` returns for it.
+    onto it.  The carriers of ``rep`` onto itself are its stabilizer: the
+    automorphisms whose edge action preserves its preorder.
     """
     for wg in enumerate_stable_weighted_graphs(g):
         auts = automorphisms(wg)
@@ -184,26 +178,6 @@ def enumerate_cells(g: int) -> list:
             if p == rep:
                 cells.append(_trusted(ModuliCell, index=len(cells), weighted=wg, preorder=rep, genus=g, aut=tuple(carriers)))
     return cells
-
-
-def gluing_matrix(sp) -> tuple:
-    """Integer matrix taking source increment coordinates to target ones.
-
-    Rows are the target classes, columns the source classes; the single 1
-    per row sits at the source class given by the class inclusion.  For a
-    boundary point, increments computed downstairs and upstairs agree
-    through this matrix.
-    """
-    inc = class_inclusion(sp)
-    src_classes = sp.source.preorder.quotient().classes
-    tgt_classes = sp.target.preorder.quotient().classes
-    col = {frozenset(c): i for i, c in enumerate(src_classes)}
-    rows = []
-    for c in tgt_classes:
-        row = [0] * len(src_classes)
-        row[col[inc[frozenset(c)]]] = 1
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def _cell_table(cells) -> dict:
@@ -244,11 +218,6 @@ def _reached(a: ModuliCell, table: dict) -> set:
             hits.update(orbit.get(sp.target.preorder.relabel(to_frame), ()))
     hits.discard(a.index)
     return hits
-
-
-def cell_specializes_to(a: ModuliCell, b: ModuliCell) -> bool:
-    """Whether some specialization of a's representative is isomorphic to b's."""
-    return b.index in _reached(a, _cell_table([b]))
 
 
 def cell_adjacency(cells) -> dict:

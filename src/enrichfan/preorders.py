@@ -16,10 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import GuardExceededError, UnknownLabelError
+from .errors import UnknownLabelError
 from .graphs import bits, label_key, sort_labels
-
-BRUTE_FORCE_LABELS = 5  # largest ground set all_preorders enumerates
 
 
 def _transpose(rows) -> list:
@@ -59,6 +57,8 @@ class Preorder:
         rows = list(rows)
         if len(rows) != len(labels):
             raise ValueError("one relation row per label required")
+        if not all(0 <= row < 1 << len(labels) for row in rows):
+            raise ValueError("a relation row has bits outside the ground set")
         if _closed(list(rows)) != rows:
             raise ValueError("relation is not reflexively and transitively closed")
         self._labels = labels
@@ -84,13 +84,6 @@ class Preorder:
     def discrete(ground) -> "Preorder":
         labels = sort_labels(set(ground))
         return Preorder._family(labels, [tuple(1 << i for i in range(len(labels)))])[0]
-
-    @staticmethod
-    def indiscrete(ground) -> "Preorder":
-        """All labels pairwise equivalent."""
-        labels = sort_labels(set(ground))
-        full = (1 << len(labels)) - 1
-        return Preorder._family(labels, [(full,) * len(labels)])[0]
 
     @staticmethod
     def _family(labels: tuple, rows_seq) -> list:
@@ -128,15 +121,6 @@ class Preorder:
     def leq(self, a, b) -> bool:
         return bool(self._rows[self._i(a)] >> self._i(b) & 1)
 
-    def equiv(self, a, b) -> bool:
-        return self.leq(a, b) and self.leq(b, a)
-
-    def lt(self, a, b) -> bool:
-        return self.leq(a, b) and not self.leq(b, a)
-
-    def comparable(self, a, b) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
-
     def pairs(self) -> list:
         """All related pairs (a, b) with a ≼ b and a != b."""
         out = []
@@ -165,18 +149,9 @@ class Preorder:
             classes[row] = classes.get(row, 0) | 1 << i
         return classes
 
-    def up_closure(self, a) -> frozenset:
-        return self._labels_of(self._rows[self._i(a)])
-
-    def down_closure(self, a) -> frozenset:
-        return self._labels_of(_transpose(self._rows)[self._i(a)])
-
     def classes(self) -> tuple:
         """Equivalence classes of mutual comparability, ordered by least label."""
         return tuple(map(self._labels_of, self._classes().values()))
-
-    def class_of(self, a) -> frozenset:
-        return self._labels_of(self._classes()[self._rows[self._i(a)]])
 
     @property
     def rank(self) -> int:
@@ -184,22 +159,6 @@ class Preorder:
 
     def is_partial_order(self) -> bool:
         return self.rank == len(self._rows)
-
-    def is_discrete(self) -> bool:
-        return all(row == 1 << i for i, row in enumerate(self._rows))
-
-    def global_minima(self) -> frozenset:
-        """Labels below every label; one equivalence class when nonempty."""
-        full = (1 << len(self._labels)) - 1
-        return frozenset(a for i, a in enumerate(self._labels) if self._rows[i] == full)
-
-    def minimal_labels(self) -> frozenset:
-        """Labels whose row no other row strictly contains."""
-        rows = self._rows
-        return frozenset(
-            a for a, ra in zip(self._labels, rows)
-            if not any(r != ra and r & ra == ra for r in rows)
-        )
 
     def is_lower_set(self, s) -> bool:
         mask = self._mask(frozenset(s))
@@ -225,27 +184,27 @@ class Preorder:
         return out
 
     def irreducible_upper_sets(self, brute_force: bool = False) -> list:
-        """The principal up-closures, one per equivalence class: the distinct rows.
+        """The principal up-closures, one per equivalence class: the distinct
+        rows, ordered by their sorted labels.
 
-        With ``brute_force=True`` the result is recomputed from the
-        definition: upper sets that are not unions of two proper upper
+        With ``brute_force=True`` they are computed from the definition
+        instead: the upper sets that are not unions of two proper upper
         subsets (the irreducible closed sets of the preorder topology).
         """
-        principal = [self._labels_of(row) for row in sorted(set(self._rows), key=lambda r: tuple(bits(r)))]
-        if brute_force:
-            uppers = [
-                frozenset(sub)
-                for k in range(1, len(self._labels) + 1)
-                for sub in itertools.combinations(self._labels, k)
-                if self.is_upper_set(sub)
-            ]
-            irr = []
-            for u in uppers:
-                proper = [w for w in uppers if w < u]
-                if not any(w1 | w2 == u for w1 in proper for w2 in proper):
-                    irr.append(u)
-            assert sorted(irr, key=lambda s: tuple(map(label_key, sort_labels(s)))) == principal
-        return principal
+        if not brute_force:
+            return [self._labels_of(row) for row in sorted(set(self._rows), key=lambda r: tuple(bits(r)))]
+        uppers = [
+            frozenset(sub)
+            for k in range(1, len(self._labels) + 1)
+            for sub in itertools.combinations(self._labels, k)
+            if self.is_upper_set(sub)
+        ]
+        irr = []
+        for u in uppers:
+            proper = [w for w in uppers if w < u]
+            if not any(w1 | w2 == u for w1 in proper for w2 in proper):
+                irr.append(u)
+        return sorted(irr, key=lambda s: tuple(map(label_key, sort_labels(s))))
 
     def restrict(self, s) -> "Preorder":
         labels = sort_labels(set(s))
@@ -324,12 +283,6 @@ class QuotientPoset:
     def rank(self) -> int:
         return len(self.classes)
 
-    def class_index(self, label) -> int:
-        for i, c in enumerate(self.classes):
-            if label in c:
-                return i
-        raise UnknownLabelError(f"unknown label {label!r}")
-
     def roots(self) -> tuple:
         """Indices of minimal classes."""
         above = {j for _, j in self.less}
@@ -343,57 +296,3 @@ class QuotientPoset:
                 raise ValueError(f"class {j} covers more than one class")
             out[j] = i
         return out
-
-    def is_forest_of_rooted_trees(self) -> bool:
-        try:
-            self.parents()
-        except ValueError:
-            return False
-        return True
-
-    def consecutive(self, i: int, j: int) -> bool:
-        return (i, j) in set(self.hasse)
-
-    def reachability_reconstructs(self, p: Preorder) -> bool:
-        """Hasse covers plus class membership regenerate the original order."""
-        n = len(self.classes)
-        reach = [set() for _ in range(n)]
-        for i, j in self.hasse:
-            reach[i].add(j)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                new = set()
-                for j in reach[i]:
-                    new |= reach[j]
-                if not new <= reach[i]:
-                    reach[i] |= new
-                    changed = True
-        derived = {(i, j) for i in range(n) for j in reach[i]}
-        if derived != set(self.less):
-            return False
-        for a in p.ground:
-            for b in p.ground:
-                ia, ib = self.class_index(a), self.class_index(b)
-                if p.leq(a, b) != (ia == ib or (ia, ib) in self.less):
-                    return False
-        return True
-
-
-def all_preorders(ground):
-    """Every preorder on ``ground``, by brute force; guard at ``BRUTE_FORCE_LABELS`` labels."""
-    labels = sort_labels(set(ground))
-    n = len(labels)
-    if n > BRUTE_FORCE_LABELS:
-        raise GuardExceededError(f"brute-force preorder enumeration capped at {BRUTE_FORCE_LABELS} labels")
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for mask in range(1 << len(offdiag)):
-        rows = [1 << i for i in range(n)]
-        m = mask
-        for (i, j) in offdiag:
-            if m & 1:
-                rows[i] |= 1 << j
-            m >>= 1
-        if _closed(list(rows)) == rows:
-            yield Preorder._family(labels, [tuple(rows)])[0]

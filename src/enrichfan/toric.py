@@ -1,10 +1,10 @@
 """The variety of enriched structures of a nodal curve, as combinatorial data.
 
 For a biconnected dual graph the variety embeds into a product of
-projective spaces, one factor per bond.  This module produces the bond
-projections, the binomial and trinomial equations of the image, the
-lattice-kernel certificate that those equations generate, and the
-blowup-center schedule of the birational model over projective space.
+projective spaces, one factor per bond.  This module produces the
+binomial and trinomial equations of the image, the lattice-kernel
+certificate that those equations generate, and the blowup-center
+schedule of the birational model over projective space.
 
 Bonds are the expensive part: each public function enumerates the bonds
 of its graph once and hands that list, or the domain basis built from it,
@@ -18,12 +18,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import ray_generators
-from .enriched import bond_minima, enriched_structures
-from .errors import GuardExceededError, NotABondError, NotBiconnectedError
+from .errors import GuardExceededError, NotBiconnectedError
 from .fans import good_contraction_sequence
 from .graphs import (
-    Bond,
     MultiGraph,
     biconnected_components,
     bonds,
@@ -31,7 +28,7 @@ from .graphs import (
     label_key,
     sort_labels,
 )
-from .lattices import LatticeQuotient, kernel_lattice, lattice_span_equal
+from .lattices import kernel_lattice, lattice_span_equal
 
 
 def _require_biconnected(g: MultiGraph):
@@ -42,55 +39,6 @@ def _require_biconnected(g: MultiGraph):
 def variety_dimension(g: MultiGraph) -> int:
     """Edges minus the number of blocks carrying edges."""
     return g.n_edges - len(biconnected_components(g))
-
-
-@dataclass(frozen=True)
-class BondProjection:
-    """Coordinate deletion onto a bond, with its projective quotient."""
-
-    bond: Bond
-    labels: tuple  # ambient edge labels
-    matrix: tuple  # one 0/1 row per bond edge
-    quotient: LatticeQuotient  # of the bond lattice by its all-ones vector
-
-    def project(self, vec) -> tuple:
-        return tuple(sum(r * v for r, v in zip(row, vec)) for row in self.matrix)
-
-    def bond_edges(self) -> tuple:
-        return sort_labels(self.bond.edges)
-
-
-def bond_projection(g: MultiGraph, b: Bond) -> BondProjection:
-    _require_biconnected(g)
-    if b.graph != g or b.edges != g.cut_edges(b.side):
-        raise NotABondError("not a bond of this graph")
-    labels = g.edge_labels
-    rows = []
-    edge_order = sort_labels(b.edges)
-    for e in edge_order:
-        rows.append(tuple(1 if lab == e else 0 for lab in labels))
-    quotient = LatticeQuotient.from_generators(edge_order, [tuple(1 for _ in edge_order)])
-    return BondProjection(b, tuple(labels), tuple(rows), quotient)
-
-
-def in_bond_sector(bp: BondProjection, minima, vec) -> bool:
-    """Whether a projected vector satisfies ``0 <= x_e <= x_f`` for e in minima."""
-    proj = bp.project(vec)
-    coord = dict(zip(bp.bond_edges(), proj))
-    return all(coord[e] >= 0 for e in coord) and all(
-        coord[e] <= coord[f] for e in minima for f in coord
-    )
-
-
-def bond_projection_certificate(g: MultiGraph, b: Bond) -> bool:
-    """Every structure cone projects into the sector of its bond minima."""
-    bp = bond_projection(g, b)
-    for eg in enriched_structures(g):
-        minima = bond_minima(eg, b)
-        for ray in ray_generators(eg):
-            if not in_bond_sector(bp, minima, ray):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -132,16 +80,6 @@ class LaurentRelation:
             return self.negate()
         return self
 
-    def bonds_involved(self) -> tuple:
-        return tuple(sorted({be for be, _, _ in self.terms}, key=lambda b: tuple(map(label_key, b))))
-
-    def evaluate(self, point: dict) -> Fraction:
-        """Product of x_e^exp over all terms; the relation holds at 1."""
-        num = Fraction(1)
-        for _, e, exp in self.terms:
-            num *= Fraction(point[e]) ** exp
-        return num
-
     def holds_at(self, point: dict) -> bool:
         """Whether the product of x_e^exp is 1, decided by cross-multiplying.
 
@@ -149,7 +87,7 @@ class LaurentRelation:
         for positive exponents and ``d_e^|k|`` for negative ones, ``bottom``
         the same with ``n_e`` and ``d_e`` swapped; the relation holds exactly
         when ``top == bottom``.  A zero coordinate under a negative exponent
-        raises ZeroDivisionError, as in :meth:`evaluate`.
+        raises ZeroDivisionError.
         """
         top = bottom = 1
         for _, e, exp in self.terms:

@@ -1,6 +1,10 @@
 from hypothesis import strategies as st
 
-from enrichfan.graphs import MultiGraph
+from enrichfan.graphs import MultiGraph, WeightedGraph
+
+
+def zero_weights(g: MultiGraph) -> WeightedGraph:
+    return WeightedGraph(g, {v: 0 for v in g.vertices})
 
 
 @st.composite

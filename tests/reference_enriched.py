@@ -94,6 +94,12 @@ def biconnected_components(g: MultiGraph) -> list:
     return out
 
 
+def global_minima(p: Preorder) -> frozenset:
+    """Labels below every label; one equivalence class when nonempty."""
+    full = (1 << len(p.ground)) - 1
+    return frozenset(a for a, row in zip(p.ground, p.rows) if row == full)
+
+
 def is_biconnected(g: MultiGraph) -> bool:
     if g.n_edges == 0 or not g.is_connected() or g.loops():
         return False
@@ -104,7 +110,7 @@ def _is_enriched(g: MultiGraph, p: Preorder) -> bool:
     if g.n_edges <= 1:
         return True  # the only preorder on <= 1 label is the trivial one
     if is_biconnected(g):
-        bottom = p.global_minima()
+        bottom = global_minima(p)
         if not bottom:
             return False
         rest = set(g.edge_labels) - bottom
@@ -116,7 +122,7 @@ def _is_enriched(g: MultiGraph, p: Preorder) -> bool:
             comp_of[e] = i
     for a in g.edge_labels:
         for b in g.edge_labels:
-            if comp_of[a] != comp_of[b] and a != b and p.comparable(a, b):
+            if comp_of[a] != comp_of[b] and a != b and (p.leq(a, b) or p.leq(b, a)):
                 return False
     return all(_is_enriched(c, p.restrict(c.edge_labels)) for c in comps)
 

@@ -6,7 +6,10 @@ code it replaced, copied verbatim: ``_vertex_bijections`` extends a partial
 vertex map one vertex at a time over candidates with the same weight,
 valence and loop count, and keeps it while every parallel count agrees.
 ``_edge_extensions`` follows, copied verbatim from before it took the
-parallel classes prebuilt: it rebuilds them for every vertex map.
+parallel classes prebuilt: it rebuilds them for every vertex map.  The
+``MultiGraph`` methods they and ``check_bond`` below call and the library
+no longer has, ``parallel_count`` and ``induced``, are copied verbatim
+with ``self`` as an argument.
 
 The rest is every vertex merge as it was decided before one union-find
 (``graphs._roots``) took them all over.  ``contraction_classes`` is copied
@@ -28,6 +31,21 @@ from enrichfan.errors import DisconnectedGraphError, NotABondError, UnknownVerte
 from enrichfan.graphs import EdgePermutation, MultiGraph, WeightedGraph, label_key, sort_labels
 
 
+def parallel_count(self: MultiGraph, u, v) -> int:
+    """Number of non-loop edges joining ``u`` and ``v`` (or loops if u == v)."""
+    pair = tuple(sorted((u, v), key=label_key))
+    return sum(1 for e in self._labels if self._ends[e] == pair)
+
+
+def induced(self: MultiGraph, vertex_subset) -> MultiGraph:
+    vs = frozenset(vertex_subset)
+    unknown = vs - self._vset
+    if unknown:
+        raise UnknownVertexError(f"unknown vertex {sorted(unknown, key=label_key)[0]!r}")
+    edges = {e: uv for e, uv in self._ends.items() if uv[0] in vs and uv[1] in vs}
+    return MultiGraph(vs, edges)
+
+
 def _vertex_bijections(wg1: WeightedGraph, wg2: WeightedGraph):
     """Weight- and incidence-preserving bijections V(wg1) -> V(wg2)."""
     g1, g2 = wg1.graph, wg2.graph
@@ -36,7 +54,7 @@ def _vertex_bijections(wg1: WeightedGraph, wg2: WeightedGraph):
 
     def signature(wg, v):
         g = wg.graph
-        return (wg.weight(v), g.valence(v), g.parallel_count(v, v))
+        return (wg.weight(v), g.valence(v), parallel_count(g, v, v))
 
     vs1 = list(g1.vertices)
     cand = {v: [w for w in g2.vertices if signature(wg2, w) == signature(wg1, v)] for v in vs1}
@@ -50,7 +68,7 @@ def _vertex_bijections(wg1: WeightedGraph, wg2: WeightedGraph):
             if w in image.values():
                 continue
             ok = all(
-                g1.parallel_count(v, u) == g2.parallel_count(w, x)
+                parallel_count(g1, v, u) == parallel_count(g2, w, x)
                 for u, x in image.items()
             )
             if ok:
@@ -176,7 +194,7 @@ def check_bond(g: MultiGraph, side: frozenset, edges: frozenset) -> None:
     comp = frozenset(g.vertices) - side
     if not side or not comp:
         raise NotABondError("a bond needs a nontrivial vertex bipartition")
-    if not is_connected(g.induced(side)) or not is_connected(g.induced(comp)):
+    if not is_connected(induced(g, side)) or not is_connected(induced(g, comp)):
         raise NotABondError("both sides of a bond must induce connected subgraphs")
     if edges != g.cut_edges(side):
         raise NotABondError("edge set does not match the cut of the given side")

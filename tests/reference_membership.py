@@ -9,11 +9,14 @@ solved for the point in its ray basis over ``Fraction``s.  ``Cone`` holds
 the fields of the old ``RationalCone`` those bodies read, and binds them as
 its methods, so a call from one of them to another stays in this module.
 They are the reference the integer versions are tested against.
+``evaluate`` is the old ``LaurentRelation.evaluate``, the ``Fraction``
+product ``holds_at`` compared with 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from reference_lattices import solve_columns
 
@@ -56,5 +59,13 @@ class Cone:
     contains = contains
 
 
+def evaluate(self, point: dict) -> Fraction:
+    """Product of x_e^exp over all terms; the relation holds at 1."""
+    num = Fraction(1)
+    for _, e, exp in self.terms:
+        num *= Fraction(point[e]) ** exp
+    return num
+
+
 def holds_at(self, point: dict) -> bool:
-    return self.evaluate(point) == 1
+    return evaluate(self, point) == 1

@@ -17,6 +17,10 @@ every cell goes through the checking ``ModuliCell`` constructor.
 census on vertex-index tuples as it ran before its connectivity test went
 through ``graphs._roots``, copied verbatim (the second under a new name):
 ``_connected`` is its own union-find.
+
+``aut_enriched`` (the stabilizer of a preorder, filtered from every
+automorphism) and ``contract_weighted`` are the library functions these
+read, copied verbatim.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from enrichfan.graphs import (
     WeightedGraph,
     _canonical_orderings,
     automorphisms,
-    contract_weighted,
+    contract,
+    contracted_weights,
     genus,
     is_stable,
     weighted_isomorphisms,
@@ -143,6 +148,11 @@ def enumerate_stable_weighted_graphs(g: int, genus_guard: int = GENUS_GUARD) -> 
     return [_graph_from_key(k) for k in sorted(seen)]
 
 
+def contract_weighted(wg: WeightedGraph, s) -> WeightedGraph:
+    """Contract edges of a weighted graph, with the weights of ``contracted_weights``."""
+    return WeightedGraph(contract(wg.graph, s), contracted_weights(wg, s))
+
+
 def cell_specializes_to(a: ModuliCell, b: ModuliCell) -> bool:
     """Whether some specialization of a's representative is isomorphic to b's."""
     if a.index == b.index:
@@ -217,6 +227,12 @@ def classify_cells(g: int, genus_guard: int = GENUS_GUARD) -> CellClassification
     )
 
 
+def aut_enriched(wg: WeightedGraph, p) -> list:
+    """The subgroup of Aut(graph, weights) whose edge action preserves ``p``."""
+    mapping_auts = automorphisms(wg)
+    return [a for a in mapping_auts if p.relabel(a.as_dict()) == p]
+
+
 def _structure_orbits(wg: WeightedGraph):
     """Orbits of enriched structures under Aut(graph, weights).
 
@@ -282,7 +298,7 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
     for wg, budget in zip(graphs, per_graph):
         graph = wg.graph
         labels = graph.edge_labels
-        auts = [(a.as_dict(), a.inverse().as_dict()) for a in automorphisms(wg)]
+        auts = [(t, {b: e for e, b in t.items()}) for t in (a.as_dict() for a in automorphisms(wg))]
         structs = enriched_structures(graph)
         cones = [structure_cone(eg) for eg in structs]
         # each structure in a cell's orbit, with the automorphisms t carrying

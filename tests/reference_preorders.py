@@ -9,6 +9,9 @@ first argument; a call from one replaced method to another goes to the
 copy here, so no reference result passes through the new code.  The old
 ``cones.ray_generators`` and ``cones._structure_halfspaces`` follow;
 they are the reference the row versions are tested against.
+
+``all_preorders`` enumerates every preorder on a small ground set by
+brute force; enumeration and validation are tested against it.
 """
 
 from __future__ import annotations
@@ -16,18 +19,17 @@ from __future__ import annotations
 import itertools
 
 from enrichfan.graphs import label_key, sort_labels
-from enrichfan.preorders import Preorder, QuotientPoset
+from enrichfan.preorders import Preorder, QuotientPoset, _closed
 from reference_lattices import EQ, GE, GT, Halfspace
+
+
+def lt(self, a, b) -> bool:
+    return self.leq(a, b) and not self.leq(b, a)
 
 
 def up_closure(self, a) -> frozenset:
     row = self._rows[self._i(a)]
     return frozenset(lab for j, lab in enumerate(self._labels) if row >> j & 1)
-
-
-def down_closure(self, a) -> frozenset:
-    j = self._i(a)
-    return frozenset(lab for i, lab in enumerate(self._labels) if self._rows[i] >> j & 1)
 
 
 def classes(self) -> tuple:
@@ -46,27 +48,12 @@ def classes(self) -> tuple:
     return tuple(out)
 
 
-def class_of(self, a) -> frozenset:
-    i = self._i(a)
-    return frozenset(
-        b for j, b in enumerate(self._labels)
-        if self._rows[i] >> j & 1 and self._rows[j] >> i & 1
-    )
-
-
 def rank(self) -> int:
     return len(classes(self))
 
 
 def is_partial_order(self) -> bool:
     return all(len(c) == 1 for c in classes(self))
-
-
-def minimal_labels(self) -> frozenset:
-    return frozenset(
-        a for a in self._labels
-        if not any(self.lt(b, a) for b in self._labels)
-    )
 
 
 def is_lower_set(self, s) -> bool:
@@ -152,7 +139,7 @@ def quotient(self) -> QuotientPoset:
         (i, j)
         for i in range(n)
         for j in range(n)
-        if i != j and self.lt(reps[i], reps[j])
+        if i != j and lt(self, reps[i], reps[j])
     )
     hasse = tuple(
         sorted(
@@ -202,3 +189,19 @@ def _structure_halfspaces(eg, strict: bool) -> tuple:
         unit = tuple(1 if t == pos[q.classes[i][0]] else 0 for t in range(n))
         hs.append(Halfspace(unit, rel))
     return tuple(hs)
+
+
+def all_preorders(ground):
+    """Every preorder on ``ground``: each off-diagonal relation set, kept when closed."""
+    labels = sort_labels(set(ground))
+    n = len(labels)
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for mask in range(1 << len(offdiag)):
+        rows = [1 << i for i in range(n)]
+        m = mask
+        for (i, j) in offdiag:
+            if m & 1:
+                rows[i] |= 1 << j
+            m >>= 1
+        if _closed(list(rows)) == rows:
+            yield Preorder._family(labels, [tuple(rows)])[0]

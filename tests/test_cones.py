@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from enrichfan.cones import (
     containing,
     increment_coordinates,
     increment_matrix,
-    lengths_from_increments,
     ray_generators,
     structure_cone,
 )
@@ -27,7 +27,31 @@ from enrichfan.enriched import (
 from enrichfan.preorders import Preorder
 from reference_lattices import halfspaces_of
 from test_enriched_reference import cycle
+from test_fans import embedded
 from test_toric_reference import k4
+
+
+def lengths_from_increments(eg: EnrichedGraph, y) -> dict:
+    """Inverse of ``increment_coordinates`` on the structure subspace.
+
+    ``y`` maps each class (tuple of labels) to a value; the length of an
+    edge is the sum of increments along the Hasse path from its root class.
+    """
+    q = eg.preorder.quotient()
+    parents = q.parents()
+    totals = {}
+
+    def total(idx):
+        if idx not in totals:
+            base = total(parents[idx]) if idx in parents else 0
+            totals[idx] = base + y[q.classes[idx]]
+        return totals[idx]
+
+    out = {}
+    for idx, cls in enumerate(q.classes):
+        for lab in cls:
+            out[lab] = total(idx)
+    return out
 
 
 def theta_generic():
@@ -85,8 +109,8 @@ class TestStructureCone:
                 open_cone = structure_cone(eg)
                 closed = closed_structure_cone(eg)
                 for x in samples:
-                    assert closed.contains(x) == closed.closure_contains(x)
-                    assert open_cone.contains(x) == open_cone.interior_contains(x)
+                    assert closed.contains(x) == reference_membership.Cone(closed.rays).closure_contains(x)
+                    assert open_cone.contains(x) == reference_membership.Cone(open_cone.rays).interior_contains(x)
 
     def test_smoothness(self):
         for g in corpus.corpus_graphs().values():
@@ -134,32 +158,32 @@ class TestRationalCone:
         by_rays = reference_membership.Cone(cone.rays)
         for x in itertools.product([-2, -1, 0, 1, 2], repeat=3):
             by_h = all(h.holds(x) for h in halfspaces_of(cone))
-            assert by_h == cone.closure_contains(x) == by_rays.closure_contains(x)
+            assert by_h == cone.closure().contains(x) == by_rays.closure_contains(x)
 
     def test_membership_by_ray_coefficients(self):
         # (2, 3, 5) is 2 * (1, 0, 1) + 3 * (0, 1, 1); (2, 0, 2) lies on a facet
         cone = RationalCone.from_rays(("x", "y", "z"), [(1, 0, 1), (0, 1, 1)])
-        assert cone.closure_contains((2, 3, 5)) and cone.interior_contains((2, 3, 5))
-        assert cone.closure_contains((2, 0, 2)) and not cone.interior_contains((2, 0, 2))
-        assert not cone.closure_contains((2, -3, -1))
+        assert cone.closure().contains((2, 3, 5)) and replace(cone, closed=False).contains((2, 3, 5))
+        assert cone.closure().contains((2, 0, 2)) and not replace(cone, closed=False).contains((2, 0, 2))
+        assert not cone.closure().contains((2, -3, -1))
 
     def test_point_off_the_span_is_outside(self):
         cone = RationalCone.from_rays(("x", "y", "z"), [(1, 0, 0)])
-        assert cone.closure_contains((2, 0, 0))
-        assert not cone.closure_contains((0, 1, 0))
-        assert not cone.closure_contains((2, Fraction(1, 7), 0))
+        assert cone.closure().contains((2, 0, 0))
+        assert not cone.closure().contains((0, 1, 0))
+        assert not cone.closure().contains((2, Fraction(1, 7), 0))
 
     def test_zero_cone_holds_only_the_origin(self):
         for closed in (True, False):
             cone = RationalCone(("x", "y"), (), closed)
-            assert cone.contains((0, 0)) and cone.closure_contains((0, 0)) and cone.interior_contains((0, 0))
-            assert not cone.contains((1, 0)) and not cone.closure_contains((0, Fraction(-1, 2)))
+            assert cone.contains((0, 0)) and cone.closure().contains((0, 0)) and replace(cone, closed=False).contains((0, 0))
+            assert not cone.contains((1, 0)) and not cone.closure().contains((0, Fraction(-1, 2)))
 
     def test_closure_and_embedding_keep_the_rows(self):
         eg = theta_generic()
         cone = structure_cone(eg)
         assert cone.closure().h_description() == closed_structure_cone(eg).h_description()
-        big = closed_structure_cone(eg).embedded(("0", "a", "b", "c"))
+        big = embedded(closed_structure_cone(eg), ("0", "a", "b", "c"))
         assert big.h_description() == (((1, 0, 0, 0),), ((0, -1, 1, 0), (0, -1, 0, 1), (0, 1, 0, 0)))
         assert big.contains((0, 1, 2, 2)) and not big.contains((1, 1, 2, 2))
 
@@ -170,10 +194,19 @@ class TestRationalCone:
         cone = RationalCone(("a", "b", "c"), ((0, 1, 1), (1, 0, 1)), rows=(((1, 1, -1),), ((1, 0, 0), (0, 1, 0))))
         x = (0.1, 0.2, 0.30000000000000004)
         assert not cone.contains(x)
-        assert not cone.closure_contains(x)
-        assert not cone.interior_contains(x)
+        assert not cone.closure().contains(x)
+        assert not replace(cone, closed=False).contains(x)
         assert not cone.contains(tuple(map(Fraction, x)))
         assert containing([cone], x) == []
+
+    def test_point_of_the_wrong_length_is_refused(self):
+        cone = RationalCone(("x", "y", "z"), ((1, 0, 0), (0, 1, 0)))
+        for x in ((1,), (1, 1), (1, 1, 0, 0)):
+            with pytest.raises(ValueError, match="coordinates"):
+                cone.contains(x)
+            with pytest.raises(ValueError, match="coordinates"):
+                containing([cone, cone.closure()], x)
+        assert containing([], (1,)) == []
 
     def test_faces_are_ray_subsets(self):
         cone = RationalCone.from_rays(("x", "y", "z"), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -182,10 +215,10 @@ class TestRationalCone:
 
     def test_embedded(self):
         cone = RationalCone.from_rays(("b", "c"), [(1, 0), (0, 1)])
-        big = cone.embedded(("a", "b", "c"))
+        big = embedded(cone, ("a", "b", "c"))
         assert big.rays == ((0, 0, 1), (0, 1, 0))
-        assert big.closure_contains((0, 1, 2))
-        assert not big.closure_contains((1, 1, 2))
+        assert big.closure().contains((0, 1, 2))
+        assert not big.closure().contains((1, 1, 2))
 
 
 class TestIncrementCoordinates:

@@ -18,7 +18,7 @@ from enrichfan import corpus
 from enrichfan.enriched import _state, enriched_structures, is_enriched, locate, specializations
 from enrichfan.formats import specialization_poset_dot
 from enrichfan.graphs import MultiGraph, biconnected_components, contract
-from enrichfan.preorders import all_preorders
+from reference_preorders import all_preorders
 from test_toric_reference import k4, wheel4
 
 # mixed int and string labels: ints sort numerically and before strings

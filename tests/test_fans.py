@@ -1,13 +1,14 @@
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 import reference_membership
 from enrichfan import corpus
-from enrichfan.cones import RationalCone
-from enrichfan.enriched import enriched_structures, locate
+from enrichfan.cones import RationalCone, closed_structure_cone, containing, structure_cone
+from enrichfan.enriched import EnrichedGraph, enriched_structures, locate
 from enrichfan.errors import NotStronglyConvexError
 from enrichfan.fans import (
     Fan,
@@ -15,17 +16,84 @@ from enrichfan.fans import (
     fan_by_star_subdivision,
     fan_equal,
     fan_of_graph,
-    fan_product,
-    fan_strata,
     good_contraction_sequence,
     graph_lattice_quotient,
-    locate_stratum,
     octant_fan,
     quotient_fan,
     star_subdivision,
 )
-from enrichfan.graphs import MultiGraph
+from enrichfan.graphs import MultiGraph, contract
 from reference_lattices import halfspaces_of
+
+
+def embedded(cone: RationalCone, labels) -> RationalCone:
+    """Zero-extend the cone into a larger labeled ambient lattice; its
+    rows are padded, with a unit equality for each new coordinate."""
+    labels = tuple(labels)
+    pos = {lab: i for i, lab in enumerate(labels)}
+    for lab in cone.labels:
+        if lab not in pos:
+            raise ValueError(f"label {lab!r} missing from target ambient lattice")
+    own = [pos[lab] for lab in cone.labels]
+
+    def put(vec):
+        out = [0] * len(labels)
+        for i, v in zip(own, vec):
+            out[i] = v
+        return tuple(out)
+
+    rays = tuple(map(put, cone.rays))
+    rows = None
+    if cone.rows is not None:
+        equalities, facets = cone.rows
+        units = tuple(tuple(int(j == i) for j in range(len(labels))) for i in range(len(labels)) if i not in own)
+        rows = (tuple(map(put, equalities)) + units, tuple(map(put, facets)))
+    return RationalCone(labels, rays, cone.closed, rows)
+
+
+@dataclass(frozen=True)
+class Stratum:
+    """One relatively open piece of the orthant stratification.
+
+    Contracting ``contracted`` and imposing ``structure`` on the surviving
+    edges describes all points whose zero set is exactly ``contracted``.
+    """
+
+    contracted: frozenset
+    structure: EnrichedGraph
+    open_cone: RationalCone
+
+
+def fan_strata(g: MultiGraph) -> list:
+    """Every cone of the fan of ``g`` as an embedded stratum, each once."""
+    labels = g.edge_labels
+    out = []
+    for k in range(g.n_edges + 1):
+        for sub in itertools.combinations(labels, k):
+            s = frozenset(sub)
+            for eg in enriched_structures(contract(g, s)):
+                out.append(Stratum(s, eg, embedded(structure_cone(eg), labels)))
+    return out
+
+
+def locate_stratum(g: MultiGraph, x) -> Stratum:
+    """The unique stratum whose relatively open cone contains ``x >= 0``."""
+    zero = frozenset(e for e in g.edge_labels if Fraction(x[e]) == 0)
+    positive = {e: x[e] for e in g.edge_labels if e not in zero}
+    eg = locate(contract(g, zero), positive)
+    return Stratum(zero, eg, embedded(structure_cone(eg), g.edge_labels))
+
+
+def fan_product(f1: Fan, f2: Fan) -> Fan:
+    """The product fan in the concatenated ambient lattice."""
+    labels = f1.labels + f2.labels
+    n1, n2 = len(f1.labels), len(f2.labels)
+    cones = []
+    for c1 in f1.maximal:
+        for c2 in f2.maximal:
+            rays = [r + (0,) * n2 for r in c1.rays] + [(0,) * n1 + r for r in c2.rays]
+            cones.append(RationalCone.from_rays(labels, rays))
+    return Fan.from_cones(labels, cones)
 
 
 def rational_points(labels, count, seed, positive=True):
@@ -82,7 +150,8 @@ class TestFanOfGraph:
     def test_strata_count_is_fan_cone_count(self):
         for g in (corpus.theta(3), corpus.triangle()):
             fan = fan_of_graph(g)
-            assert len(fan_strata(g)) == fan.n_cones()
+            faces = {frozenset(f) for c in fan.maximal for k in range(c.dim + 1) for f in itertools.combinations(c.rays, k)}
+            assert len(fan_strata(g)) == len(faces)
 
 
 class TestStarSubdivision:
@@ -112,7 +181,7 @@ class TestStarSubdivision:
         f1 = octant_fan(("x", "y"))
         f2 = octant_fan(("z",))
         tau = coordinate_cone(("x", "y"), ("x", "y"))
-        lhs = star_subdivision(fan_product(f1, f2), tau.embedded(("x", "y", "z")))
+        lhs = star_subdivision(fan_product(f1, f2), embedded(tau, ("x", "y", "z")))
         rhs = fan_product(star_subdivision(f1, tau), f2)
         assert fan_equal(lhs, rhs)
 
@@ -121,7 +190,7 @@ class TestStarSubdivision:
         fan = octant_fan(("x", "y", "z"))
         blown = star_subdivision(fan, coordinate_cone(("x", "y", "z"), ("x", "y")))
         assert len(blown.maximal) == 2
-        assert blown.support_contains((1, 5, 2)) and not blown.support_contains((-1, 0, 0))
+        assert containing(blown.maximal, (1, 5, 2)) and not containing(blown.maximal, (-1, 0, 0))
 
 
 class TestGoodSequence:
@@ -229,8 +298,9 @@ class TestQuotientFan:
 
 class TestSupportContains:
     def test_matches_per_cone_closure_test(self):
-        """``support_contains`` against each maximal cone's own closure test,
-        on seeded points, points on the faces of maximal cones, and floats."""
+        """The support of a fan by ``containing`` against each maximal cone's
+        own test, on seeded points, points on the faces of maximal cones,
+        and floats."""
         rng = random.Random(6208)
         tri = corpus.triangle()
         labels = ("x", "y", "z")
@@ -252,8 +322,8 @@ class TestSupportContains:
                 points.append(tuple(v - Fraction(1, 97) * (i == 0) for i, v in enumerate(on_face)))
             points += [tuple(rng.choice([0.0, 0.1, 0.5, -0.25, 3.0, 1e-9]) for _ in range(n)) for _ in range(20)]
             for x in points:
-                expected = any(c.closure_contains(x) for c in fan.maximal)
-                assert fan.support_contains(x) == expected, (fan, x)
+                expected = any(c.contains(x) for c in fan.maximal)  # the maximal cones are closed
+                assert bool(containing(fan.maximal, x)) == expected, (fan, x)
                 outcomes.add(expected)
         assert outcomes == {True, False}
 
@@ -345,21 +415,19 @@ class TestFaceIdentification:
     def test_specialization_cones_are_faces(self):
         # every face of a closed structure cone is the embedded closed cone
         # of exactly one specialization
-        from enrichfan.cones import closed_structure_cone
-
         for g in (corpus.theta(3), corpus.triangle(), corpus.doubled_triangle()):
             for eg in enriched_structures(g):
                 big = closed_structure_cone(eg)
                 face_sets = {frozenset(sub) for k in range(big.dim + 1) for sub in itertools.combinations(big.rays, k)}
                 from enrichfan.enriched import specializations
 
-                embedded = []
+                faces = []
                 for sp in specializations(eg):
-                    cone = closed_structure_cone(sp.target).embedded(g.edge_labels)
+                    cone = embedded(closed_structure_cone(sp.target), g.edge_labels)
                     assert cone.is_face_of(big)
-                    embedded.append(cone.ray_set)
-                assert len(embedded) == len(set(embedded))
-                assert set(embedded) == face_sets
+                    faces.append(cone.ray_set)
+                assert len(faces) == len(set(faces))
+                assert set(faces) == face_sets
 
 
 class TestBlockProductRule:
@@ -383,8 +451,6 @@ class TestFanPullback:
     def test_contraction_fan_is_restriction(self):
         # the fan of a contraction equals the trace of the big fan on the
         # subspace where the contracted coordinates vanish
-        from enrichfan.graphs import contract
-
         for g, s in [
             (corpus.triangle(), {"a"}),
             (corpus.square(), {"a"}),
@@ -404,10 +470,10 @@ class TestFanPullback:
                 t for t in traced if not any(set(t) < set(u) for u in traced if u != t)
             }
             small = fan_of_graph(contract(g, s))
-            embedded = {
-                tuple(sorted(c.embedded(labels).rays)) for c in small.maximal
+            traces = {
+                tuple(sorted(embedded(c, labels).rays)) for c in small.maximal
             }
-            assert {tuple(sorted(t)) for t in maximal_traces} == embedded
+            assert {tuple(sorted(t)) for t in maximal_traces} == traces
 
 
 class TestBoundarySampling:
@@ -436,8 +502,8 @@ class TestIteratedSubdivision:
         assert len(fan2.maximal) == len(fan.maximal) + 2
         # support unchanged: a sample of octant points stays covered
         for pt in rational_points(labels, 30, seed=1):
-            assert fan2.support_contains(pt)
-        assert not fan2.support_contains((-1, 1, 1))
+            assert containing(fan2.maximal, pt)
+        assert not containing(fan2.maximal, (-1, 1, 1))
 
     def test_h_description_agrees_after_subdivision(self):
         import itertools as it
@@ -449,7 +515,7 @@ class TestIteratedSubdivision:
             by_rays = reference_membership.Cone(c.rays)
             for x in grid:
                 by_h = all(h.holds(x) for h in halfspaces_of(c))
-                assert by_h == c.closure_contains(x) == by_rays.closure_contains(x)
+                assert by_h == c.closure().contains(x) == by_rays.closure_contains(x)
 
     def test_octant_is_not_complete(self):
         assert not octant_fan(("x", "y")).is_complete()
@@ -467,5 +533,5 @@ class TestFanAxiom:
                 shared = c1.ray_set & c2.ray_set
                 face = RationalCone.from_rays(fan.labels, shared) if shared else RationalCone(fan.labels, ())
                 for x in pts:
-                    if c1.closure_contains(x) and c2.closure_contains(x):
-                        assert face.closure_contains(x)
+                    if c1.closure().contains(x) and c2.closure().contains(x):
+                        assert face.closure().contains(x)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_graphs as ref
+from conftest import zero_weights
 from enrichfan import corpus
 from enrichfan.errors import GuardExceededError, NotABondError, UnknownEdgeError, UnknownVertexError
 from enrichfan.graphs import (
@@ -42,7 +43,7 @@ def prism():
 def named_graphs() -> list:
     """The corpus, K4, W4 and the prism with weight 0, and the corpus with weight 1 on its least vertex."""
     graphs = list(corpus.corpus_graphs().values()) + [k4(), wheel4(), prism()]
-    out = [corpus.zero_weights(g) for g in graphs]
+    out = [zero_weights(g) for g in graphs]
     for g in corpus.corpus_graphs().values():
         out.append(WeightedGraph(g, {v: int(i == 0) for i, v in enumerate(g.vertices)}))
     return out
@@ -126,7 +127,7 @@ def test_random_pairs_match_reference(wg1, wg2):
 def test_vertex_cap_is_checked_before_any_search(monkeypatch):
     assert AUTOMORPHISM_VERTICES == 8
     n = AUTOMORPHISM_VERTICES + 1
-    wg = corpus.zero_weights(MultiGraph(range(n), {f"c{i}": (i, (i + 1) % n) for i in range(n)}))
+    wg = zero_weights(MultiGraph(range(n), {f"c{i}": (i, (i + 1) % n) for i in range(n)}))
 
     def no_search(*args):
         raise AssertionError("the search started")
@@ -135,7 +136,7 @@ def test_vertex_cap_is_checked_before_any_search(monkeypatch):
     with pytest.raises(GuardExceededError, match="capped at 8 vertices"):
         automorphisms(wg)
     with pytest.raises(GuardExceededError, match="capped at 8 vertices"):
-        weighted_isomorphisms(wg, corpus.zero_weights(corpus.triangle()))
+        weighted_isomorphisms(wg, zero_weights(corpus.triangle()))
 
 
 def test_eight_vertices_are_searched():

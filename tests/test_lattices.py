@@ -5,7 +5,6 @@ from enrichfan.lattices import (
     LatticeQuotient,
     invariant_factors,
     kernel_lattice,
-    lattice_contains,
     lattice_span_equal,
     linearly_independent,
     primitive,
@@ -52,7 +51,7 @@ class TestKernelLattice:
     def test_saturated(self):
         # (2,-2) combination vanishes; the saturated kernel contains (1,-1)
         basis = kernel_lattice([(1, 1), (1, 1)], 2)
-        assert lattice_contains(basis, (1, -1), 2)
+        assert lattice_span_equal(basis, [(1, -1)], 2)
 
 
 class TestLatticeSpan:
@@ -61,10 +60,11 @@ class TestLatticeSpan:
         assert not lattice_span_equal([(2, 0), (0, 1)], [(1, 0), (0, 1)], 2)
 
     def test_contains(self):
+        # a vector lies in the span exactly when adding it keeps the span
         rows = [(1, 1, 0), (0, 2, 1)]
-        assert lattice_contains(rows, (1, 3, 1), 3)
-        assert not lattice_contains(rows, (1, 0, 0), 3)
-        assert lattice_contains(rows, (0, 0, 0), 3)
+        assert lattice_span_equal(rows, rows + [(1, 3, 1)], 3)
+        assert not lattice_span_equal(rows, rows + [(1, 0, 0)], 3)
+        assert lattice_span_equal(rows, rows + [(0, 0, 0)], 3)
 
 
 class TestInvariantFactors:

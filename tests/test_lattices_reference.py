@@ -3,6 +3,7 @@ on their signs, against the ``Fraction`` eliminations they replaced
 (``reference_lattices``, ``reference_membership``)."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,12 +39,12 @@ def _reference_halfspaces(cone):
 
 
 def assert_membership_matches_solve(cone, points):
-    """The three membership tests of ``cone`` and ``containing`` against
-    the ``Fraction`` solve in the ray basis."""
+    """Membership in ``cone``, its closure and its relative interior, and
+    ``containing``, against the ``Fraction`` solve in the ray basis."""
     old = reference_membership.Cone(cone.rays, cone.closed)
     for x in points:
-        assert cone.closure_contains(x) == old.closure_contains(x), (cone, x)
-        assert cone.interior_contains(x) == old.interior_contains(x), (cone, x)
+        assert cone.closure().contains(x) == old.closure_contains(x), (cone, x)
+        assert replace(cone, closed=False).contains(x) == old.interior_contains(x), (cone, x)
         assert cone.contains(x) == old.contains(x), (cone, x)
         assert containing([cone, cone.closure()], x) == [i for i, inside in enumerate((old.contains(x), old.closure_contains(x))) if inside]
 
@@ -63,7 +64,7 @@ def check_same_set(rays, n, solve=False):
         for x in points:
             inside = all(h.holds(x) for h in ours)
             assert inside == all(h.holds(x) for h in theirs), (cone, x)
-            assert inside == (cone.closure_contains(x) if closed else cone.interior_contains(x))
+            assert inside == cone.contains(x)
         if solve:
             assert_membership_matches_solve(cone, points)
 

@@ -2,6 +2,7 @@
 against the ``Fraction`` code they replaced (``reference_membership``)."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 import reference_membership as ref
 from conftest import connected_multigraphs
 from enrichfan import corpus
-from enrichfan.cones import closed_structure_cone, containing, lengths_from_increments, structure_cone
+from enrichfan.cones import closed_structure_cone, containing, structure_cone
 from enrichfan.enriched import enriched_structures
 from enrichfan.toric import LaurentRelation, equations, mutated_evaluate
 from reference_lattices import EQ, GE, GT, halfspaces_of
 from reference_preorders import _structure_halfspaces
+from test_cones import lengths_from_increments
 from test_toric_reference import k4, wheel4
 
 
@@ -65,12 +67,12 @@ def _boundary_point(eg, increments):
 
 
 def _assert_same_membership(cones, x):
-    """``contains``, ``closure_contains`` and ``interior_contains`` of each
-    cone, and ``containing`` over all of them, against the reference."""
+    """Membership in each cone, its closure and its relative interior, and
+    ``containing`` over all of them, against the reference."""
     for cone, old in cones:
         assert cone.contains(x) == ref.contains(old, x), (cone, x)
-        assert cone.closure_contains(x) == ref.closure_contains(old, x), (cone, x)
-        assert cone.interior_contains(x) == ref.interior_contains(old, x), (cone, x)
+        assert cone.closure().contains(x) == ref.closure_contains(old, x), (cone, x)
+        assert replace(cone, closed=False).contains(x) == ref.interior_contains(old, x), (cone, x)
     assert containing([cone for cone, _ in cones], x) == [i for i, (_, old) in enumerate(cones) if ref.contains(old, x)]
 
 

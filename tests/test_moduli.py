@@ -1,20 +1,20 @@
 import pytest
 
+from conftest import zero_weights
 from enrichfan import corpus, enriched, graphs
 from enrichfan.errors import GuardExceededError
-from enrichfan.enriched import enriched_structures
+from enrichfan.enriched import canonical_structure, enriched_structures
 from enrichfan.graphs import automorphisms, genus, is_stable, label_key
 from enrichfan.moduli import (
     cell_adjacency,
-    cell_specializes_to,
     check_unique_lifts,
     classify_cells,
     classify_census,
     enumerate_cells,
     enumerate_stable_weighted_graphs,
-    aut_enriched,
 )
 from enrichfan.preorders import Preorder
+from reference_moduli import aut_enriched
 
 
 def graph_shape(wg):
@@ -107,17 +107,17 @@ class TestCells:
 class TestAutEnriched:
     def test_theta_generic_order_two(self):
         g = corpus.theta(3)
-        wg = corpus.zero_weights(g)
+        wg = zero_weights(g)
         p = Preorder.from_relations("abc", [("a", "b"), ("a", "c")])
         assert len(aut_enriched(wg, p)) == 2
 
     def test_theta_canonical_order_six(self):
         g = corpus.theta(3)
-        wg = corpus.zero_weights(g)
-        assert len(aut_enriched(wg, Preorder.indiscrete("abc"))) == 6
+        wg = zero_weights(g)
+        assert len(aut_enriched(wg, canonical_structure(g).preorder)) == 6
 
     def test_dumbbell_order_two(self):
-        wg = corpus.zero_weights(corpus.dumbbell())
+        wg = zero_weights(corpus.dumbbell())
         assert len(aut_enriched(wg, Preorder.discrete(wg.graph.edge_labels))) == 2
 
 
@@ -190,6 +190,10 @@ class TestContractions:
         assert len(calls) == sum(len(c.preorder.lower_sets()) for c in cells)
 
 
+def cell_specializes_to(a, b) -> bool:
+    return b.index in cell_adjacency([a, b])[a.index]
+
+
 class TestSpecializationArrows:
     def test_theta_chain(self):
         cells = enumerate_cells(2)
@@ -221,6 +225,25 @@ class TestUniqueLifts:
         assert report.failures == ()
 
 
+def gluing_matrix(sp) -> tuple:
+    """Integer matrix taking source increment coordinates to target ones.
+
+    Rows are the target classes, columns the source classes; the single 1
+    per row sits at the source class given by the class inclusion.  For a
+    boundary point, increments computed downstairs and upstairs agree
+    through this matrix.
+    """
+    from test_enriched import class_inclusion
+
+    inc = class_inclusion(sp)
+    src_classes = sp.source.preorder.quotient().classes
+    col = {frozenset(c): i for i, c in enumerate(src_classes)}
+    return tuple(
+        tuple(int(i == col[inc[frozenset(c)]]) for i in range(len(src_classes)))
+        for c in sp.target.preorder.quotient().classes
+    )
+
+
 class TestGluingMatrices:
     def test_increments_commute_with_embedding(self):
         # for a boundary point of a cell closure, increment coordinates
@@ -228,9 +251,9 @@ class TestGluingMatrices:
         # match the increments computed upstairs
         from fractions import Fraction
 
-        from enrichfan.cones import increment_coordinates, lengths_from_increments
+        from enrichfan.cones import increment_coordinates
         from enrichfan.enriched import enriched_structures, specializations
-        from enrichfan.moduli import gluing_matrix
+        from test_cones import lengths_from_increments
 
         for g in (corpus.theta(3), corpus.triangle()):
             for eg in enriched_structures(g):
@@ -260,9 +283,9 @@ class TestExplicitLift:
         from enrichfan.moduli import _frame_map
 
         g = corpus.theta(3)
-        wg = corpus.zero_weights(g)
+        wg = zero_weights(g)
         located = locate(g, {"a": 1, "b": 2, "c": 4})
-        assert located.preorder.global_minima() == frozenset({"a"})
+        assert located.preorder == Preorder.from_relations("abc", [("a", "b"), ("a", "c")])
         cells = enumerate_cells(2)
         key = _frame_map(wg)[0]
         theta_cells = [c for c in cells if _frame_map(c.weighted)[0] == key]
