@@ -3,6 +3,10 @@
 ``--max-edges`` is checked where a command that enumerates structures reads
 its graph (``_capped_graph``); the toric commands pass it on to toric.
 
+Importing this module loads only ``errors``, ``formats`` and ``graphs``; each
+handler imports the other layers it runs, so a command loads no layer it
+does not use.
+
 Exit codes: 0 success, 1 verification failure, 2 unparseable input or a
 malformed option, 3 enumeration guard exceeded, 4 any other library error
 (for example a graph that is not biconnected where one is required).
@@ -15,7 +19,6 @@ import json
 import os
 import sys
 
-from .enriched import enriched_structures, is_enriched
 from .errors import EnrichfanError, FormatError, GuardExceededError
 from .formats import (
     cells_to_dot,
@@ -29,8 +32,6 @@ from .formats import (
     specialization_poset_dot,
 )
 from .graphs import MultiGraph, WeightedGraph, biconnected_components, bonds, genus, is_biconnected, is_stable
-from .moduli import cell_adjacency, classify_census, enumerate_cells
-from .preorders import Preorder
 
 DEFAULT_SEED = 20240
 SEED_ENV = "ENRICHFAN_SEED"
@@ -102,6 +103,14 @@ def cmd_graph_info(args) -> int:
     return EXIT_OK
 
 
+def enriched_structures(g: MultiGraph) -> list:
+    """``enriched.enriched_structures``, imported on its first call; a name of
+    this module so that a test can put a fake enumeration in its place."""
+    from . import enriched
+
+    return enriched.enriched_structures(g)
+
+
 def cmd_enriched_list(args) -> int:
     g = _capped_graph(args)
     structs = enriched_structures(g)
@@ -122,11 +131,14 @@ def cmd_enriched_list(args) -> int:
         rel = "; ".join(f"{a}≼{b}" for a, b in s["pairs"]) or "discrete"
         tag = " generic" if s["generic"] else ""
         lines.append(f"  rank {s['rank']}{tag}: {rel}")
-    _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=lambda: specialization_poset_dot(g))
+    _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=lambda: specialization_poset_dot(structs))
     return EXIT_OK
 
 
 def cmd_enriched_check(args) -> int:
+    from .enriched import is_enriched
+    from .preorders import Preorder
+
     wg = _load_graph(args)
     if args.pairs:
         try:
@@ -181,6 +193,8 @@ def cmd_fan_verify(args) -> int:
 
 
 def cmd_moduli_cells(args) -> int:
+    from .moduli import cell_adjacency, classify_census, enumerate_cells
+
     cells = enumerate_cells(args.genus)
     adjacency = cell_adjacency(cells)
     data = cells_to_json(cells, adjacency)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .cones import RationalCone, closed_structure_cone
 from .enriched import generic_structures
 from .errors import NotStronglyConvexError
-from .graphs import MultiGraph, biconnected_components, contract, is_biconnected
+from .graphs import MultiGraph, biconnected_components, good_contraction_sequence
 from .lattices import LatticeQuotient, linearly_independent, primitive
 
 
@@ -126,24 +126,6 @@ def star_subdivision(fan: Fan, tau: RationalCone) -> Fan:
             rays = [r for r in sigma.rays if r != dropped] + [u]
             new_cones.append(RationalCone.from_rays(fan.labels, rays))
     return Fan.from_cones(fan.labels, new_cones)
-
-
-def good_contraction_sequence(g: MultiGraph) -> list:
-    """All contractions of ``g`` with a biconnected target holding at least
-    one edge, ordered by non-increasing target edge count.
-
-    Returns ``(contracted_set, target_graph)`` pairs; ties are broken by the
-    canonical order of the contracted sets.
-    """
-    labels = g.edge_labels
-    entries = []
-    for k in range(g.n_edges):
-        for sub in itertools.combinations(labels, k):
-            s = frozenset(sub)
-            gc = contract(g, s)
-            if is_biconnected(gc):
-                entries.append((s, gc))
-    return entries
 
 
 def fan_by_star_subdivision(g: MultiGraph) -> Fan:

@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import json
 
-from .enriched import enriched_structures
 from .errors import FormatError
-from .fans import Fan
 from .graphs import MultiGraph, WeightedGraph
-from .preorders import Preorder
 
 
 def _token(s):
@@ -163,13 +160,13 @@ def relation_summary(p: Preorder) -> str:
     return "; ".join(covers + isolated) or "empty"
 
 
-def specialization_poset_dot(g: MultiGraph) -> str:
-    """Same-graph specialization arrows among all enriched structures of g.
+def specialization_poset_dot(structs) -> str:
+    """Same-graph specialization arrows among ``structs``, all enriched
+    structures of one graph as ``enriched_structures`` lists them.
 
     Such a specialization of rank one less merges a class into one it
     covers, so each arrow comes from a Hasse cover of its source.
     """
-    structs = enriched_structures(g)
     ids = {eg.preorder: i for i, eg in enumerate(structs)}
     lines = ["digraph S {", "  rankdir=BT;"]
     lines += [f'  p{i} [label="{relation_summary(eg.preorder)}"];' for i, eg in enumerate(structs)]

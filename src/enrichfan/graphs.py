@@ -296,6 +296,24 @@ def is_biconnected(g: MultiGraph) -> bool:
     return len(block_masks(edge_ends(g), (1 << g.n_edges) - 1)) == 1
 
 
+def good_contraction_sequence(g: MultiGraph) -> list:
+    """All contractions of ``g`` with a biconnected target holding at least
+    one edge, ordered by non-increasing target edge count.
+
+    Returns ``(contracted_set, target_graph)`` pairs; ties are broken by the
+    canonical order of the contracted sets.
+    """
+    labels = g.edge_labels
+    entries = []
+    for k in range(g.n_edges):
+        for sub in itertools.combinations(labels, k):
+            s = frozenset(sub)
+            gc = contract(g, s)
+            if is_biconnected(gc):
+                entries.append((s, gc))
+    return entries
+
+
 @dataclass(frozen=True)
 class Bond:
     """A minimal cut ``E(V, V^c)`` with a distinguished side ``V``.

@@ -57,8 +57,8 @@ class Preorder:
         rows = list(rows)
         if len(rows) != len(labels):
             raise ValueError("one relation row per label required")
-        if not all(0 <= row < 1 << len(labels) for row in rows):
-            raise ValueError("a relation row has bits outside the ground set")
+        if not all(type(row) is int and 0 <= row < 1 << len(labels) for row in rows):
+            raise ValueError("a relation row is not an int, or has bits outside the ground set")
         if _closed(list(rows)) != rows:
             raise ValueError("relation is not reflexively and transitively closed")
         self._labels = labels

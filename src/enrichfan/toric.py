@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardExceededError, NotBiconnectedError
-from .fans import good_contraction_sequence
 from .graphs import (
     MultiGraph,
     biconnected_components,
     bonds,
+    good_contraction_sequence,
     is_biconnected,
     label_key,
     sort_labels,

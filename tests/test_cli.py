@@ -238,7 +238,6 @@ class TestModuli:
         assert data["maximal"] == [0] and data["connected_through_codim1"] is True
 
     def test_census_runs_once(self, capsys, monkeypatch):
-        import enrichfan.cli
         import enrichfan.moduli
 
         calls = []
@@ -248,8 +247,7 @@ class TestModuli:
             calls.append(g)
             return real(g)
 
-        monkeypatch.setattr(enrichfan.moduli, "enumerate_cells", counted)
-        monkeypatch.setattr(enrichfan.cli, "enumerate_cells", counted)
+        monkeypatch.setattr(enrichfan.moduli, "enumerate_cells", counted)  # the handler reads it at call time
         code, out, _ = run_cli(capsys, "moduli", "cells", "-g", "2")
         assert code == EXIT_OK and "9 cells, 2 maximal" in out
         assert calls == [2]
@@ -402,17 +400,74 @@ class TestErrors:
         assert code == EXIT_PARSE and err == f"error: cannot read {path}: not UTF-8 text\n"
 
 
+def fresh_python(*argv):
+    """Run ``python *argv`` in a new interpreter on this checkout's sources."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+
+
+# the modules of enrichfan that an interpreter has loaded, as its last stderr line
+LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'enrichfan'), file=sys.stderr)"
+CLI_BASE = ["cli", "errors", "formats", "graphs"]
+
+
 class TestColdStart:
     def test_import_loads_no_sympy(self):
         # sympy is a test-only oracle; importing the CLI must not pull it in
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
         code = "import enrichfan.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-        )
+        proc = fresh_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize(
+        "statement, loaded",
+        [("import enrichfan", []), ("import enrichfan.cli", CLI_BASE), ("from enrichfan import Preorder", ["errors", "graphs", "preorders"])],
+    )
+    def test_import_loads_only_what_it_names(self, statement, loaded):
+        proc = fresh_python("-c", f"import sys; {statement}; {LOADED}")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"{sorted(['enrichfan'] + [f'enrichfan.{m}' for m in loaded])}\n"
+
+    @pytest.mark.parametrize(
+        "argv, layers",
+        [
+            (["graph", "info", "--inline", TRIANGLE], []),
+            (["enriched", "list", "--inline", THETA, "--format", "dot"], ["enriched", "preorders"]),
+            (["enriched", "check", "--inline", THETA], ["enriched", "preorders"]),
+            (["toric", "equations", "--inline", DOUBLED], ["lattices", "toric"]),
+            (["toric", "schedule", "--inline", DOUBLED], ["lattices", "toric"]),
+            (["moduli", "cells", "-g", "1"], ["cones", "enriched", "lattices", "moduli", "preorders"]),
+        ],
+    )
+    def test_command_loads_only_its_layers(self, argv, layers):
+        proc = fresh_python("-c", f"import sys; from enrichfan.cli import main; main(sys.argv[1:]); {LOADED}", *argv)
+        assert proc.returncode == 0, proc.stderr
+        loaded = sorted(["enrichfan"] + [f"enrichfan.{m}" for m in CLI_BASE + layers])
+        assert proc.stderr.splitlines()[-1] == str(loaded)
+
+    @pytest.mark.parametrize(
+        "argv, code, first_out, first_err",
+        [
+            (["graph", "info", "--inline", TRIANGLE], EXIT_OK, "vertices: 3  edges: 3", None),
+            (["enriched", "check", "--inline", TRIANGLE, "--pairs", '[["a", "b"]]'], EXIT_VERIFY, "enriched: False", None),
+            (["enriched", "check", "--inline", TRIANGLE, "--pairs", "["], EXIT_PARSE, None,
+             "error: bad --pairs JSON: Expecting value: line 1 column 2 (char 1)"),
+            (["enriched", "list", "--inline", THETA, "--max-edges", "2"], EXIT_GUARD, None,
+             "error: enumeration capped at 2 edges"),
+            (["toric", "equations", "--inline", "vertices: u v w; a: u v; b: v w"], EXIT_ERROR, None,
+             "error: this operation expects a biconnected graph; split into blocks first"),
+        ],
+    )
+    def test_each_exit_code_from_a_fresh_interpreter(self, argv, code, first_out, first_err):
+        # in process, earlier tests have loaded every layer; here a handler
+        # that forgot an import would fail
+        proc = fresh_python("-m", "enrichfan.cli", *argv)
+        assert proc.returncode == code, proc.stderr
+        assert (proc.stdout.splitlines() or [None])[0] == first_out
+        assert (proc.stderr.splitlines() or [None])[0] == first_err
 
 
 class TestVerifyAll:
@@ -485,7 +540,7 @@ class TestDotOutputs:
     def test_enriched_list_builds_no_dot_unless_asked(self, capsys, monkeypatch, fmt):
         import enrichfan.cli
 
-        def refuse(g):
+        def refuse(structs):
             raise AssertionError("the DOT poset was built")
 
         monkeypatch.setattr(enrichfan.cli, "specialization_poset_dot", refuse)

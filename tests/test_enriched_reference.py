@@ -166,12 +166,12 @@ def test_specializations_are_located_at_the_barycentres_of_the_faces():
 @settings(max_examples=15, deadline=None)
 @given(multigraphs())
 def test_poset_dot_matches_reference_any_multigraph(g):
-    assert specialization_poset_dot(g) == ref.specialization_poset_dot(g)
+    assert specialization_poset_dot(enriched_structures(g)) == ref.specialization_poset_dot(g)
 
 
 def test_poset_dot_matches_reference_corpus_c5_k4():
     for g in list(corpus.corpus_graphs().values()) + [cycle(5), k4()]:
-        assert specialization_poset_dot(g) == ref.specialization_poset_dot(g)
+        assert specialization_poset_dot(enriched_structures(g)) == ref.specialization_poset_dot(g)
 
 
 def test_cycle_counts_fubini_and_factorial():

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import zero_weights
 from enrichfan import corpus
+from enrichfan.enriched import enriched_structures
 from enrichfan.errors import FormatError
 from enrichfan.fans import fan_of_graph
 from enrichfan.formats import (
@@ -167,5 +168,5 @@ class TestDot:
         assert out.count("->") == 2
 
     def test_specialization_poset_dot(self):
-        out = specialization_poset_dot(corpus.theta(3))
+        out = specialization_poset_dot(enriched_structures(corpus.theta(3)))
         assert out.count("label=") == 7

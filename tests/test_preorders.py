@@ -50,8 +50,9 @@ class TestConstruction:
             Preorder("ab", [0b01, 0b01], _trusted=True)
 
     def test_rows_must_lie_in_the_ground_set(self):
-        # a bit past the last label, or a negative row (infinitely many bits)
-        for rows in ([0b11], [-1], [0b101, 0b010]):
+        # a bit past the last label, a negative row (infinitely many bits),
+        # or a row that is not an int at all
+        for rows in ([0b11], [-1], [0b101, 0b010], [1.5], [True]):
             with pytest.raises(ValueError, match="bits outside the ground set"):
                 Preorder("ab"[: len(rows)], rows)
 
