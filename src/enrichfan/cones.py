@@ -7,12 +7,10 @@ cutting it out.  A point lies in the closed cone when every equality row
 vanishes on it and every facet row is ``>= 0``; in the relatively open cone
 the facet rows are ``> 0``.
 
-Membership is decided on integers.  Every constraint is homogeneous, so a
-point ``x`` is tested as the positive integer multiple ``m * x``, with ``m``
-the lcm of the coordinates' denominators; each test is then the sign of an
-``int`` dot product.  A float coordinate counts at its exact binary value,
-as it does in ``enriched.locate``.  :func:`containing` scales a point once
-and tests it against many cones.
+When every row is a comparison (one ``+1`` and at most one ``-1``, or a single
+``-1``), as a structure cone's rows are, membership compares coordinates; other
+cones test the sign of each row on an integer multiple ``m * x``, ``m`` the lcm
+of the denominators.  Floats count at their exact values; inf and NaN are refused.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ class RationalCone:
     rays: tuple
     closed: bool = True
     rows: tuple = field(default=None, compare=False, repr=False)
+    _plan: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rays", tuple(sorted(self.rays)))
@@ -82,9 +81,28 @@ class RationalCone:
             return all(dot(row, x) > 0 for row in facets)
         return all(dot(row, x) >= 0 for row in facets)
 
+    def _comparisons(self):
+        """Rows as pairs ``(i, j)`` reading ``x[i] - x[j]`` (index ``n`` reads 0); False if one is no comparison."""
+        if self._plan is None:
+            plan = tuple(tuple(_comparison(row, len(self.labels)) for row in rows) for rows in self.h_description())
+            object.__setattr__(self, "_plan", all(None not in pairs for pairs in plan) and plan)
+        return self._plan
+
+    def _meets(self, x, scaled) -> bool:
+        """Membership of ``x`` from :func:`_exact`; off the comparison route, of ``scaled``."""
+        plan = self._comparisons()
+        if not plan:
+            return self._holds(scaled, not self.closed)
+        equalities, facets = plan
+        for i, j in equalities:
+            if x[i] != x[j]:
+                return False
+        return all(x[i] >= x[j] for i, j in facets) if self.closed else all(x[i] > x[j] for i, j in facets)
+
     def contains(self, x) -> bool:
         """Membership in the cone as described (open cones: their interior)."""
-        return self._holds(_integral(x, len(self.labels)), not self.closed)
+        x = _exact(x, len(self.labels))
+        return self._meets(x, None if self._comparisons() else _integral(x[:-1]))
 
     def is_face_of(self, other: "RationalCone") -> bool:
         return self.labels == other.labels and self.ray_set <= other.ray_set
@@ -112,11 +130,23 @@ class RationalCone:
         return f"RationalCone({kind}, dim={self.dim}, rays={list(self.rays)})"
 
 
-def _integral(x, rank: int) -> tuple:
-    """``m * x`` for the least positive integer ``m`` that makes it integral;
-    ``x`` must have one coordinate per axis of the ``rank``-dimensional lattice."""
+def _comparison(row, n: int):
+    """``(i, j)`` with ``row . x == x[i] - x[j]``, index ``n`` reading 0; None if ``row`` is no comparison."""
+    if sorted(filter(None, row)) in ([-1], [1], [-1, 1]):
+        return row.index(1) if 1 in row else n, row.index(-1) if -1 in row else n
+
+
+def _exact(x, rank: int) -> list:
+    """``x``, checked for length, as ``int`` and ``Fraction`` coordinates (as given if all are), then a 0."""
     if len(x) != rank:
         raise ValueError(f"point has {len(x)} coordinates, the ambient lattice has {rank}")
+    if {int, Fraction}.issuperset(map(type, x)):
+        return [*x, 0]
+    return [v if isinstance(v, (int, Fraction)) else Fraction(*v.as_integer_ratio()) for v in x] + [0]
+
+
+def _integral(x) -> tuple:
+    """``m * x`` for the least positive integer ``m`` that makes it integral."""
     ratios = [v.as_integer_ratio() for v in x]
     m = lcm(*(d for _, d in ratios))
     return tuple(n * (m // d) for n, d in ratios)
@@ -126,13 +156,14 @@ def containing(cones, x) -> list:
     """Indices of the cones (each as described) that contain ``x``.
 
     The cones share one ambient lattice, as the cones of one graph or one
-    fan do, so ``x`` is checked against the first cone's and scaled to
-    integers once for all of them.
+    fan do, so ``x`` is checked against the first cone's, and scaled to
+    integers once if some cone is off the comparison route.
     """
     if not cones:
         return []
-    x = _integral(x, len(cones[0].labels))
-    return [i for i, cone in enumerate(cones) if cone._holds(x, not cone.closed)]
+    x = _exact(x, len(cones[0].labels))
+    scaled = None if all(cone._comparisons() for cone in cones) else _integral(x[:-1])
+    return [i for i, cone in enumerate(cones) if cone._meets(x, scaled)]
 
 
 def _h_from_rays(labels: tuple, rays: tuple) -> tuple:

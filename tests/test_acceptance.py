@@ -7,12 +7,14 @@ per criterion.
 import contextlib
 import io
 import json
+import random
 import time
 from collections import Counter
 
 import enrichfan.verify
 from enrichfan.cli import main
-from enrichfan.enriched import EnrichedGraph, Specialization, _trusted
+from enrichfan.enriched import EnrichedGraph, Specialization, _trusted, enriched_structures
+from enrichfan.graphs import bits
 from enrichfan.preorders import Preorder
 from enrichfan.verify import (
     check_bond_round_trip,
@@ -24,6 +26,7 @@ from enrichfan.verify import (
     check_rays_and_faces,
     check_star_pipeline,
 )
+from test_toric_reference import k4
 
 SEED = 20240
 
@@ -75,6 +78,39 @@ def test_criterion_3_fails_on_a_planted_bad_specialization(monkeypatch):
         monkeypatch.setattr(enrichfan.verify, "specializations", fake)
         failures = check_rays_and_faces()
         assert any(message in f for f in failures), plant
+
+
+def _planted_mask(rows, kind):
+    """A mask that is no irreducible upper set of the preorder with ``rows``:
+    the union of two principal upper sets that is not one itself, or a
+    single label with something above it; None when there is none."""
+    if kind == "reducible":
+        return next((a | b for a in rows for b in rows if a | b not in rows), None)
+    return next((1 << i for i, row in enumerate(rows) if row != 1 << i), None)
+
+
+def test_fan_verify_ray_check_fails_past_four_edges(monkeypatch):
+    """On K4 structures (6 edges, past the brute-force comparison) a ray set
+    with one extra ray that is reducible, or not an upper set, fails "ray
+    set mismatch" in ``fan verify``'s ray check, even when the preorder's
+    own ``irreducible_upper_sets`` returns the same wrong sets."""
+    real_rays, real_upper = enrichfan.verify.ray_generators, Preorder.irreducible_upper_sets
+    structures = random.Random(0).sample(enriched_structures(k4()), 40)
+    for kind in ("reducible", "not an upper set"):
+
+        def rays(eg, kind=kind):
+            mask = _planted_mask(eg.preorder.rows, kind)
+            extra = [] if mask is None else [tuple(mask >> j & 1 for j in range(eg.graph.n_edges))]
+            return real_rays(eg) + extra
+
+        def upper_sets(p, brute_force=False, kind=kind):
+            mask = _planted_mask(p.rows, kind)
+            return real_upper(p, brute_force) + ([] if mask is None else [frozenset(p.ground[j] for j in bits(mask))])
+
+        monkeypatch.setattr(enrichfan.verify, "ray_generators", rays)
+        monkeypatch.setattr(Preorder, "irreducible_upper_sets", upper_sets)
+        failures = enrichfan.verify._rays_and_faces_failures("k4", structures)
+        assert any("ray set mismatch" in f for f in failures), kind
 
 
 def test_criterion_4_star_pipeline():

@@ -1,7 +1,9 @@
 """Integer cone membership and the cross-multiplied torus-relation test
-against the ``Fraction`` code they replaced (``reference_membership``)."""
+against the ``Fraction`` code they replaced (``reference_membership``), and
+the comparison route of cone membership against the integer route."""
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,12 +14,15 @@ from hypothesis import given, settings, strategies as st
 import reference_membership as ref
 from conftest import connected_multigraphs
 from enrichfan import corpus
-from enrichfan.cones import closed_structure_cone, containing, structure_cone
+from enrichfan.cones import RationalCone, _integral, closed_structure_cone, containing, structure_cone
 from enrichfan.enriched import enriched_structures
+from enrichfan.fans import fan_by_star_subdivision
 from enrichfan.toric import LaurentRelation, equations, mutated_evaluate
 from reference_lattices import EQ, GE, GT, halfspaces_of
 from reference_preorders import _structure_halfspaces
 from test_cones import lengths_from_increments
+from test_enriched_reference import cycle
+from test_fans import embedded
 from test_toric_reference import k4, wheel4
 
 
@@ -109,6 +114,131 @@ def test_boundary_points_reach_every_branch():
                 _assert_same_membership(cones, x)
                 seen.update((h.rel, h.holds(x)) for cone, _ in cones for h in halfspaces_of(cone))
     assert seen == {(rel, b) for rel in (EQ, GT, GE) for b in (True, False)}
+
+
+def _integer_route(cone, x) -> bool:
+    return cone._holds(_integral(x), not cone.closed)
+
+
+def _pool_points(n, rng, count):
+    """Points drawn from a small pool, so ties are common: zeros, negatives,
+    plain ints, floats equal to them, and the large-prime denominators."""
+    pool = [0, 1, 2, -1, 0.0, 1.0, 0.5, -0.25, Fraction(1, 2)]
+    pool += [t + Fraction(s, d) for d in DENOMINATORS for t, s in ((0, 1), (1, -1), (1, 1))]
+    return [tuple(rng.choice(pool) for _ in range(n)) for _ in range(count)]
+
+
+def _ray_points(cone, rng):
+    """Points of the closure, from all rays and from half of them, weighted
+    by ints, by large-prime fractions or by dyadic floats; and their negatives."""
+    out = []
+    for weights in ([1, 2, 3], [Fraction(1, d) for d in DENOMINATORS[-3:]], [0.5, 0.25, 3.0]):
+        for keep in (cone.rays, rng.sample(cone.rays, len(cone.rays) // 2)):
+            coeffs = [rng.choice(weights) for _ in keep]
+            x = tuple(sum((c * r[k] for c, r in zip(coeffs, keep)), 0) for k in range(len(cone.labels)))
+            out += [x, tuple(-v for v in x)]
+    return out
+
+
+def _assert_routes_agree(cones, seed, around=3):
+    """``contains`` against the integer route for every cone, and ``containing``
+    over the whole list against ``contains``, at pool points and at points
+    in and around ``around`` sampled cones; both outcomes must occur."""
+    rng = random.Random(seed)
+    points = _pool_points(len(cones[0].labels), rng, 12)
+    points += [x for cone in rng.sample(cones, min(around, len(cones))) for x in _ray_points(cone, rng)]
+    seen = set()
+    for x in points:
+        inside = [cone.contains(x) for cone in cones]
+        assert inside == [_integer_route(cone, x) for cone in cones], x
+        assert containing(cones, x) == [i for i, hit in enumerate(inside) if hit], x
+        seen.update(inside)
+    assert seen == {True, False}
+
+
+def _structure_cones(g):
+    return [cone for eg in enriched_structures(g) for cone in (structure_cone(eg), closed_structure_cone(eg))]
+
+
+def _general_cones(labels):
+    """Cones on three or more ``labels`` off the comparison route: general
+    rays, and the plane ``x + y == z`` given by hand as a ``(1, 1, -1)`` row."""
+    n = len(labels)
+
+    def pad(*v):
+        return v + (0,) * (n - len(v))
+
+    units = tuple(pad(*(0,) * i, 1) for i in range(3, n))
+    plane = RationalCone(tuple(labels), (pad(1, 0, 1), pad(0, 1, 1)), True, ((pad(1, 1, -1),) + units, (pad(1), pad(0, 1))))
+    return [
+        RationalCone.from_rays(labels, [pad(1, 2), pad(0, 1, 3)]),
+        RationalCone.from_rays(labels, [pad(2, 1), pad(1, 1, 1)], closed=False),
+        RationalCone.from_rays(labels, [pad(1, 2), pad(0, 1)]),
+        plane,
+        replace(plane, closed=False),
+    ]
+
+
+def _faces(g):
+    sample = random.Random(0).sample(list(enriched_structures(g)), 12)
+    return [face for eg in sample for face in closed_structure_cone(eg).faces()]
+
+
+def _embedded(g):
+    return [embedded(cone, ("0",) + g.edge_labels) for cone in _structure_cones(g)]
+
+
+def _mixed(g):
+    """Both routes in one list, as ``containing`` may be given them."""
+    return _structure_cones(g) + list(fan_by_star_subdivision(g).maximal) + _general_cones(g.edge_labels)
+
+
+_HAND_MADE = [  # comparison rows given by hand, a single -1 among them
+    RationalCone(("x", "y", "z"), ((0, 0, 1), (0, 1, 1)), False, (((1, 0, 0),), ((0, 1, 0), (0, -1, 1)))),
+    RationalCone(("x", "y", "z"), ((0, 1, 0),), True, (((1, 0, 0), (0, 0, -1)), ((0, 1, 0),))),
+    RationalCone(("x", "y", "z"), ((0, 0, -1),), False, (((1, 0, 0), (0, 1, 0)), ((0, 0, -1),))),
+]
+
+ROUTE_CASES = {
+    **{f"structures-{name}": (lambda make=make: _structure_cones(make())) for name, make in corpus.CORPUS.items()},
+    "structures-c5": lambda: _structure_cones(cycle(5)),
+    "structures-k4": lambda: _structure_cones(k4()),
+    "faces-c5": lambda: _faces(cycle(5)),
+    "faces-k4": lambda: _faces(k4()),
+    **{f"embedded-{name}": (lambda name=name: _embedded(corpus.CORPUS[name]())) for name in ("theta3", "triangle", "square")},
+    "star-k4": lambda: list(fan_by_star_subdivision(k4()).maximal),
+    "star-w4": lambda: list(fan_by_star_subdivision(wheel4()).maximal),
+    "hand-made": lambda: _general_cones(("x", "y", "z")) + _HAND_MADE,
+    "mixed-square": lambda: _mixed(corpus.square()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_CASES))
+def test_comparison_route_matches_integer_route(name):
+    cones = ROUTE_CASES[name]()
+    _assert_routes_agree(cones, name)
+    routes = {bool(cone._comparisons()) for cone in cones}
+    if name.startswith(("structures", "faces", "embedded")):
+        assert routes == {True}  # every structure cone, face and padding is a comparison cone
+    if name.startswith(("mixed", "hand-made")):
+        assert routes == {True, False}
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["structure", "general"])
+def test_refusals_are_the_same_on_both_routes(general):
+    """A wrong length, inf and NaN raise what the integer route always raised,
+    through ``contains`` and through ``containing``."""
+    eg = enriched_structures(corpus.theta(3))[0]
+    cone = _general_cones(eg.graph.edge_labels)[3] if general else structure_cone(eg)
+    n = len(cone.labels)
+    for member in (cone.contains, lambda x: containing([cone, cone.closure()], x)):
+        for x in ((1,) * (n - 1), (1,) * (n + 1)):
+            with pytest.raises(ValueError, match="coordinates"):
+                member(x)
+        with pytest.raises(OverflowError):
+            member((float("inf"),) + (1,) * (n - 1))
+        with pytest.raises(ValueError):
+            member((1,) * (n - 1) + (float("nan"),))
 
 
 def _graph_and_relations(make):
