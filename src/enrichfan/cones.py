@@ -9,16 +9,17 @@ the facet rows are ``> 0``.
 
 When every row is a comparison (one ``+1`` and at most one ``-1``, or a single
 ``-1``), as a structure cone's rows are, membership compares coordinates; other
-cones test the sign of each row on an integer multiple ``m * x``, ``m`` the lcm
-of the denominators.  Floats count at their exact values; inf and NaN are refused.
+cones test the sign of each row on the point.  Coordinates are taken exactly:
+floats at their exact values, inf and NaN refused.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .enriched import EnrichedGraph
 from .lattices import _echelon, _substitute, dot, invariant_factors, linearly_independent, primitive
@@ -64,22 +65,18 @@ class RationalCone:
         return frozenset(self.rays)
 
     def closure(self) -> "RationalCone":
-        return self if self.closed else RationalCone(self.labels, self.rays, True, self.rows)
+        """The closed cone on the same rays, keeping the rows and the comparison plan."""
+        if self.closed:
+            return self
+        out = copy.copy(self)
+        object.__setattr__(out, "closed", True)
+        return out
 
     def h_description(self) -> tuple:
         """``(equalities, facets)``: integer rows cutting out the closure."""
         if self.rows is None:
             object.__setattr__(self, "rows", _h_from_rays(self.labels, self.rays))
         return self.rows
-
-    def _holds(self, x, strict: bool) -> bool:
-        """Whether the integer point ``x`` meets every row, facets strictly if asked."""
-        equalities, facets = self.h_description()
-        if any(dot(row, x) for row in equalities):
-            return False
-        if strict:
-            return all(dot(row, x) > 0 for row in facets)
-        return all(dot(row, x) >= 0 for row in facets)
 
     def _comparisons(self):
         """Rows as pairs ``(i, j)`` reading ``x[i] - x[j]`` (index ``n`` reads 0); False if one is no comparison."""
@@ -88,11 +85,12 @@ class RationalCone:
             object.__setattr__(self, "_plan", all(None not in pairs for pairs in plan) and plan)
         return self._plan
 
-    def _meets(self, x, scaled) -> bool:
-        """Membership of ``x`` from :func:`_exact`; off the comparison route, of ``scaled``."""
+    def _meets(self, x) -> bool:
+        """Membership of the exact point ``x`` from :func:`_exact`."""
         plan = self._comparisons()
         if not plan:
-            return self._holds(scaled, not self.closed)
+            equalities, facets = ([dot(row, x) for row in rows] for rows in self.h_description())
+            return not any(equalities) and all(v >= 0 if self.closed else v > 0 for v in facets)
         equalities, facets = plan
         for i, j in equalities:
             if x[i] != x[j]:
@@ -101,8 +99,7 @@ class RationalCone:
 
     def contains(self, x) -> bool:
         """Membership in the cone as described (open cones: their interior)."""
-        x = _exact(x, len(self.labels))
-        return self._meets(x, None if self._comparisons() else _integral(x[:-1]))
+        return self._meets(_exact(x, len(self.labels)))
 
     def is_face_of(self, other: "RationalCone") -> bool:
         return self.labels == other.labels and self.ray_set <= other.ray_set
@@ -145,25 +142,16 @@ def _exact(x, rank: int) -> list:
     return [v if isinstance(v, (int, Fraction)) else Fraction(*v.as_integer_ratio()) for v in x] + [0]
 
 
-def _integral(x) -> tuple:
-    """``m * x`` for the least positive integer ``m`` that makes it integral."""
-    ratios = [v.as_integer_ratio() for v in x]
-    m = lcm(*(d for _, d in ratios))
-    return tuple(n * (m // d) for n, d in ratios)
-
-
 def containing(cones, x) -> list:
     """Indices of the cones (each as described) that contain ``x``.
 
     The cones share one ambient lattice, as the cones of one graph or one
-    fan do, so ``x`` is checked against the first cone's, and scaled to
-    integers once if some cone is off the comparison route.
+    fan do, so ``x`` is checked against the first cone's and made exact once.
     """
     if not cones:
         return []
     x = _exact(x, len(cones[0].labels))
-    scaled = None if all(cone._comparisons() for cone in cones) else _integral(x[:-1])
-    return [i for i, cone in enumerate(cones) if cone._meets(x, scaled)]
+    return [i for i, cone in enumerate(cones) if cone._meets(x)]
 
 
 def _h_from_rays(labels: tuple, rays: tuple) -> tuple:
@@ -231,25 +219,16 @@ def closed_structure_cone(eg: EnrichedGraph) -> RationalCone:
 def increment_matrix(eg: EnrichedGraph) -> tuple:
     """Integral change of coordinates from edge lengths to per-class increments.
 
-    Returns ``(classes, rows)``: one row per equivalence class, mapping a
-    length vector to the difference against the class's Hasse parent (the
-    root classes keep their plain coordinate).  Restricted to the span of
+    Returns ``(classes, rows)``: per class, the closed cone's facet with its
+    ``+1`` on the class's first edge, the difference against the Hasse parent
+    (root classes keep their plain coordinate).  Restricted to the span of
     the structure cone this is an isomorphism onto Z^(number of classes),
     and it sends the open cone onto the strictly positive orthant.
     """
     labels = eg.graph.edge_labels
-    pos = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    q = eg.preorder.quotient()
-    parents = q.parents()
-    rows = []
-    for idx, cls in enumerate(q.classes):
-        row = [0] * n
-        row[pos[cls[0]]] += 1
-        if idx in parents:
-            row[pos[q.classes[parents[idx]][0]]] -= 1
-        rows.append(tuple(row))
-    return q.classes, tuple(rows)
+    classes = eg.preorder.quotient().classes
+    by_plus = {row.index(1): row for row in closed_structure_cone(eg).rows[1]}
+    return classes, tuple(by_plus[labels.index(cls[0])] for cls in classes)
 
 
 def increment_coordinates(eg: EnrichedGraph, x) -> dict:

@@ -131,8 +131,8 @@ def star_subdivision(fan: Fan, tau: RationalCone) -> Fan:
 def fan_by_star_subdivision(g: MultiGraph) -> Fan:
     """Build the fan of ``g`` from the orthant by star subdivisions.
 
-    Subdivides at the coordinate cone of every biconnected contraction
-    target, largest targets first.
+    Subdivides at the coordinate cone of every contraction target that
+    :func:`good_contraction_sequence` lists, largest targets first.
     """
     labels = g.edge_labels
     fan = octant_fan(labels)

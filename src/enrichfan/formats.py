@@ -75,23 +75,31 @@ def graph_to_json_dict(wg: WeightedGraph) -> dict:
     }
 
 
+def _json_id(value, what: str):
+    """A vertex id, edge label or end read from JSON: a string or an integer, not a boolean."""
+    if type(value) not in (str, int):
+        raise FormatError(f"{what} must be a string or an integer, not {value!r}")
+    return value
+
+
 def graph_from_json_dict(data: dict) -> WeightedGraph:
     """Read the JSON graph object; only a structural fault, such as a missing
     key or a wrong container type, is reported as a bad graph object."""
     try:
         weights, edges = {}, {}
         for item in data["vertices"]:
+            vid = _json_id(item["id"], "a vertex id")
             weight = item.get("weight", 0)
             if type(weight) is not int:  # JSON integers only: no floats, no booleans
-                raise FormatError(f"bad weight {weight!r} for vertex {item['id']!r}")
-            _put(weights, item["id"], weight, "vertex id")
+                raise FormatError(f"bad weight {weight!r} for vertex {vid!r}")
+            _put(weights, vid, weight, "vertex id")
         if not weights:
             raise FormatError("graph has no vertices")
         for item in data["edges"]:
-            ends = item["ends"]
+            label, ends = _json_id(item["label"], "an edge label"), item["ends"]
             if type(ends) is not list or len(ends) != 2:
-                raise FormatError(f"edge {item['label']!r} must name two endpoints")
-            _put(edges, item["label"], tuple(ends), "edge label")
+                raise FormatError(f"edge {label!r} must name two endpoints")
+            _put(edges, label, tuple(_json_id(v, f"an end of edge {label!r}") for v in ends), "edge label")
     except FormatError:
         raise
     except Exception as exc:
@@ -165,14 +173,17 @@ def specialization_poset_dot(structs) -> str:
     structures of one graph as ``enriched_structures`` lists them.
 
     Such a specialization of rank one less merges a class into one it
-    covers, so each arrow comes from a Hasse cover of its source.
+    covers, so each arrow comes from a Hasse cover of its source.  Each class
+    covers at most one class, so merging ``j`` into the ``i`` it covers gives
+    the labels of ``j`` the row of ``i`` and leaves the other rows alone.
     """
-    ids = {eg.preorder: i for i, eg in enumerate(structs)}
+    ids = {eg.preorder.rows: i for i, eg in enumerate(structs)}
     lines = ["digraph S {", "  rankdir=BT;"]
     lines += [f'  p{i} [label="{relation_summary(eg.preorder)}"];' for i, eg in enumerate(structs)]
     for k, eg in enumerate(structs):
-        q = eg.preorder.quotient()
-        merged = sorted(ids[eg.preorder.with_pairs([(q.classes[j][0], q.classes[i][0])])] for i, j in q.hasse)
+        rows = eg.preorder.rows
+        up = list(dict.fromkeys(rows))  # the row of each class, in class order
+        merged = sorted(ids[tuple(up[i] if r == up[j] else r for r in rows)] for i, j in eg.preorder.quotient().hasse)
         lines.extend(f"  p{t} -> p{k};" for t in merged)
     lines.append("}")
     return "\n".join(lines) + "\n"

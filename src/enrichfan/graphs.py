@@ -291,15 +291,20 @@ def is_biconnected(g: MultiGraph) -> bool:
     graphs with loops never qualify (a loop vertex with further edges is
     separating anyway).
     """
-    if g.n_edges == 0 or not g.is_connected() or g.loops():
-        return False
-    return len(block_masks(edge_ends(g), (1 << g.n_edges) - 1)) == 1
+    return g.is_connected() and _one_block(g)
+
+
+def _one_block(g: MultiGraph) -> bool:
+    """At least one edge, loop-free, and the edges form a single block; isolated vertices are allowed."""
+    return g.n_edges > 0 and not g.loops() and len(block_masks(edge_ends(g), (1 << g.n_edges) - 1)) == 1
 
 
 def good_contraction_sequence(g: MultiGraph) -> list:
-    """All contractions of ``g`` with a biconnected target holding at least
-    one edge, ordered by non-increasing target edge count.
+    """All contractions of ``g`` whose target's edges form one loop-free
+    block, ordered by non-increasing target edge count.
 
+    A target may keep isolated vertices, as on a graph with several
+    components; a connected graph's targets are its biconnected ones.
     Returns ``(contracted_set, target_graph)`` pairs; ties are broken by the
     canonical order of the contracted sets.
     """
@@ -309,7 +314,7 @@ def good_contraction_sequence(g: MultiGraph) -> list:
         for sub in itertools.combinations(labels, k):
             s = frozenset(sub)
             gc = contract(g, s)
-            if is_biconnected(gc):
+            if _one_block(gc):
                 entries.append((s, gc))
     return entries
 

@@ -3,7 +3,7 @@
 Every elimination goes through one integer routine, ``_echelon``:
 unimodular row operations bring a matrix to Hermite normal form H (pivots
 positive, entries above each pivot reduced modulo it), optionally recording
-U with U * rows = H and U^-1.
+U with U * rows = H.
 
 - ``rank_of`` and ``linearly_independent`` read the rank of H.
 - ``_substitute`` is one integer forward substitution over the pivots of
@@ -11,8 +11,7 @@ U with U * rows = H and U^-1.
 - ``lattice_span_equal`` compares Hermite forms.
 - ``kernel_lattice`` takes the rows of U whose H-row vanishes.
 - ``LatticeQuotient.from_generators`` echelons the transposed generators:
-  its projection is the zero-row part of U and its section the matching
-  columns of U^-1.
+  its projection is the zero-row part of U.
 - ``invariant_factors`` echelons rows and columns in turn until the matrix
   is diagonal, then normalises the diagonal by gcd and lcm (Smith form).
 
@@ -28,16 +27,9 @@ from operator import mul
 from typing import NamedTuple
 
 
-def vector_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v) -> tuple:
     """Divide an integer vector by the gcd of its entries, keeping direction."""
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("the zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -62,15 +54,10 @@ class _Echelon(NamedTuple):
     rows: list  # the Hermite normal form H, nonzero rows first
     pivots: list  # pivot column of each nonzero row of H
     u: list  # unimodular U with U * input == H (tracked runs only)
-    uinv: list  # U^-1 (tracked runs only)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-
-def _identity(n: int) -> list:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
@@ -79,13 +66,13 @@ def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
     Pivots are positive and the entries above each pivot are reduced into
     ``[0, pivot)``, so two matrices have the same H exactly when their rows
     span the same lattice.  With ``track`` the operations are also applied
-    to ``U`` (rows) and ``U^-1`` (columns).
+    to the rows of ``U``.
     """
     h = [list(r) for r in rows]
     if any(len(r) != ncols for r in h):
         raise ValueError("row length does not match the column count")
     m = len(h)
-    u, uinv = (_identity(m), _identity(m)) if track else (None, None)
+    u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
     mats = (h, u) if track else (h,)
 
     def combine(p, r, x, y, z, w):
@@ -94,10 +81,6 @@ def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
             a, b = mat[p], mat[r]
             mat[p] = [x * i + y * j for i, j in zip(a, b)]
             mat[r] = [z * i + w * j for i, j in zip(a, b)]
-        if track:
-            for row in uinv:
-                i, j = row[p], row[r]
-                row[p], row[r] = w * i - z * j, x * j - y * i
 
     pivots = []
     for col in range(ncols):
@@ -120,16 +103,13 @@ def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
         if pivot < 0:
             for mat in mats:
                 mat[top] = [-i for i in mat[top]]
-            if track:
-                for row in uinv:
-                    row[top] = -row[top]
             pivot = -pivot
         for k in range(top):
             q = h[k][col] // pivot
             if q:
                 combine(k, top, 1, -q, 0, 1)
         pivots.append(col)
-    return _Echelon(h, pivots, u, uinv)
+    return _Echelon(h, pivots, u)
 
 
 def _substitute(e: _Echelon, target) -> list:
@@ -205,15 +185,14 @@ class LatticeQuotient:
 
     Built from the echelon form U * G^T = H of the transposed generator
     matrix: the rows of U past the rank of H kill every generator and cut
-    out the saturation of their span, and the matching columns of U^-1 are
-    an integral right inverse.
+    out the saturation of their span.  U is unimodular, so they extend to a
+    basis of the dual lattice and the projection is onto.
     """
 
     labels: tuple
     generators: tuple
     rank: int
     projection: tuple  # (n - r) rows of length n
-    section: tuple  # (n - r) rows of length n, right inverse of the projection
 
     @staticmethod
     def from_generators(labels, generators) -> "LatticeQuotient":
@@ -224,15 +203,9 @@ class LatticeQuotient:
             if len(g) != n:
                 raise ValueError("generator length does not match the ambient rank")
         e = _echelon([[g[i] for g in gens] for i in range(n)], len(gens), track=True)
-        r = e.rank
-        projection = tuple(map(tuple, e.u[r:]))
-        section = tuple(tuple(row[j] for row in e.uinv) for j in range(r, n))
-        lq = LatticeQuotient(labels, tuple(gens), r, projection, section)
+        lq = LatticeQuotient(labels, tuple(gens), e.rank, tuple(map(tuple, e.u[e.rank :])))
         for g in gens:
             assert all(x == 0 for x in lq.project(g))
-        for i, s in enumerate(section):
-            img = lq.project(s)
-            assert img == tuple(1 if j == i else 0 for j in range(n - r))
         return lq
 
     @property
@@ -243,11 +216,3 @@ class LatticeQuotient:
         if len(vec) != len(self.labels):
             raise ValueError("vector length does not match the ambient rank")
         return tuple(dot(row, vec) for row in self.projection)
-
-    def lift(self, vec) -> tuple:
-        if len(vec) != self.quotient_rank:
-            raise ValueError("vector length does not match the quotient rank")
-        return tuple(
-            sum(vec[i] * self.section[i][j] for i in range(len(vec)))
-            for j in range(len(self.labels))
-        )

@@ -212,10 +212,6 @@ class Preorder:
         rows = tuple(sum(1 << j for j, k in enumerate(old) if self._rows[i] >> k & 1) for i in old)
         return Preorder._family(labels, [rows])[0]
 
-    def with_pairs(self, pairs) -> "Preorder":
-        """Closure of this preorder together with extra related pairs."""
-        return Preorder.from_relations(self._labels, self.pairs() + list(pairs))
-
     def contains(self, other: "Preorder") -> bool:
         """True when every relation of ``other`` also holds here (same ground)."""
         if self._labels != other._labels:

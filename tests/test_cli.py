@@ -184,6 +184,13 @@ class TestFan:
         assert code == EXIT_OK
         assert "maximal cones: 6" in out and "equal: true" in out
 
+    def test_build_with_check_beside_an_isolated_vertex(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fan", "build", "--inline", "vertices: u v w; a: u v; b: u v", "--via-star", "--check-equal"
+        )
+        assert code == EXIT_OK
+        assert out == "maximal cones: 2  rays: 3\nequal: true\n"
+
     def test_build_json(self, capsys):
         code, out, _ = run_cli(capsys, "fan", "build", "--inline", THETA, "--format", "json")
         data = json.loads(out)
@@ -318,6 +325,25 @@ class TestErrors:
         code, out, err = run_cli(capsys, "graph", "info", "--inline", blob)
         assert code == EXIT_PARSE and out == ""
         assert err.startswith("error: bad weight ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            ('{"vertices": [{"id": null}], "edges": []}', "a vertex id must be a string or an integer, not None"),
+            (
+                '{"vertices": [{"id": 1}, {"id": 2}], "edges": [{"label": 0.5, "ends": [1, 2]}]}',
+                "an edge label must be a string or an integer, not 0.5",
+            ),
+            (
+                '{"vertices": [{"id": 1}, {"id": 2}], "edges": [{"label": "a", "ends": [1.0, 2]}]}',
+                "an end of edge 'a' must be a string or an integer, not 1.0",
+            ),
+        ],
+    )
+    def test_json_ids_must_be_strings_or_integers(self, capsys, blob, message):
+        for argv in (["graph", "info"], ["enriched", "list"]):
+            code, out, err = run_cli(capsys, *argv, "--inline", blob)
+            assert (code, out, err) == (EXIT_PARSE, "", f"error: {message}\n")
 
     def test_unknown_vertex_message(self, capsys):
         code, _, err = run_cli(capsys, "graph", "info", "--inline", "vertices: u v; a: u w")

@@ -187,6 +187,23 @@ class TestRationalCone:
         assert big.h_description() == (((1, 0, 0, 0),), ((0, -1, 1, 0), (0, -1, 0, 1), (0, 1, 0, 0)))
         assert big.contains((0, 1, 2, 2)) and not big.contains((1, 1, 2, 2))
 
+    def test_closure_copies_the_open_cone(self, monkeypatch):
+        # the closure keeps the rows and the comparison plan: no echelon runs again
+        pairs = [(structure_cone(eg), closed_structure_cone(eg)) for eg in enriched_structures(corpus.theta(3))]
+        points = list(itertools.product([0, 1, 2], repeat=3))
+        for cone, _ in pairs[::2]:
+            cone.contains(points[0])
+
+        def refuse(vectors):
+            raise AssertionError("the closure reran the independence check")
+
+        monkeypatch.setattr("enrichfan.cones.linearly_independent", refuse)
+        for cone, closed in pairs:
+            shut = cone.closure()
+            assert shut == closed and shut.closed and shut.rows == closed.rows
+            assert shut._plan is cone._plan
+            assert [shut.contains(x) for x in points] == [closed.contains(x) for x in points]
+
     def test_float_point_judged_at_its_exact_value(self):
         # 0.1 + 0.2 - 0.30000000000000004 rounds to 0.0 in floats, but the
         # exact binary values do not cancel: the point is off the plane
@@ -239,6 +256,22 @@ class TestIncrementCoordinates:
         classes, rows = increment_matrix(eg)
         assert len(rows) == 1
         assert sum(abs(v) for v in rows[0]) == 1
+
+    def test_rows_step_to_the_hasse_parent(self):
+        # each row is +1 on its class's first edge and -1 on its parent's
+        for g in (corpus.theta(3), corpus.square(), corpus.doubled_triangle()):
+            pos = {lab: i for i, lab in enumerate(g.edge_labels)}
+            for eg in enriched_structures(g):
+                q = eg.preorder.quotient()
+                parents = q.parents()
+                classes, rows = increment_matrix(eg)
+                assert classes == q.classes
+                for idx, (cls, row) in enumerate(zip(classes, rows)):
+                    want = [0] * len(pos)
+                    want[pos[cls[0]]] += 1
+                    if idx in parents:
+                        want[pos[classes[parents[idx]][0]]] -= 1
+                    assert row == tuple(want)
 
     def test_positive_orthant_image(self):
         # open-cone points map to strictly positive increments and back

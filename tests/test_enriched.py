@@ -63,7 +63,8 @@ def simple_specialization(eg, c1, c2) -> EnrichedGraph:
         raise ValueError("arguments must be whole equivalence classes")
     if (i, j) not in q.hasse:
         raise ValueError("classes must be consecutive in the Hasse diagram")
-    merged = EnrichedGraph(eg.graph, eg.preorder.with_pairs([(q.classes[j][0], q.classes[i][0])]))
+    p = eg.preorder
+    merged = EnrichedGraph(eg.graph, Preorder.from_relations(p.ground, p.pairs() + [(q.classes[j][0], q.classes[i][0])]))
     assert merged.rank == eg.rank - 1
     return merged
 

@@ -206,6 +206,12 @@ class TestGoodSequence:
         seq = good_contraction_sequence(corpus.path(2))
         assert [sorted(s) for s, _ in seq] == [["s0"], ["s1"]]
 
+    def test_targets_may_keep_isolated_vertices(self):
+        g = MultiGraph(["u", "v", "w", "x"], {"a": ("u", "v"), "b": ("u", "v"), "c": ("w", "x"), "d": ("w", "x")})
+        seq = good_contraction_sequence(g)
+        assert [sorted(s) for s, _ in seq] == [["a", "b"], ["c", "d"]]
+        assert [len(t.vertices) for _, t in seq] == [3, 3]
+
     def test_square_counts(self):
         seq = good_contraction_sequence(corpus.square())
         sizes = [len(s) for s, _ in seq]
@@ -222,6 +228,20 @@ class TestPipelinesAgree:
     def test_star_equals_direct_everywhere(self):
         for name, g in corpus.corpus_graphs().items():
             assert fan_equal(fan_of_graph(g), fan_by_star_subdivision(g)), name
+
+    @pytest.mark.parametrize(
+        "vertices, edges, cones",
+        [
+            ("uvw", {"a": "uv", "b": "uv"}, 2),  # a 2-cycle and an isolated vertex
+            ("uvwx", {"a": "uv", "b": "uv", "c": "wx", "d": "wx"}, 4),  # two disjoint 2-cycles
+            ("uvwxy", {"a": "uv", "b": "vw", "c": "wu", "d": "xy", "e": "xy"}, 12),  # a triangle beside a 2-cycle
+        ],
+    )
+    def test_star_equals_direct_off_connected_graphs(self, vertices, edges, cones):
+        g = MultiGraph(list(vertices), {e: tuple(uv) for e, uv in edges.items()})
+        direct = fan_of_graph(g)
+        assert len(direct.maximal) == cones
+        assert fan_equal(direct, fan_by_star_subdivision(g))
 
     def test_product_over_blocks(self):
         g = corpus.dumbbell()

@@ -104,6 +104,17 @@ class TestJsonFormat:
         data["vertices"][0]["weight"] = 2
         assert parse_graph(json.dumps(data)).weight("u") == 2
 
+    @pytest.mark.parametrize("bad", [None, 0.5, 1.0, True, False, [1]])
+    def test_ids_must_be_json_strings_or_integers(self, bad):
+        def graph(vid=1, label="a", end=1):
+            return {"vertices": [{"id": vid}, {"id": "v"}], "edges": [{"label": label, "ends": [end, "v"]}]}
+
+        assert parse_graph(json.dumps(graph())).graph.ends("a") == (1, "v")
+        for data, what in ((graph(vid=bad), "a vertex id"), (graph(label=bad), "an edge label"), (graph(end=bad), "an end of edge 'a'")):
+            with pytest.raises(FormatError) as exc:
+                parse_graph(json.dumps(data))
+            assert str(exc.value) == f"{what} must be a string or an integer, not {bad!r}"
+
     @pytest.mark.parametrize(
         "data, text, message",
         [

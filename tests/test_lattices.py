@@ -88,9 +88,8 @@ class TestLatticeQuotient:
         assert lq.rank == 2 and lq.quotient_rank == 2
         assert lq.project((1, 1, 1, 0)) == (0, 0)
         assert lq.project((0, 0, 0, 1)) == (0, 0)
-        # projection is surjective with integral section
-        for y in [(1, 0), (0, 1), (3, -2)]:
-            assert lq.project(lq.lift(y)) == y
+        # projection is surjective: its Smith form is all ones
+        assert invariant_factors(lq.projection, 4) == [1, 1]
 
     def test_kernel_is_saturation(self):
         lq = LatticeQuotient.from_generators(("a", "b"), [(2, 2)])

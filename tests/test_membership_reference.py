@@ -1,11 +1,13 @@
 """Integer cone membership and the cross-multiplied torus-relation test
 against the ``Fraction`` code they replaced (``reference_membership``), and
-the comparison route of cone membership against the integer route."""
+the comparison route of cone membership against the integer route that
+came before it, kept here as ``_integer_route``."""
 
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -14,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 import reference_membership as ref
 from conftest import connected_multigraphs
 from enrichfan import corpus
-from enrichfan.cones import RationalCone, _integral, closed_structure_cone, containing, structure_cone
+from enrichfan.cones import RationalCone, closed_structure_cone, containing, structure_cone
 from enrichfan.enriched import enriched_structures
 from enrichfan.fans import fan_by_star_subdivision
+from enrichfan.lattices import dot
 from enrichfan.toric import LaurentRelation, equations, mutated_evaluate
 from reference_lattices import EQ, GE, GT, halfspaces_of
 from reference_preorders import _structure_halfspaces
@@ -117,7 +120,15 @@ def test_boundary_points_reach_every_branch():
 
 
 def _integer_route(cone, x) -> bool:
-    return cone._holds(_integral(x), not cone.closed)
+    """Membership as the library once decided it off the comparison route:
+    the sign of every row on ``m * x``, ``m`` the lcm of the denominators."""
+    ratios = [v.as_integer_ratio() for v in x]
+    m = lcm(*(d for _, d in ratios))
+    y = tuple(n * (m // d) for n, d in ratios)
+    equalities, facets = cone.h_description()
+    if any(dot(row, y) for row in equalities):
+        return False
+    return all(dot(row, y) >= 0 for row in facets) if cone.closed else all(dot(row, y) > 0 for row in facets)
 
 
 def _pool_points(n, rng, count):
