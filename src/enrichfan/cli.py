@@ -146,7 +146,7 @@ def cmd_enriched_check(args) -> int:
         except json.JSONDecodeError as exc:
             raise FormatError(f"bad --pairs JSON: {exc}") from exc
         if not isinstance(raw, list) or not all(
-            isinstance(t, list) and len(t) == 2 and all(isinstance(x, (str, int)) for x in t) for t in raw
+            isinstance(t, list) and len(t) == 2 and all(type(x) in (str, int) for x in t) for t in raw
         ):
             raise FormatError("--pairs must be a JSON list of [a, b] pairs")
         pairs = [tuple(t) for t in raw]

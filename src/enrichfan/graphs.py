@@ -54,14 +54,12 @@ class MultiGraph:
     def __init__(self, vertices, edges):
         """Build a graph from vertex ids and a ``label -> (u, v)`` mapping.
 
-        ``edges`` may also be an iterable of ``(label, u, v)`` triples.
         ``u == v`` declares a loop.
         """
         vs = sort_labels(set(vertices))
         vset = frozenset(vs)
-        items = edges.items() if isinstance(edges, dict) else [(e[0], (e[1], e[2])) for e in edges]
         ends = {}
-        for label, (u, v) in items:
+        for label, (u, v) in edges.items():
             if label in ends:
                 raise ValueError(f"duplicate edge label {label!r}")
             if u not in vset:

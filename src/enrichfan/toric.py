@@ -6,8 +6,12 @@ binomial and trinomial equations of the image, the lattice-kernel
 certificate that those equations generate, and the blowup-center
 schedule of the birational model over projective space.
 
-Bonds are the expensive part: each public function enumerates the bonds
-of its graph once and hands that list, or the domain basis built from it,
+Relations are built once, by ``_relations``, on integer indices: a term is
+a (bond index, edge index, exponent) triple, bonds indexed in ``bonds()``
+order and edges in ``edge_labels`` order.  Both orders are label order, so
+sorting the integer terms sorts the labels; labels appear only when
+``equations`` returns its relations.  Bonds are the expensive part: each
+public function enumerates the bonds of its graph once and hands that list
 to the helpers it calls.
 """
 
@@ -57,29 +61,6 @@ class LaurentRelation:
         if any(v != 0 for v in per_bond.values()):
             raise ValueError("exponents must sum to zero within each bond")
 
-    @staticmethod
-    def from_exponents(entries) -> "LaurentRelation":
-        acc = {}
-        for bond_edges, edge, exp in entries:
-            key = (tuple(sort_labels(bond_edges)), edge)
-            acc[key] = acc.get(key, 0) + exp
-        terms = tuple(
-            sorted(
-                ((be, e, x) for (be, e), x in acc.items() if x != 0),
-                key=lambda t: (tuple(map(label_key, t[0])), label_key(t[1])),
-            )
-        )
-        return LaurentRelation(terms)
-
-    def negate(self) -> "LaurentRelation":
-        return LaurentRelation(tuple((be, e, -x) for be, e, x in self.terms))
-
-    def canonical(self) -> "LaurentRelation":
-        """Fix the overall sign: first exponent positive."""
-        if self.terms and self.terms[0][2] < 0:
-            return self.negate()
-        return self
-
     def holds_at(self, point: dict) -> bool:
         """Whether the product of x_e^exp is 1, decided by cross-multiplying.
 
@@ -112,18 +93,50 @@ class LaurentRelation:
 
 
 def _bond_sums(g: MultiGraph, all_bonds: list):
-    """Triples (B1, B2, B3) of bond edge sets with B3 the disjoint-side sum."""
-    bond_by_edges = {b.edges: b for b in all_bonds}
+    """Index triples (i1, i2, i3) of bonds with B3 the disjoint-side sum of B1 and B2."""
+    index = {b.edges: i for i, b in enumerate(all_bonds)}
+    vertices = frozenset(g.vertices)
     triples = set()
-    for b1, b2 in itertools.combinations(bond_by_edges.values(), 2):
+    for (i1, b1), (i2, b2) in itertools.combinations(enumerate(all_bonds), 2):
         for s1 in (b1.side, b1.complement_side):
             for s2 in (b2.side, b2.complement_side):
-                if s1 & s2 or s1 | s2 == frozenset(g.vertices):
+                if s1 & s2 or s1 | s2 == vertices:
                     continue
-                cut = g.cut_edges(s1 | s2)
-                if cut in bond_by_edges and cut not in (b1.edges, b2.edges):
-                    triples.add((b1.edges, b2.edges, cut))
+                i3 = index.get(g.cut_edges(s1 | s2))
+                if i3 is not None and i3 not in (i1, i2):
+                    triples.add((i1, i2, i3))
     return triples
+
+
+def _edge_indices(g: MultiGraph, all_bonds: list) -> list:
+    """Each bond's edges as ascending indices into ``g.edge_labels``."""
+    column = {e: j for j, e in enumerate(g.edge_labels)}
+    return [sorted(column[e] for e in b.edges) for b in all_bonds]
+
+
+def _relations(g: MultiGraph, all_bonds: list) -> tuple:
+    """Every relation as a sorted tuple of (bond index, edge index, exponent) terms.
+
+    A relation's first exponent is positive, and the relations come sorted.
+    No edge lies in all of B1, B2 and B1 + B2, so no two terms share a (bond, edge) pair.
+    """
+    edges = [frozenset(ix) for ix in _edge_indices(g, all_bonds)]
+    candidates = []
+    for (i1, b1), (i2, b2) in itertools.combinations(enumerate(edges), 2):
+        for e1, e2 in itertools.combinations(b1 & b2, 2):
+            candidates.append(((i1, e1, 1), (i1, e2, -1), (i2, e2, 1), (i2, e1, -1)))
+    for i1, i2, i3 in _bond_sums(g, all_bonds):
+        for e1 in edges[i1] & edges[i3]:
+            for e2 in edges[i1] & edges[i2]:
+                for e3 in edges[i2] & edges[i3]:
+                    candidates.append(
+                        ((i1, e1, 1), (i1, e2, -1), (i2, e2, 1), (i2, e3, -1), (i3, e3, 1), (i3, e1, -1))
+                    )
+    out = set()
+    for terms in map(sorted, candidates):
+        sign = 1 if terms[0][2] > 0 else -1
+        out.add(tuple((i, j, sign * x) for i, j, x in terms))
+    return tuple(sorted(out))
 
 
 def equations(g: MultiGraph, max_edges: int = 8) -> list:
@@ -137,36 +150,13 @@ def equations(g: MultiGraph, max_edges: int = 8) -> list:
     _require_biconnected(g)
     if g.n_edges > max_edges:
         raise GuardExceededError(f"relation search capped at {max_edges} edges")
-    if g.n_edges < 2:
-        return []
-    out = set()
     all_bonds = bonds(g)
-    for b1, b2 in itertools.combinations(all_bonds, 2):
-        common = b1.edges & b2.edges
-        for e1, e2 in itertools.combinations(sort_labels(common), 2):
-            rel = LaurentRelation.from_exponents(
-                [(b1.edges, e1, 1), (b1.edges, e2, -1), (b2.edges, e2, 1), (b2.edges, e1, -1)]
-            )
-            out.add(rel.canonical())
-    for be1, be2, be3 in _bond_sums(g, all_bonds):
-        for e1 in sort_labels(be1 & be3):
-            for e2 in sort_labels(be1 & be2):
-                for e3 in sort_labels(be2 & be3):
-                    rel = LaurentRelation.from_exponents(
-                        [
-                            (be1, e1, 1), (be1, e2, -1),
-                            (be2, e2, 1), (be2, e3, -1),
-                            (be3, e3, 1), (be3, e1, -1),
-                        ]
-                    )
-                    out.add(rel.canonical())
-    return sorted(out, key=_relation_key)
-
-
-def _relation_key(rel: "LaurentRelation"):
-    return tuple(
-        (tuple(map(label_key, be)), label_key(e), x) for be, e, x in rel.terms
-    )
+    bond_edges = [b.sorted_edges() for b in all_bonds]
+    labels = g.edge_labels
+    return [
+        LaurentRelation(tuple((bond_edges[i], labels[j], x) for i, j, x in rel))
+        for rel in _relations(g, all_bonds)
+    ]
 
 
 def bond_names(g: MultiGraph) -> dict:
@@ -174,38 +164,21 @@ def bond_names(g: MultiGraph) -> dict:
     return {b.sorted_edges(): f"B{i + 1}" for i, b in enumerate(bonds(g))}
 
 
-def _dual_map_rows(g: MultiGraph):
+def _dual_map_rows(g: MultiGraph, all_bonds: list):
     """The dual comparison map: its domain basis and one row per basis element.
 
     A sum-zero integer vector on a set S is written in the basis e - f0
     (f0 the least element of S), giving |S| - 1 coordinates.  The domain
-    is indexed by (bond_edges, edge) pairs, edge running over each bond but
-    its least edge; the codomain basis drops the first edge of the graph.
-    Row (B, e) is the functional e* - f0*, extended by zero.
+    is indexed by (bond index, edge index) pairs, edge running over each
+    bond but its least edge; the codomain basis drops the first edge of the
+    graph.  Row (B, e) is the functional e* - f0*, extended by zero.
     """
-    cod = g.edge_labels[1:]
     domain, rows = [], []
-    for b in bonds(g):
-        f0, *rest = b.sorted_edges()
+    for i, (f0, *rest) in enumerate(_edge_indices(g, all_bonds)):
         for e in rest:
-            domain.append((b.edges, e))
-            rows.append(tuple(1 if lab == e else -1 if lab == f0 else 0 for lab in cod))
+            domain.append((i, e))
+            rows.append(tuple(1 if j == e else -1 if j == f0 else 0 for j in range(1, g.n_edges)))
     return domain, rows
-
-
-def relation_coordinates(domain: list, rel: LaurentRelation):
-    """Coordinates of a relation in ``domain``, the basis from ``_dual_map_rows``.
-
-    The exponent on the least edge of a bond has no coordinate: the
-    zero-sum constraint determines it.
-    """
-    index = {pair: i for i, pair in enumerate(domain)}
-    vec = [0] * len(domain)
-    for bond_edges, e, exp in rel.terms:
-        fs = frozenset(bond_edges)
-        if e != sort_labels(fs)[0]:
-            vec[index[(fs, e)]] += exp
-    return tuple(vec)
 
 
 def kernel_rank(g: MultiGraph) -> int:
@@ -224,11 +197,15 @@ def relations_generate_kernel(g: MultiGraph, max_edges: int = 8) -> bool:
     _require_biconnected(g)
     if g.n_edges > max_edges:
         raise GuardExceededError(f"kernel check capped at {max_edges} edges")
-    domain, rows = _dual_map_rows(g)
-    kernel = kernel_lattice(rows, len(g.edge_labels) - 1)
-    rels = [relation_coordinates(domain, r) for r in equations(g, max_edges)]
+    all_bonds = bonds(g)
+    domain, rows = _dual_map_rows(g, all_bonds)
+    kernel = kernel_lattice(rows, g.n_edges - 1)
     if len(kernel) != len(domain) - (g.n_edges - 1):  # kernel_rank; len(domain) is the sum of |B| - 1
         return False
+    rels = []
+    for rel in _relations(g, all_bonds):
+        exponent = {(i, j): x for i, j, x in rel}  # a bond's least edge has no coordinate
+        rels.append(tuple(exponent.get(pair, 0) for pair in domain))
     return lattice_span_equal(rels, kernel, len(domain))
 
 

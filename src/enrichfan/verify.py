@@ -192,7 +192,7 @@ def check_kernel_and_torus(seed: int) -> list:
             continue
         if not relations_generate_kernel(g):
             failures.append(f"{name}: relations do not generate the kernel lattice")
-        _, rows = _dual_map_rows(g)
+        _, rows = _dual_map_rows(g, bonds(g))
         computed = len(kernel_lattice(rows, g.n_edges - 1))
         if computed != kernel_rank(g):
             failures.append(f"{name}: normal-form kernel rank {computed} != formula {kernel_rank(g)}")

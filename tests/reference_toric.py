@@ -1,15 +1,99 @@
-"""The dual comparison map of ``enrichfan.toric`` as first written.
+"""The relation search and the dual comparison map of ``enrichfan.toric`` as
+first written.
 
-Kept as the reference the single-pass ``_dual_map_rows`` and the
-domain-based ``relation_coordinates`` are tested against.  Every call here
-recomputes the bonds of the graph: ``_dual_map_rows`` through
-``_dual_bases``, and ``relation_coordinates`` once per relation.
+Kept as the reference the index-built ``equations`` and ``_dual_map_rows``
+are tested against.  Here every relation is built on labels: each candidate
+goes through ``from_exponents``, which sorts its terms by ``label_key``, and
+the relations are sorted by ``_relation_key``.  Every call recomputes the
+bonds of the graph: ``_dual_map_rows`` through ``_dual_bases``, and
+``relation_coordinates`` once per relation.
 """
 
 from __future__ import annotations
 
-from enrichfan.graphs import MultiGraph, bonds, sort_labels
-from enrichfan.toric import LaurentRelation
+import itertools
+
+from enrichfan.errors import GuardExceededError
+from enrichfan.graphs import MultiGraph, bonds, label_key, sort_labels
+from enrichfan.toric import LaurentRelation, _require_biconnected
+
+
+def from_exponents(entries) -> LaurentRelation:
+    """The relation with the summed exponents of ``entries``, terms in label order."""
+    acc = {}
+    for bond_edges, edge, exp in entries:
+        key = (tuple(sort_labels(bond_edges)), edge)
+        acc[key] = acc.get(key, 0) + exp
+    terms = tuple(
+        sorted(
+            ((be, e, x) for (be, e), x in acc.items() if x != 0),
+            key=lambda t: (tuple(map(label_key, t[0])), label_key(t[1])),
+        )
+    )
+    return LaurentRelation(terms)
+
+
+def negate(rel: LaurentRelation) -> LaurentRelation:
+    return LaurentRelation(tuple((be, e, -x) for be, e, x in rel.terms))
+
+
+def canonical(rel: LaurentRelation) -> LaurentRelation:
+    """Fix the overall sign: first exponent positive."""
+    if rel.terms and rel.terms[0][2] < 0:
+        return negate(rel)
+    return rel
+
+
+def _bond_sums(g: MultiGraph, all_bonds: list):
+    """Triples (B1, B2, B3) of bond edge sets with B3 the disjoint-side sum."""
+    bond_by_edges = {b.edges: b for b in all_bonds}
+    triples = set()
+    for b1, b2 in itertools.combinations(bond_by_edges.values(), 2):
+        for s1 in (b1.side, b1.complement_side):
+            for s2 in (b2.side, b2.complement_side):
+                if s1 & s2 or s1 | s2 == frozenset(g.vertices):
+                    continue
+                cut = g.cut_edges(s1 | s2)
+                if cut in bond_by_edges and cut not in (b1.edges, b2.edges):
+                    triples.add((b1.edges, b2.edges, cut))
+    return triples
+
+
+def equations(g: MultiGraph, max_edges: int = 8) -> list:
+    """Binomial and trinomial defining relations of the bond-product image."""
+    _require_biconnected(g)
+    if g.n_edges > max_edges:
+        raise GuardExceededError(f"relation search capped at {max_edges} edges")
+    if g.n_edges < 2:
+        return []
+    out = set()
+    all_bonds = bonds(g)
+    for b1, b2 in itertools.combinations(all_bonds, 2):
+        common = b1.edges & b2.edges
+        for e1, e2 in itertools.combinations(sort_labels(common), 2):
+            rel = from_exponents(
+                [(b1.edges, e1, 1), (b1.edges, e2, -1), (b2.edges, e2, 1), (b2.edges, e1, -1)]
+            )
+            out.add(canonical(rel))
+    for be1, be2, be3 in _bond_sums(g, all_bonds):
+        for e1 in sort_labels(be1 & be3):
+            for e2 in sort_labels(be1 & be2):
+                for e3 in sort_labels(be2 & be3):
+                    rel = from_exponents(
+                        [
+                            (be1, e1, 1), (be1, e2, -1),
+                            (be2, e2, 1), (be2, e3, -1),
+                            (be3, e3, 1), (be3, e1, -1),
+                        ]
+                    )
+                    out.add(canonical(rel))
+    return sorted(out, key=_relation_key)
+
+
+def _relation_key(rel: LaurentRelation):
+    return tuple(
+        (tuple(map(label_key, be)), label_key(e), x) for be, e, x in rel.terms
+    )
 
 
 def _dual_bases(g: MultiGraph):

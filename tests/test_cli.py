@@ -410,6 +410,14 @@ class TestErrors:
         assert err == "error: --pairs must be a JSON list of [a, b] pairs\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("pairs", ['[[true, "b"]]', '[[false, "b"]]'])
+    def test_boolean_pairs_are_not_edge_labels(self, capsys, pairs):
+        # true and false hash like the edges 1 and 0
+        graph = "vertices: u v; 0: u v; 1: u v; b: u v"
+        code, out, err = run_cli(capsys, "enriched", "check", "--inline", graph, "--pairs", pairs)
+        assert code == EXIT_PARSE and out == ""
+        assert err == "error: --pairs must be a JSON list of [a, b] pairs\n"
+
     def test_missing_input_file(self, tmp_path, capsys):
         path = tmp_path / "no" / "such.txt"
         code, out, err = run_cli(capsys, "enriched", "list", "--input", str(path))

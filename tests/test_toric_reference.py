@@ -1,13 +1,16 @@
-"""The single-pass dual comparison map of ``enrichfan.toric`` against the
-per-relation reference, and the number of bond enumerations it costs."""
+"""The index-built relations and dual comparison map of ``enrichfan.toric``
+against the label-keyed reference, and the number of bond enumerations the
+kernel check costs."""
 
 import pytest
+from hypothesis import given, settings
 
 import enrichfan.toric
 import reference_toric as ref
+from conftest import connected_multigraphs
 from enrichfan import corpus
-from enrichfan.graphs import MultiGraph
-from enrichfan.toric import _dual_map_rows, equations, relation_coordinates, relations_generate_kernel
+from enrichfan.graphs import MultiGraph, bonds, is_biconnected
+from enrichfan.toric import _dual_map_rows, _relations, equations, relations_generate_kernel
 
 
 def k4():
@@ -32,25 +35,54 @@ def mixed_labels():
     return MultiGraph([1, "x", "y"], {1: (1, "x"), "b": (1, "y"), 2: ("x", "y"), "d": ("x", "y")})
 
 
+def prism():
+    edges = {}
+    for i in range(3):
+        j = (i + 1) % 3
+        edges[f"a{i}{j}"] = (f"a{i}", f"a{j}")
+        edges[f"b{i}{j}"] = (f"b{i}", f"b{j}")
+        edges[f"m{i}"] = (f"a{i}", f"b{i}")
+    return MultiGraph([f"{s}{i}" for s in "ab" for i in range(3)], edges)
+
+
 GRAPHS = {name: corpus.CORPUS[name] for name in corpus.BICONNECTED_CORPUS}
-GRAPHS.update(k4=k4, w4=wheel4, doubled_square=doubled_square, mixed_labels=mixed_labels)
+GRAPHS.update(k4=k4, w4=wheel4, prism=prism, doubled_square=doubled_square, mixed_labels=mixed_labels)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_equations_match_reference(name):
+    g = GRAPHS[name]()
+    assert [r.terms for r in equations(g, 9)] == [r.terms for r in ref.equations(g, 9)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_multigraphs(max_vertices=5, max_edges=7).filter(is_biconnected))
+def test_equations_match_reference_on_random_biconnected_graphs(g):
+    assert [r.terms for r in equations(g)] == [r.terms for r in ref.equations(g)]
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_dual_map_rows_match_reference(name):
     g = GRAPHS[name]()
-    assert _dual_map_rows(g) == ref._dual_map_rows(g)
+    all_bonds = bonds(g)
+    domain, rows = _dual_map_rows(g, all_bonds)
+    labelled = [(all_bonds[i].edges, g.edge_labels[j]) for i, j in domain]
+    assert (labelled, rows) == ref._dual_map_rows(g)
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_relation_coordinates_match_reference(name):
+    # the kernel check reads a relation's coordinates off its index terms;
+    # they agree with the reference's coordinates of the labelled relation
     g = GRAPHS[name]()
-    domain, _ = _dual_map_rows(g)
-    for rel in equations(g):
-        assert relation_coordinates(domain, rel) == ref.relation_coordinates(g, rel)
+    all_bonds = bonds(g)
+    domain, _ = _dual_map_rows(g, all_bonds)
+    for rel, labelled in zip(_relations(g, all_bonds), equations(g, 9), strict=True):
+        exponent = {(i, j): x for i, j, x in rel}
+        assert tuple(exponent.get(pair, 0) for pair in domain) == ref.relation_coordinates(g, labelled)
 
 
-def test_kernel_check_enumerates_bonds_at_most_twice(monkeypatch):
+def test_kernel_check_enumerates_bonds_once(monkeypatch):
     calls = []
     real = enrichfan.toric.bonds
 
@@ -61,4 +93,4 @@ def test_kernel_check_enumerates_bonds_at_most_twice(monkeypatch):
     monkeypatch.setattr(enrichfan.toric, "bonds", counted)
     g = wheel4()
     assert relations_generate_kernel(g)
-    assert len(calls) <= 2
+    assert len(calls) == 1
