@@ -26,7 +26,8 @@ Specializations need no recursion: each is read off a face of the closed
 structure cone.  These and the structures the core builds are correct by
 construction, so ``enriched_structures``, ``locate`` and ``specializations``
 build their results on a trusted path that skips the checks of the public
-``EnrichedGraph`` and ``Specialization`` constructors.
+``EnrichedGraph`` and ``Specialization`` constructors; the latter's check,
+``_specialization_failure``, runs on rows and serves ``verify`` too.
 """
 
 from __future__ import annotations
@@ -234,6 +235,24 @@ def from_bond_collection(g: MultiGraph, t) -> EnrichedGraph:
     return EnrichedGraph(g, Preorder.from_relations(g.edge_labels, pairs))
 
 
+def _specialization_failure(rows: tuple, mask: int, target: EnrichedGraph, contracted: MultiGraph):
+    """Why contracting the edges in ``mask`` of the structure with ``rows``
+    (giving the graph ``contracted``) and coarsening the rest does not give
+    ``target``, or None when it does.  Target edge ``j`` is survivor ``kept[j]``."""
+    kept = [i for i in range(len(rows)) if not mask >> i & 1]
+    if any(rows[i] & mask for i in kept):
+        return "contracted set must be a lower set of the source"
+    if target.graph != contracted:
+        return "target graph must be the stated contraction"
+    gaps = list(bits(mask))
+    for i, row in zip(kept, target.preorder.rows):  # rows[i] lies among the survivors, mask being a lower set
+        for b in gaps:  # lift: open a zero bit at each contracted edge, lowest first
+            row = (row >> b << (b + 1)) | (row & ((1 << b) - 1))
+        if rows[i] & ~row:
+            return "target preorder must refine every surviving relation"
+    return None
+
+
 @dataclass(frozen=True)
 class Specialization:
     """A coarsening move: contract a lower set, then possibly merge classes."""
@@ -243,14 +262,11 @@ class Specialization:
     contracted: frozenset
 
     def __post_init__(self):
-        src, tgt = self.source, self.target
-        if not src.preorder.is_lower_set(self.contracted):
-            raise ValueError("contracted set must be a lower set of the source")
-        if tgt.graph != contract(src.graph, self.contracted):
-            raise ValueError("target graph must be the stated contraction")
-        rest = set(src.graph.edge_labels) - self.contracted
-        if not tgt.preorder.contains(src.preorder.restrict(rest)):
-            raise ValueError("target preorder must refine every surviving relation")
+        object.__setattr__(self, "contracted", frozenset(self.contracted))
+        src, s = self.source, self.contracted
+        failure = _specialization_failure(src.preorder.rows, src.preorder._mask(s), self.target, contract(src.graph, s))
+        if failure:
+            raise ValueError(failure)
 
     def is_identity(self) -> bool:
         return not self.contracted and self.target.preorder == self.source.preorder

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cones import RationalCone, closed_structure_cone
-from .enriched import generic_structures
+from .enriched import _trusted, generic_structures
 from .errors import NotStronglyConvexError
 from .graphs import MultiGraph, biconnected_components, good_contraction_sequence
 from .lattices import LatticeQuotient, linearly_independent, primitive
@@ -83,9 +83,7 @@ def fan_equal(f1: Fan, f2: Fan) -> bool:
 def octant_fan(labels) -> Fan:
     """The fan of all faces of the nonnegative orthant."""
     labels = tuple(labels)
-    n = len(labels)
-    units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return Fan.from_cones(labels, [RationalCone.from_rays(labels, units)])
+    return Fan.from_cones(labels, [coordinate_cone(labels, labels)])
 
 
 def coordinate_cone(labels, subset) -> RationalCone:
@@ -122,9 +120,11 @@ def star_subdivision(fan: Fan, tau: RationalCone) -> Fan:
             continue
         if not sigma.is_smooth():
             raise ValueError("star subdivision requires smooth cones around tau")
+        # u has coefficient 1 on the dropped ray, so the swap keeps the rays
+        # a lattice basis of the smooth sigma's span: no rank check is needed
         for dropped in sorted(tau_rays):
-            rays = [r for r in sigma.rays if r != dropped] + [u]
-            new_cones.append(RationalCone.from_rays(fan.labels, rays))
+            rays = tuple(sorted([r for r in sigma.rays if r != dropped] + [u]))
+            new_cones.append(_trusted(RationalCone, labels=fan.labels, rays=rays, closed=True, rows=None, _plan=None))
     return Fan.from_cones(fan.labels, new_cones)
 
 

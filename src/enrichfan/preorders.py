@@ -160,10 +160,6 @@ class Preorder:
     def is_partial_order(self) -> bool:
         return self.rank == len(self._rows)
 
-    def is_lower_set(self, s) -> bool:
-        mask = self._mask(frozenset(s))
-        return all(row & mask == 0 for i, row in enumerate(self._rows) if not mask >> i & 1)
-
     def is_upper_set(self, s) -> bool:
         mask = self._mask(frozenset(s))
         return all(self._rows[i] & ~mask == 0 for i in bits(mask))
@@ -205,18 +201,6 @@ class Preorder:
             if not any(w1 | w2 == u for w1 in proper for w2 in proper):
                 irr.append(u)
         return sorted(irr, key=lambda s: tuple(map(label_key, sort_labels(s))))
-
-    def restrict(self, s) -> "Preorder":
-        labels = sort_labels(set(s))
-        old = [self._i(a) for a in labels]
-        rows = tuple(sum(1 << j for j, k in enumerate(old) if self._rows[i] >> k & 1) for i in old)
-        return Preorder._family(labels, [rows])[0]
-
-    def contains(self, other: "Preorder") -> bool:
-        """True when every relation of ``other`` also holds here (same ground)."""
-        if self._labels != other._labels:
-            raise UnknownLabelError("ground sets differ")
-        return all(o & ~s == 0 for s, o in zip(self._rows, other._rows))
 
     def relabel(self, mapping) -> "Preorder":
         """Transport the preorder along a label bijection.

@@ -17,17 +17,10 @@ from operator import or_
 
 from . import corpus
 from .cones import closed_structure_cone, containing, ray_generators, structure_cone
-from .enriched import (
-    EnrichedGraph,
-    Specialization,
-    bond_minima,
-    enriched_structures,
-    from_bond_collection,
-    locate,
-    specializations,
-)
+from .enriched import EnrichedGraph, _specialization_failure, bond_minima, enriched_structures, from_bond_collection, locate, specializations
 from .fans import fan_by_star_subdivision, fan_equal, fan_of_graph, graph_lattice_quotient, quotient_fan
-from .graphs import biconnected_components, bits, bonds
+from .errors import UnknownLabelError
+from .graphs import biconnected_components, bits, bonds, contract
 from .lattices import kernel_lattice
 from .moduli import check_unique_lifts, classify_cells, enumerate_cells, enumerate_stable_weighted_graphs
 from .preorders import Preorder
@@ -98,6 +91,7 @@ def _is_ray_set(rows, rays) -> bool:
 def _rays_and_faces_failures(name: str, structs: list) -> list:
     failures = []
     targets = {}
+    contractions = {}  # (graph, contracted mask) -> contracted graph
     for eg in structs:
         labels = eg.graph.edge_labels
         rays = ray_generators(eg)
@@ -111,17 +105,22 @@ def _rays_and_faces_failures(name: str, structs: list) -> list:
         cone = closed_structure_cone(eg)
         if not cone.is_smooth():
             failures.append(f"{name}: cone not smooth for {eg.preorder!r}")
-        # each specialization passes the checking constructors (each distinct
-        # target once), and the distinct ones number one per face
+        # each specialization has a checked target (each distinct target once)
+        # and passes the row check, and the distinct ones number one per face
         sps = specializations(eg)
         for sp in sps:
             key = (sp.target.graph, sp.target.preorder)
             try:
                 if key not in targets:
                     targets[key] = EnrichedGraph(*key)
-                Specialization(eg, targets[key], sp.contracted)
-            except ValueError as exc:
-                failures.append(f"{name}: bad specialization of {eg.preorder!r}: {exc}")
+                mask = eg.preorder._mask(sp.contracted)
+                if (eg.graph, mask) not in contractions:
+                    contractions[eg.graph, mask] = contract(eg.graph, sp.contracted)
+                failure = _specialization_failure(eg.preorder.rows, mask, targets[key], contractions[eg.graph, mask])
+            except (ValueError, UnknownLabelError) as exc:
+                failure = str(exc)
+            if failure:
+                failures.append(f"{name}: bad specialization of {eg.preorder!r}: {failure}")
         if not len({(sp.contracted, sp.target.preorder) for sp in sps}) == len(sps) == cone.face_count():
             failures.append(f"{name}: specializations are not one per face for {eg.preorder!r}")
     return failures

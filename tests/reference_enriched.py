@@ -17,6 +17,12 @@ tested against ``_structures`` below.  The second read its arrows from
 ``_state`` is copied verbatim from before it merged vertices with
 ``graphs._roots``: it keeps its own union-find, which joins the second
 end's class under the first's.
+
+``check_specialization`` is ``Specialization.__post_init__`` as it ran on
+labels, before the check moved to rows.  ``Preorder`` no longer has the
+``is_lower_set``, ``restrict`` and ``contains`` it called, so it, the
+recursions and ``specializations`` call their copies in
+``reference_preorders``.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from enrichfan.enriched import EnrichedGraph, Specialization, _trusted, enriched
 from enrichfan.formats import relation_summary
 from enrichfan.graphs import MultiGraph, bits, contract, label_key
 from enrichfan.preorders import Preorder
+from reference_preorders import contains, is_lower_set, restrict
 
 
 def biconnected_components(g: MultiGraph) -> list:
@@ -114,7 +121,7 @@ def _is_enriched(g: MultiGraph, p: Preorder) -> bool:
         if not bottom:
             return False
         rest = set(g.edge_labels) - bottom
-        return _is_enriched(contract(g, bottom), p.restrict(rest))
+        return _is_enriched(contract(g, bottom), restrict(p, rest))
     comps = biconnected_components(g)
     comp_of = {}
     for i, c in enumerate(comps):
@@ -124,7 +131,7 @@ def _is_enriched(g: MultiGraph, p: Preorder) -> bool:
         for b in g.edge_labels:
             if comp_of[a] != comp_of[b] and a != b and (p.leq(a, b) or p.leq(b, a)):
                 return False
-    return all(_is_enriched(c, p.restrict(c.edge_labels)) for c in comps)
+    return all(_is_enriched(c, restrict(p, c.edge_labels)) for c in comps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,12 +191,24 @@ def specializations(eg: EnrichedGraph) -> list:
     out = []
     for s in eg.preorder.lower_sets():
         target_graph = contract(eg.graph, s)
-        surviving = eg.preorder.restrict(set(eg.graph.edge_labels) - s).rows
+        surviving = restrict(eg.preorder, set(eg.graph.edge_labels) - s).rows
         kept = [rows for rows in _structure_rows(target_graph) if all(o & ~r == 0 for r, o in zip(rows, surviving))]
         for cand in Preorder._family(target_graph.edge_labels, kept):
             target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
             out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
     return out
+
+
+def check_specialization(self) -> None:
+    """Raise ``ValueError`` unless the specialization ``self`` is one."""
+    src, tgt = self.source, self.target
+    if not is_lower_set(src.preorder, self.contracted):
+        raise ValueError("contracted set must be a lower set of the source")
+    if tgt.graph != contract(src.graph, self.contracted):
+        raise ValueError("target graph must be the stated contraction")
+    rest = set(src.graph.edge_labels) - self.contracted
+    if not contains(tgt.preorder, restrict(src.preorder, rest)):
+        raise ValueError("target preorder must refine every surviving relation")
 
 
 def specialization_poset_dot(g: MultiGraph, name: str = "S") -> str:

@@ -10,6 +10,11 @@ copy here, so no reference result passes through the new code.  The old
 ``cones.ray_generators`` and ``cones._structure_halfspaces`` follow;
 they are the reference the row versions are tested against.
 
+``is_lower_set``, ``restrict`` and ``contains`` are all that is left of
+the three ``Preorder`` methods of those names, which the specialization
+check used before it ran on rows; ``contains`` is the row method copied
+verbatim.
+
 ``all_preorders`` enumerates every preorder on a small ground set by
 brute force; enumeration and validation are tested against it.
 """
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 
+from enrichfan.errors import UnknownLabelError
 from enrichfan.graphs import label_key, sort_labels
 from enrichfan.preorders import Preorder, QuotientPoset, _closed
 from reference_lattices import EQ, GE, GT, Halfspace
@@ -129,6 +135,13 @@ def restrict(self, s) -> Preorder:
                 row |= 1 << j
         rows.append(row)
     return Preorder._family(labels, [tuple(rows)])[0]
+
+
+def contains(self, other) -> bool:
+    """True when every relation of ``other`` also holds here (same ground)."""
+    if self._labels != other._labels:
+        raise UnknownLabelError("ground sets differ")
+    return all(o & ~s == 0 for s, o in zip(self._rows, other._rows))
 
 
 def quotient(self) -> QuotientPoset:

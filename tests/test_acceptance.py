@@ -68,11 +68,34 @@ def test_criterion_3_fails_on_a_planted_bad_specialization(monkeypatch):
         sps = real(eg)
         return sps[:-1] + [_trusted(Specialization, source=eg, target=sps[-1].target, contracted=frozenset())]
 
+    def unknown_label(eg):
+        sps = real(eg)
+        return [_trusted(Specialization, source=eg, target=sps[0].target, contracted=frozenset({"zz"}))] + sps[1:]
+
+    def not_lower(eg):
+        # a single edge with another edge below it
+        sps, rows = real(eg), eg.preorder.rows
+        above = [e for i, e in enumerate(eg.preorder.ground) if any(r >> i & 1 for j, r in enumerate(rows) if j != i)]
+        if not above:
+            return sps
+        return [_trusted(Specialization, source=eg, target=sps[0].target, contracted=frozenset(above[:1]))] + sps[1:]
+
+    def unrefined(eg):
+        # nothing contracted, and a structure on the same graph that drops a relation of eg
+        sps, rows = real(eg), eg.preorder.rows
+        other = [t for t in enriched_structures(eg.graph) if any(r & ~q for r, q in zip(rows, t.preorder.rows))]
+        if not other:
+            return sps
+        return [_trusted(Specialization, source=eg, target=other[0], contracted=frozenset())] + sps[1:]
+
     plants = {
         "a duplicate added": (lambda eg: real(eg) + real(eg)[:1], "not one per face"),
         "a duplicate in place of another": (lambda eg: real(eg)[:-1] + real(eg)[:1], "not one per face"),
         "a non-enriched target": (not_enriched, "triangle: bad specialization"),
         "a target off the stated contraction": (uncontracted, "target graph must be the stated contraction"),
+        "an unknown contracted label": (unknown_label, "single_edge: bad specialization of Preorder(['e'], []): unknown label 'zz'"),
+        "a contracted set that is no lower set": (not_lower, "contracted set must be a lower set of the source"),
+        "a target that drops a surviving relation": (unrefined, "target preorder must refine every surviving relation"),
     }
     for plant, (fake, message) in plants.items():
         monkeypatch.setattr(enrichfan.verify, "specializations", fake)

@@ -23,7 +23,7 @@ from enrichfan.errors import GroundSetMismatchError
 from enrichfan.graphs import Bond, MultiGraph, bonds, biconnected_components, contract
 from enrichfan.preorders import Preorder
 from reference_enriched import global_minima
-from reference_preorders import all_preorders
+from reference_preorders import all_preorders, contains, restrict
 
 
 def brute_force_structures(g):
@@ -178,7 +178,7 @@ class TestEnumeration:
                 for s in eg.preorder.lower_sets():
                     if s:
                         # validates on construction
-                        EnrichedGraph(contract(g, s), eg.preorder.restrict(set(g.edge_labels) - s))
+                        EnrichedGraph(contract(g, s), restrict(eg.preorder, set(g.edge_labels) - s))
 
     def test_tree_property_and_rooted_hasse(self):
         for g in corpus.corpus_graphs().values():
@@ -275,6 +275,14 @@ class TestSpecializations:
             for eg in enriched_structures(g):
                 assert len(specializations(eg)) == 2 ** eg.rank, name
 
+    def test_contracted_set_from_any_iterable_is_hashable(self):
+        for eg in enriched_structures(corpus.doubled_triangle()):
+            for sp in specializations(eg):
+                for given in (set(sp.contracted), list(sp.contracted), iter(sp.contracted)):
+                    built = Specialization(eg, sp.target, given)
+                    assert type(built.contracted) is frozenset
+                    assert built == sp and hash(built) == hash(sp)
+
     def test_includes_identity(self):
         eg = p1_graph()
         assert any(sp.is_identity() for sp in specializations(eg))
@@ -299,7 +307,7 @@ class TestSpecializations:
                         for c1, c2 in sp.source.preorder.quotient().hasse:
                             q = sp.source.preorder.quotient()
                             merged = simple_specialization(eg, q.classes[c1], q.classes[c2])
-                            if sp.target.preorder.contains(merged.preorder):
+                            if contains(sp.target.preorder, merged.preorder):
                                 found = True
                                 break
                         assert found

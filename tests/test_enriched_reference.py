@@ -15,7 +15,7 @@ import reference_enriched as ref
 from conftest import connected_multigraphs
 import enrichfan.enriched
 from enrichfan import corpus
-from enrichfan.enriched import _state, enriched_structures, is_enriched, locate, specializations
+from enrichfan.enriched import Specialization, _state, _trusted, enriched_structures, is_enriched, locate, specializations
 from enrichfan.formats import specialization_poset_dot
 from enrichfan.graphs import MultiGraph, biconnected_components, contract
 from reference_preorders import all_preorders
@@ -137,6 +137,43 @@ def test_specializations_never_enter_the_recursion_core(monkeypatch):
     for name, found in structs.items():
         for eg in found:
             assert len(specializations(eg)) == 2 ** eg.rank, name
+
+
+def _outcome(check, *args):
+    """``None`` when ``check(*args)`` passes, else the type and message it raises."""
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_specialization_check_matches_the_label_check():
+    """On every corpus graph: each structure, each edge subset as the
+    contracted set and each structure on its contraction as the target,
+    plus the structure itself as a target off the contraction and the set
+    with an unknown label, are accepted or rejected with the same exception
+    as by the constructor's old label check."""
+    seen = Counter()
+    for g in corpus.corpus_graphs().values():
+        contractions = {}
+        for k in range(g.n_edges + 1):
+            for s in map(frozenset, itertools.combinations(g.edge_labels, k)):
+                contractions[s] = enriched_structures(contract(g, s))
+        for eg in enriched_structures(g):
+            cases = [(s, t) for s, targets in contractions.items() for t in targets]
+            cases += [(s, eg) for s in contractions if s] + [(frozenset({"zz"}), eg), (frozenset(g.edge_labels[:1]) | {"zz"}, eg)]
+            for s, target in cases:
+                old = _outcome(ref.check_specialization, _trusted(Specialization, source=eg, target=target, contracted=s))
+                assert _outcome(Specialization, eg, target, s) == old, (eg.preorder, s, target.preorder)
+                seen[old and old[1]] += 1
+    assert set(seen) == {
+        None,
+        "contracted set must be a lower set of the source",
+        "target graph must be the stated contraction",
+        "target preorder must refine every surviving relation",
+        "unknown label 'zz'",
+    }
 
 
 def located_faces(eg):

@@ -23,7 +23,9 @@ from enrichfan.fans import (
     star_subdivision,
 )
 from enrichfan.graphs import MultiGraph, contract
+from enrichfan.lattices import linearly_independent
 from reference_lattices import halfspaces_of
+from test_toric_reference import k4, wheel4
 
 
 def embedded(cone: RationalCone, labels) -> RationalCone:
@@ -167,6 +169,13 @@ class TestStarSubdivision:
         labels = ("x", "y", "z")
         fan = octant_fan(labels)
         assert star_subdivision(fan, coordinate_cone(labels, ("x",))) is fan
+
+    def test_new_cones_are_smooth(self):
+        # the cones a subdivision adds skip the constructor's rank check
+        for g in (k4(), wheel4()):
+            for cone in fan_by_star_subdivision(g).maximal:
+                assert list(cone.rays) == sorted(cone.rays)
+                assert linearly_independent(cone.rays) and cone.is_smooth()
 
     def test_missing_cone_rejected(self):
         labels = ("x", "y")
