@@ -211,12 +211,13 @@ def cmd_moduli_cells(args) -> int:
 
 
 def cmd_toric_equations(args) -> int:
-    from .toric import bond_names, equations
+    from .toric import _bond_names, _equations, _guarded_bonds
 
     wg = _load_graph(args)
     g = wg.graph
-    rels = equations(g, args.max_edges)  # rejects a graph that is not biconnected
-    names = bond_names(g)
+    all_bonds = _guarded_bonds(g, args.max_edges, "relation search")  # rejects a graph that is not biconnected
+    rels = _equations(g, all_bonds)
+    names = _bond_names(all_bonds)
     data = {
         "bonds": {name: list(be) for be, name in names.items()},
         "relations": [

@@ -11,6 +11,12 @@ When every row is a comparison (one ``+1`` and at most one ``-1``, or a single
 ``-1``), as a structure cone's rows are, membership compares coordinates; other
 cones test the sign of each row on the point.  Coordinates are taken exactly:
 floats at their exact values, inf and NaN refused.
+
+The public constructor checks that the rays are independent with one exact
+echelon.  Cones independent by construction skip it through ``_trusted_cone``:
+a structure cone, read off its preorder rows together with its rows and
+comparison plan; every face of a cone, whose rays are a subset of
+independent rays; and the star-subdivision and quotient cones of ``fans``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from fractions import Fraction
 from math import prod
 
 from .enriched import EnrichedGraph
+from .graphs import bits
 from .lattices import _echelon, _substitute, dot, invariant_factors, linearly_independent, primitive
 
 
@@ -105,12 +112,16 @@ class RationalCone:
         return self.labels == other.labels and self.ray_set <= other.ray_set
 
     def faces(self) -> list:
-        """All faces of the closed simplicial cone, as ray subsets."""
-        out = []
-        for k in range(len(self.rays) + 1):
-            for sub in itertools.combinations(self.rays, k):
-                out.append(RationalCone(self.labels, sub))
-        return out
+        """All faces of the closed simplicial cone, as ray subsets.
+
+        A subset of sorted, independent rays is sorted and independent, so
+        each face is built unchecked.
+        """
+        return [
+            _trusted_cone(self.labels, sub)
+            for k in range(len(self.rays) + 1)
+            for sub in itertools.combinations(self.rays, k)
+        ]
 
     def face_count(self) -> int:
         return 2 ** self.dim
@@ -125,6 +136,20 @@ class RationalCone:
     def __repr__(self):
         kind = "closed" if self.closed else "open"
         return f"RationalCone({kind}, dim={self.dim}, rays={list(self.rays)})"
+
+
+def _trusted_cone(labels: tuple, rays: tuple, closed: bool = True, rows=None, plan=None) -> RationalCone:
+    """A cone on ``rays`` known to be sorted, distinct and independent, built without the echelon check.
+
+    The fields are set one by one, as ``__init__`` sets them: filling the
+    instance's ``__dict__`` at once, as ``enriched._trusted`` does, gives
+    it a dict of its own, and membership scans, which read a cone's
+    fields on every call, run about a tenth slower on such cones.
+    """
+    cone = object.__new__(RationalCone)
+    for name, value in (("labels", labels), ("rays", rays), ("closed", closed), ("rows", rows), ("_plan", plan)):
+        object.__setattr__(cone, name, value)
+    return cone
 
 
 def _comparison(row, n: int):
@@ -175,35 +200,60 @@ def _h_from_rays(labels: tuple, rays: tuple) -> tuple:
     return tuple(map(tuple, e.u[k:])), tuple(facets)
 
 
+def _indicators(rows, n: int) -> list:
+    """The bitmask ``rows`` as sorted 0/1 vectors of length ``n``."""
+    return sorted(tuple(row >> j & 1 for j in range(n)) for row in rows)
+
+
 def ray_generators(eg: EnrichedGraph) -> list:
     """Ray generators of the closed structure cone: indicator vectors of the
     irreducible upper sets, which are the distinct rows of the preorder."""
-    n = eg.graph.n_edges
-    return sorted(tuple(row >> j & 1 for j in range(n)) for row in set(eg.preorder.rows))
+    return _indicators(set(eg.preorder.rows), eg.graph.n_edges)
+
+
+def _unit_row(i: int, j: int, n: int) -> tuple:
+    """The integer row reading ``x[i] - x[j]``, index ``n`` reading 0."""
+    row = [0] * (n + 1)
+    row[i] = 1
+    row[j] = -1
+    return tuple(row[:n])
 
 
 def _structure_cone(eg: EnrichedGraph, closed: bool) -> RationalCone:
-    """The structure cone, with its rows generated from the quotient poset.
+    """The structure cone, read off the preorder rows.
 
-    Equalities inside classes, one facet per Hasse cover, positivity on the
-    root classes; transitivity makes these cut out the whole cone.
+    A class is the set of edges sharing one row, taken in order of its
+    first edge, and class ``j`` lies above class ``i`` when its row is a
+    strict subset of row ``i``.  The comparisons are equalities inside
+    classes, one facet per Hasse cover and positivity on the root classes;
+    transitivity makes these cut out the whole cone.  One list of pairs
+    ``(i, j)``, reading ``x[i] - x[j]`` with index ``n`` reading 0, gives
+    both the integer rows and the comparison plan.  The rays are the
+    distinct rows as 0/1 vectors: principal upper sets of distinct classes,
+    unitriangular in any linear extension, so independent and not rechecked.
     """
-    labels = eg.graph.edge_labels
-    pos = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    q = eg.preorder.quotient()
-    first = [pos[cls[0]] for cls in q.classes]
-
-    def diff(i, j):
-        row = [0] * n
-        row[i] += 1
-        row[j] -= 1
-        return tuple(row)
-
-    equalities = tuple(diff(pos[a], pos[b]) for cls in q.classes for a, b in zip(cls, cls[1:]))
-    facets = [diff(first[j], first[i]) for i, j in q.hasse]
-    facets += [tuple(int(t == first[i]) for t in range(n)) for i in q.roots()]
-    return RationalCone(tuple(labels), tuple(ray_generators(eg)), closed, (equalities, tuple(facets)))
+    rows = eg.preorder.rows
+    n = len(rows)
+    members = {}  # distinct row -> its edges, in order of first edge
+    for i, row in enumerate(rows):
+        members.setdefault(row, []).append(i)
+    distinct = list(members)
+    first = [cls[0] for cls in members.values()]
+    above = [sum(1 << j for j, r in enumerate(distinct) if r != ri and r & ri == r) for ri in distinct]
+    equalities = tuple((a, b) for cls in members.values() for a, b in zip(cls, cls[1:]))
+    facets = []
+    for i, up in enumerate(above):
+        through = 0
+        for k in bits(up):
+            through |= above[k]
+        facets += [(first[j], first[i]) for j in bits(up & ~through)]
+    covered = 0
+    for up in above:
+        covered |= up
+    facets += [(first[i], n) for i in range(len(distinct)) if not covered >> i & 1]
+    plan = (equalities, tuple(facets))
+    h = tuple(tuple(_unit_row(i, j, n) for i, j in pairs) for pairs in plan)
+    return _trusted_cone(eg.graph.edge_labels, tuple(_indicators(distinct, n)), closed, h, plan)
 
 
 def structure_cone(eg: EnrichedGraph) -> RationalCone:

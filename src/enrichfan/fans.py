@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cones import RationalCone, closed_structure_cone
-from .enriched import _trusted, generic_structures
+from .cones import RationalCone, _trusted_cone, closed_structure_cone
+from .enriched import generic_structures
 from .errors import NotStronglyConvexError
 from .graphs import MultiGraph, biconnected_components, good_contraction_sequence
 from .lattices import LatticeQuotient, linearly_independent, primitive
@@ -124,7 +124,7 @@ def star_subdivision(fan: Fan, tau: RationalCone) -> Fan:
         # a lattice basis of the smooth sigma's span: no rank check is needed
         for dropped in sorted(tau_rays):
             rays = tuple(sorted([r for r in sigma.rays if r != dropped] + [u]))
-            new_cones.append(_trusted(RationalCone, labels=fan.labels, rays=rays, closed=True, rows=None, _plan=None))
+            new_cones.append(_trusted_cone(fan.labels, rays))
     return Fan.from_cones(fan.labels, new_cones)
 
 
@@ -168,5 +168,5 @@ def quotient_fan(fan: Fan, lq: LatticeQuotient) -> Fan:
                 imgs.append(primitive(img))
         if imgs and not linearly_independent(imgs):
             raise NotStronglyConvexError("projected cone contains a line")
-        cones.append(RationalCone.from_rays(qlabels, imgs))
+        cones.append(_trusted_cone(qlabels, tuple(sorted(imgs))))  # independent, hence distinct
     return Fan.from_cones(qlabels, cones)

@@ -12,7 +12,9 @@ order and edges in ``edge_labels`` order.  Both orders are label order, so
 sorting the integer terms sorts the labels; labels appear only when
 ``equations`` returns its relations.  Bonds are the expensive part: each
 public function enumerates the bonds of its graph once and hands that list
-to the helpers it calls.
+to private helpers that take it as an argument; a caller that runs several
+of them on one graph (``verify``, the CLI) enumerates once and calls those
+helpers itself.
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ from .lattices import kernel_lattice, lattice_span_equal
 def _require_biconnected(g: MultiGraph):
     if not is_biconnected(g):
         raise NotBiconnectedError("this operation expects a biconnected graph; split into blocks first")
+
+
+def _guarded_bonds(g: MultiGraph, max_edges: int, what: str) -> list:
+    """The bonds of the biconnected ``g``, refused past ``max_edges`` edges."""
+    _require_biconnected(g)
+    if g.n_edges > max_edges:
+        raise GuardExceededError(f"{what} capped at {max_edges} edges")
+    return bonds(g)
 
 
 def variety_dimension(g: MultiGraph) -> int:
@@ -147,10 +157,10 @@ def equations(g: MultiGraph, max_edges: int = 8) -> list:
     e1 in B1 cap B3, e2 in B1 cap B2, e3 in B2 cap B3, the cycle
     x_e1^B1 x_e2^B2 x_e3^B3 = x_e2^B1 x_e3^B2 x_e1^B3.
     """
-    _require_biconnected(g)
-    if g.n_edges > max_edges:
-        raise GuardExceededError(f"relation search capped at {max_edges} edges")
-    all_bonds = bonds(g)
+    return _equations(g, _guarded_bonds(g, max_edges, "relation search"))
+
+
+def _equations(g: MultiGraph, all_bonds: list) -> list:
     bond_edges = [b.sorted_edges() for b in all_bonds]
     labels = g.edge_labels
     return [
@@ -161,7 +171,11 @@ def equations(g: MultiGraph, max_edges: int = 8) -> list:
 
 def bond_names(g: MultiGraph) -> dict:
     """Stable display names B1, B2, ... for the bonds of ``g``."""
-    return {b.sorted_edges(): f"B{i + 1}" for i, b in enumerate(bonds(g))}
+    return _bond_names(bonds(g))
+
+
+def _bond_names(all_bonds: list) -> dict:
+    return {b.sorted_edges(): f"B{i + 1}" for i, b in enumerate(all_bonds)}
 
 
 def _dual_map_rows(g: MultiGraph, all_bonds: list):
@@ -184,7 +198,11 @@ def _dual_map_rows(g: MultiGraph, all_bonds: list):
 def kernel_rank(g: MultiGraph) -> int:
     """sum over bonds of (|B| - 1), minus (|E| - 1)."""
     _require_biconnected(g)
-    return sum(len(b.edges) - 1 for b in bonds(g)) - (g.n_edges - 1)
+    return _kernel_rank(g, bonds(g))
+
+
+def _kernel_rank(g: MultiGraph, all_bonds: list) -> int:
+    return sum(len(b.edges) - 1 for b in all_bonds) - (g.n_edges - 1)
 
 
 def relations_generate_kernel(g: MultiGraph, max_edges: int = 8) -> bool:
@@ -194,10 +212,10 @@ def relations_generate_kernel(g: MultiGraph, max_edges: int = 8) -> bool:
     relation lattice must match it exactly.  ``max_edges`` caps the check
     and its relation search alike.
     """
-    _require_biconnected(g)
-    if g.n_edges > max_edges:
-        raise GuardExceededError(f"kernel check capped at {max_edges} edges")
-    all_bonds = bonds(g)
+    return _generates_kernel(g, _guarded_bonds(g, max_edges, "kernel check"))
+
+
+def _generates_kernel(g: MultiGraph, all_bonds: list) -> bool:
     domain, rows = _dual_map_rows(g, all_bonds)
     kernel = kernel_lattice(rows, g.n_edges - 1)
     if len(kernel) != len(domain) - (g.n_edges - 1):  # kernel_rank; len(domain) is the sum of |B| - 1
@@ -216,11 +234,14 @@ def torus_point_check(g: MultiGraph, seed: int = 2024, trials: int = 100) -> boo
     guaranteed to break at least the perturbed product.
     """
     _require_biconnected(g)
-    rels = equations(g)
+    return _holds_at_torus_points(g.edge_labels, equations(g), seed, trials)
+
+
+def _holds_at_torus_points(labels: tuple, rels: list, seed: int, trials: int) -> bool:
     rng = random.Random(seed)
     for _ in range(trials):
         point = {}
-        for e in g.edge_labels:
+        for e in labels:
             num = rng.choice([n for n in range(-9, 10) if n not in (-1, 0, 1)])
             den = rng.randint(2, 9)
             while abs(num) == den:

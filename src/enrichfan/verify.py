@@ -26,12 +26,12 @@ from .moduli import check_unique_lifts, classify_cells, enumerate_cells, enumera
 from .preorders import Preorder
 from .toric import (
     _dual_map_rows,
+    _equations,
+    _generates_kernel,
+    _holds_at_torus_points,
+    _kernel_rank,
     blowup_schedule,
-    equations,
-    kernel_rank,
     mutated_evaluate,
-    relations_generate_kernel,
-    torus_point_check,
 )
 
 
@@ -189,15 +189,16 @@ def check_kernel_and_torus(seed: int) -> list:
         g = corpus.CORPUS[name]()
         if g.n_edges > 5:
             continue
-        if not relations_generate_kernel(g):
+        all_bonds = bonds(g)  # one enumeration serves every check below
+        if not _generates_kernel(g, all_bonds):
             failures.append(f"{name}: relations do not generate the kernel lattice")
-        _, rows = _dual_map_rows(g, bonds(g))
-        computed = len(kernel_lattice(rows, g.n_edges - 1))
-        if computed != kernel_rank(g):
-            failures.append(f"{name}: normal-form kernel rank {computed} != formula {kernel_rank(g)}")
-        if not torus_point_check(g, seed=rng.randint(0, 10**6), trials=TORUS_TRIALS):
+        _, rows = _dual_map_rows(g, all_bonds)
+        computed, formula = len(kernel_lattice(rows, g.n_edges - 1)), _kernel_rank(g, all_bonds)
+        if computed != formula:
+            failures.append(f"{name}: normal-form kernel rank {computed} != formula {formula}")
+        rels = _equations(g, all_bonds)
+        if not _holds_at_torus_points(g.edge_labels, rels, rng.randint(0, 10**6), TORUS_TRIALS):
             failures.append(f"{name}: a relation failed at a torus point")
-        rels = equations(g)
         if rels:
             point = {e: Fraction(3, 2) ** (i + 1) for i, e in enumerate(g.edge_labels)}
             for rel in rels:

@@ -11,8 +11,11 @@ import random
 import time
 from collections import Counter
 
+import pytest
+
 import enrichfan.verify
 from enrichfan.cli import main
+from enrichfan.cones import RationalCone, _trusted_cone
 from enrichfan.enriched import EnrichedGraph, Specialization, _trusted, enriched_structures
 from enrichfan.graphs import bits
 from enrichfan.preorders import Preorder
@@ -134,6 +137,25 @@ def test_fan_verify_ray_check_fails_past_four_edges(monkeypatch):
         monkeypatch.setattr(Preorder, "irreducible_upper_sets", upper_sets)
         failures = enrichfan.verify._rays_and_faces_failures("k4", structures)
         assert any("ray set mismatch" in f for f in failures), kind
+
+
+def test_criterion_3_fails_on_a_planted_dependent_ray_set(monkeypatch):
+    """Structure cones are built without the constructor's independence
+    check, so the face check's smoothness test is what catches a dependent
+    ray set: one K4 structure's cone gets one ray replaced by the sum of two others."""
+    real = enrichfan.verify.closed_structure_cone
+    target = next(eg for eg in enriched_structures(k4()) if eg.rank >= 3)
+    r1, r2, r3, *rest = real(target).rays
+    rays = tuple(sorted([r1, r2, tuple(map(sum, zip(r1, r2))), *rest]))
+    with pytest.raises(ValueError, match="linearly independent"):
+        RationalCone(target.graph.edge_labels, rays)
+
+    def dependent(eg):
+        return _trusted_cone(eg.graph.edge_labels, rays) if eg == target else real(eg)
+
+    monkeypatch.setattr(enrichfan.verify.corpus, "corpus_graphs", lambda: {"k4": k4()})
+    monkeypatch.setattr(enrichfan.verify, "closed_structure_cone", dependent)
+    assert check_rays_and_faces() == [f"k4: cone not smooth for {target.preorder!r}"]
 
 
 def test_criterion_4_star_pipeline():

@@ -1,16 +1,20 @@
 """The index-built relations and dual comparison map of ``enrichfan.toric``
 against the label-keyed reference, and the number of bond enumerations the
-kernel check costs."""
+kernel check, the ``toric equations`` command and ``verify``'s kernel and
+torus check cost."""
 
 import pytest
 from hypothesis import given, settings
 
 import enrichfan.toric
+import enrichfan.verify
 import reference_toric as ref
 from conftest import connected_multigraphs
 from enrichfan import corpus
+from enrichfan.cli import main
 from enrichfan.graphs import MultiGraph, bonds, is_biconnected
 from enrichfan.toric import _dual_map_rows, _relations, equations, relations_generate_kernel
+from enrichfan.verify import check_kernel_and_torus
 
 
 def k4():
@@ -94,3 +98,33 @@ def test_kernel_check_enumerates_bonds_once(monkeypatch):
     g = wheel4()
     assert relations_generate_kernel(g)
     assert len(calls) == 1
+
+
+def _count_bonds(monkeypatch, *modules) -> list:
+    """Patch ``bonds`` in each of ``modules`` with one counting wrapper; the returned list grows by one graph per call."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return bonds(g)
+
+    for module in modules:
+        monkeypatch.setattr(module, "bonds", counted)
+    return calls
+
+
+def test_toric_equations_command_enumerates_bonds_once(monkeypatch, capsys):
+    calls = _count_bonds(monkeypatch, enrichfan.toric)
+    k4_text = "vertices: 1 2 3 4; a: 1 2; b: 1 3; c: 1 4; d: 2 3; e: 2 4; f: 3 4"
+    for extra in (["--format", "text"], ["--format", "json"], ["--ideal"]):
+        assert main(["toric", "equations", "--inline", k4_text, *extra]) == 0
+        assert len(calls) == 1, extra
+        calls.clear()
+    assert "39 relations" in capsys.readouterr().out
+
+
+def test_kernel_and_torus_check_enumerates_bonds_once_per_graph(monkeypatch):
+    calls = _count_bonds(monkeypatch, enrichfan.toric, enrichfan.verify)
+    assert check_kernel_and_torus(7) == []
+    checked = [corpus.CORPUS[name]() for name in corpus.BICONNECTED_CORPUS if corpus.CORPUS[name]().n_edges <= 5]
+    assert calls == checked
