@@ -32,35 +32,36 @@ build their results on a trusted path that skips the checks of the public
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
 
 from .errors import GroundSetMismatchError, NotABondError, UnknownLabelError
-from .graphs import Bond, MultiGraph, _roots, biconnected_components, bits, block_masks, bonds, contract, edge_ends, sort_labels
+from .graphs import Bond, MultiGraph, _roots, _Value, biconnected_components, bits, block_masks, bonds, contract, edge_ends, sort_labels
 from .preorders import Preorder
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` built without ``__post_init__``.
+    """An instance of the value class ``cls`` with its slots set to ``fields``,
+    built without the checks of its constructor.
 
     Only for values the recursion core or a face reading built, which pass
     those checks by construction.
     """
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    for name, value in fields.items():
+        setattr(obj, name, value)
     return obj
 
 
-@dataclass(frozen=True)
-class EnrichedGraph:
+class EnrichedGraph(_Value):
     """A graph together with an enriched structure on its edge set."""
 
-    graph: MultiGraph
-    preorder: Preorder
+    __slots__ = ("graph", "preorder")
 
-    def __post_init__(self):
-        if not is_enriched(self.graph, self.preorder):
+    def __init__(self, graph: MultiGraph, preorder: Preorder):
+        self.graph = graph
+        self.preorder = preorder
+        if not is_enriched(graph, preorder):
             raise ValueError("preorder is not an enriched structure on this graph")
 
     @property
@@ -253,18 +254,17 @@ def _specialization_failure(rows: tuple, mask: int, target: EnrichedGraph, contr
     return None
 
 
-@dataclass(frozen=True)
-class Specialization:
+class Specialization(_Value):
     """A coarsening move: contract a lower set, then possibly merge classes."""
 
-    source: EnrichedGraph
-    target: EnrichedGraph
-    contracted: frozenset
+    __slots__ = ("source", "target", "contracted")
 
-    def __post_init__(self):
-        object.__setattr__(self, "contracted", frozenset(self.contracted))
-        src, s = self.source, self.contracted
-        failure = _specialization_failure(src.preorder.rows, src.preorder._mask(s), self.target, contract(src.graph, s))
+    def __init__(self, source: EnrichedGraph, target: EnrichedGraph, contracted: frozenset):
+        self.source = source
+        self.target = target
+        self.contracted = s = frozenset(contracted)
+        p = source.preorder
+        failure = _specialization_failure(p.rows, p._mask(s), target, contract(source.graph, s))
         if failure:
             raise ValueError(failure)
 

@@ -8,21 +8,22 @@ their ray sets do.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .cones import RationalCone, _trusted_cone, closed_structure_cone
 from .enriched import generic_structures
 from .errors import NotStronglyConvexError
-from .graphs import MultiGraph, biconnected_components, good_contraction_sequence
+from .graphs import MultiGraph, _Value, biconnected_components, good_contraction_sequence
 from .lattices import LatticeQuotient, linearly_independent, primitive
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(_Value):
     """A fan given by its maximal cones (faces implicit)."""
 
-    labels: tuple
-    maximal: tuple
+    __slots__ = ("labels", "maximal")
+
+    def __init__(self, labels: tuple, maximal: tuple):
+        self.labels = labels
+        self.maximal = maximal
 
     @staticmethod
     def from_cones(labels, cones) -> "Fan":

@@ -19,7 +19,6 @@ its census and frames under, and the orderings attaining it, from which
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import (
     DisconnectedGraphError,
@@ -44,6 +43,34 @@ def label_key(x: Label):
 
 def sort_labels(xs) -> tuple:
     return tuple(sorted(xs, key=label_key))
+
+
+class _Value:
+    """Equality, hash and repr of an immutable value class, read off its fields.
+
+    A subclass lists its fields in ``__slots__``, in constructor order.
+    Instances are equal when they are of one class and their ``_key``
+    tuples are equal, and the hash is that of ``_key``, which holds every
+    field unless a subclass leaves some out.  The repr shows every field.
+    Instances are immutable by convention, as ``MultiGraph`` is.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class MultiGraph:
@@ -317,8 +344,7 @@ def good_contraction_sequence(g: MultiGraph) -> list:
     return entries
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(_Value):
     """A minimal cut ``E(V, V^c)`` with a distinguished side ``V``.
 
     Both sides must induce connected subgraphs.  Two bonds are equal when
@@ -326,23 +352,22 @@ class Bond:
     to identify complementary sides.
     """
 
-    graph: MultiGraph
-    side: frozenset
-    edges: frozenset
+    __slots__ = ("graph", "side", "edges")
 
-    def __post_init__(self):
-        g = self.graph
-        side = self.side
-        if not side <= frozenset(g.vertices):
+    def __init__(self, graph: MultiGraph, side: frozenset, edges: frozenset):
+        self.graph = graph
+        self.side = side
+        self.edges = edges
+        vertices = frozenset(graph.vertices)
+        if not side <= vertices:
             raise NotABondError("side contains unknown vertices")
-        comp = frozenset(g.vertices) - side
-        if not side or not comp:
+        if not side or not vertices - side:
             raise NotABondError("a bond needs a nontrivial vertex bipartition")
-        cut = g.cut_edges(side)
+        cut = graph.cut_edges(side)
         # the edges off the cut leave two classes exactly when both sides are connected
-        if len(_roots(uv for e, uv in zip(g.edge_labels, edge_ends(g)) if e not in cut)) != g.n_vertices - 2:
+        if len(_roots(uv for e, uv in zip(graph.edge_labels, edge_ends(graph)) if e not in cut)) != graph.n_vertices - 2:
             raise NotABondError("both sides of a bond must induce connected subgraphs")
-        if self.edges != cut:
+        if edges != cut:
             raise NotABondError("edge set does not match the cut of the given side")
 
     @staticmethod
@@ -464,12 +489,20 @@ def contracted_weights(wg: WeightedGraph, s) -> dict:
     return weights
 
 
-@dataclass(frozen=True)
-class EdgePermutation:
-    """A permutation of edge labels induced by a weighted-graph automorphism."""
+class EdgePermutation(_Value):
+    """A permutation of edge labels induced by a weighted-graph automorphism.
 
-    edge_map: tuple
-    vertex_map: tuple = field(compare=False)
+    The vertex map it came from takes no part in equality or hashing.
+    """
+
+    __slots__ = ("edge_map", "vertex_map")
+
+    def __init__(self, edge_map: tuple, vertex_map: tuple):
+        self.edge_map = edge_map
+        self.vertex_map = vertex_map
+
+    def _key(self) -> tuple:
+        return (self.edge_map,)
 
     def as_dict(self) -> dict:
         return dict(self.edge_map)

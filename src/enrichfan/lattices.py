@@ -21,10 +21,11 @@ are fast enough and the module needs nothing beyond the standard library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
+
+from .graphs import _Value
 
 
 def primitive(v) -> tuple:
@@ -179,8 +180,7 @@ def lattice_span_equal(rows1, rows2, ncols: int) -> bool:
     return hermite(rows1) == hermite(rows2)
 
 
-@dataclass(frozen=True)
-class LatticeQuotient:
+class LatticeQuotient(_Value):
     """An integral surjection ``Z^labels -> Z^(n-r)`` with kernel a saturated sublattice.
 
     Built from the echelon form U * G^T = H of the transposed generator
@@ -189,10 +189,13 @@ class LatticeQuotient:
     basis of the dual lattice and the projection is onto.
     """
 
-    labels: tuple
-    generators: tuple
-    rank: int
-    projection: tuple  # (n - r) rows of length n
+    __slots__ = ("labels", "generators", "rank", "projection")
+
+    def __init__(self, labels: tuple, generators: tuple, rank: int, projection: tuple):
+        self.labels = labels
+        self.generators = generators
+        self.rank = rank
+        self.projection = projection  # (n - r) rows of length n
 
     @staticmethod
     def from_generators(labels, generators) -> "LatticeQuotient":

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import containing, structure_cone
 from .enriched import EnrichedGraph, _trusted, enriched_structures, locate, specializations
 from .errors import GuardExceededError
-from .graphs import EdgePermutation, MultiGraph, WeightedGraph, _canonical_orderings, _roots, automorphisms, contracted_weights, edge_ends
+from .graphs import EdgePermutation, MultiGraph, WeightedGraph, _canonical_orderings, _Value, _roots, automorphisms, contracted_weights, edge_ends
 from .preorders import Preorder
 
 GENUS_GUARD = 3
@@ -123,18 +122,18 @@ def enumerate_stable_weighted_graphs(g: int) -> list:
     return [_graph_from_key(k) for k in sorted(seen)]
 
 
-@dataclass(frozen=True)
-class ModuliCell:
+class ModuliCell(_Value):
     """An isomorphism class of stable weighted enriched graphs."""
 
-    index: int
-    weighted: WeightedGraph
-    preorder: Preorder
-    genus: int
-    aut: tuple  # edge permutations preserving weights and the preorder
+    __slots__ = ("index", "weighted", "preorder", "genus", "aut")
 
-    def __post_init__(self):
-        EnrichedGraph(self.weighted.graph, self.preorder)  # validates
+    def __init__(self, index: int, weighted: WeightedGraph, preorder: Preorder, genus: int, aut: tuple):
+        self.index = index
+        self.weighted = weighted
+        self.preorder = preorder
+        self.genus = genus
+        self.aut = aut  # edge permutations preserving weights and the preorder
+        EnrichedGraph(weighted.graph, preorder)  # validates
 
     @property
     def dim(self) -> int:
@@ -226,14 +225,31 @@ def cell_adjacency(cells) -> dict:
     return {a.index: sorted(_reached(a, table)) for a in cells}
 
 
-@dataclass(frozen=True)
-class CellClassification:
-    maximal: tuple
-    codim1_valence_four: tuple  # one 4-valent vertex, weights 0, generic
-    codim1_weight_one_leaf: tuple  # one valence-1 weight-1 vertex, generic
-    codim1_merged_classes: tuple  # 3-regular, one simple merge below generic
-    closure_counts: dict  # codim-1 cell index -> number of maximal cells above
-    connected_through_codim1: bool
+class CellClassification(_Value):
+    __slots__ = (
+        "maximal",
+        "codim1_valence_four",
+        "codim1_weight_one_leaf",
+        "codim1_merged_classes",
+        "closure_counts",
+        "connected_through_codim1",
+    )
+
+    def __init__(
+        self,
+        maximal: tuple,
+        codim1_valence_four: tuple,
+        codim1_weight_one_leaf: tuple,
+        codim1_merged_classes: tuple,
+        closure_counts: dict,
+        connected_through_codim1: bool,
+    ):
+        self.maximal = maximal
+        self.codim1_valence_four = codim1_valence_four  # one 4-valent vertex, weights 0, generic
+        self.codim1_weight_one_leaf = codim1_weight_one_leaf  # one valence-1 weight-1 vertex, generic
+        self.codim1_merged_classes = codim1_merged_classes  # 3-regular, one simple merge below generic
+        self.closure_counts = closure_counts  # codim-1 cell index -> number of maximal cells above
+        self.connected_through_codim1 = connected_through_codim1
 
 
 def classify_cells(g: int) -> CellClassification:
@@ -300,11 +316,13 @@ def _canonical_cell_point(labels, stabilizer, point: dict) -> tuple:
     return min(tuple(point[a[e]] for e in labels) for a in map(EdgePermutation.as_dict, stabilizer))
 
 
-@dataclass(frozen=True)
-class LiftReport:
-    genus: int
-    points_checked: int
-    failures: tuple
+class LiftReport(_Value):
+    __slots__ = ("genus", "points_checked", "failures")
+
+    def __init__(self, genus: int, points_checked: int, failures: tuple):
+        self.genus = genus
+        self.points_checked = points_checked
+        self.failures = failures
 
 
 def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftReport:

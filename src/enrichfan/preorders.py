@@ -14,10 +14,9 @@ labels, so simplicity wins over asymptotics.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import UnknownLabelError
-from .graphs import bits, label_key, sort_labels
+from .graphs import _Value, bits, label_key, sort_labels
 
 
 def _transpose(rows) -> list:
@@ -251,13 +250,15 @@ class Preorder:
         return f"Preorder({list(self._labels)}, [{rel}])"
 
 
-@dataclass(frozen=True)
-class QuotientPoset:
+class QuotientPoset(_Value):
     """The poset of equivalence classes of a preorder, with Hasse covers."""
 
-    classes: tuple  # each class a sorted tuple of labels, ordered by least label
-    less: frozenset  # strict order as (i, j) index pairs
-    hasse: tuple  # covering pairs (i, j), i.e. consecutive classes
+    __slots__ = ("classes", "less", "hasse")
+
+    def __init__(self, classes: tuple, less: frozenset, hasse: tuple):
+        self.classes = classes  # each class a sorted tuple of labels, ordered by least label
+        self.less = less  # strict order as (i, j) index pairs
+        self.hasse = hasse  # covering pairs (i, j), i.e. consecutive classes
 
     @property
     def rank(self) -> int:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardExceededError, NotBiconnectedError
 from .graphs import (
     MultiGraph,
+    _Value,
     biconnected_components,
     bonds,
     good_contraction_sequence,
@@ -55,16 +55,16 @@ def variety_dimension(g: MultiGraph) -> int:
     return g.n_edges - len(biconnected_components(g))
 
 
-@dataclass(frozen=True)
-class LaurentRelation:
+class LaurentRelation(_Value):
     """An exponent vector on (bond, edge) coordinate pairs, summing to zero
     within every bond."""
 
-    terms: tuple  # ((bond_edges, edge, exponent), ...) canonically sorted
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple):
+        self.terms = terms  # ((bond_edges, edge, exponent), ...) canonically sorted
         per_bond = {}
-        for bond_edges, edge, exp in self.terms:
+        for bond_edges, edge, exp in terms:
             if edge not in bond_edges:
                 raise ValueError("exponent attached to an edge outside its bond")
             per_bond[bond_edges] = per_bond.get(bond_edges, 0) + exp
@@ -212,12 +212,18 @@ def relations_generate_kernel(g: MultiGraph, max_edges: int = 8) -> bool:
     relation lattice must match it exactly.  ``max_edges`` caps the check
     and its relation search alike.
     """
-    return _generates_kernel(g, _guarded_bonds(g, max_edges, "kernel check"))
+    all_bonds = _guarded_bonds(g, max_edges, "kernel check")
+    return _generates_kernel(g, all_bonds, *_dual_kernel(g, all_bonds))
 
 
-def _generates_kernel(g: MultiGraph, all_bonds: list) -> bool:
+def _dual_kernel(g: MultiGraph, all_bonds: list) -> tuple:
+    """The domain of the dual comparison map and a basis of its kernel lattice, by integer normal forms."""
     domain, rows = _dual_map_rows(g, all_bonds)
-    kernel = kernel_lattice(rows, g.n_edges - 1)
+    return domain, kernel_lattice(rows, g.n_edges - 1)
+
+
+def _generates_kernel(g: MultiGraph, all_bonds: list, domain: list, kernel: list) -> bool:
+    """Whether the relations span ``kernel``, the kernel over ``domain`` that ``_dual_kernel`` gives."""
     if len(kernel) != len(domain) - (g.n_edges - 1):  # kernel_rank; len(domain) is the sum of |B| - 1
         return False
     rels = []
@@ -266,10 +272,12 @@ def mutated_evaluate(rel: LaurentRelation, point: dict, index: int = 0, bump: in
     return value
 
 
-@dataclass(frozen=True)
-class BlowupStage:
-    cardinality: int
-    centers: tuple  # (contracted_set, vanishing_coordinates) pairs
+class BlowupStage(_Value):
+    __slots__ = ("cardinality", "centers")
+
+    def __init__(self, cardinality: int, centers: tuple):
+        self.cardinality = cardinality
+        self.centers = centers  # (contracted_set, vanishing_coordinates) pairs
 
 
 def blowup_schedule(g: MultiGraph, max_edges: int = 8) -> list:

@@ -21,11 +21,10 @@ from .enriched import EnrichedGraph, _specialization_failure, bond_minima, enric
 from .fans import fan_by_star_subdivision, fan_equal, fan_of_graph, graph_lattice_quotient, quotient_fan
 from .errors import UnknownLabelError
 from .graphs import biconnected_components, bits, bonds, contract
-from .lattices import kernel_lattice
 from .moduli import check_unique_lifts, classify_cells, enumerate_cells, enumerate_stable_weighted_graphs
 from .preorders import Preorder
 from .toric import (
-    _dual_map_rows,
+    _dual_kernel,
     _equations,
     _generates_kernel,
     _holds_at_torus_points,
@@ -190,10 +189,10 @@ def check_kernel_and_torus(seed: int) -> list:
         if g.n_edges > 5:
             continue
         all_bonds = bonds(g)  # one enumeration serves every check below
-        if not _generates_kernel(g, all_bonds):
+        domain, kernel = _dual_kernel(g, all_bonds)  # and one normal form both kernel checks
+        if not _generates_kernel(g, all_bonds, domain, kernel):
             failures.append(f"{name}: relations do not generate the kernel lattice")
-        _, rows = _dual_map_rows(g, all_bonds)
-        computed, formula = len(kernel_lattice(rows, g.n_edges - 1)), _kernel_rank(g, all_bonds)
+        computed, formula = len(kernel), _kernel_rank(g, all_bonds)
         if computed != formula:
             failures.append(f"{name}: normal-form kernel rank {computed} != formula {formula}")
         rels = _equations(g, all_bonds)

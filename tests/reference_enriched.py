@@ -18,7 +18,7 @@ tested against ``_structures`` below.  The second read its arrows from
 ``graphs._roots``: it keeps its own union-find, which joins the second
 end's class under the first's.
 
-``check_specialization`` is ``Specialization.__post_init__`` as it ran on
+``check_specialization`` is ``Specialization``'s constructor check as it ran on
 labels, before the check moved to rows.  ``Preorder`` no longer has the
 ``is_lower_set``, ``restrict`` and ``contains`` it called, so it, the
 recursions and ``specializations`` call their copies in

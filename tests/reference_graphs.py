@@ -17,10 +17,10 @@ verbatim, with its own union-find on vertex ids.  ``MultiGraph`` kept an
 adjacency table, ``_adj``, that ``_adjacency`` rebuilds as its constructor
 did; ``incident``, ``valence``, ``connected_components`` (a DFS over the
 table) and ``is_connected`` are the methods that read it, copied verbatim
-with ``self`` as an argument.  ``check_bond`` is ``Bond.__post_init__``,
-which asked the two induced subgraphs whether they are connected, and
-``bonds`` is ``graphs.bonds`` with that check in place of ``Bond``'s; both
-call the DFS above, so no new merge code runs in them.
+with ``self`` as an argument.  ``check_bond`` is ``Bond``'s constructor
+check from when it asked the two induced subgraphs whether they are
+connected, and ``bonds`` is ``graphs.bonds`` with that check in place of
+``Bond``'s; both call the DFS above, so no new merge code runs in them.
 """
 
 from __future__ import annotations
@@ -188,7 +188,7 @@ def is_connected(self: MultiGraph) -> bool:
 
 
 def check_bond(g: MultiGraph, side: frozenset, edges: frozenset) -> None:
-    """``Bond.__post_init__``: raise ``NotABondError`` unless ``side`` and ``edges`` form a bond of ``g``."""
+    """``Bond``'s constructor check: raise ``NotABondError`` unless ``side`` and ``edges`` form a bond of ``g``."""
     if not side <= frozenset(g.vertices):
         raise NotABondError("side contains unknown vertices")
     comp = frozenset(g.vertices) - side

@@ -446,6 +446,15 @@ def fresh_python(*argv):
 # the modules of enrichfan that an interpreter has loaded, as its last stderr line
 LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'enrichfan'), file=sys.stderr)"
 CLI_BASE = ["cli", "errors", "formats", "graphs"]
+# commands and the layers each loads beyond CLI_BASE
+LAYERED_COMMANDS = [
+    (["graph", "info", "--inline", TRIANGLE], []),
+    (["enriched", "list", "--inline", THETA, "--format", "dot"], ["enriched", "preorders"]),
+    (["enriched", "check", "--inline", THETA], ["enriched", "preorders"]),
+    (["toric", "equations", "--inline", DOUBLED], ["lattices", "toric"]),
+    (["toric", "schedule", "--inline", DOUBLED], ["lattices", "toric"]),
+    (["moduli", "cells", "-g", "1"], ["cones", "enriched", "lattices", "moduli", "preorders"]),
+]
 
 
 class TestColdStart:
@@ -465,22 +474,30 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == f"{sorted(['enrichfan'] + [f'enrichfan.{m}' for m in loaded])}\n"
 
-    @pytest.mark.parametrize(
-        "argv, layers",
-        [
-            (["graph", "info", "--inline", TRIANGLE], []),
-            (["enriched", "list", "--inline", THETA, "--format", "dot"], ["enriched", "preorders"]),
-            (["enriched", "check", "--inline", THETA], ["enriched", "preorders"]),
-            (["toric", "equations", "--inline", DOUBLED], ["lattices", "toric"]),
-            (["toric", "schedule", "--inline", DOUBLED], ["lattices", "toric"]),
-            (["moduli", "cells", "-g", "1"], ["cones", "enriched", "lattices", "moduli", "preorders"]),
-        ],
-    )
+    @pytest.mark.parametrize("argv, layers", LAYERED_COMMANDS)
     def test_command_loads_only_its_layers(self, argv, layers):
         proc = fresh_python("-c", f"import sys; from enrichfan.cli import main; main(sys.argv[1:]); {LOADED}", *argv)
         assert proc.returncode == 0, proc.stderr
         loaded = sorted(["enrichfan"] + [f"enrichfan.{m}" for m in CLI_BASE + layers])
         assert proc.stderr.splitlines()[-1] == str(loaded)
+
+    def test_commands_load_neither_dataclasses_nor_inspect(self):
+        # the library's value classes are plain __slots__ classes, so no
+        # command pays for dataclasses and the inspect module it imports;
+        # the modules loaded before the import, by a site hook say, do not count
+        commands = [argv for argv, _ in LAYERED_COMMANDS]
+        commands += [["fan", "build", "--inline", THETA, "--via-star", "--check-equal"], ["verify", "all"]]
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from enrichfan.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    main(argv)\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)), file=sys.stderr)"
+        )
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize(
         "argv, code, first_out, first_err",

@@ -5,7 +5,6 @@ came before it, kept here as ``_integer_route``."""
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -80,7 +79,7 @@ def _assert_same_membership(cones, x):
     for cone, old in cones:
         assert cone.contains(x) == ref.contains(old, x), (cone, x)
         assert cone.closure().contains(x) == ref.closure_contains(old, x), (cone, x)
-        assert replace(cone, closed=False).contains(x) == ref.interior_contains(old, x), (cone, x)
+        assert RationalCone(cone.labels, cone.rays, False, cone.rows).contains(x) == ref.interior_contains(old, x), (cone, x)
     assert containing([cone for cone, _ in cones], x) == [i for i, (_, old) in enumerate(cones) if ref.contains(old, x)]
 
 
@@ -186,7 +185,7 @@ def _general_cones(labels):
         RationalCone.from_rays(labels, [pad(2, 1), pad(1, 1, 1)], closed=False),
         RationalCone.from_rays(labels, [pad(1, 2), pad(0, 1)]),
         plane,
-        replace(plane, closed=False),
+        RationalCone(plane.labels, plane.rays, False, plane.rows),
     ]
 
 

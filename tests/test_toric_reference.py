@@ -1,7 +1,7 @@
 """The index-built relations and dual comparison map of ``enrichfan.toric``
-against the label-keyed reference, and the number of bond enumerations the
+against the label-keyed reference, the number of bond enumerations the
 kernel check, the ``toric equations`` command and ``verify``'s kernel and
-torus check cost."""
+torus check cost, and the kernel lattices that check computes."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,7 @@ from conftest import connected_multigraphs
 from enrichfan import corpus
 from enrichfan.cli import main
 from enrichfan.graphs import MultiGraph, bonds, is_biconnected
-from enrichfan.toric import _dual_map_rows, _relations, equations, relations_generate_kernel
+from enrichfan.toric import _dual_map_rows, _relations, equations, kernel_rank, relations_generate_kernel
 from enrichfan.verify import check_kernel_and_torus
 
 
@@ -128,3 +128,36 @@ def test_kernel_and_torus_check_enumerates_bonds_once_per_graph(monkeypatch):
     assert check_kernel_and_torus(7) == []
     checked = [corpus.CORPUS[name]() for name in corpus.BICONNECTED_CORPUS if corpus.CORPUS[name]().n_edges <= 5]
     assert calls == checked
+
+
+def _kernel_checked():
+    """The corpus graphs ``check_kernel_and_torus`` checks, by name."""
+    return {name: corpus.CORPUS[name]() for name in corpus.BICONNECTED_CORPUS if corpus.CORPUS[name]().n_edges <= 5}
+
+
+def test_kernel_and_torus_check_computes_one_kernel_lattice_per_graph(monkeypatch):
+    # both kernel checks read one normal form; ``verify`` is patched too in
+    # case it reaches ``kernel_lattice`` itself
+    calls = []
+    real = enrichfan.toric.kernel_lattice
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(enrichfan.toric, "kernel_lattice", counted)
+    monkeypatch.setattr(enrichfan.verify, "kernel_lattice", counted, raising=False)
+    assert check_kernel_and_torus(7) == []
+    assert calls == [g.n_edges - 1 for g in _kernel_checked().values()]
+
+
+def test_kernel_and_torus_check_reports_a_broken_rank_formula(monkeypatch):
+    # a formula off by one fails the rank line alone: the generation check
+    # compares the kernel with the relations, not with the formula
+    real = enrichfan.verify._kernel_rank
+    monkeypatch.setattr(enrichfan.verify, "_kernel_rank", lambda g, all_bonds: real(g, all_bonds) + 1)
+    expected = [
+        f"{name}: normal-form kernel rank {kernel_rank(g)} != formula {kernel_rank(g) + 1}"
+        for name, g in _kernel_checked().items()
+    ]
+    assert check_kernel_and_torus(7) == expected
