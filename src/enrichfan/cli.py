@@ -114,24 +114,20 @@ def enriched_structures(g: MultiGraph) -> list:
 def cmd_enriched_list(args) -> int:
     g = _capped_graph(args)
     structs = enriched_structures(g)
-    data = {
-        "count": len(structs),
-        "generic_count": sum(1 for eg in structs if eg.is_generic()),
-        "structures": [
-            {
-                "pairs": [list(t) for t in eg.preorder.pairs()],
-                "rank": eg.rank,
-                "generic": eg.is_generic(),
-            }
-            for eg in structs
-        ],
-    }
-    lines = [f"{data['count']} enriched structures ({data['generic_count']} generic)"]
-    for s in data["structures"]:
-        rel = "; ".join(f"{a}≼{b}" for a, b in s["pairs"]) or "discrete"
-        tag = " generic" if s["generic"] else ""
-        lines.append(f"  rank {s['rank']}{tag}: {rel}")
-    _emit(args, text="\n".join(lines) + "\n", json_data=data, dot=lambda: specialization_poset_dot(structs))
+    if args.format == "dot":
+        sys.stdout.write(specialization_poset_dot(structs))
+        return EXIT_OK
+    shown = [(eg.preorder.pairs(), eg.rank, eg.is_generic()) for eg in structs]
+    generic_count = sum(generic for _, _, generic in shown)
+    if args.format == "json":
+        records = [{"pairs": [list(t) for t in pairs], "rank": rank, "generic": generic} for pairs, rank, generic in shown]
+        sys.stdout.write(dumps({"count": len(structs), "generic_count": generic_count, "structures": records}))
+        return EXIT_OK
+    lines = [f"{len(structs)} enriched structures ({generic_count} generic)"]
+    for pairs, rank, generic in shown:
+        rel = "; ".join(f"{a}≼{b}" for a, b in pairs) or "discrete"
+        lines.append(f"  rank {rank}{' generic' if generic else ''}: {rel}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

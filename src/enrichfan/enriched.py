@@ -11,16 +11,23 @@ location.  A graph is the tuple of vertex-index ends of its edges in
 ``edge_labels`` order (``graphs.edge_ends``), a subgraph is a bitmask over
 those edge indices, and a structure is its tuple of preorder rows over the
 same indices.  On a single block the core takes a bottom class, contracts
-it (``_state``, which merges vertices with the one union-find,
-``graphs._roots``) and recurses; otherwise it splits the mask with
+it and recurses on the rest; otherwise it splits the mask with
 ``graphs.block_masks`` and combines the blocks' rows.  Rows come out
 closed: a bottom row is the whole current mask and block rows are ORed.
-A dict scoped to one call memoizes subproblems on the mask together with
-the renumbered contracted ends; nothing is cached between calls.  The
-consumers differ only in the bottom classes they offer: every nonempty
-subset (enumeration), the rows equal to the mask (validation, which
-accepts exactly when the rebuilt rows are the given ones) or the argmin
-set (location).
+
+Within one call the subproblem on the edge mask K is always G/(E∖K)
+restricted to K.  Contracting a bottom composes with the contractions
+before it.  At a block split, contracting the other blocks instead of
+deleting them merges no two vertices of the kept block: a path outside a
+block between two of its vertices would close a cycle through the block,
+against its maximality.  So a dict scoped to one call memoizes
+subproblems on the mask alone, and only a miss of two or more edges
+merges the ends of the edges outside K with the one union-find,
+``graphs._roots``; nothing is cached between calls.  The consumers differ
+only in the bottom classes they offer: every nonempty subset
+(enumeration), the rows equal to the mask (validation, which accepts
+exactly when the rebuilt rows are the given ones) or the argmin set
+(location).
 
 Specializations need no recursion: each is read off a face of the closed
 structure cone.  These and the structures the core builds are correct by
@@ -72,51 +79,40 @@ class EnrichedGraph(_Value):
         return self.preorder.is_partial_order()
 
 
-def _state(ends: tuple, keep: int, merge: int = 0) -> tuple:
-    """Ends of the edges in ``keep`` once the edges in ``merge`` are contracted.
-
-    Vertices are renumbered in order of first appearance and edges outside
-    ``keep`` get ``None``, so equal subproblems reached along different
-    paths get equal states.
-    """
-    root = _roots(map(ends.__getitem__, bits(merge)))
-    out = [None] * len(ends)
-    number = {}
-    for e in bits(keep):
-        a, b = (number.setdefault(root.get(x, x), len(number)) for x in ends[e])
-        out[e] = (a, b) if a <= b else (b, a)
-    return tuple(out)
-
-
 def _rows(ends: tuple, mask: int, bottoms, memo: dict) -> list:
     """Rows of the enriched structures on the edges in ``mask`` whose bottom
     classes are drawn from ``bottoms(block_mask)``.
 
-    Each result has one row per edge index of the whole graph, zero outside
-    ``mask``.
+    ``ends`` are the whole graph's.  The subproblem is G/(E∖mask)
+    restricted to ``mask`` however it was reached (a bottom's contraction
+    composes with the earlier ones, and contracting the other blocks
+    merges no two vertices of a block), so ``memo`` is keyed on ``mask``
+    alone and the contraction runs only on a miss.  Blocks come ordered by
+    their least edge, so the vertex numbering of the contraction does not
+    matter.  Each result has one row per edge index of the whole graph,
+    zero outside ``mask``.
     """
-    key = (mask, ends)
-    found = memo.get(key)
+    found = memo.get(mask)
     if found is not None:
         return found
     n = len(ends)
     if mask & (mask - 1) == 0:  # at most one edge: only the discrete structure
         found = [tuple(mask if mask >> i & 1 else 0 for i in range(n))]
     else:
-        blocks = block_masks(ends, mask)
+        root = _roots(map(ends.__getitem__, bits(((1 << n) - 1) & ~mask))).get
+        blocks = block_masks([(root(u, u), root(v, v)) for u, v in ends], mask)
         if len(blocks) == 1:
             found = []
             for bottom in bottoms(mask):
                 base = tuple(mask if bottom >> i & 1 else 0 for i in range(n))
-                rest = mask & ~bottom
-                for rows in _rows(_state(ends, rest, bottom), rest, bottoms, memo):
+                for rows in _rows(ends, mask & ~bottom, bottoms, memo):
                     found.append(tuple(map(or_, base, rows)))
         else:
             found = None
             for block in blocks:
-                part = _rows(_state(ends, block), block, bottoms, memo)
+                part = _rows(ends, block, bottoms, memo)
                 found = part if found is None else [tuple(map(or_, a, b)) for a in found for b in part]
-    memo[key] = found
+    memo[mask] = found
     return found
 
 
@@ -183,7 +179,13 @@ def _canonical(found: list) -> list:
 def enriched_structures(g: MultiGraph) -> list:
     """Every enriched structure on ``g``, each exactly once."""
     rows = _canonical(_structure_rows(g, _nonempty_submasks))
-    return [_trusted(EnrichedGraph, graph=g, preorder=p) for p in Preorder._family(g.edge_labels, rows)]
+    out = []
+    for p in Preorder._family(g.edge_labels, rows):  # _trusted, unrolled: this runs once per structure
+        eg = object.__new__(EnrichedGraph)
+        eg.graph = g
+        eg.preorder = p
+        out.append(eg)
+    return out
 
 
 def generic_structures(g: MultiGraph) -> list:

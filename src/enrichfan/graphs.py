@@ -7,8 +7,9 @@ construction and every operation is a pure function.
 
 Every vertex merge is decided by one union-find on vertex indices,
 ``_roots``: contraction and its weights, connected components, the
-connectivity of a bond's two sides, ``enriched._state`` and the census's
-connectivity test all read the classes it returns.
+connectivity of a bond's two sides, the enumeration core's contractions
+(``enriched._rows``) and the census's connectivity test all read the
+classes it returns.
 
 Weighted-graph isomorphism is decided by one search,
 ``_canonical_orderings``: it gives the canonical key that ``moduli`` files

@@ -16,7 +16,10 @@ tested against ``_structures`` below.  The second read its arrows from
 
 ``_state`` is copied verbatim from before it merged vertices with
 ``graphs._roots``: it keeps its own union-find, which joins the second
-end's class under the first's.
+end's class under the first's.  ``_rows`` is the core as it ran before
+its memo was keyed on the mask alone: it is copied verbatim, and keys each
+subproblem on the mask together with the contracted ends ``_state``
+renumbers.
 
 ``check_specialization`` is ``Specialization``'s constructor check as it ran on
 labels, before the check moved to rows.  ``Preorder`` no longer has the
@@ -29,10 +32,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import or_
 
 from enrichfan.enriched import EnrichedGraph, Specialization, _trusted, enriched_structures
 from enrichfan.formats import relation_summary
-from enrichfan.graphs import MultiGraph, bits, contract, label_key
+from enrichfan.graphs import MultiGraph, bits, block_masks, contract, label_key
 from enrichfan.preorders import Preorder
 from reference_preorders import contains, is_lower_set, restrict
 
@@ -253,3 +257,35 @@ def _state(ends: tuple, keep: int, merge: int = 0) -> tuple:
         a, b = (number.setdefault(find(x), len(number)) for x in ends[e])
         out[e] = (a, b) if a <= b else (b, a)
     return tuple(out)
+
+
+def _rows(ends: tuple, mask: int, bottoms, memo: dict) -> list:
+    """Rows of the enriched structures on the edges in ``mask`` whose bottom
+    classes are drawn from ``bottoms(block_mask)``.
+
+    Each result has one row per edge index of the whole graph, zero outside
+    ``mask``.
+    """
+    key = (mask, ends)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    n = len(ends)
+    if mask & (mask - 1) == 0:  # at most one edge: only the discrete structure
+        found = [tuple(mask if mask >> i & 1 else 0 for i in range(n))]
+    else:
+        blocks = block_masks(ends, mask)
+        if len(blocks) == 1:
+            found = []
+            for bottom in bottoms(mask):
+                base = tuple(mask if bottom >> i & 1 else 0 for i in range(n))
+                rest = mask & ~bottom
+                for rows in _rows(_state(ends, rest, bottom), rest, bottoms, memo):
+                    found.append(tuple(map(or_, base, rows)))
+        else:
+            found = None
+            for block in blocks:
+                part = _rows(_state(ends, block), block, bottoms, memo)
+                found = part if found is None else [tuple(map(or_, a, b)) for a in found for b in part]
+    memo[key] = found
+    return found

@@ -448,6 +448,28 @@ def test_enumeration_properties_random_graphs(g):
         assert len(specializations(eg)) == 2 ** eg.rank
 
 
+def test_enumeration_contracts_each_multi_edge_subproblem_once(monkeypatch):
+    """The memo is keyed on the edge mask, so the core runs one union-find
+    per distinct subproblem of two or more edges: 2^6 - 1 - 6 = 57 on the
+    6-cycle and on K4, whose every such edge set is reached."""
+    import enrichfan.enriched
+
+    real = enrichfan.enriched._roots
+    calls = []
+
+    def counted(pairs):
+        calls.append(1)
+        return real(pairs)
+
+    monkeypatch.setattr(enrichfan.enriched, "_roots", counted)
+    c6 = MultiGraph(range(6), {f"e{i}": (i, (i + 1) % 6) for i in range(6)})
+    k4 = MultiGraph([1, 2, 3, 4], {"a": (1, 2), "b": (1, 3), "c": (1, 4), "d": (2, 3), "e": (2, 4), "f": (3, 4)})
+    for g in (c6, k4):
+        calls.clear()
+        enriched_structures(g)
+        assert len(calls) == 57
+
+
 def test_no_module_keeps_a_cache():
     """No library function or method memoizes across calls."""
     import enrichfan

@@ -1,4 +1,5 @@
-"""The bitmask recursion core against the label-keyed reference recursions,
+"""The bitmask recursion core against the label-keyed reference recursions
+and against its own ``(mask, ends)``-keyed form,
 specialization and the poset DOT against the code that filtered every
 structure of each contraction, specialization against ``locate`` at the
 barycentre of each face, and the core against closed-form counts."""
@@ -15,9 +16,9 @@ import reference_enriched as ref
 from conftest import connected_multigraphs
 import enrichfan.enriched
 from enrichfan import corpus
-from enrichfan.enriched import Specialization, _state, _trusted, enriched_structures, is_enriched, locate, specializations
+from enrichfan.enriched import Specialization, _argmin, _bottoms_of, _nonempty_submasks, _trusted, enriched_structures, is_enriched, locate, specializations
 from enrichfan.formats import specialization_poset_dot
-from enrichfan.graphs import MultiGraph, biconnected_components, contract
+from enrichfan.graphs import MultiGraph, biconnected_components, contract, edge_ends
 from reference_preorders import all_preorders
 from test_toric_reference import k4, wheel4
 
@@ -225,19 +226,42 @@ def test_theta_counts():
         assert sum(eg.is_generic() for eg in structs) == n
 
 
-@st.composite
-def states(draw):
-    """Vertex-index ends, loops and parallel pairs allowed, with keep and merge masks."""
-    n = draw(st.integers(min_value=1, max_value=7))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple)
-    ends = tuple(draw(st.lists(pair, max_size=9)))
+def bowtie_with_loop():
+    """Two triangles at the vertex 0, with a loop at 0 and an isolated vertex 9:
+    three blocks at one cut vertex."""
+    return MultiGraph([0, 1, 2, 3, 4, 9], {"a": (0, 1), "b": (1, 2), "c": (2, 0), "d": (0, 3), "e": (3, 4), "f": (4, 0), "l": (0, 0)})
+
+
+def assert_core_matches_reference(g, values):
+    """The mask-keyed core gives the rows, in order, of the ``(mask, ends)``-keyed
+    reference for all three consumers: enumeration, validation of every
+    structure and of a total order and the all-equivalent preorder, and
+    location at ``values``."""
+    ends = edge_ends(g)
     full = (1 << len(ends)) - 1
-    return ends, draw(st.integers(0, full)), draw(st.integers(0, full))
+
+    def same(bottoms):
+        got = enrichfan.enriched._rows(ends, full, bottoms, {})
+        assert got == ref._rows(ends, full, bottoms, {}), (g, bottoms)
+        return got
+
+    found = same(_nonempty_submasks)
+    chain = tuple(full & ~((1 << i) - 1) for i in range(len(ends)))
+    for rows in found + [chain, (full,) * len(ends)]:
+        same(_bottoms_of(rows))
+    same(_argmin(values))
 
 
-@settings(max_examples=300, deadline=None)
-@given(states())
-def test_state_matches_reference(args):
-    ends, keep, merge = args
-    assert _state(ends, keep, merge) == ref._state(ends, keep, merge)
-    assert _state(ends, keep) == ref._state(ends, keep)
+@settings(max_examples=80, deadline=None)
+@given(multigraphs(), st.data())
+def test_core_matches_reference_any_multigraph(g, data):
+    values = data.draw(st.lists(st.integers(1, 3), min_size=g.n_edges, max_size=g.n_edges))
+    assert_core_matches_reference(g, values)
+
+
+def test_core_matches_reference_corpus_c5_k4_bowtie():
+    rng = random.Random(24)
+    graphs = list(corpus.corpus_graphs().values()) + [cycle(5), k4(), bowtie_with_loop()]
+    for g in graphs:
+        for _ in range(3):
+            assert_core_matches_reference(g, [rng.randint(1, 3) for _ in g.edge_labels])
