@@ -10,26 +10,31 @@ orderings.  The key, the frames below and every isomorphism and
 automorphism come from one search in ``graphs``
 (``_canonical_orderings``), which returns the key and each ordering
 giving it.  The census works on those index tuples and builds a graph
-only for each distinct key, its *frame* (``_graph_from_key``).  The
-gluing goes through one table scoped to a call (``_cell_table``): each
-cell's preorder is carried into its frame along the first ordering that
-gives the key, then moved by every automorphism of the frame, and the
-table maps each resulting ``(key, preorder)`` to the cell.  ``_reached``
-then enumerates a cell's specializations once, carries each target into
-its frame the same way and looks it up, so ``cell_adjacency`` and
-``classify_cells`` do work linear in the number of cells instead of
-testing every pair.
+only for each distinct key, its *frame* (``_graph_from_key``).
+
+Structures are moved as preorder rows, never as labelled preorders: an
+edge bijection becomes an edge-index table (``_mover``) holding the image
+of every edge mask, so moving closed rows is one lookup per row.
 
 The census itself is one walk (``_census``): for each stable graph it
-takes the automorphisms and the enriched structures once and maps every
-structure to the least structure of its orbit together with the
-automorphisms carrying that one onto it.  It is the one place census
-structures are moved by automorphisms; ``enumerate_cells`` reads each
-orbit's least structure and its stabilizer off the map, and
-``check_unique_lifts`` reads its cell lookup and carriers off the same
-map.  Census cells, like the structures the recursion core builds, are
-correct by construction and skip the checks of the public ``ModuliCell``
-and ``EnrichedGraph`` constructors.
+takes the automorphisms and the enriched structures once, builds one
+table per automorphism, and maps the rows of every structure to the least
+structure of its orbit together with the automorphisms carrying that one
+onto it.  ``enumerate_cells`` reads each orbit's least structure and its
+stabilizer off the map, and ``check_unique_lifts`` reads its cell lookup
+and carriers off the same map, moving points scaled to integers by edge
+index permutations.  Census cells, like the structures the recursion
+core builds, are correct by construction and skip the checks of the
+public ``ModuliCell`` and ``EnrichedGraph`` constructors.
+
+The gluing goes through one table scoped to a call (``_cell_table``):
+each cell's rows are carried into its frame along the first ordering that
+gives the key, then moved by every automorphism of the frame, and the
+table maps each resulting ``(key, rows)`` to the cell.  ``_reached`` then
+enumerates a cell's specializations once, carries each target's rows into
+its frame the same way and looks them up, so ``cell_adjacency`` and
+``classify_cells`` do work linear in the number of cells instead of
+testing every pair.
 """
 
 from __future__ import annotations
@@ -37,11 +42,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from .cones import containing, structure_cone
 from .enriched import EnrichedGraph, _trusted, enriched_structures, locate, specializations
 from .errors import GuardExceededError
-from .graphs import EdgePermutation, MultiGraph, WeightedGraph, _canonical_orderings, _Value, _roots, automorphisms, contracted_weights, edge_ends
+from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, _Value, _roots, automorphisms, contracted_weights, edge_ends
 from .preorders import Preorder
 
 GENUS_GUARD = 3
@@ -147,55 +153,91 @@ class ModuliCell(_Value):
         return _trusted(EnrichedGraph, graph=self.weighted.graph, preorder=self.preorder)
 
 
+def _mover(source: tuple, mapping, target: tuple):
+    """Move closed rows over the labels ``source`` along the label bijection
+    ``mapping`` onto rows over the labels ``target``, as ``Preorder.relabel``
+    moves a preorder's rows.
+
+    Bit ``i`` goes to the index of ``mapping[source[i]]``: ``table[m]`` is
+    the image of the mask ``m``, filled from ``m`` less its lowest bit, and
+    target row ``j`` is the image of source row ``back[j]``.
+    """
+    images = _images(source, mapping, target)
+    table = [0] * (1 << len(images))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | 1 << images[low.bit_length() - 1]
+    back = sorted(range(len(images)), key=images.__getitem__)
+    return lambda rows: tuple([table[rows[i]] for i in back])
+
+
+def _images(source: tuple, mapping, target: tuple) -> list:
+    """The index in ``target`` of the image of each label of ``source``."""
+    index = {e: j for j, e in enumerate(target)}
+    return [index[mapping[e]] for e in source]
+
+
 def _census(g: int):
     """Walk the stable weighted graphs of genus ``g`` and their structure orbits.
 
     Yields ``(wg, auts, structs, orbit)`` per graph: its automorphisms, its
     enriched structures in canonical order, and a dict taking each
-    structure's preorder to ``(rep, carriers)``, the least structure of its
-    orbit under Aut(graph, weights) and the automorphisms carrying ``rep``
-    onto it.  The carriers of ``rep`` onto itself are its stabilizer: the
-    automorphisms whose edge action preserves its preorder.
+    structure's rows to ``(rep, carriers)``, the preorder of the least
+    structure of its orbit under Aut(graph, weights) and the positions in
+    ``auts`` of the automorphisms carrying ``rep`` onto it.  The carriers
+    of ``rep`` onto itself are its stabilizer: the automorphisms whose edge
+    action preserves its preorder.  Each automorphism moves rows by one
+    edge-index table (``_mover``), built once per graph.
     """
     for wg in enumerate_stable_weighted_graphs(g):
         auts = automorphisms(wg)
         structs = enriched_structures(wg.graph)
+        labels = wg.graph.edge_labels
+        moves = [_mover(labels, a.as_dict(), labels) for a in auts]
         orbit = {}
         for eg in structs:  # canonical order: the first structure not yet reached is its orbit's least
-            if eg.preorder not in orbit:
-                for a in auts:
-                    orbit.setdefault(eg.preorder.relabel(a.as_dict()), (eg.preorder, []))[1].append(a)
-        assert len(orbit) == len(structs)  # automorphisms carry structures onto structures
+            rows = eg.preorder.rows
+            if rows not in orbit:
+                for k, move in enumerate(moves):
+                    orbit.setdefault(move(rows), (eg.preorder, []))[1].append(k)
+        if len(orbit) != len(structs):
+            raise RuntimeError(f"automorphisms of {wg!r} carry its {len(structs)} enriched structures onto {len(orbit)} preorders")
         yield wg, auts, structs, orbit
 
 
 def enumerate_cells(g: int) -> list:
     """One cell per isomorphism class of stable weighted enriched graph."""
     cells = []
-    for wg, _, _, orbit in _census(g):
-        for p, (rep, carriers) in orbit.items():
-            if p == rep:
-                cells.append(_trusted(ModuliCell, index=len(cells), weighted=wg, preorder=rep, genus=g, aut=tuple(carriers)))
+    for wg, auts, _, orbit in _census(g):
+        for rows, (rep, carriers) in orbit.items():
+            if rows == rep.rows:
+                aut = tuple([auts[k] for k in carriers])
+                cells.append(_trusted(ModuliCell, index=len(cells), weighted=wg, preorder=rep, genus=g, aut=aut))
     return cells
 
 
 def _cell_table(cells) -> dict:
-    """Map each frame key to a dict from preorders on the frame to cell indices.
+    """Map each frame key to the frame's edge labels and a dict from rows
+    over them to cell indices.
 
-    Each cell's preorder is carried into the frame of its weighted graph
-    and then moved by every automorphism of the frame, so the preorders
-    listed under a key are exactly those isomorphic to one of the cells.
+    Each cell's rows are carried into the frame of its weighted graph and
+    then moved by every automorphism of the frame, each by its edge-index
+    table, so the rows listed under a key are exactly those of preorders
+    isomorphic to one of the cells.
     """
     table = {}
-    frame_auts = {}
+    frame_moves = {}
     for c in cells:
         key, to_frame = _frame_map(c.weighted)
-        if key not in frame_auts:
-            frame_auts[key] = [a.as_dict() for a in automorphisms(_graph_from_key(key))]
-        q = c.preorder.relabel(to_frame)
-        orbit = table.setdefault(key, {})
-        for a in frame_auts[key]:
-            orbit.setdefault(q.relabel(a), set()).add(c.index)
+        if key not in table:
+            frame = _graph_from_key(key)
+            labels = frame.graph.edge_labels
+            frame_moves[key] = [_mover(labels, a.as_dict(), labels) for a in automorphisms(frame)]
+            table[key] = (labels, {})
+        labels, orbit = table[key]
+        rows = _mover(c.weighted.graph.edge_labels, to_frame, labels)(c.preorder.rows)
+        for move in frame_moves[key]:
+            orbit.setdefault(move(rows), set()).add(c.index)
     return table
 
 
@@ -203,18 +245,20 @@ def _reached(a: ModuliCell, table: dict) -> set:
     """Indices of the cells in ``table`` isomorphic to a specialization of ``a``, ``a`` excluded.
 
     All specializations contracting one lower set share a target graph, so
-    that graph is weighted and carried into its frame once.
+    that graph is weighted and given its table into the frame once.
     """
     hits = set()
     frames = {}
     for sp in specializations(a.enriched()):
         s = sp.contracted
         if s not in frames:
-            key, to_frame = _frame_map(WeightedGraph(sp.target.graph, contracted_weights(a.weighted, s)))
-            frames[s] = (table.get(key), to_frame)
-        orbit, to_frame = frames[s]
-        if orbit is not None:
-            hits.update(orbit.get(sp.target.preorder.relabel(to_frame), ()))
+            target = sp.target.graph
+            key, to_frame = _frame_map(WeightedGraph(target, contracted_weights(a.weighted, s)))
+            entry = table.get(key)
+            frames[s] = None if entry is None else (entry[1], _mover(target.edge_labels, to_frame, entry[0]))
+        if frames[s] is not None:
+            orbit, move = frames[s]
+            hits.update(orbit.get(move(sp.target.preorder.rows), ()))
     hits.discard(a.index)
     return hits
 
@@ -302,20 +346,6 @@ def classify_census(cells, adjacency) -> CellClassification:
     )
 
 
-def _permute_point(perm_dict, point):
-    """Push a point forward along an edge permutation: (s.x)_{s(e)} = x_e."""
-    return {perm_dict[e]: v for e, v in point.items()}
-
-
-def _canonical_cell_point(labels, stabilizer, point: dict) -> tuple:
-    """The least coordinate vector of ``point`` over its images under ``stabilizer``.
-
-    The stabilizer is a group, so pulling ``point`` back along each of its
-    elements gives the same images as pushing it forward.
-    """
-    return min(tuple(point[a[e]] for e in labels) for a in map(EdgePermutation.as_dict, stabilizer))
-
-
 class LiftReport(_Value):
     __slots__ = ("genus", "points_checked", "failures")
 
@@ -332,6 +362,12 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
     push them around Aut(graph, weights); each translate locates an
     enriched structure, which is matched back to its cell representative.
     All translates must produce one and the same (cell, orbit point) pair.
+
+    Each point is scaled to integers by the lcm of its denominators, a
+    positive factor that leaves the located structure, cone membership and
+    the order and equality of coordinate tuples unchanged; automorphisms
+    act on it as edge index permutations.  Failures record the sampled
+    ``Fraction`` vector.
     """
     census = [walked for walked in _census(g) if walked[0].graph.n_edges]
     rng = random.Random(seed)
@@ -341,24 +377,26 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
     for (wg, auts, structs, orbit), budget in zip(census, per_graph):
         graph = wg.graph
         labels = graph.edge_labels
-        moves = {a: a.as_dict() for a in auts}
+        perms = [_images(labels, a.as_dict(), labels) for a in auts]  # auts[k] takes edge i to perms[k][i]
+        pushes = [sorted(range(len(labels)), key=perm.__getitem__) for perm in perms]  # their inverses
         cones = [structure_cone(eg) for eg in structs]
         for _ in range(budget):
-            x = {e: Fraction(rng.randint(1, 256), rng.randint(1, 64)) for e in labels}
-            vec = tuple(x[e] for e in labels)
+            vec = tuple([Fraction(rng.randint(1, 256), rng.randint(1, 64)) for _ in labels])
+            scale = lcm(*(v.denominator for v in vec))
+            x = [v.numerator * (scale // v.denominator) for v in vec]
             lifts = set()
-            for s in moves.values():
-                y = _permute_point(s, x)
-                p = locate(graph, y).preorder
-                point = tuple(y[e] for e in labels)
-                hits = [structs[i].preorder for i in containing(cones, point)]
+            for back in pushes:
+                y = tuple([x[i] for i in back])  # x pushed forward: y[perms[k][i]] = x[i]
+                p = locate(graph, dict(zip(labels, y))).preorder.rows
+                hits = [structs[i].preorder.rows for i in containing(cones, y)]
                 if hits != [p]:
                     failures.append((repr(wg), vec, "open cones not disjoint"))
                     continue
                 rep, carriers = orbit[p]
                 # y pulled back along each automorphism carrying the representative onto p
-                pulled = ({e: y[moves[t][e]] for e in labels} for t in carriers)
-                cands = {_canonical_cell_point(labels, orbit[rep][1], z) for z in pulled}
+                pulled = (tuple([y[j] for j in perms[t]]) for t in carriers)
+                stabilizer = [perms[k] for k in orbit[rep.rows][1]]
+                cands = {min(tuple([z[j] for j in a]) for a in stabilizer) for z in pulled}
                 if len(cands) != 1:
                     failures.append((repr(wg), vec, "orbit point not well defined"))
                     continue

@@ -1,10 +1,13 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from conftest import zero_weights
-from enrichfan import corpus, enriched, graphs
+from enrichfan import corpus, enriched, graphs, moduli
 from enrichfan.errors import GuardExceededError
 from enrichfan.enriched import canonical_structure, enriched_structures
-from enrichfan.graphs import automorphisms, genus, is_stable, label_key
+from enrichfan.graphs import EdgePermutation, automorphisms, genus, is_stable, label_key
 from enrichfan.moduli import (
     cell_adjacency,
     check_unique_lifts,
@@ -102,6 +105,48 @@ class TestCells:
         for c in enumerate_cells(2):
             for a in c.aut:
                 assert c.preorder.relabel(a.as_dict()) == c.preorder
+
+    def test_census_raises_when_a_move_leaves_the_structures(self, monkeypatch):
+        # a genus-3 graph with an edge transposition, no automorphism, that
+        # takes its least structure, the first orbit's representative, off
+        # its enriched structures
+        for wg in enumerate_stable_weighted_graphs(3):
+            labels = wg.graph.edge_labels
+            structs = [eg.preorder for eg in enriched_structures(wg.graph)]
+            swaps = [{**dict(zip(labels, labels)), a: b, b: a} for a, b in itertools.combinations(labels, 2)]
+            off = [t for t in swaps if structs[0].relabel(t) not in structs]
+            if off:
+                break
+        planted = EdgePermutation(tuple(off[0].items()), ())
+        real = moduli.automorphisms
+        monkeypatch.setattr(moduli, "automorphisms", lambda h: real(h) + ([planted] if h == wg else []))
+        with pytest.raises(RuntimeError, match="enriched structures onto"):
+            enumerate_cells(3)
+
+
+class TestOracles:
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_orbit_stabilizer_on_each_graph(self, g):
+        # a cell's orbit holds |Aut|/|Stab| structures, and the orbits
+        # partition the graph's structures
+        cells = enumerate_cells(g)
+        for wg in enumerate_stable_weighted_graphs(g):
+            aut = len(automorphisms(wg))
+            stabs = [c.aut_order for c in cells if c.weighted == wg]
+            assert all(aut % s == 0 for s in stabs)
+            assert sum(aut // s for s in stabs) == len(enriched_structures(wg.graph))
+
+    @pytest.mark.parametrize("g, chi", [(1, Fraction(1)), (2, Fraction(-1, 6)), (3, Fraction(29, 48))])
+    def test_cell_level_euler_identity(self, g, chi):
+        # the open cones of a graph's structures tile its open orthant, so
+        # their signs (-1)^rank add up to (-1)^|E|; a cell's orbit holds
+        # |Aut|/|Stab| structures, which turns the sum over structures,
+        # divided by |Aut|, into the sum over cells
+        cells = sum(Fraction((-1) ** c.dim, c.aut_order) for c in enumerate_cells(g))
+        graphs_side = sum(
+            Fraction((-1) ** wg.graph.n_edges, len(automorphisms(wg))) for wg in enumerate_stable_weighted_graphs(g)
+        )
+        assert cells == graphs_side == chi
 
 
 class TestAutEnriched:

@@ -9,17 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 import reference_moduli as ref
 from enrichfan import enriched, moduli
-from enrichfan.graphs import MultiGraph, WeightedGraph, weighted_isomorphisms
+from enrichfan.enriched import enriched_structures
+from enrichfan.graphs import MultiGraph, WeightedGraph, automorphisms, weighted_isomorphisms
 from enrichfan.moduli import (
     ModuliCell,
     _frame_map,
     _graph_from_key,
+    _mover,
     cell_adjacency,
     check_unique_lifts,
     classify_cells,
     enumerate_cells,
     enumerate_stable_weighted_graphs,
 )
+from enrichfan.preorders import Preorder
 
 # mixed int and string labels, so label order differs from index order
 VERTEX_NAMES = [0, 3, 7, "a", "q", "v10", "v2", "z"]
@@ -137,6 +140,60 @@ class TestCensusWalk:
         c = cells[-1]  # the public constructor still checks
         assert ModuliCell(c.index, c.weighted, c.preorder, c.genus, c.aut) == c
         assert calls == [c.preorder]
+
+    def test_census_gluing_and_lifts_move_no_preorder_by_labels(self, monkeypatch):
+        calls = []
+        real = Preorder.relabel
+
+        def counted(p, mapping):
+            calls.append(p)
+            return real(p, mapping)
+
+        monkeypatch.setattr(Preorder, "relabel", counted)
+        cells = enumerate_cells(3)
+        cell_adjacency(cells)
+        check_unique_lifts(2, n_points=60)
+        assert calls == []
+
+
+def k33() -> MultiGraph:
+    sides = [("a0", "a1", "a2"), ("b0", "b1", "b2")]
+    return MultiGraph([*sides[0], *sides[1]], {f"e{a}{b}": (a, b) for a in sides[0] for b in sides[1]})
+
+
+class TestMover:
+    """``_mover`` moves rows as ``Preorder.relabel`` moves a preorder."""
+
+    def test_genus_three_structures_under_their_automorphisms(self):
+        moved = 0
+        for wg in enumerate_stable_weighted_graphs(3):
+            labels = wg.graph.edge_labels
+            structs = [eg.preorder for eg in enriched_structures(wg.graph)]
+            for a in automorphisms(wg):
+                move = _mover(labels, a.as_dict(), labels)
+                for p in structs:
+                    assert move(p.rows) == p.relabel(a.as_dict()).rows
+                    moved += 1
+        assert moved > 10_000
+
+    @pytest.mark.parametrize("seed", [None, 79])
+    def test_frame_maps_of_cells(self, seed):
+        for g in (1, 2, 3):
+            cells = enumerate_cells(g)
+            for c in cells if seed is None else relabelled_cells(cells, seed):
+                key, to_frame = _frame_map(c.weighted)
+                labels = _graph_from_key(key).graph.edge_labels
+                move = _mover(c.weighted.graph.edge_labels, to_frame, labels)
+                assert move(c.preorder.rows) == c.preorder.relabel(to_frame).rows
+
+    def test_k33_sample_under_its_72_automorphisms(self):
+        g = k33()
+        auts = automorphisms(WeightedGraph(g, {v: 0 for v in g.vertices}))
+        assert len(auts) == 72
+        sample = random.Random(3303).sample([eg.preorder for eg in enriched_structures(g)], 2000)
+        for a in auts:
+            move = _mover(g.edge_labels, a.as_dict(), g.edge_labels)
+            assert [move(p.rows) for p in sample] == [p.relabel(a.as_dict()).rows for p in sample]
 
 
 def genus_three_sample(count: int = 12, seed: int = 3301) -> list:
