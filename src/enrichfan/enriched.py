@@ -40,6 +40,7 @@ build their results on a trusted path that skips the checks of the public
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import or_
 
 from .errors import GroundSetMismatchError, NotABondError, UnknownLabelError
@@ -304,13 +305,17 @@ def specializations(eg: EnrichedGraph) -> list:
 def locate(g: MultiGraph, x) -> EnrichedGraph:
     """The unique enriched structure whose open cone contains ``x``.
 
-    ``x`` maps every edge to a strictly positive rational; the bottom class
-    of each biconnected piece is the argmin set, and the rest recurses on
-    the contraction.
+    ``x`` maps every edge to a strictly positive rational: an ``int`` or
+    anything ``Fraction`` accepts.  The point is scaled to integers by the
+    lcm of its denominators, a positive factor that keeps every argmin set,
+    so the comparisons are on ints.  The bottom class of each biconnected
+    piece is the argmin set, and the rest recurses on the contraction.
     """
     if set(x) != set(g.edge_labels):
         raise UnknownLabelError("coordinate keys must be exactly the edge labels")
-    values = [Fraction(x[e]) for e in g.edge_labels]
+    values = [v if isinstance(v, int) else Fraction(v) for v in map(x.__getitem__, g.edge_labels)]
+    scale = lcm(*(v.denominator for v in values))
+    values = [v.numerator * (scale // v.denominator) for v in values]
     for e, v in zip(g.edge_labels, values):
         if v <= 0:
             raise ValueError(f"coordinate of {e!r} must be strictly positive")

@@ -9,8 +9,12 @@ A weighted graph is identified by its canonical key: the smallest
 orderings.  The key, the frames below and every isomorphism and
 automorphism come from one search in ``graphs``
 (``_canonical_orderings``), which returns the key and each ordering
-giving it.  The census works on those index tuples and builds a graph
-only for each distinct key, its *frame* (``_graph_from_key``).
+giving it.  The stable graphs are generated on those index tuples: the
+trivalent weight-0 graphs of the genus, closed under single-edge
+contraction, one kept per class of a colour-refinement form
+(``_refined_form``), which is far cheaper than the ordering search.  The
+key is computed once per class, and a graph is built only for each key,
+its *frame* (``_graph_from_key``).
 
 Structures are moved as preorder rows, never as labelled preorders: an
 edge bijection becomes an edge-index table (``_mover``) holding the image
@@ -39,7 +43,6 @@ testing every pair.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -82,50 +85,137 @@ def _graph_from_key(key) -> WeightedGraph:
     return WeightedGraph(g, {vertices[i]: weights[i] for i in range(len(weights))})
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _trivalent(g: int) -> list:
+    """The trivalent weight-0 graphs of genus ``g`` on vertex indices, up to labelling.
+
+    Each vertex's three half-edges are filled in turn (a loop takes two),
+    the least vertex with one left joining it to a vertex no smaller, in
+    nondecreasing order, so a multiset of pairs comes once.  A vertex is
+    first joined only from a smaller one, as one past the largest so far:
+    numbering by breadth-first search puts every connected graph in that
+    form, and a graph that reaches a vertex no earlier half-edge joined is
+    disconnected, so it is dropped there.
+    """
+    n = 2 * g - 2
+    free = [3] * n
+    found = []
+
+    def fill(pairs, top):
+        i = next((v for v in range(n) if free[v]), None)
+        if i is None:
+            found.append(tuple(pairs))
+        elif i <= top:
+            for j in range(pairs[-1][1] if pairs and pairs[-1][0] == i else i, min(n, top + 2)):
+                if free[j] > (i == j):
+                    free[i] -= 1
+                    free[j] -= 1
+                    fill(pairs + [(i, j)], max(top, j))
+                    free[i] += 1
+                    free[j] += 1
+
+    fill([], 0)
+    return found
+
+
+def _contractions(weights: tuple, pairs: tuple):
+    """Each single-edge contraction of a weighted graph on vertex indices.
+
+    A loop adds 1 to its vertex's weight; any other edge merges its ends
+    into the smaller, which takes both weights, and its parallel copies
+    become loops there.  Parallel copies contract alike, so each pair is
+    contracted once.
+    """
+    for i, j in set(pairs):
+        rest = list(pairs)
+        rest.remove((i, j))
+        w = list(weights)
+        if i == j:
+            w[i] += 1
+        else:
+            w[i] += w.pop(j)
+            rest = _renumbered(rest, [i if x == j else x - (x > j) for x in range(len(weights))])
+        yield tuple(w), tuple(rest)
+
+
+def _renumbered(pairs, to) -> tuple:
+    """The sorted pairs with each vertex ``u`` renamed ``to[u]``, each pair sorted."""
+    return tuple(sorted((to[u], to[v]) if to[u] <= to[v] else (to[v], to[u]) for u, v in pairs))
+
+
+def _ranks(colours: list) -> list:
+    index = {c: k for k, c in enumerate(sorted(set(colours)))}
+    return [index[c] for c in colours]
+
+
+def _refined_form(weights: tuple, pairs: tuple) -> tuple:
+    """A canonical form of a weighted graph on vertex indices.
+
+    Colour refinement starts from each vertex's weight and loop count and
+    splits colour classes by the multiset of neighbour colours until none
+    splits.  A class left with several vertices is split by
+    individualizing each of them in turn, the least such class first.
+    Each discrete colouring orders the vertices; the form is the least
+    ``(weights, sorted pairs)`` encoding over these orderings.
+    """
+    n = len(weights)
+    loops = [0] * n
+    near = [[] for _ in range(n)]
+    for u, v in pairs:
+        if u == v:
+            loops[u] += 1
+        else:
+            near[u].append(v)
+            near[v].append(u)
+    best = None
+    todo = [_ranks(list(zip(weights, loops)))]
+    while todo:
+        colours = todo.pop()
+        while True:
+            refined = _ranks([(c, tuple(sorted([colours[u] for u in near[v]]))) for v, c in enumerate(colours)])
+            if max(refined) == max(colours):
+                break
+            colours = refined
+        if max(colours) < n - 1:
+            tied = min(c for c in colours if colours.count(c) > 1)
+            todo.extend(_ranks([2 * c + (c == tied and u != v) for u, c in enumerate(colours)]) for v in range(n) if colours[v] == tied)
+            continue
+        order = [0] * n
+        for v, c in enumerate(colours):
+            order[c] = weights[v]
+        leaf = (tuple(order), _renumbered(pairs, colours))
+        if best is None or leaf < best:
+            best = leaf
+    return best
 
 
 def enumerate_stable_weighted_graphs(g: int) -> list:
     """All stable weighted graphs of genus ``g`` up to isomorphism.
 
-    Vertices are bounded by 2g-2 (one vertex for genus 1) and edges by
-    3g-3; representatives are rebuilt from their canonical encodings, so
-    output labeling is deterministic (vertices v1.., edges e1..).
-    Candidates are tuples of vertex-index pairs: connectivity, valence and
-    stability are checked on them, and the weights make up the genus the
-    cycles leave, so a graph is built only once per isomorphism class.
+    Every stable graph of genus g >= 2 is a contraction of a trivalent
+    graph of genus g with all weights 0 (Maggiolo and Pagani, 2011): the
+    weights record the genus the contracted edges lose.  So the
+    trivalent graphs (``_trivalent``) are closed under single-edge
+    contraction (``_contractions``) on vertex-index tuples, one graph kept
+    per colour-refinement form (``_refined_form``); genus 1 is the one
+    weight-1 vertex.  Each class's canonical key is computed once, and
+    representatives are rebuilt from the sorted keys, so output labeling
+    is deterministic (vertices v1.., edges e1..).
     """
     if g < 1:
         raise ValueError(f"genus must be at least 1, got {g}")
     if g > GENUS_GUARD:
         raise GuardExceededError(f"genus must lie in 1..{GENUS_GUARD}")
-    seen = set()
-    for n in range(1, max(1, 2 * g - 2) + 1):
-        slots = [(i, j) for i in range(n) for j in range(i, n)]
-        for m in range(0, max(0, 3 * g - 3) + 1):
-            b1 = m - n + 1
-            if b1 < 0 or b1 > g:
-                continue
-            weightings = list(_compositions(g - b1, n))
-            for combo in itertools.combinations_with_replacement(slots, m):
-                valence = [0] * n
-                for i, j in combo:  # a loop counts twice
-                    valence[i] += 1
-                    valence[j] += 1
-                # every vertex of valence below 3 needs a positive weight
-                if sum(d < 3 for d in valence) > g - b1 or len(_roots(combo)) != n - 1:
-                    continue
-                for weights in weightings:
-                    if all(w > 0 or d >= 3 for w, d in zip(weights, valence)):
-                        seen.add(_canonical_orderings(weights, combo)[0])
-    return [_graph_from_key(k) for k in sorted(seen)]
+    todo = [((0,) * (2 * g - 2), pairs) for pairs in _trivalent(g)] if g > 1 else [((1,), ())]
+    seen, classes = set(), {}
+    while todo:
+        graph = todo.pop()
+        if graph not in seen:  # half the contractions repeat a labelled graph
+            seen.add(graph)
+            form = _refined_form(*graph)
+            if form not in classes:
+                classes[form] = graph
+                todo.extend(_contractions(*graph))
+    return [_graph_from_key(k) for k in sorted(_canonical_orderings(w, p)[0] for w, p in classes.values())]
 
 
 class ModuliCell(_Value):

@@ -16,7 +16,10 @@ every cell goes through the checking ``ModuliCell`` constructor.
 ``_connected`` and ``enumerate_stable_weighted_graphs_on_tuples`` are the
 census on vertex-index tuples as it ran before its connectivity test went
 through ``graphs._roots``, copied verbatim (the second under a new name):
-``_connected`` is its own union-find.
+``_connected`` is its own union-find.  With ``_compositions``, the split
+of the weights among the vertices, copied verbatim too, it is the
+candidate loop the library ran before it generated stable graphs by
+contracting trivalent ones.
 
 ``aut_enriched`` (the stabilizer of a preorder, filtered from every
 automorphism) and ``contract_weighted`` are the library functions these
@@ -48,9 +51,18 @@ from enrichfan.moduli import (
     CellClassification,
     LiftReport,
     ModuliCell,
-    _compositions,
     _graph_from_key,
 )
+
+
+def _compositions(total: int, parts: int):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
 
 
 def _canonical_key(weights: tuple, pairs) -> tuple:

@@ -10,6 +10,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_enriched as ref
@@ -17,6 +18,7 @@ from conftest import connected_multigraphs
 import enrichfan.enriched
 from enrichfan import corpus
 from enrichfan.enriched import Specialization, _argmin, _bottoms_of, _nonempty_submasks, _trusted, enriched_structures, is_enriched, locate, specializations
+from enrichfan.errors import UnknownLabelError
 from enrichfan.formats import specialization_poset_dot
 from enrichfan.graphs import MultiGraph, biconnected_components, contract, edge_ends
 from reference_preorders import all_preorders
@@ -103,6 +105,37 @@ def test_locate_matches_reference_any_multigraph(g, data):
     values = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
     x = {e: data.draw(values) for e in g.edge_labels}
     assert locate(g, x).preorder == ref._locate(g, x)
+
+
+def test_locate_reads_every_coordinate_type_alike():
+    # int, Fraction, float and str coordinates, exact mixes of them, and the
+    # point scaled to integers all locate the reference's structure
+    rng = random.Random(2609)
+    graphs = [g for g in corpus.corpus_graphs().values() if g.n_edges] + [cycle(5), k4()]
+    for g in graphs:
+        labels = g.edge_labels
+        for trial in range(12):
+            pool = [Fraction(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(1 + trial % 4)]
+            x = {e: rng.choice(pool) for e in labels}
+            want = ref._locate(g, x)
+            scale = math.lcm(*(v.denominator for v in x.values()))
+            scaled = {e: v * scale for e, v in x.items()}
+            points = [{e: kind(v) for e, v in y.items()} for y in (x, scaled) for kind in (Fraction, float, str)]
+            points.append({e: int(v) for e, v in scaled.items()})
+            # a float equals a Fraction only when both are exact, so the mixes hold none
+            points.append({e: (str(v) if i % 2 else v) for i, (e, v) in enumerate(x.items())})
+            points.append({e: (int, str, Fraction)[i % 3](v) for i, (e, v) in enumerate(scaled.items())})
+            for point in points:
+                assert locate(g, point).preorder == want, (g, point)
+
+
+def test_locate_rejects_zero_and_negative_coordinates_of_every_type():
+    g = corpus.triangle()
+    for bad in (0, -1, Fraction(0), Fraction(-1, 3), 0.0, -0.5, "0", "-2/3"):
+        with pytest.raises(ValueError, match="strictly positive"):
+            locate(g, {"a": 1, "b": bad, "c": Fraction(1, 2)})
+    with pytest.raises(UnknownLabelError):
+        locate(g, {"a": 1, "b": 2})
 
 
 def specialization_keys(sps):

@@ -77,6 +77,37 @@ class TestStableEnumeration:
             keys = [_frame_map(wg)[0] for wg in enumerate_stable_weighted_graphs(g)]
             assert len(keys) == len(set(keys))
 
+    @pytest.mark.parametrize("g, count", [(2, 2), (3, 5), (4, 17)])
+    def test_trivalent_graphs(self, g, count, monkeypatch):
+        # the graphs with 3g - 3 edges are the trivalent weight-0 ones the
+        # census contracts
+        monkeypatch.setattr(moduli, "GENUS_GUARD", 4)
+        top = [wg for wg in enumerate_stable_weighted_graphs(g) if wg.graph.n_edges == 3 * g - 3]
+        assert len(top) == count
+        for wg in top:
+            assert all(wg.graph.valence(v) == 3 and wg.weight(v) == 0 for v in wg.graph.vertices)
+
+    def test_genus_four_with_the_guard_lifted(self, monkeypatch):
+        # Maggiolo and Pagani's count, and the graph side of the cell-level
+        # Euler identity at genus 4
+        monkeypatch.setattr(moduli, "GENUS_GUARD", 4)
+        found = enumerate_stable_weighted_graphs(4)
+        assert len(found) == 379
+        assert all(genus(wg) == 4 and is_stable(wg) and wg.graph.is_connected() for wg in found)
+        chi = sum(Fraction((-1) ** wg.graph.n_edges, len(automorphisms(wg))) for wg in found)
+        assert chi == Fraction(-241, 720)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_closed_under_single_edge_contraction(self, g):
+        from enrichfan.moduli import _frame_map
+
+        found = enumerate_stable_weighted_graphs(g)
+        keys = {_frame_map(wg)[0] for wg in found}
+        for wg in found:
+            for e in wg.graph.edge_labels:
+                contracted = graphs.WeightedGraph(graphs.contract(wg.graph, [e]), graphs.contracted_weights(wg, [e]))
+                assert _frame_map(contracted)[0] in keys
+
 
 class TestCells:
     def test_genus_two_nine_cells(self):

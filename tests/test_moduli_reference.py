@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 import reference_moduli as ref
 from enrichfan import enriched, moduli
 from enrichfan.enriched import enriched_structures
-from enrichfan.graphs import MultiGraph, WeightedGraph, automorphisms, weighted_isomorphisms
+from enrichfan.graphs import MultiGraph, WeightedGraph, automorphisms, edge_ends, weighted_isomorphisms
 from enrichfan.moduli import (
     ModuliCell,
     _frame_map,
     _graph_from_key,
     _mover,
+    _refined_form,
     cell_adjacency,
     check_unique_lifts,
     classify_cells,
@@ -84,6 +85,31 @@ class TestKeys:
         frame = _graph_from_key(key)
         assert to_frame in [iso.as_dict() for iso in weighted_isomorphisms(wg, frame)]
         assert (key, to_frame) == ref._frame_map(wg)
+
+
+def refined_form(wg: WeightedGraph) -> tuple:
+    return _refined_form(tuple(map(wg.weight, wg.graph.vertices)), edge_ends(wg.graph))
+
+
+class TestRefinedForm:
+    def test_genus_three_classes_get_distinct_forms(self):
+        forms = {refined_form(wg) for wg in enumerate_stable_weighted_graphs(3)}
+        assert len(forms) == 42
+
+    def test_relabellings_keep_the_form(self):
+        rng = random.Random(2603)
+        for g in (1, 2, 3):
+            for wg in enumerate_stable_weighted_graphs(g):
+                form = refined_form(wg)
+                for _ in range(3):
+                    assert refined_form(relabelled(wg, rng)[0]) == form
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_multigraphs(), weighted_multigraphs(), st.randoms(use_true_random=False))
+    def test_form_separates_as_the_key_does(self, wg, other, rng):
+        assert refined_form(relabelled(wg, rng)[0]) == refined_form(wg)
+        same_key = ref._canonical_weighted_key(other) == ref._canonical_weighted_key(wg)
+        assert (refined_form(other) == refined_form(wg)) == same_key
 
 
 class TestCensus:
