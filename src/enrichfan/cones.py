@@ -12,6 +12,14 @@ When every row is a comparison (one ``+1`` and at most one ``-1``, or a single
 cones test the sign of each row on the point.  Coordinates are taken exactly:
 floats at their exact values, inf and NaN refused.
 
+Membership takes one path.  ``contains`` hands a point of the right length
+with only ``int`` and ``Fraction`` coordinates straight to ``_meets``, and any
+other point through ``_exact``, which checks its length and converts it or
+refuses it; ``containing`` makes the point exact once and calls ``_meets`` on
+every cone.  ``_meets`` is the one membership loop: it reads the comparison
+plan from its slot, working it out only on first use, and stops at the first
+comparison that fails.
+
 The public constructor checks that the rays are independent with one exact
 echelon.  Cones independent by construction skip it through ``_trusted_cone``:
 a structure cone, read off its preorder rows together with its rows and
@@ -93,8 +101,10 @@ class RationalCone(_Value):
         return self._plan
 
     def _meets(self, x) -> bool:
-        """Membership of the exact point ``x`` from :func:`_exact`."""
-        plan = self._comparisons()
+        """Membership of the exact point ``x`` from :func:`_exact`; the one membership loop."""
+        plan = self._plan
+        if plan is None:
+            plan = self._comparisons()
         if not plan:
             equalities, facets = ([dot(row, x) for row in rows] for rows in self.h_description())
             return not any(equalities) and all(v >= 0 if self.closed else v > 0 for v in facets)
@@ -102,11 +112,31 @@ class RationalCone(_Value):
         for i, j in equalities:
             if x[i] != x[j]:
                 return False
-        return all(x[i] >= x[j] for i, j in facets) if self.closed else all(x[i] > x[j] for i, j in facets)
+        if self.closed:
+            for i, j in facets:
+                if x[i] < x[j]:
+                    return False
+        else:
+            for i, j in facets:
+                if x[i] <= x[j]:
+                    return False
+        return True
 
     def contains(self, x) -> bool:
-        """Membership in the cone as described (open cones: their interior)."""
-        return self._meets(_exact(x, len(self.labels)))
+        """Membership in the cone as described (open cones: their interior).
+
+        A point of the right length with only ``int`` and ``Fraction``
+        coordinates is already exact and goes straight to :meth:`_meets`;
+        any other goes through :func:`_exact`, which checks and converts it.
+        """
+        n = len(self.labels)
+        if len(x) == n:
+            for v in x:
+                if type(v) is not Fraction and type(v) is not int:
+                    break
+            else:
+                return self._meets([*x, 0])
+        return self._meets(_exact(x, n))
 
     def is_face_of(self, other: "RationalCone") -> bool:
         return self.labels == other.labels and self.ray_set <= other.ray_set

@@ -332,16 +332,19 @@ def good_contraction_sequence(g: MultiGraph) -> list:
     A target may keep isolated vertices, as on a graph with several
     components; a connected graph's targets are its biconnected ones.
     Returns ``(contracted_set, target_graph)`` pairs; ties are broken by the
-    canonical order of the contracted sets.
+    canonical order of the contracted sets.  Each subset is decided on
+    vertex indices by ``_roots`` and ``block_masks``; only a kept one is
+    contracted.
     """
-    labels = g.edge_labels
+    labels, ends = g.edge_labels, edge_ends(g)
     entries = []
-    for k in range(g.n_edges):
-        for sub in itertools.combinations(labels, k):
-            s = frozenset(sub)
-            gc = contract(g, s)
-            if _one_block(gc):
-                entries.append((s, gc))
+    for k in range(len(ends)):
+        for sub in itertools.combinations(range(len(ends)), k):
+            root = _roots(map(ends.__getitem__, sub)).get
+            kept = [(root(u, u), root(v, v)) for i, (u, v) in enumerate(ends) if i not in sub]
+            if all(u != v for u, v in kept) and len(block_masks(kept, (1 << len(kept)) - 1)) == 1:
+                s = frozenset(map(labels.__getitem__, sub))
+                entries.append((s, contract(g, s)))
     return entries
 
 

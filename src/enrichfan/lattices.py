@@ -3,7 +3,9 @@
 Every elimination goes through one integer routine, ``_echelon``:
 unimodular row operations bring a matrix to Hermite normal form H (pivots
 positive, entries above each pivot reduced modulo it), optionally recording
-U with U * rows = H.
+U with U * rows = H.  A step that leaves one of its two rows unchanged
+(subtracting a multiple of the pivot row below or above it) rewrites only
+the other row, in H and in U.
 
 - ``rank_of`` and ``linearly_independent`` read the rank of H.
 - ``_substitute`` is one integer forward substitution over the pivots of
@@ -67,7 +69,10 @@ def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
     Pivots are positive and the entries above each pivot are reduced into
     ``[0, pivot)``, so two matrices have the same H exactly when their rows
     span the same lattice.  With ``track`` the operations are also applied
-    to the rows of ``U``.
+    to the rows of ``U``.  ``combine`` rewrites both rows of a step;
+    ``subtract``, for a divisible elimination below the pivot and for the
+    reduction above it, leaves the pivot row alone and rewrites only the
+    row that changes.
     """
     h = [list(r) for r in rows]
     if any(len(r) != ncols for r in h):
@@ -83,6 +88,11 @@ def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
             mat[p] = [x * i + y * j for i, j in zip(a, b)]
             mat[r] = [z * i + w * j for i, j in zip(a, b)]
 
+    def subtract(r, p, q):
+        # row r <- row r - q * row p; row p is unchanged, so it is not rewritten
+        for mat in mats:
+            mat[r] = [i - q * j for i, j in zip(mat[r], mat[p])]
+
     pivots = []
     for col in range(ncols):
         top = len(pivots)
@@ -94,7 +104,7 @@ def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
                 continue
             x = h[top][col]
             if x and b % x == 0:
-                combine(top, r, 1, 0, -(b // x), 1)
+                subtract(r, top, b // x)
             else:
                 g, s, t = _xgcd(x, b)
                 combine(top, r, s, t, -b // g, x // g)
@@ -108,7 +118,7 @@ def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
         for k in range(top):
             q = h[k][col] // pivot
             if q:
-                combine(k, top, 1, -q, 0, 1)
+                subtract(k, top, q)
         pivots.append(col)
     return _Echelon(h, pivots, u)
 

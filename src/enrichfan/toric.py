@@ -15,6 +15,11 @@ public function enumerates the bonds of its graph once and hands that list
 to private helpers that take it as an argument; a caller that runs several
 of them on one graph (``verify``, the CLI) enumerates once and calls those
 helpers itself.
+
+Relations are evaluated by one loop, ``_product_is_one``, on integer
+(numerator, denominator) pairs: ``LaurentRelation.holds_at`` runs it on a
+point's coordinates, and the torus check runs it on its seeded points with
+the relations indexed by edge column.
 """
 
 from __future__ import annotations
@@ -72,24 +77,10 @@ class LaurentRelation(_Value):
             raise ValueError("exponents must sum to zero within each bond")
 
     def holds_at(self, point: dict) -> bool:
-        """Whether the product of x_e^exp is 1, decided by cross-multiplying.
-
-        With ``x_e = n_e / d_e`` in lowest terms, ``top`` collects ``n_e^k``
-        for positive exponents and ``d_e^|k|`` for negative ones, ``bottom``
-        the same with ``n_e`` and ``d_e`` swapped; the relation holds exactly
-        when ``top == bottom``.  A zero coordinate under a negative exponent
-        raises ZeroDivisionError.
-        """
-        top = bottom = 1
-        for _, e, exp in self.terms:
-            n, d = point[e].as_integer_ratio()
-            if exp < 0:
-                if n == 0:
-                    raise ZeroDivisionError(f"coordinate x_{e} is zero under a negative exponent")
-                n, d, exp = d, n, -exp
-            top *= n ** exp
-            bottom *= d ** exp
-        return top == bottom
+        """Whether the product of x_e^exp is 1, decided by :func:`_product_is_one`
+        on each coordinate's integer ratio, read in term order.  A zero
+        coordinate under a negative exponent raises ZeroDivisionError."""
+        return _product_is_one([(e, exp) for _, e, exp in self.terms], _Ratios(point))
 
     def rendered(self, bond_names: dict) -> str:
         lhs, rhs = [], []
@@ -100,6 +91,41 @@ class LaurentRelation(_Value):
         left = " ".join(lhs) or "1"
         right = " ".join(rhs) or "1"
         return f"{left} = {right}"
+
+
+class _Ratios(dict):
+    """A point's coordinates as integer ratios, each read when it is looked up."""
+
+    __slots__ = ("point",)
+
+    def __init__(self, point: dict):
+        self.point = point
+
+    def __missing__(self, e):
+        return self.point[e].as_integer_ratio()
+
+
+def _product_is_one(terms, point) -> bool:
+    """Whether the product of x_e^k over the ``(e, k)`` terms is 1, decided by cross-multiplying.
+
+    The evaluation loop of ``holds_at`` and the torus check alike.
+    ``point[e]`` is an integer pair ``(n, d)`` with ``x_e = n / d`` and ``d``
+    nonzero, not necessarily in lowest terms.  ``top`` collects ``n^k`` for
+    positive exponents and ``d^|k|`` for negative ones, ``bottom`` the same
+    with ``n`` and ``d`` swapped; the product is 1 exactly when
+    ``top == bottom``.  A zero ``n`` under a negative exponent raises
+    ZeroDivisionError.
+    """
+    top = bottom = 1
+    for e, k in terms:
+        n, d = point[e]
+        if k < 0:
+            if n == 0:
+                raise ZeroDivisionError(f"coordinate x_{e} is zero under a negative exponent")
+            n, d, k = d, n, -k
+        top *= n ** k
+        bottom *= d ** k
+    return top == bottom
 
 
 def _bond_sums(g: MultiGraph, all_bonds: list):
@@ -244,17 +270,25 @@ def torus_point_check(g: MultiGraph, seed: int = 2024, trials: int = 100) -> boo
 
 
 def _holds_at_torus_points(labels: tuple, rels: list, seed: int, trials: int) -> bool:
+    """Whether every relation holds at ``trials`` seeded points ``num / den``.
+
+    The relations are indexed by edge column once, and each point is a list
+    of ``(num, den)`` pairs in ``labels`` order, read by :func:`_product_is_one`.
+    """
+    column = {e: j for j, e in enumerate(labels)}
+    indexed = [tuple((column[e], exp) for _, e, exp in rel.terms) for rel in rels]
+    numerators = [n for n in range(-9, 10) if n not in (-1, 0, 1)]
     rng = random.Random(seed)
     for _ in range(trials):
-        point = {}
-        for e in labels:
-            num = rng.choice([n for n in range(-9, 10) if n not in (-1, 0, 1)])
+        point = []
+        for _ in labels:
+            num = rng.choice(numerators)
             den = rng.randint(2, 9)
             while abs(num) == den:
                 den = rng.randint(2, 9)
-            point[e] = Fraction(num, den)
-        for rel in rels:
-            if not rel.holds_at(point):
+            point.append((num, den))
+        for terms in indexed:
+            if not _product_is_one(terms, point):
                 return False
     return True
 

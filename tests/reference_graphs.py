@@ -21,6 +21,10 @@ with ``self`` as an argument.  ``check_bond`` is ``Bond``'s constructor
 check from when it asked the two induced subgraphs whether they are
 connected, and ``bonds`` is ``graphs.bonds`` with that check in place of
 ``Bond``'s; both call the DFS above, so no new merge code runs in them.
+
+Last, ``good_contraction_sequence`` as it was before it decided each subset
+on edge masks: copied verbatim, it contracts every subset of edges and asks
+the contracted graph whether its edges form one loop-free block.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import itertools
 
 from enrichfan.errors import DisconnectedGraphError, NotABondError, UnknownVertexError
-from enrichfan.graphs import EdgePermutation, MultiGraph, WeightedGraph, label_key, sort_labels
+from enrichfan.graphs import EdgePermutation, MultiGraph, WeightedGraph, _one_block, contract, label_key, sort_labels
 
 
 def parallel_count(self: MultiGraph, u, v) -> int:
@@ -219,3 +223,23 @@ def bonds(g: MultiGraph) -> list:
             found.append((side, g.cut_edges(side)))
     found.sort(key=lambda b: (tuple(map(label_key, sort_labels(b[1]))), tuple(map(label_key, sort_labels(b[0])))))
     return found
+
+
+def good_contraction_sequence(g: MultiGraph) -> list:
+    """All contractions of ``g`` whose target's edges form one loop-free
+    block, ordered by non-increasing target edge count.
+
+    A target may keep isolated vertices, as on a graph with several
+    components; a connected graph's targets are its biconnected ones.
+    Returns ``(contracted_set, target_graph)`` pairs; ties are broken by the
+    canonical order of the contracted sets.
+    """
+    labels = g.edge_labels
+    entries = []
+    for k in range(g.n_edges):
+        for sub in itertools.combinations(labels, k):
+            s = frozenset(sub)
+            gc = contract(g, s)
+            if _one_block(gc):
+                entries.append((s, gc))
+    return entries

@@ -11,6 +11,12 @@ The ``Halfspace`` constraint these functions return, and the reference
 structure-cone constraints in ``reference_preorders``, is the type
 ``cones`` had before a cone's constraints became plain integer rows; it is
 copied here verbatim, with ``halfspaces_of`` to read a cone's rows as such.
+
+``_echelon`` is the integer routine itself as it was before its two
+one-sided row operations (the divisible elimination below a pivot and the
+reduction above it) rewrote only the row that changes: here they run
+through ``combine``, which rebuilds both rows.  It is copied verbatim and
+returns the library's ``_Echelon``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from enrichfan.lattices import dot, primitive
+from enrichfan.lattices import _Echelon, _xgcd, dot, primitive
 
 GE = ">="
 GT = ">"
@@ -186,3 +192,55 @@ def _clear_denominators(row):
     for x in row:
         den = den * x.denominator // gcd(den, x.denominator)
     return primitive(tuple(int(x * den) for x in row))
+
+
+def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
+    """Row Hermite normal form of an integer matrix by unimodular row operations.
+
+    Pivots are positive and the entries above each pivot are reduced into
+    ``[0, pivot)``, so two matrices have the same H exactly when their rows
+    span the same lattice.  With ``track`` the operations are also applied
+    to the rows of ``U``.
+    """
+    h = [list(r) for r in rows]
+    if any(len(r) != ncols for r in h):
+        raise ValueError("row length does not match the column count")
+    m = len(h)
+    u = [[int(i == j) for j in range(m)] for i in range(m)] if track else None
+    mats = (h, u) if track else (h,)
+
+    def combine(p, r, x, y, z, w):
+        # rows (p, r) <- [[x, y], [z, w]] (p, r), a matrix of determinant 1
+        for mat in mats:
+            a, b = mat[p], mat[r]
+            mat[p] = [x * i + y * j for i, j in zip(a, b)]
+            mat[r] = [z * i + w * j for i, j in zip(a, b)]
+
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        if top == m:
+            break
+        for r in range(top + 1, m):
+            b = h[r][col]
+            if not b:
+                continue
+            x = h[top][col]
+            if x and b % x == 0:
+                combine(top, r, 1, 0, -(b // x), 1)
+            else:
+                g, s, t = _xgcd(x, b)
+                combine(top, r, s, t, -b // g, x // g)
+        pivot = h[top][col]
+        if not pivot:
+            continue
+        if pivot < 0:
+            for mat in mats:
+                mat[top] = [-i for i in mat[top]]
+            pivot = -pivot
+        for k in range(top):
+            q = h[k][col] // pivot
+            if q:
+                combine(k, top, 1, -q, 0, 1)
+        pivots.append(col)
+    return _Echelon(h, pivots, u)

@@ -11,6 +11,14 @@ its methods, so a call from one of them to another stays in this module.
 They are the reference the integer versions are tested against.
 ``evaluate`` is the old ``LaurentRelation.evaluate``, the ``Fraction``
 product ``holds_at`` compared with 1.
+
+``meets`` and ``plan_contains`` are ``RationalCone._meets`` and
+``RationalCone.contains`` on integer rows and comparison plans as they were
+before ``_meets`` read the plan from its slot and tested it with early-exit
+loops and ``contains`` took exact points past ``cones._exact``.  They are
+copied verbatim with ``self`` made the first argument; ``plan_contains``
+calls ``meets`` where it called ``self._meets``.  ``containing`` is
+``cones.containing`` with the same one change, so it runs ``meets`` too.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from enrichfan.cones import _exact
+from enrichfan.lattices import dot
 from reference_lattices import solve_columns
 
 
@@ -69,3 +79,33 @@ def evaluate(self, point: dict) -> Fraction:
 
 def holds_at(self, point: dict) -> bool:
     return evaluate(self, point) == 1
+
+
+def meets(self, x) -> bool:
+    """Membership of the exact point ``x`` from :func:`_exact`."""
+    plan = self._comparisons()
+    if not plan:
+        equalities, facets = ([dot(row, x) for row in rows] for rows in self.h_description())
+        return not any(equalities) and all(v >= 0 if self.closed else v > 0 for v in facets)
+    equalities, facets = plan
+    for i, j in equalities:
+        if x[i] != x[j]:
+            return False
+    return all(x[i] >= x[j] for i, j in facets) if self.closed else all(x[i] > x[j] for i, j in facets)
+
+
+def plan_contains(self, x) -> bool:
+    """Membership in the cone as described (open cones: their interior)."""
+    return meets(self, _exact(x, len(self.labels)))
+
+
+def containing(cones, x) -> list:
+    """Indices of the cones (each as described) that contain ``x``.
+
+    The cones share one ambient lattice, as the cones of one graph or one
+    fan do, so ``x`` is checked against the first cone's and made exact once.
+    """
+    if not cones:
+        return []
+    x = _exact(x, len(cones[0].labels))
+    return [i for i, cone in enumerate(cones) if meets(cone, x)]

@@ -7,11 +7,21 @@ goes through ``from_exponents``, which sorts its terms by ``label_key``, and
 the relations are sorted by ``_relation_key``.  Every call recomputes the
 bonds of the graph: ``_dual_map_rows`` through ``_dual_bases``, and
 ``relation_coordinates`` once per relation.
+
+``_holds_at_torus_points`` is the torus check as it was before it shared
+one evaluation loop with ``holds_at``: it builds a dict of ``Fraction``
+coordinates per draw, and the numerator list once per coordinate.
+``holds_at`` is ``LaurentRelation.holds_at`` from then, cross-multiplying
+each coordinate's lowest terms.  Both are copied verbatim, ``self`` made
+the first argument of ``holds_at`` and the torus check calling it where it
+called ``rel.holds_at``.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
 
 from enrichfan.errors import GuardExceededError
 from enrichfan.graphs import MultiGraph, bonds, label_key, sort_labels
@@ -140,3 +150,40 @@ def relation_coordinates(g: MultiGraph, rel: LaurentRelation):
             vec[index[(fs, e)]] += exp
         # the f0 component is determined by the zero-sum constraint
     return tuple(vec)
+
+
+def holds_at(self, point: dict) -> bool:
+    """Whether the product of x_e^exp is 1, decided by cross-multiplying.
+
+    With ``x_e = n_e / d_e`` in lowest terms, ``top`` collects ``n_e^k``
+    for positive exponents and ``d_e^|k|`` for negative ones, ``bottom``
+    the same with ``n_e`` and ``d_e`` swapped; the relation holds exactly
+    when ``top == bottom``.  A zero coordinate under a negative exponent
+    raises ZeroDivisionError.
+    """
+    top = bottom = 1
+    for _, e, exp in self.terms:
+        n, d = point[e].as_integer_ratio()
+        if exp < 0:
+            if n == 0:
+                raise ZeroDivisionError(f"coordinate x_{e} is zero under a negative exponent")
+            n, d, exp = d, n, -exp
+        top *= n ** exp
+        bottom *= d ** exp
+    return top == bottom
+
+
+def _holds_at_torus_points(labels: tuple, rels: list, seed: int, trials: int) -> bool:
+    rng = random.Random(seed)
+    for _ in range(trials):
+        point = {}
+        for e in labels:
+            num = rng.choice([n for n in range(-9, 10) if n not in (-1, 0, 1)])
+            den = rng.randint(2, 9)
+            while abs(num) == den:
+                den = rng.randint(2, 9)
+            point[e] = Fraction(num, den)
+        for rel in rels:
+            if not holds_at(rel, point):
+                return False
+    return True

@@ -2,7 +2,9 @@
 orderings, against the backtracking search they replaced
 (``reference_graphs``), and the vertex cap of the shared search; and every
 vertex merge on the union-find ``graphs._roots`` (contraction classes,
-components, incidence, bond checks) against the code it replaced."""
+components, incidence, bond checks) against the code it replaced; and
+``good_contraction_sequence``, deciding each subset on edge masks, against
+its copy that contracted every subset."""
 
 import itertools
 import random
@@ -22,6 +24,7 @@ from enrichfan.graphs import (
     automorphisms,
     bonds,
     contraction_classes,
+    good_contraction_sequence,
     weighted_isomorphisms,
 )
 from enrichfan.moduli import enumerate_stable_weighted_graphs
@@ -204,3 +207,33 @@ def test_bond_checks_match_reference(wg):
 def test_bonds_match_reference(wg):
     g = wg.graph
     assert [(b.side, b.edges) for b in bonds(g)] == ref.bonds(g)
+
+
+CONTRACTION_CASES = {
+    **{name: make for name, make in corpus.CORPUS.items()},
+    "k4": k4,
+    "w4": wheel4,
+    "prism": prism,
+    # a triangle with a loop and a doubled side: contractions that leave a loop
+    "loop": lambda: MultiGraph(
+        "abc", {"x": ("a", "b"), "y": ("b", "c"), "z": ("a", "c"), "w": ("a", "b"), "l": ("c", "c")}
+    ),
+    # two triangles and an isolated vertex: no connected target
+    "disconnected": lambda: MultiGraph(
+        "abcdefg", {"p": ("a", "b"), "q": ("b", "c"), "r": ("a", "c"), "s": ("d", "e"), "t": ("e", "f"), "u": ("d", "f")}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTION_CASES))
+def test_good_contraction_sequence_matches_reference(name):
+    g = CONTRACTION_CASES[name]()
+    assert good_contraction_sequence(g) == ref.good_contraction_sequence(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs(max_vertices=6, max_edges=7))
+@example(EVERY_FEATURE)
+def test_good_contraction_sequence_matches_reference_on_random_multigraphs(wg):
+    g = wg.graph
+    assert good_contraction_sequence(g) == ref.good_contraction_sequence(g)

@@ -1,6 +1,8 @@
 """Ranks and cone rows on the integer echelon routine, and cone membership
 on their signs, against the ``Fraction`` eliminations they replaced
-(``reference_lattices``, ``reference_membership``)."""
+(``reference_lattices``, ``reference_membership``); and the echelon routine
+itself against its copy from before its one-sided row steps rewrote only
+the row that changes."""
 
 import itertools
 from fractions import Fraction
@@ -11,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 import reference_lattices as ref
 import reference_membership
 from enrichfan.cones import RationalCone, containing
-from enrichfan.lattices import kernel_lattice, linearly_independent, primitive, rank_of
+from enrichfan.graphs import bonds
+from enrichfan.lattices import _echelon, kernel_lattice, linearly_independent, primitive, rank_of
+from enrichfan.toric import _dual_map_rows
 from test_lattices_oracle import matrices
+from test_toric_reference import GRAPHS
 
 
 @settings(max_examples=150, deadline=None)
@@ -137,3 +142,42 @@ def test_membership_matches_fraction_solve(case, data):
 def test_h_description_on_determinant_two_cones(rays, n):
     assert not RationalCone(tuple(range(n)), tuple(rays)).is_smooth()
     check_same_set(rays, n, solve=True)
+
+
+def _assert_same_echelon(rows, ncols):
+    for track in (False, True):
+        ours, theirs = _echelon(rows, ncols, track), ref._echelon(rows, ncols, track)
+        assert ours == theirs, (rows, track)
+        assert (ours.u is None) == (not track)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(), matrices(max_rows=9, max_cols=4)))
+def test_echelon_matches_reference(case):
+    """The same H, pivots and U, entry for entry, tracked and untracked, on
+    matrices with zero, repeated and summed rows, entries in [-6, 6] (so
+    negative and non-dividing ones), and as many as nine rows on four columns."""
+    _assert_same_echelon(*case)
+
+
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [
+        ([(2, 3), (4, 6), (-6, 9), (0, 0), (3, 4)], 2),  # divisible and non-dividing eliminations, a zero row
+        ([(-2, 1, 0), (4, -3, 5), (0, 0, 0), (-6, 2, 7), (2, 5, -1)], 3),
+        ([(0, 5), (0, -10), (3, 0)], 2),  # a zero in the pivot position
+        ([(1, 7, 9), (0, 2, 11), (0, 0, 3)], 3),  # reduction above every pivot
+        ([], 3),
+    ],
+)
+def test_echelon_matches_reference_on_fixed_matrices(rows, ncols):
+    _assert_same_echelon(rows, ncols)
+
+
+@pytest.mark.parametrize("name", ["k4", "w4", "prism"])
+def test_echelon_matches_reference_on_dual_maps(name):
+    """The tracked echelon the kernel check runs, on its largest inputs."""
+    g = GRAPHS[name]()
+    _, rows = _dual_map_rows(g, bonds(g))
+    assert len(rows) > g.n_edges - 1  # more rows than columns
+    _assert_same_echelon(rows, g.n_edges - 1)

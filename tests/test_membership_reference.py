@@ -1,8 +1,13 @@
 """Integer cone membership and the cross-multiplied torus-relation test
 against the ``Fraction`` code they replaced (``reference_membership``), and
 the comparison route of cone membership against the integer route that
-came before it, kept here as ``_integer_route``."""
+came before it, kept here as ``_integer_route``; the torus check, on one
+evaluation loop with ``holds_at``, against its copy in ``reference_toric``;
+and ``contains`` and ``containing`` against their copies from before
+``contains`` took exact points straight to the early-exit plan loop
+(``reference_membership.meets``)."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -13,13 +18,14 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import reference_membership as ref
+import reference_toric
 from conftest import connected_multigraphs
 from enrichfan import corpus
 from enrichfan.cones import RationalCone, closed_structure_cone, containing, structure_cone
 from enrichfan.enriched import enriched_structures
 from enrichfan.fans import fan_by_star_subdivision
 from enrichfan.lattices import dot
-from enrichfan.toric import LaurentRelation, equations, mutated_evaluate
+from enrichfan.toric import LaurentRelation, _holds_at_torus_points, equations, mutated_evaluate
 from reference_lattices import EQ, GE, GT, halfspaces_of
 from reference_preorders import _structure_halfspaces
 from test_cones import lengths_from_increments
@@ -299,3 +305,112 @@ def test_holds_at_matches_reference(name, data):
         assert _outcome(mutant.holds_at, point) == _outcome(ref.holds_at, mutant, point)
         mutated = _outcome(lambda p: mutated_evaluate(rel, p, index, bump) == 1, point)
         assert _outcome(mutant.holds_at, point) == mutated
+
+
+@pytest.mark.parametrize("name", sorted(TORUS))
+def test_torus_check_matches_reference(name):
+    """The same verdict on the emitted relations, at three seeds, and on each
+    relation with one exponent bumped by -1 or 1."""
+    g, rels = TORUS[name]
+
+    def verdicts(relations, seed, trials):
+        args = (g.edge_labels, relations, seed, trials)
+        return _holds_at_torus_points(*args), reference_toric._holds_at_torus_points(*args)
+
+    for seed in (0, 7, 2024):
+        assert verdicts(rels, seed, 25) == (True, True)
+    for rel in rels:
+        for index in range(len(rel.terms)):
+            for bump in (-1, 1):
+                assert verdicts([_mutant(rel, index, bump)], 5, 3) == (False, False)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, rels) in TORUS.items() if rels))
+def test_holds_at_reads_the_denominators(name):
+    """At a point whose numerators are all 1, only the denominators tell each
+    relation with a bumped exponent from the valid one."""
+    g, rels = TORUS[name]
+    point = {e: Fraction(1, i + 2) for i, e in enumerate(g.edge_labels)}
+    for rel in rels:
+        assert rel.holds_at(point) and reference_toric.holds_at(rel, point)
+        for index in range(len(rel.terms)):
+            mutant = _mutant(rel, index, 1)
+            assert not mutant.holds_at(point) and not ref.holds_at(mutant, point)
+
+
+def _determinant_two_cones(labels):
+    """Closed and open cones of determinant 2 on the first three of ``labels``,
+    whose rows are no comparisons."""
+    n = len(labels)
+
+    def pad(*v):
+        return v + (0,) * (n - len(v))
+
+    return [
+        RationalCone.from_rays(labels, rays, closed)
+        for rays in ([pad(1, 1), pad(1, -1)], [pad(1, 0, 0), pad(0, 1, 0), pad(1, 1, 2)])
+        for closed in (True, False)
+    ]
+
+
+MEMBERSHIP_CASES = {
+    "structures-theta3": lambda: _structure_cones(corpus.theta(3)),
+    "structures-k4": lambda: _structure_cones(k4()),
+    "star-k4": lambda: list(fan_by_star_subdivision(k4()).maximal),
+    "determinant-two": lambda: _determinant_two_cones(tuple(k4().edge_labels)),
+    "mixed-square": lambda: _mixed(corpus.square()),
+}
+
+
+@functools.cache
+def _membership_cones(name):
+    """One case's cones, built once for all the examples drawn on it."""
+    return MEMBERSHIP_CASES[name]()
+
+# exact values, their float and bool twins, and the values that are refused
+MEMBERSHIP_POOLS = {
+    "int": [0, 1, 2, -1, 3],
+    "fraction": [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(-1, 3), Fraction(2)],
+    "float": [0.0, 0.5, 1.0, -0.25, 2.0],
+    "bool": [False, True],
+    "refused": [float("inf"), float("-inf"), float("nan")],
+}
+
+
+def _membership_outcome(call, *args):
+    """The value of ``call(*args)``, or the type of what it raised."""
+    try:
+        return call(*args)
+    except (ValueError, OverflowError, TypeError) as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_contains_and_containing_match_plan_reference(name, data):
+    """The same verdicts and the same exceptions, through ``contains`` on each
+    cone and its closure and through ``containing`` on the whole list, at
+    points of one kind of coordinate or of mixed kinds, of the right length
+    or one off."""
+    cones = _membership_cones(name)
+    n = len(cones[0].labels)
+    kinds = data.draw(st.lists(st.sampled_from(sorted(MEMBERSHIP_POOLS)), min_size=1, max_size=2, unique=True))
+    values = [v for kind in kinds for v in MEMBERSHIP_POOLS[kind]]
+    length = data.draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    x = tuple(data.draw(st.sampled_from(values)) for _ in range(length))
+    for cone in cones:
+        for c in (cone, cone.closure()):
+            assert _membership_outcome(c.contains, x) == _membership_outcome(ref.plan_contains, c, x), (c, x)
+    assert _membership_outcome(containing, cones, x) == _membership_outcome(ref.containing, cones, x), x
+
+
+def test_plan_reference_cases_reach_both_routes_and_ties():
+    """The cases hold comparison cones and cones off the comparison route,
+    and open cones that a tie on a facet puts a point just outside of."""
+    routes = {bool(cone._comparisons()) for make in MEMBERSHIP_CASES.values() for cone in make()}
+    assert routes == {True, False}
+    cone = next(c for c in _structure_cones(corpus.theta(3)) if not c.closed and len(c.rays) == 3)
+    tie = tuple(Fraction(1) for _ in cone.labels)
+    assert cone.closure().contains(tie) and not cone.contains(tie)
+    assert ref.plan_contains(cone.closure(), tie) and not ref.plan_contains(cone, tie)
