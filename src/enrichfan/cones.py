@@ -15,10 +15,10 @@ floats at their exact values, inf and NaN refused.
 Membership takes one path.  ``contains`` hands a point of the right length
 with only ``int`` and ``Fraction`` coordinates straight to ``_meets``, and any
 other point through ``_exact``, which checks its length and converts it or
-refuses it; ``containing`` makes the point exact once and calls ``_meets`` on
-every cone.  ``_meets`` is the one membership loop: it reads the comparison
-plan from its slot, working it out only on first use, and stops at the first
-comparison that fails.
+refuses it; ``containing`` makes the point exact and scales it to integers
+once, then calls ``_meets`` on every cone.  ``_meets`` is the one membership
+loop: it reads the comparison plan from its slot, working it out only on
+first use, and stops at the first comparison that fails.
 
 The public constructor checks that the rays are independent with one exact
 echelon.  Cones independent by construction skip it through ``_trusted_cone``:
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from .enriched import EnrichedGraph
 from .graphs import _Value, bits
@@ -199,11 +199,15 @@ def containing(cones, x) -> list:
     """Indices of the cones (each as described) that contain ``x``.
 
     The cones share one ambient lattice, as the cones of one graph or one
-    fan do, so ``x`` is checked against the first cone's and made exact once.
+    fan do, so ``x`` is checked against the first cone's, made exact and
+    scaled to integers by the lcm of its denominators once.  Every row is
+    homogeneous, so a positive factor keeps each sign and each verdict.
     """
     if not cones:
         return []
     x = _exact(x, len(cones[0].labels))
+    scale = lcm(*(v.denominator for v in x))
+    x = [v.numerator * (scale // v.denominator) for v in x]
     return [i for i, cone in enumerate(cones) if cone._meets(x)]
 
 

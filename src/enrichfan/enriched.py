@@ -9,52 +9,47 @@ different blocks incomparable.
 One recursion core has three consumers: enumeration, validation and
 location.  A graph is the tuple of vertex-index ends of its edges in
 ``edge_labels`` order (``graphs.edge_ends``), a subgraph is a bitmask over
-those edge indices, and a structure is its tuple of preorder rows over the
-same indices.  On a single block the core takes a bottom class, contracts
-it and recurses on the rest; otherwise it splits the mask with
-``graphs.block_masks`` and combines the blocks' rows.  Rows come out
-closed: a bottom row is the whole current mask and block rows are ORed.
+those edge indices, and in the core a structure on n edges is one int
+with row i (the edges above edge i) at bit w*i, w = 8*ceil(n/8).  On a
+single block the core takes a bottom class, contracts it and recurses on
+the rest; otherwise it splits the mask with ``graphs.block_masks``.  Rows
+come out closed (a bottom row is the whole current mask, block rows are
+ORed) and are unpacked only on the way out.
 
 Within one call the subproblem on the edge mask K is always G/(E∖K)
-restricted to K.  Contracting a bottom composes with the contractions
-before it.  At a block split, contracting the other blocks instead of
-deleting them merges no two vertices of the kept block: a path outside a
-block between two of its vertices would close a cycle through the block,
-against its maximality.  So a dict scoped to one call memoizes
-subproblems on the mask alone, and only a miss of two or more edges
-merges the ends of the edges outside K with the one union-find,
-``graphs._roots``; nothing is cached between calls.  The consumers differ
-only in the bottom classes they offer: every nonempty subset
-(enumeration), the rows equal to the mask (validation, which accepts
-exactly when the rebuilt rows are the given ones) or the argmin set
-(location).
+restricted to K: contracting a bottom composes with the contractions
+before it, and contracting the other blocks at a block split merges no
+two vertices of the kept block (a path outside a block between two of
+its vertices would close a cycle through it).  So a dict scoped to one
+call memoizes subproblems on the mask alone, and only a miss of two or
+more edges merges the ends of the edges outside K, with ``graphs._roots``;
+nothing is cached between calls.  The consumers differ only in the bottoms
+they offer: every nonempty subset (enumeration), the rows equal to the
+mask (validation, which accepts when it rebuilds the given structure) or
+the argmin set (location).
 
 Specializations need no recursion: each is read off a face of the closed
-structure cone.  These and the structures the core builds are correct by
-construction, so ``enriched_structures``, ``locate`` and ``specializations``
-build their results on a trusted path that skips the checks of the public
-``EnrichedGraph`` and ``Specialization`` constructors; the latter's check,
-``_specialization_failure``, runs on rows and serves ``verify`` too.
+structure cone.  These and the core's structures are correct by
+construction, so they are built on a trusted path that skips the checks
+of the public ``EnrichedGraph`` and ``Specialization`` constructors; the
+latter's, ``_specialization_failure``, runs on rows and serves ``verify``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import or_
 
 from .errors import GroundSetMismatchError, NotABondError, UnknownLabelError
 from .graphs import Bond, MultiGraph, _roots, _Value, biconnected_components, bits, block_masks, bonds, contract, edge_ends, sort_labels
 from .preorders import Preorder
 
+_REV8 = bytes((b * 0x202020202 & 0x10884422010) % 1023 for b in range(256))  # bits reversed
+
 
 def _trusted(cls, **fields):
-    """An instance of the value class ``cls`` with its slots set to ``fields``,
-    built without the checks of its constructor.
-
-    Only for values the recursion core or a face reading built, which pass
-    those checks by construction.
-    """
+    """An instance of ``cls`` with its slots set to ``fields``, skipping its
+    constructor's checks: only for values correct by construction."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         setattr(obj, name, value)
@@ -81,38 +76,32 @@ class EnrichedGraph(_Value):
 
 
 def _rows(ends: tuple, mask: int, bottoms, memo: dict) -> list:
-    """Rows of the enriched structures on the edges in ``mask`` whose bottom
-    classes are drawn from ``bottoms(block_mask)``.
+    """The packed enriched structures on the edges in ``mask`` (rows outside
+    it zero) whose bottom classes come from ``bottoms(block_mask)``.
 
-    ``ends`` are the whole graph's.  The subproblem is G/(E∖mask)
-    restricted to ``mask`` however it was reached (a bottom's contraction
-    composes with the earlier ones, and contracting the other blocks
-    merges no two vertices of a block), so ``memo`` is keyed on ``mask``
-    alone and the contraction runs only on a miss.  Blocks come ordered by
-    their least edge, so the vertex numbering of the contraction does not
-    matter.  Each result has one row per edge index of the whole graph,
-    zero outside ``mask``.
-    """
+    ``ends`` are the whole graph's and ``memo`` is keyed on ``mask`` alone;
+    blocks come by least edge, so the contraction's vertex numbering does
+    not matter."""
     found = memo.get(mask)
     if found is not None:
         return found
     n = len(ends)
+    w = (n + 7) & -8
     if mask & (mask - 1) == 0:  # at most one edge: only the discrete structure
-        found = [tuple(mask if mask >> i & 1 else 0 for i in range(n))]
+        found = [mask << w * (mask.bit_length() - 1) if mask else 0]
     else:
         root = _roots(map(ends.__getitem__, bits(((1 << n) - 1) & ~mask))).get
         blocks = block_masks([(root(u, u), root(v, v)) for u, v in ends], mask)
         if len(blocks) == 1:
             found = []
             for bottom in bottoms(mask):
-                base = tuple(mask if bottom >> i & 1 else 0 for i in range(n))
-                for rows in _rows(ends, mask & ~bottom, bottoms, memo):
-                    found.append(tuple(map(or_, base, rows)))
+                base = sum(mask << w * i for i in bits(bottom))
+                found += [base | q for q in _rows(ends, mask & ~bottom, bottoms, memo)]
         else:
             found = None
             for block in blocks:
                 part = _rows(ends, block, bottoms, memo)
-                found = part if found is None else [tuple(map(or_, a, b)) for a in found for b in part]
+                found = part if found is None else [a | b for a in found for b in part]
     memo[mask] = found
     return found
 
@@ -120,6 +109,29 @@ def _rows(ends: tuple, mask: int, bottoms, memo: dict) -> list:
 def _structure_rows(g: MultiGraph, bottoms) -> list:
     ends = edge_ends(g)
     return _rows(ends, (1 << len(ends)) - 1, bottoms, {})
+
+
+def _ordered_rows(found: list, n: int) -> list:
+    """The packed structures ``found`` on ``n`` edges as rows, ordered as the
+    sorted lists of their related pairs ``(i, j)``, ``i != j``, and so of
+    label pairs.  Pair ``(i, j)`` is bit ``w*i + j``, so B, the bit reversal
+    of the L packed bits less the diagonal, reads the pair set S least pair
+    first; the order is that of |S| - B - (B & -B): a larger B starts with
+    a smaller pair, the other terms put a list before its extensions, and
+    an empty S takes 2^L for B & -B."""
+    k = (n + 7) // 8
+    found = [q.to_bytes(k * n, "little") for q in found]
+    if len(found) > 1:
+        off = sum(1 << 8 * k * n - 1 - (8 * k + 1) * i for i in range(n))
+
+        def rank(d):
+            b = int.from_bytes(d.translate(_REV8), "big") ^ off
+            return b.bit_count() - b - (b & -b or 1 << 8 * k * n)
+
+        found.sort(key=rank)
+    if k < 2:
+        return list(map(tuple, found))
+    return [tuple(int.from_bytes(d[i : i + k], "little") for i in range(0, k * n, k)) for d in found]
 
 
 def _nonempty_submasks(mask: int):
@@ -133,10 +145,7 @@ def _bottoms_of(rows: tuple):
     """The one bottom class a given preorder allows: its rows that cover the mask."""
 
     def bottoms(mask):
-        bottom = 0
-        for i in bits(mask):
-            if rows[i] & mask == mask:
-                bottom |= 1 << i
+        bottom = sum(1 << i for i in bits(mask) if rows[i] & mask == mask)
         return (bottom,) if bottom else ()
 
     return bottoms
@@ -161,25 +170,13 @@ def is_enriched(g: MultiGraph, p: Preorder) -> bool:
     """
     if p.ground != g.edge_labels:
         raise GroundSetMismatchError("preorder ground set must equal the edge set")
-    return _structure_rows(g, _bottoms_of(p.rows)) == [p.rows]
-
-
-def _canonical(found: list) -> list:
-    """Structure rows in the order of their sorted lists of related pairs.
-
-    Edges are indexed in ``label_key`` order, so the index pairs ``(i, j)``,
-    ``i != j``, sort as the label pairs do; they are compared as bytes,
-    built once per distinct row."""
-    pair_bytes = [
-        {row: bytes([x for j in bits(row & ~(1 << i)) for x in (i, j)]) for row in set(column)}
-        for i, column in enumerate(zip(*found))
-    ]
-    return sorted(found, key=lambda rows: b"".join([t[r] for t, r in zip(pair_bytes, rows)]))
+    w = (len(p.rows) + 7) & -8
+    return _structure_rows(g, _bottoms_of(p.rows)) == [sum(row << w * i for i, row in enumerate(p.rows))]
 
 
 def enriched_structures(g: MultiGraph) -> list:
     """Every enriched structure on ``g``, each exactly once."""
-    rows = _canonical(_structure_rows(g, _nonempty_submasks))
+    rows = _ordered_rows(_structure_rows(g, _nonempty_submasks), g.n_edges)
     out = []
     for p in Preorder._family(g.edge_labels, rows):  # _trusted, unrolled: this runs once per structure
         eg = object.__new__(EnrichedGraph)
@@ -282,7 +279,7 @@ def specializations(eg: EnrichedGraph) -> list:
     A face's set of rays contracts the edges on none of them, a lower set,
     and orders the rest: ``e ≼ f`` exactly when every ray of the face
     through ``e`` passes through ``f``.  Groups come in ``lower_sets``
-    order, each in ``_canonical`` order.
+    order, each in ``_ordered_rows`` order.
     """
     p = eg.preorder
     rays = list(set(p.rows))
@@ -291,12 +288,13 @@ def specializations(eg: EnrichedGraph) -> list:
     for face in range(1 << len(rays)):
         on = [r & face for r in through]  # the face's rays through each edge
         kept = [a for a in on if a]
-        target = tuple(sum(1 << j for j, b in enumerate(kept) if a & ~b == 0) for a in kept)
+        w = (len(kept) + 7) & -8
+        target = sum(1 << w * i + j for i, a in enumerate(kept) for j, b in enumerate(kept) if a & ~b == 0)
         groups.setdefault(sum(1 << e for e, a in enumerate(on) if not a), []).append(target)
     out = []
     for s in p.lower_sets():
         target_graph = contract(eg.graph, s)
-        for cand in Preorder._family(target_graph.edge_labels, _canonical(groups[p._mask(s)])):
+        for cand in Preorder._family(target_graph.edge_labels, _ordered_rows(groups[p._mask(s)], target_graph.n_edges)):
             target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
             out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
     return out
@@ -306,10 +304,9 @@ def locate(g: MultiGraph, x) -> EnrichedGraph:
     """The unique enriched structure whose open cone contains ``x``.
 
     ``x`` maps every edge to a strictly positive rational: an ``int`` or
-    anything ``Fraction`` accepts.  The point is scaled to integers by the
-    lcm of its denominators, a positive factor that keeps every argmin set,
-    so the comparisons are on ints.  The bottom class of each biconnected
-    piece is the argmin set, and the rest recurses on the contraction.
+    anything ``Fraction`` accepts.  It is scaled to integers by the lcm of
+    its denominators, which keeps every argmin set.  The bottom class of
+    each block is its argmin set, and the rest recurses on the contraction.
     """
     if set(x) != set(g.edge_labels):
         raise UnknownLabelError("coordinate keys must be exactly the edge labels")
@@ -319,5 +316,5 @@ def locate(g: MultiGraph, x) -> EnrichedGraph:
     for e, v in zip(g.edge_labels, values):
         if v <= 0:
             raise ValueError(f"coordinate of {e!r} must be strictly positive")
-    (rows,) = _structure_rows(g, _argmin(values))
-    return _trusted(EnrichedGraph, graph=g, preorder=Preorder._family(g.edge_labels, [rows])[0])
+    rows = _ordered_rows(_structure_rows(g, _argmin(values)), g.n_edges)
+    return _trusted(EnrichedGraph, graph=g, preorder=Preorder._family(g.edge_labels, rows)[0])

@@ -21,6 +21,12 @@ its memo was keyed on the mask alone: it is copied verbatim, and keys each
 subproblem on the mask together with the contracted ends ``_state``
 renumbers.
 
+``_tuple_rows`` and ``_canonical`` are the core and the enumeration order
+from before the core packed each structure into one int: ``_tuple_rows``
+is the mask-keyed core as it ran on tuples of rows, copied verbatim but
+for its name, which its recursive calls follow; ``_canonical`` is copied
+verbatim and sorts by a byte key built from each structure's pairs.
+
 ``check_specialization`` is ``Specialization``'s constructor check as it ran on
 labels, before the check moved to rows.  ``Preorder`` no longer has the
 ``is_lower_set``, ``restrict`` and ``contains`` it called, so it, the
@@ -36,7 +42,7 @@ from operator import or_
 
 from enrichfan.enriched import EnrichedGraph, Specialization, _trusted, enriched_structures
 from enrichfan.formats import relation_summary
-from enrichfan.graphs import MultiGraph, bits, block_masks, contract, label_key
+from enrichfan.graphs import MultiGraph, _roots, bits, block_masks, contract, label_key
 from enrichfan.preorders import Preorder
 from reference_preorders import contains, is_lower_set, restrict
 
@@ -289,3 +295,55 @@ def _rows(ends: tuple, mask: int, bottoms, memo: dict) -> list:
                 found = part if found is None else [tuple(map(or_, a, b)) for a in found for b in part]
     memo[key] = found
     return found
+
+
+# ``enriched._rows`` before it packed each structure into one int, renamed.
+def _tuple_rows(ends: tuple, mask: int, bottoms, memo: dict) -> list:
+    """Rows of the enriched structures on the edges in ``mask`` whose bottom
+    classes are drawn from ``bottoms(block_mask)``.
+
+    ``ends`` are the whole graph's.  The subproblem is G/(E∖mask)
+    restricted to ``mask`` however it was reached (a bottom's contraction
+    composes with the earlier ones, and contracting the other blocks
+    merges no two vertices of a block), so ``memo`` is keyed on ``mask``
+    alone and the contraction runs only on a miss.  Blocks come ordered by
+    their least edge, so the vertex numbering of the contraction does not
+    matter.  Each result has one row per edge index of the whole graph,
+    zero outside ``mask``.
+    """
+    found = memo.get(mask)
+    if found is not None:
+        return found
+    n = len(ends)
+    if mask & (mask - 1) == 0:  # at most one edge: only the discrete structure
+        found = [tuple(mask if mask >> i & 1 else 0 for i in range(n))]
+    else:
+        root = _roots(map(ends.__getitem__, bits(((1 << n) - 1) & ~mask))).get
+        blocks = block_masks([(root(u, u), root(v, v)) for u, v in ends], mask)
+        if len(blocks) == 1:
+            found = []
+            for bottom in bottoms(mask):
+                base = tuple(mask if bottom >> i & 1 else 0 for i in range(n))
+                for rows in _tuple_rows(ends, mask & ~bottom, bottoms, memo):
+                    found.append(tuple(map(or_, base, rows)))
+        else:
+            found = None
+            for block in blocks:
+                part = _tuple_rows(ends, block, bottoms, memo)
+                found = part if found is None else [tuple(map(or_, a, b)) for a in found for b in part]
+    memo[mask] = found
+    return found
+
+
+# ``enriched._canonical``, the enumeration order before the packed rank.
+def _canonical(found: list) -> list:
+    """Structure rows in the order of their sorted lists of related pairs.
+
+    Edges are indexed in ``label_key`` order, so the index pairs ``(i, j)``,
+    ``i != j``, sort as the label pairs do; they are compared as bytes,
+    built once per distinct row."""
+    pair_bytes = [
+        {row: bytes([x for j in bits(row & ~(1 << i)) for x in (i, j)]) for row in set(column)}
+        for i, column in enumerate(zip(*found))
+    ]
+    return sorted(found, key=lambda rows: b"".join([t[r] for t, r in zip(pair_bytes, rows)]))

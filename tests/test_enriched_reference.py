@@ -1,5 +1,6 @@
 """The bitmask recursion core against the label-keyed reference recursions
-and against its own ``(mask, ends)``-keyed form,
+and against its own ``(mask, ends)``-keyed form, its packed rank order
+against the byte-key sort it replaced,
 specialization and the poset DOT against the code that filtered every
 structure of each contraction, specialization against ``locate`` at the
 barycentre of each face, and the core against closed-form counts."""
@@ -17,10 +18,22 @@ import reference_enriched as ref
 from conftest import connected_multigraphs
 import enrichfan.enriched
 from enrichfan import corpus
-from enrichfan.enriched import Specialization, _argmin, _bottoms_of, _nonempty_submasks, _trusted, enriched_structures, is_enriched, locate, specializations
+from enrichfan.enriched import (
+    Specialization,
+    _argmin,
+    _bottoms_of,
+    _nonempty_submasks,
+    _ordered_rows,
+    _trusted,
+    enriched_structures,
+    is_enriched,
+    locate,
+    specializations,
+)
 from enrichfan.errors import UnknownLabelError
 from enrichfan.formats import specialization_poset_dot
 from enrichfan.graphs import MultiGraph, biconnected_components, contract, edge_ends
+from enrichfan.preorders import Preorder
 from reference_preorders import all_preorders
 from test_toric_reference import k4, wheel4
 
@@ -265,16 +278,28 @@ def bowtie_with_loop():
     return MultiGraph([0, 1, 2, 3, 4, 9], {"a": (0, 1), "b": (1, 2), "c": (2, 0), "d": (0, 3), "e": (3, 4), "f": (4, 0), "l": (0, 0)})
 
 
+def unpack(found, n):
+    """Packed structures on ``n`` edges as tuples of rows: row ``i`` is the
+    ``n`` bits from bit ``w*i`` on, ``w = 8*ceil(n/8)``."""
+    w = 8 * -(-n // 8)
+    return [tuple(q >> w * i & (1 << n) - 1 for i in range(n)) for q in found]
+
+
+def pack(rows):
+    w = 8 * -(-len(rows) // 8)
+    return sum(row << w * i for i, row in enumerate(rows))
+
+
 def assert_core_matches_reference(g, values):
-    """The mask-keyed core gives the rows, in order, of the ``(mask, ends)``-keyed
-    reference for all three consumers: enumeration, validation of every
-    structure and of a total order and the all-equivalent preorder, and
-    location at ``values``."""
+    """The packed mask-keyed core, unpacked, gives the rows, in order, of the
+    ``(mask, ends)``-keyed reference for all three consumers: enumeration,
+    validation of every structure and of a total order and the
+    all-equivalent preorder, and location at ``values``."""
     ends = edge_ends(g)
     full = (1 << len(ends)) - 1
 
     def same(bottoms):
-        got = enrichfan.enriched._rows(ends, full, bottoms, {})
+        got = unpack(enrichfan.enriched._rows(ends, full, bottoms, {}), len(ends))
         assert got == ref._rows(ends, full, bottoms, {}), (g, bottoms)
         return got
 
@@ -298,3 +323,97 @@ def test_core_matches_reference_corpus_c5_k4_bowtie():
     for g in graphs:
         for _ in range(3):
             assert_core_matches_reference(g, [rng.randint(1, 3) for _ in g.edge_labels])
+
+
+def assert_packed_order_is_byte_key_order(g):
+    """The packed core holds the structures of the tuple core it replaced,
+    in the same order, and its rank sorts them, from that order and
+    shuffled, into the byte-key order of ``_canonical``."""
+    ends = edge_ends(g)
+    full = (1 << len(ends)) - 1
+    found = enrichfan.enriched._rows(ends, full, _nonempty_submasks, {})
+    before = ref._tuple_rows(ends, full, _nonempty_submasks, {})
+    assert unpack(found, len(ends)) == before
+    expected = ref._canonical(before)
+    assert _ordered_rows(found, len(ends)) == expected
+    shuffled = list(found)
+    random.Random(len(found)).shuffle(shuffled)
+    assert _ordered_rows(shuffled, len(ends)) == expected
+    assert [eg.preorder.rows for eg in enriched_structures(g)] == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs())
+def test_packed_order_matches_byte_key_any_multigraph(g):
+    assert_packed_order_is_byte_key_order(g)
+
+
+def test_packed_order_matches_byte_key_corpus_c6_k4_w4():
+    for g in list(corpus.corpus_graphs().values()) + [cycle(5), cycle(6), k4(), wheel4(), bowtie_with_loop()]:
+        assert_packed_order_is_byte_key_order(g)
+
+
+def test_packed_order_matches_byte_key_rows_wider_than_a_byte():
+    """Nine and ten edges, each row two bytes of the packed int: the order,
+    validation of every structure and of the all-equivalent preorder
+    against the reference, and location at points with ties."""
+    rng = random.Random(10)
+    for n in (9, 10):
+        g = corpus.theta(n)
+        assert_packed_order_is_byte_key_order(g)
+        assert all(is_enriched(g, eg.preorder) for eg in enriched_structures(g))
+        coarse = Preorder.from_relations(g.edge_labels, itertools.permutations(g.edge_labels, 2))
+        assert is_enriched(g, coarse) == ref._is_enriched(g, coarse) is True
+        assert is_enriched(g, Preorder.discrete(g.edge_labels)) == ref._is_enriched(g, Preorder.discrete(g.edge_labels)) is False
+        for _ in range(20):
+            x = {e: rng.randint(1, 3) for e in g.edge_labels}
+            assert locate(g, x).preorder == ref._locate(g, x)
+
+
+def test_discrete_structure_sorts_first():
+    """A graph whose blocks are single edges has the discrete structure as its
+    only one, and that structure, whose pair list is empty, sorts before every
+    other set of rows, at one and at two bytes a row."""
+    forest = MultiGraph("uvwxy", {"a": ("u", "v"), "b": ("v", "w"), "c": ("w", "w"), 1: ("x", "x")})
+    (eg,) = enriched_structures(forest)
+    assert eg.preorder.rows == (1, 2, 4, 8)
+    assert_packed_order_is_byte_key_order(forest)
+    for n in (1, 4, 9):
+        discrete = tuple(1 << i for i in range(n))
+        full = ((1 << n) - 1,) * n
+        chain = tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n))
+        rows = list(dict.fromkeys([full, chain, discrete]))
+        assert ref._canonical(rows)[0] == discrete
+        assert _ordered_rows([pack(r) for r in rows], n) == ref._canonical(rows)
+
+
+@st.composite
+def reflexive_row_sets(draw):
+    """Distinct tuples of ``n`` rows, row ``i`` holding bit ``i`` and any other
+    bits, for ``n`` up to 10: closed or not, the order reads only the pairs."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    row = st.tuples(*[st.integers(0, (1 << n) - 1).map(lambda r, i=i: r | 1 << i) for i in range(n)])
+    return n, draw(st.lists(row, min_size=1, max_size=40, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reflexive_row_sets())
+def test_packed_order_matches_byte_key_on_any_rows(case):
+    n, rows = case
+    assert _ordered_rows([pack(r) for r in rows], n) == ref._canonical(rows)
+
+
+def test_specialization_groups_come_in_byte_key_order():
+    """The targets of the specializations that contract one lower set come in
+    the byte-key order of ``_canonical``, for every structure of the corpus,
+    C5 and K4 and a sample of W4's."""
+    graphs = {**corpus.corpus_graphs(), "c5": cycle(5), "k4": k4(), "w4": wheel4()}
+    sizes = Counter()
+    for name, g in graphs.items():
+        structs = enriched_structures(g)
+        for eg in structs if len(structs) <= 700 else random.Random(28).sample(structs, 60):
+            for _, group in itertools.groupby(specializations(eg), key=lambda sp: sp.contracted):
+                rows = [sp.target.preorder.rows for sp in group]
+                assert rows == ref._canonical(rows), (name, eg.preorder)
+                sizes[len(rows) > 1] += 1
+    assert sizes[True] and sizes[False]

@@ -414,3 +414,24 @@ def test_plan_reference_cases_reach_both_routes_and_ties():
     tie = tuple(Fraction(1) for _ in cone.labels)
     assert cone.closure().contains(tie) and not cone.contains(tie)
     assert ref.plan_contains(cone.closure(), tie) and not ref.plan_contains(cone, tie)
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_containing_scaled_to_integers_matches_reference(name, data):
+    """``containing`` scales the point to integers once, by the lcm of its
+    denominators.  At near-ties over coprime denominators, with some
+    coordinates made floats, the indices are the reference's on each
+    case's cones and their closures (the determinant-two cases read their
+    rows' signs, not comparisons), and a point one coordinate short or
+    long is refused alike."""
+    cones = _membership_cones(name)
+    cones = cones + [cone.closure() for cone in cones]
+    n = len(cones[0].labels)
+    x = list(data.draw(coordinates(n)))
+    for i in data.draw(st.sets(st.integers(0, n - 1))):
+        x[i] = float(x[i])
+    assert containing(cones, x) == ref.containing(cones, x), x
+    for bad in (x[:-1], x + [Fraction(1, 3)]):
+        assert _membership_outcome(containing, cones, bad) == _membership_outcome(ref.containing, cones, bad)
