@@ -28,11 +28,13 @@ they offer: every nonempty subset (enumeration), the rows equal to the
 mask (validation, which accepts when it rebuilds the given structure) or
 the argmin set (location).
 
-Specializations need no recursion: each is read off a face of the closed
-structure cone.  These and the core's structures are correct by
-construction, so they are built on a trusted path that skips the checks
-of the public ``EnrichedGraph`` and ``Specialization`` constructors; the
-latter's, ``_specialization_failure``, runs on rows and serves ``verify``.
+Specializations need no recursion: ``_faces`` reads the faces of the
+closed structure cone into one table, lower-set mask to packed target
+rows, which ``specializations`` and the gluing in ``moduli`` both read.
+These and the core's structures are correct by construction, so they are
+built on a trusted path that skips the checks of the public
+``EnrichedGraph`` and ``Specialization`` constructors; the latter's,
+``_specialization_failure``, runs on rows and serves ``verify``.
 """
 
 from __future__ import annotations
@@ -272,29 +274,39 @@ class Specialization(_Value):
         return not self.contracted and self.target.preorder == self.source.preorder
 
 
-def specializations(eg: EnrichedGraph) -> list:
-    """All specializations of ``eg``, the identity included: one per face
-    of its closed structure cone, whose rays are the distinct rows.
+def _faces(rows: tuple) -> dict:
+    """The face table of the closed structure cone of the preorder with
+    ``rows``, whose rays are the distinct rows: each lower-set mask mapped
+    to the packed target rows of its faces, one per face.
 
     A face's set of rays contracts the edges on none of them, a lower set,
     and orders the rest: ``e ≼ f`` exactly when every ray of the face
-    through ``e`` passes through ``f``.  Groups come in ``lower_sets``
-    order, each in ``_ordered_rows`` order.
+    through ``e`` passes through ``f``.
     """
-    p = eg.preorder
-    rays = list(set(p.rows))
-    through = [sum(1 << t for t, ray in enumerate(rays) if ray >> e & 1) for e in range(len(p.rows))]
-    groups = {}
+    rays = list(set(rows))
+    through = [sum(1 << t for t, ray in enumerate(rays) if ray >> e & 1) for e in range(len(rows))]
+    table = {}
     for face in range(1 << len(rays)):
         on = [r & face for r in through]  # the face's rays through each edge
         kept = [a for a in on if a]
         w = (len(kept) + 7) & -8
         target = sum(1 << w * i + j for i, a in enumerate(kept) for j, b in enumerate(kept) if a & ~b == 0)
-        groups.setdefault(sum(1 << e for e, a in enumerate(on) if not a), []).append(target)
+        table.setdefault(sum(1 << e for e, a in enumerate(on) if not a), []).append(target)
+    return table
+
+
+def specializations(eg: EnrichedGraph) -> list:
+    """All specializations of ``eg``, the identity included: one per face
+    of its closed structure cone (``_faces``).  Groups come by size of the
+    contracted lower set, then by its sorted edge indices, each group in
+    ``_ordered_rows`` order.
+    """
+    p = eg.preorder
     out = []
-    for s in p.lower_sets():
+    for mask, targets in sorted(_faces(p.rows).items(), key=lambda item: (item[0].bit_count(), list(bits(item[0])))):
+        s = p._labels_of(mask)
         target_graph = contract(eg.graph, s)
-        for cand in Preorder._family(target_graph.edge_labels, _ordered_rows(groups[p._mask(s)], target_graph.n_edges)):
+        for cand in Preorder._family(target_graph.edge_labels, _ordered_rows(targets, target_graph.n_edges)):
             target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
             out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
     return out

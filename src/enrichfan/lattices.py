@@ -217,8 +217,8 @@ class LatticeQuotient(_Value):
                 raise ValueError("generator length does not match the ambient rank")
         e = _echelon([[g[i] for g in gens] for i in range(n)], len(gens), track=True)
         lq = LatticeQuotient(labels, tuple(gens), e.rank, tuple(map(tuple, e.u[e.rank :])))
-        for g in gens:
-            assert all(x == 0 for x in lq.project(g))
+        if any(any(lq.project(g)) for g in gens):
+            raise RuntimeError("the quotient projection does not kill every generator")
         return lq
 
     @property

@@ -34,11 +34,11 @@ public ``ModuliCell`` and ``EnrichedGraph`` constructors.
 The gluing goes through one table scoped to a call (``_cell_table``):
 each cell's rows are carried into its frame along the first ordering that
 gives the key, then moved by every automorphism of the frame, and the
-table maps each resulting ``(key, rows)`` to the cell.  ``_reached`` then
-enumerates a cell's specializations once, carries each target's rows into
-its frame the same way and looks them up, so ``cell_adjacency`` and
-``classify_cells`` do work linear in the number of cells instead of
-testing every pair.
+table maps each resulting ``(key, rows)`` to the cell.  ``_reached``, one
+walk for ``cell_adjacency`` and ``classify_cells``, reads each cell's face
+table (``enriched._faces``), frames each (weighted graph, lower set) once
+per call, carries the target rows into the frame and looks them up: work
+linear in the number of cells, and no specialization object.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from fractions import Fraction
 from math import lcm
 
 from .cones import containing, structure_cone
-from .enriched import EnrichedGraph, _trusted, enriched_structures, locate, specializations
+from .enriched import EnrichedGraph, _faces, _trusted, enriched_structures, locate
 from .errors import GuardExceededError
-from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, _Value, _roots, automorphisms, contracted_weights, edge_ends
+from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, _Value, _roots, automorphisms, contract, contracted_weights, edge_ends
 from .preorders import Preorder
 
 GENUS_GUARD = 3
@@ -245,8 +245,8 @@ class ModuliCell(_Value):
 
 def _mover(source: tuple, mapping, target: tuple):
     """Move closed rows over the labels ``source`` along the label bijection
-    ``mapping`` onto rows over the labels ``target``, as ``Preorder.relabel``
-    moves a preorder's rows.
+    ``mapping`` onto rows over the labels ``target``: the rows of the
+    preorder transported along ``mapping``.
 
     Bit ``i`` goes to the index of ``mapping[source[i]]``: ``table[m]`` is
     the image of the mask ``m``, filled from ``m`` less its lowest bit, and
@@ -331,32 +331,40 @@ def _cell_table(cells) -> dict:
     return table
 
 
-def _reached(a: ModuliCell, table: dict) -> set:
-    """Indices of the cells in ``table`` isomorphic to a specialization of ``a``, ``a`` excluded.
+def _reached(sources, table: dict) -> dict:
+    """Map each cell of ``sources`` to the indices of the cells in ``table``
+    isomorphic to one of its proper specializations, read off its face table.
 
-    All specializations contracting one lower set share a target graph, so
-    that graph is weighted and given its table into the frame once.
+    All faces contracting one lower set of one weighted graph share a target
+    graph, so each ``(weighted graph, lower-set mask)`` is contracted,
+    weighted, framed and given its table into the frame once per call.
     """
-    hits = set()
     frames = {}
-    for sp in specializations(a.enriched()):
-        s = sp.contracted
-        if s not in frames:
-            target = sp.target.graph
-            key, to_frame = _frame_map(WeightedGraph(target, contracted_weights(a.weighted, s)))
-            entry = table.get(key)
-            frames[s] = None if entry is None else (entry[1], _mover(target.edge_labels, to_frame, entry[0]))
-        if frames[s] is not None:
-            orbit, move = frames[s]
-            hits.update(orbit.get(move(sp.target.preorder.rows), ()))
-    hits.discard(a.index)
-    return hits
+    out = {}
+    for a in sources:
+        wg = a.weighted
+        by_mask = frames.setdefault(wg, {})
+        hits = set()
+        for mask, targets in _faces(a.preorder.rows).items():
+            if mask not in by_mask:
+                s = a.preorder._labels_of(mask)
+                target = contract(wg.graph, s)
+                key, to_frame = _frame_map(WeightedGraph(target, contracted_weights(wg, s)))
+                entry = table.get(key)
+                by_mask[mask] = None if entry is None else (entry[1], _mover(target.edge_labels, to_frame, entry[0]))
+            if by_mask[mask] is not None:
+                orbit, move = by_mask[mask]
+                n = len(a.preorder.rows) - mask.bit_count()
+                w, full = (n + 7) & -8, (1 << n) - 1
+                for q in targets:  # target row i sits at bit w*i
+                    hits.update(orbit.get(move([q >> w * i & full for i in range(n)]), ()))
+        out[a.index] = hits - {a.index}
+    return out
 
 
 def cell_adjacency(cells) -> dict:
     """Map each cell index to the indices of its proper specializations."""
-    table = _cell_table(cells)
-    return {a.index: sorted(_reached(a, table)) for a in cells}
+    return {i: sorted(hits) for i, hits in _reached(cells, _cell_table(cells)).items()}
 
 
 class CellClassification(_Value):
@@ -390,7 +398,7 @@ def classify_cells(g: int) -> CellClassification:
     """Maximal and codimension-one cells, with closure multiplicities."""
     cells = enumerate_cells(g)
     table = _cell_table([c for c in cells if c.dim == 3 * g - 4])
-    return classify_census(cells, {c.index: _reached(c, table) for c in cells if c.dim == 3 * g - 3})
+    return classify_census(cells, _reached([c for c in cells if c.dim == 3 * g - 3], table))
 
 
 def classify_census(cells, adjacency) -> CellClassification:
@@ -405,8 +413,10 @@ def classify_census(cells, adjacency) -> CellClassification:
             # 1 has one cell, a bare weight-1 vertex
             if g >= 2:
                 graph = c.weighted.graph
-                assert all(graph.valence(v) == 3 for v in graph.vertices)
-                assert c.preorder.is_partial_order()
+                if any(graph.valence(v) != 3 for v in graph.vertices):
+                    raise RuntimeError(f"maximal cell {c.index} is not trivalent")
+                if not c.preorder.is_partial_order():
+                    raise RuntimeError(f"maximal cell {c.index} is not generic")
             maximal.append(c.index)
     t_a, t_b, t_c = [], [], []
     for c in cells:

@@ -1,4 +1,4 @@
-"""Finite preorders on label sets: closure, quotient posets, upper/lower sets.
+"""Finite preorders on label sets: closure, quotient posets, upper sets.
 
 A preorder is stored densely as one bitmask row per label over the sorted
 ground set: bit ``j`` of row ``i`` is set when ``ground[i] ≼ ground[j]``,
@@ -7,8 +7,9 @@ and two identities read the rest off them: labels ``i`` and ``j`` are
 equivalent exactly when ``rows[i] == rows[j]``, and ``i`` lies strictly
 below ``j`` exactly when ``rows[j]`` is a strict subset of ``rows[i]``.
 Classes, the quotient order and the principal upper sets are therefore the
-distinct rows and their inclusions.  Ground sets here never exceed a dozen
-labels, so simplicity wins over asymptotics.
+distinct rows and their inclusions, and so are lower sets, which
+``enriched._faces`` reads off the faces.  Ground sets here never exceed a
+dozen labels, so simplicity wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -17,15 +18,6 @@ import itertools
 
 from .errors import UnknownLabelError
 from .graphs import _Value, bits, label_key, sort_labels
-
-
-def _transpose(rows) -> list:
-    """Down-set rows: bit ``j`` of row ``i`` is set when bit ``i`` of ``rows[j]`` is."""
-    below = [0] * len(rows)
-    for j, row in enumerate(rows):
-        for i in bits(row):
-            below[i] |= 1 << j
-    return below
 
 
 def _closed(rows: list) -> list:
@@ -163,21 +155,6 @@ class Preorder:
         mask = self._mask(frozenset(s))
         return all(self._rows[i] & ~mask == 0 for i in bits(mask))
 
-    def lower_sets(self) -> list:
-        """All lower sets, canonically ordered; exponential scan of subsets."""
-        labels = self._labels
-        n = len(labels)
-        below = _transpose(self._rows)
-        out = []
-        for k in range(n + 1):
-            for sub in itertools.combinations(range(n), k):
-                mask = 0
-                for i in sub:
-                    mask |= below[i]
-                if mask.bit_count() == k:
-                    out.append(frozenset(labels[i] for i in sub))
-        return out
-
     def irreducible_upper_sets(self, brute_force: bool = False) -> list:
         """The principal up-closures, one per equivalence class: the distinct
         rows, ordered by their sorted labels.
@@ -200,26 +177,6 @@ class Preorder:
             if not any(w1 | w2 == u for w1 in proper for w2 in proper):
                 irr.append(u)
         return sorted(irr, key=lambda s: tuple(map(label_key, sort_labels(s))))
-
-    def relabel(self, mapping) -> "Preorder":
-        """Transport the preorder along a label bijection.
-
-        The rows are moved bit by bit; a bijection keeps them closed.
-        """
-        images = [mapping[a] for a in self._labels]
-        if self._index.keys() == set(images):  # a permutation keeps the ground set
-            labels, index = self._labels, self._index
-        else:
-            labels = sort_labels(images)
-            index = {lab: i for i, lab in enumerate(labels)}
-            if len(index) != len(labels):
-                raise ValueError("relabelling must be injective")
-        new = [index[b] for b in images]
-        rows = [0] * len(labels)
-        for i, row in enumerate(self._rows):
-            for j in bits(row):
-                rows[new[i]] |= 1 << new[j]
-        return Preorder._family(labels, [tuple(rows)])[0]
 
     def quotient(self) -> "QuotientPoset":
         """Class ``i`` lies below class ``j`` when the row of ``j`` is a strict
@@ -263,11 +220,6 @@ class QuotientPoset(_Value):
     @property
     def rank(self) -> int:
         return len(self.classes)
-
-    def roots(self) -> tuple:
-        """Indices of minimal classes."""
-        above = {j for _, j in self.less}
-        return tuple(i for i in range(len(self.classes)) if i not in above)
 
     def parents(self) -> dict:
         """Map a class index to its unique Hasse predecessor, when one exists."""

@@ -16,6 +16,7 @@ import itertools
 
 from enrichfan.cones import RationalCone, ray_generators
 from enrichfan.enriched import EnrichedGraph
+from reference_preorders import roots
 
 
 def structure_cone(eg: EnrichedGraph, closed: bool) -> RationalCone:
@@ -38,7 +39,7 @@ def structure_cone(eg: EnrichedGraph, closed: bool) -> RationalCone:
 
     equalities = tuple(diff(pos[a], pos[b]) for cls in q.classes for a, b in zip(cls, cls[1:]))
     facets = [diff(first[j], first[i]) for i, j in q.hasse]
-    facets += [tuple(int(t == first[i]) for t in range(n)) for i in q.roots()]
+    facets += [tuple(int(t == first[i]) for t in range(n)) for i in roots(q)]
     return RationalCone(tuple(labels), tuple(ray_generators(eg)), closed, (equalities, tuple(facets)))
 
 

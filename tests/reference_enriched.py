@@ -27,11 +27,15 @@ is the mask-keyed core as it ran on tuples of rows, copied verbatim but
 for its name, which its recursive calls follow; ``_canonical`` is copied
 verbatim and sorts by a byte key built from each structure's pairs.
 
+``face_specializations`` is ``specializations`` as it ran before its face
+loop became the row-level table ``enriched._faces``: it is copied verbatim
+but for its name, and makes the same objects in the same order.
+
 ``check_specialization`` is ``Specialization``'s constructor check as it ran on
 labels, before the check moved to rows.  ``Preorder`` no longer has the
-``is_lower_set``, ``restrict`` and ``contains`` it called, so it, the
-recursions and ``specializations`` call their copies in
-``reference_preorders``.
+``is_lower_set``, ``restrict``, ``contains`` and ``lower_sets`` it called,
+so it, the recursions and both specialization functions call their copies
+in ``reference_preorders``.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ import functools
 import itertools
 from operator import or_
 
-from enrichfan.enriched import EnrichedGraph, Specialization, _trusted, enriched_structures
+from enrichfan.enriched import EnrichedGraph, Specialization, _ordered_rows, _trusted, enriched_structures
 from enrichfan.formats import relation_summary
 from enrichfan.graphs import MultiGraph, _roots, bits, block_masks, contract, label_key
 from enrichfan.preorders import Preorder
-from reference_preorders import contains, is_lower_set, restrict
+from reference_preorders import contains, is_lower_set, lower_sets, restrict
 
 
 def biconnected_components(g: MultiGraph) -> list:
@@ -199,11 +203,39 @@ def specializations(eg: EnrichedGraph) -> list:
     with the coarsened structure on the contraction.
     """
     out = []
-    for s in eg.preorder.lower_sets():
+    for s in lower_sets(eg.preorder):
         target_graph = contract(eg.graph, s)
         surviving = restrict(eg.preorder, set(eg.graph.edge_labels) - s).rows
         kept = [rows for rows in _structure_rows(target_graph) if all(o & ~r == 0 for r, o in zip(rows, surviving))]
         for cand in Preorder._family(target_graph.edge_labels, kept):
+            target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
+            out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
+    return out
+
+
+def face_specializations(eg: EnrichedGraph) -> list:
+    """All specializations of ``eg``, the identity included: one per face
+    of its closed structure cone, whose rays are the distinct rows.
+
+    A face's set of rays contracts the edges on none of them, a lower set,
+    and orders the rest: ``e ≼ f`` exactly when every ray of the face
+    through ``e`` passes through ``f``.  Groups come in ``lower_sets``
+    order, each in ``_ordered_rows`` order.
+    """
+    p = eg.preorder
+    rays = list(set(p.rows))
+    through = [sum(1 << t for t, ray in enumerate(rays) if ray >> e & 1) for e in range(len(p.rows))]
+    groups = {}
+    for face in range(1 << len(rays)):
+        on = [r & face for r in through]  # the face's rays through each edge
+        kept = [a for a in on if a]
+        w = (len(kept) + 7) & -8
+        target = sum(1 << w * i + j for i, a in enumerate(kept) for j, b in enumerate(kept) if a & ~b == 0)
+        groups.setdefault(sum(1 << e for e, a in enumerate(on) if not a), []).append(target)
+    out = []
+    for s in lower_sets(p):
+        target_graph = contract(eg.graph, s)
+        for cand in Preorder._family(target_graph.edge_labels, _ordered_rows(groups[p._mask(s)], target_graph.n_edges)):
             target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
             out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
     return out

@@ -24,6 +24,14 @@ contracting trivalent ones.
 ``aut_enriched`` (the stabilizer of a preorder, filtered from every
 automorphism) and ``contract_weighted`` are the library functions these
 read, copied verbatim.
+
+``_reached``, ``key_table_cell_adjacency`` and ``key_table_classify_cells``
+are the key-table gluing as it ran before it read the face table
+(``enriched._faces``): copied verbatim but for the last two names, with
+``_reached`` enumerating each cell's specializations through
+``reference_enriched.face_specializations`` and framing each lower set
+once per cell.  They still share ``_cell_table``, ``_frame_map`` and
+``_mover`` with the library.
 """
 
 from __future__ import annotations
@@ -51,8 +59,13 @@ from enrichfan.moduli import (
     CellClassification,
     LiftReport,
     ModuliCell,
+    _cell_table,
     _graph_from_key,
+    _mover,
+    classify_census,
 )
+from reference_enriched import face_specializations
+from reference_preorders import relabel
 
 
 def _compositions(total: int, parts: int):
@@ -175,7 +188,7 @@ def cell_specializes_to(a: ModuliCell, b: ModuliCell) -> bool:
         if _canonical_weighted_key(target_w) != _canonical_weighted_key(b.weighted):
             continue
         for iso in weighted_isomorphisms(target_w, b.weighted):
-            if sp.target.preorder.relabel(iso.as_dict()) == b.preorder:
+            if relabel(sp.target.preorder, iso.as_dict()) == b.preorder:
                 return True
     return False
 
@@ -239,10 +252,45 @@ def classify_cells(g: int, genus_guard: int = GENUS_GUARD) -> CellClassification
     )
 
 
+def _reached(a: ModuliCell, table: dict) -> set:
+    """Indices of the cells in ``table`` isomorphic to a specialization of ``a``, ``a`` excluded.
+
+    All specializations contracting one lower set share a target graph, so
+    that graph is weighted and given its table into the frame once.
+    """
+    hits = set()
+    frames = {}
+    for sp in face_specializations(a.enriched()):
+        s = sp.contracted
+        if s not in frames:
+            target = sp.target.graph
+            key, to_frame = _frame_map(WeightedGraph(target, contracted_weights(a.weighted, s)))
+            entry = table.get(key)
+            frames[s] = None if entry is None else (entry[1], _mover(target.edge_labels, to_frame, entry[0]))
+        if frames[s] is not None:
+            orbit, move = frames[s]
+            hits.update(orbit.get(move(sp.target.preorder.rows), ()))
+    hits.discard(a.index)
+    return hits
+
+
+def key_table_cell_adjacency(cells) -> dict:
+    """Map each cell index to the indices of its proper specializations."""
+    table = _cell_table(cells)
+    return {a.index: sorted(_reached(a, table)) for a in cells}
+
+
+def key_table_classify_cells(g: int) -> CellClassification:
+    """Maximal and codimension-one cells, with closure multiplicities."""
+    cells = enumerate_cells(g)
+    table = _cell_table([c for c in cells if c.dim == 3 * g - 4])
+    return classify_census(cells, {c.index: _reached(c, table) for c in cells if c.dim == 3 * g - 3})
+
+
 def aut_enriched(wg: WeightedGraph, p) -> list:
     """The subgroup of Aut(graph, weights) whose edge action preserves ``p``."""
     mapping_auts = automorphisms(wg)
-    return [a for a in mapping_auts if p.relabel(a.as_dict()) == p]
+    return [a for a in mapping_auts if relabel(p, a.as_dict()) == p]
 
 
 def _structure_orbits(wg: WeightedGraph):
@@ -258,7 +306,7 @@ def _structure_orbits(wg: WeightedGraph):
     for p in structs:  # canonical order: the first uncovered structure is its orbit's least
         if p not in remaining:
             continue
-        images = [p.relabel(a.as_dict()) for a in auts]
+        images = [relabel(p, a.as_dict()) for a in auts]
         assert remaining.issuperset(images)
         remaining.difference_update(images)
         orbits.append((p, tuple(a for a, q in zip(auts, images) if q == p)))
@@ -318,7 +366,7 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
         cell_of, carriers = {}, {}
         for c in cells_of[wg]:
             for t, t_inv in auts:
-                q = c.preorder.relabel(t)
+                q = relabel(c.preorder, t)
                 cell_of.setdefault(q, c)
                 carriers.setdefault((c.index, q), []).append(t_inv)
         for _ in range(budget):

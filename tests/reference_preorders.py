@@ -13,7 +13,12 @@ they are the reference the row versions are tested against.
 ``is_lower_set``, ``restrict`` and ``contains`` are all that is left of
 the three ``Preorder`` methods of those names, which the specialization
 check used before it ran on rows; ``contains`` is the row method copied
-verbatim.
+verbatim.  ``lower_sets`` (with ``_transpose``) and ``relabel`` are the
+row methods copied verbatim once the library stopped calling them:
+specializations read lower sets off the faces of the structure cone
+(``enriched._faces``), and the census moves rows by edge-index tables.
+``roots`` is ``QuotientPoset.roots``, the minimal classes read off
+``less``, which no library code called.
 
 ``all_preorders`` enumerates every preorder on a small ground set by
 brute force; enumeration and validation are tested against it.
@@ -24,7 +29,7 @@ from __future__ import annotations
 import itertools
 
 from enrichfan.errors import UnknownLabelError
-from enrichfan.graphs import label_key, sort_labels
+from enrichfan.graphs import bits, label_key, sort_labels
 from enrichfan.preorders import Preorder, QuotientPoset, _closed
 from reference_lattices import EQ, GE, GT, Halfspace
 
@@ -76,15 +81,20 @@ def is_upper_set(self, s) -> bool:
     return all(not (self.leq(a, b) and b not in s) for a in s for b in self._labels)
 
 
+def _transpose(rows) -> list:
+    """Down-set rows: bit ``j`` of row ``i`` is set when bit ``i`` of ``rows[j]`` is."""
+    below = [0] * len(rows)
+    for j, row in enumerate(rows):
+        for i in bits(row):
+            below[i] |= 1 << j
+    return below
+
+
 def lower_sets(self) -> list:
     """All lower sets, canonically ordered; exponential scan of subsets."""
     labels = self._labels
     n = len(labels)
-    below = [0] * n  # bit j of below[i]: ground[j] ≼ ground[i]
-    for j, row in enumerate(self._rows):
-        for i in range(n):
-            if row >> i & 1:
-                below[i] |= 1 << j
+    below = _transpose(self._rows)
     out = []
     for k in range(n + 1):
         for sub in itertools.combinations(range(n), k):
@@ -144,6 +154,33 @@ def contains(self, other) -> bool:
     return all(o & ~s == 0 for s, o in zip(self._rows, other._rows))
 
 
+def relabel(self, mapping) -> "Preorder":
+    """Transport the preorder along a label bijection.
+
+    The rows are moved bit by bit; a bijection keeps them closed.
+    """
+    images = [mapping[a] for a in self._labels]
+    if self._index.keys() == set(images):  # a permutation keeps the ground set
+        labels, index = self._labels, self._index
+    else:
+        labels = sort_labels(images)
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != len(labels):
+            raise ValueError("relabelling must be injective")
+    new = [index[b] for b in images]
+    rows = [0] * len(labels)
+    for i, row in enumerate(self._rows):
+        for j in bits(row):
+            rows[new[i]] |= 1 << new[j]
+    return Preorder._family(labels, [tuple(rows)])[0]
+
+
+def roots(q: QuotientPoset) -> tuple:
+    """Indices of the minimal classes of ``q``: those no class lies below."""
+    above = {j for _, j in q.less}
+    return tuple(i for i in range(len(q.classes)) if i not in above)
+
+
 def quotient(self) -> QuotientPoset:
     classes_ = classes(self)
     reps = [min(c, key=label_key) for c in classes_]
@@ -198,7 +235,7 @@ def _structure_halfspaces(eg, strict: bool) -> tuple:
     rel = GT if strict else GE
     for i, j in q.hasse:
         hs.append(Halfspace(diff(q.classes[j][0], q.classes[i][0]), rel))
-    for i in q.roots():
+    for i in roots(q):
         unit = tuple(1 if t == pos[q.classes[i][0]] else 0 for t in range(n))
         hs.append(Halfspace(unit, rel))
     return tuple(hs)

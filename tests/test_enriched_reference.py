@@ -173,6 +173,18 @@ def test_specializations_match_reference_corpus_and_wheel():
     assert_same_specializations(structs[:2] + structs[-2:] + random.Random(9).sample(structs, 4))
 
 
+def test_specializations_match_the_face_loop_they_were_split_from():
+    """``specializations`` reads the face table ``_faces`` and gives the same
+    specializations in the same order as the face loop it was split from, on
+    every structure of the corpus, C5 and K4 and a seeded sample of W4's."""
+    graphs = {**corpus.corpus_graphs(), "c5": cycle(5), "k4": k4(), "w4": wheel4()}
+    for name, g in graphs.items():
+        structs = enriched_structures(g)
+        for eg in structs if len(structs) <= 700 else random.Random(29).sample(structs, 60):
+            got, want = specializations(eg), ref.face_specializations(eg)
+            assert specialization_keys(got) == specialization_keys(want), (name, eg.preorder)
+
+
 def test_specializations_never_enter_the_recursion_core(monkeypatch):
     graphs = {**corpus.corpus_graphs(), "c5": cycle(5), "k4": k4()}
     structs = {name: enriched_structures(g) for name, g in graphs.items()}

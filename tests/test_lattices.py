@@ -102,6 +102,12 @@ class TestLatticeQuotient:
         assert lq.rank == 0
         assert lq.project((5, 7)) == (5, 7)
 
+    def test_a_projection_that_keeps_a_generator_raises(self, monkeypatch):
+        # the kernel check is a raise, not an assert that ``python -O`` strips
+        monkeypatch.setattr(LatticeQuotient, "project", lambda self, vec: (1,))
+        with pytest.raises(RuntimeError, match="does not kill every generator"):
+            LatticeQuotient.from_generators(("a", "b"), [(1, 1)])
+
 
 @settings(max_examples=60)
 @given(

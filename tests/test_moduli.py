@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +11,7 @@ from conftest import zero_weights
 from enrichfan import corpus, enriched, graphs, moduli
 from enrichfan.errors import GuardExceededError
 from enrichfan.enriched import canonical_structure, enriched_structures
-from enrichfan.graphs import EdgePermutation, automorphisms, genus, is_stable, label_key
+from enrichfan.graphs import EdgePermutation, MultiGraph, automorphisms, genus, is_stable, label_key
 from enrichfan.moduli import (
     cell_adjacency,
     check_unique_lifts,
@@ -18,6 +22,7 @@ from enrichfan.moduli import (
 )
 from enrichfan.preorders import Preorder
 from reference_moduli import aut_enriched
+from reference_preorders import lower_sets, relabel
 
 
 def graph_shape(wg):
@@ -135,7 +140,7 @@ class TestCells:
     def test_aut_preserves_preorder(self):
         for c in enumerate_cells(2):
             for a in c.aut:
-                assert c.preorder.relabel(a.as_dict()) == c.preorder
+                assert relabel(c.preorder, a.as_dict()) == c.preorder
 
     def test_census_raises_when_a_move_leaves_the_structures(self, monkeypatch):
         # a genus-3 graph with an edge transposition, no automorphism, that
@@ -145,7 +150,7 @@ class TestCells:
             labels = wg.graph.edge_labels
             structs = [eg.preorder for eg in enriched_structures(wg.graph)]
             swaps = [{**dict(zip(labels, labels)), a: b, b: a} for a, b in itertools.combinations(labels, 2)]
-            off = [t for t in swaps if structs[0].relabel(t) not in structs]
+            off = [t for t in swaps if relabel(structs[0], t) not in structs]
             if off:
                 break
         planted = EdgePermutation(tuple(off[0].items()), ())
@@ -251,7 +256,7 @@ class TestClassification:
 
 class TestContractions:
     def test_adjacency_contracts_each_lower_set_once(self, monkeypatch):
-        cells = enumerate_cells(2)
+        # once per (weighted graph, lower set) in the whole call, not once per cell
         calls = []
         real = graphs.contract
 
@@ -262,8 +267,58 @@ class TestContractions:
         # every module that calls contract on this path holds its own name for it
         monkeypatch.setattr(graphs, "contract", counted)
         monkeypatch.setattr(enriched, "contract", counted)
-        cell_adjacency(cells)
-        assert len(calls) == sum(len(c.preorder.lower_sets()) for c in cells)
+        monkeypatch.setattr(moduli, "contract", counted)
+        for g in (2, 3):
+            cells = enumerate_cells(g)
+            calls.clear()
+            cell_adjacency(cells)
+            assert len(calls) == len({(c.weighted, s) for c in cells for s in lower_sets(c.preorder)})
+            assert len(calls) < sum(len(lower_sets(c.preorder)) for c in cells)
+
+
+def planted_census(kind: str) -> list:
+    """The genus-2 census with one more maximal cell, of dimension 3: the
+    triangle with its discrete structure (not trivalent), or K4 with three
+    classes of two edges each (trivalent, not generic)."""
+    cells = enumerate_cells(2)
+    if kind == "trivalent":
+        graph = corpus.triangle()
+        p = Preorder.discrete(graph.edge_labels)
+    else:
+        graph = MultiGraph("abcd", {u + v: (u, v) for i, u in enumerate("abcd") for v in "abcd"[i + 1 :]})  # K4
+        a, b, c, d, e, f = graph.edge_labels
+        p = Preorder.from_relations(graph.edge_labels, [(a, b), (b, a), (c, d), (d, c), (e, f), (f, e)])
+    planted = enriched._trusted(moduli.ModuliCell, index=len(cells), weighted=zero_weights(graph), preorder=p, genus=2, aut=())
+    return cells + [planted]
+
+
+class TestCensusChecks:
+    """The maximal-cell checks of ``classify_census`` raise, so ``python -O``
+    keeps them."""
+
+    @pytest.mark.parametrize("kind", ["trivalent", "generic"])
+    def test_a_planted_maximal_cell_raises(self, kind):
+        cells = planted_census(kind)
+        with pytest.raises(RuntimeError, match=f"maximal cell {len(cells) - 1} is not {kind}"):
+            classify_census(cells, {})
+
+    def test_both_raise_with_asserts_stripped(self):
+        script = (
+            "from test_moduli import classify_census, planted_census\n"
+            "assert False, 'asserts are not stripped'\n"
+            "for kind in ('trivalent', 'generic'):\n"
+            "    try:\n"
+            "        classify_census(planted_census(kind), {})\n"
+            "    except RuntimeError as exc:\n"
+            "        print(exc)\n"
+        )
+        here = pathlib.Path(__file__).resolve().parent
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)])),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "maximal cell 9 is not trivalent\nmaximal cell 9 is not generic\n"
 
 
 def cell_specializes_to(a, b) -> bool:
@@ -371,7 +426,7 @@ class TestExplicitLift:
             c
             for c in theta_cells
             if any(
-                located.preorder.relabel(iso.as_dict()) == c.preorder
+                relabel(located.preorder, iso.as_dict()) == c.preorder
                 for iso in weighted_isomorphisms(wg, c.weighted)
             )
         ]
@@ -404,7 +459,7 @@ def least_remaining_cells(g):
         remaining = {eg.preorder for eg in enriched_structures(wg.graph)}
         while remaining:
             p = min(remaining, key=lambda q: sorted((label_key(a), label_key(b)) for a, b in q.pairs()))
-            remaining -= {p.relabel(a.as_dict()) for a in auts}
+            remaining -= {relabel(p, a.as_dict()) for a in auts}
             out.append((len(out), wg, p))
     return out
 

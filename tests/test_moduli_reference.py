@@ -24,6 +24,7 @@ from enrichfan.moduli import (
     enumerate_stable_weighted_graphs,
 )
 from enrichfan.preorders import Preorder
+from reference_preorders import relabel
 
 # mixed int and string labels, so label order differs from index order
 VERTEX_NAMES = [0, 3, 7, "a", "q", "v10", "v2", "z"]
@@ -45,7 +46,7 @@ def relabelled_cells(cells, seed: int) -> list:
     out = []
     for c in cells:
         wg, emap = relabelled(c.weighted, rng)
-        p = c.preorder.relabel(emap)
+        p = relabel(c.preorder, emap)
         out.append(ModuliCell(c.index, wg, p, c.genus, tuple(ref.aut_enriched(wg, p))))
     return out
 
@@ -168,14 +169,14 @@ class TestCensusWalk:
         assert calls == [c.preorder]
 
     def test_census_gluing_and_lifts_move_no_preorder_by_labels(self, monkeypatch):
+        # ``Preorder`` has no ``relabel`` any more; one planted on it must stay unused
         calls = []
-        real = Preorder.relabel
 
         def counted(p, mapping):
             calls.append(p)
-            return real(p, mapping)
+            return relabel(p, mapping)
 
-        monkeypatch.setattr(Preorder, "relabel", counted)
+        monkeypatch.setattr(Preorder, "relabel", counted, raising=False)
         cells = enumerate_cells(3)
         cell_adjacency(cells)
         check_unique_lifts(2, n_points=60)
@@ -188,7 +189,7 @@ def k33() -> MultiGraph:
 
 
 class TestMover:
-    """``_mover`` moves rows as ``Preorder.relabel`` moves a preorder."""
+    """``_mover`` moves rows as ``relabel`` moves a preorder."""
 
     def test_genus_three_structures_under_their_automorphisms(self):
         moved = 0
@@ -198,7 +199,7 @@ class TestMover:
             for a in automorphisms(wg):
                 move = _mover(labels, a.as_dict(), labels)
                 for p in structs:
-                    assert move(p.rows) == p.relabel(a.as_dict()).rows
+                    assert move(p.rows) == relabel(p, a.as_dict()).rows
                     moved += 1
         assert moved > 10_000
 
@@ -210,7 +211,7 @@ class TestMover:
                 key, to_frame = _frame_map(c.weighted)
                 labels = _graph_from_key(key).graph.edge_labels
                 move = _mover(c.weighted.graph.edge_labels, to_frame, labels)
-                assert move(c.preorder.rows) == c.preorder.relabel(to_frame).rows
+                assert move(c.preorder.rows) == relabel(c.preorder, to_frame).rows
 
     def test_k33_sample_under_its_72_automorphisms(self):
         g = k33()
@@ -219,7 +220,7 @@ class TestMover:
         sample = random.Random(3303).sample([eg.preorder for eg in enriched_structures(g)], 2000)
         for a in auts:
             move = _mover(g.edge_labels, a.as_dict(), g.edge_labels)
-            assert [move(p.rows) for p in sample] == [p.relabel(a.as_dict()).rows for p in sample]
+            assert [move(p.rows) for p in sample] == [relabel(p, a.as_dict()).rows for p in sample]
 
 
 def genus_three_sample(count: int = 12, seed: int = 3301) -> list:
@@ -256,6 +257,35 @@ class TestAdjacency:
         for a in sample:
             for b in sample:
                 assert (b.index in cell_adjacency([a, b])[a.index]) == ref.cell_specializes_to(a, b)
+
+
+class TestFaceTableGluing:
+    """The gluing on face tables against the key-table gluing it replaced,
+    which built every specialization and framed each lower set per cell."""
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_same_adjacency(self, g):
+        cells = enumerate_cells(g)
+        assert cell_adjacency(cells) == ref.key_table_cell_adjacency(cells)
+
+    def test_same_adjacency_on_relabelled_genus_two_cells(self):
+        cells = relabelled_cells(enumerate_cells(2), 80)
+        assert cell_adjacency(cells) == ref.key_table_cell_adjacency(cells)
+
+    def test_same_genus_two_classification(self):
+        assert classify_cells(2) == ref.key_table_classify_cells(2)
+
+    def test_adjacency_builds_no_specialization(self, monkeypatch):
+        cells = enumerate_cells(3)
+
+        def refuse(*args):
+            raise AssertionError("the gluing built a specialization or a preorder")
+
+        monkeypatch.setattr(enriched, "specializations", refuse)
+        monkeypatch.setattr(moduli, "specializations", refuse, raising=False)
+        monkeypatch.setattr(Preorder, "_family", staticmethod(refuse))
+        adjacency = cell_adjacency(cells)
+        assert sum(map(len, adjacency.values())) > len(cells)
 
 
 class TestClassification:

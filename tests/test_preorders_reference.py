@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import reference_preorders as ref
 from enrichfan import corpus
 from enrichfan.cones import closed_structure_cone, ray_generators, structure_cone
-from enrichfan.enriched import enriched_structures
+from enrichfan.enriched import _faces, enriched_structures
 from enrichfan.errors import UnknownLabelError
 from enrichfan.preorders import Preorder
 from reference_lattices import halfspaces_of
@@ -37,10 +37,11 @@ def _assert_same(p, subsets):
     assert p.classes() == ref.classes(p)
     assert p.rank == ref.rank(p)
     assert p.is_partial_order() == ref.is_partial_order(p)
-    assert p.lower_sets() == ref.lower_sets(p)
+    lower = set(ref.lower_sets(p))
+    faces = _faces(p.rows)  # keyed by lower set, one target per face
+    assert set(faces) == {p._mask(s) for s in lower} and sum(map(len, faces.values())) == 2 ** p.rank
     assert p.irreducible_upper_sets() == ref.irreducible_upper_sets(p)
     assert p.quotient() == ref.quotient(p)
-    lower = set(p.lower_sets())
     for s in subsets:
         assert _raised(p.is_upper_set, s) == _raised(ref.is_upper_set, p, s)
         if set(s) <= set(p.ground):  # the enumeration agrees with the definition
