@@ -26,7 +26,7 @@ more edges merges the ends of the edges outside K, with ``graphs._roots``;
 nothing is cached between calls.  The consumers differ only in the bottoms
 they offer: every nonempty subset (enumeration), the rows equal to the
 mask (validation, which accepts when it rebuilds the given structure) or
-the argmin set (location).
+the argmin set (location, ``_located_rows``).
 
 Specializations need no recursion: ``_faces`` reads the faces of the
 closed structure cone into one table, lower-set mask to packed target
@@ -108,9 +108,9 @@ def _rows(ends: tuple, mask: int, bottoms, memo: dict) -> list:
     return found
 
 
-def _structure_rows(g: MultiGraph, bottoms) -> list:
-    ends = edge_ends(g)
-    return _rows(ends, (1 << len(ends)) - 1, bottoms, {})
+def _structure_rows(ends: tuple, bottoms) -> list:
+    """The rows of the structures ``_rows`` builds on the graph with ``ends``, ordered."""
+    return _ordered_rows(_rows(ends, (1 << len(ends)) - 1, bottoms, {}), len(ends))
 
 
 def _ordered_rows(found: list, n: int) -> list:
@@ -163,6 +163,11 @@ def _argmin(values: list):
     return bottoms
 
 
+def _located_rows(ends: tuple, values) -> tuple:
+    """The rows ``locate`` finds at positive integers ``values`` in edge-index order."""
+    return _structure_rows(ends, _argmin(values))[0]
+
+
 def is_enriched(g: MultiGraph, p: Preorder) -> bool:
     """Decide the recursive conditions for ``p`` to enrich ``g``.
 
@@ -172,13 +177,12 @@ def is_enriched(g: MultiGraph, p: Preorder) -> bool:
     """
     if p.ground != g.edge_labels:
         raise GroundSetMismatchError("preorder ground set must equal the edge set")
-    w = (len(p.rows) + 7) & -8
-    return _structure_rows(g, _bottoms_of(p.rows)) == [sum(row << w * i for i, row in enumerate(p.rows))]
+    return _structure_rows(edge_ends(g), _bottoms_of(p.rows)) == [p.rows]
 
 
 def enriched_structures(g: MultiGraph) -> list:
     """Every enriched structure on ``g``, each exactly once."""
-    rows = _ordered_rows(_structure_rows(g, _nonempty_submasks), g.n_edges)
+    rows = _structure_rows(edge_ends(g), _nonempty_submasks)
     out = []
     for p in Preorder._family(g.edge_labels, rows):  # _trusted, unrolled: this runs once per structure
         eg = object.__new__(EnrichedGraph)
@@ -328,5 +332,4 @@ def locate(g: MultiGraph, x) -> EnrichedGraph:
     for e, v in zip(g.edge_labels, values):
         if v <= 0:
             raise ValueError(f"coordinate of {e!r} must be strictly positive")
-    rows = _ordered_rows(_structure_rows(g, _argmin(values)), g.n_edges)
-    return _trusted(EnrichedGraph, graph=g, preorder=Preorder._family(g.edge_labels, rows)[0])
+    return _trusted(EnrichedGraph, graph=g, preorder=Preorder._family(g.edge_labels, [_located_rows(edge_ends(g), values)])[0])

@@ -15,6 +15,8 @@ Weighted-graph isomorphism is decided by one search,
 ``_canonical_orderings``: it gives the canonical key that ``moduli`` files
 its census and frames under, and the orderings attaining it, from which
 ``weighted_isomorphisms`` and ``automorphisms`` read every isomorphism.
+They match edges on indices, each edge map a tuple of image indices, and
+label the maps once sorted (``edge_labels`` is in label order).
 """
 
 from __future__ import annotations
@@ -524,29 +526,6 @@ class EdgePermutation(_Value):
         return all(a == b for a, b in self.edge_map)
 
 
-def _parallel_classes(g: MultiGraph) -> dict:
-    """The label-sorted edges between each pair of ends, in order of the ends."""
-    classes = {}
-    for e in g.edge_labels:
-        classes.setdefault(g.ends(e), []).append(e)
-    keyed = sorted(classes.items(), key=lambda t: (label_key(t[0][0]), label_key(t[0][1])))
-    return {ends: sort_labels(es) for ends, es in keyed}
-
-
-def _edge_extensions(classes1: dict, classes2: dict, vmap: dict):
-    """All edge bijections over a vertex bijection, permuting parallel classes
-    (both graphs' classes as :func:`_parallel_classes` gives them)."""
-    per_class = []
-    for (u, v), src in classes1.items():
-        dst = classes2.get(tuple(sorted((vmap[u], vmap[v]), key=label_key)), ())
-        if len(dst) != len(src):
-            return
-        per_class.append([tuple(zip(src, perm)) for perm in itertools.permutations(dst)])
-    for combo in itertools.product(*per_class):
-        pairs = tuple(sorted((p for group in combo for p in group), key=lambda t: label_key(t[0])))
-        yield pairs
-
-
 def _canonical_orderings(weights: tuple, ends) -> tuple:
     """The canonical key of a weighted graph on vertex indices, and every ordering giving it.
 
@@ -580,27 +559,34 @@ def weighted_isomorphisms(wg1: WeightedGraph, wg2: WeightedGraph) -> list:
 
     An isomorphism takes ``wg1`` to ``wg2``'s canonical key along one of
     ``wg1``'s key orderings and back along the first of ``wg2``'s, and every
-    isomorphism arises so exactly once.  An edge bijection over several
-    vertex bijections keeps the one whose images, in vertex order, are least.
+    isomorphism arises so exactly once, carrying each parallel class onto
+    its image in every order.  An edge map over several vertex bijections
+    keeps the one whose images, in vertex order, are least.
     """
-    def search(wg):
-        return _canonical_orderings(tuple(map(wg.weight, wg.graph.vertices)), edge_ends(wg.graph))
-
-    key1, found = search(wg1)
-    key2, found2 = (key1, found) if wg2 is wg1 else search(wg2)
+    g1, g2 = wg1.graph, wg2.graph
+    ends1 = edge_ends(g1)
+    ends2 = ends1 if wg2 is wg1 else edge_ends(g2)
+    key1, found = _canonical_orderings(tuple(map(wg1.weight, g1.vertices)), ends1)
+    key2, found2 = (key1, found) if wg2 is wg1 else _canonical_orderings(tuple(map(wg2.weight, g2.vertices)), ends2)
     if key1 != key2:
         return []
-    vs1, vs2 = wg1.graph.vertices, wg2.graph.vertices
-    classes1 = _parallel_classes(wg1.graph)
-    classes2 = classes1 if wg2 is wg1 else _parallel_classes(wg2.graph)
+    classes1, classes2 = {}, {}
+    for classes, ends in ((classes1, ends1), (classes2, ends2)):
+        for i, pair in enumerate(ends):
+            classes.setdefault(pair, []).append(i)
+    classes2.update({(v, u): c for (u, v), c in classes2.items()})  # either way round
+    order = [i for src in classes1.values() for i in src]  # the classes' edges in turn
+    slot = sorted(range(len(order)), key=order.__getitem__)  # edge i is order[slot[i]]
     back = {p: j for j, p in enumerate(found2[0])}
     seen = {}
     for pos in found:
         images = tuple(back[p] for p in pos)
-        for pairs in _edge_extensions(classes1, classes2, {v: vs2[j] for v, j in zip(vs1, images)}):
-            seen[pairs] = min(seen.get(pairs, images), images)
-    ordered = sorted(seen.items(), key=lambda kv: tuple((label_key(a), label_key(b)) for a, b in kv[0]))
-    return [EdgePermutation(pairs, tuple(zip(vs1, (vs2[j] for j in images)))) for pairs, images in ordered]
+        for combo in itertools.product(*(itertools.permutations(classes2[images[u], images[v]]) for u, v in classes1)):
+            flat = sum(combo, ())
+            edges = tuple(map(flat.__getitem__, slot))
+            seen[edges] = min(seen.get(edges, images), images)
+    labels2, vs2 = g2.edge_labels, g2.vertices
+    return [EdgePermutation(tuple(zip(g1.edge_labels, map(labels2.__getitem__, m))), tuple(zip(g1.vertices, map(vs2.__getitem__, seen[m])))) for m in sorted(seen)]
 
 
 def automorphisms(wg: WeightedGraph) -> list:

@@ -27,8 +27,9 @@ structure of its orbit together with the automorphisms carrying that one
 onto it.  ``enumerate_cells`` reads each orbit's least structure and its
 stabilizer off the map, and ``check_unique_lifts`` reads its cell lookup
 and carriers off the same map, moving points scaled to integers by edge
-index permutations.  Census cells, like the structures the recursion
-core builds, are correct by construction and skip the checks of the
+index permutations and locating them in the recursion core on edge
+indices (``enriched._located_rows``).  Census cells, like the core's
+structures, are correct by construction and skip the checks of the
 public ``ModuliCell`` and ``EnrichedGraph`` constructors.
 
 The gluing goes through one table scoped to a call (``_cell_table``):
@@ -45,10 +46,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .cones import containing, structure_cone
-from .enriched import EnrichedGraph, _faces, _trusted, enriched_structures, locate
+from .enriched import EnrichedGraph, _faces, _located_rows, _trusted, enriched_structures
 from .errors import GuardExceededError
 from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, _Value, _roots, automorphisms, contract, contracted_weights, edge_ends
 from .preorders import Preorder
@@ -463,34 +464,35 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
     enriched structure, which is matched back to its cell representative.
     All translates must produce one and the same (cell, orbit point) pair.
 
-    Each point is scaled to integers by the lcm of its denominators, a
-    positive factor that leaves the located structure, cone membership and
-    the order and equality of coordinate tuples unchanged; automorphisms
-    act on it as edge index permutations.  Failures record the sampled
-    ``Fraction`` vector.
+    Points are drawn as reduced fractions and scaled to integers, which
+    keeps every located structure, cone and orbit point; failures record
+    the ``Fraction`` vector.
     """
+    if n_points < 0:
+        raise ValueError(f"n_points must be nonnegative, got {n_points}")
     census = [walked for walked in _census(g) if walked[0].graph.n_edges]
     rng = random.Random(seed)
     per_graph = [n_points // len(census) + (1 if i < n_points % len(census) else 0) for i in range(len(census))]
     failures = []
-    checked = 0
     for (wg, auts, structs, orbit), budget in zip(census, per_graph):
-        graph = wg.graph
-        labels = graph.edge_labels
+        labels = wg.graph.edge_labels
+        ends = edge_ends(wg.graph)
         perms = [_images(labels, a.as_dict(), labels) for a in auts]  # auts[k] takes edge i to perms[k][i]
         pushes = [sorted(range(len(labels)), key=perm.__getitem__) for perm in perms]  # their inverses
         cones = [structure_cone(eg) for eg in structs]
         for _ in range(budget):
-            vec = tuple([Fraction(rng.randint(1, 256), rng.randint(1, 64)) for _ in labels])
-            scale = lcm(*(v.denominator for v in vec))
-            x = [v.numerator * (scale // v.denominator) for v in vec]
+            draws = [(rng.randint(1, 256), rng.randint(1, 64)) for _ in labels]
+            draws = [(num // d, den // d) for num, den in draws for d in [gcd(num, den)]]
+            scale = lcm(*(den for _, den in draws))
+            x = [num * (scale // den) for num, den in draws]
             lifts = set()
+            bad = []
             for back in pushes:
                 y = tuple([x[i] for i in back])  # x pushed forward: y[perms[k][i]] = x[i]
-                p = locate(graph, dict(zip(labels, y))).preorder.rows
+                p = _located_rows(ends, y)
                 hits = [structs[i].preorder.rows for i in containing(cones, y)]
                 if hits != [p]:
-                    failures.append((repr(wg), vec, "open cones not disjoint"))
+                    bad.append("open cones not disjoint")
                     continue
                 rep, carriers = orbit[p]
                 # y pulled back along each automorphism carrying the representative onto p
@@ -498,10 +500,12 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
                 stabilizer = [perms[k] for k in orbit[rep.rows][1]]
                 cands = {min(tuple([z[j] for j in a]) for a in stabilizer) for z in pulled}
                 if len(cands) != 1:
-                    failures.append((repr(wg), vec, "orbit point not well defined"))
+                    bad.append("orbit point not well defined")
                     continue
                 lifts.add((rep, cands.pop()))
             if len(lifts) != 1:
-                failures.append((repr(wg), vec, f"{len(lifts)} lifts"))
-            checked += 1
-    return LiftReport(g, checked, tuple(failures))
+                bad.append(f"{len(lifts)} lifts")
+            if bad:
+                vec = tuple([Fraction(num, den) for num, den in draws])
+                failures += [(repr(wg), vec, why) for why in bad]
+    return LiftReport(g, sum(per_graph), tuple(failures))

@@ -11,6 +11,13 @@ parallel classes prebuilt: it rebuilds them for every vertex map.  The
 no longer has, ``parallel_count`` and ``induced``, are copied verbatim
 with ``self`` as an argument.
 
+``sorted_label_isomorphisms`` is the canonical-key search as it ran before
+it matched edges on indices, copied verbatim under a new name with its
+helpers ``_parallel_classes`` and ``_class_extensions`` (the latter
+``_edge_extensions`` renamed, the name above being taken): it keys the
+parallel classes by vertex labels and sorts every edge map by
+``label_key``.
+
 The rest is every vertex merge as it was decided before one union-find
 (``graphs._roots``) took them all over.  ``contraction_classes`` is copied
 verbatim, with its own union-find on vertex ids.  ``MultiGraph`` kept an
@@ -32,7 +39,7 @@ from __future__ import annotations
 import itertools
 
 from enrichfan.errors import DisconnectedGraphError, NotABondError, UnknownVertexError
-from enrichfan.graphs import EdgePermutation, MultiGraph, WeightedGraph, _one_block, contract, label_key, sort_labels
+from enrichfan.graphs import EdgePermutation, MultiGraph, WeightedGraph, _canonical_orderings, _one_block, contract, edge_ends, label_key, sort_labels
 
 
 def parallel_count(self: MultiGraph, u, v) -> int:
@@ -112,6 +119,57 @@ def _edge_extensions(g1: MultiGraph, g2: MultiGraph, vmap: dict):
             return
         src = sort_labels(src)
         per_class.append([tuple(zip(src, perm)) for perm in itertools.permutations(sort_labels(dst))])
+    for combo in itertools.product(*per_class):
+        pairs = tuple(sorted((p for group in combo for p in group), key=lambda t: label_key(t[0])))
+        yield pairs
+
+
+def sorted_label_isomorphisms(wg1: WeightedGraph, wg2: WeightedGraph) -> list:
+    """All edge bijections induced by isomorphisms ``wg1 -> wg2``, deduplicated.
+
+    An isomorphism takes ``wg1`` to ``wg2``'s canonical key along one of
+    ``wg1``'s key orderings and back along the first of ``wg2``'s, and every
+    isomorphism arises so exactly once.  An edge bijection over several
+    vertex bijections keeps the one whose images, in vertex order, are least.
+    """
+    def search(wg):
+        return _canonical_orderings(tuple(map(wg.weight, wg.graph.vertices)), edge_ends(wg.graph))
+
+    key1, found = search(wg1)
+    key2, found2 = (key1, found) if wg2 is wg1 else search(wg2)
+    if key1 != key2:
+        return []
+    vs1, vs2 = wg1.graph.vertices, wg2.graph.vertices
+    classes1 = _parallel_classes(wg1.graph)
+    classes2 = classes1 if wg2 is wg1 else _parallel_classes(wg2.graph)
+    back = {p: j for j, p in enumerate(found2[0])}
+    seen = {}
+    for pos in found:
+        images = tuple(back[p] for p in pos)
+        for pairs in _class_extensions(classes1, classes2, {v: vs2[j] for v, j in zip(vs1, images)}):
+            seen[pairs] = min(seen.get(pairs, images), images)
+    ordered = sorted(seen.items(), key=lambda kv: tuple((label_key(a), label_key(b)) for a, b in kv[0]))
+    return [EdgePermutation(pairs, tuple(zip(vs1, (vs2[j] for j in images)))) for pairs, images in ordered]
+
+
+def _parallel_classes(g: MultiGraph) -> dict:
+    """The label-sorted edges between each pair of ends, in order of the ends."""
+    classes = {}
+    for e in g.edge_labels:
+        classes.setdefault(g.ends(e), []).append(e)
+    keyed = sorted(classes.items(), key=lambda t: (label_key(t[0][0]), label_key(t[0][1])))
+    return {ends: sort_labels(es) for ends, es in keyed}
+
+
+def _class_extensions(classes1: dict, classes2: dict, vmap: dict):
+    """All edge bijections over a vertex bijection, permuting parallel classes
+    (both graphs' classes as :func:`_parallel_classes` gives them)."""
+    per_class = []
+    for (u, v), src in classes1.items():
+        dst = classes2.get(tuple(sorted((vmap[u], vmap[v]), key=label_key)), ())
+        if len(dst) != len(src):
+            return
+        per_class.append([tuple(zip(src, perm)) for perm in itertools.permutations(dst)])
     for combo in itertools.product(*per_class):
         pairs = tuple(sorted((p for group in combo for p in group), key=lambda t: label_key(t[0])))
         yield pairs

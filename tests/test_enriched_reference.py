@@ -3,7 +3,8 @@ and against its own ``(mask, ends)``-keyed form, its packed rank order
 against the byte-key sort it replaced,
 specialization and the poset DOT against the code that filtered every
 structure of each contraction, specialization against ``locate`` at the
-barycentre of each face, and the core against closed-form counts."""
+barycentre of each face, ``locate`` against its core on edge indices
+(``_located_rows``), and the core against closed-form counts."""
 
 import itertools
 import math
@@ -22,6 +23,7 @@ from enrichfan.enriched import (
     Specialization,
     _argmin,
     _bottoms_of,
+    _located_rows,
     _nonempty_submasks,
     _ordered_rows,
     _trusted,
@@ -33,6 +35,7 @@ from enrichfan.enriched import (
 from enrichfan.errors import UnknownLabelError
 from enrichfan.formats import specialization_poset_dot
 from enrichfan.graphs import MultiGraph, biconnected_components, contract, edge_ends
+from enrichfan.moduli import enumerate_stable_weighted_graphs
 from enrichfan.preorders import Preorder
 from reference_preorders import all_preorders
 from test_toric_reference import k4, wheel4
@@ -140,6 +143,22 @@ def test_locate_reads_every_coordinate_type_alike():
             points.append({e: (int, str, Fraction)[i % 3](v) for i, (e, v) in enumerate(scaled.items())})
             for point in points:
                 assert locate(g, point).preorder == want, (g, point)
+
+
+def test_located_rows_is_locate_on_edge_indices():
+    """The location core on vertex-index ends and an integer vector in
+    edge-index order gives the rows ``locate`` gives, on the corpus, C5, K4
+    and every genus-2 and genus-3 stable graph, at seeded points drawn from
+    pools of one to four values, so that most coordinates tie."""
+    rng = random.Random(3030)
+    graphs = list(corpus.corpus_graphs().values()) + [cycle(5), k4()]
+    graphs += [wg.graph for genus in (2, 3) for wg in enumerate_stable_weighted_graphs(genus)]
+    for g in graphs:
+        ends = edge_ends(g)
+        for trial in range(8):
+            pool = [rng.randint(1, 12) for _ in range(1 + trial % 4)]
+            x = [rng.choice(pool) for _ in ends]
+            assert _located_rows(ends, x) == locate(g, dict(zip(g.edge_labels, x))).preorder.rows, (g, x)
 
 
 def test_locate_rejects_zero_and_negative_coordinates_of_every_type():

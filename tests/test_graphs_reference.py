@@ -1,10 +1,11 @@
 """``weighted_isomorphisms`` and ``automorphisms``, read off the canonical-key
-orderings, against the backtracking search they replaced
-(``reference_graphs``), and the vertex cap of the shared search; and every
-vertex merge on the union-find ``graphs._roots`` (contraction classes,
-components, incidence, bond checks) against the code it replaced; and
-``good_contraction_sequence``, deciding each subset on edge masks, against
-its copy that contracted every subset."""
+orderings and matching edges on indices, against the backtracking search
+and the label-sorting key search they replaced (``reference_graphs``):
+the same edge maps, vertex maps and order; and the vertex cap of the
+shared search; and every vertex merge on the union-find ``graphs._roots``
+(contraction classes, components, incidence, bond checks) against the
+code it replaced; and ``good_contraction_sequence``, deciding each subset
+on edge masks, against its copy that contracted every subset."""
 
 import itertools
 import random
@@ -62,13 +63,16 @@ def maps(isos) -> list:
 
 
 def assert_same(wg1, wg2):
-    assert maps(weighted_isomorphisms(wg1, wg2)) == maps(ref.weighted_isomorphisms(wg1, wg2))
+    got = maps(weighted_isomorphisms(wg1, wg2))
+    assert got == maps(ref.weighted_isomorphisms(wg1, wg2))
+    assert got == maps(ref.sorted_label_isomorphisms(wg1, wg2))
 
 
 @pytest.mark.parametrize("wg", stable_graphs() + named_graphs())
 def test_automorphisms_match_reference(wg):
     got = automorphisms(wg)
     assert got and maps(got) == maps(ref.weighted_isomorphisms(wg, wg))
+    assert maps(got) == maps(ref.sorted_label_isomorphisms(wg, wg))
 
 
 @pytest.mark.parametrize("wg", named_graphs())
@@ -93,6 +97,7 @@ def test_stable_graphs_pairwise_match_reference():
                 got = weighted_isomorphisms(wg, copy)
                 assert bool(got) == (i == j)
                 assert maps(got) == maps(ref.weighted_isomorphisms(wg, copy))
+                assert maps(got) == maps(ref.sorted_label_isomorphisms(wg, copy))
 
 
 def test_named_graphs_pairwise_match_reference():

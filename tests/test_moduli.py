@@ -13,6 +13,7 @@ from enrichfan.errors import GuardExceededError
 from enrichfan.enriched import canonical_structure, enriched_structures
 from enrichfan.graphs import EdgePermutation, MultiGraph, automorphisms, genus, is_stable, label_key
 from enrichfan.moduli import (
+    LiftReport,
     cell_adjacency,
     check_unique_lifts,
     classify_cells,
@@ -354,6 +355,15 @@ class TestUniqueLifts:
     def test_genus_one(self):
         report = check_unique_lifts(1, seed=5, n_points=10)
         assert report.failures == ()
+
+    @pytest.mark.parametrize("n_points", [-5, -1])
+    def test_negative_point_count_is_refused(self, n_points):
+        # a check that draws no point must not pass as one that found no failure
+        with pytest.raises(ValueError, match=f"n_points must be nonnegative, got {n_points}"):
+            check_unique_lifts(2, n_points=n_points)
+
+    def test_zero_points_check_nothing(self):
+        assert check_unique_lifts(2, n_points=0) == LiftReport(2, 0, ())
 
 
 def gluing_matrix(sp) -> tuple:

@@ -140,13 +140,20 @@ class TestCensusWalk:
         assert report == ref.check_unique_lifts(g, seed=seed, n_points=n_points)
 
     def test_wrong_locate_fails_alike(self, monkeypatch):
-        """A ``locate`` that always answers the canonical structure breaks the
-        lifts; the walk must report the same failures as the reference."""
+        """A location that always answers the canonical structure breaks the
+        lifts; the walk must report the same failures as the reference.  The
+        walk locates through ``enriched._located_rows`` on edge indices, so
+        the wrong answer is planted there as the canonical structure's rows
+        of the graph with those ends, and on the reference's ``locate``."""
 
         def canonical_locate(g, x):
             return enriched.canonical_structure(g)
 
-        monkeypatch.setattr(moduli, "locate", canonical_locate)
+        def canonical_rows(ends, values):
+            g = MultiGraph({v for pair in ends for v in pair}, dict(enumerate(ends)))
+            return enriched.canonical_structure(g).preorder.rows
+
+        monkeypatch.setattr(moduli, "_located_rows", canonical_rows)
         monkeypatch.setattr(ref, "locate", canonical_locate)
         report = check_unique_lifts(2, seed=2024, n_points=60)
         assert report.failures
