@@ -7,32 +7,24 @@ construction and every operation is a pure function.
 
 Every vertex merge is decided by one union-find on vertex indices,
 ``_roots``: contraction and its weights, connected components, the
-connectivity of a bond's two sides, the enumeration core's contractions
-(``enriched._rows``) and the census's connectivity test all read the
-classes it returns.
+connectivity of a bond's two sides and the enumeration core's
+contractions (``enriched._rows``) all read the classes it returns.
 
-Weighted-graph isomorphism is decided by one search,
-``_canonical_orderings``: it gives the canonical key that ``moduli`` files
-its census and frames under, and the orderings attaining it, from which
-``weighted_isomorphisms`` and ``automorphisms`` read every isomorphism.
-They match edges on indices, each edge map a tuple of image indices, and
-label the maps once sorted (``edge_labels`` is in label order).
+Weighted-graph isomorphism is decided by one search over ordered vertex
+partitions, ``_canonical_orderings``, capped at ``SEARCH_NODES`` nodes: it
+gives the canonical key that ``moduli`` files its census and frames under,
+and the orderings attaining it, from which ``weighted_isomorphisms`` and
+``automorphisms`` read every isomorphism, matching edges on indices.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import (
-    DisconnectedGraphError,
-    GuardExceededError,
-    NotABondError,
-    UnknownEdgeError,
-    UnknownVertexError,
-)
+from .errors import DisconnectedGraphError, GuardExceededError, NotABondError, UnknownEdgeError, UnknownVertexError
 
 Label = str | int
-AUTOMORPHISM_VERTICES = 8  # the most vertices the isomorphism search orders
+SEARCH_NODES = 109_601  # the vertex placements of an unsplit 8-vertex search: the sum of 8!/(8 - k)!
 
 
 def label_key(x: Label):
@@ -52,10 +44,8 @@ class _Value:
     """Equality, hash and repr of an immutable value class, read off its fields.
 
     A subclass lists its fields in ``__slots__``, in constructor order.
-    Instances are equal when they are of one class and their ``_key``
-    tuples are equal, and the hash is that of ``_key``, which holds every
-    field unless a subclass leaves some out.  The repr shows every field.
-    Instances are immutable by convention, as ``MultiGraph`` is.
+    Instances of one class are equal when their ``_key`` tuples are (every
+    field, unless a subclass leaves some out), which also give the hash.
     """
 
     __slots__ = ()
@@ -82,10 +72,7 @@ class MultiGraph:
     __slots__ = ("_vertices", "_vset", "_labels", "_ends", "_hash")
 
     def __init__(self, vertices, edges):
-        """Build a graph from vertex ids and a ``label -> (u, v)`` mapping.
-
-        ``u == v`` declares a loop.
-        """
+        """Build a graph from vertex ids and a ``label -> (u, v)`` mapping; ``u == v`` is a loop."""
         vs = sort_labels(set(vertices))
         vset = frozenset(vs)
         ends = {}
@@ -173,11 +160,9 @@ class MultiGraph:
 
 
 def _roots(pairs) -> dict:
-    """Merge the vertex indices joined by each pair; the one union-find.
-
-    Maps each vertex that the pairs join to a smaller one onto the least
-    vertex of its class; a vertex left out is the least of its class.
-    """
+    """Merge the vertex indices joined by each pair; the one union-find.  Maps each
+    vertex that the pairs join to a smaller one onto the least vertex of its class;
+    a vertex left out is the least of its class."""
     parent = {}
 
     def find(x):
@@ -197,10 +182,7 @@ def _roots(pairs) -> dict:
 
 
 def contraction_classes(g: MultiGraph, s) -> dict:
-    """Map each vertex of ``g`` to its representative in ``g/s``.
-
-    The representative of a merged class is its smallest member id.
-    """
+    """Map each vertex of ``g`` to its representative in ``g/s``, the least id of its class."""
     vs = g.vertices
     index = {v: i for i, v in enumerate(vs)}
     root = _roots((index[u], index[v]) for u, v in map(g.ends, frozenset(s)))
@@ -208,10 +190,7 @@ def contraction_classes(g: MultiGraph, s) -> dict:
 
 
 def contract(g: MultiGraph, s) -> MultiGraph:
-    """The graph ``g/s``: contract every edge in ``s``, keeping all other labels.
-
-    Loops in ``s`` are deleted.
-    """
+    """The graph ``g/s``: contract every edge in ``s`` (a loop is deleted), keeping all other labels."""
     s = frozenset(s)
     reps = contraction_classes(g, s)
     vertices = set(reps.values())
@@ -234,7 +213,7 @@ def edge_ends(g: MultiGraph) -> tuple:
     is ``g.edge_labels[i]`` and a bitmask over these indices is a subgraph.
     """
     index = {v: i for i, v in enumerate(g.vertices)}
-    return tuple((index[u], index[v]) for u, v in map(g.ends, g.edge_labels))
+    return tuple([(index[u], index[v]) for u, v in map(g._ends.__getitem__, g._labels)])
 
 
 def block_masks(ends, mask: int) -> list:
@@ -265,7 +244,6 @@ def block_masks(ends, mask: int) -> list:
         stack = [(root, None, iter(adj[root]))]
         while stack:
             v, entry, it = stack[-1]
-            descended = False
             for e, w in it:
                 if used >> e & 1:
                     continue
@@ -275,35 +253,29 @@ def block_masks(ends, mask: int) -> list:
                     disc[w] = low[w] = clock
                     clock += 1
                     stack.append((w, e, iter(adj[w])))
-                    descended = True
                     break
                 low[v] = min(low[v], disc[w])
-            if descended:
-                continue
-            stack.pop()
-            if stack:
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    block = 0
-                    while True:
-                        e = edge_stack.pop()
-                        block |= 1 << e
-                        if e == entry:
-                            break
-                    blocks.append(block)
+            else:
+                stack.pop()
+                if stack:
+                    pv = stack[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                    if low[v] >= disc[pv]:
+                        block = 0
+                        while True:
+                            e = edge_stack.pop()
+                            block |= 1 << e
+                            if e == entry:
+                                break
+                        blocks.append(block)
         assert not edge_stack
     blocks.sort(key=lambda b: b & -b)
     return blocks
 
 
 def biconnected_components(g: MultiGraph) -> list:
-    """The blocks of ``g`` as subgraphs; their edge sets partition ``E(g)``.
-
-    Each loop together with its vertex is its own block.  Parallel edges
-    are distinct, so a pair of them forms a cycle and lies in one block.
-    Isolated vertices yield no block.
-    """
+    """The blocks of ``g`` as subgraphs, as ``block_masks`` finds them: their
+    edge sets partition ``E(g)``, and isolated vertices yield no block."""
     labels = g.edge_labels
     out = []
     for block in block_masks(edge_ends(g), (1 << len(labels)) - 1):
@@ -313,12 +285,8 @@ def biconnected_components(g: MultiGraph) -> list:
 
 
 def is_biconnected(g: MultiGraph) -> bool:
-    """Connected, at least one edge, loop-free, and a single block.
-
-    A lone loop is *not* biconnected here: a loop belongs to no bond, so
-    graphs with loops never qualify (a loop vertex with further edges is
-    separating anyway).
-    """
+    """Connected, at least one edge, loop-free, and a single block; a lone loop is
+    *not* biconnected here, as a loop belongs to no bond."""
     return g.is_connected() and _one_block(g)
 
 
@@ -333,10 +301,9 @@ def good_contraction_sequence(g: MultiGraph) -> list:
 
     A target may keep isolated vertices, as on a graph with several
     components; a connected graph's targets are its biconnected ones.
-    Returns ``(contracted_set, target_graph)`` pairs; ties are broken by the
-    canonical order of the contracted sets.  Each subset is decided on
-    vertex indices by ``_roots`` and ``block_masks``; only a kept one is
-    contracted.
+    Returns ``(contracted_set, target_graph)`` pairs, ties in the canonical
+    order of the contracted sets.  Each subset is decided on vertex indices
+    by ``_roots`` and ``block_masks``; only a kept one is contracted.
     """
     labels, ends = g.edge_labels, edge_ends(g)
     entries = []
@@ -351,11 +318,10 @@ def good_contraction_sequence(g: MultiGraph) -> list:
 
 
 class Bond(_Value):
-    """A minimal cut ``E(V, V^c)`` with a distinguished side ``V``.
+    """A minimal cut ``E(V, V^c)`` with a distinguished side ``V``; both sides are connected.
 
-    Both sides must induce connected subgraphs.  Two bonds are equal when
-    they share the graph, the side and the edge set; use :meth:`canonical`
-    to identify complementary sides.
+    Bonds are equal when they share the graph, the side and the edge set; use
+    :meth:`canonical` to identify complementary sides.
     """
 
     __slots__ = ("graph", "side", "edges")
@@ -404,8 +370,7 @@ def bonds(g: MultiGraph) -> list:
     """All bonds of a connected graph, one canonical representative each.
 
     Tries every vertex subset containing the smallest vertex as a side;
-    :class:`Bond` refuses those whose two sides do not both induce
-    connected subgraphs.
+    :class:`Bond` refuses those that leave a side disconnected.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("bonds are defined for connected graphs")
@@ -496,10 +461,7 @@ def contracted_weights(wg: WeightedGraph, s) -> dict:
 
 
 class EdgePermutation(_Value):
-    """A permutation of edge labels induced by a weighted-graph automorphism.
-
-    The vertex map it came from takes no part in equality or hashing.
-    """
+    """A permutation of edge labels induced by a weighted-graph automorphism; its vertex map is left out of equality and hash."""
 
     __slots__ = ("edge_map", "vertex_map")
 
@@ -530,70 +492,108 @@ def _canonical_orderings(weights: tuple, ends) -> tuple:
     """The canonical key of a weighted graph on vertex indices, and every ordering giving it.
 
     ``weights[i]`` is the weight of vertex ``i`` and ``ends`` holds the
-    vertex-index ends of every edge.  The encoding under an ordering
-    ``pos`` (vertex ``i`` becomes ``pos[i]``) is the weight tuple in the
-    new order together with the sorted tuple of renumbered, sorted edge
-    ends; the key is the least encoding.  Weights compare first, so only
-    orderings that sort the weights can give it and the others are
-    skipped.  Returns ``(key, orderings)``, the orderings in
-    ``itertools.permutations`` order.  Every weight-sorting ordering is
-    tried, so the vertex count is capped at ``AUTOMORPHISM_VERTICES``.
+    vertex-index ends of every edge.  Under an ordering ``pos`` (vertex
+    ``i`` goes to ``pos[i]``) the encoding is the reordered weights and the
+    sorted tuple of renumbered, sorted ends; the key is the least encoding.
+    Returns ``(key, orderings)``, the orderings in ``itertools.permutations``
+    order.  The pair tuple is least where the row-major sequence of the
+    upper-triangular multiplicity matrix is greatest, so the search fills
+    positions in turn from ordered cells, the weight classes first: placing
+    a vertex splits each later cell by multiplicity to it, larger first,
+    fixing its row, and a branch whose rows fall below the best is cut
+    (McKay and Piperno, "Practical graph isomorphism II", 2014).  Past
+    ``SEARCH_NODES`` vertex placements it raises ``GuardExceededError``.
     """
-    if len(weights) > AUTOMORPHISM_VERTICES:
-        raise GuardExceededError(f"isomorphism search capped at {AUTOMORPHISM_VERTICES} vertices")
-    least = tuple(sorted(weights))
-    best, found = None, []
-    for pos in itertools.permutations(range(len(weights))):
-        if any(least[p] != w for p, w in zip(pos, weights)):
-            continue
-        key = tuple(sorted((pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u]) for u, v in ends))
-        if best is None or key < best:
-            best, found = key, [pos]
-        elif key == best:
-            found.append(pos)
-    return (least, best), found
+    if not weights:
+        return ((), ()), [()]
+    n = len(weights)
+    mult = [[0] * n for _ in weights]
+    for u, v in ends:
+        mult[u][v] += 1
+        mult[v][u] += 1  # so a loop counts twice, as in the valence
+    best, found, nodes = [], [], 1  # best[d]: the greatest row at position d so far
+
+    def place(placed, first, later):  # each vertex of the cell ``first`` next, then the cells ``later``
+        nonlocal nodes
+        depth = len(placed)
+        nodes += len(first)
+        if nodes > SEARCH_NODES:
+            raise GuardExceededError(f"isomorphism search passed {SEARCH_NODES} nodes")
+        for v in first:
+            counts, rest = mult[v], first.copy()
+            rest.remove(v)
+            row, cells = [counts[v]], []  # v's row, in the order the split cells give
+            for cell in (rest, *later):
+                if len(cell) == 1:
+                    row.append(counts[cell[0]])
+                    cells.append(cell)
+                elif cell:
+                    cells.append([])
+                    for x in sorted(cell, key=counts.__getitem__, reverse=True):
+                        if cells[-1] and counts[x] != row[-1]:
+                            cells.append([])
+                        cells[-1].append(x)
+                        row.append(counts[x])
+            if depth == len(best):
+                best.append(row)
+            elif row != best[depth]:
+                if row < best[depth]:
+                    continue
+                best[depth:] = [row]
+                found.clear()
+            if cells:
+                place(placed + [v], cells[0], cells[1:])
+            else:
+                found.append(tuple(sorted(range(n), key=(placed + [v]).__getitem__)))
+
+    classes = {}
+    for v, w in enumerate(weights):
+        classes.setdefault(w, []).append(v)
+    first, *later = map(classes.get, sorted(classes))
+    place([], first, later)
+    found.sort()
+    pos = found[0]
+    key = tuple(sorted([(pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u]) for u, v in ends]))
+    return (tuple(sorted(weights)), key), found
 
 
 def weighted_isomorphisms(wg1: WeightedGraph, wg2: WeightedGraph) -> list:
     """All edge bijections induced by isomorphisms ``wg1 -> wg2``, deduplicated.
 
     An isomorphism takes ``wg1`` to ``wg2``'s canonical key along one of
-    ``wg1``'s key orderings and back along the first of ``wg2``'s, and every
-    isomorphism arises so exactly once, carrying each parallel class onto
-    its image in every order.  An edge map over several vertex bijections
-    keeps the one whose images, in vertex order, are least.
+    ``wg1``'s key orderings and back along the first of ``wg2``'s, carrying
+    each parallel class onto its image in every order; an edge map over
+    several vertex bijections keeps the one whose images are least.
     """
     g1, g2 = wg1.graph, wg2.graph
     ends1 = edge_ends(g1)
     ends2 = ends1 if wg2 is wg1 else edge_ends(g2)
-    key1, found = _canonical_orderings(tuple(map(wg1.weight, g1.vertices)), ends1)
-    key2, found2 = (key1, found) if wg2 is wg1 else _canonical_orderings(tuple(map(wg2.weight, g2.vertices)), ends2)
+    key1, found = _canonical_orderings(tuple(map(wg1._weights.__getitem__, g1.vertices)), ends1)
+    key2, found2 = (key1, found) if wg2 is wg1 else _canonical_orderings(tuple(map(wg2._weights.__getitem__, g2.vertices)), ends2)
     if key1 != key2:
         return []
     classes1, classes2 = {}, {}
-    for classes, ends in ((classes1, ends1), (classes2, ends2)):
-        for i, pair in enumerate(ends):
-            classes.setdefault(pair, []).append(i)
-    classes2.update({(v, u): c for (u, v), c in classes2.items()})  # either way round
+    for i, pair in enumerate(ends1):
+        classes1.setdefault(pair, []).append(i)
+    for i, (u, v) in enumerate(ends2):
+        classes2[v, u] = classes2.setdefault((u, v), [])  # either way round
+        classes2[u, v].append(i)
     order = [i for src in classes1.values() for i in src]  # the classes' edges in turn
     slot = sorted(range(len(order)), key=order.__getitem__)  # edge i is order[slot[i]]
-    back = {p: j for j, p in enumerate(found2[0])}
+    back = sorted(range(len(found2[0])), key=found2[0].__getitem__)  # the vertex at each position
     seen = {}
     for pos in found:
-        images = tuple(back[p] for p in pos)
-        for combo in itertools.product(*(itertools.permutations(classes2[images[u], images[v]]) for u, v in classes1)):
-            flat = sum(combo, ())
-            edges = tuple(map(flat.__getitem__, slot))
+        images = tuple(map(back.__getitem__, pos))
+        for combo in itertools.product(*[itertools.permutations(classes2[images[u], images[v]]) for u, v in classes1]):
+            edges = tuple(map(sum(combo, ()).__getitem__, slot))
             seen[edges] = min(seen.get(edges, images), images)
-    labels2, vs2 = g2.edge_labels, g2.vertices
-    return [EdgePermutation(tuple(zip(g1.edge_labels, map(labels2.__getitem__, m))), tuple(zip(g1.vertices, map(vs2.__getitem__, seen[m])))) for m in sorted(seen)]
+    labels1, labels2, vs2 = g1.edge_labels, g2.edge_labels, g2.vertices
+    vmaps = {images: tuple(zip(g1.vertices, map(vs2.__getitem__, images))) for images in set(seen.values())}
+    return [EdgePermutation(tuple(zip(labels1, map(labels2.__getitem__, m))), vmaps[seen[m]]) for m in sorted(seen)]
 
 
 def automorphisms(wg: WeightedGraph) -> list:
-    """Aut of a weighted graph as its image in the symmetric group on edges.
-
-    Every vertex bijection that keeps the canonical key, extended over all
-    permutations of parallel edges and loops at a vertex; loop half-edge
-    flips act trivially on labels and are not represented.
-    """
+    """Aut of a weighted graph as its image in the symmetric group on edges: every
+    vertex bijection keeping the canonical key, extended over all permutations of
+    parallel edges and of loops at a vertex (loop flips fix every label)."""
     return weighted_isomorphisms(wg, wg)

@@ -7,14 +7,12 @@ rank), its automorphism group, and specialization arrows to other cells.
 A weighted graph is identified by its canonical key: the smallest
 ``(weights, sorted vertex-index pairs)`` encoding over all vertex
 orderings.  The key, the frames below and every isomorphism and
-automorphism come from one search in ``graphs``
-(``_canonical_orderings``), which returns the key and each ordering
-giving it.  The stable graphs are generated on those index tuples: the
-trivalent weight-0 graphs of the genus, closed under single-edge
-contraction, one kept per class of a colour-refinement form
-(``_refined_form``), which is far cheaper than the ordering search.  The
-key is computed once per class, and a graph is built only for each key,
-its *frame* (``_graph_from_key``).
+automorphism come from one search over ordered vertex partitions in
+``graphs`` (``_canonical_orderings``), which returns the key and each
+ordering giving it.  The stable graphs are generated on those index
+tuples: the trivalent weight-0 graphs of the genus, closed under
+single-edge contraction, one kept per key, and a graph is built only for
+each key, its *frame* (``_graph_from_key``).
 
 Structures are moved as preorder rows, never as labelled preorders: an
 edge bijection becomes an edge-index table (``_mover``) holding the image
@@ -33,12 +31,13 @@ structures, are correct by construction and skip the checks of the
 public ``ModuliCell`` and ``EnrichedGraph`` constructors.
 
 The gluing goes through one table scoped to a call (``_cell_table``):
-each cell's rows are carried into its frame along the first ordering that
-gives the key, then moved by every automorphism of the frame, and the
-table maps each resulting ``(key, rows)`` to the cell.  ``_reached``, one
-walk for ``cell_adjacency`` and ``classify_cells``, reads each cell's face
-table (``enriched._faces``), frames each (weighted graph, lower set) once
-per call, carries the target rows into the frame and looks them up: work
+each weighted graph is framed once, each cell's rows are carried into its
+frame along the first ordering that gives the key, then moved by every
+automorphism of the frame, and the table maps each resulting
+``(key, rows)`` to the cell.  ``_reached``, one walk for
+``cell_adjacency`` and ``classify_cells``, reads each cell's face table
+(``enriched._faces``), frames each (weighted graph, lower set) once per
+call, carries the target rows into the frame and looks them up: work
 linear in the number of cells, and no specialization object.
 """
 
@@ -143,52 +142,6 @@ def _renumbered(pairs, to) -> tuple:
     return tuple(sorted((to[u], to[v]) if to[u] <= to[v] else (to[v], to[u]) for u, v in pairs))
 
 
-def _ranks(colours: list) -> list:
-    index = {c: k for k, c in enumerate(sorted(set(colours)))}
-    return [index[c] for c in colours]
-
-
-def _refined_form(weights: tuple, pairs: tuple) -> tuple:
-    """A canonical form of a weighted graph on vertex indices.
-
-    Colour refinement starts from each vertex's weight and loop count and
-    splits colour classes by the multiset of neighbour colours until none
-    splits.  A class left with several vertices is split by
-    individualizing each of them in turn, the least such class first.
-    Each discrete colouring orders the vertices; the form is the least
-    ``(weights, sorted pairs)`` encoding over these orderings.
-    """
-    n = len(weights)
-    loops = [0] * n
-    near = [[] for _ in range(n)]
-    for u, v in pairs:
-        if u == v:
-            loops[u] += 1
-        else:
-            near[u].append(v)
-            near[v].append(u)
-    best = None
-    todo = [_ranks(list(zip(weights, loops)))]
-    while todo:
-        colours = todo.pop()
-        while True:
-            refined = _ranks([(c, tuple(sorted([colours[u] for u in near[v]]))) for v, c in enumerate(colours)])
-            if max(refined) == max(colours):
-                break
-            colours = refined
-        if max(colours) < n - 1:
-            tied = min(c for c in colours if colours.count(c) > 1)
-            todo.extend(_ranks([2 * c + (c == tied and u != v) for u, c in enumerate(colours)]) for v in range(n) if colours[v] == tied)
-            continue
-        order = [0] * n
-        for v, c in enumerate(colours):
-            order[c] = weights[v]
-        leaf = (tuple(order), _renumbered(pairs, colours))
-        if best is None or leaf < best:
-            best = leaf
-    return best
-
-
 def enumerate_stable_weighted_graphs(g: int) -> list:
     """All stable weighted graphs of genus ``g`` up to isomorphism.
 
@@ -197,26 +150,25 @@ def enumerate_stable_weighted_graphs(g: int) -> list:
     weights record the genus the contracted edges lose.  So the
     trivalent graphs (``_trivalent``) are closed under single-edge
     contraction (``_contractions``) on vertex-index tuples, one graph kept
-    per colour-refinement form (``_refined_form``); genus 1 is the one
-    weight-1 vertex.  Each class's canonical key is computed once, and
-    representatives are rebuilt from the sorted keys, so output labeling
-    is deterministic (vertices v1.., edges e1..).
+    per canonical key; genus 1 is the one weight-1 vertex.  Representatives
+    are rebuilt from the sorted keys, so output labeling is deterministic
+    (vertices v1.., edges e1..).
     """
     if g < 1:
         raise ValueError(f"genus must be at least 1, got {g}")
     if g > GENUS_GUARD:
         raise GuardExceededError(f"genus must lie in 1..{GENUS_GUARD}")
     todo = [((0,) * (2 * g - 2), pairs) for pairs in _trivalent(g)] if g > 1 else [((1,), ())]
-    seen, classes = set(), {}
+    seen, keys = set(), set()
     while todo:
         graph = todo.pop()
         if graph not in seen:  # half the contractions repeat a labelled graph
             seen.add(graph)
-            form = _refined_form(*graph)
-            if form not in classes:
-                classes[form] = graph
+            key = _canonical_orderings(*graph)[0]
+            if key not in keys:
+                keys.add(key)
                 todo.extend(_contractions(*graph))
-    return [_graph_from_key(k) for k in sorted(_canonical_orderings(w, p)[0] for w, p in classes.values())]
+    return [_graph_from_key(k) for k in sorted(keys)]
 
 
 class ModuliCell(_Value):
@@ -314,20 +266,23 @@ def _cell_table(cells) -> dict:
     Each cell's rows are carried into the frame of its weighted graph and
     then moved by every automorphism of the frame, each by its edge-index
     table, so the rows listed under a key are exactly those of preorders
-    isomorphic to one of the cells.
+    isomorphic to one of the cells.  Each weighted graph is framed, and
+    given its table into the frame, once per call.
     """
-    table = {}
-    frame_moves = {}
+    table, frame_moves, framed = {}, {}, {}
     for c in cells:
-        key, to_frame = _frame_map(c.weighted)
-        if key not in table:
-            frame = _graph_from_key(key)
-            labels = frame.graph.edge_labels
-            frame_moves[key] = [_mover(labels, a.as_dict(), labels) for a in automorphisms(frame)]
-            table[key] = (labels, {})
-        labels, orbit = table[key]
-        rows = _mover(c.weighted.graph.edge_labels, to_frame, labels)(c.preorder.rows)
-        for move in frame_moves[key]:
+        wg = c.weighted
+        if wg not in framed:
+            key, to_frame = _frame_map(wg)
+            if key not in table:
+                frame = _graph_from_key(key)
+                labels = frame.graph.edge_labels
+                frame_moves[key] = [_mover(labels, a.as_dict(), labels) for a in automorphisms(frame)]
+                table[key] = (labels, {})
+            framed[wg] = table[key][1], frame_moves[key], _mover(wg.graph.edge_labels, to_frame, table[key][0])
+        orbit, moves, into_frame = framed[wg]
+        rows = into_frame(c.preorder.rows)
+        for move in moves:
             orbit.setdefault(move(rows), set()).add(c.index)
     return table
 
@@ -436,7 +391,11 @@ def classify_census(cells, adjacency) -> CellClassification:
             t_c.append(c.index)
         else:
             raise AssertionError(f"codimension-one cell {c.index} fits no expected type")
-    above = {i: {m for m in maximal if i in adjacency[m]} for i in t_a + t_b + t_c}
+    above = {i: set() for i in t_a + t_b + t_c}
+    for m in maximal:
+        for i in adjacency[m]:
+            if i in above:
+                above[i].add(m)
     closure_counts = {i: len(ms) for i, ms in above.items()}
     # maximal cells are adjacent when a common codimension-one cell sits in
     # both closures; the adjacency graph must be connected

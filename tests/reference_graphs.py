@@ -16,7 +16,10 @@ it matched edges on indices, copied verbatim under a new name with its
 helpers ``_parallel_classes`` and ``_class_extensions`` (the latter
 ``_edge_extensions`` renamed, the name above being taken): it keys the
 parallel classes by vertex labels and sorts every edge map by
-``label_key``.
+``label_key``.  It reads the key and the orderings off ``_canonical_orderings``
+below, the scan ``graphs._canonical_orderings`` ran before it became a
+search over ordered vertex partitions, copied verbatim with its vertex cap
+``AUTOMORPHISM_VERTICES``: it tries every weight-sorting vertex ordering.
 
 The rest is every vertex merge as it was decided before one union-find
 (``graphs._roots``) took them all over.  ``contraction_classes`` is copied
@@ -38,8 +41,38 @@ from __future__ import annotations
 
 import itertools
 
-from enrichfan.errors import DisconnectedGraphError, NotABondError, UnknownVertexError
-from enrichfan.graphs import EdgePermutation, MultiGraph, WeightedGraph, _canonical_orderings, _one_block, contract, edge_ends, label_key, sort_labels
+from enrichfan.errors import DisconnectedGraphError, GuardExceededError, NotABondError, UnknownVertexError
+from enrichfan.graphs import EdgePermutation, MultiGraph, WeightedGraph, _one_block, contract, edge_ends, label_key, sort_labels
+
+AUTOMORPHISM_VERTICES = 8  # the most vertices the isomorphism search orders
+
+
+def _canonical_orderings(weights: tuple, ends) -> tuple:
+    """The canonical key of a weighted graph on vertex indices, and every ordering giving it.
+
+    ``weights[i]`` is the weight of vertex ``i`` and ``ends`` holds the
+    vertex-index ends of every edge.  The encoding under an ordering
+    ``pos`` (vertex ``i`` becomes ``pos[i]``) is the weight tuple in the
+    new order together with the sorted tuple of renumbered, sorted edge
+    ends; the key is the least encoding.  Weights compare first, so only
+    orderings that sort the weights can give it and the others are
+    skipped.  Returns ``(key, orderings)``, the orderings in
+    ``itertools.permutations`` order.  Every weight-sorting ordering is
+    tried, so the vertex count is capped at ``AUTOMORPHISM_VERTICES``.
+    """
+    if len(weights) > AUTOMORPHISM_VERTICES:
+        raise GuardExceededError(f"isomorphism search capped at {AUTOMORPHISM_VERTICES} vertices")
+    least = tuple(sorted(weights))
+    best, found = None, []
+    for pos in itertools.permutations(range(len(weights))):
+        if any(least[p] != w for p, w in zip(pos, weights)):
+            continue
+        key = tuple(sorted((pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u]) for u, v in ends))
+        if best is None or key < best:
+            best, found = key, [pos]
+        elif key == best:
+            found.append(pos)
+    return (least, best), found
 
 
 def parallel_count(self: MultiGraph, u, v) -> int:

@@ -25,6 +25,10 @@ contracting trivalent ones.
 automorphism) and ``contract_weighted`` are the library functions these
 read, copied verbatim.
 
+``_ranks`` and ``_refined_form`` are the colour-refinement form the
+census deduplicated by before it deduplicated by the canonical key,
+copied verbatim; ``_refined_form`` renumbers with ``moduli._renumbered``.
+
 ``_reached``, ``key_table_cell_adjacency`` and ``key_table_classify_cells``
 are the key-table gluing as it ran before it read the face table
 (``enriched._faces``): copied verbatim but for the last two names, with
@@ -62,6 +66,7 @@ from enrichfan.moduli import (
     _cell_table,
     _graph_from_key,
     _mover,
+    _renumbered,
     classify_census,
 )
 from reference_enriched import face_specializations
@@ -76,6 +81,52 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def _ranks(colours: list) -> list:
+    index = {c: k for k, c in enumerate(sorted(set(colours)))}
+    return [index[c] for c in colours]
+
+
+def _refined_form(weights: tuple, pairs: tuple) -> tuple:
+    """A canonical form of a weighted graph on vertex indices.
+
+    Colour refinement starts from each vertex's weight and loop count and
+    splits colour classes by the multiset of neighbour colours until none
+    splits.  A class left with several vertices is split by
+    individualizing each of them in turn, the least such class first.
+    Each discrete colouring orders the vertices; the form is the least
+    ``(weights, sorted pairs)`` encoding over these orderings.
+    """
+    n = len(weights)
+    loops = [0] * n
+    near = [[] for _ in range(n)]
+    for u, v in pairs:
+        if u == v:
+            loops[u] += 1
+        else:
+            near[u].append(v)
+            near[v].append(u)
+    best = None
+    todo = [_ranks(list(zip(weights, loops)))]
+    while todo:
+        colours = todo.pop()
+        while True:
+            refined = _ranks([(c, tuple(sorted([colours[u] for u in near[v]]))) for v, c in enumerate(colours)])
+            if max(refined) == max(colours):
+                break
+            colours = refined
+        if max(colours) < n - 1:
+            tied = min(c for c in colours if colours.count(c) > 1)
+            todo.extend(_ranks([2 * c + (c == tied and u != v) for u, c in enumerate(colours)]) for v in range(n) if colours[v] == tied)
+            continue
+        order = [0] * n
+        for v, c in enumerate(colours):
+            order[c] = weights[v]
+        leaf = (tuple(order), _renumbered(pairs, colours))
+        if best is None or leaf < best:
+            best = leaf
+    return best
 
 
 def _canonical_key(weights: tuple, pairs) -> tuple:

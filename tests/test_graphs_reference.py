@@ -1,13 +1,15 @@
 """``weighted_isomorphisms`` and ``automorphisms``, read off the canonical-key
 orderings and matching edges on indices, against the backtracking search
 and the label-sorting key search they replaced (``reference_graphs``):
-the same edge maps, vertex maps and order; and the vertex cap of the
-shared search; and every vertex merge on the union-find ``graphs._roots``
+the same edge maps, vertex maps and order; the ordered-partition search
+``_canonical_orderings`` against the permutation scan it replaced (the same
+key and orderings in the same order), and its node cap; and every vertex merge on the union-find ``graphs._roots``
 (contraction classes, components, incidence, bond checks) against the
 code it replaced; and ``good_contraction_sequence``, deciding each subset
 on edge masks, against its copy that contracted every subset."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,16 +17,18 @@ from hypothesis import example, given, settings, strategies as st
 
 import reference_graphs as ref
 from conftest import zero_weights
-from enrichfan import corpus
+from enrichfan import corpus, graphs, moduli
 from enrichfan.errors import GuardExceededError, NotABondError, UnknownEdgeError, UnknownVertexError
 from enrichfan.graphs import (
-    AUTOMORPHISM_VERTICES,
+    SEARCH_NODES,
     Bond,
     MultiGraph,
     WeightedGraph,
+    _canonical_orderings,
     automorphisms,
     bonds,
     contraction_classes,
+    edge_ends,
     good_contraction_sequence,
     weighted_isomorphisms,
 )
@@ -117,6 +121,13 @@ def small_multigraphs(draw, max_vertices=5, max_edges=6):
     return WeightedGraph(MultiGraph(vertices, edges), weights)
 
 
+# loops, parallel edges, an isolated vertex and four components, on mixed int/str ids
+EVERY_FEATURE = WeightedGraph(
+    MultiGraph([0, 3, 7, "a", "q", "z"], {1: (0, 3), 2: (3, 0), "b": ("a", "a"), "x": ("a", "q"), 5: (7, 7), "y1": (7, 7)}),
+    {v: 0 for v in [0, 3, 7, "a", "q", "z"]},
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_multigraphs(), st.randoms(use_true_random=False))
 def test_random_multigraphs_match_reference(wg, rnd):
@@ -132,19 +143,86 @@ def test_random_pairs_match_reference(wg1, wg2):
     assert_same(wg1, wg2)
 
 
-def test_vertex_cap_is_checked_before_any_search(monkeypatch):
-    assert AUTOMORPHISM_VERTICES == 8
-    n = AUTOMORPHISM_VERTICES + 1
-    wg = zero_weights(MultiGraph(range(n), {f"c{i}": (i, (i + 1) % n) for i in range(n)}))
+def indexed(wg) -> tuple:
+    """The weights and edge ends of ``wg`` on vertex indices, as the search takes them."""
+    return tuple(map(wg.weight, wg.graph.vertices)), edge_ends(wg.graph)
 
-    def no_search(*args):
-        raise AssertionError("the search started")
 
-    monkeypatch.setattr(itertools, "permutations", no_search)
-    with pytest.raises(GuardExceededError, match="capped at 8 vertices"):
-        automorphisms(wg)
-    with pytest.raises(GuardExceededError, match="capped at 8 vertices"):
-        weighted_isomorphisms(wg, zero_weights(corpus.triangle()))
+def shuffled(weights, ends, rng) -> tuple:
+    """The same graph with its vertex indices permuted at random."""
+    perm = list(range(len(weights)))
+    rng.shuffle(perm)
+    moved = [0] * len(weights)
+    for i, p in enumerate(perm):
+        moved[p] = weights[i]
+    return tuple(moved), tuple((perm[u], perm[v]) for u, v in ends)
+
+
+def assert_search_is_scan(weights, ends):
+    # the same key, the same orderings and the same order
+    assert _canonical_orderings(weights, ends) == ref._canonical_orderings(weights, ends)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_search_equals_scan_on_stable_graphs(g, monkeypatch):
+    monkeypatch.setattr(moduli, "GENUS_GUARD", 4)
+    rng = random.Random(g)
+    found = enumerate_stable_weighted_graphs(g)
+    assert len(found) == {2: 7, 3: 42, 4: 379}[g]
+    for wg in found:
+        weights, ends = indexed(wg)
+        assert_search_is_scan(weights, ends)
+        assert_search_is_scan(*shuffled(weights, ends, rng))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_multigraphs(max_vertices=7, max_edges=9), st.randoms(use_true_random=False))
+@example(EVERY_FEATURE, random.Random(0))
+def test_search_equals_scan_on_random_multigraphs(wg, rnd):
+    weights, ends = indexed(wg)
+    assert_search_is_scan(weights, ends)
+    assert_search_is_scan(*shuffled(weights, ends, rnd))
+
+
+def test_search_equals_scan_on_the_empty_graph():
+    assert_search_is_scan((), ())
+    assert [a.edge_map for a in automorphisms(zero_weights(MultiGraph([], {})))] == [()]
+
+
+def test_search_equals_scan_past_the_old_vertex_cap(monkeypatch):
+    # the 9-cycle with weight 1 on every third vertex, against the scan with its cap lifted
+    weights = tuple(int(i % 3 == 0) for i in range(9))
+    ends = tuple(sorted((i, (i + 1) % 9) if i < 8 else (0, 8) for i in range(9)))
+    monkeypatch.setattr(ref, "AUTOMORPHISM_VERTICES", 9)
+    key, found = _canonical_orderings(weights, ends)
+    assert len(found) == 6
+    assert_search_is_scan(weights, ends)
+
+
+def test_nine_cycle_gets_its_dihedral_group():
+    # past the old 8-vertex cap: 9 rotations and 9 reflections
+    n = 9
+    auts = automorphisms(zero_weights(MultiGraph(range(n), {f"c{i}": (i, (i + 1) % n) for i in range(n)})))
+    assert len(auts) == 2 * n
+
+
+def test_node_cap_is_the_unsplit_eight_vertex_search(monkeypatch):
+    # no edge splits a cell, so 8!/(8 - k)! vertices are placed at depth k
+    assert SEARCH_NODES == sum(math.perm(8, k) for k in range(9)) == 109_601
+    edgeless = zero_weights(MultiGraph(range(8), {}))
+    assert len(_canonical_orderings((0,) * 8, ())[1]) == math.factorial(8)
+    assert [a.edge_map for a in automorphisms(edgeless)] == [()]
+    monkeypatch.setattr(graphs, "SEARCH_NODES", SEARCH_NODES - 1)
+    with pytest.raises(GuardExceededError, match="passed 109600 nodes"):
+        automorphisms(edgeless)
+
+
+def test_node_cap_refuses_nine_edgeless_vertices():
+    edgeless = zero_weights(MultiGraph(range(9), {}))
+    with pytest.raises(GuardExceededError, match="passed 109601 nodes"):
+        automorphisms(edgeless)
+    with pytest.raises(GuardExceededError, match="passed 109601 nodes"):
+        weighted_isomorphisms(edgeless, edgeless)
 
 
 def test_eight_vertices_are_searched():
@@ -152,13 +230,6 @@ def test_eight_vertices_are_searched():
     path = MultiGraph(range(8), {f"p{i}": (i, i + 1) for i in range(7)})
     auts = automorphisms(WeightedGraph(path, {i: i for i in range(8)}))
     assert len(auts) == 1 and auts[0].is_identity()
-
-
-# loops, parallel edges, an isolated vertex and four components, on mixed int/str ids
-EVERY_FEATURE = WeightedGraph(
-    MultiGraph([0, 3, 7, "a", "q", "z"], {1: (0, 3), 2: (3, 0), "b": ("a", "a"), "x": ("a", "q"), 5: (7, 7), "y1": (7, 7)}),
-    {v: 0 for v in [0, 3, 7, "a", "q", "z"]},
-)
 
 
 def subsets(xs):

@@ -237,6 +237,24 @@ class TestClassification:
         cells = enumerate_cells(g)
         assert classify_census(cells, cell_adjacency(cells)) == classify_cells(g)
 
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_list_and_set_adjacency_give_one_report(self, g):
+        cells = enumerate_cells(g)
+        lists = cell_adjacency(cells)
+        sets = {i: set(js) for i, js in lists.items()}
+        assert classify_census(cells, lists) == classify_census(cells, sets) == classify_cells(g)
+
+    def test_adjacency_is_read_once_not_searched(self):
+        # the maximal cells above each codimension-one cell come from one pass
+        # over the adjacency, with no membership test per pair
+        class NoMembership(list):
+            def __contains__(self, item):
+                raise AssertionError("membership test on an adjacency list")
+
+        cells = enumerate_cells(3)
+        adjacency = {i: NoMembership(js) for i, js in cell_adjacency(cells).items()}
+        assert classify_census(cells, adjacency) == classify_cells(3)
+
     def test_every_cell_under_some_maximal(self):
         cells = enumerate_cells(2)
         by_index = {c.index: c for c in cells}
@@ -275,6 +293,19 @@ class TestContractions:
             cell_adjacency(cells)
             assert len(calls) == len({(c.weighted, s) for c in cells for s in lower_sets(c.preorder)})
             assert len(calls) < sum(len(lower_sets(c.preorder)) for c in cells)
+
+
+    def test_cell_table_frames_each_weighted_graph_once(self, monkeypatch):
+        # once per weighted graph in the call, not once per cell: 42 frame
+        # maps for the 262 genus-3 cells
+        calls = []
+        real = moduli._frame_map
+        monkeypatch.setattr(moduli, "_frame_map", lambda wg: calls.append(wg) or real(wg))
+        for g in (2, 3):
+            cells = enumerate_cells(g)
+            calls.clear()
+            moduli._cell_table(cells)
+            assert len(calls) == len({c.weighted for c in cells}) == len(enumerate_stable_weighted_graphs(g))
 
 
 def planted_census(kind: str) -> list:

@@ -16,7 +16,6 @@ from enrichfan.moduli import (
     _frame_map,
     _graph_from_key,
     _mover,
-    _refined_form,
     cell_adjacency,
     check_unique_lifts,
     classify_cells,
@@ -89,7 +88,7 @@ class TestKeys:
 
 
 def refined_form(wg: WeightedGraph) -> tuple:
-    return _refined_form(tuple(map(wg.weight, wg.graph.vertices)), edge_ends(wg.graph))
+    return ref._refined_form(tuple(map(wg.weight, wg.graph.vertices)), edge_ends(wg.graph))
 
 
 class TestRefinedForm:
