@@ -8,8 +8,10 @@ vanishes on it and every facet row is ``>= 0``; in the relatively open cone
 the facet rows are ``> 0``.
 
 When every row is a comparison (one ``+1`` and at most one ``-1``, or a single
-``-1``), as a structure cone's rows are, membership compares coordinates; other
-cones test the sign of each row on the point.  Coordinates are taken exactly:
+``-1``), as a structure cone's rows are, membership compares coordinates by
+cross-multiplying numerators and denominators (both positive), which skips
+the ``numbers.Rational`` check of ``Fraction``'s comparisons; other cones
+test the sign of each row on the point.  Coordinates are taken exactly:
 floats at their exact values, inf and NaN refused.
 
 Membership takes one path.  ``contains`` hands a point of the right length
@@ -23,7 +25,8 @@ first use, and stops at the first comparison that fails.
 The public constructor checks that the rays are independent with one exact
 echelon.  Cones independent by construction skip it through ``_trusted_cone``:
 a structure cone, read off its preorder rows together with its rows and
-comparison plan; every face of a cone, whose rays are a subset of
+comparison plan, one facet per class since the rows are laminar and their
+classes a forest; every face of a cone, whose rays are a subset of
 independent rays; and the star-subdivision and quotient cones of ``fans``.
 """
 
@@ -110,15 +113,18 @@ class RationalCone(_Value):
             return not any(equalities) and all(v >= 0 if self.closed else v > 0 for v in facets)
         equalities, facets = plan
         for i, j in equalities:
-            if x[i] != x[j]:
+            a, b = x[i], x[j]
+            if a.numerator * b.denominator != b.numerator * a.denominator:
                 return False
         if self.closed:
             for i, j in facets:
-                if x[i] < x[j]:
+                a, b = x[i], x[j]
+                if a.numerator * b.denominator < b.numerator * a.denominator:
                     return False
         else:
             for i, j in facets:
-                if x[i] <= x[j]:
+                a, b = x[i], x[j]
+                if a.numerator * b.denominator <= b.numerator * a.denominator:
                     return False
         return True
 
@@ -200,14 +206,16 @@ def containing(cones, x) -> list:
 
     The cones share one ambient lattice, as the cones of one graph or one
     fan do, so ``x`` is checked against the first cone's, made exact and
-    scaled to integers by the lcm of its denominators once.  Every row is
-    homogeneous, so a positive factor keeps each sign and each verdict.
+    scaled to integers by the lcm of its denominators once, unless that is
+    1.  Every row is homogeneous, so a positive factor keeps each sign and
+    each verdict.
     """
     if not cones:
         return []
     x = _exact(x, len(cones[0].labels))
     scale = lcm(*(v.denominator for v in x))
-    x = [v.numerator * (scale // v.denominator) for v in x]
+    if scale != 1:
+        x = [v.numerator * (scale // v.denominator) for v in x]
     return [i for i, cone in enumerate(cones) if cone._meets(x)]
 
 
@@ -232,9 +240,12 @@ def _h_from_rays(labels: tuple, rays: tuple) -> tuple:
     return tuple(map(tuple, e.u[k:])), tuple(facets)
 
 
+_DIGITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to 0/1 bytes, for bytes.translate
+
+
 def _indicators(rows, n: int) -> list:
-    """The bitmask ``rows`` as sorted 0/1 vectors of length ``n``."""
-    return sorted(tuple(row >> j & 1 for j in range(n)) for row in rows)
+    """The bitmask ``rows`` as sorted 0/1 vectors of length ``n``, read off their binary digits."""
+    return sorted(tuple(format(row, "b").zfill(n)[::-1].encode().translate(_DIGITS)) for row in rows)
 
 
 def ray_generators(eg: EnrichedGraph) -> list:
@@ -255,37 +266,35 @@ def _structure_cone(eg: EnrichedGraph, closed: bool) -> RationalCone:
     """The structure cone, read off the preorder rows.
 
     A class is the set of edges sharing one row, taken in order of its
-    first edge, and class ``j`` lies above class ``i`` when its row is a
-    strict subset of row ``i``.  The comparisons are equalities inside
-    classes, one facet per Hasse cover and positivity on the root classes;
-    transitivity makes these cut out the whole cone.  One list of pairs
-    ``(i, j)``, reading ``x[i] - x[j]`` with index ``n`` reading 0, gives
-    both the integer rows and the comparison plan.  The rays are the
-    distinct rows as 0/1 vectors: principal upper sets of distinct classes,
-    unitriangular in any linear extension, so independent and not rechecked.
+    first edge.  The distinct rows are laminar (a bottom class's row is its
+    whole block, and the rest are rows of the contraction, whose blocks are
+    disjoint and inside the blocks), so each class has one Hasse facet: a
+    cover by the class of its least strict superset row, the last one met
+    when rows come largest first, or positivity when no row holds it.  The
+    comparisons are equalities inside classes and these facets, grouped by
+    lower class and then by upper class, roots last; transitivity makes
+    them cut out the whole cone.  One list of pairs ``(i, j)``, reading
+    ``x[i] - x[j]`` with index ``n`` reading 0, gives both the integer rows
+    and the comparison plan.  The rays are the distinct rows as 0/1
+    vectors: principal upper sets of distinct classes, unitriangular in any
+    linear extension, so independent and not rechecked.
     """
     rows = eg.preorder.rows
     n = len(rows)
     members = {}  # distinct row -> its edges, in order of first edge
     for i, row in enumerate(rows):
         members.setdefault(row, []).append(i)
-    distinct = list(members)
-    first = [cls[0] for cls in members.values()]
-    above = [sum(1 << j for j, r in enumerate(distinct) if r != ri and r & ri == r) for ri in distinct]
+    least = [n] * n  # per edge, the first edge of the least row met so far holding it
+    covers = []  # (first edge of the lower class or n, first edge of the class)
+    for row in sorted(members, key=int.bit_count, reverse=True):
+        f = members[row][0]
+        covers.append((least[f], f))
+        for e in bits(row):
+            least[e] = f
     equalities = tuple((a, b) for cls in members.values() for a, b in zip(cls, cls[1:]))
-    facets = []
-    for i, up in enumerate(above):
-        through = 0
-        for k in bits(up):
-            through |= above[k]
-        facets += [(first[j], first[i]) for j in bits(up & ~through)]
-    covered = 0
-    for up in above:
-        covered |= up
-    facets += [(first[i], n) for i in range(len(distinct)) if not covered >> i & 1]
-    plan = (equalities, tuple(facets))
+    plan = (equalities, tuple((j, i) for i, j in sorted(covers)))
     h = tuple(tuple(_unit_row(i, j, n) for i, j in pairs) for pairs in plan)
-    return _trusted_cone(eg.graph.edge_labels, tuple(_indicators(distinct, n)), closed, h, plan)
+    return _trusted_cone(eg.graph.edge_labels, tuple(_indicators(members, n)), closed, h, plan)
 
 
 def structure_cone(eg: EnrichedGraph) -> RationalCone:

@@ -326,7 +326,7 @@ def locate(g: MultiGraph, x) -> EnrichedGraph:
     """
     if set(x) != set(g.edge_labels):
         raise UnknownLabelError("coordinate keys must be exactly the edge labels")
-    values = [v if isinstance(v, int) else Fraction(v) for v in map(x.__getitem__, g.edge_labels)]
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in map(x.__getitem__, g.edge_labels)]
     scale = lcm(*(v.denominator for v in values))
     values = [v.numerator * (scale // v.denominator) for v in values]
     for e, v in zip(g.edge_labels, values):

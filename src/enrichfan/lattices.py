@@ -10,7 +10,8 @@ the other row, in H and in U.
 - ``rank_of`` and ``linearly_independent`` read the rank of H.
 - ``_substitute`` is one integer forward substitution over the pivots of
   H; the facets of a cone in ``cones`` come from it.
-- ``lattice_span_equal`` compares Hermite forms.
+- ``lattice_span_equal`` compares Hermite forms; ``_triangular`` first
+  brings many sparse rows down to at most rank rows for it.
 - ``kernel_lattice`` takes the rows of U whose H-row vanishes.
 - ``LatticeQuotient.from_generators`` echelons the transposed generators:
   its projection is the zero-row part of U.
@@ -188,6 +189,45 @@ def lattice_span_equal(rows1, rows2, ncols: int) -> bool:
         return e.rows[: e.rank]
 
     return hermite(rows1) == hermite(rows2)
+
+
+def _triangular(rows, ncols: int) -> list:
+    """Sparse rows ``{column: entry}`` reduced to a generating set of their
+    lattice with one row per leading column, returned dense.
+
+    Each row is cleared against the kept row of its leading column by the
+    steps of ``_echelon``: a multiple of the kept row is subtracted when its
+    entry divides, otherwise the pair goes to its gcd row and a row with
+    that column cleared.  So at most rank rows remain, and many sparse rows
+    reach ``lattice_span_equal`` as a few.
+    """
+    kept = {}
+    for row in map(dict, rows):
+        while row:
+            col = min(row)
+            top = kept.get(col)
+            if top is None:
+                kept[col] = row
+                break
+            x, b = top[col], row[col]
+            if b % x:
+                g, s, t = _xgcd(x, b)
+                kept[col], row = _sparse_sum(s, top, t, row), _sparse_sum(-b // g, top, x // g, row)
+                continue
+            q = b // x
+            for c, w in top.items():  # row -= q * top, in place
+                w = row.get(c, 0) - q * w
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return [tuple(row.get(c, 0) for c in range(ncols)) for row in kept.values()]
+
+
+def _sparse_sum(a: int, u: dict, b: int, v: dict) -> dict:
+    """``a * u + b * v`` on sparse rows, zero entries dropped."""
+    out = {c: a * u.get(c, 0) + b * v.get(c, 0) for c in u.keys() | v.keys()}
+    return {c: w for c, w in out.items() if w}
 
 
 class LatticeQuotient(_Value):

@@ -39,7 +39,7 @@ from .graphs import (
     label_key,
     sort_labels,
 )
-from .lattices import kernel_lattice, lattice_span_equal
+from .lattices import _triangular, kernel_lattice, lattice_span_equal
 
 
 def _require_biconnected(g: MultiGraph):
@@ -252,11 +252,9 @@ def _generates_kernel(g: MultiGraph, all_bonds: list, domain: list, kernel: list
     """Whether the relations span ``kernel``, the kernel over ``domain`` that ``_dual_kernel`` gives."""
     if len(kernel) != len(domain) - (g.n_edges - 1):  # kernel_rank; len(domain) is the sum of |B| - 1
         return False
-    rels = []
-    for rel in _relations(g, all_bonds):
-        exponent = {(i, j): x for i, j, x in rel}  # a bond's least edge has no coordinate
-        rels.append(tuple(exponent.get(pair, 0) for pair in domain))
-    return lattice_span_equal(rels, kernel, len(domain))
+    column = {pair: k for k, pair in enumerate(domain)}  # a bond's least edge has no coordinate
+    rels = [{column[i, j]: x for i, j, x in rel if (i, j) in column} for rel in _relations(g, all_bonds)]
+    return lattice_span_equal(_triangular(rels, len(domain)), kernel, len(domain))
 
 
 def torus_point_check(g: MultiGraph, seed: int = 2024, trials: int = 100) -> bool:

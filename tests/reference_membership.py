@@ -19,6 +19,8 @@ loops and ``contains`` took exact points past ``cones._exact``.  They are
 copied verbatim with ``self`` made the first argument; ``plan_contains``
 calls ``meets`` where it called ``self._meets``.  ``containing`` is
 ``cones.containing`` with the same one change, so it runs ``meets`` too.
+``meets`` compares coordinates with ``Fraction``'s own operators, where
+``_meets`` now cross-multiplies numerators and denominators.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ that went through ``Preorder.quotient`` and the checking constructor.
 Labels, rays, the ``closed`` flag and the rows (in order) must agree, the
 comparison plan handed over with the rows must be what ``_comparison``
 reads off them, and the faces must agree.  The unchecked path must not
-reach the echelon at all."""
+reach the echelon at all.  The rows are laminar, which gives each class
+the one facet the builder reads off its least strict superset row."""
 
 import itertools
 import random
@@ -87,3 +88,23 @@ def test_structure_cones_and_faces_never_run_the_echelon(monkeypatch):
         for eg in enriched_structures(g):
             assert structure_cone(eg).dim == closed_structure_cone(eg).dim == eg.rank
             assert len(closed_structure_cone(eg).faces()) == 2**eg.rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_multigraphs(max_vertices=5, max_edges=7))
+def test_rows_are_laminar_and_each_class_has_one_facet(g):
+    """Any two distinct rows of a structure are disjoint or nested, so each
+    class has one facet: a cover by the class of its least strict superset
+    row, or positivity when no other row holds it.  A structure cone has
+    ``dim`` facets, one per class."""
+    n = g.n_edges
+    for eg in enriched_structures(g):
+        rows = eg.preorder.rows
+        distinct = set(rows)
+        assert all(r & s in (0, r, s) for r, s in itertools.combinations(distinct, 2))
+        facets = structure_cone(eg)._plan[1]
+        assert len(facets) == structure_cone(eg).dim == len(distinct)
+        assert {rows[upper] for upper, _ in facets} == distinct
+        for upper, lower in facets:
+            supersets = [r for r in distinct if r != rows[upper] and r & rows[upper] == rows[upper]]
+            assert (rows[lower] if lower < n else None) == min(supersets, key=int.bit_count, default=None)

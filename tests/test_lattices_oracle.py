@@ -2,7 +2,8 @@
 
 sympy is a test-only dependency; its Smith and Hermite normal forms are the
 oracle for invariant factors, lattice equality, kernel lattices and lattice
-quotients, on hypothesis matrices and on the corpus fans and bonds.
+quotients, and for the triangular rows the kernel check reduces its
+relations to, on hypothesis matrices and on the corpus fans and bonds.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from enrichfan.fans import fan_of_graph, graph_lattice_quotient
 from enrichfan.graphs import bonds
 from enrichfan.lattices import (
     LatticeQuotient,
+    _triangular,
     invariant_factors,
     kernel_lattice,
     lattice_span_equal,
@@ -156,3 +158,13 @@ def test_corpus_bond_quotients(name):
         q = LatticeQuotient.from_generators(b.sorted_edges(), [(1,) * len(b.edges)])
         check_quotient(q.labels, list(q.generators))
         assert q.quotient_rank == len(b.edges) - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_triangular_rows_match_hermite(m):
+    # entries up to 6 in size take the gcd step as well as the subtraction
+    rows, ncols = m
+    tri = _triangular([{j: x for j, x in enumerate(row) if x} for row in rows], ncols)
+    assert len({next(j for j, x in enumerate(row) if x) for row in tri}) == len(tri)
+    assert sympy_hnf(tri, ncols) == sympy_hnf(rows, ncols)

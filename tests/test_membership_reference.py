@@ -21,7 +21,7 @@ import reference_membership as ref
 import reference_toric
 from conftest import connected_multigraphs
 from enrichfan import corpus
-from enrichfan.cones import RationalCone, closed_structure_cone, containing, structure_cone
+from enrichfan.cones import RationalCone, _exact, closed_structure_cone, containing, structure_cone
 from enrichfan.enriched import enriched_structures
 from enrichfan.fans import fan_by_star_subdivision
 from enrichfan.lattices import dot
@@ -365,7 +365,7 @@ MEMBERSHIP_CASES = {
 @functools.cache
 def _membership_cones(name):
     """One case's cones, built once for all the examples drawn on it."""
-    return MEMBERSHIP_CASES[name]()
+    return {**MEMBERSHIP_CASES, **TIE_CASES}[name]()
 
 # exact values, their float and bool twins, and the values that are refused
 MEMBERSHIP_POOLS = {
@@ -435,3 +435,54 @@ def test_containing_scaled_to_integers_matches_reference(name, data):
     assert containing(cones, x) == ref.containing(cones, x), x
     for bad in (x[:-1], x + [Fraction(1, 3)]):
         assert _membership_outcome(containing, cones, bad) == _membership_outcome(ref.containing, cones, bad)
+
+
+TIE_CASES = {
+    **{f"structures-{name}": (lambda make=make: _structure_cones(make())) for name, make in corpus.CORPUS.items()},
+    "structures-c5": lambda: _structure_cones(cycle(5)),
+    **{name: MEMBERSHIP_CASES[name] for name in ("structures-k4", "star-k4")},
+}
+TIE_SAMPLE = 200  # cones per example: all 1 362 of K4 took 12 s over 40 examples
+
+# each value in every form it has: equal coordinates come as int, Fraction and float
+TIE_FORMS = [
+    [0, Fraction(0), 0.0],
+    [1, Fraction(2, 2), 1.0],
+    [2, Fraction(4, 2), 2.0],
+    [Fraction(1, 2), 0.5],
+    [Fraction(3, 2), 1.5],
+    [-1, Fraction(-3, 3), -1.0],
+]
+
+
+@pytest.mark.parametrize("name", sorted(TIE_CASES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_contains_at_ties_matches_meets_and_row_signs(name, data):
+    """Coordinates from two or three values, each in a form drawn anew, so
+    classes tie and facets tie: ``contains`` on each open and closed cone
+    agrees with the plan reference and with the signs of its rows
+    (``_integer_route``), and
+    ``containing`` picks out the same cones.  Large cases are sampled."""
+    cones = _membership_cones(name)
+    n = len(cones[0].labels)
+    cones = data.draw(st.randoms(use_true_random=False)).sample(cones, min(len(cones), TIE_SAMPLE))
+    values = data.draw(st.lists(st.sampled_from(TIE_FORMS), min_size=2, max_size=3, unique_by=lambda forms: forms[0]))
+    x = tuple(data.draw(st.sampled_from(data.draw(st.sampled_from(values)))) for _ in range(n))
+    inside = []
+    for cone in cones:
+        for c in (cone, cone.closure()):
+            assert c.contains(x) == ref.meets(c, _exact(x, n)) == _integer_route(c, x), (c, x)
+        inside.append(cone.contains(x))
+    assert containing(cones, x) == [i for i, hit in enumerate(inside) if hit], x
+
+
+def test_one_value_in_mixed_forms_lies_in_one_open_cone():
+    """All coordinates equal, as ``1``, ``Fraction(2, 2)`` and ``1.0``: the
+    point lies in the closure of every K4 structure cone, but in one open
+    cone only, the one-class structure's; every other open cone has a facet
+    tie that puts it just outside."""
+    cones = [c for c in _membership_cones("structures-k4") if not c.closed]
+    x = tuple(itertools.islice(itertools.cycle(TIE_FORMS[1]), len(cones[0].labels)))
+    assert [c.dim for c in cones if c.contains(x)] == [1]
+    assert all(c.closure().contains(x) for c in cones)

@@ -1,7 +1,8 @@
 """The index-built relations and dual comparison map of ``enrichfan.toric``
 against the label-keyed reference, the number of bond enumerations the
 kernel check, the ``toric equations`` command and ``verify``'s kernel and
-torus check cost, and the kernel lattices that check computes."""
+torus check cost, the kernel lattices that check computes, and the
+triangular rows it compares with them."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from conftest import connected_multigraphs
 from enrichfan import corpus
 from enrichfan.cli import main
 from enrichfan.graphs import MultiGraph, bonds, is_biconnected
+from enrichfan.lattices import _echelon, _triangular, lattice_span_equal, rank_of
 from enrichfan.toric import _dual_map_rows, _relations, equations, kernel_rank, relations_generate_kernel
 from enrichfan.verify import check_kernel_and_torus
 
@@ -161,3 +163,40 @@ def test_kernel_and_torus_check_reports_a_broken_rank_formula(monkeypatch):
         for name, g in _kernel_checked().items()
     ]
     assert check_kernel_and_torus(7) == expected
+
+
+def _relation_rows(g, all_bonds) -> tuple:
+    """The relations as dense rows over the dual map's domain, with the column count."""
+    domain, _ = _dual_map_rows(g, all_bonds)
+    rows = []
+    for rel in _relations(g, all_bonds):
+        exponent = {(i, j): x for i, j, x in rel}
+        rows.append(tuple(exponent.get(pair, 0) for pair in domain))
+    return rows, len(domain)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_triangular_rows_span_the_relation_lattice(name):
+    # the kernel check hands lattice_span_equal the triangular rows, not the
+    # relations: they span the same lattice (equal Hermite forms) with one
+    # row per rank
+    g = GRAPHS[name]()
+    dense, ncols = _relation_rows(g, bonds(g))
+    tri = _triangular([{k: x for k, x in enumerate(row) if x} for row in dense], ncols)
+    assert len(tri) == rank_of(dense) if dense else tri == []
+    assert lattice_span_equal(tri, dense, ncols)
+    e, f = _echelon(tri, ncols), _echelon(dense, ncols)
+    assert e.rows[: e.rank] == f.rows[: f.rank]
+
+
+@pytest.mark.parametrize("name", sorted(name for name, make in GRAPHS.items() if kernel_rank(make())))
+def test_kernel_check_refuses_doubled_relations(name, monkeypatch):
+    # every relation doubled spans a sublattice of index 2^rank of a nonzero
+    # kernel: the check must fail
+    g = GRAPHS[name]()
+    real = enrichfan.toric._relations
+    assert relations_generate_kernel(g, 9)
+    monkeypatch.setattr(
+        enrichfan.toric, "_relations", lambda g, all_bonds: [tuple((i, j, 2 * x) for i, j, x in rel) for rel in real(g, all_bonds)]
+    )
+    assert not relations_generate_kernel(g, 9)
