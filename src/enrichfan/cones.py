@@ -24,10 +24,11 @@ first use, and stops at the first comparison that fails.
 
 The public constructor checks that the rays are independent with one exact
 echelon.  Cones independent by construction skip it through ``_trusted_cone``:
-a structure cone, read off its preorder rows together with its rows and
-comparison plan, one facet per class since the rows are laminar and their
-classes a forest; every face of a cone, whose rays are a subset of
-independent rays; and the star-subdivision and quotient cones of ``fans``.
+a structure cone, read off its preorder rows with its comparison plan, one
+facet per class from the row forest (``enriched._parents``), and its rows
+built from the plan on first read; every face of a cone, whose rays are a
+subset of independent rays; and the star-subdivision and quotient cones of
+``fans``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import itertools
 from fractions import Fraction
 from math import lcm, prod
 
-from .enriched import EnrichedGraph
-from .graphs import _Value, bits
+from .enriched import EnrichedGraph, _parents
+from .graphs import _Value
 from .lattices import _echelon, _substitute, dot, invariant_factors, linearly_independent, primitive
 
 
@@ -47,11 +48,12 @@ class RationalCone(_Value):
     ``rays``, kept sorted, generate the closure; ``closed`` distinguishes
     the closed cone from its relative interior.  ``rows`` is the pair
     ``(equalities, facets)`` of integer rows cutting out the closure; when
-    absent it is derived from the rays the first time membership is asked.
-    Neither ``rows`` nor the comparison plan takes part in equality or hashing.
+    absent it is built on first read from a comparison plan handed over, or
+    else derived from the rays the first time membership is asked.  Neither
+    ``rows`` nor the comparison plan takes part in equality or hashing.
     """
 
-    __slots__ = ("labels", "rays", "closed", "rows", "_plan")
+    __slots__ = ("labels", "rays", "closed", "_rows", "_plan")
 
     def __init__(self, labels: tuple, rays: tuple, closed: bool = True, rows: tuple = None):
         rays = tuple(sorted(rays))
@@ -62,7 +64,7 @@ class RationalCone(_Value):
         self.labels = labels
         self.rays = rays
         self.closed = closed
-        self.rows = rows
+        self._rows = rows
         self._plan = None
 
     def _key(self) -> tuple:
@@ -88,13 +90,19 @@ class RationalCone(_Value):
         """The closed cone on the same rays, keeping the rows and the comparison plan."""
         if self.closed:
             return self
-        return _trusted_cone(self.labels, self.rays, True, self.rows, self._plan)
+        return _trusted_cone(self.labels, self.rays, True, self._rows, self._plan)
+
+    @property
+    def rows(self):
+        if self._rows is None and self._plan:
+            self._rows = tuple(tuple(_unit_row(i, j, len(self.labels)) for i, j in pairs) for pairs in self._plan)
+        return self._rows
 
     def h_description(self) -> tuple:
         """``(equalities, facets)``: integer rows cutting out the closure."""
         if self.rows is None:
-            self.rows = _h_from_rays(self.labels, self.rays)
-        return self.rows
+            self._rows = _h_from_rays(self.labels, self.rays)
+        return self._rows
 
     def _comparisons(self):
         """Rows as pairs ``(i, j)`` reading ``x[i] - x[j]`` (index ``n`` reads 0); False if one is no comparison."""
@@ -181,7 +189,7 @@ def _trusted_cone(labels: tuple, rays: tuple, closed: bool = True, rows=None, pl
     cone.labels = labels
     cone.rays = rays
     cone.closed = closed
-    cone.rows = rows
+    cone._rows = rows
     cone._plan = plan
     return cone
 
@@ -266,35 +274,25 @@ def _structure_cone(eg: EnrichedGraph, closed: bool) -> RationalCone:
     """The structure cone, read off the preorder rows.
 
     A class is the set of edges sharing one row, taken in order of its
-    first edge.  The distinct rows are laminar (a bottom class's row is its
-    whole block, and the rest are rows of the contraction, whose blocks are
-    disjoint and inside the blocks), so each class has one Hasse facet: a
-    cover by the class of its least strict superset row, the last one met
-    when rows come largest first, or positivity when no row holds it.  The
-    comparisons are equalities inside classes and these facets, grouped by
-    lower class and then by upper class, roots last; transitivity makes
-    them cut out the whole cone.  One list of pairs ``(i, j)``, reading
-    ``x[i] - x[j]`` with index ``n`` reading 0, gives both the integer rows
-    and the comparison plan.  The rays are the distinct rows as 0/1
-    vectors: principal upper sets of distinct classes, unitriangular in any
-    linear extension, so independent and not rechecked.
+    first edge.  Each class has one facet from the row forest
+    (``enriched._parents``): a cover by its parent, or positivity for a
+    bottom class.  The comparisons, equalities inside classes and these
+    facets grouped by lower and then upper class, roots last, cut out the
+    whole cone by transitivity.  They are the comparison plan, pairs
+    ``(i, j)`` reading ``x[i] - x[j]`` with index ``n`` reading 0, which
+    the integer rows are built from on first read.  The rays are the
+    distinct rows as 0/1 vectors: principal upper sets of distinct classes,
+    unitriangular in any linear extension, so independent and not rechecked.
     """
     rows = eg.preorder.rows
     n = len(rows)
     members = {}  # distinct row -> its edges, in order of first edge
     for i, row in enumerate(rows):
         members.setdefault(row, []).append(i)
-    least = [n] * n  # per edge, the first edge of the least row met so far holding it
-    covers = []  # (first edge of the lower class or n, first edge of the class)
-    for row in sorted(members, key=int.bit_count, reverse=True):
-        f = members[row][0]
-        covers.append((least[f], f))
-        for e in bits(row):
-            least[e] = f
     equalities = tuple((a, b) for cls in members.values() for a, b in zip(cls, cls[1:]))
-    plan = (equalities, tuple((j, i) for i, j in sorted(covers)))
-    h = tuple(tuple(_unit_row(i, j, n) for i, j in pairs) for pairs in plan)
-    return _trusted_cone(eg.graph.edge_labels, tuple(_indicators(members, n)), closed, h, plan)
+    covers = sorted([(members[parent][0] if parent else n, members[row][0]) for row, parent in _parents(rows).items()])
+    plan = (equalities, tuple((j, i) for i, j in covers))
+    return _trusted_cone(eg.graph.edge_labels, tuple(_indicators(members, n)), closed, None, plan)
 
 
 def structure_cone(eg: EnrichedGraph) -> RationalCone:

@@ -31,6 +31,9 @@ the argmin set (location, ``_located_rows``).
 Specializations need no recursion: ``_faces`` reads the faces of the
 closed structure cone into one table, lower-set mask to packed target
 rows, which ``specializations`` and the gluing in ``moduli`` both read.
+The distinct rows, the rays, form a forest (``_parents``): each class's
+parent is its least strictly larger row, and the facet that drops a
+class's ray merges the class into its parent, or contracts a bottom class.
 These and the core's structures are correct by construction, so they are
 built on a trusted path that skips the checks of the public
 ``EnrichedGraph`` and ``Specialization`` constructors; the latter's,
@@ -278,10 +281,26 @@ class Specialization(_Value):
         return not self.contracted and self.target.preorder == self.source.preorder
 
 
-def _faces(rows: tuple) -> dict:
+def _parents(rows: tuple) -> dict:
+    """Map each distinct row of a structure to its parent, its least strict
+    superset row, or to 0 for a bottom class.  The rows are laminar (a
+    bottom class's row is its whole block, the rest are rows of the
+    contraction, whose blocks are disjoint and inside the blocks), so those
+    holding an edge form a chain: taken largest first, a row's parent is the
+    last one met holding any of its edges."""
+    least, parents = [0] * len(rows), {}  # per edge, the least row met so far holding it
+    for row in sorted(set(rows), key=int.bit_count, reverse=True):
+        parents[row] = least[(row & -row).bit_length() - 1]
+        for e in bits(row):
+            least[e] = row
+    return parents
+
+
+def _faces(rows: tuple, facets: bool = False) -> dict:
     """The face table of the closed structure cone of the preorder with
     ``rows``, whose rays are the distinct rows: each lower-set mask mapped
-    to the packed target rows of its faces, one per face.
+    to the packed target rows of its faces, one per face, or only of its
+    facets, the faces that drop one ray.
 
     A face's set of rays contracts the edges on none of them, a lower set,
     and orders the rest: ``e ≼ f`` exactly when every ray of the face
@@ -290,7 +309,7 @@ def _faces(rows: tuple) -> dict:
     rays = list(set(rows))
     through = [sum(1 << t for t, ray in enumerate(rays) if ray >> e & 1) for e in range(len(rows))]
     table = {}
-    for face in range(1 << len(rays)):
+    for face in [(1 << len(rays)) - 1 - (1 << t) for t in range(len(rays))] if facets else range(1 << len(rays)):
         on = [r & face for r in through]  # the face's rays through each edge
         kept = [a for a in on if a]
         w = (len(kept) + 7) & -8

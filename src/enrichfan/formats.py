@@ -1,5 +1,6 @@
 """Graphs read from text or JSON; graphs, fans and cells written as JSON
-and graphs, preorders and cells as DOT.
+and graphs, preorders and cells as DOT; the specialization poset's arrows
+come off the row forest ``enriched._parents``, imported on first use.
 
 The text format is one header line ``vertices: id[:weight] ...`` followed
 by one line per edge ``label: u v``.  A token that is an optional single
@@ -172,18 +173,19 @@ def specialization_poset_dot(structs) -> str:
     """Same-graph specialization arrows among ``structs``, all enriched
     structures of one graph as ``enriched_structures`` lists them.
 
-    Such a specialization of rank one less merges a class into one it
-    covers, so each arrow comes from a Hasse cover of its source.  Each class
-    covers at most one class, so merging ``j`` into the ``i`` it covers gives
-    the labels of ``j`` the row of ``i`` and leaves the other rows alone.
+    Such a specialization of rank one less is a facet of the source's
+    cone that contracts nothing: it merges a class into its parent in the
+    row forest (``enriched._parents``), giving the labels of the class the
+    parent's row and leaving the other rows alone.
     """
+    from .enriched import _parents
+
     ids = {eg.preorder.rows: i for i, eg in enumerate(structs)}
     lines = ["digraph S {", "  rankdir=BT;"]
     lines += [f'  p{i} [label="{relation_summary(eg.preorder)}"];' for i, eg in enumerate(structs)]
     for k, eg in enumerate(structs):
         rows = eg.preorder.rows
-        up = list(dict.fromkeys(rows))  # the row of each class, in class order
-        merged = sorted(ids[tuple(up[i] if r == up[j] else r for r in rows)] for i, j in eg.preorder.quotient().hasse)
+        merged = sorted(ids[tuple(parent if r == row else r for r in rows)] for row, parent in _parents(rows).items() if parent)
         lines.extend(f"  p{t} -> p{k};" for t in merged)
     lines.append("}")
     return "\n".join(lines) + "\n"

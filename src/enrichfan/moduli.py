@@ -39,6 +39,8 @@ automorphism of the frame, and the table maps each resulting
 (``enriched._faces``), frames each (weighted graph, lower set) once per
 call, carries the target rows into the frame and looks them up: work
 linear in the number of cells, and no specialization object.
+``classify_cells`` reads only the facets of the maximal cells, which drop
+one ray (the row forest in ``enriched``): no other face has codimension one.
 """
 
 from __future__ import annotations
@@ -287,9 +289,10 @@ def _cell_table(cells) -> dict:
     return table
 
 
-def _reached(sources, table: dict) -> dict:
+def _reached(sources, table: dict, facets: bool = False) -> dict:
     """Map each cell of ``sources`` to the indices of the cells in ``table``
-    isomorphic to one of its proper specializations, read off its face table.
+    isomorphic to one of its proper specializations, read off its face table
+    (or only its facets).
 
     All faces contracting one lower set of one weighted graph share a target
     graph, so each ``(weighted graph, lower-set mask)`` is contracted,
@@ -301,7 +304,7 @@ def _reached(sources, table: dict) -> dict:
         wg = a.weighted
         by_mask = frames.setdefault(wg, {})
         hits = set()
-        for mask, targets in _faces(a.preorder.rows).items():
+        for mask, targets in _faces(a.preorder.rows, facets).items():
             if mask not in by_mask:
                 s = a.preorder._labels_of(mask)
                 target = contract(wg.graph, s)
@@ -354,7 +357,7 @@ def classify_cells(g: int) -> CellClassification:
     """Maximal and codimension-one cells, with closure multiplicities."""
     cells = enumerate_cells(g)
     table = _cell_table([c for c in cells if c.dim == 3 * g - 4])
-    return classify_census(cells, _reached([c for c in cells if c.dim == 3 * g - 3], table))
+    return classify_census(cells, _reached([c for c in cells if c.dim == 3 * g - 3], table, facets=True))
 
 
 def classify_census(cells, adjacency) -> CellClassification:
@@ -390,7 +393,7 @@ def classify_census(cells, adjacency) -> CellClassification:
         elif regular3 and set(weights) == {0} and not generic:
             t_c.append(c.index)
         else:
-            raise AssertionError(f"codimension-one cell {c.index} fits no expected type")
+            raise RuntimeError(f"codimension-one cell {c.index} fits no expected type")
     above = {i: set() for i in t_a + t_b + t_c}
     for m in maximal:
         for i in adjacency[m]:

@@ -220,12 +220,3 @@ class QuotientPoset(_Value):
     @property
     def rank(self) -> int:
         return len(self.classes)
-
-    def parents(self) -> dict:
-        """Map a class index to its unique Hasse predecessor, when one exists."""
-        out = {}
-        for i, j in self.hasse:
-            if j in out:
-                raise ValueError(f"class {j} covers more than one class")
-            out[j] = i
-        return out

@@ -36,6 +36,11 @@ are the key-table gluing as it ran before it read the face table
 ``reference_enriched.face_specializations`` and framing each lower set
 once per cell.  They still share ``_cell_table``, ``_frame_map`` and
 ``_mover`` with the library.
+
+``all_faces_classify_cells`` is ``classify_cells`` as it ran before it read
+only the facets of the maximal cells, copied verbatim but for its name and
+the module prefixes: ``moduli._reached`` reads every face of each maximal
+cell off ``enriched._faces``.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from enrichfan import moduli
 from enrichfan.cones import containing, structure_cone
 from enrichfan.enriched import enriched_structures, locate, specializations
 from enrichfan.errors import GuardExceededError
@@ -496,3 +502,10 @@ def enumerate_stable_weighted_graphs_on_tuples(g: int) -> list:
                     if all(w > 0 or d >= 3 for w, d in zip(weights, valence)):
                         seen.add(_canonical_orderings(weights, combo)[0])
     return [_graph_from_key(k) for k in sorted(seen)]
+
+
+def all_faces_classify_cells(g: int) -> CellClassification:
+    """Maximal and codimension-one cells, with closure multiplicities."""
+    cells = moduli.enumerate_cells(g)
+    table = _cell_table([c for c in cells if c.dim == 3 * g - 4])
+    return classify_census(cells, moduli._reached([c for c in cells if c.dim == 3 * g - 3], table))

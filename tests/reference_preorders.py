@@ -18,7 +18,11 @@ row methods copied verbatim once the library stopped calling them:
 specializations read lower sets off the faces of the structure cone
 (``enriched._faces``), and the census moves rows by edge-index tables.
 ``roots`` is ``QuotientPoset.roots``, the minimal classes read off
-``less``, which no library code called.
+``less``, which no library code called.  ``parents`` is
+``QuotientPoset.parents``, copied verbatim with ``self`` made the first
+argument: a second derivation of a class's parent, from the Hasse covers,
+which only the tests called once structures read theirs off the row forest
+(``enriched._parents``).
 
 ``all_preorders`` enumerates every preorder on a small ground set by
 brute force; enumeration and validation are tested against it.
@@ -179,6 +183,16 @@ def roots(q: QuotientPoset) -> tuple:
     """Indices of the minimal classes of ``q``: those no class lies below."""
     above = {j for _, j in q.less}
     return tuple(i for i in range(len(q.classes)) if i not in above)
+
+
+def parents(self) -> dict:
+    """Map a class index to its unique Hasse predecessor, when one exists."""
+    out = {}
+    for i, j in self.hasse:
+        if j in out:
+            raise ValueError(f"class {j} covers more than one class")
+        out[j] = i
+    return out
 
 
 def quotient(self) -> QuotientPoset:

@@ -25,6 +25,7 @@ from enrichfan.enriched import (
 )
 from enrichfan.preorders import Preorder
 from reference_lattices import halfspaces_of
+from reference_preorders import parents as hasse_parents
 from test_enriched_reference import cycle
 from test_fans import embedded
 from test_toric_reference import k4
@@ -37,7 +38,7 @@ def lengths_from_increments(eg: EnrichedGraph, y) -> dict:
     edge is the sum of increments along the Hasse path from its root class.
     """
     q = eg.preorder.quotient()
-    parents = q.parents()
+    parents = hasse_parents(q)
     totals = {}
 
     def total(idx):
@@ -262,7 +263,7 @@ class TestIncrementCoordinates:
             pos = {lab: i for i, lab in enumerate(g.edge_labels)}
             for eg in enriched_structures(g):
                 q = eg.preorder.quotient()
-                parents = q.parents()
+                parents = hasse_parents(q)
                 classes, rows = increment_matrix(eg)
                 assert classes == q.classes
                 for idx, (cls, row) in enumerate(zip(classes, rows)):

@@ -3,9 +3,12 @@ that went through ``Preorder.quotient`` and the checking constructor.
 
 Labels, rays, the ``closed`` flag and the rows (in order) must agree, the
 comparison plan handed over with the rows must be what ``_comparison``
-reads off them, and the faces must agree.  The unchecked path must not
-reach the echelon at all.  The rows are laminar, which gives each class
-the one facet the builder reads off its least strict superset row."""
+reads off them, and the faces must agree.  The comparison plan must be
+the one ``_structure_cone``'s own walk over the rows gave before it read
+the row forest, and the integer rows, built on first read, its rows.  The
+unchecked path must not reach the echelon at all.  The rows are laminar,
+which gives each class the one facet read off its least strict superset
+row."""
 
 import itertools
 import random
@@ -33,6 +36,9 @@ def _described(cone) -> tuple:
 def assert_cones_match(eg):
     old = ref.structure_cone(eg, closed=False)
     opened, closed = structure_cone(eg), closed_structure_cone(eg)
+    walked = ref.walked_structure_cone(eg, closed=False)
+    assert opened._plan == walked._plan
+    assert _described(opened) == _described(walked)
     assert _described(opened) == _described(old)
     assert _described(closed) == (old.labels, old.rays, True, old.rows)
     n = len(old.labels)
@@ -88,6 +94,18 @@ def test_structure_cones_and_faces_never_run_the_echelon(monkeypatch):
         for eg in enriched_structures(g):
             assert structure_cone(eg).dim == closed_structure_cone(eg).dim == eg.rank
             assert len(closed_structure_cone(eg).faces()) == 2**eg.rank
+
+
+def test_rows_are_built_on_first_read_and_shared_by_the_closure():
+    for eg in enriched_structures(k4()):
+        walked = ref.walked_structure_cone(eg, closed=False)
+        late, early = structure_cone(eg), structure_cone(eg)
+        assert late._rows is None and early._rows is None
+        early.rows
+        shut_late, shut_early = late.closure(), early.closure()
+        assert shut_early.rows is early.rows == walked.rows
+        assert late.h_description() is late.rows == shut_late.rows == walked.rows
+        assert shut_late._plan is late._plan
 
 
 @settings(max_examples=60, deadline=None)

@@ -311,11 +311,17 @@ class TestContractions:
 def planted_census(kind: str) -> list:
     """The genus-2 census with one more maximal cell, of dimension 3: the
     triangle with its discrete structure (not trivalent), or K4 with three
-    classes of two edges each (trivalent, not generic)."""
+    classes of two edges each (trivalent, not generic); or with one more
+    codimension-one cell, the triangle with two classes (neither generic
+    nor trivalent), which fits none of the three types."""
     cells = enumerate_cells(2)
     if kind == "trivalent":
         graph = corpus.triangle()
         p = Preorder.discrete(graph.edge_labels)
+    elif kind == "codimension-one":
+        graph = corpus.triangle()
+        a, b, c = graph.edge_labels
+        p = Preorder.from_relations(graph.edge_labels, [(a, b), (b, a)])
     else:
         graph = MultiGraph("abcd", {u + v: (u, v) for i, u in enumerate("abcd") for v in "abcd"[i + 1 :]})  # K4
         a, b, c, d, e, f = graph.edge_labels
@@ -325,8 +331,8 @@ def planted_census(kind: str) -> list:
 
 
 class TestCensusChecks:
-    """The maximal-cell checks of ``classify_census`` raise, so ``python -O``
-    keeps them."""
+    """The maximal-cell checks and the codimension-one types of
+    ``classify_census`` raise, so ``python -O`` keeps them."""
 
     @pytest.mark.parametrize("kind", ["trivalent", "generic"])
     def test_a_planted_maximal_cell_raises(self, kind):
@@ -334,13 +340,19 @@ class TestCensusChecks:
         with pytest.raises(RuntimeError, match=f"maximal cell {len(cells) - 1} is not {kind}"):
             classify_census(cells, {})
 
+    def test_a_planted_codimension_one_cell_raises(self):
+        cells = planted_census("codimension-one")
+        assert cells[-1].dim == 2
+        with pytest.raises(RuntimeError, match=f"codimension-one cell {len(cells) - 1} fits no expected type"):
+            classify_census(cells, {c.index: [] for c in cells})
+
     def test_both_raise_with_asserts_stripped(self):
         script = (
             "from test_moduli import classify_census, planted_census\n"
             "assert False, 'asserts are not stripped'\n"
-            "for kind in ('trivalent', 'generic'):\n"
+            "for kind in ('trivalent', 'generic', 'codimension-one'):\n"
             "    try:\n"
-            "        classify_census(planted_census(kind), {})\n"
+            "        classify_census(planted_census(kind), dict.fromkeys(range(10), []))\n"
             "    except RuntimeError as exc:\n"
             "        print(exc)\n"
         )
@@ -350,7 +362,7 @@ class TestCensusChecks:
             env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)])),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "maximal cell 9 is not trivalent\nmaximal cell 9 is not generic\n"
+        assert proc.stdout == "maximal cell 9 is not trivalent\nmaximal cell 9 is not generic\ncodimension-one cell 9 fits no expected type\n"
 
 
 def cell_specializes_to(a, b) -> bool:

@@ -298,6 +298,24 @@ class TestClassification:
     def test_genus_two_report(self):
         assert classify_cells(2) == ref.classify_cells(2)
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_facets_give_the_all_faces_report(self, g):
+        assert classify_cells(g) == ref.all_faces_classify_cells(g)
+
+    def test_only_the_facets_of_the_maximal_cells_are_read(self, monkeypatch):
+        # a maximal cell of dimension d has d facets and 2^d faces
+        read = []
+
+        def counted(rows, *args, **kwargs):
+            table = enriched._faces(rows, *args, **kwargs)
+            read.append((len(set(rows)), sum(map(len, table.values()))))
+            return table
+
+        monkeypatch.setattr(moduli, "_faces", counted)
+        report = classify_cells(3)
+        assert len(read) == len(report.maximal) == 15
+        assert all(faces <= dim for dim, faces in read)
+
     def test_genus_three_report(self):
         # the pairwise reference gives this same report, in about 40 s
         report = classify_cells(3)

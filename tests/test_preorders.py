@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from enrichfan.errors import UnknownLabelError
 from enrichfan.preorders import Preorder
-from reference_preorders import all_preorders, is_lower_set, lower_sets, relabel, restrict, roots
+from reference_preorders import all_preorders, is_lower_set, lower_sets, parents, relabel, restrict, roots
 
 
 def p1():
@@ -286,4 +286,4 @@ class TestForestDetection:
         p = Preorder.from_relations("abc", [("a", "c"), ("b", "c")])
         q = p.quotient()
         with pytest.raises(ValueError):
-            q.parents()
+            parents(q)
