@@ -21,16 +21,21 @@ restricted to K: contracting a bottom composes with the contractions
 before it, and contracting the other blocks at a block split merges no
 two vertices of the kept block (a path outside a block between two of
 its vertices would close a cycle through it).  So a dict scoped to one
-call memoizes subproblems on the mask alone, and only a miss of two or
-more edges merges the ends of the edges outside K, with ``graphs._roots``;
-nothing is cached between calls.  The consumers differ only in the bottoms
-they offer: every nonempty subset (enumeration), the rows equal to the
-mask (validation, which accepts when it rebuilds the given structure) or
-the argmin set (location, ``_located_rows``).
+call memoizes subproblems on the mask alone, and each carries its
+contraction down: a block keeps its parent's ends, and the rest of a
+bottom merges only the bottom's edges (``graphs._roots``) and remaps only
+its own; a rest of loops alone, as every bottom of a theta graph leaves,
+has only the discrete structure.  Nothing is cached between calls.  The
+consumers differ only in the bottoms they offer: every nonempty subset
+(enumeration), the rows equal to the mask (validation, which accepts when
+it rebuilds the given structure) or the argmin set (location,
+``_located_rows``, whose callers may share one table of each mask's
+contraction and blocks between the points on one graph).
 
 Specializations need no recursion: ``_faces`` reads the faces of the
 closed structure cone into one table, lower-set mask to packed target
-rows, which ``specializations`` and the gluing in ``moduli`` both read.
+rows, which ``specializations`` and the gluing in ``moduli`` both read,
+each contracting a lower set once, on edge indices (``graphs._contract``).
 The distinct rows, the rays, form a forest (``_parents``): each class's
 parent is its least strictly larger row, and the facet that drops a
 class's ray merges the class into its parent, or contracts a bottom class.
@@ -44,21 +49,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from struct import Struct
 
 from .errors import GroundSetMismatchError, NotABondError, UnknownLabelError
-from .graphs import Bond, MultiGraph, _roots, _Value, biconnected_components, bits, block_masks, bonds, contract, edge_ends, sort_labels
+from .graphs import Bond, MultiGraph, _contract, _roots, _trusted, _Value, biconnected_components, bits, block_masks, bonds, contract, edge_ends, sort_labels
 from .preorders import Preorder
 
 _REV8 = bytes((b * 0x202020202 & 0x10884422010) % 1023 for b in range(256))  # bits reversed
-
-
-def _trusted(cls, **fields):
-    """An instance of ``cls`` with its slots set to ``fields``, skipping its
-    constructor's checks: only for values correct by construction."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        setattr(obj, name, value)
-    return obj
 
 
 class EnrichedGraph(_Value):
@@ -80,40 +77,49 @@ class EnrichedGraph(_Value):
         return self.preorder.is_partial_order()
 
 
-def _rows(ends: tuple, mask: int, bottoms, memo: dict) -> list:
+def _rows(ends, mask: int, bottoms, memo: dict, splits: dict, merge: int = 0) -> list:
     """The packed enriched structures on the edges in ``mask`` (rows outside
     it zero) whose bottom classes come from ``bottoms(block_mask)``.
 
-    ``ends`` are the whole graph's and ``memo`` is keyed on ``mask`` alone;
-    blocks come by least edge, so the contraction's vertex numbering does
-    not matter."""
+    ``ends`` are the parent's, its bottom ``merge`` not yet contracted;
+    ``memo`` and ``splits``, each mask's contracted ends and blocks, are
+    keyed on ``mask`` alone: blocks come by least edge, so the
+    contraction's vertex numbering does not matter."""
     found = memo.get(mask)
     if found is not None:
         return found
-    n = len(ends)
-    w = (n + 7) & -8
-    if mask & (mask - 1) == 0:  # at most one edge: only the discrete structure
-        found = [mask << w * (mask.bit_length() - 1) if mask else 0]
+    w = (len(ends) + 7) & -8
+    split = splits.get(mask) if mask & (mask - 1) else (ends, ())
+    if split is None:
+        loops = False
+        if merge:  # the rest of a bottom: contract the bottom, remap the edges left
+            root = _roots(map(ends.__getitem__, bits(merge))).get
+            ends, loops = list(ends), True
+            for e in bits(mask):
+                u, v = ends[e]
+                u, v = ends[e] = root(u, u), root(v, v)
+                loops = loops and u == v
+        split = splits[mask] = ends, () if loops else block_masks(ends, mask)
+    ends, blocks = split
+    if not blocks:  # at most one edge, or only loops: the discrete structure alone
+        found = [sum(1 << (w + 1) * i for i in bits(mask))]
+    elif len(blocks) == 1:
+        found = []
+        for bottom in bottoms(mask):
+            base = sum(mask << w * i for i in bits(bottom))
+            found += [base | q for q in _rows(ends, mask & ~bottom, bottoms, memo, splits, bottom)]
     else:
-        root = _roots(map(ends.__getitem__, bits(((1 << n) - 1) & ~mask))).get
-        blocks = block_masks([(root(u, u), root(v, v)) for u, v in ends], mask)
-        if len(blocks) == 1:
-            found = []
-            for bottom in bottoms(mask):
-                base = sum(mask << w * i for i in bits(bottom))
-                found += [base | q for q in _rows(ends, mask & ~bottom, bottoms, memo)]
-        else:
-            found = None
-            for block in blocks:
-                part = _rows(ends, block, bottoms, memo)
-                found = part if found is None else [a | b for a in found for b in part]
+        found = None
+        for block in blocks:
+            part = _rows(ends, block, bottoms, memo, splits)
+            found = part if found is None else [a | b for a in found for b in part]
     memo[mask] = found
     return found
 
 
-def _structure_rows(ends: tuple, bottoms) -> list:
+def _structure_rows(ends: tuple, bottoms, splits: dict = None) -> list:
     """The rows of the structures ``_rows`` builds on the graph with ``ends``, ordered."""
-    return _ordered_rows(_rows(ends, (1 << len(ends)) - 1, bottoms, {}), len(ends))
+    return _ordered_rows(_rows(ends, (1 << len(ends)) - 1, bottoms, {}, {} if splits is None else splits), len(ends))
 
 
 def _ordered_rows(found: list, n: int) -> list:
@@ -134,8 +140,8 @@ def _ordered_rows(found: list, n: int) -> list:
             return b.bit_count() - b - (b & -b or 1 << 8 * k * n)
 
         found.sort(key=rank)
-    if k < 2:
-        return list(map(tuple, found))
+    if k < 3:  # one or two bytes a row
+        return list(map(Struct(f"<{n}{'BH'[k - 1]}").unpack, found))
     return [tuple(int.from_bytes(d[i : i + k], "little") for i in range(0, k * n, k)) for d in found]
 
 
@@ -166,9 +172,9 @@ def _argmin(values: list):
     return bottoms
 
 
-def _located_rows(ends: tuple, values) -> tuple:
+def _located_rows(ends: tuple, values, splits: dict = None) -> tuple:
     """The rows ``locate`` finds at positive integers ``values`` in edge-index order."""
-    return _structure_rows(ends, _argmin(values))[0]
+    return _structure_rows(ends, _argmin(values), splits)[0]
 
 
 def is_enriched(g: MultiGraph, p: Preorder) -> bool:
@@ -303,18 +309,27 @@ def _faces(rows: tuple, facets: bool = False) -> dict:
     facets, the faces that drop one ray.
 
     A face's set of rays contracts the edges on none of them, a lower set,
-    and orders the rest: ``e ≼ f`` exactly when every ray of the face
+    and orders the rest: the rays through an edge form a chain
+    (``_parents``), and ``e ≼ f`` exactly when the least ray of the face
     through ``e`` passes through ``f``.
     """
-    rays = list(set(rows))
+    rays = sorted(set(rows), key=int.bit_count)  # least first along every chain
     through = [sum(1 << t for t, ray in enumerate(rays) if ray >> e & 1) for e in range(len(rows))]
     table = {}
     for face in [(1 << len(rays)) - 1 - (1 << t) for t in range(len(rays))] if facets else range(1 << len(rays)):
-        on = [r & face for r in through]  # the face's rays through each edge
-        kept = [a for a in on if a]
-        w = (len(kept) + 7) & -8
-        target = sum(1 << w * i + j for i, a in enumerate(kept) for j, b in enumerate(kept) if a & ~b == 0)
-        table.setdefault(sum(1 << e for e, a in enumerate(on) if not a), []).append(target)
+        on = [a & face for a in through]  # the face's rays through each edge
+        lower = sum(1 << e for e, a in enumerate(on) if not a)
+        gaps = list(bits(lower))[::-1]
+        w = (len(rows) - len(gaps) + 7) & -8
+        target, least = 0, {}
+        for i, low in enumerate([a & -a for a in on if a]):
+            if low not in least:
+                row = rays[low.bit_length() - 1]
+                for b in gaps:  # close the gap at each contracted edge, highest first
+                    row = row >> b + 1 << b | row & (1 << b) - 1
+                least[low] = row
+            target |= least[low] << w * i
+        table.setdefault(lower, []).append(target)
     return table
 
 
@@ -324,11 +339,11 @@ def specializations(eg: EnrichedGraph) -> list:
     contracted lower set, then by its sorted edge indices, each group in
     ``_ordered_rows`` order.
     """
-    p = eg.preorder
+    p, ends = eg.preorder, edge_ends(eg.graph)
     out = []
     for mask, targets in sorted(_faces(p.rows).items(), key=lambda item: (item[0].bit_count(), list(bits(item[0])))):
         s = p._labels_of(mask)
-        target_graph = contract(eg.graph, s)
+        target_graph = _contract(eg.graph, ends, mask)
         for cand in Preorder._family(target_graph.edge_labels, _ordered_rows(targets, target_graph.n_edges)):
             target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
             out.append(_trusted(Specialization, source=eg, target=target, contracted=s))

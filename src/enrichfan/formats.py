@@ -1,6 +1,7 @@
 """Graphs read from text or JSON; graphs, fans and cells written as JSON
 and graphs, preorders and cells as DOT; the specialization poset's arrows
-come off the row forest ``enriched._parents``, imported on first use.
+and node labels come off the row forest ``enriched._parents``, imported on
+first use.
 
 The text format is one header line ``vertices: id[:weight] ...`` followed
 by one line per edge ``label: u v``.  A token that is an optional single
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 
 from .errors import FormatError
-from .graphs import MultiGraph, WeightedGraph
+from .graphs import MultiGraph, WeightedGraph, bits
 
 
 def _token(s):
@@ -159,14 +160,14 @@ def hasse_to_dot(p: Preorder) -> str:
     return "\n".join(lines) + "\n"
 
 
-def relation_summary(p: Preorder) -> str:
-    """Compact description: classes joined by ~, Hasse covers as <."""
-    q = p.quotient()
-    cls = ["~".join(map(str, c)) for c in q.classes]
-    covers = [f"{cls[i]}<{cls[j]}" for i, j in q.hasse]
-    covered = {i for pair in q.hasse for i in pair}
-    isolated = [cls[i] for i in range(len(cls)) if i not in covered]
-    return "; ".join(covers + isolated) or "empty"
+def _relation_summary(p: Preorder, parents: dict) -> str:
+    """Classes joined by ~, Hasse covers (the row forest ``parents``) as <."""
+    classes = p._classes()
+    index = {row: k for k, row in enumerate(classes)}
+    cls = ["~".join(str(p.ground[j]) for j in bits(m)) for m in classes.values()]
+    covers = sorted((index[parent], index[row]) for row, parent in parents.items() if parent)
+    isolated = [c for i, c in enumerate(cls) if all(i not in pair for pair in covers)]
+    return "; ".join([f"{cls[i]}<{cls[j]}" for i, j in covers] + isolated) or "empty"
 
 
 def specialization_poset_dot(structs) -> str:
@@ -181,14 +182,13 @@ def specialization_poset_dot(structs) -> str:
     from .enriched import _parents
 
     ids = {eg.preorder.rows: i for i, eg in enumerate(structs)}
-    lines = ["digraph S {", "  rankdir=BT;"]
-    lines += [f'  p{i} [label="{relation_summary(eg.preorder)}"];' for i, eg in enumerate(structs)]
+    nodes, arrows = [], []
     for k, eg in enumerate(structs):
-        rows = eg.preorder.rows
-        merged = sorted(ids[tuple(parent if r == row else r for r in rows)] for row, parent in _parents(rows).items() if parent)
-        lines.extend(f"  p{t} -> p{k};" for t in merged)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        rows, parents = eg.preorder.rows, _parents(eg.preorder.rows)
+        nodes.append(f'  p{k} [label="{_relation_summary(eg.preorder, parents)}"];')
+        merged = sorted(ids[tuple(parent if r == row else r for r in rows)] for row, parent in parents.items() if parent)
+        arrows += [f"  p{t} -> p{k};" for t in merged]
+    return "\n".join(["digraph S {", "  rankdir=BT;", *nodes, *arrows, "}"]) + "\n"
 
 
 def cells_to_json(cells, adjacency) -> dict:

@@ -8,7 +8,9 @@ construction and every operation is a pure function.
 Every vertex merge is decided by one union-find on vertex indices,
 ``_roots``: contraction and its weights, connected components, the
 connectivity of a bond's two sides and the enumeration core's
-contractions (``enriched._rows``) all read the classes it returns.
+contractions (``enriched._rows``, each in its parent's ends) all read the
+classes it returns.  ``_contract`` contracts on edge indices and builds the
+graph unchecked; ``contract`` is its wrapper on labels.
 
 Weighted-graph isomorphism is decided by one search over ordered vertex
 partitions, ``_canonical_orderings``, capped at ``SEARCH_NODES`` nodes: it
@@ -38,6 +40,15 @@ def label_key(x: Label):
 
 def sort_labels(xs) -> tuple:
     return tuple(sorted(xs, key=label_key))
+
+
+def _trusted(cls, **fields):
+    """An instance of ``cls`` with its slots set to ``fields``, skipping its
+    constructor's checks: only for values correct by construction."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        setattr(obj, name, value)
+    return obj
 
 
 class _Value:
@@ -192,10 +203,23 @@ def contraction_classes(g: MultiGraph, s) -> dict:
 def contract(g: MultiGraph, s) -> MultiGraph:
     """The graph ``g/s``: contract every edge in ``s`` (a loop is deleted), keeping all other labels."""
     s = frozenset(s)
-    reps = contraction_classes(g, s)
-    vertices = set(reps.values())
-    edges = {e: (reps[u], reps[v]) for e, (u, v) in ((e, g.ends(e)) for e in g.edge_labels) if e not in s}
-    return MultiGraph(vertices, edges)
+    list(map(g.ends, s))  # an unknown label raises UnknownEdgeError
+    return _contract(g, edge_ends(g), sum(1 << i for i, e in enumerate(g._labels) if e in s))
+
+
+def _contract(g: MultiGraph, ends, mask: int) -> MultiGraph:
+    """``g`` with the edges in ``mask`` contracted, ``ends`` being ``edge_ends(g)``:
+    built unchecked, each class of merged vertices kept as its least."""
+    reps = _roots(map(ends.__getitem__, bits(mask)))
+    vs, labels = g._vertices, g._labels
+    edges = {}
+    for e in bits((1 << len(labels)) - 1 & ~mask):
+        u, v = ends[e]
+        u, v = reps.get(u, u), reps.get(v, v)
+        edges[labels[e]] = (vs[u], vs[v]) if u <= v else (vs[v], vs[u])
+    vertices = tuple([v for i, v in enumerate(vs) if i not in reps])
+    fields = {"_vertices": vertices, "_vset": frozenset(vertices), "_labels": tuple(edges), "_ends": edges}
+    return _trusted(MultiGraph, **fields, _hash=hash((vertices, tuple(edges.items()))))
 
 
 def bits(mask: int):
@@ -312,8 +336,7 @@ def good_contraction_sequence(g: MultiGraph) -> list:
             root = _roots(map(ends.__getitem__, sub)).get
             kept = [(root(u, u), root(v, v)) for i, (u, v) in enumerate(ends) if i not in sub]
             if all(u != v for u, v in kept) and len(block_masks(kept, (1 << len(kept)) - 1)) == 1:
-                s = frozenset(map(labels.__getitem__, sub))
-                entries.append((s, contract(g, s)))
+                entries.append((frozenset(map(labels.__getitem__, sub)), _contract(g, ends, sum(1 << i for i in sub))))
     return entries
 
 

@@ -52,7 +52,7 @@ from math import gcd, lcm
 from .cones import containing, structure_cone
 from .enriched import EnrichedGraph, _faces, _located_rows, _trusted, enriched_structures
 from .errors import GuardExceededError
-from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, _Value, _roots, automorphisms, contract, contracted_weights, edge_ends
+from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, _contract, _Value, _roots, automorphisms, contracted_weights, edge_ends
 from .preorders import Preorder
 
 GENUS_GUARD = 3
@@ -307,7 +307,7 @@ def _reached(sources, table: dict, facets: bool = False) -> dict:
         for mask, targets in _faces(a.preorder.rows, facets).items():
             if mask not in by_mask:
                 s = a.preorder._labels_of(mask)
-                target = contract(wg.graph, s)
+                target = _contract(wg.graph, edge_ends(wg.graph), mask)
                 key, to_frame = _frame_map(WeightedGraph(target, contracted_weights(wg, s)))
                 entry = table.get(key)
                 by_mask[mask] = None if entry is None else (entry[1], _mover(target.edge_labels, to_frame, entry[0]))
@@ -442,6 +442,7 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
         perms = [_images(labels, a.as_dict(), labels) for a in auts]  # auts[k] takes edge i to perms[k][i]
         pushes = [sorted(range(len(labels)), key=perm.__getitem__) for perm in perms]  # their inverses
         cones = [structure_cone(eg) for eg in structs]
+        splits = {}  # each mask's contraction and blocks, shared by the points on this graph
         for _ in range(budget):
             draws = [(rng.randint(1, 256), rng.randint(1, 64)) for _ in labels]
             draws = [(num // d, den // d) for num, den in draws for d in [gcd(num, den)]]
@@ -451,7 +452,7 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
             bad = []
             for back in pushes:
                 y = tuple([x[i] for i in back])  # x pushed forward: y[perms[k][i]] = x[i]
-                p = _located_rows(ends, y)
+                p = _located_rows(ends, y, splits)
                 hits = [structs[i].preorder.rows for i in containing(cones, y)]
                 if hits != [p]:
                     bad.append("open cones not disjoint")

@@ -55,7 +55,6 @@ class Preorder:
         self._labels = labels
         self._index = index
         self._rows = tuple(rows)
-        self._hash = hash((labels, self._rows))
 
     @staticmethod
     def from_relations(ground, pairs) -> "Preorder":
@@ -90,7 +89,6 @@ class Preorder:
             p._labels = labels
             p._index = index
             p._rows = rows
-            p._hash = hash((labels, rows))
             out.append(p)
         return out
 
@@ -200,6 +198,8 @@ class Preorder:
         return self._labels == other._labels and self._rows == other._rows
 
     def __hash__(self):
+        if not hasattr(self, "_hash"):  # left unset until first asked for
+            self._hash = hash((self._labels, self._rows))
         return self._hash
 
     def __repr__(self):

@@ -31,6 +31,19 @@ verbatim and sorts by a byte key built from each structure's pairs.
 loop became the row-level table ``enriched._faces``: it is copied verbatim
 but for its name, and makes the same objects in the same order.
 
+``relation_summary`` is copied verbatim from ``formats``, where it ran
+``Preorder.quotient()`` on every structure before the DOT's node labels
+came off the row forest; ``specialization_poset_dot`` calls this copy.
+
+``_rebuilt_rows`` is ``enriched._rows`` as it ran before each subproblem
+took its contraction from its parent, copied verbatim but for its name,
+which its recursive calls follow: on every miss of two or more edges it
+merges the ends of all the edges outside the mask and splits the result
+into blocks, all-loop masks included.  ``pairwise_faces`` is
+``enriched._faces`` as it ran before it read each kept edge's target row
+off the least face ray through it, copied verbatim but for its name: it
+tests every pair of kept edges.
+
 ``check_specialization`` is ``Specialization``'s constructor check as it ran on
 labels, before the check moved to rows.  ``Preorder`` no longer has the
 ``is_lower_set``, ``restrict``, ``contains`` and ``lower_sets`` it called,
@@ -45,7 +58,6 @@ import itertools
 from operator import or_
 
 from enrichfan.enriched import EnrichedGraph, Specialization, _ordered_rows, _trusted, enriched_structures
-from enrichfan.formats import relation_summary
 from enrichfan.graphs import MultiGraph, _roots, bits, block_masks, contract, label_key
 from enrichfan.preorders import Preorder
 from reference_preorders import contains, is_lower_set, lower_sets, restrict
@@ -379,3 +391,68 @@ def _canonical(found: list) -> list:
         for i, column in enumerate(zip(*found))
     ]
     return sorted(found, key=lambda rows: b"".join([t[r] for t, r in zip(pair_bytes, rows)]))
+
+
+def relation_summary(p: Preorder) -> str:
+    """Compact description: classes joined by ~, Hasse covers as <."""
+    q = p.quotient()
+    cls = ["~".join(map(str, c)) for c in q.classes]
+    covers = [f"{cls[i]}<{cls[j]}" for i, j in q.hasse]
+    covered = {i for pair in q.hasse for i in pair}
+    isolated = [cls[i] for i in range(len(cls)) if i not in covered]
+    return "; ".join(covers + isolated) or "empty"
+
+
+# ``enriched._rows`` before its subproblems took their contraction from their parent.
+def _rebuilt_rows(ends: tuple, mask: int, bottoms, memo: dict) -> list:
+    """The packed enriched structures on the edges in ``mask`` (rows outside
+    it zero) whose bottom classes come from ``bottoms(block_mask)``.
+
+    ``ends`` are the whole graph's and ``memo`` is keyed on ``mask`` alone;
+    blocks come by least edge, so the contraction's vertex numbering does
+    not matter."""
+    found = memo.get(mask)
+    if found is not None:
+        return found
+    n = len(ends)
+    w = (n + 7) & -8
+    if mask & (mask - 1) == 0:  # at most one edge: only the discrete structure
+        found = [mask << w * (mask.bit_length() - 1) if mask else 0]
+    else:
+        root = _roots(map(ends.__getitem__, bits(((1 << n) - 1) & ~mask))).get
+        blocks = block_masks([(root(u, u), root(v, v)) for u, v in ends], mask)
+        if len(blocks) == 1:
+            found = []
+            for bottom in bottoms(mask):
+                base = sum(mask << w * i for i in bits(bottom))
+                found += [base | q for q in _rebuilt_rows(ends, mask & ~bottom, bottoms, memo)]
+        else:
+            found = None
+            for block in blocks:
+                part = _rebuilt_rows(ends, block, bottoms, memo)
+                found = part if found is None else [a | b for a in found for b in part]
+    memo[mask] = found
+    return found
+
+
+# ``enriched._faces`` before it read each target row off the least face ray.
+def pairwise_faces(rows: tuple, facets: bool = False) -> dict:
+    """The face table of the closed structure cone of the preorder with
+    ``rows``, whose rays are the distinct rows: each lower-set mask mapped
+    to the packed target rows of its faces, one per face, or only of its
+    facets, the faces that drop one ray.
+
+    A face's set of rays contracts the edges on none of them, a lower set,
+    and orders the rest: ``e ≼ f`` exactly when every ray of the face
+    through ``e`` passes through ``f``.
+    """
+    rays = list(set(rows))
+    through = [sum(1 << t for t, ray in enumerate(rays) if ray >> e & 1) for e in range(len(rows))]
+    table = {}
+    for face in [(1 << len(rays)) - 1 - (1 << t) for t in range(len(rays))] if facets else range(1 << len(rays)):
+        on = [r & face for r in through]  # the face's rays through each edge
+        kept = [a for a in on if a]
+        w = (len(kept) + 7) & -8
+        target = sum(1 << w * i + j for i, a in enumerate(kept) for j, b in enumerate(kept) if a & ~b == 0)
+        table.setdefault(sum(1 << e for e, a in enumerate(on) if not a), []).append(target)
+    return table

@@ -32,6 +32,11 @@ check from when it asked the two induced subgraphs whether they are
 connected, and ``bonds`` is ``graphs.bonds`` with that check in place of
 ``Bond``'s; both call the DFS above, so no new merge code runs in them.
 
+``label_contract`` is ``graphs.contract`` as it ran on labels before it
+became a wrapper over the edge-index contraction ``graphs._contract``:
+copied verbatim but for its name (``contract`` still names the library's
+here), it calls the ``contraction_classes`` copy above.
+
 Last, ``good_contraction_sequence`` as it was before it decided each subset
 on edge masks: copied verbatim, it contracts every subset of edges and asks
 the contracted graph whether its edges form one loop-free block.
@@ -231,6 +236,16 @@ def contraction_classes(g: MultiGraph, s) -> dict:
             keep, drop = sorted((ru, rv), key=label_key)
             parent[drop] = keep
     return {v: find(v) for v in g.vertices}
+
+
+# ``graphs.contract`` before it wrapped ``graphs._contract``.
+def label_contract(g: MultiGraph, s) -> MultiGraph:
+    """The graph ``g/s``: contract every edge in ``s`` (a loop is deleted), keeping all other labels."""
+    s = frozenset(s)
+    reps = contraction_classes(g, s)
+    vertices = set(reps.values())
+    edges = {e: (reps[u], reps[v]) for e, (u, v) in ((e, g.ends(e)) for e in g.edge_labels) if e not in s}
+    return MultiGraph(vertices, edges)
 
 
 def _adjacency(g: MultiGraph) -> dict:

@@ -449,9 +449,12 @@ def test_enumeration_properties_random_graphs(g):
 
 
 def test_enumeration_contracts_each_multi_edge_subproblem_once(monkeypatch):
-    """The memo is keyed on the edge mask, so the core runs one union-find
-    per distinct subproblem of two or more edges: 2^6 - 1 - 6 = 57 on the
-    6-cycle and on K4, whose every such edge set is reached."""
+    """The memo is keyed on the edge mask, and a subproblem takes its
+    contraction from its parent: only the rest of a bottom with two or more
+    edges runs a union-find, over the bottom's edges, once per mask.  On the
+    6-cycle and on K4 every proper edge set of two or more edges is first
+    reached as such a rest: 2^6 - 1 - 6 - 1 = 56 contractions, and the
+    whole graph runs none."""
     import enrichfan.enriched
 
     real = enrichfan.enriched._roots
@@ -467,7 +470,27 @@ def test_enumeration_contracts_each_multi_edge_subproblem_once(monkeypatch):
     for g in (c6, k4):
         calls.clear()
         enriched_structures(g)
-        assert len(calls) == 57
+        assert len(calls) == 56
+
+
+def test_theta_graph_splits_into_blocks_once(monkeypatch):
+    """Contracting any bottom of a theta graph leaves only loops, whose one
+    structure is the discrete one: the 9-edge theta splits the whole graph
+    into blocks and nothing else, where splitting every subproblem of two
+    or more edges took 2^9 - 1 - 9 = 502 splits."""
+    import enrichfan.enriched
+
+    real = enrichfan.enriched.block_masks
+    calls = []
+
+    def counted(ends, mask):
+        calls.append(mask)
+        return real(ends, mask)
+
+    monkeypatch.setattr(enrichfan.enriched, "block_masks", counted)
+    structs = enriched_structures(corpus.theta(9))
+    assert len(structs) == 511
+    assert calls == [(1 << 9) - 1]
 
 
 def test_no_module_keeps_a_cache():

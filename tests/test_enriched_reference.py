@@ -330,7 +330,7 @@ def assert_core_matches_reference(g, values):
     full = (1 << len(ends)) - 1
 
     def same(bottoms):
-        got = unpack(enrichfan.enriched._rows(ends, full, bottoms, {}), len(ends))
+        got = unpack(enrichfan.enriched._rows(ends, full, bottoms, {}, {}), len(ends))
         assert got == ref._rows(ends, full, bottoms, {}), (g, bottoms)
         return got
 
@@ -362,7 +362,7 @@ def assert_packed_order_is_byte_key_order(g):
     shuffled, into the byte-key order of ``_canonical``."""
     ends = edge_ends(g)
     full = (1 << len(ends)) - 1
-    found = enrichfan.enriched._rows(ends, full, _nonempty_submasks, {})
+    found = enrichfan.enriched._rows(ends, full, _nonempty_submasks, {}, {})
     before = ref._tuple_rows(ends, full, _nonempty_submasks, {})
     assert unpack(found, len(ends)) == before
     expected = ref._canonical(before)

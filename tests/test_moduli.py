@@ -277,16 +277,17 @@ class TestContractions:
     def test_adjacency_contracts_each_lower_set_once(self, monkeypatch):
         # once per (weighted graph, lower set) in the whole call, not once per cell
         calls = []
-        real = graphs.contract
+        real = graphs._contract
 
-        def counted(g, s):
-            calls.append(frozenset(s))
-            return real(g, s)
+        def counted(g, ends, mask):
+            calls.append(mask)
+            return real(g, ends, mask)
 
-        # every module that calls contract on this path holds its own name for it
-        monkeypatch.setattr(graphs, "contract", counted)
-        monkeypatch.setattr(enriched, "contract", counted)
-        monkeypatch.setattr(moduli, "contract", counted)
+        # every module that contracts on this path holds its own name for the
+        # edge-index contraction, which the label ``contract`` wraps
+        monkeypatch.setattr(graphs, "_contract", counted)
+        monkeypatch.setattr(enriched, "_contract", counted)
+        monkeypatch.setattr(moduli, "_contract", counted)
         for g in (2, 3):
             cells = enumerate_cells(g)
             calls.clear()

@@ -143,12 +143,13 @@ class TestCensusWalk:
         lifts; the walk must report the same failures as the reference.  The
         walk locates through ``enriched._located_rows`` on edge indices, so
         the wrong answer is planted there as the canonical structure's rows
-        of the graph with those ends, and on the reference's ``locate``."""
+        of the graph with those ends, whatever block splits the walk shares
+        between the calls on one graph, and on the reference's ``locate``."""
 
         def canonical_locate(g, x):
             return enriched.canonical_structure(g)
 
-        def canonical_rows(ends, values):
+        def canonical_rows(ends, values, splits):
             g = MultiGraph({v for pair in ends for v in pair}, dict(enumerate(ends)))
             return enriched.canonical_structure(g).preorder.rows
 
