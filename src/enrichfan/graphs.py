@@ -202,15 +202,21 @@ def contraction_classes(g: MultiGraph, s) -> dict:
 
 def contract(g: MultiGraph, s) -> MultiGraph:
     """The graph ``g/s``: contract every edge in ``s`` (a loop is deleted), keeping all other labels."""
+    return _contract(g, edge_ends(g), _edge_mask(g, s))
+
+
+def _edge_mask(g: MultiGraph, s) -> int:
     s = frozenset(s)
     list(map(g.ends, s))  # an unknown label raises UnknownEdgeError
-    return _contract(g, edge_ends(g), sum(1 << i for i, e in enumerate(g._labels) if e in s))
+    return sum(1 << i for i, e in enumerate(g._labels) if e in s)
 
 
-def _contract(g: MultiGraph, ends, mask: int) -> MultiGraph:
+def _contract(g: MultiGraph, ends, mask: int, reps=None) -> MultiGraph:
     """``g`` with the edges in ``mask`` contracted, ``ends`` being ``edge_ends(g)``:
-    built unchecked, each class of merged vertices kept as its least."""
-    reps = _roots(map(ends.__getitem__, bits(mask)))
+    built unchecked, each class of merged vertices kept as its least.  ``reps``
+    is ``_roots`` of the contracted edges, merged here unless given."""
+    if reps is None:
+        reps = _roots(map(ends.__getitem__, bits(mask)))
     vs, labels = g._vertices, g._labels
     edges = {}
     for e in bits((1 << len(labels)) - 1 & ~mask):
@@ -473,14 +479,19 @@ def contracted_weights(wg: WeightedGraph, s) -> dict:
     where ``s_C`` is the contracted edges inside C; this adds 1 for every
     independent cycle collapsed (in particular +1 per contracted loop).
     """
-    s = frozenset(s)
-    reps = contraction_classes(wg.graph, s)
-    weights = dict.fromkeys(reps.values(), 1)
-    for v, r in reps.items():
-        weights[r] += wg.weight(v) - 1
-    for e in s:
-        weights[reps[wg.graph.ends(e)[0]]] += 1
-    return weights
+    return _contract_weighted(wg, edge_ends(wg.graph), _edge_mask(wg.graph, s))._weights
+
+
+def _contract_weighted(wg: WeightedGraph, ends, mask: int) -> WeightedGraph:
+    """``contract`` and ``contracted_weights`` on edge indices, off one union-find; built unchecked."""
+    reps = _roots(map(ends.__getitem__, bits(mask)))
+    vs, weights = wg.graph._vertices, {}
+    for i, v in enumerate(vs):
+        r = vs[reps.get(i, i)]
+        weights[r] = weights.get(r, 1) + wg._weights[v] - 1
+    for e in bits(mask):
+        weights[vs[reps.get(ends[e][0], ends[e][0])]] += 1
+    return _trusted(WeightedGraph, graph=_contract(wg.graph, ends, mask, reps), _weights=weights)
 
 
 class EdgePermutation(_Value):

@@ -1,6 +1,6 @@
 """Exact integer linear algebra for small lattices.
 
-Every elimination goes through one integer routine, ``_echelon``:
+Every elimination takes the steps of one integer routine, ``_echelon``:
 unimodular row operations bring a matrix to Hermite normal form H (pivots
 positive, entries above each pivot reduced modulo it), optionally recording
 U with U * rows = H.  A step that leaves one of its two rows unchanged
@@ -10,8 +10,10 @@ the other row, in H and in U.
 - ``rank_of`` and ``linearly_independent`` read the rank of H.
 - ``_substitute`` is one integer forward substitution over the pivots of
   H; the facets of a cone in ``cones`` come from it.
-- ``lattice_span_equal`` compares Hermite forms; ``_triangular`` first
-  brings many sparse rows down to at most rank rows for it.
+- ``lattice_span_equal`` tests mutual membership, with no Hermite form:
+  ``_triangular`` brings each family's sparse rows to a basis with
+  distinct leading columns, and a row lies in such a lattice exactly when
+  ``_clear``, the loop that built it, reduces it to nothing.
 - ``kernel_lattice`` takes the rows of U whose H-row vanishes.
 - ``LatticeQuotient.from_generators`` echelons the transposed generators:
   its projection is the zero-row part of U.
@@ -183,45 +185,52 @@ def kernel_lattice(rows, ncols: int) -> list:
 
 
 def lattice_span_equal(rows1, rows2, ncols: int) -> bool:
-    """Whether two integer row families span the same lattice (HNF compare)."""
-    def hermite(rows):
-        e = _echelon(rows, ncols)
-        return e.rows[: e.rank]
-
-    return hermite(rows1) == hermite(rows2)
+    """Whether two families of rows, each ``ncols`` entries or a sparse
+    ``{column: entry}`` dict, span the same lattice: mutual membership."""
+    b1, b2 = (_triangular(_sparse(r, ncols) for r in rows) for rows in (rows1, rows2))
+    return not any(_clear(dict(r), b2) for r in b1.values()) and not any(_clear(dict(r), b1) for r in b2.values())
 
 
-def _triangular(rows, ncols: int) -> list:
-    """Sparse rows ``{column: entry}`` reduced to a generating set of their
-    lattice with one row per leading column, returned dense.
+def _sparse(row, ncols: int) -> dict:
+    if not isinstance(row, dict) and len(row) != ncols:
+        raise ValueError("row length does not match the column count")
+    return row if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x}
 
-    Each row is cleared against the kept row of its leading column by the
-    steps of ``_echelon``: a multiple of the kept row is subtracted when its
-    entry divides, otherwise the pair goes to its gcd row and a row with
-    that column cleared.  So at most rank rows remain, and many sparse rows
-    reach ``lattice_span_equal`` as a few.
-    """
+
+def _triangular(rows) -> dict:
+    """A basis of the lattice of sparse rows, keyed by its distinct leading columns."""
     kept = {}
-    for row in map(dict, rows):
-        while row:
-            col = min(row)
-            top = kept.get(col)
-            if top is None:
-                kept[col] = row
-                break
-            x, b = top[col], row[col]
-            if b % x:
-                g, s, t = _xgcd(x, b)
-                kept[col], row = _sparse_sum(s, top, t, row), _sparse_sum(-b // g, top, x // g, row)
-                continue
-            q = b // x
+    for row in rows:
+        _clear(dict(row), kept, grow=True)
+    return kept
+
+
+def _clear(row: dict, kept: dict, grow: bool = False) -> dict:
+    """Clear ``row`` in place against ``kept``, rows keyed by their distinct leading
+    columns, while the row of its leading column divides its leading entry.  Each
+    multiple is forced, so what is left is empty exactly when ``row`` lies in their
+    lattice.  With ``grow`` the steps of ``_echelon`` extend ``kept`` to span it."""
+    while row:
+        col = min(row)
+        top = kept.get(col)
+        if top is not None and row[col] % top[col] == 0:
+            q = row[col] // top[col]
             for c, w in top.items():  # row -= q * top, in place
                 w = row.get(c, 0) - q * w
                 if w:
                     row[c] = w
                 else:
                     del row[c]
-    return [tuple(row.get(c, 0) for c in range(ncols)) for row in kept.values()]
+        elif not grow:
+            break
+        elif top is None:
+            kept[col] = row
+            break
+        else:
+            x, b = top[col], row[col]
+            g, s, t = _xgcd(x, b)
+            kept[col], row = _sparse_sum(s, top, t, row), _sparse_sum(-b // g, top, x // g, row)
+    return row
 
 
 def _sparse_sum(a: int, u: dict, b: int, v: dict) -> dict:

@@ -52,7 +52,7 @@ from math import gcd, lcm
 from .cones import containing, structure_cone
 from .enriched import EnrichedGraph, _faces, _located_rows, _trusted, enriched_structures
 from .errors import GuardExceededError
-from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, _contract, _Value, _roots, automorphisms, contracted_weights, edge_ends
+from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, _contract_weighted, _Value, _roots, automorphisms, edge_ends
 from .preorders import Preorder
 
 GENUS_GUARD = 3
@@ -306,11 +306,10 @@ def _reached(sources, table: dict, facets: bool = False) -> dict:
         hits = set()
         for mask, targets in _faces(a.preorder.rows, facets).items():
             if mask not in by_mask:
-                s = a.preorder._labels_of(mask)
-                target = _contract(wg.graph, edge_ends(wg.graph), mask)
-                key, to_frame = _frame_map(WeightedGraph(target, contracted_weights(wg, s)))
+                target = _contract_weighted(wg, edge_ends(wg.graph), mask)
+                key, to_frame = _frame_map(target)
                 entry = table.get(key)
-                by_mask[mask] = None if entry is None else (entry[1], _mover(target.edge_labels, to_frame, entry[0]))
+                by_mask[mask] = None if entry is None else (entry[1], _mover(target.graph.edge_labels, to_frame, entry[0]))
             if by_mask[mask] is not None:
                 orbit, move = by_mask[mask]
                 n = len(a.preorder.rows) - mask.bit_count()

@@ -14,12 +14,17 @@ sorting the integer terms sorts the labels; labels appear only when
 public function enumerates the bonds of its graph once and hands that list
 to private helpers that take it as an argument; a caller that runs several
 of them on one graph (``verify``, the CLI) enumerates once and calls those
-helpers itself.
+helpers itself.  The cut of a disjoint union of sides is the XOR of their
+cuts, so ``_bond_sums`` finds B1 + B2 by XOR-ing edge masks.  Each bond of
+a relation gets one +1 and one -1, so relations are built unchecked.
 
 Relations are evaluated by one loop, ``_product_is_one``, on integer
 (numerator, denominator) pairs: ``LaurentRelation.holds_at`` runs it on a
-point's coordinates, and the torus check runs it on its seeded points with
-the relations indexed by edge column.
+point's coordinates, and the torus check on seeded points.  A torus point
+gives x_e^B the value t_e for every bond B, so the torus check sums each
+relation's exponents per edge first: at nonzero coordinates the product is
+the same.  A relation with no net exponent holds at every torus point; if
+no relation has one, no point is drawn.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from fractions import Fraction
 from .errors import GuardExceededError, NotBiconnectedError
 from .graphs import (
     MultiGraph,
+    _trusted,
     _Value,
     biconnected_components,
     bonds,
@@ -39,7 +45,7 @@ from .graphs import (
     label_key,
     sort_labels,
 )
-from .lattices import _triangular, kernel_lattice, lattice_span_equal
+from .lattices import kernel_lattice, lattice_span_equal
 
 
 def _require_biconnected(g: MultiGraph):
@@ -78,9 +84,10 @@ class LaurentRelation(_Value):
 
     def holds_at(self, point: dict) -> bool:
         """Whether the product of x_e^exp is 1, decided by :func:`_product_is_one`
-        on each coordinate's integer ratio, read in term order.  A zero
-        coordinate under a negative exponent raises ZeroDivisionError."""
-        return _product_is_one([(e, exp) for _, e, exp in self.terms], _Ratios(point))
+        on each coordinate's integer ratio.  A zero coordinate under a
+        negative exponent raises ZeroDivisionError."""
+        ratios = {e: point[e].as_integer_ratio() for _, e, _ in self.terms}
+        return _product_is_one([(e, exp) for _, e, exp in self.terms], ratios)
 
     def rendered(self, bond_names: dict) -> str:
         lhs, rhs = [], []
@@ -91,18 +98,6 @@ class LaurentRelation(_Value):
         left = " ".join(lhs) or "1"
         right = " ".join(rhs) or "1"
         return f"{left} = {right}"
-
-
-class _Ratios(dict):
-    """A point's coordinates as integer ratios, each read when it is looked up."""
-
-    __slots__ = ("point",)
-
-    def __init__(self, point: dict):
-        self.point = point
-
-    def __missing__(self, e):
-        return self.point[e].as_integer_ratio()
 
 
 def _product_is_one(terms, point) -> bool:
@@ -129,18 +124,19 @@ def _product_is_one(terms, point) -> bool:
 
 
 def _bond_sums(g: MultiGraph, all_bonds: list):
-    """Index triples (i1, i2, i3) of bonds with B3 the disjoint-side sum of B1 and B2."""
-    index = {b.edges: i for i, b in enumerate(all_bonds)}
-    vertices = frozenset(g.vertices)
+    """Index triples (i1, i2, i3) of bonds with B3 the disjoint-side sum of B1 and B2:
+    B3's edge mask is the XOR of B1's and B2's, and some two of their sides
+    are disjoint and miss a vertex."""
+    vertex = {v: 1 << i for i, v in enumerate(g.vertices)}
+    full = (1 << g.n_vertices) - 1
+    masks = [sum(1 << j for j in ix) for ix in _edge_indices(g, all_bonds)]
+    sides = [(s, full ^ s) for s in (sum(map(vertex.__getitem__, b.side)) for b in all_bonds)]
+    index = {m: i for i, m in enumerate(masks)}
     triples = set()
-    for (i1, b1), (i2, b2) in itertools.combinations(enumerate(all_bonds), 2):
-        for s1 in (b1.side, b1.complement_side):
-            for s2 in (b2.side, b2.complement_side):
-                if s1 & s2 or s1 | s2 == vertices:
-                    continue
-                i3 = index.get(g.cut_edges(s1 | s2))
-                if i3 is not None and i3 not in (i1, i2):
-                    triples.add((i1, i2, i3))
+    for i1, i2 in itertools.combinations(range(len(all_bonds)), 2):
+        i3 = index.get(masks[i1] ^ masks[i2])
+        if i3 is not None and any(not s1 & s2 and s1 | s2 != full for s1 in sides[i1] for s2 in sides[i2]):
+            triples.add((i1, i2, i3))
     return triples
 
 
@@ -157,21 +153,17 @@ def _relations(g: MultiGraph, all_bonds: list) -> tuple:
     No edge lies in all of B1, B2 and B1 + B2, so no two terms share a (bond, edge) pair.
     """
     edges = [frozenset(ix) for ix in _edge_indices(g, all_bonds)]
-    candidates = []
+    out = set()
     for (i1, b1), (i2, b2) in itertools.combinations(enumerate(edges), 2):
-        for e1, e2 in itertools.combinations(b1 & b2, 2):
-            candidates.append(((i1, e1, 1), (i1, e2, -1), (i2, e2, 1), (i2, e1, -1)))
+        for e1, e2 in itertools.combinations(sorted(b1 & b2), 2):  # i1 < i2 and e1 < e2: sorted as built
+            out.add(((i1, e1, 1), (i1, e2, -1), (i2, e1, -1), (i2, e2, 1)))
     for i1, i2, i3 in _bond_sums(g, all_bonds):
         for e1 in edges[i1] & edges[i3]:
             for e2 in edges[i1] & edges[i2]:
                 for e3 in edges[i2] & edges[i3]:
-                    candidates.append(
-                        ((i1, e1, 1), (i1, e2, -1), (i2, e2, 1), (i2, e3, -1), (i3, e3, 1), (i3, e1, -1))
-                    )
-    out = set()
-    for terms in map(sorted, candidates):
-        sign = 1 if terms[0][2] > 0 else -1
-        out.add(tuple((i, j, sign * x) for i, j, x in terms))
+                    terms = sorted(((i1, e1, 1), (i1, e2, -1), (i2, e2, 1), (i2, e3, -1), (i3, e3, 1), (i3, e1, -1)))
+                    sign = 1 if terms[0][2] > 0 else -1
+                    out.add(tuple((i, j, sign * x) for i, j, x in terms))
     return tuple(sorted(out))
 
 
@@ -187,12 +179,9 @@ def equations(g: MultiGraph, max_edges: int = 8) -> list:
 
 
 def _equations(g: MultiGraph, all_bonds: list) -> list:
-    bond_edges = [b.sorted_edges() for b in all_bonds]
-    labels = g.edge_labels
-    return [
-        LaurentRelation(tuple((bond_edges[i], labels[j], x) for i, j, x in rel))
-        for rel in _relations(g, all_bonds)
-    ]
+    bond_edges, labels = [b.sorted_edges() for b in all_bonds], g.edge_labels
+    rels = _relations(g, all_bonds)
+    return [_trusted(LaurentRelation, terms=tuple((bond_edges[i], labels[j], x) for i, j, x in rel)) for rel in rels]
 
 
 def bond_names(g: MultiGraph) -> dict:
@@ -254,7 +243,7 @@ def _generates_kernel(g: MultiGraph, all_bonds: list, domain: list, kernel: list
         return False
     column = {pair: k for k, pair in enumerate(domain)}  # a bond's least edge has no coordinate
     rels = [{column[i, j]: x for i, j, x in rel if (i, j) in column} for rel in _relations(g, all_bonds)]
-    return lattice_span_equal(_triangular(rels, len(domain)), kernel, len(domain))
+    return lattice_span_equal(rels, kernel, len(domain))
 
 
 def torus_point_check(g: MultiGraph, seed: int = 2024, trials: int = 100) -> bool:
@@ -268,16 +257,21 @@ def torus_point_check(g: MultiGraph, seed: int = 2024, trials: int = 100) -> boo
 
 
 def _holds_at_torus_points(labels: tuple, rels: list, seed: int, trials: int) -> bool:
-    """Whether every relation holds at ``trials`` seeded points ``num / den``.
-
-    The relations are indexed by edge column once, and each point is a list
-    of ``(num, den)`` pairs in ``labels`` order, read by :func:`_product_is_one`.
-    """
+    """Whether every relation's net exponents per edge column hold at ``trials``
+    seeded points, each a list of ``(num, den)`` pairs in ``labels`` order."""
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     column = {e: j for j, e in enumerate(labels)}
-    indexed = [tuple((column[e], exp) for _, e, exp in rel.terms) for rel in rels]
+    indexed = []
+    for rel in rels:
+        net = {}
+        for _, e, exp in rel.terms:
+            net[column[e]] = net.get(column[e], 0) + exp
+        if any(net.values()):
+            indexed.append([(j, k) for j, k in net.items() if k])
     numerators = [n for n in range(-9, 10) if n not in (-1, 0, 1)]
     rng = random.Random(seed)
-    for _ in range(trials):
+    for _ in range(trials if indexed else 0):
         point = []
         for _ in labels:
             num = rng.choice(numerators)
@@ -298,6 +292,8 @@ def mutated_evaluate(rel: LaurentRelation, point: dict, index: int = 0, bump: in
     bumped product cannot be 1.  It is taken with the bumped exponent in
     place, so it raises ZeroDivisionError exactly where the mutant does.
     """
+    if not 0 <= index < len(rel.terms):
+        raise ValueError(f"index {index} is outside the relation's {len(rel.terms)} terms")
     value = Fraction(1)
     for i, (_, e, exp) in enumerate(rel.terms):
         value *= Fraction(point[e]) ** (exp + bump if i == index else exp)

@@ -17,6 +17,13 @@ one-sided row operations (the divisible elimination below a pivot and the
 reduction above it) rewrote only the row that changes: here they run
 through ``combine``, which rebuilds both rows.  It is copied verbatim and
 returns the library's ``_Echelon``.
+
+``hermite_span_equal`` and ``dense_triangular`` are ``lattice_span_equal``
+and ``_triangular`` as they were before lattice equality became mutual
+membership on sparse triangular bases: the first compares the Hermite
+forms of the library's ``_echelon``, the second returns its triangular rows
+dense.  Both are copied verbatim, renamed, with ``_echelon`` read from the
+library.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from enrichfan.lattices import _Echelon, _xgcd, dot, primitive
+from enrichfan import lattices
+from enrichfan.lattices import _Echelon, _sparse_sum, _xgcd, dot, primitive
 
 GE = ">="
 GT = ">"
@@ -244,3 +252,45 @@ def _echelon(rows, ncols: int, track: bool = False) -> _Echelon:
                 combine(k, top, 1, -q, 0, 1)
         pivots.append(col)
     return _Echelon(h, pivots, u)
+
+
+def hermite_span_equal(rows1, rows2, ncols: int) -> bool:
+    """Whether two integer row families span the same lattice (HNF compare)."""
+    def hermite(rows):
+        e = lattices._echelon(rows, ncols)
+        return e.rows[: e.rank]
+
+    return hermite(rows1) == hermite(rows2)
+
+
+def dense_triangular(rows, ncols: int) -> list:
+    """Sparse rows ``{column: entry}`` reduced to a generating set of their
+    lattice with one row per leading column, returned dense.
+
+    Each row is cleared against the kept row of its leading column by the
+    steps of ``_echelon``: a multiple of the kept row is subtracted when its
+    entry divides, otherwise the pair goes to its gcd row and a row with
+    that column cleared.  So at most rank rows remain, and many sparse rows
+    reach ``lattice_span_equal`` as a few.
+    """
+    kept = {}
+    for row in map(dict, rows):
+        while row:
+            col = min(row)
+            top = kept.get(col)
+            if top is None:
+                kept[col] = row
+                break
+            x, b = top[col], row[col]
+            if b % x:
+                g, s, t = _xgcd(x, b)
+                kept[col], row = _sparse_sum(s, top, t, row), _sparse_sum(-b // g, top, x // g, row)
+                continue
+            q = b // x
+            for c, w in top.items():  # row -= q * top, in place
+                w = row.get(c, 0) - q * w
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return [tuple(row.get(c, 0) for c in range(ncols)) for row in kept.values()]

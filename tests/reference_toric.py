@@ -15,6 +15,13 @@ coordinates per draw, and the numerator list once per coordinate.
 each coordinate's lowest terms.  Both are copied verbatim, ``self`` made
 the first argument of ``holds_at`` and the torus check calling it where it
 called ``rel.holds_at``.
+
+``cut_scan_bond_sums`` and ``term_holds_at_torus_points`` are the index
+``_bond_sums`` and the torus check as they were before the bond sums came
+from XOR-ing edge masks and the torus check from net exponents: the first
+scans the four side pairs of each bond pair and takes the cut of their union
+on labels, the second evaluates every term of every relation at each seeded
+point.  Both are copied verbatim, renamed.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from fractions import Fraction
 
 from enrichfan.errors import GuardExceededError
 from enrichfan.graphs import MultiGraph, bonds, label_key, sort_labels
-from enrichfan.toric import LaurentRelation, _require_biconnected
+from enrichfan.toric import LaurentRelation, _product_is_one, _require_biconnected
 
 
 def from_exponents(entries) -> LaurentRelation:
@@ -185,5 +192,45 @@ def _holds_at_torus_points(labels: tuple, rels: list, seed: int, trials: int) ->
             point[e] = Fraction(num, den)
         for rel in rels:
             if not holds_at(rel, point):
+                return False
+    return True
+
+
+def cut_scan_bond_sums(g: MultiGraph, all_bonds: list):
+    """Index triples (i1, i2, i3) of bonds with B3 the disjoint-side sum of B1 and B2."""
+    index = {b.edges: i for i, b in enumerate(all_bonds)}
+    vertices = frozenset(g.vertices)
+    triples = set()
+    for (i1, b1), (i2, b2) in itertools.combinations(enumerate(all_bonds), 2):
+        for s1 in (b1.side, b1.complement_side):
+            for s2 in (b2.side, b2.complement_side):
+                if s1 & s2 or s1 | s2 == vertices:
+                    continue
+                i3 = index.get(g.cut_edges(s1 | s2))
+                if i3 is not None and i3 not in (i1, i2):
+                    triples.add((i1, i2, i3))
+    return triples
+
+
+def term_holds_at_torus_points(labels: tuple, rels: list, seed: int, trials: int) -> bool:
+    """Whether every relation holds at ``trials`` seeded points ``num / den``.
+
+    The relations are indexed by edge column once, and each point is a list
+    of ``(num, den)`` pairs in ``labels`` order, read by :func:`_product_is_one`.
+    """
+    column = {e: j for j, e in enumerate(labels)}
+    indexed = [tuple((column[e], exp) for _, e, exp in rel.terms) for rel in rels]
+    numerators = [n for n in range(-9, 10) if n not in (-1, 0, 1)]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        point = []
+        for _ in labels:
+            num = rng.choice(numerators)
+            den = rng.randint(2, 9)
+            while abs(num) == den:
+                den = rng.randint(2, 9)
+            point.append((num, den))
+        for terms in indexed:
+            if not _product_is_one(terms, point):
                 return False
     return True

@@ -165,6 +165,7 @@ def test_corpus_bond_quotients(name):
 def test_triangular_rows_match_hermite(m):
     # entries up to 6 in size take the gcd step as well as the subtraction
     rows, ncols = m
-    tri = _triangular([{j: x for j, x in enumerate(row) if x} for row in rows], ncols)
+    basis = _triangular([{j: x for j, x in enumerate(row) if x} for row in rows])
+    tri = [tuple(row.get(c, 0) for c in range(ncols)) for row in basis.values()]
     assert len({next(j for j, x in enumerate(row) if x) for row in tri}) == len(tri)
     assert sympy_hnf(tri, ncols) == sympy_hnf(rows, ncols)

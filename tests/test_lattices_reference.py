@@ -2,7 +2,9 @@
 on their signs, against the ``Fraction`` eliminations they replaced
 (``reference_lattices``, ``reference_membership``); and the echelon routine
 itself against its copy from before its one-sided row steps rewrote only
-the row that changes."""
+the row that changes; and lattice equality by mutual membership, with the
+sparse triangular bases it reads, against the Hermite compare and the dense
+triangular rows it replaced."""
 
 import itertools
 from fractions import Fraction
@@ -14,7 +16,7 @@ import reference_lattices as ref
 import reference_membership
 from enrichfan.cones import RationalCone, containing
 from enrichfan.graphs import bonds
-from enrichfan.lattices import _echelon, kernel_lattice, linearly_independent, primitive, rank_of
+from enrichfan.lattices import _echelon, _triangular, kernel_lattice, lattice_span_equal, linearly_independent, primitive, rank_of
 from enrichfan.toric import _dual_map_rows
 from test_lattices_oracle import matrices
 from test_toric_reference import GRAPHS
@@ -181,3 +183,75 @@ def test_echelon_matches_reference_on_dual_maps(name):
     _, rows = _dual_map_rows(g, bonds(g))
     assert len(rows) > g.n_edges - 1  # more rows than columns
     _assert_same_echelon(rows, g.n_edges - 1)
+
+
+def _sparse_rows(rows) -> list:
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two row families over one column count: the second is a unimodular
+    shuffle of the first, then maybe a row scaled by 2 or 3 (an index-2 or
+    index-3 sublattice when that row is independent of the rest), a row sum,
+    a zero row, or a row outside the first family's span."""
+    rows, ncols = draw(matrices())
+    other = list(rows)
+    for _ in range(draw(st.integers(0, 4))):
+        if len(other) < 2:
+            break
+        i, j = draw(st.permutations(range(len(other))))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        other[i] = tuple(x + c * y for x, y in zip(other[i], other[j]))
+    change = draw(st.sampled_from(("none", "scale", "sum", "zero", "outside")))
+    if change == "scale" and other:
+        i = draw(st.integers(0, len(other) - 1))
+        other[i] = tuple(draw(st.sampled_from((2, 3))) * x for x in other[i])
+    elif change == "sum" and other:
+        other.append(tuple(map(sum, zip(*other))))
+    elif change == "zero":
+        other.append((0,) * ncols)
+    elif change == "outside":
+        other.append(tuple(draw(st.integers(-6, 6)) for _ in range(ncols)))
+    return rows, other, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_pairs())
+def test_span_equal_matches_hermite_reference(case):
+    rows, other, ncols = case
+    expected = ref.hermite_span_equal(rows, other, ncols)
+    assert ref.hermite_span_equal(other, rows, ncols) is expected
+    assert lattice_span_equal(rows, other, ncols) is expected
+    assert lattice_span_equal(other, rows, ncols) is expected
+    # sparse rows, as the kernel check passes its relations, give the same answer
+    assert lattice_span_equal(_sparse_rows(rows), other, ncols) is expected
+    assert lattice_span_equal(other, _sparse_rows(rows), ncols) is expected
+
+
+def test_span_equal_sees_index_two_and_three_sublattices():
+    # each family's basis in the other's lattice: a scaled basis row is the
+    # direction the Hermite compare caught and the kernel check relies on
+    base = [(1, 2, 0, -1), (0, 1, 3, 1), (0, 0, 1, 4)]
+    for k in (2, 3):
+        for i in range(3):
+            sub = [tuple(k * x for x in row) if j == i else row for j, row in enumerate(base)]
+            assert not lattice_span_equal(base, sub, 4) and not lattice_span_equal(sub, base, 4)
+            assert not ref.hermite_span_equal(base, sub, 4)
+    assert lattice_span_equal(base, base + [(1, 3, 3, 0)], 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_triangular_basis_matches_dense_reference(m):
+    # the same rows, in the same order, as the dense triangular rows before:
+    # only the form of the return changed
+    rows, ncols = m
+    basis = _triangular(_sparse_rows(rows))
+    assert all(min(row) == col for col, row in basis.items())
+    assert [tuple(row.get(c, 0) for c in range(ncols)) for row in basis.values()] == ref.dense_triangular(_sparse_rows(rows), ncols)
+
+
+def test_span_equal_refuses_rows_of_the_wrong_length():
+    with pytest.raises(ValueError, match="row length"):
+        lattice_span_equal([(1, 0)], [(1, 0, 0)], 2)

@@ -2,7 +2,8 @@
 against the ``Fraction`` code they replaced (``reference_membership``), and
 the comparison route of cone membership against the integer route that
 came before it, kept here as ``_integer_route``; the torus check, on one
-evaluation loop with ``holds_at``, against its copy in ``reference_toric``;
+evaluation loop with ``holds_at``, against its copy in ``reference_toric``,
+and on net exponents against the copy that evaluated every term;
 and ``contains`` and ``containing`` against their copies from before
 ``contains`` took exact points straight to the early-exit plan loop
 (``reference_membership.meets``)."""
@@ -25,7 +26,7 @@ from enrichfan.cones import RationalCone, _exact, closed_structure_cone, contain
 from enrichfan.enriched import enriched_structures
 from enrichfan.fans import fan_by_star_subdivision
 from enrichfan.lattices import dot
-from enrichfan.toric import LaurentRelation, _holds_at_torus_points, equations, mutated_evaluate
+from enrichfan.toric import LaurentRelation, _holds_at_torus_points, equations, mutated_evaluate, torus_point_check
 from reference_lattices import EQ, GE, GT, halfspaces_of
 from reference_preorders import _structure_halfspaces
 from test_cones import lengths_from_increments
@@ -273,6 +274,12 @@ def _outcome(test, *args):
         return "zero division"
 
 
+def _unchecked(terms) -> LaurentRelation:
+    out = object.__new__(LaurentRelation)
+    object.__setattr__(out, "terms", tuple(terms))
+    return out
+
+
 def _mutant(rel, index, bump):
     """``rel`` with exponent ``index`` bumped, the relation ``mutated_evaluate``
     evaluates; the bump breaks the per-bond zero sum the constructor checks,
@@ -280,9 +287,7 @@ def _mutant(rel, index, bump):
     terms = list(rel.terms)
     be, e, exp = terms[index]
     terms[index] = (be, e, exp + bump)
-    out = object.__new__(LaurentRelation)
-    object.__setattr__(out, "terms", tuple(terms))
-    return out
+    return _unchecked(terms)
 
 
 torus_values = st.one_of(
@@ -323,6 +328,65 @@ def test_torus_check_matches_reference(name):
         for index in range(len(rel.terms)):
             for bump in (-1, 1):
                 assert verdicts([_mutant(rel, index, bump)], 5, 3) == (False, False)
+
+
+def _torus_mutants(g, rels, rng) -> list:
+    """Relations built without the per-bond check: one or two exponents bumped,
+    the edges of two terms swapped, and random exponent vectors."""
+    out = []
+    for rel in rels:
+        terms = list(rel.terms)
+        i, j = rng.sample(range(len(terms)), 2)
+        twice = list(terms)
+        for k in (i, j):
+            be, e, exp = twice[k]
+            twice[k] = (be, e, exp + rng.choice((-2, -1, 1, 2)))
+        swapped = list(terms)
+        (b1, e1, x1), (b2, e2, x2) = terms[i], terms[j]
+        swapped[i], swapped[j] = (b1, e2, x1), (b2, e1, x2)
+        out += [_mutant(rel, i, rng.choice((-1, 1))), _unchecked(twice), _unchecked(swapped)]
+    labels = g.edge_labels
+    for _ in range(10):
+        out.append(_unchecked((("B",), rng.choice(labels), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, rels) in TORUS.items() if rels))
+def test_torus_check_on_net_exponents_matches_term_reference(name):
+    """The torus check on net exponents against the one that evaluated every
+    term: the same verdict on the emitted relations at three seeds, and on
+    each mutant alone, some of which still hold."""
+    g, rels = TORUS[name]
+
+    def verdicts(relations, seed, trials):
+        args = (g.edge_labels, relations, seed, trials)
+        return _holds_at_torus_points(*args), reference_toric.term_holds_at_torus_points(*args)
+
+    for seed in (0, 7, 2024):
+        assert verdicts(rels, seed, 25) == (True, True)
+    mutants = _torus_mutants(g, rels, random.Random(name))
+    outcomes = [verdicts([m], 11, 4) for m in mutants]
+    assert all(new == old for new, old in outcomes)
+    assert {new for new, _ in outcomes} == {True, False}
+    assert verdicts(rels + mutants, 3, 4) == (False, False)
+
+
+class _NoDraws(random.Random):
+    def random(self):
+        raise AssertionError("a torus point was drawn")
+
+    def getrandbits(self, k):
+        raise AssertionError("a torus point was drawn")
+
+
+def test_torus_check_draws_no_point_when_every_relation_cancels(monkeypatch):
+    monkeypatch.setattr(random, "Random", _NoDraws)
+    for name, (g, rels) in TORUS.items():
+        assert _holds_at_torus_points(g.edge_labels, rels, 2024, 100), name
+    g, rels = TORUS["w4"]
+    assert torus_point_check(g)
+    with pytest.raises(AssertionError, match="drawn"):
+        _holds_at_torus_points(g.edge_labels, [_mutant(rels[0], 0, 1)], 2024, 100)
 
 
 @pytest.mark.parametrize("name", sorted(name for name, (_, rels) in TORUS.items() if rels))

@@ -22,6 +22,7 @@ from enrichfan.moduli import (
     enumerate_stable_weighted_graphs,
 )
 from enrichfan.preorders import Preorder
+import reference_moduli
 from reference_moduli import aut_enriched
 from reference_preorders import lower_sets, relabel
 
@@ -279,21 +280,38 @@ class TestContractions:
         calls = []
         real = graphs._contract
 
-        def counted(g, ends, mask):
+        def counted(g, ends, mask, *reps):
             calls.append(mask)
-            return real(g, ends, mask)
+            return real(g, ends, mask, *reps)
 
         # every module that contracts on this path holds its own name for the
-        # edge-index contraction, which the label ``contract`` wraps
+        # edge-index contraction, which the label ``contract`` wraps; ``moduli``
+        # reaches it through ``graphs._contract_weighted``
         monkeypatch.setattr(graphs, "_contract", counted)
         monkeypatch.setattr(enriched, "_contract", counted)
-        monkeypatch.setattr(moduli, "_contract", counted)
         for g in (2, 3):
             cells = enumerate_cells(g)
             calls.clear()
             cell_adjacency(cells)
             assert len(calls) == len({(c.weighted, s) for c in cells for s in lower_sets(c.preorder)})
             assert len(calls) < sum(len(lower_sets(c.preorder)) for c in cells)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_adjacency_merges_each_lower_set_once(self, g, monkeypatch):
+        # the target graph and its weights are read off one union-find per
+        # (weighted graph, lower set), not merged again on labels for the weights
+        calls = []
+        real = graphs._roots
+
+        def counted(pairs):
+            calls.append(None)
+            return real(pairs)
+
+        cells = enumerate_cells(g)
+        monkeypatch.setattr(graphs, "_roots", counted)
+        adjacency = cell_adjacency(cells)
+        assert len(calls) == len({(c.weighted, s) for c in cells for s in lower_sets(c.preorder)})
+        assert adjacency == reference_moduli.key_table_cell_adjacency(cells)
 
 
     def test_cell_table_frames_each_weighted_graph_once(self, monkeypatch):

@@ -22,6 +22,7 @@ from enrichfan.graphs import Bond, MultiGraph, bonds, sort_labels
 from enrichfan.lattices import kernel_lattice, lattice_span_equal
 from enrichfan.toric import (
     LaurentRelation,
+    _holds_at_torus_points,
     _require_biconnected,
     blowup_schedule,
     bond_names,
@@ -207,6 +208,24 @@ class TestTorusPoints:
             for rel in equations(g):
                 assert rel.holds_at(point)
                 assert mutated_evaluate(rel, point) != 1
+
+    def test_negative_trials_are_refused(self):
+        # no point would be checked, and the check would pass vacuously
+        g = corpus.square()
+        with pytest.raises(ValueError, match="trials"):
+            torus_point_check(g, trials=-1)
+        with pytest.raises(ValueError, match="trials"):
+            _holds_at_torus_points(g.edge_labels, equations(g), 7, -3)
+        assert torus_point_check(g, trials=0)
+
+    def test_mutant_index_outside_the_terms_is_refused(self):
+        # an index that bumps nothing would leave the negative control at 1
+        rel = equations(corpus.square())[0]
+        point = {e: Fraction(3, 2) ** (i + 1) for i, e in enumerate(corpus.square().edge_labels)}
+        for index in (len(rel.terms), len(rel.terms) + 3, -1):
+            with pytest.raises(ValueError, match="outside"):
+                mutated_evaluate(rel, point, index)
+        assert mutated_evaluate(rel, point, len(rel.terms) - 1) != 1
 
     def test_mutant_defined_at_a_zero_coordinate(self):
         # a relation of the wheel W4 on two of its bonds; bumping the exponent

@@ -2,7 +2,8 @@
 against the label-keyed reference, the number of bond enumerations the
 kernel check, the ``toric equations`` command and ``verify``'s kernel and
 torus check cost, the kernel lattices that check computes, and the
-triangular rows it compares with them."""
+triangular rows it compares with them; the bond sums read off XOR-ed edge
+masks against the side-pair scan on labels they replaced."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from enrichfan import corpus
 from enrichfan.cli import main
 from enrichfan.graphs import MultiGraph, bonds, is_biconnected
 from enrichfan.lattices import _echelon, _triangular, lattice_span_equal, rank_of
-from enrichfan.toric import _dual_map_rows, _relations, equations, kernel_rank, relations_generate_kernel
+from enrichfan.toric import LaurentRelation, _bond_sums, _dual_map_rows, _relations, equations, kernel_rank, relations_generate_kernel
 from enrichfan.verify import check_kernel_and_torus
 
 
@@ -182,7 +183,8 @@ def test_triangular_rows_span_the_relation_lattice(name):
     # row per rank
     g = GRAPHS[name]()
     dense, ncols = _relation_rows(g, bonds(g))
-    tri = _triangular([{k: x for k, x in enumerate(row) if x} for row in dense], ncols)
+    basis = _triangular([{k: x for k, x in enumerate(row) if x} for row in dense])
+    tri = [tuple(row.get(c, 0) for c in range(ncols)) for row in basis.values()]
     assert len(tri) == rank_of(dense) if dense else tri == []
     assert lattice_span_equal(tri, dense, ncols)
     e, f = _echelon(tri, ncols), _echelon(dense, ncols)
@@ -199,4 +201,44 @@ def test_kernel_check_refuses_doubled_relations(name, monkeypatch):
     monkeypatch.setattr(
         enrichfan.toric, "_relations", lambda g, all_bonds: [tuple((i, j, 2 * x) for i, j, x in rel) for rel in real(g, all_bonds)]
     )
+    assert not relations_generate_kernel(g, 9)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_bond_sums_match_reference(name):
+    g = GRAPHS[name]()
+    all_bonds = bonds(g)
+    assert _bond_sums(g, all_bonds) == ref.cut_scan_bond_sums(g, all_bonds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_multigraphs(max_vertices=5, max_edges=7).filter(is_biconnected))
+def test_bond_sums_match_reference_on_random_biconnected_graphs(g):
+    all_bonds = bonds(g)
+    assert _bond_sums(g, all_bonds) == ref.cut_scan_bond_sums(g, all_bonds)
+
+
+def test_bond_sums_are_found():
+    # the comparisons above are not all between empty sets
+    assert all(_bond_sums(GRAPHS[name](), bonds(GRAPHS[name]())) for name in ("k4", "w4", "prism", "doubled_square"))
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_trusted_relations_pass_the_constructor(name):
+    # ``equations`` builds its relations unchecked; the checked constructor
+    # accepts every one of them and gives an equal value
+    for rel in equations(GRAPHS[name](), 9):
+        assert LaurentRelation(rel.terms) == rel
+
+
+@pytest.mark.parametrize("name", sorted(name for name, make in GRAPHS.items() if kernel_rank(make())))
+def test_kernel_check_refuses_a_relation_outside_the_kernel(name, monkeypatch):
+    # x_e1^B = x_e2^B on one bond sums to zero within it but maps to
+    # e1* - e2*, not zero: the relations then span more than the kernel, and
+    # the check must see that the relations' lattice is not inside it
+    g = GRAPHS[name]()
+    real = enrichfan.toric._relations
+    i, (e1, e2, *_) = next((i, sorted(ix)) for i, ix in enumerate(enrichfan.toric._edge_indices(g, bonds(g))) if len(ix) > 1)
+    planted = ((i, e1, 1), (i, e2, -1))
+    monkeypatch.setattr(enrichfan.toric, "_relations", lambda g, all_bonds: (*real(g, all_bonds), planted))
     assert not relations_generate_kernel(g, 9)
