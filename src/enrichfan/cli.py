@@ -211,9 +211,9 @@ def cmd_toric_equations(args) -> int:
 
     wg = _load_graph(args)
     g = wg.graph
-    all_bonds = _guarded_bonds(g, args.max_edges, "relation search")  # rejects a graph that is not biconnected
-    rels = _equations(g, all_bonds)
-    names = _bond_names(all_bonds)
+    masks = _guarded_bonds(g, args.max_edges, "relation search")  # rejects a graph that is not biconnected
+    rels = _equations(g, masks)
+    names = _bond_names(g, masks)
     data = {
         "bonds": {name: list(be) for be, name in names.items()},
         "relations": [

@@ -7,10 +7,12 @@ construction and every operation is a pure function.
 
 Every vertex merge is decided by one union-find on vertex indices,
 ``_roots``: contraction and its weights, connected components, the
-connectivity of a bond's two sides and the enumeration core's
-contractions (``enriched._rows``, each in its parent's ends) all read the
-classes it returns.  ``_contract`` contracts on edge indices and builds the
-graph unchecked; ``contract`` is its wrapper on labels.
+connectivity of a bond's two sides (``_bond_masks``, which finds every bond
+as a pair of side and cut masks that ``toric`` computes on and ``bonds``
+wraps) and the enumeration core's contractions (``enriched._rows``, each
+in its parent's ends) all read the classes it returns.  ``_contract``
+contracts on edge indices and builds the graph unchecked; ``contract`` is
+its wrapper on labels.
 
 Weighted-graph isomorphism is decided by one search over ordered vertex
 partitions, ``_canonical_orderings``, capped at ``SEARCH_NODES`` nodes: it
@@ -333,16 +335,17 @@ def good_contraction_sequence(g: MultiGraph) -> list:
     components; a connected graph's targets are its biconnected ones.
     Returns ``(contracted_set, target_graph)`` pairs, ties in the canonical
     order of the contracted sets.  Each subset is decided on vertex indices
-    by ``_roots`` and ``block_masks``; only a kept one is contracted.
+    by ``_roots`` and ``block_masks``; only a kept one is contracted, on
+    that same merge.
     """
     labels, ends = g.edge_labels, edge_ends(g)
     entries = []
     for k in range(len(ends)):
         for sub in itertools.combinations(range(len(ends)), k):
-            root = _roots(map(ends.__getitem__, sub)).get
-            kept = [(root(u, u), root(v, v)) for i, (u, v) in enumerate(ends) if i not in sub]
+            reps = _roots(map(ends.__getitem__, sub))
+            kept = [(reps.get(u, u), reps.get(v, v)) for i, (u, v) in enumerate(ends) if i not in sub]
             if all(u != v for u, v in kept) and len(block_masks(kept, (1 << len(kept)) - 1)) == 1:
-                entries.append((frozenset(map(labels.__getitem__, sub)), _contract(g, ends, sum(1 << i for i in sub))))
+                entries.append((frozenset(map(labels.__getitem__, sub)), _contract(g, ends, sum(1 << i for i in sub), reps)))
     return entries
 
 
@@ -359,10 +362,9 @@ class Bond(_Value):
         self.graph = graph
         self.side = side
         self.edges = edges
-        vertices = frozenset(graph.vertices)
-        if not side <= vertices:
+        if not side <= graph._vset:
             raise NotABondError("side contains unknown vertices")
-        if not side or not vertices - side:
+        if not side or side == graph._vset:
             raise NotABondError("a bond needs a nontrivial vertex bipartition")
         cut = graph.cut_edges(side)
         # the edges off the cut leave two classes exactly when both sides are connected
@@ -395,28 +397,30 @@ class Bond(_Value):
         return f"Bond(side={{{', '.join(map(str, sort_labels(self.side)))}}}, edges={{{', '.join(map(str, self.sorted_edges()))}}})"
 
 
-def bonds(g: MultiGraph) -> list:
-    """All bonds of a connected graph, one canonical representative each.
-
-    Tries every vertex subset containing the smallest vertex as a side;
-    :class:`Bond` refuses those that leave a side disconnected.
-    """
+def _bond_masks(g: MultiGraph) -> list:
+    """The bonds of a connected graph as ``(side, cut)`` vertex and edge masks, by
+    ascending cut edge indices (sorted-label order): each side holding vertex 0
+    whose edges off the cut leave two classes under ``_roots``, as in :class:`Bond`."""
     if not g.is_connected():
         raise DisconnectedGraphError("bonds are defined for connected graphs")
-    vs = g.vertices
-    if len(vs) < 2:
-        return []
-    v0, rest = vs[0], vs[1:]
+    ends, n = edge_ends(g), len(g._vertices)
     found = []
-    for k in range(len(rest)):
-        for extra in itertools.combinations(rest, k):
-            try:
-                bond = Bond.from_side(g, (v0,) + extra)
-            except NotABondError:
-                continue
-            found.append(bond)
-    found.sort(key=lambda b: (tuple(map(label_key, b.sorted_edges())), tuple(map(label_key, sort_labels(b.side)))))
+    for side in range(1, (1 << n) - 1, 2):
+        crossing = [(side >> u ^ side >> v) & 1 for u, v in ends]
+        if len(_roots(uv for uv, c in zip(ends, crossing) if not c)) == n - 2:
+            found.append((side, sum(c << i for i, c in enumerate(crossing))))
+    found.sort(key=lambda b: tuple(bits(b[1])))
     return found
+
+
+def bonds(g: MultiGraph) -> list:
+    """All bonds of a connected graph, one canonical representative each, as
+    ``_bond_masks`` finds them."""
+    vs, labels = g._vertices, g._labels
+    return [
+        _trusted(Bond, graph=g, side=frozenset(map(vs.__getitem__, bits(side))), edges=frozenset(map(labels.__getitem__, bits(cut))))
+        for side, cut in _bond_masks(g)
+    ]
 
 
 class WeightedGraph:

@@ -111,14 +111,9 @@ class Preorder:
         return bool(self._rows[self._i(a)] >> self._i(b) & 1)
 
     def pairs(self) -> list:
-        """All related pairs (a, b) with a ≼ b and a != b."""
-        out = []
-        for i, a in enumerate(self._labels):
-            row = self._rows[i]
-            for j, b in enumerate(self._labels):
-                if i != j and row >> j & 1:
-                    out.append((a, b))
-        return out
+        """All related pairs (a, b) with a ≼ b and a != b, read off the set bits of each row."""
+        labels = self._labels
+        return [(a, labels[j]) for i, (a, row) in enumerate(zip(labels, self._rows)) for j in bits(row & ~(1 << i))]
 
     def _mask(self, s) -> int:
         """Bitmask of the labels in ``s``; unknown labels are rejected."""

@@ -6,17 +6,16 @@ binomial and trinomial equations of the image, the lattice-kernel
 certificate that those equations generate, and the blowup-center
 schedule of the birational model over projective space.
 
-Relations are built once, by ``_relations``, on integer indices: a term is
-a (bond index, edge index, exponent) triple, bonds indexed in ``bonds()``
-order and edges in ``edge_labels`` order.  Both orders are label order, so
-sorting the integer terms sorts the labels; labels appear only when
-``equations`` returns its relations.  Bonds are the expensive part: each
-public function enumerates the bonds of its graph once and hands that list
-to private helpers that take it as an argument; a caller that runs several
-of them on one graph (``verify``, the CLI) enumerates once and calls those
-helpers itself.  The cut of a disjoint union of sides is the XOR of their
-cuts, so ``_bond_sums`` finds B1 + B2 by XOR-ing edge masks.  Each bond of
-a relation gets one +1 and one -1, so relations are built unchecked.
+A bond is a ``graphs._bond_masks`` pair of side and cut masks.  Each
+public function enumerates them once and hands the list to private helpers;
+a caller that runs several of them on one graph (``verify``, the CLI)
+enumerates once and calls those helpers itself.  Relations are built once,
+by ``_relations``, as (bond index, edge index, exponent) terms.  Bonds and
+edges are both in label order, so sorting the terms sorts the labels, which
+appear only where ``_equations`` and ``_bond_names`` write output.  The cut
+of a disjoint union of sides is the XOR of their cuts, so ``_bond_sums``
+finds B1 + B2 by XOR-ing cut masks.  Each bond of a relation gets one +1
+and one -1, so relations are built unchecked.
 
 Relations are evaluated by one loop, ``_product_is_one``, on integer
 (numerator, denominator) pairs: ``LaurentRelation.holds_at`` runs it on a
@@ -36,13 +35,13 @@ from fractions import Fraction
 from .errors import GuardExceededError, NotBiconnectedError
 from .graphs import (
     MultiGraph,
+    _bond_masks,
     _trusted,
     _Value,
     biconnected_components,
-    bonds,
+    bits,
     good_contraction_sequence,
     is_biconnected,
-    label_key,
     sort_labels,
 )
 from .lattices import kernel_lattice, lattice_span_equal
@@ -54,11 +53,11 @@ def _require_biconnected(g: MultiGraph):
 
 
 def _guarded_bonds(g: MultiGraph, max_edges: int, what: str) -> list:
-    """The bonds of the biconnected ``g``, refused past ``max_edges`` edges."""
+    """The bond masks of the biconnected ``g``, refused past ``max_edges`` edges."""
     _require_biconnected(g)
     if g.n_edges > max_edges:
         raise GuardExceededError(f"{what} capped at {max_edges} edges")
-    return bonds(g)
+    return _bond_masks(g)
 
 
 def variety_dimension(g: MultiGraph) -> int:
@@ -123,44 +122,36 @@ def _product_is_one(terms, point) -> bool:
     return top == bottom
 
 
-def _bond_sums(g: MultiGraph, all_bonds: list):
+def _bond_sums(g: MultiGraph, masks: list):
     """Index triples (i1, i2, i3) of bonds with B3 the disjoint-side sum of B1 and B2:
-    B3's edge mask is the XOR of B1's and B2's, and some two of their sides
-    are disjoint and miss a vertex."""
-    vertex = {v: 1 << i for i, v in enumerate(g.vertices)}
+    B3's cut is the XOR of theirs, and some two of their sides are disjoint and
+    miss a vertex.  The given sides hold vertex 0, so that is when one lies
+    in the other or the two cover every vertex."""
     full = (1 << g.n_vertices) - 1
-    masks = [sum(1 << j for j in ix) for ix in _edge_indices(g, all_bonds)]
-    sides = [(s, full ^ s) for s in (sum(map(vertex.__getitem__, b.side)) for b in all_bonds)]
-    index = {m: i for i, m in enumerate(masks)}
+    index = {cut: i for i, (_, cut) in enumerate(masks)}
     triples = set()
-    for i1, i2 in itertools.combinations(range(len(all_bonds)), 2):
-        i3 = index.get(masks[i1] ^ masks[i2])
-        if i3 is not None and any(not s1 & s2 and s1 | s2 != full for s1 in sides[i1] for s2 in sides[i2]):
+    for (i1, (s1, c1)), (i2, (s2, c2)) in itertools.combinations(enumerate(masks), 2):
+        i3 = index.get(c1 ^ c2)
+        if i3 is not None and (not s1 & ~s2 or not s2 & ~s1 or s1 | s2 == full):
             triples.add((i1, i2, i3))
     return triples
 
 
-def _edge_indices(g: MultiGraph, all_bonds: list) -> list:
-    """Each bond's edges as ascending indices into ``g.edge_labels``."""
-    column = {e: j for j, e in enumerate(g.edge_labels)}
-    return [sorted(column[e] for e in b.edges) for b in all_bonds]
-
-
-def _relations(g: MultiGraph, all_bonds: list) -> tuple:
+def _relations(g: MultiGraph, masks: list) -> tuple:
     """Every relation as a sorted tuple of (bond index, edge index, exponent) terms.
 
     A relation's first exponent is positive, and the relations come sorted.
     No edge lies in all of B1, B2 and B1 + B2, so no two terms share a (bond, edge) pair.
     """
-    edges = [frozenset(ix) for ix in _edge_indices(g, all_bonds)]
+    cuts = [cut for _, cut in masks]
     out = set()
-    for (i1, b1), (i2, b2) in itertools.combinations(enumerate(edges), 2):
-        for e1, e2 in itertools.combinations(sorted(b1 & b2), 2):  # i1 < i2 and e1 < e2: sorted as built
+    for (i1, c1), (i2, c2) in itertools.combinations(enumerate(cuts), 2):
+        for e1, e2 in itertools.combinations(bits(c1 & c2), 2):  # i1 < i2 and e1 < e2: sorted as built
             out.add(((i1, e1, 1), (i1, e2, -1), (i2, e1, -1), (i2, e2, 1)))
-    for i1, i2, i3 in _bond_sums(g, all_bonds):
-        for e1 in edges[i1] & edges[i3]:
-            for e2 in edges[i1] & edges[i2]:
-                for e3 in edges[i2] & edges[i3]:
+    for i1, i2, i3 in _bond_sums(g, masks):
+        for e1 in bits(cuts[i1] & cuts[i3]):
+            for e2 in bits(cuts[i1] & cuts[i2]):
+                for e3 in bits(cuts[i2] & cuts[i3]):
                     terms = sorted(((i1, e1, 1), (i1, e2, -1), (i2, e2, 1), (i2, e3, -1), (i3, e3, 1), (i3, e1, -1)))
                     sign = 1 if terms[0][2] > 0 else -1
                     out.add(tuple((i, j, sign * x) for i, j, x in terms))
@@ -178,22 +169,23 @@ def equations(g: MultiGraph, max_edges: int = 8) -> list:
     return _equations(g, _guarded_bonds(g, max_edges, "relation search"))
 
 
-def _equations(g: MultiGraph, all_bonds: list) -> list:
-    bond_edges, labels = [b.sorted_edges() for b in all_bonds], g.edge_labels
-    rels = _relations(g, all_bonds)
+def _equations(g: MultiGraph, masks: list) -> list:
+    labels, bond_edges = g.edge_labels, list(_bond_names(g, masks))  # each bond's sorted labels
+    rels = _relations(g, masks)
     return [_trusted(LaurentRelation, terms=tuple((bond_edges[i], labels[j], x) for i, j, x in rel)) for rel in rels]
 
 
 def bond_names(g: MultiGraph) -> dict:
     """Stable display names B1, B2, ... for the bonds of ``g``."""
-    return _bond_names(bonds(g))
+    return _bond_names(g, _bond_masks(g))
 
 
-def _bond_names(all_bonds: list) -> dict:
-    return {b.sorted_edges(): f"B{i + 1}" for i, b in enumerate(all_bonds)}
+def _bond_names(g: MultiGraph, masks: list) -> dict:
+    labels = g.edge_labels
+    return {tuple(map(labels.__getitem__, bits(cut))): f"B{i + 1}" for i, (_, cut) in enumerate(masks)}
 
 
-def _dual_map_rows(g: MultiGraph, all_bonds: list):
+def _dual_map_rows(g: MultiGraph, masks: list):
     """The dual comparison map: its domain basis and one row per basis element.
 
     A sum-zero integer vector on a set S is written in the basis e - f0
@@ -203,7 +195,8 @@ def _dual_map_rows(g: MultiGraph, all_bonds: list):
     graph.  Row (B, e) is the functional e* - f0*, extended by zero.
     """
     domain, rows = [], []
-    for i, (f0, *rest) in enumerate(_edge_indices(g, all_bonds)):
+    for i, (_, cut) in enumerate(masks):
+        f0, *rest = bits(cut)
         for e in rest:
             domain.append((i, e))
             rows.append(tuple(1 if j == e else -1 if j == f0 else 0 for j in range(1, g.n_edges)))
@@ -213,11 +206,11 @@ def _dual_map_rows(g: MultiGraph, all_bonds: list):
 def kernel_rank(g: MultiGraph) -> int:
     """sum over bonds of (|B| - 1), minus (|E| - 1)."""
     _require_biconnected(g)
-    return _kernel_rank(g, bonds(g))
+    return _kernel_rank(g, _bond_masks(g))
 
 
-def _kernel_rank(g: MultiGraph, all_bonds: list) -> int:
-    return sum(len(b.edges) - 1 for b in all_bonds) - (g.n_edges - 1)
+def _kernel_rank(g: MultiGraph, masks: list) -> int:
+    return sum(cut.bit_count() - 1 for _, cut in masks) - (g.n_edges - 1)
 
 
 def relations_generate_kernel(g: MultiGraph, max_edges: int = 8) -> bool:
@@ -227,22 +220,22 @@ def relations_generate_kernel(g: MultiGraph, max_edges: int = 8) -> bool:
     relation lattice must match it exactly.  ``max_edges`` caps the check
     and its relation search alike.
     """
-    all_bonds = _guarded_bonds(g, max_edges, "kernel check")
-    return _generates_kernel(g, all_bonds, *_dual_kernel(g, all_bonds))
+    masks = _guarded_bonds(g, max_edges, "kernel check")
+    return _generates_kernel(g, masks, *_dual_kernel(g, masks))
 
 
-def _dual_kernel(g: MultiGraph, all_bonds: list) -> tuple:
+def _dual_kernel(g: MultiGraph, masks: list) -> tuple:
     """The domain of the dual comparison map and a basis of its kernel lattice, by integer normal forms."""
-    domain, rows = _dual_map_rows(g, all_bonds)
+    domain, rows = _dual_map_rows(g, masks)
     return domain, kernel_lattice(rows, g.n_edges - 1)
 
 
-def _generates_kernel(g: MultiGraph, all_bonds: list, domain: list, kernel: list) -> bool:
+def _generates_kernel(g: MultiGraph, masks: list, domain: list, kernel: list) -> bool:
     """Whether the relations span ``kernel``, the kernel over ``domain`` that ``_dual_kernel`` gives."""
     if len(kernel) != len(domain) - (g.n_edges - 1):  # kernel_rank; len(domain) is the sum of |B| - 1
         return False
     column = {pair: k for k, pair in enumerate(domain)}  # a bond's least edge has no coordinate
-    rels = [{column[i, j]: x for i, j, x in rel if (i, j) in column} for rel in _relations(g, all_bonds)]
+    rels = [{column[i, j]: x for i, j, x in rel if (i, j) in column} for rel in _relations(g, masks)]
     return lattice_span_equal(rels, kernel, len(domain))
 
 
@@ -252,7 +245,6 @@ def torus_point_check(g: MultiGraph, seed: int = 2024, trials: int = 100) -> boo
     Coordinates avoid 0 and +-1, so perturbing any single exponent is
     guaranteed to break at least the perturbed product.
     """
-    _require_biconnected(g)
     return _holds_at_torus_points(g.edge_labels, equations(g), seed, trials)
 
 
@@ -290,10 +282,13 @@ def mutated_evaluate(rel: LaurentRelation, point: dict, index: int = 0, bump: in
 
     Valid relations evaluate to 1; with coordinates away from 0 and +-1 the
     bumped product cannot be 1.  It is taken with the bumped exponent in
-    place, so it raises ZeroDivisionError exactly where the mutant does.
+    place, so it raises ZeroDivisionError exactly where the mutant does.  A
+    zero ``bump`` or an ``index`` outside the terms mutates nothing: refused.
     """
     if not 0 <= index < len(rel.terms):
         raise ValueError(f"index {index} is outside the relation's {len(rel.terms)} terms")
+    if bump == 0:
+        raise ValueError("bump must be nonzero")
     value = Fraction(1)
     for i, (_, e, exp) in enumerate(rel.terms):
         value *= Fraction(point[e]) ** (exp + bump if i == index else exp)
@@ -318,15 +313,8 @@ def blowup_schedule(g: MultiGraph, max_edges: int = 8) -> list:
     _require_biconnected(g)
     if g.n_edges > max_edges:
         raise GuardExceededError(f"schedule capped at {max_edges} edges")
-    stages = {}
+    stages = {}  # the sequence comes by ascending size, each size in label order
     for s, gc in good_contraction_sequence(g):
-        if not s:
-            continue
-        stages.setdefault(len(s), []).append((sort_labels(s), sort_labels(gc.edge_labels)))
-    return [
-        BlowupStage(
-            k,
-            tuple(sorted(stages[k], key=lambda t: tuple(map(label_key, t[0])))),
-        )
-        for k in sorted(stages)
-    ]
+        if s:
+            stages.setdefault(len(s), []).append((sort_labels(s), sort_labels(gc.edge_labels)))
+    return [BlowupStage(k, tuple(centers)) for k, centers in stages.items()]

@@ -1,8 +1,9 @@
 """Invariant suites over the built-in corpus, shared by the CLI and the tests.
 
 Each check returns a list of failure strings (empty = pass) and the
-runners log one PASS/FAIL line per check.  Where the library computes a
-quantity two ways (direct fan vs star subdivisions, located cone vs
+runners log one PASS/FAIL line per check; a check that raises fails with a
+line naming the exception, and the others still run.  Where the library
+computes a quantity two ways (direct fan vs star subdivisions, located cone vs
 membership scan, emitted relations vs normal-form kernel), both routes run
 here.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, partial, reduce
 from operator import or_
 
 from . import corpus
@@ -20,7 +21,7 @@ from .cones import closed_structure_cone, containing, ray_generators, structure_
 from .enriched import EnrichedGraph, _specialization_failure, bond_minima, enriched_structures, from_bond_collection, locate, specializations
 from .fans import fan_by_star_subdivision, fan_equal, fan_of_graph, graph_lattice_quotient, quotient_fan
 from .errors import UnknownLabelError
-from .graphs import biconnected_components, bits, bonds, contract
+from .graphs import _bond_masks, biconnected_components, bits, bonds, contract
 from .moduli import check_unique_lifts, classify_cells, enumerate_cells, enumerate_stable_weighted_graphs
 from .preorders import Preorder
 from .toric import (
@@ -188,14 +189,14 @@ def check_kernel_and_torus(seed: int) -> list:
         g = corpus.CORPUS[name]()
         if g.n_edges > 5:
             continue
-        all_bonds = bonds(g)  # one enumeration serves every check below
-        domain, kernel = _dual_kernel(g, all_bonds)  # and one normal form both kernel checks
-        if not _generates_kernel(g, all_bonds, domain, kernel):
+        masks = _bond_masks(g)  # one enumeration serves every check below
+        domain, kernel = _dual_kernel(g, masks)  # and one normal form both kernel checks
+        if not _generates_kernel(g, masks, domain, kernel):
             failures.append(f"{name}: relations do not generate the kernel lattice")
-        computed, formula = len(kernel), _kernel_rank(g, all_bonds)
+        computed, formula = len(kernel), _kernel_rank(g, masks)
         if computed != formula:
             failures.append(f"{name}: normal-form kernel rank {computed} != formula {formula}")
-        rels = _equations(g, all_bonds)
+        rels = _equations(g, masks)
         if not _holds_at_torus_points(g.edge_labels, rels, rng.randint(0, 10**6), TORUS_TRIALS):
             failures.append(f"{name}: a relation failed at a torus point")
         if rels:
@@ -275,10 +276,14 @@ NAMED_CHECKS = (
 )
 
 
-def verify_all(seed: int = 20240, log=lambda *_: None) -> list:
+def _run_checks(checks, log) -> list:
+    """Run each ``(name, check)`` pair on its own, an exception failing its check alone."""
     all_failures = []
-    for name, fn, seeded in NAMED_CHECKS:
-        failures = fn(seed) if seeded else fn()
+    for name, check in checks:
+        try:
+            failures = check()
+        except Exception as exc:
+            failures = [f"{type(exc).__name__}: {exc}"]
         log(f"{'PASS' if not failures else 'FAIL'}  {name}")
         for f in failures:
             log(f"      {f}")
@@ -286,16 +291,17 @@ def verify_all(seed: int = 20240, log=lambda *_: None) -> list:
     return all_failures
 
 
+def verify_all(seed: int = 20240, log=lambda *_: None) -> list:
+    return _run_checks(((name, partial(fn, seed) if seeded else fn) for name, fn, seeded in NAMED_CHECKS), log)
+
+
 def verify_fan_for_graph(g, seed: int = 20240, log=lambda *_: None) -> list:
-    """Fan invariants for a single graph: cover, rays/faces, pipeline equality."""
-    structs = enriched_structures(g)
-    cover = _cover_failures("graph", structs, _positive_points(g.edge_labels, 200, random.Random(seed)))
-    faces = _rays_and_faces_failures("graph", structs)
-    step = _star_failures("graph", g)
-    log(f"{'PASS' if not cover else 'FAIL'}  orthant cover (200 seeded points)")
-    log(f"{'PASS' if not faces else 'FAIL'}  rays, smoothness, faces")
-    log(f"{'PASS' if not step else 'FAIL'}  star subdivision pipeline")
-    failures = cover + faces + step
-    for f in failures:
-        log(f"      {f}")
-    return failures
+    """Fan invariants for a single graph: cover, rays/faces, pipeline equality, on one enumeration."""
+    structs = cache(lambda: enriched_structures(g))
+    points = _positive_points(g.edge_labels, 200, random.Random(seed))
+    checks = (
+        ("orthant cover (200 seeded points)", lambda: _cover_failures("graph", structs(), points)),
+        ("rays, smoothness, faces", lambda: _rays_and_faces_failures("graph", structs())),
+        ("star subdivision pipeline", lambda: _star_failures("graph", g)),
+    )
+    return _run_checks(checks, log)

@@ -37,9 +37,14 @@ became a wrapper over the edge-index contraction ``graphs._contract``:
 copied verbatim but for its name (``contract`` still names the library's
 here), it calls the ``contraction_classes`` copy above.
 
-Last, ``good_contraction_sequence`` as it was before it decided each subset
+Then ``good_contraction_sequence`` as it was before it decided each subset
 on edge masks: copied verbatim, it contracts every subset of edges and asks
 the contracted graph whether its edges form one loop-free block.
+
+Last, ``from_side_bonds`` is ``graphs.bonds`` as it ran before it wrapped
+the side-mask enumeration ``graphs._bond_masks``: copied verbatim but for
+its name, it builds a checked ``Bond`` for every side holding the least
+vertex and skips those the constructor refuses.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from __future__ import annotations
 import itertools
 
 from enrichfan.errors import DisconnectedGraphError, GuardExceededError, NotABondError, UnknownVertexError
-from enrichfan.graphs import EdgePermutation, MultiGraph, WeightedGraph, _one_block, contract, edge_ends, label_key, sort_labels
+from enrichfan.graphs import Bond, EdgePermutation, MultiGraph, WeightedGraph, _one_block, contract, edge_ends, label_key, sort_labels
 
 AUTOMORPHISM_VERTICES = 8  # the most vertices the isomorphism search orders
 
@@ -349,3 +354,27 @@ def good_contraction_sequence(g: MultiGraph) -> list:
             if _one_block(gc):
                 entries.append((s, gc))
     return entries
+
+
+def from_side_bonds(g: MultiGraph) -> list:
+    """All bonds of a connected graph, one canonical representative each.
+
+    Tries every vertex subset containing the smallest vertex as a side;
+    :class:`Bond` refuses those that leave a side disconnected.
+    """
+    if not g.is_connected():
+        raise DisconnectedGraphError("bonds are defined for connected graphs")
+    vs = g.vertices
+    if len(vs) < 2:
+        return []
+    v0, rest = vs[0], vs[1:]
+    found = []
+    for k in range(len(rest)):
+        for extra in itertools.combinations(rest, k):
+            try:
+                bond = Bond.from_side(g, (v0,) + extra)
+            except NotABondError:
+                continue
+            found.append(bond)
+    found.sort(key=lambda b: (tuple(map(label_key, b.sorted_edges())), tuple(map(label_key, sort_labels(b.side)))))
+    return found

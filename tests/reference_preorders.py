@@ -24,6 +24,10 @@ argument: a second derivation of a class's parent, from the Hasse covers,
 which only the tests called once structures read theirs off the row forest
 (``enriched._parents``).
 
+``pairs`` is ``Preorder.pairs`` as it ran before it read each row's set
+bits: copied verbatim with ``self`` made the first argument, it tests every
+label pair.
+
 ``all_preorders`` enumerates every preorder on a small ground set by
 brute force; enumeration and validation are tested against it.
 """
@@ -40,6 +44,17 @@ from reference_lattices import EQ, GE, GT, Halfspace
 
 def lt(self, a, b) -> bool:
     return self.leq(a, b) and not self.leq(b, a)
+
+
+def pairs(self) -> list:
+    """All related pairs (a, b) with a ≼ b and a != b."""
+    out = []
+    for i, a in enumerate(self._labels):
+        row = self._rows[i]
+        for j, b in enumerate(self._labels):
+            if i != j and row >> j & 1:
+                out.append((a, b))
+    return out
 
 
 def up_closure(self, a) -> frozenset:

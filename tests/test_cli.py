@@ -216,6 +216,18 @@ class TestFan:
         assert code == EXIT_OK and out.count("PASS") == 3
         assert len(calls) == 1
 
+    def test_verify_runs_each_check_on_its_own(self, capsys, monkeypatch):
+        import enrichfan.verify
+
+        def broken(*_):
+            raise RuntimeError("planted fault")
+
+        monkeypatch.setattr(enrichfan.verify, "ray_generators", broken)
+        code, out, err = run_cli(capsys, "fan", "verify", "--inline", TRIANGLE)
+        assert code == EXIT_VERIFY and err == ""
+        assert _check_lines(out) == ["PASS  orthant cover (200 seeded points)", "FAIL  rays, smoothness, faces", "PASS  star subdivision pipeline"]
+        assert "      RuntimeError: planted fault" in out.splitlines()
+
     def test_verify_takes_no_format(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fan", "verify", "--inline", THETA, "--format", "json"])
@@ -521,11 +533,51 @@ class TestColdStart:
         assert (proc.stderr.splitlines() or [None])[0] == first_err
 
 
+def _check_lines(out: str) -> list:
+    return [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+
+
 class TestVerifyAll:
     def test_runs_green(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "all")
         assert code == EXIT_OK
         assert out.count("PASS") == 9 and "FAIL" not in out
+
+    def test_a_raising_check_fails_alone(self, capsys, monkeypatch):
+        # the exception becomes the check's FAIL line, and the checks after it still run
+        import enrichfan.verify
+
+        def broken():
+            raise RuntimeError("planted fault")
+
+        checks = list(enrichfan.verify.NAMED_CHECKS)
+        checks[1] = (checks[1][0], broken, False)
+        monkeypatch.setattr(enrichfan.verify, "NAMED_CHECKS", tuple(checks))
+        code, out, err = run_cli(capsys, "verify", "all")
+        assert code == EXIT_VERIFY and err == ""
+        assert [line[:4] for line in _check_lines(out)] == ["PASS", "FAIL"] + ["PASS"] * 7
+        assert "      RuntimeError: planted fault" in out.splitlines()
+
+    def test_a_dropped_bond_fails_without_a_traceback(self, capsys, monkeypatch):
+        # every graph with three or more bonds loses its last one, for every caller;
+        # the bond round trip then raises inside the public structure check
+        import enrichfan.graphs
+        import enrichfan.toric
+        import enrichfan.verify
+
+        real = enrichfan.graphs._bond_masks
+
+        def dropped(g):
+            masks = real(g)
+            return masks[:-1] if len(masks) >= 3 else masks
+
+        for module in (enrichfan.graphs, enrichfan.toric, enrichfan.verify):
+            monkeypatch.setattr(module, "_bond_masks", dropped)
+        code, out, err = run_cli(capsys, "verify", "all")
+        assert code == EXIT_VERIFY and err == ""
+        assert len(_check_lines(out)) == 9
+        assert "FAIL  bond collection round trip" in _check_lines(out)
+        assert "      ValueError: preorder is not an enriched structure on this graph" in out.splitlines()
 
 
 class TestDeterminism:

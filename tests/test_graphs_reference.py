@@ -5,8 +5,11 @@ the same edge maps, vertex maps and order; the ordered-partition search
 ``_canonical_orderings`` against the permutation scan it replaced (the same
 key and orderings in the same order), and its node cap; and every vertex merge on the union-find ``graphs._roots``
 (contraction classes, components, incidence, bond checks) against the
-code it replaced; and ``good_contraction_sequence``, deciding each subset
-on edge masks, against its copy that contracted every subset."""
+code it replaced; ``good_contraction_sequence``, deciding each subset
+on edge masks, against its copy that contracted every subset, and its one
+merge per subset; and ``bonds``, built from the side masks of
+``_bond_masks``, against the enumeration that built a checked ``Bond`` for
+every side."""
 
 import itertools
 import math
@@ -16,9 +19,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_graphs as ref
-from conftest import zero_weights
+from conftest import connected_multigraphs, zero_weights
 from enrichfan import corpus, graphs, moduli
-from enrichfan.errors import GuardExceededError, NotABondError, UnknownEdgeError, UnknownVertexError
+from enrichfan.errors import DisconnectedGraphError, GuardExceededError, NotABondError, UnknownEdgeError, UnknownVertexError
 from enrichfan.graphs import (
     SEARCH_NODES,
     Bond,
@@ -34,7 +37,7 @@ from enrichfan.graphs import (
 )
 from enrichfan.moduli import enumerate_stable_weighted_graphs
 from test_moduli_reference import EDGE_NAMES, VERTEX_NAMES, relabelled
-from test_toric_reference import k4, wheel4
+from test_toric_reference import doubled_square, k4, mixed_labels, wheel4
 
 
 def prism():
@@ -285,6 +288,38 @@ def test_bonds_match_reference(wg):
     assert [(b.side, b.edges) for b in bonds(g)] == ref.bonds(g)
 
 
+def assert_same_bonds(g):
+    """``bonds`` gives the checked enumeration's list, and each bond passes the public constructor."""
+    got = bonds(g)
+    assert got == ref.from_side_bonds(g)
+    assert all(b == Bond(g, b.side, b.edges) for b in got)
+
+
+@pytest.mark.parametrize("g", [*corpus.corpus_graphs().values(), k4(), wheel4(), prism(), doubled_square(), mixed_labels()])
+def test_bonds_match_checked_enumeration(g):
+    assert_same_bonds(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_multigraphs(max_vertices=6, max_edges=9))
+def test_bonds_match_checked_enumeration_on_random_connected_graphs(g):
+    assert_same_bonds(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_multigraphs(max_vertices=6, max_edges=7))
+@example(EVERY_FEATURE)
+def test_bonds_refuse_what_the_checked_enumeration_refuses(wg):
+    # disconnected graphs included: both raise the same error
+    outcomes = []
+    for enumerate_bonds in (bonds, ref.from_side_bonds):
+        try:
+            outcomes.append(enumerate_bonds(wg.graph))
+        except DisconnectedGraphError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 CONTRACTION_CASES = {
     **{name: make for name, make in corpus.CORPUS.items()},
     "k4": k4,
@@ -305,6 +340,21 @@ CONTRACTION_CASES = {
 def test_good_contraction_sequence_matches_reference(name):
     g = CONTRACTION_CASES[name]()
     assert good_contraction_sequence(g) == ref.good_contraction_sequence(g)
+
+
+def test_good_contraction_sequence_merges_each_subset_once(monkeypatch):
+    # the merge that decides a subset also contracts it: one ``_roots`` call
+    # for each of the prism's 2^9 - 1 proper edge subsets, 107 of them kept
+    calls = []
+    real = graphs._roots
+
+    def counted(pairs):
+        calls.append(1)
+        return real(pairs)
+
+    monkeypatch.setattr(graphs, "_roots", counted)
+    assert len(good_contraction_sequence(prism())) == 107
+    assert len(calls) == 511
 
 
 @settings(max_examples=200, deadline=None)

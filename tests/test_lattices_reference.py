@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import reference_lattices as ref
 import reference_membership
 from enrichfan.cones import RationalCone, containing
-from enrichfan.graphs import bonds
+from enrichfan.graphs import _bond_masks
 from enrichfan.lattices import _echelon, _triangular, kernel_lattice, lattice_span_equal, linearly_independent, primitive, rank_of
 from enrichfan.toric import _dual_map_rows
 from test_lattices_oracle import matrices
@@ -180,7 +180,7 @@ def test_echelon_matches_reference_on_fixed_matrices(rows, ncols):
 def test_echelon_matches_reference_on_dual_maps(name):
     """The tracked echelon the kernel check runs, on its largest inputs."""
     g = GRAPHS[name]()
-    _, rows = _dual_map_rows(g, bonds(g))
+    _, rows = _dual_map_rows(g, _bond_masks(g))
     assert len(rows) > g.n_edges - 1  # more rows than columns
     _assert_same_echelon(rows, g.n_edges - 1)
 

@@ -34,6 +34,7 @@ def _raised(f, *args):
 
 
 def _assert_same(p, subsets):
+    assert p.pairs() == ref.pairs(p)
     assert p.classes() == ref.classes(p)
     assert p.rank == ref.rank(p)
     assert p.is_partial_order() == ref.is_partial_order(p)

@@ -18,7 +18,7 @@ from enrichfan.fans import (
     quotient_fan,
     star_subdivision,
 )
-from enrichfan.graphs import Bond, MultiGraph, bonds, sort_labels
+from enrichfan.graphs import Bond, MultiGraph, _bond_masks, bonds, sort_labels
 from enrichfan.lattices import kernel_lattice, lattice_span_equal
 from enrichfan.toric import (
     LaurentRelation,
@@ -155,7 +155,7 @@ class TestEquations:
     def test_every_relation_in_kernel(self):
         for name in ("triangle", "doubled_triangle", "square"):
             g = corpus.CORPUS[name]()
-            domain, rows = _dual_map_rows(g, bonds(g))
+            domain, rows = _dual_map_rows(g, _bond_masks(g))
             kern = kernel_lattice(rows, g.n_edges - 1)
             for rel in equations(g):
                 vec = reference_toric.relation_coordinates(g, rel)
@@ -226,6 +226,15 @@ class TestTorusPoints:
             with pytest.raises(ValueError, match="outside"):
                 mutated_evaluate(rel, point, index)
         assert mutated_evaluate(rel, point, len(rel.terms) - 1) != 1
+
+    def test_zero_bump_is_refused(self):
+        # a zero bump returns the relation's own value, 1: the negative control would check nothing
+        g = corpus.square()
+        rel = equations(g)[0]
+        point = {e: Fraction(3, 2) ** (i + 1) for i, e in enumerate(g.edge_labels)}
+        assert mutated_evaluate(rel, point, 0, -1) != 1
+        with pytest.raises(ValueError, match="bump"):
+            mutated_evaluate(rel, point, 0, 0)
 
     def test_mutant_defined_at_a_zero_coordinate(self):
         # a relation of the wheel W4 on two of its bonds; bumping the exponent

@@ -1,9 +1,10 @@
 """The index-built relations and dual comparison map of ``enrichfan.toric``
-against the label-keyed reference, the number of bond enumerations the
-kernel check, the ``toric equations`` command and ``verify``'s kernel and
-torus check cost, the kernel lattices that check computes, and the
-triangular rows it compares with them; the bond sums read off XOR-ed edge
-masks against the side-pair scan on labels they replaced."""
+against the label-keyed reference, the number of bond enumerations
+(``graphs._bond_masks`` calls) the kernel check, the ``toric equations``
+command and ``verify``'s kernel and torus check cost, the kernel lattices
+that check computes, and the triangular rows it compares with them; the
+bond sums read off XOR-ed edge masks against the side-pair scan on labels
+they replaced.  The toric helpers take ``_bond_masks`` pairs."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ import reference_toric as ref
 from conftest import connected_multigraphs
 from enrichfan import corpus
 from enrichfan.cli import main
-from enrichfan.graphs import MultiGraph, bonds, is_biconnected
+from enrichfan.graphs import MultiGraph, _bond_masks, bits, bonds, is_biconnected
 from enrichfan.lattices import _echelon, _triangular, lattice_span_equal, rank_of
 from enrichfan.toric import LaurentRelation, _bond_sums, _dual_map_rows, _relations, equations, kernel_rank, relations_generate_kernel
 from enrichfan.verify import check_kernel_and_torus
@@ -72,7 +73,7 @@ def test_equations_match_reference_on_random_biconnected_graphs(g):
 def test_dual_map_rows_match_reference(name):
     g = GRAPHS[name]()
     all_bonds = bonds(g)
-    domain, rows = _dual_map_rows(g, all_bonds)
+    domain, rows = _dual_map_rows(g, _bond_masks(g))
     labelled = [(all_bonds[i].edges, g.edge_labels[j]) for i, j in domain]
     assert (labelled, rows) == ref._dual_map_rows(g)
 
@@ -82,37 +83,37 @@ def test_relation_coordinates_match_reference(name):
     # the kernel check reads a relation's coordinates off its index terms;
     # they agree with the reference's coordinates of the labelled relation
     g = GRAPHS[name]()
-    all_bonds = bonds(g)
-    domain, _ = _dual_map_rows(g, all_bonds)
-    for rel, labelled in zip(_relations(g, all_bonds), equations(g, 9), strict=True):
+    masks = _bond_masks(g)
+    domain, _ = _dual_map_rows(g, masks)
+    for rel, labelled in zip(_relations(g, masks), equations(g, 9), strict=True):
         exponent = {(i, j): x for i, j, x in rel}
         assert tuple(exponent.get(pair, 0) for pair in domain) == ref.relation_coordinates(g, labelled)
 
 
 def test_kernel_check_enumerates_bonds_once(monkeypatch):
     calls = []
-    real = enrichfan.toric.bonds
+    real = enrichfan.toric._bond_masks
 
     def counted(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(enrichfan.toric, "bonds", counted)
+    monkeypatch.setattr(enrichfan.toric, "_bond_masks", counted)
     g = wheel4()
     assert relations_generate_kernel(g)
     assert len(calls) == 1
 
 
 def _count_bonds(monkeypatch, *modules) -> list:
-    """Patch ``bonds`` in each of ``modules`` with one counting wrapper; the returned list grows by one graph per call."""
+    """Patch ``_bond_masks`` in each of ``modules`` with one counting wrapper; the returned list grows by one graph per call."""
     calls = []
 
     def counted(g):
         calls.append(g)
-        return bonds(g)
+        return _bond_masks(g)
 
     for module in modules:
-        monkeypatch.setattr(module, "bonds", counted)
+        monkeypatch.setattr(module, "_bond_masks", counted)
     return calls
 
 
@@ -158,7 +159,7 @@ def test_kernel_and_torus_check_reports_a_broken_rank_formula(monkeypatch):
     # a formula off by one fails the rank line alone: the generation check
     # compares the kernel with the relations, not with the formula
     real = enrichfan.verify._kernel_rank
-    monkeypatch.setattr(enrichfan.verify, "_kernel_rank", lambda g, all_bonds: real(g, all_bonds) + 1)
+    monkeypatch.setattr(enrichfan.verify, "_kernel_rank", lambda g, masks: real(g, masks) + 1)
     expected = [
         f"{name}: normal-form kernel rank {kernel_rank(g)} != formula {kernel_rank(g) + 1}"
         for name, g in _kernel_checked().items()
@@ -166,11 +167,11 @@ def test_kernel_and_torus_check_reports_a_broken_rank_formula(monkeypatch):
     assert check_kernel_and_torus(7) == expected
 
 
-def _relation_rows(g, all_bonds) -> tuple:
+def _relation_rows(g, masks) -> tuple:
     """The relations as dense rows over the dual map's domain, with the column count."""
-    domain, _ = _dual_map_rows(g, all_bonds)
+    domain, _ = _dual_map_rows(g, masks)
     rows = []
-    for rel in _relations(g, all_bonds):
+    for rel in _relations(g, masks):
         exponent = {(i, j): x for i, j, x in rel}
         rows.append(tuple(exponent.get(pair, 0) for pair in domain))
     return rows, len(domain)
@@ -182,7 +183,7 @@ def test_triangular_rows_span_the_relation_lattice(name):
     # relations: they span the same lattice (equal Hermite forms) with one
     # row per rank
     g = GRAPHS[name]()
-    dense, ncols = _relation_rows(g, bonds(g))
+    dense, ncols = _relation_rows(g, _bond_masks(g))
     basis = _triangular([{k: x for k, x in enumerate(row) if x} for row in dense])
     tri = [tuple(row.get(c, 0) for c in range(ncols)) for row in basis.values()]
     assert len(tri) == rank_of(dense) if dense else tri == []
@@ -199,7 +200,7 @@ def test_kernel_check_refuses_doubled_relations(name, monkeypatch):
     real = enrichfan.toric._relations
     assert relations_generate_kernel(g, 9)
     monkeypatch.setattr(
-        enrichfan.toric, "_relations", lambda g, all_bonds: [tuple((i, j, 2 * x) for i, j, x in rel) for rel in real(g, all_bonds)]
+        enrichfan.toric, "_relations", lambda g, masks: [tuple((i, j, 2 * x) for i, j, x in rel) for rel in real(g, masks)]
     )
     assert not relations_generate_kernel(g, 9)
 
@@ -207,20 +208,18 @@ def test_kernel_check_refuses_doubled_relations(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_bond_sums_match_reference(name):
     g = GRAPHS[name]()
-    all_bonds = bonds(g)
-    assert _bond_sums(g, all_bonds) == ref.cut_scan_bond_sums(g, all_bonds)
+    assert _bond_sums(g, _bond_masks(g)) == ref.cut_scan_bond_sums(g, bonds(g))
 
 
 @settings(max_examples=60, deadline=None)
 @given(connected_multigraphs(max_vertices=5, max_edges=7).filter(is_biconnected))
 def test_bond_sums_match_reference_on_random_biconnected_graphs(g):
-    all_bonds = bonds(g)
-    assert _bond_sums(g, all_bonds) == ref.cut_scan_bond_sums(g, all_bonds)
+    assert _bond_sums(g, _bond_masks(g)) == ref.cut_scan_bond_sums(g, bonds(g))
 
 
 def test_bond_sums_are_found():
     # the comparisons above are not all between empty sets
-    assert all(_bond_sums(GRAPHS[name](), bonds(GRAPHS[name]())) for name in ("k4", "w4", "prism", "doubled_square"))
+    assert all(_bond_sums(GRAPHS[name](), _bond_masks(GRAPHS[name]())) for name in ("k4", "w4", "prism", "doubled_square"))
 
 
 @pytest.mark.parametrize("name", sorted(GRAPHS))
@@ -238,7 +237,7 @@ def test_kernel_check_refuses_a_relation_outside_the_kernel(name, monkeypatch):
     # the check must see that the relations' lattice is not inside it
     g = GRAPHS[name]()
     real = enrichfan.toric._relations
-    i, (e1, e2, *_) = next((i, sorted(ix)) for i, ix in enumerate(enrichfan.toric._edge_indices(g, bonds(g))) if len(ix) > 1)
+    i, (e1, e2, *_) = next((i, list(bits(cut))) for i, (_, cut) in enumerate(_bond_masks(g)) if cut.bit_count() > 1)
     planted = ((i, e1, 1), (i, e2, -1))
-    monkeypatch.setattr(enrichfan.toric, "_relations", lambda g, all_bonds: (*real(g, all_bonds), planted))
+    monkeypatch.setattr(enrichfan.toric, "_relations", lambda g, masks: (*real(g, masks), planted))
     assert not relations_generate_kernel(g, 9)
