@@ -8,13 +8,14 @@ different blocks incomparable.
 
 One recursion core has three consumers: enumeration, validation and
 location.  A graph is the tuple of vertex-index ends of its edges in
-``edge_labels`` order (``graphs.edge_ends``), a subgraph is a bitmask over
-those edge indices, and in the core a structure on n edges is one int
-with row i (the edges above edge i) at bit w*i, w = 8*ceil(n/8).  On a
-single block the core takes a bottom class, contracts it and recurses on
-the rest; otherwise it splits the mask with ``graphs.block_masks``.  Rows
-come out closed (a bottom row is the whole current mask, block rows are
-ORed) and are unpacked only on the way out.
+``edge_labels`` order, the form ``MultiGraph`` stores (``graphs.edge_ends``
+returns it), a subgraph is a bitmask over those edge indices, and in the
+core a structure on n edges is one int with row i (the edges above edge
+i) at bit w*i, w = 8*ceil(n/8).  On a single block the core takes a
+bottom class, contracts it and recurses on the rest; otherwise it splits
+the mask with ``graphs.block_masks``.  Rows come out closed (a bottom row
+is the whole current mask, block rows are ORed) and are unpacked only on
+the way out.
 
 Within one call the subproblem on the edge mask K is always G/(E∖K)
 restricted to K: contracting a bottom composes with the contractions
@@ -339,11 +340,11 @@ def specializations(eg: EnrichedGraph) -> list:
     contracted lower set, then by its sorted edge indices, each group in
     ``_ordered_rows`` order.
     """
-    p, ends = eg.preorder, edge_ends(eg.graph)
+    p = eg.preorder
     out = []
     for mask, targets in sorted(_faces(p.rows).items(), key=lambda item: (item[0].bit_count(), list(bits(item[0])))):
         s = p._labels_of(mask)
-        target_graph = _contract(eg.graph, ends, mask)
+        target_graph = _contract(eg.graph, mask)
         for cand in Preorder._family(target_graph.edge_labels, _ordered_rows(targets, target_graph.n_edges)):
             target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
             out.append(_trusted(Specialization, source=eg, target=target, contracted=s))

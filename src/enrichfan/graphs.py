@@ -5,20 +5,23 @@ Contraction never relabels an edge, so the edge set of a contracted graph
 is literally a subset of the original's.  All values are immutable after
 construction and every operation is a pure function.
 
-Every vertex merge is decided by one union-find on vertex indices,
-``_roots``: contraction and its weights, connected components, the
-connectivity of a bond's two sides (``_bond_masks``, which finds every bond
-as a pair of side and cut masks that ``toric`` computes on and ``bonds``
-wraps) and the enumeration core's contractions (``enriched._rows``, each
-in its parent's ends) all read the classes it returns.  ``_contract``
-contracts on edge indices and builds the graph unchecked; ``contract`` is
-its wrapper on labels.
+A graph stores the sorted vertex-index pair of each edge, in label order
+(``edge_ends``); the public accessors attach the labels.  Every vertex
+merge is decided by one union-find on vertex indices, ``_roots``:
+contraction and its weights, connected components, the connectivity of a
+bond's two sides (``_bond_masks``, which finds every bond as a pair of
+side and cut masks that ``toric`` computes on and ``bonds`` wraps) and the
+enumeration core's contractions (``enriched._rows``, each in its parent's
+ends) all read the classes it returns.  ``_contract`` contracts an edge
+mask and renumbers the kept vertices, filling the slots unchecked as the
+constructor does (``_fill``); ``contract`` is its wrapper on labels.
 
 Weighted-graph isomorphism is decided by one search over ordered vertex
 partitions, ``_canonical_orderings``, capped at ``SEARCH_NODES`` nodes: it
 gives the canonical key that ``moduli`` files its census and frames under,
-and the orderings attaining it, from which ``weighted_isomorphisms`` and
-``automorphisms`` read every isomorphism, matching edges on indices.
+and the orderings attaining it, from which ``_edge_maps`` reads every
+isomorphism as the edge-index map ``moduli`` moves rows with;
+``weighted_isomorphisms`` and ``automorphisms`` attach the labels.
 """
 
 from __future__ import annotations
@@ -82,26 +85,24 @@ class _Value:
 class MultiGraph:
     """A multigraph with loops and globally unique, stable edge labels."""
 
-    __slots__ = ("_vertices", "_vset", "_labels", "_ends", "_hash")
+    __slots__ = ("_vertices", "_vset", "_labels", "_ends", "_index", "_hash")
 
     def __init__(self, vertices, edges):
         """Build a graph from vertex ids and a ``label -> (u, v)`` mapping; ``u == v`` is a loop."""
         vs = sort_labels(set(vertices))
-        vset = frozenset(vs)
-        ends = {}
+        index = {v: i for i, v in enumerate(vs)}
+        pairs = {}
         for label, (u, v) in edges.items():
-            if label in ends:
+            if label in pairs:
                 raise ValueError(f"duplicate edge label {label!r}")
-            if u not in vset:
+            if u not in index:
                 raise UnknownVertexError(f"unknown vertex {u!r}")
-            if v not in vset:
+            if v not in index:
                 raise UnknownVertexError(f"unknown vertex {v!r}")
-            ends[label] = tuple(sorted((u, v), key=label_key))
-        self._vertices = vs
-        self._vset = vset
-        self._labels = sort_labels(ends)
-        self._ends = ends
-        self._hash = hash((vs, tuple((e, ends[e]) for e in self._labels)))
+            u, v = sorted((u, v), key=label_key)  # a bool id raises, as in ``sort_labels``
+            pairs[label] = tuple(sorted((index[u], index[v])))
+        labels = sort_labels(pairs)
+        _fill(self, vs, labels, tuple(map(pairs.__getitem__, labels)))
 
     @property
     def vertices(self) -> tuple:
@@ -121,23 +122,24 @@ class MultiGraph:
 
     def ends(self, label: Label) -> tuple:
         try:
-            return self._ends[label]
+            u, v = self._ends[self._index[label]]
         except KeyError:
             raise UnknownEdgeError(f"unknown edge {label!r}") from None
+        return self._vertices[u], self._vertices[v]
 
     def is_loop(self, label: Label) -> bool:
         u, v = self.ends(label)
         return u == v
 
     def loops(self) -> tuple:
-        return tuple(e for e in self._labels if self.is_loop(e))
+        return tuple(e for e, (u, v) in zip(self._labels, self._ends) if u == v)
 
     def incident(self, v) -> tuple:
         """Edges at ``v`` as ``(label, other_end)`` pairs; loops appear once."""
         if v not in self._vset:
             raise UnknownVertexError(f"unknown vertex {v!r}")
-        pairs = ((e, self._ends[e]) for e in self._labels)
-        return tuple((e, b if a == v else a) for e, (a, b) in pairs if v in (a, b))
+        i, vs = self._vertices.index(v), self._vertices
+        return tuple((e, vs[b if a == i else a]) for e, (a, b) in zip(self._labels, self._ends) if i in (a, b))
 
     def valence(self, v) -> int:
         """Number of edge ends at ``v``; a loop contributes 2."""
@@ -145,7 +147,7 @@ class MultiGraph:
 
     def connected_components(self) -> tuple:
         """Vertex sets of the connected components, in order of their least vertex."""
-        root = _roots(edge_ends(self))
+        root = _roots(self._ends)
         comps = {}
         for i, v in enumerate(self._vertices):
             comps.setdefault(root.get(i, i), set()).add(v)
@@ -157,19 +159,33 @@ class MultiGraph:
     def cut_edges(self, side) -> frozenset:
         """Edges with exactly one endpoint in ``side``."""
         side = frozenset(side)
-        return frozenset(e for e, (u, v) in self._ends.items() if (u in side) != (v in side))
+        inside = [v in side for v in self._vertices]
+        return frozenset(e for e, (u, v) in zip(self._labels, self._ends) if inside[u] != inside[v])
 
     def __eq__(self, other):
         if not isinstance(other, MultiGraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._ends == other._ends
+        return self._vertices == other._vertices and self._labels == other._labels and self._ends == other._ends
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        es = ", ".join(f"{e}:{u}-{v}" for e, (u, v) in sorted(self._ends.items(), key=lambda t: label_key(t[0])))
-        return f"MultiGraph([{', '.join(map(str, self._vertices))}], {{{es}}})"
+        vs = self._vertices
+        es = ", ".join(f"{e}:{vs[u]}-{vs[v]}" for e, (u, v) in zip(self._labels, self._ends))
+        return f"MultiGraph([{', '.join(map(str, vs))}], {{{es}}})"
+
+
+def _fill(g: MultiGraph, vertices: tuple, labels: tuple, ends: tuple) -> MultiGraph:
+    """Set the slots of ``g`` from its sorted vertices, its sorted labels and
+    each edge's sorted vertex-index pair in label order; unchecked."""
+    g._vertices = vertices
+    g._vset = frozenset(vertices)
+    g._labels = labels
+    g._ends = ends
+    g._index = {e: i for i, e in enumerate(labels)}
+    g._hash = hash((vertices, labels, ends))
+    return g
 
 
 def _roots(pairs) -> dict:
@@ -197,37 +213,40 @@ def _roots(pairs) -> dict:
 def contraction_classes(g: MultiGraph, s) -> dict:
     """Map each vertex of ``g`` to its representative in ``g/s``, the least id of its class."""
     vs = g.vertices
-    index = {v: i for i, v in enumerate(vs)}
-    root = _roots((index[u], index[v]) for u, v in map(g.ends, frozenset(s)))
+    root = _roots(map(g._ends.__getitem__, bits(_edge_mask(g, s))))
     return {v: vs[root.get(i, i)] for i, v in enumerate(vs)}
 
 
 def contract(g: MultiGraph, s) -> MultiGraph:
     """The graph ``g/s``: contract every edge in ``s`` (a loop is deleted), keeping all other labels."""
-    return _contract(g, edge_ends(g), _edge_mask(g, s))
+    return _contract(g, _edge_mask(g, s))
 
 
 def _edge_mask(g: MultiGraph, s) -> int:
     s = frozenset(s)
     list(map(g.ends, s))  # an unknown label raises UnknownEdgeError
-    return sum(1 << i for i, e in enumerate(g._labels) if e in s)
+    return sum(1 << g._index[e] for e in s)
 
 
-def _contract(g: MultiGraph, ends, mask: int, reps=None) -> MultiGraph:
-    """``g`` with the edges in ``mask`` contracted, ``ends`` being ``edge_ends(g)``:
-    built unchecked, each class of merged vertices kept as its least.  ``reps``
-    is ``_roots`` of the contracted edges, merged here unless given."""
+def _contract(g: MultiGraph, mask: int, reps=None) -> MultiGraph:
+    """``g`` with the edges in ``mask`` contracted: built unchecked, each class
+    of merged vertices kept as its least and the kept vertices renumbered.
+    ``reps`` is ``_roots`` of the contracted edges, merged here unless given."""
+    ends = g._ends
     if reps is None:
         reps = _roots(map(ends.__getitem__, bits(mask)))
-    vs, labels = g._vertices, g._labels
-    edges = {}
-    for e in bits((1 << len(labels)) - 1 & ~mask):
-        u, v = ends[e]
-        u, v = reps.get(u, u), reps.get(v, v)
-        edges[labels[e]] = (vs[u], vs[v]) if u <= v else (vs[v], vs[u])
-    vertices = tuple([v for i, v in enumerate(vs) if i not in reps])
-    fields = {"_vertices": vertices, "_vset": frozenset(vertices), "_labels": tuple(edges), "_ends": edges}
-    return _trusted(MultiGraph, **fields, _hash=hash((vertices, tuple(edges.items()))))
+    to, vertices = [], []  # each vertex's index in the contraction, and the kept ones
+    for i, v in enumerate(g._vertices):
+        if i in reps:
+            to.append(to[reps[i]])
+        else:
+            to.append(len(vertices))
+            vertices.append(v)
+    kept, pairs = list(bits((1 << len(ends)) - 1 & ~mask)), []
+    for u, v in map(ends.__getitem__, kept):
+        u, v = to[u], to[v]
+        pairs.append((u, v) if u <= v else (v, u))
+    return _fill(object.__new__(MultiGraph), tuple(vertices), tuple(map(g._labels.__getitem__, kept)), tuple(pairs))
 
 
 def bits(mask: int):
@@ -239,13 +258,12 @@ def bits(mask: int):
 
 
 def edge_ends(g: MultiGraph) -> tuple:
-    """The ends of each edge as vertex indices, in ``edge_labels`` order.
+    """The ends of each edge as sorted vertex indices, in ``edge_labels`` order, as stored.
 
     Vertices are indexed in ``vertices`` order, so edge ``i`` of the result
     is ``g.edge_labels[i]`` and a bitmask over these indices is a subgraph.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return tuple([(index[u], index[v]) for u, v in map(g._ends.__getitem__, g._labels)])
+    return g._ends
 
 
 def block_masks(ends, mask: int) -> list:
@@ -345,7 +363,7 @@ def good_contraction_sequence(g: MultiGraph) -> list:
             reps = _roots(map(ends.__getitem__, sub))
             kept = [(reps.get(u, u), reps.get(v, v)) for i, (u, v) in enumerate(ends) if i not in sub]
             if all(u != v for u, v in kept) and len(block_masks(kept, (1 << len(kept)) - 1)) == 1:
-                entries.append((frozenset(map(labels.__getitem__, sub)), _contract(g, ends, sum(1 << i for i in sub), reps)))
+                entries.append((frozenset(map(labels.__getitem__, sub)), _contract(g, sum(1 << i for i in sub), reps)))
     return entries
 
 
@@ -483,11 +501,12 @@ def contracted_weights(wg: WeightedGraph, s) -> dict:
     where ``s_C`` is the contracted edges inside C; this adds 1 for every
     independent cycle collapsed (in particular +1 per contracted loop).
     """
-    return _contract_weighted(wg, edge_ends(wg.graph), _edge_mask(wg.graph, s))._weights
+    return _contract_weighted(wg, _edge_mask(wg.graph, s))._weights
 
 
-def _contract_weighted(wg: WeightedGraph, ends, mask: int) -> WeightedGraph:
+def _contract_weighted(wg: WeightedGraph, mask: int) -> WeightedGraph:
     """``contract`` and ``contracted_weights`` on edge indices, off one union-find; built unchecked."""
+    ends = wg.graph._ends
     reps = _roots(map(ends.__getitem__, bits(mask)))
     vs, weights = wg.graph._vertices, {}
     for i, v in enumerate(vs):
@@ -495,7 +514,7 @@ def _contract_weighted(wg: WeightedGraph, ends, mask: int) -> WeightedGraph:
         weights[r] = weights.get(r, 1) + wg._weights[v] - 1
     for e in bits(mask):
         weights[vs[reps.get(ends[e][0], ends[e][0])]] += 1
-    return _trusted(WeightedGraph, graph=_contract(wg.graph, ends, mask, reps), _weights=weights)
+    return _trusted(WeightedGraph, graph=_contract(wg.graph, mask, reps), _weights=weights)
 
 
 class EdgePermutation(_Value):
@@ -595,19 +614,19 @@ def _canonical_orderings(weights: tuple, ends) -> tuple:
     return (tuple(sorted(weights)), key), found
 
 
-def weighted_isomorphisms(wg1: WeightedGraph, wg2: WeightedGraph) -> list:
-    """All edge bijections induced by isomorphisms ``wg1 -> wg2``, deduplicated.
+def _edge_maps(wg1: WeightedGraph, wg2: WeightedGraph) -> list:
+    """Every edge bijection induced by an isomorphism ``wg1 -> wg2``, on indices.
 
-    An isomorphism takes ``wg1`` to ``wg2``'s canonical key along one of
-    ``wg1``'s key orderings and back along the first of ``wg2``'s, carrying
-    each parallel class onto its image in every order; an edge map over
-    several vertex bijections keeps the one whose images are least.
+    Returns ``(edges, images)`` pairs sorted by ``edges``: edge ``i`` of
+    ``wg1`` goes to edge ``edges[i]`` of ``wg2`` and vertex ``i`` to vertex
+    ``images[i]``.  An isomorphism takes ``wg1`` to ``wg2``'s canonical key
+    along one of ``wg1``'s key orderings and back along the first of
+    ``wg2``'s, carrying each parallel class onto its image in every order;
+    an edge map over several vertex bijections keeps the least images.
     """
-    g1, g2 = wg1.graph, wg2.graph
-    ends1 = edge_ends(g1)
-    ends2 = ends1 if wg2 is wg1 else edge_ends(g2)
-    key1, found = _canonical_orderings(tuple(map(wg1._weights.__getitem__, g1.vertices)), ends1)
-    key2, found2 = (key1, found) if wg2 is wg1 else _canonical_orderings(tuple(map(wg2._weights.__getitem__, g2.vertices)), ends2)
+    ends1, ends2 = wg1.graph._ends, wg2.graph._ends
+    key1, found = _canonical_orderings(tuple(map(wg1._weights.__getitem__, wg1.graph._vertices)), ends1)
+    key2, found2 = (key1, found) if wg2 is wg1 else _canonical_orderings(tuple(map(wg2._weights.__getitem__, wg2.graph._vertices)), ends2)
     if key1 != key2:
         return []
     classes1, classes2 = {}, {}
@@ -625,9 +644,19 @@ def weighted_isomorphisms(wg1: WeightedGraph, wg2: WeightedGraph) -> list:
         for combo in itertools.product(*[itertools.permutations(classes2[images[u], images[v]]) for u, v in classes1]):
             edges = tuple(map(sum(combo, ()).__getitem__, slot))
             seen[edges] = min(seen.get(edges, images), images)
-    labels1, labels2, vs2 = g1.edge_labels, g2.edge_labels, g2.vertices
-    vmaps = {images: tuple(zip(g1.vertices, map(vs2.__getitem__, images))) for images in set(seen.values())}
-    return [EdgePermutation(tuple(zip(labels1, map(labels2.__getitem__, m))), vmaps[seen[m]]) for m in sorted(seen)]
+    return sorted(seen.items())
+
+
+def _labelled(g1: MultiGraph, g2: MultiGraph, edges: tuple, images: tuple) -> EdgePermutation:
+    """The ``EdgePermutation`` of an edge map from ``g1`` to ``g2`` with its vertex images, as ``_edge_maps`` gives them."""
+    labels2, vs2 = g2._labels, g2._vertices
+    return EdgePermutation(tuple(zip(g1._labels, map(labels2.__getitem__, edges))), tuple(zip(g1._vertices, map(vs2.__getitem__, images))))
+
+
+def weighted_isomorphisms(wg1: WeightedGraph, wg2: WeightedGraph) -> list:
+    """All edge bijections induced by isomorphisms ``wg1 -> wg2``, deduplicated,
+    in the order of their edge images (``_edge_maps``)."""
+    return [_labelled(wg1.graph, wg2.graph, *m) for m in _edge_maps(wg1, wg2)]
 
 
 def automorphisms(wg: WeightedGraph) -> list:

@@ -14,24 +14,28 @@ tuples: the trivalent weight-0 graphs of the genus, closed under
 single-edge contraction, one kept per key, and a graph is built only for
 each key, its *frame* (``_graph_from_key``).
 
-Structures are moved as preorder rows, never as labelled preorders: an
-edge bijection becomes an edge-index table (``_mover``) holding the image
-of every edge mask, so moving closed rows is one lookup per row.
+Structures are moved as preorder rows along edge-index maps (from
+``graphs._edge_maps``), never as labelled preorders or permutations: a map
+becomes a table (``_mover``) holding the image of every edge mask, so
+moving closed rows is one lookup per row.
 
 The census itself is one walk (``_census``): for each stable graph it
 takes the automorphisms and the enriched structures once, builds one
 table per automorphism, and maps the rows of every structure to the least
 structure of its orbit together with the automorphisms carrying that one
 onto it.  ``enumerate_cells`` reads each orbit's least structure and its
-stabilizer off the map, and ``check_unique_lifts`` reads its cell lookup
-and carriers off the same map, moving points scaled to integers by edge
-index permutations and locating them in the recursion core on edge
-indices (``enriched._located_rows``).  Census cells, like the core's
+stabilizer off the map, labelling each automorphism once, and
+``check_unique_lifts`` reads its cell lookup and carriers off the same
+map, moving points scaled to integers by edge index permutations and
+locating them in the recursion core on edge indices
+(``enriched._located_rows``).  Census cells, like the core's
 structures, are correct by construction and skip the checks of the
 public ``ModuliCell`` and ``EnrichedGraph`` constructors.
 
 The gluing goes through one table scoped to a call (``_cell_table``):
-each weighted graph is framed once, each cell's rows are carried into its
+each weighted graph is framed once (``_frame_map``: the frame's labels
+``e1``, ``e2``, ... sort as strings, so past nine edges a frame edge's
+index is not its key position), each cell's rows are carried into its
 frame along the first ordering that gives the key, then moved by every
 automorphism of the frame, and the table maps each resulting
 ``(key, rows)`` to the cell.  ``_reached``, one walk for
@@ -52,14 +56,15 @@ from math import gcd, lcm
 from .cones import containing, structure_cone
 from .enriched import EnrichedGraph, _faces, _located_rows, _trusted, enriched_structures
 from .errors import GuardExceededError
-from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, _contract_weighted, _Value, _roots, automorphisms, edge_ends
+from .graphs import MultiGraph, WeightedGraph, _canonical_orderings, _contract_weighted, _edge_maps, _labelled, _Value, _roots, edge_ends
 from .preorders import Preorder
 
 GENUS_GUARD = 3
 
 
 def _frame_map(wg: WeightedGraph) -> tuple:
-    """The canonical key of ``wg`` and an edge bijection onto its frame.
+    """The canonical key of ``wg`` and an edge bijection onto its frame:
+    the index in the frame of the image of each edge of ``wg``.
 
     The frame is ``_graph_from_key(key)``; the bijection comes from the
     vertex ordering that gives the key.  Parallel edges (and loops at one
@@ -67,14 +72,16 @@ def _frame_map(wg: WeightedGraph) -> tuple:
     """
     ends = edge_ends(wg.graph)
     key, (pos, *_) = _canonical_orderings(tuple(map(wg.weight, wg.graph.vertices)), ends)
+    labels = [f"e{k + 1}" for k in range(len(ends))]  # the frame's, at each key position
+    index = {e: j for j, e in enumerate(sorted(labels))}
     slots = {}
-    for k, pair in enumerate(key[1]):
-        slots.setdefault(pair, []).append(f"e{k + 1}")
-    mapping = {}
-    for e, (u, v) in zip(wg.graph.edge_labels, ends):
+    for pair, e in zip(key[1], labels):
+        slots.setdefault(pair, []).append(index[e])
+    images = []
+    for u, v in ends:
         a, b = pos[u], pos[v]
-        mapping[e] = slots[(a, b) if a <= b else (b, a)].pop()
-    return key, mapping
+        images.append(slots[(a, b) if a <= b else (b, a)].pop())
+    return key, images
 
 
 def _graph_from_key(key) -> WeightedGraph:
@@ -198,16 +205,13 @@ class ModuliCell(_Value):
         return _trusted(EnrichedGraph, graph=self.weighted.graph, preorder=self.preorder)
 
 
-def _mover(source: tuple, mapping, target: tuple):
-    """Move closed rows over the labels ``source`` along the label bijection
-    ``mapping`` onto rows over the labels ``target``: the rows of the
-    preorder transported along ``mapping``.
+def _mover(images):
+    """Move closed rows along the edge bijection taking edge ``i`` to edge
+    ``images[i]``: the rows of the preorder transported along it.
 
-    Bit ``i`` goes to the index of ``mapping[source[i]]``: ``table[m]`` is
-    the image of the mask ``m``, filled from ``m`` less its lowest bit, and
-    target row ``j`` is the image of source row ``back[j]``.
+    ``table[m]`` is the image of the mask ``m``, filled from ``m`` less its
+    lowest bit, and target row ``j`` is the image of source row ``back[j]``.
     """
-    images = _images(source, mapping, target)
     table = [0] * (1 << len(images))
     for m in range(1, len(table)):
         low = m & -m
@@ -216,29 +220,22 @@ def _mover(source: tuple, mapping, target: tuple):
     return lambda rows: tuple([table[rows[i]] for i in back])
 
 
-def _images(source: tuple, mapping, target: tuple) -> list:
-    """The index in ``target`` of the image of each label of ``source``."""
-    index = {e: j for j, e in enumerate(target)}
-    return [index[mapping[e]] for e in source]
-
-
 def _census(g: int):
     """Walk the stable weighted graphs of genus ``g`` and their structure orbits.
 
-    Yields ``(wg, auts, structs, orbit)`` per graph: its automorphisms, its
-    enriched structures in canonical order, and a dict taking each
-    structure's rows to ``(rep, carriers)``, the preorder of the least
-    structure of its orbit under Aut(graph, weights) and the positions in
-    ``auts`` of the automorphisms carrying ``rep`` onto it.  The carriers
+    Yields ``(wg, auts, structs, orbit)`` per graph: its automorphisms
+    (``_edge_maps``), its enriched structures in canonical order, and a dict
+    taking each structure's rows to ``(rep, carriers)``, the preorder of the
+    least structure of its orbit under Aut(graph, weights) and the positions
+    in ``auts`` of the automorphisms carrying ``rep`` onto it.  The carriers
     of ``rep`` onto itself are its stabilizer: the automorphisms whose edge
     action preserves its preorder.  Each automorphism moves rows by one
     edge-index table (``_mover``), built once per graph.
     """
     for wg in enumerate_stable_weighted_graphs(g):
-        auts = automorphisms(wg)
+        auts = _edge_maps(wg, wg)
         structs = enriched_structures(wg.graph)
-        labels = wg.graph.edge_labels
-        moves = [_mover(labels, a.as_dict(), labels) for a in auts]
+        moves = [_mover(edges) for edges, _ in auts]
         orbit = {}
         for eg in structs:  # canonical order: the first structure not yet reached is its orbit's least
             rows = eg.preorder.rows
@@ -254,16 +251,17 @@ def enumerate_cells(g: int) -> list:
     """One cell per isomorphism class of stable weighted enriched graph."""
     cells = []
     for wg, auts, _, orbit in _census(g):
+        labelled = [_labelled(wg.graph, wg.graph, *a) for a in auts]  # each lies in some stabilizer
         for rows, (rep, carriers) in orbit.items():
             if rows == rep.rows:
-                aut = tuple([auts[k] for k in carriers])
+                aut = tuple([labelled[k] for k in carriers])
                 cells.append(_trusted(ModuliCell, index=len(cells), weighted=wg, preorder=rep, genus=g, aut=aut))
     return cells
 
 
 def _cell_table(cells) -> dict:
-    """Map each frame key to the frame's edge labels and a dict from rows
-    over them to cell indices.
+    """Map each frame key to a dict from rows over the frame's edges to cell
+    indices.
 
     Each cell's rows are carried into the frame of its weighted graph and
     then moved by every automorphism of the frame, each by its edge-index
@@ -275,13 +273,12 @@ def _cell_table(cells) -> dict:
     for c in cells:
         wg = c.weighted
         if wg not in framed:
-            key, to_frame = _frame_map(wg)
+            key, images = _frame_map(wg)
             if key not in table:
                 frame = _graph_from_key(key)
-                labels = frame.graph.edge_labels
-                frame_moves[key] = [_mover(labels, a.as_dict(), labels) for a in automorphisms(frame)]
-                table[key] = (labels, {})
-            framed[wg] = table[key][1], frame_moves[key], _mover(wg.graph.edge_labels, to_frame, table[key][0])
+                frame_moves[key] = [_mover(edges) for edges, _ in _edge_maps(frame, frame)]
+                table[key] = {}
+            framed[wg] = table[key], frame_moves[key], _mover(images)
         orbit, moves, into_frame = framed[wg]
         rows = into_frame(c.preorder.rows)
         for move in moves:
@@ -306,10 +303,9 @@ def _reached(sources, table: dict, facets: bool = False) -> dict:
         hits = set()
         for mask, targets in _faces(a.preorder.rows, facets).items():
             if mask not in by_mask:
-                target = _contract_weighted(wg, edge_ends(wg.graph), mask)
-                key, to_frame = _frame_map(target)
-                entry = table.get(key)
-                by_mask[mask] = None if entry is None else (entry[1], _mover(target.graph.edge_labels, to_frame, entry[0]))
+                key, images = _frame_map(_contract_weighted(wg, mask))
+                orbit = table.get(key)
+                by_mask[mask] = None if orbit is None else (orbit, _mover(images))
             if by_mask[mask] is not None:
                 orbit, move = by_mask[mask]
                 n = len(a.preorder.rows) - mask.bit_count()
@@ -438,7 +434,7 @@ def check_unique_lifts(g: int, seed: int = 2024, n_points: int = 500) -> LiftRep
     for (wg, auts, structs, orbit), budget in zip(census, per_graph):
         labels = wg.graph.edge_labels
         ends = edge_ends(wg.graph)
-        perms = [_images(labels, a.as_dict(), labels) for a in auts]  # auts[k] takes edge i to perms[k][i]
+        perms = [edges for edges, _ in auts]  # auts[k] takes edge i to perms[k][i]
         pushes = [sorted(range(len(labels)), key=perm.__getitem__) for perm in perms]  # their inverses
         cones = [structure_cone(eg) for eg in structs]
         splits = {}  # each mask's contraction and blocks, shared by the points on this graph

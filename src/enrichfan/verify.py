@@ -4,8 +4,8 @@ Each check returns a list of failure strings (empty = pass) and the
 runners log one PASS/FAIL line per check; a check that raises fails with a
 line naming the exception, and the others still run.  Where the library
 computes a quantity two ways (direct fan vs star subdivisions, located cone vs
-membership scan, emitted relations vs normal-form kernel), both routes run
-here.
+membership scan, emitted relations vs normal-form kernel, bonds from side
+masks vs edge sets that cut a graph in two), both routes run here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .cones import closed_structure_cone, containing, ray_generators, structure_
 from .enriched import EnrichedGraph, _specialization_failure, bond_minima, enriched_structures, from_bond_collection, locate, specializations
 from .fans import fan_by_star_subdivision, fan_equal, fan_of_graph, graph_lattice_quotient, quotient_fan
 from .errors import UnknownLabelError
-from .graphs import _bond_masks, biconnected_components, bits, bonds, contract
+from .graphs import MultiGraph, _bond_masks, biconnected_components, bits, bonds, contract
 from .moduli import check_unique_lifts, classify_cells, enumerate_cells, enumerate_stable_weighted_graphs
 from .preorders import Preorder
 from .toric import (
@@ -182,6 +182,17 @@ def check_quotient_identities() -> list:
     return failures
 
 
+def _edge_subset_bonds(g: MultiGraph) -> int:
+    """The number of bonds of ``g``, counted apart from ``_bond_masks``: the edge
+    sets whose removal leaves exactly two components, every edge of the set joining them."""
+    count = 0
+    for k in range(1, g.n_edges + 1):
+        for cut in itertools.combinations(g.edge_labels, k):
+            comps = MultiGraph(g.vertices, {e: g.ends(e) for e in g.edge_labels if e not in cut}).connected_components()
+            count += len(comps) == 2 and all((u in comps[0]) != (v in comps[0]) for u, v in map(g.ends, cut))
+    return count
+
+
 def check_kernel_and_torus(seed: int) -> list:
     failures = []
     rng = random.Random(seed)
@@ -190,6 +201,9 @@ def check_kernel_and_torus(seed: int) -> list:
         if g.n_edges > 5:
             continue
         masks = _bond_masks(g)  # one enumeration serves every check below
+        counted = _edge_subset_bonds(g)
+        if counted != len(masks):
+            failures.append(f"{name}: {len(masks)} bonds enumerated, {counted} edge sets cut the graph in two")
         domain, kernel = _dual_kernel(g, masks)  # and one normal form both kernel checks
         if not _generates_kernel(g, masks, domain, kernel):
             failures.append(f"{name}: relations do not generate the kernel lattice")

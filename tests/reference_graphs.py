@@ -41,10 +41,20 @@ Then ``good_contraction_sequence`` as it was before it decided each subset
 on edge masks: copied verbatim, it contracts every subset of edges and asks
 the contracted graph whether its edges form one loop-free block.
 
-Last, ``from_side_bonds`` is ``graphs.bonds`` as it ran before it wrapped
+Then ``from_side_bonds`` is ``graphs.bonds`` as it ran before it wrapped
 the side-mask enumeration ``graphs._bond_masks``: copied verbatim but for
 its name, it builds a checked ``Bond`` for every side holding the least
 vertex and skips those the constructor refuses.
+
+Last, the graph as it was stored before it kept vertex-index ends:
+``LabelMultiGraph`` is ``graphs.MultiGraph`` with its dict from each label
+to the pair of its end labels, ``label_edge_ends`` is ``graphs.edge_ends``
+computing the index form from that dict, and ``label_dict_contract`` is
+``graphs._contract`` taking that form as ``ends`` beside the graph; all
+three copied verbatim but for their names (the class's own name
+included), with ``_contract`` hashing by its own formula.
+``parallel_count`` and ``induced`` above read the ends through
+``MultiGraph.ends``, which serves either storage.
 """
 
 from __future__ import annotations
@@ -52,7 +62,8 @@ from __future__ import annotations
 import itertools
 
 from enrichfan.errors import DisconnectedGraphError, GuardExceededError, NotABondError, UnknownVertexError
-from enrichfan.graphs import Bond, EdgePermutation, MultiGraph, WeightedGraph, _one_block, contract, edge_ends, label_key, sort_labels
+from enrichfan.errors import UnknownEdgeError
+from enrichfan.graphs import Bond, EdgePermutation, MultiGraph, WeightedGraph, _one_block, _roots, _trusted, bits, contract, edge_ends, label_key, sort_labels
 
 AUTOMORPHISM_VERTICES = 8  # the most vertices the isomorphism search orders
 
@@ -88,7 +99,7 @@ def _canonical_orderings(weights: tuple, ends) -> tuple:
 def parallel_count(self: MultiGraph, u, v) -> int:
     """Number of non-loop edges joining ``u`` and ``v`` (or loops if u == v)."""
     pair = tuple(sorted((u, v), key=label_key))
-    return sum(1 for e in self._labels if self._ends[e] == pair)
+    return sum(1 for e in self._labels if self.ends(e) == pair)
 
 
 def induced(self: MultiGraph, vertex_subset) -> MultiGraph:
@@ -96,7 +107,7 @@ def induced(self: MultiGraph, vertex_subset) -> MultiGraph:
     unknown = vs - self._vset
     if unknown:
         raise UnknownVertexError(f"unknown vertex {sorted(unknown, key=label_key)[0]!r}")
-    edges = {e: uv for e, uv in self._ends.items() if uv[0] in vs and uv[1] in vs}
+    edges = {e: uv for e, uv in ((e, self.ends(e)) for e in self._labels) if uv[0] in vs and uv[1] in vs}
     return MultiGraph(vs, edges)
 
 
@@ -378,3 +389,123 @@ def from_side_bonds(g: MultiGraph) -> list:
             found.append(bond)
     found.sort(key=lambda b: (tuple(map(label_key, b.sorted_edges())), tuple(map(label_key, sort_labels(b.side)))))
     return found
+
+
+class LabelMultiGraph:
+    """A multigraph with loops and globally unique, stable edge labels."""
+
+    __slots__ = ("_vertices", "_vset", "_labels", "_ends", "_hash")
+
+    def __init__(self, vertices, edges):
+        """Build a graph from vertex ids and a ``label -> (u, v)`` mapping; ``u == v`` is a loop."""
+        vs = sort_labels(set(vertices))
+        vset = frozenset(vs)
+        ends = {}
+        for label, (u, v) in edges.items():
+            if label in ends:
+                raise ValueError(f"duplicate edge label {label!r}")
+            if u not in vset:
+                raise UnknownVertexError(f"unknown vertex {u!r}")
+            if v not in vset:
+                raise UnknownVertexError(f"unknown vertex {v!r}")
+            ends[label] = tuple(sorted((u, v), key=label_key))
+        self._vertices = vs
+        self._vset = vset
+        self._labels = sort_labels(ends)
+        self._ends = ends
+        self._hash = hash((vs, tuple((e, ends[e]) for e in self._labels)))
+
+    @property
+    def vertices(self) -> tuple:
+        return self._vertices
+
+    @property
+    def edge_labels(self) -> tuple:
+        return self._labels
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self._vertices)
+
+    @property
+    def n_edges(self) -> int:
+        return len(self._labels)
+
+    def ends(self, label) -> tuple:
+        try:
+            return self._ends[label]
+        except KeyError:
+            raise UnknownEdgeError(f"unknown edge {label!r}") from None
+
+    def is_loop(self, label) -> bool:
+        u, v = self.ends(label)
+        return u == v
+
+    def loops(self) -> tuple:
+        return tuple(e for e in self._labels if self.is_loop(e))
+
+    def incident(self, v) -> tuple:
+        """Edges at ``v`` as ``(label, other_end)`` pairs; loops appear once."""
+        if v not in self._vset:
+            raise UnknownVertexError(f"unknown vertex {v!r}")
+        pairs = ((e, self._ends[e]) for e in self._labels)
+        return tuple((e, b if a == v else a) for e, (a, b) in pairs if v in (a, b))
+
+    def valence(self, v) -> int:
+        """Number of edge ends at ``v``; a loop contributes 2."""
+        return sum(2 if w == v else 1 for _, w in self.incident(v))
+
+    def connected_components(self) -> tuple:
+        """Vertex sets of the connected components, in order of their least vertex."""
+        root = _roots(label_edge_ends(self))
+        comps = {}
+        for i, v in enumerate(self._vertices):
+            comps.setdefault(root.get(i, i), set()).add(v)
+        return tuple(map(frozenset, comps.values()))
+
+    def is_connected(self) -> bool:
+        return len(self._vertices) <= 1 or len(self.connected_components()) == 1
+
+    def cut_edges(self, side) -> frozenset:
+        """Edges with exactly one endpoint in ``side``."""
+        side = frozenset(side)
+        return frozenset(e for e, (u, v) in self._ends.items() if (u in side) != (v in side))
+
+    def __eq__(self, other):
+        if not isinstance(other, LabelMultiGraph):
+            return NotImplemented
+        return self._vertices == other._vertices and self._ends == other._ends
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        es = ", ".join(f"{e}:{u}-{v}" for e, (u, v) in sorted(self._ends.items(), key=lambda t: label_key(t[0])))
+        return f"MultiGraph([{', '.join(map(str, self._vertices))}], {{{es}}})"
+
+
+def label_dict_contract(g: LabelMultiGraph, ends, mask: int, reps=None) -> LabelMultiGraph:
+    """``g`` with the edges in ``mask`` contracted, ``ends`` being ``edge_ends(g)``:
+    built unchecked, each class of merged vertices kept as its least.  ``reps``
+    is ``_roots`` of the contracted edges, merged here unless given."""
+    if reps is None:
+        reps = _roots(map(ends.__getitem__, bits(mask)))
+    vs, labels = g._vertices, g._labels
+    edges = {}
+    for e in bits((1 << len(labels)) - 1 & ~mask):
+        u, v = ends[e]
+        u, v = reps.get(u, u), reps.get(v, v)
+        edges[labels[e]] = (vs[u], vs[v]) if u <= v else (vs[v], vs[u])
+    vertices = tuple([v for i, v in enumerate(vs) if i not in reps])
+    fields = {"_vertices": vertices, "_vset": frozenset(vertices), "_labels": tuple(edges), "_ends": edges}
+    return _trusted(LabelMultiGraph, **fields, _hash=hash((vertices, tuple(edges.items()))))
+
+
+def label_edge_ends(g: LabelMultiGraph) -> tuple:
+    """The ends of each edge as vertex indices, in ``edge_labels`` order.
+
+    Vertices are indexed in ``vertices`` order, so edge ``i`` of the result
+    is ``g.edge_labels[i]`` and a bitmask over these indices is a subgraph.
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return tuple([(index[u], index[v]) for u, v in map(g._ends.__getitem__, g._labels)])

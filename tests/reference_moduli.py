@@ -34,8 +34,15 @@ are the key-table gluing as it ran before it read the face table
 (``enriched._faces``): copied verbatim but for the last two names, with
 ``_reached`` enumerating each cell's specializations through
 ``reference_enriched.face_specializations`` and framing each lower set
-once per cell.  They still share ``_cell_table``, ``_frame_map`` and
-``_mover`` with the library.
+once per cell.  They still share ``_cell_table`` with the library; since
+that table holds no frame labels, ``_reached`` takes them off the frame
+(``_graph_from_key``) and moves rows with ``label_mover``.
+
+``label_frame_map``, ``label_mover`` and ``_images`` are ``moduli``'s frame
+map and row mover as they ran on labels before ``moduli`` took its edge
+bijections as edge-index maps: copied verbatim but for the first two
+names.  ``label_frame_map`` gives each edge's frame label ``e1``, ``e2``,
+..., which from ten edges on sort as strings, not by key position.
 
 ``all_faces_classify_cells`` is ``classify_cells`` as it ran before it read
 only the facets of the maximal cells, copied verbatim but for its name and
@@ -60,6 +67,7 @@ from enrichfan.graphs import (
     automorphisms,
     contract,
     contracted_weights,
+    edge_ends,
     genus,
     is_stable,
     weighted_isomorphisms,
@@ -71,7 +79,6 @@ from enrichfan.moduli import (
     ModuliCell,
     _cell_table,
     _graph_from_key,
-    _mover,
     _renumbered,
     classify_census,
 )
@@ -322,8 +329,8 @@ def _reached(a: ModuliCell, table: dict) -> set:
         if s not in frames:
             target = sp.target.graph
             key, to_frame = _frame_map(WeightedGraph(target, contracted_weights(a.weighted, s)))
-            entry = table.get(key)
-            frames[s] = None if entry is None else (entry[1], _mover(target.edge_labels, to_frame, entry[0]))
+            orbit = table.get(key)
+            frames[s] = None if orbit is None else (orbit, label_mover(target.edge_labels, to_frame, _graph_from_key(key).graph.edge_labels))
         if frames[s] is not None:
             orbit, move = frames[s]
             hits.update(orbit.get(move(sp.target.preorder.rows), ()))
@@ -509,3 +516,46 @@ def all_faces_classify_cells(g: int) -> CellClassification:
     cells = moduli.enumerate_cells(g)
     table = _cell_table([c for c in cells if c.dim == 3 * g - 4])
     return classify_census(cells, moduli._reached([c for c in cells if c.dim == 3 * g - 3], table))
+
+
+def label_frame_map(wg: WeightedGraph) -> tuple:
+    """The canonical key of ``wg`` and an edge bijection onto its frame.
+
+    The frame is ``_graph_from_key(key)``; the bijection comes from the
+    vertex ordering that gives the key.  Parallel edges (and loops at one
+    vertex) may be matched in any order, so they are taken as they come.
+    """
+    ends = edge_ends(wg.graph)
+    key, (pos, *_) = _canonical_orderings(tuple(map(wg.weight, wg.graph.vertices)), ends)
+    slots = {}
+    for k, pair in enumerate(key[1]):
+        slots.setdefault(pair, []).append(f"e{k + 1}")
+    mapping = {}
+    for e, (u, v) in zip(wg.graph.edge_labels, ends):
+        a, b = pos[u], pos[v]
+        mapping[e] = slots[(a, b) if a <= b else (b, a)].pop()
+    return key, mapping
+
+
+def label_mover(source: tuple, mapping, target: tuple):
+    """Move closed rows over the labels ``source`` along the label bijection
+    ``mapping`` onto rows over the labels ``target``: the rows of the
+    preorder transported along ``mapping``.
+
+    Bit ``i`` goes to the index of ``mapping[source[i]]``: ``table[m]`` is
+    the image of the mask ``m``, filled from ``m`` less its lowest bit, and
+    target row ``j`` is the image of source row ``back[j]``.
+    """
+    images = _images(source, mapping, target)
+    table = [0] * (1 << len(images))
+    for m in range(1, len(table)):
+        low = m & -m
+        table[m] = table[m ^ low] | 1 << images[low.bit_length() - 1]
+    back = sorted(range(len(images)), key=images.__getitem__)
+    return lambda rows: tuple([table[rows[i]] for i in back])
+
+
+def _images(source: tuple, mapping, target: tuple) -> list:
+    """The index in ``target`` of the image of each label of ``source``."""
+    index = {e: j for j, e in enumerate(target)}
+    return [index[mapping[e]] for e in source]

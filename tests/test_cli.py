@@ -560,7 +560,8 @@ class TestVerifyAll:
 
     def test_a_dropped_bond_fails_without_a_traceback(self, capsys, monkeypatch):
         # every graph with three or more bonds loses its last one, for every caller;
-        # the bond round trip then raises inside the public structure check
+        # the kernel check counts the bonds on edge subsets, and the bond round trip
+        # then raises inside the public structure check
         import enrichfan.graphs
         import enrichfan.toric
         import enrichfan.verify
@@ -576,6 +577,7 @@ class TestVerifyAll:
         code, out, err = run_cli(capsys, "verify", "all")
         assert code == EXIT_VERIFY and err == ""
         assert len(_check_lines(out)) == 9
+        assert "FAIL  kernel lattice and torus points" in _check_lines(out)
         assert "FAIL  bond collection round trip" in _check_lines(out)
         assert "      ValueError: preorder is not an enriched structure on this graph" in out.splitlines()
 

@@ -6,7 +6,9 @@ graph at every miss (``reference_enriched._rebuilt_rows``), for all three
 consumers: enumeration order, validation and location, the last with and
 without a block-split table shared by the points of one graph.  The
 edge-index contraction (``graphs._contract``, and ``contract`` over it)
-against the label contraction (``reference_graphs.label_contract``); the
+against the label contraction (``reference_graphs.label_contract``) and
+against itself as it ran on the label-dict graph
+(``reference_graphs.label_dict_contract``); the
 face table against its pairwise form (``reference_enriched.pairwise_faces``);
 and the DOT's node labels against ``relation_summary`` as it ran on the
 quotient poset."""
@@ -98,7 +100,12 @@ def assert_same_contraction(g, s):
     assert [got.ends(e) for e in got.edge_labels] == [want.ends(e) for e in want.edge_labels]
     assert got._vset == want._vset
     mask = sum(1 << i for i, e in enumerate(g.edge_labels) if e in s)
-    assert _contract(g, edge_ends(g), mask) == got
+    index = _contract(g, mask)
+    assert index == got and hash(index) == hash(want)
+    old = ref_graphs.LabelMultiGraph(g.vertices, {e: g.ends(e) for e in g.edge_labels})
+    old = ref_graphs.label_dict_contract(old, ref_graphs.label_edge_ends(old), mask)
+    assert repr(index) == repr(old) and index.vertices == old.vertices and index.edge_labels == old.edge_labels
+    assert [index.ends(e) for e in index.edge_labels] == [old.ends(e) for e in old.edge_labels]
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,9 @@ code it replaced; ``good_contraction_sequence``, deciding each subset
 on edge masks, against its copy that contracted every subset, and its one
 merge per subset; and ``bonds``, built from the side masks of
 ``_bond_masks``, against the enumeration that built a checked ``Bond`` for
-every side."""
+every side; and every accessor of ``MultiGraph``, stored as vertex-index
+ends, against the graph stored as a dict from labels to end labels
+(``reference_graphs.LabelMultiGraph``)."""
 
 import itertools
 import math
@@ -363,3 +365,45 @@ def test_good_contraction_sequence_merges_each_subset_once(monkeypatch):
 def test_good_contraction_sequence_matches_reference_on_random_multigraphs(wg):
     g = wg.graph
     assert good_contraction_sequence(g) == ref.good_contraction_sequence(g)
+
+
+@st.composite
+def multigraph_specs(draw, max_vertices=5, max_edges=6):
+    """Vertex ids and a ``label -> (u, v)`` dict: loops and parallel edges, connected or not."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    vertices = draw(st.lists(st.sampled_from(VERTEX_NAMES), min_size=n, max_size=n, unique=True))
+    labels = draw(st.lists(st.sampled_from(EDGE_NAMES), max_size=max_edges, unique=True))
+    return vertices, {e: (draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))) for e in labels}
+
+
+def spec(g: MultiGraph) -> tuple:
+    return list(g.vertices), {e: g.ends(e) for e in g.edge_labels}
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraph_specs(), multigraph_specs(), st.randoms(use_true_random=False))
+@example(spec(EVERY_FEATURE.graph), spec(corpus.dumbbell()), random.Random(0))
+@example(spec(corpus.dumbbell()), spec(corpus.dumbbell()), random.Random(1))
+def test_accessors_match_the_label_dict_graph(drawn, other, rnd):
+    vertices, edges = drawn
+    g, old = MultiGraph(vertices, edges), ref.LabelMultiGraph(vertices, edges)
+    assert g.vertices == old.vertices and g.edge_labels == old.edge_labels
+    assert edge_ends(g) == ref.label_edge_ends(old)
+    for e in g.edge_labels + ("nope",):
+        assert outcome(g.ends, e) == outcome(old.ends, e)
+    assert g.loops() == old.loops()
+    for v in g.vertices + ("nope",):
+        assert outcome(g.incident, v) == outcome(old.incident, v)
+        assert outcome(g.valence, v) == outcome(old.valence, v)
+    for side in subsets(g.vertices):  # sides holding loops, and vertices the graph lacks
+        assert g.cut_edges(side) == old.cut_edges(side)
+        assert g.cut_edges(side + ("nope", 99)) == old.cut_edges(side + ("nope", 99))
+    assert g.connected_components() == old.connected_components()
+    assert repr(g) == repr(old)
+    # the same graph written another way, and another graph
+    rewritten = {e: uv[::-1] if rnd.random() < 0.5 else uv for e, uv in rnd.sample(list(edges.items()), len(edges))}
+    for vs, es in ((rnd.sample(vertices, len(vertices)), rewritten), other):
+        h, old_h = MultiGraph(vs, es), ref.LabelMultiGraph(vs, es)
+        assert (g == h) == (old == old_h) and (g != h) == (old != old_h)
+        assert g != h or hash(g) == hash(h)
+    assert MultiGraph(vertices, rewritten) == g

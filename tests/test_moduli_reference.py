@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import reference_moduli as ref
 from enrichfan import enriched, moduli
 from enrichfan.enriched import enriched_structures
-from enrichfan.graphs import MultiGraph, WeightedGraph, automorphisms, edge_ends, weighted_isomorphisms
+from enrichfan.graphs import MultiGraph, WeightedGraph, _edge_maps, automorphisms, edge_ends, label_key, weighted_isomorphisms
 from enrichfan.moduli import (
     ModuliCell,
     _frame_map,
@@ -30,11 +30,11 @@ VERTEX_NAMES = [0, 3, 7, "a", "q", "v10", "v2", "z"]
 EDGE_NAMES = [1, 2, 5, 10, "b", "e10", "e2", "x", "y1"]
 
 
-def relabelled(wg: WeightedGraph, rng: random.Random) -> tuple:
+def relabelled(wg: WeightedGraph, rng: random.Random, edge_names=EDGE_NAMES) -> tuple:
     """A copy of ``wg`` under seeded vertex and edge renamings, and the edge renaming."""
     g = wg.graph
     vmap = dict(zip(g.vertices, rng.sample(VERTEX_NAMES, g.n_vertices)))
-    emap = dict(zip(g.edge_labels, rng.sample(EDGE_NAMES, g.n_edges)))
+    emap = dict(zip(g.edge_labels, rng.sample(edge_names, g.n_edges)))
     graph = MultiGraph(list(vmap.values()), {emap[e]: tuple(vmap[x] for x in g.ends(e)) for e in g.edge_labels})
     return WeightedGraph(graph, {vmap[v]: wg.weight(v) for v in g.vertices}), emap
 
@@ -61,17 +61,29 @@ def weighted_multigraphs(draw, max_vertices=4, max_edges=6):
     return WeightedGraph(MultiGraph(vertices, edges), weights)
 
 
+def frame_images(wg: WeightedGraph, key, mapping) -> tuple:
+    """A label frame map as ``_frame_map`` gives it: the key, and the index
+    in the frame of the image of each edge."""
+    return key, ref._images(wg.graph.edge_labels, mapping, _graph_from_key(key).graph.edge_labels)
+
+
+def as_mapping(wg: WeightedGraph, key, images) -> dict:
+    """An index frame map as a label bijection onto the frame's labels."""
+    labels = _graph_from_key(key).graph.edge_labels
+    return dict(zip(wg.graph.edge_labels, map(labels.__getitem__, images)))
+
+
 class TestKeys:
     def test_census_graphs_and_relabellings(self):
         rng = random.Random(4011)
         for g in (1, 2, 3):
             for wg in enumerate_stable_weighted_graphs(g):
                 assert _frame_map(wg)[0] == ref._canonical_weighted_key(wg)
-                assert _frame_map(wg) == ref._frame_map(wg)
+                assert _frame_map(wg) == frame_images(wg, *ref._frame_map(wg)) == frame_images(wg, *ref.label_frame_map(wg))
                 for _ in range(3):
                     moved, _ = relabelled(wg, rng)
                     assert _frame_map(moved)[0] == ref._canonical_weighted_key(wg)
-                    assert _frame_map(moved) == ref._frame_map(moved)
+                    assert _frame_map(moved) == frame_images(moved, *ref._frame_map(moved))
 
     @settings(max_examples=150, deadline=None)
     @given(weighted_multigraphs())
@@ -81,10 +93,11 @@ class TestKeys:
     @settings(max_examples=150, deadline=None)
     @given(weighted_multigraphs())
     def test_frame_map_is_an_isomorphism(self, wg):
-        key, to_frame = _frame_map(wg)
+        key, images = _frame_map(wg)
         frame = _graph_from_key(key)
-        assert to_frame in [iso.as_dict() for iso in weighted_isomorphisms(wg, frame)]
-        assert (key, to_frame) == ref._frame_map(wg)
+        assert tuple(images) in [edges for edges, _ in _edge_maps(wg, frame)]
+        assert as_mapping(wg, key, images) in [iso.as_dict() for iso in weighted_isomorphisms(wg, frame)]
+        assert (key, images) == frame_images(wg, *ref._frame_map(wg)) == frame_images(wg, *ref.label_frame_map(wg))
 
 
 def refined_form(wg: WeightedGraph) -> tuple:
@@ -123,7 +136,8 @@ class TestCensus:
 
 
 def cell_fields(cells) -> list:
-    return [(c.index, c.weighted, c.preorder, c.aut) for c in cells]
+    """Each cell's fields, its automorphisms with their vertex maps, which ``EdgePermutation`` equality leaves out."""
+    return [(c.index, c.weighted, c.preorder, [(a.edge_map, a.vertex_map) for a in c.aut]) for c in cells]
 
 
 class TestCensusWalk:
@@ -204,7 +218,7 @@ class TestMover:
             labels = wg.graph.edge_labels
             structs = [eg.preorder for eg in enriched_structures(wg.graph)]
             for a in automorphisms(wg):
-                move = _mover(labels, a.as_dict(), labels)
+                move = _mover(ref._images(labels, a.as_dict(), labels))
                 for p in structs:
                     assert move(p.rows) == relabel(p, a.as_dict()).rows
                     moved += 1
@@ -215,10 +229,9 @@ class TestMover:
         for g in (1, 2, 3):
             cells = enumerate_cells(g)
             for c in cells if seed is None else relabelled_cells(cells, seed):
-                key, to_frame = _frame_map(c.weighted)
-                labels = _graph_from_key(key).graph.edge_labels
-                move = _mover(c.weighted.graph.edge_labels, to_frame, labels)
-                assert move(c.preorder.rows) == relabel(c.preorder, to_frame).rows
+                key, images = _frame_map(c.weighted)
+                to_frame = as_mapping(c.weighted, key, images)
+                assert _mover(images)(c.preorder.rows) == relabel(c.preorder, to_frame).rows
 
     def test_k33_sample_under_its_72_automorphisms(self):
         g = k33()
@@ -226,8 +239,51 @@ class TestMover:
         assert len(auts) == 72
         sample = random.Random(3303).sample([eg.preorder for eg in enriched_structures(g)], 2000)
         for a in auts:
-            move = _mover(g.edge_labels, a.as_dict(), g.edge_labels)
+            move = _mover(ref._images(g.edge_labels, a.as_dict(), g.edge_labels))
             assert [move(p.rows) for p in sample] == [relabel(p, a.as_dict()).rows for p in sample]
+
+
+LONG_EDGE_NAMES = [*EDGE_NAMES, 0, 3, 11, "e1", "e11", "e3", "w"]  # enough names for 12 edges
+
+
+def genus_five_sample(monkeypatch, per_size: int = 8, seed: int = 5012) -> list:
+    """Seeded genus-5 stable graphs with 10, 11 and 12 edges, the genus guard lifted in process."""
+    monkeypatch.setattr(moduli, "GENUS_GUARD", 5)
+    graphs = enumerate_stable_weighted_graphs(5)
+    rng = random.Random(seed)
+    return [wg for n in (10, 11, 12) for wg in rng.sample([h for h in graphs if h.graph.n_edges == n], per_size)]
+
+
+def assert_isomorphism(wg: WeightedGraph, frame: WeightedGraph, images) -> None:
+    """Edge ``i`` of ``wg`` going to edge ``images[i]`` of ``frame`` is an isomorphism:
+    a weight-keeping vertex bijection carries the ends of each edge onto its image's."""
+    g, f = wg.graph, frame.graph
+    assert sorted(images) == list(range(f.n_edges)) and g.n_vertices == f.n_vertices
+    (vertex_images,) = [vs for edges, vs in _edge_maps(wg, frame) if edges == tuple(images)]
+    to = dict(zip(g.vertices, map(f.vertices.__getitem__, vertex_images)))
+    assert sorted(vertex_images) == list(range(f.n_vertices))
+    assert all(wg.weight(v) == frame.weight(to[v]) for v in g.vertices)
+    for e, j in zip(g.edge_labels, images):
+        assert sorted(f.ends(f.edge_labels[j]), key=label_key) == sorted(map(to.__getitem__, g.ends(e)), key=label_key)
+
+
+class TestFramesPastNineEdges:
+    """From ten edges on the frame's labels ``e1``, ``e2``, ... sort as
+    strings, so a frame edge's index is not its key position."""
+
+    def test_genus_five_graphs_and_relabellings(self, monkeypatch):
+        rng = random.Random(5013)
+        off_key_order = 0
+        for wg in genus_five_sample(monkeypatch):
+            for h in (wg, relabelled(wg, rng, LONG_EDGE_NAMES)[0], relabelled(wg, rng, LONG_EDGE_NAMES)[0]):
+                key, images = _frame_map(h)
+                old_key, mapping = ref.label_frame_map(h)
+                assert (key, images) == frame_images(h, old_key, mapping)
+                assert_isomorphism(h, _graph_from_key(key), images)
+                off_key_order += images != [int(mapping[e][1:]) - 1 for e in h.graph.edge_labels]
+                p = enriched.locate(h.graph, {e: rng.randint(1, 9) for e in h.graph.edge_labels}).preorder
+                assert _mover(images)(p.rows) == relabel(p, as_mapping(h, key, images)).rows
+        assert off_key_order > 0
 
 
 def genus_three_sample(count: int = 12, seed: int = 3301) -> list:
