@@ -31,12 +31,18 @@ consumers differ only in the bottoms they offer: every nonempty subset
 (enumeration), the rows equal to the mask (validation, which accepts when
 it rebuilds the given structure) or the argmin set (location,
 ``_located_rows``, whose callers may share one table of each mask's
-contraction and blocks between the points on one graph).
+contraction and blocks between the points on one graph).  Each yields
+``(bottom, spread)`` pairs, bit i of the bottom at bit w*i of its spread,
+so the bottom's packed rows are ``mask * spread``; enumeration walks the
+submasks of the mask's spread in step with the mask's own.
 
 Specializations need no recursion: ``_faces`` reads the faces of the
 closed structure cone into one table, lower-set mask to packed target
 rows, which ``specializations`` and the gluing in ``moduli`` both read,
 each contracting a lower set once, on edge indices (``graphs._contract``).
+Each face's lower set comes off one table filled ray by ray, each ray is
+squeezed to the surviving edges once per lower set, and a surviving edge's
+target row is the squeezed least ray of the face through it.
 The distinct rows, the rays, form a forest (``_parents``): each class's
 parent is its least strictly larger row, and the facet that drops a
 class's ray merges the class into its parent, or contracts a bottom class.
@@ -80,7 +86,8 @@ class EnrichedGraph(_Value):
 
 def _rows(ends, mask: int, bottoms, memo: dict, splits: dict, merge: int = 0) -> list:
     """The packed enriched structures on the edges in ``mask`` (rows outside
-    it zero) whose bottom classes come from ``bottoms(block_mask)``.
+    it zero) whose bottom classes come, with their spreads at the row width
+    ``w``, from ``bottoms(block_mask, w)``.
 
     ``ends`` are the parent's, its bottom ``merge`` not yet contracted;
     ``memo`` and ``splits``, each mask's contracted ends and blocks, are
@@ -106,8 +113,8 @@ def _rows(ends, mask: int, bottoms, memo: dict, splits: dict, merge: int = 0) ->
         found = [sum(1 << (w + 1) * i for i in bits(mask))]
     elif len(blocks) == 1:
         found = []
-        for bottom in bottoms(mask):
-            base = sum(mask << w * i for i in bits(bottom))
+        for bottom, spread in bottoms(mask, w):
+            base = mask * spread  # row i is the whole mask for each i in the bottom
             found += [base | q for q in _rows(ends, mask & ~bottom, bottoms, memo, splits, bottom)]
     else:
         found = None
@@ -146,19 +153,25 @@ def _ordered_rows(found: list, n: int) -> list:
     return [tuple(int.from_bytes(d[i : i + k], "little") for i in range(0, k * n, k)) for d in found]
 
 
-def _nonempty_submasks(mask: int):
+def _nonempty_submasks(mask: int, w: int):
+    """Each nonempty submask of ``mask``, decreasing, with its spread: the spread's submasks decrease in step."""
     sub = mask
+    spread = whole = sum(1 << w * i for i in bits(mask))
     while sub:
-        yield sub
+        yield sub, spread
         sub = (sub - 1) & mask
+        spread = (spread - 1) & whole
 
 
 def _bottoms_of(rows: tuple):
     """The one bottom class a given preorder allows: its rows that cover the mask."""
 
-    def bottoms(mask):
-        bottom = sum(1 << i for i in bits(mask) if rows[i] & mask == mask)
-        return (bottom,) if bottom else ()
+    def bottoms(mask, w):
+        bottom = spread = 0
+        for i in bits(mask):
+            if rows[i] & mask == mask:
+                bottom, spread = bottom | 1 << i, spread | 1 << w * i
+        return ((bottom, spread),) if bottom else ()
 
     return bottoms
 
@@ -166,9 +179,13 @@ def _bottoms_of(rows: tuple):
 def _argmin(values: list):
     """The one bottom class a point allows: its least coordinates on the mask."""
 
-    def bottoms(mask):
+    def bottoms(mask, w):
         lo = min(values[i] for i in bits(mask))
-        return (sum(1 << i for i in bits(mask) if values[i] == lo),)
+        bottom = spread = 0
+        for i in bits(mask):
+            if values[i] == lo:
+                bottom, spread = bottom | 1 << i, spread | 1 << w * i
+        return ((bottom, spread),)
 
     return bottoms
 
@@ -315,22 +332,33 @@ def _faces(rows: tuple, facets: bool = False) -> dict:
     through ``e`` passes through ``f``.
     """
     rays = sorted(set(rows), key=int.bit_count)  # least first along every chain
-    through = [sum(1 << t for t, ray in enumerate(rays) if ray >> e & 1) for e in range(len(rows))]
-    table = {}
-    for face in [(1 << len(rays)) - 1 - (1 << t) for t in range(len(rays))] if facets else range(1 << len(rays)):
-        on = [a & face for a in through]  # the face's rays through each edge
-        lower = sum(1 << e for e, a in enumerate(on) if not a)
-        gaps = list(bits(lower))[::-1]
-        w = (len(rows) - len(gaps) + 7) & -8
-        target, least = 0, {}
-        for i, low in enumerate([a & -a for a in on if a]):
-            if low not in least:
-                row = rays[low.bit_length() - 1]
+    n, r = len(rows), len(rays)
+    through = [sum(1 << t for t, ray in enumerate(rays) if ray >> e & 1) for e in range(n)]
+    if facets:  # dropping ray t leaves off the edges on no other ray
+        faces = [((1 << r) - 1 - (1 << t), sum(1 << e for e, a in enumerate(through) if a == 1 << t)) for t in range(r)]
+    else:
+        off = [(1 << n) - 1] * (1 << r)  # the edges on no ray of each face, filled as ``moduli._mover`` fills its masks
+        for face in range(1, 1 << r):
+            low = face & -face
+            off[face] = off[face ^ low] & ~rays[low.bit_length() - 1]
+        faces = enumerate(off)
+    table, groups = {}, {}
+    for face, lower in faces:
+        group = groups.get(lower)
+        if group is None:
+            gaps, least = list(bits(lower))[::-1], {}
+            for t, row in enumerate(rays):
                 for b in gaps:  # close the gap at each contracted edge, highest first
                     row = row >> b + 1 << b | row & (1 << b) - 1
-                least[low] = row
-            target |= least[low] << w * i
-        table.setdefault(lower, []).append(target)
+                least[1 << t] = row
+            kept = [a for e, a in enumerate(through) if not lower >> e & 1]
+            group = groups[lower] = least, kept, (n - len(gaps) + 7) & -8, table.setdefault(lower, [])
+        least, kept, w, targets = group
+        target = 0
+        for i, a in enumerate(kept):
+            a &= face
+            target |= least[a & -a] << w * i
+        targets.append(target)
     return table
 
 
@@ -346,8 +374,11 @@ def specializations(eg: EnrichedGraph) -> list:
         s = p._labels_of(mask)
         target_graph = _contract(eg.graph, mask)
         for cand in Preorder._family(target_graph.edge_labels, _ordered_rows(targets, target_graph.n_edges)):
-            target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
-            out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
+            target = object.__new__(EnrichedGraph)  # _trusted, unrolled: this runs once per face
+            target.graph, target.preorder = target_graph, cand
+            sp = object.__new__(Specialization)
+            sp.source, sp.target, sp.contracted = eg, target, s
+            out.append(sp)
     return out
 
 

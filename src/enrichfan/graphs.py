@@ -89,6 +89,10 @@ class MultiGraph:
 
     def __init__(self, vertices, edges):
         """Build a graph from vertex ids and a ``label -> (u, v)`` mapping; ``u == v`` is a loop."""
+        vertices = tuple(vertices)
+        for x in itertools.chain(vertices, *edges.values()):  # by type: 1.0 and True would find the vertex 1
+            if isinstance(x, bool) or not isinstance(x, (int, str)):
+                raise TypeError(f"vertex ids must be ints or strings, not {x!r}")
         vs = sort_labels(set(vertices))
         index = {v: i for i, v in enumerate(vs)}
         pairs = {}
@@ -99,7 +103,6 @@ class MultiGraph:
                 raise UnknownVertexError(f"unknown vertex {u!r}")
             if v not in index:
                 raise UnknownVertexError(f"unknown vertex {v!r}")
-            u, v = sorted((u, v), key=label_key)  # a bool id raises, as in ``sort_labels``
             pairs[label] = tuple(sorted((index[u], index[v])))
         labels = sort_labels(pairs)
         _fill(self, vs, labels, tuple(map(pairs.__getitem__, labels)))

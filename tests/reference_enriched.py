@@ -44,6 +44,20 @@ into blocks, all-loop masks included.  ``pairwise_faces`` is
 off the least face ray through it, copied verbatim but for its name: it
 tests every pair of kept edges.
 
+``_summed_rows`` is ``enriched._rows`` as it ran before each bottoms
+function handed it the bottom's spread: copied verbatim but for its name,
+which its recursive calls follow, it sums each bottom's packed rows one
+shifted mask at a time.  ``_nonempty_submasks``, ``_bottoms_of`` and
+``_argmin`` are copied verbatim from the same commit: they take a mask and
+give bottoms alone, the protocol of every reference core here, which the
+library's bottoms, taking a row width and giving ``(bottom, spread)``
+pairs, no longer serve.  ``facewise_faces`` is ``enriched._faces`` as it
+ran before it squeezed each ray once per lower set, copied verbatim but for
+its name: it squeezes the least rays of each face anew.
+``trusted_specializations`` is ``enriched.specializations`` from the same
+commit, copied verbatim but for its name and the face table it reads
+(``facewise_faces``), and builds its objects through ``_trusted``.
+
 ``check_specialization`` is ``Specialization``'s constructor check as it ran on
 labels, before the check moved to rows.  ``Preorder`` no longer has the
 ``is_lower_set``, ``restrict``, ``contains`` and ``lower_sets`` it called,
@@ -58,7 +72,7 @@ import itertools
 from operator import or_
 
 from enrichfan.enriched import EnrichedGraph, Specialization, _ordered_rows, _trusted, enriched_structures
-from enrichfan.graphs import MultiGraph, _roots, bits, block_masks, contract, label_key
+from enrichfan.graphs import MultiGraph, _contract, _roots, bits, block_masks, contract, label_key
 from enrichfan.preorders import Preorder
 from reference_preorders import contains, is_lower_set, lower_sets, restrict
 
@@ -456,3 +470,122 @@ def pairwise_faces(rows: tuple, facets: bool = False) -> dict:
         target = sum(1 << w * i + j for i, a in enumerate(kept) for j, b in enumerate(kept) if a & ~b == 0)
         table.setdefault(sum(1 << e for e, a in enumerate(on) if not a), []).append(target)
     return table
+
+
+# ``enriched._rows`` before each bottom's rows came from one multiply by its spread.
+def _summed_rows(ends, mask: int, bottoms, memo: dict, splits: dict, merge: int = 0) -> list:
+    """The packed enriched structures on the edges in ``mask`` (rows outside
+    it zero) whose bottom classes come from ``bottoms(block_mask)``.
+
+    ``ends`` are the parent's, its bottom ``merge`` not yet contracted;
+    ``memo`` and ``splits``, each mask's contracted ends and blocks, are
+    keyed on ``mask`` alone: blocks come by least edge, so the
+    contraction's vertex numbering does not matter."""
+    found = memo.get(mask)
+    if found is not None:
+        return found
+    w = (len(ends) + 7) & -8
+    split = splits.get(mask) if mask & (mask - 1) else (ends, ())
+    if split is None:
+        loops = False
+        if merge:  # the rest of a bottom: contract the bottom, remap the edges left
+            root = _roots(map(ends.__getitem__, bits(merge))).get
+            ends, loops = list(ends), True
+            for e in bits(mask):
+                u, v = ends[e]
+                u, v = ends[e] = root(u, u), root(v, v)
+                loops = loops and u == v
+        split = splits[mask] = ends, () if loops else block_masks(ends, mask)
+    ends, blocks = split
+    if not blocks:  # at most one edge, or only loops: the discrete structure alone
+        found = [sum(1 << (w + 1) * i for i in bits(mask))]
+    elif len(blocks) == 1:
+        found = []
+        for bottom in bottoms(mask):
+            base = sum(mask << w * i for i in bits(bottom))
+            found += [base | q for q in _summed_rows(ends, mask & ~bottom, bottoms, memo, splits, bottom)]
+    else:
+        found = None
+        for block in blocks:
+            part = _summed_rows(ends, block, bottoms, memo, splits)
+            found = part if found is None else [a | b for a in found for b in part]
+    memo[mask] = found
+    return found
+
+
+# The bottoms ``_summed_rows`` and the cores above it take: one mask in, bottoms out.
+def _nonempty_submasks(mask: int):
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+def _bottoms_of(rows: tuple):
+    """The one bottom class a given preorder allows: its rows that cover the mask."""
+
+    def bottoms(mask):
+        bottom = sum(1 << i for i in bits(mask) if rows[i] & mask == mask)
+        return (bottom,) if bottom else ()
+
+    return bottoms
+
+
+def _argmin(values: list):
+    """The one bottom class a point allows: its least coordinates on the mask."""
+
+    def bottoms(mask):
+        lo = min(values[i] for i in bits(mask))
+        return (sum(1 << i for i in bits(mask) if values[i] == lo),)
+
+    return bottoms
+
+
+# ``enriched._faces`` before it squeezed each ray once per lower set.
+def facewise_faces(rows: tuple, facets: bool = False) -> dict:
+    """The face table of the closed structure cone of the preorder with
+    ``rows``, whose rays are the distinct rows: each lower-set mask mapped
+    to the packed target rows of its faces, one per face, or only of its
+    facets, the faces that drop one ray.
+
+    A face's set of rays contracts the edges on none of them, a lower set,
+    and orders the rest: the rays through an edge form a chain
+    (``_parents``), and ``e ≼ f`` exactly when the least ray of the face
+    through ``e`` passes through ``f``.
+    """
+    rays = sorted(set(rows), key=int.bit_count)  # least first along every chain
+    through = [sum(1 << t for t, ray in enumerate(rays) if ray >> e & 1) for e in range(len(rows))]
+    table = {}
+    for face in [(1 << len(rays)) - 1 - (1 << t) for t in range(len(rays))] if facets else range(1 << len(rays)):
+        on = [a & face for a in through]  # the face's rays through each edge
+        lower = sum(1 << e for e, a in enumerate(on) if not a)
+        gaps = list(bits(lower))[::-1]
+        w = (len(rows) - len(gaps) + 7) & -8
+        target, least = 0, {}
+        for i, low in enumerate([a & -a for a in on if a]):
+            if low not in least:
+                row = rays[low.bit_length() - 1]
+                for b in gaps:  # close the gap at each contracted edge, highest first
+                    row = row >> b + 1 << b | row & (1 << b) - 1
+                least[low] = row
+            target |= least[low] << w * i
+        table.setdefault(lower, []).append(target)
+    return table
+
+
+# ``enriched.specializations`` as it read ``facewise_faces``, its objects built through ``_trusted``.
+def trusted_specializations(eg: EnrichedGraph) -> list:
+    """All specializations of ``eg``, the identity included: one per face
+    of its closed structure cone (``_faces``).  Groups come by size of the
+    contracted lower set, then by its sorted edge indices, each group in
+    ``_ordered_rows`` order.
+    """
+    p = eg.preorder
+    out = []
+    for mask, targets in sorted(facewise_faces(p.rows).items(), key=lambda item: (item[0].bit_count(), list(bits(item[0])))):
+        s = p._labels_of(mask)
+        target_graph = _contract(eg.graph, mask)
+        for cand in Preorder._family(target_graph.edge_labels, _ordered_rows(targets, target_graph.n_edges)):
+            target = _trusted(EnrichedGraph, graph=target_graph, preorder=cand)
+            out.append(_trusted(Specialization, source=eg, target=target, contracted=s))
+    return out

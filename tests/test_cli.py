@@ -581,6 +581,31 @@ class TestVerifyAll:
         assert "FAIL  bond collection round trip" in _check_lines(out)
         assert "      ValueError: preorder is not an enriched structure on this graph" in out.splitlines()
 
+    def test_a_wrong_gap_closure_fails_without_a_traceback(self, capsys, monkeypatch):
+        # the first row of every face target past a nonempty lower set loses its top
+        # bit, for both readers of the face table; the rays-and-faces check then
+        # meets targets that are not enriched
+        import enrichfan.enriched
+        import enrichfan.moduli
+
+        real = enrichfan.enriched._faces
+
+        def wrong(rows, facets=False):
+            table = real(rows, facets)
+            for lower, targets in table.items():
+                n = len(rows) - lower.bit_count()  # target row 0 is bits 0 to n - 1
+                if lower and n:
+                    targets[:] = [q ^ 1 << (q & (1 << n) - 1).bit_length() - 1 for q in targets]
+            return table
+
+        for module in (enrichfan.enriched, enrichfan.moduli):
+            monkeypatch.setattr(module, "_faces", wrong)
+        code, out, err = run_cli(capsys, "verify", "all")
+        assert code == EXIT_VERIFY and err == ""
+        assert len(_check_lines(out)) == 9
+        assert "FAIL  rays, smoothness, faces" in _check_lines(out)
+        assert any(": bad specialization of " in line for line in out.splitlines())
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, capsys):

@@ -17,11 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 import enrichfan.cones
 import reference_cones as ref
-from conftest import connected_multigraphs
+from conftest import biconnected_multigraphs, connected_multigraphs
 from enrichfan import corpus
 from enrichfan.cones import _comparison, closed_structure_cone, structure_cone
 from enrichfan.enriched import enriched_structures
-from enrichfan.graphs import is_biconnected
 from test_enriched_reference import cycle
 from test_toric_reference import k4, wheel4
 
@@ -76,7 +75,7 @@ def test_faces_are_the_ray_subsets_on_every_w4_structure():
 
 
 @settings(max_examples=25, deadline=None)
-@given(connected_multigraphs(max_vertices=5, max_edges=7).filter(is_biconnected), st.randoms(use_true_random=False))
+@given(biconnected_multigraphs(), st.randoms(use_true_random=False))
 def test_cones_match_reference_on_random_biconnected_graphs(g, rng):
     structs = enriched_structures(g)
     for eg in structs:

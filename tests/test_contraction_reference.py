@@ -62,24 +62,25 @@ def assert_core_matches_rebuilt(g, rng):
     ends = edge_ends(g)
     n, full = len(ends), (1 << len(ends)) - 1
 
-    def same(bottoms, splits=None):
+    def same(bottoms, old, splits=None):  # ``old``: the same bottoms, in the protocol the reference takes
         got = _structure_rows(ends, bottoms, splits)
-        assert got == _ordered_rows(ref._rebuilt_rows(ends, full, bottoms, {}), n), (g, bottoms)
+        assert got == _ordered_rows(ref._rebuilt_rows(ends, full, old, {}), n), (g, bottoms)
         return got
 
-    found = same(_nonempty_submasks)
+    found = same(_nonempty_submasks, ref._nonempty_submasks)
     assert [eg.preorder.rows for eg in enriched_structures(g)] == found
     sample = found if len(found) <= SAMPLE else rng.sample(found, SAMPLE)
     chain = tuple(full & ~((1 << i) - 1) for i in range(n))
     for rows in sample:
-        assert same(_bottoms_of(rows)) == [rows]
+        assert same(_bottoms_of(rows), ref._bottoms_of(rows)) == [rows]
     for rows in (chain, (full,) * n, tuple(1 << i for i in range(n))):  # enriched or not
-        same(_bottoms_of(rows))
+        same(_bottoms_of(rows), ref._bottoms_of(rows))
     splits = {}  # shared by every point, as the lift check shares it on one graph
     for trial in range(30):
         pool = [rng.randint(1, 9) for _ in range(1 + trial % 4)]
         values = [rng.choice(pool) for _ in ends]
-        assert same(_argmin(values)) == same(_argmin(values), splits)
+        old = ref._argmin(values)
+        assert same(_argmin(values), old) == same(_argmin(values), old, splits)
 
 
 @pytest.mark.parametrize("name", CORE_GRAPHS)

@@ -329,16 +329,16 @@ def assert_core_matches_reference(g, values):
     ends = edge_ends(g)
     full = (1 << len(ends)) - 1
 
-    def same(bottoms):
+    def same(bottoms, old):  # ``old``: the same bottoms, in the protocol the reference takes
         got = unpack(enrichfan.enriched._rows(ends, full, bottoms, {}, {}), len(ends))
-        assert got == ref._rows(ends, full, bottoms, {}), (g, bottoms)
+        assert got == ref._rows(ends, full, old, {}), (g, bottoms)
         return got
 
-    found = same(_nonempty_submasks)
+    found = same(_nonempty_submasks, ref._nonempty_submasks)
     chain = tuple(full & ~((1 << i) - 1) for i in range(len(ends)))
     for rows in found + [chain, (full,) * len(ends)]:
-        same(_bottoms_of(rows))
-    same(_argmin(values))
+        same(_bottoms_of(rows), ref._bottoms_of(rows))
+    same(_argmin(values), ref._argmin(values))
 
 
 @settings(max_examples=80, deadline=None)
@@ -363,7 +363,7 @@ def assert_packed_order_is_byte_key_order(g):
     ends = edge_ends(g)
     full = (1 << len(ends)) - 1
     found = enrichfan.enriched._rows(ends, full, _nonempty_submasks, {}, {})
-    before = ref._tuple_rows(ends, full, _nonempty_submasks, {})
+    before = ref._tuple_rows(ends, full, ref._nonempty_submasks, {})
     assert unpack(found, len(ends)) == before
     expected = ref._canonical(before)
     assert _ordered_rows(found, len(ends)) == expected

@@ -91,6 +91,21 @@ class TestMultiGraph:
         assert hash(corpus.triangle()) == hash(corpus.triangle())
         assert corpus.triangle() != corpus.theta(3)
 
+    def test_vertex_ids_and_ends_are_ints_or_strings(self):
+        # 1.0 and True equal the vertex 1, so an end of either kind would find it
+        for vertices, edges in (
+            ([1, 2], {"a": (1.0, 2)}),
+            ([1, 2], {"a": (1, True)}),
+            ([1.5], {}),
+            ([1, True], {}),
+            ([(0, 1)], {}),
+            ([None, "u"], {}),
+        ):
+            with pytest.raises(TypeError, match="vertex ids must be ints or strings"):
+                MultiGraph(vertices, edges)
+        g = MultiGraph([1, "u"], {(0, 1): (1, "u")})  # an edge label may be any sortable id
+        assert g.ends((0, 1)) == (1, "u")
+
 
 class TestContract:
     def test_triangle_one_edge(self):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 import enrichfan.toric
 import enrichfan.verify
 import reference_toric as ref
-from conftest import connected_multigraphs
+from conftest import biconnected_multigraphs
 from enrichfan import corpus
 from enrichfan.cli import main
 from enrichfan.graphs import MultiGraph, _bond_masks, bits, bonds, is_biconnected
@@ -63,8 +63,14 @@ def test_equations_match_reference(name):
     assert [r.terms for r in equations(g, 9)] == [r.terms for r in ref.equations(g, 9)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(biconnected_multigraphs())
+def test_biconnected_draws_are_biconnected_and_within_bounds(g):
+    assert is_biconnected(g) and g.n_edges <= 7 and len(g.vertices) <= 5
+
+
 @settings(max_examples=60, deadline=None)
-@given(connected_multigraphs(max_vertices=5, max_edges=7).filter(is_biconnected))
+@given(biconnected_multigraphs())
 def test_equations_match_reference_on_random_biconnected_graphs(g):
     assert [r.terms for r in equations(g)] == [r.terms for r in ref.equations(g)]
 
@@ -232,7 +238,7 @@ def test_bond_sums_match_reference(name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(connected_multigraphs(max_vertices=5, max_edges=7).filter(is_biconnected))
+@given(biconnected_multigraphs())
 def test_bond_sums_match_reference_on_random_biconnected_graphs(g):
     assert _bond_sums(g, _bond_masks(g)) == ref.cut_scan_bond_sums(g, bonds(g))
 
